@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-regress bench-go profile verify smoke crashtest plandiff
+.PHONY: build test vet race bench bench-regress bench-go bench-e2e bench-test profile verify smoke crashtest plandiff
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,17 @@ bench-regress:
 plandiff:
 	$(GO) test -race -count=1 -run 'TestPlanDiff' ./internal/engine/
 
+# End-to-end benchmark (BENCHMARK.json): builds bench/gqsbench from
+# source and runs every workload; pass a single workload through
+# bench/run.sh directly, e.g. `bash bench/run.sh --workload replay`.
+bench-e2e:
+	bash bench/run.sh
+
+# Tests of the benchmark module. It is its own Go module (gqs/bench), so
+# the root `go test ./...` does not reach it.
+bench-test:
+	cd bench && $(GO) test ./... && $(GO) test -race ./...
+
 # Go micro-benchmarks (the pre-existing bench target).
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
@@ -65,9 +76,10 @@ crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
 
 # Tier-1 verification gate (see ROADMAP.md), plus the crash-safety
-# differential, the planned-vs-interpreted differential, and the
-# perf-regression gate over the recorded BENCH_*.json history.
-verify: build vet test race crashtest plandiff bench-regress
+# differential, the planned-vs-interpreted differential, the benchmark
+# module's tests, and the perf-regression gate over the recorded
+# BENCH_*.json history.
+verify: build vet test race crashtest plandiff bench-test bench-regress
 
 # Short resilient-campaign smoke under the race detector: live faults,
 # flaky connection, watchdog timeouts — the hardened-runner acceptance.

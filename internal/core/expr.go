@@ -233,30 +233,28 @@ func (s *Synthesizer) evalConst(e ast.Expr, varName string, v value.Value) (valu
 	return eval.Eval(&s.constCtx, e)
 }
 
-// wrapAccess is wrapAccessValue over a reusable scratch map: Algorithm 2
-// wraps a value per competitor per round, and the wrapper map is only read
-// during the evalConst call that immediately follows, so one map serves
-// every wrap.
-func (s *Synthesizer) wrapAccess(prop string, v value.Value) value.Value {
-	if s.constWrap == nil {
-		s.constWrap = make(map[string]value.Value, 1)
-	}
-	clear(s.constWrap)
-	s.constWrap[prop] = v
-	return value.Map(s.constWrap)
-}
+// holeVar is the placeholder complexifyAccess builds each template layer
+// around. Its name is not a Cypher identifier the synthesizer emits, and
+// it never reaches a query: plugHole replaces it once the layer is kept.
+var holeVar = ast.Var("_")
 
-// complexifyAccess implements Algorithm 2: starting from the property
-// access varName.prop, it nests expression templates for depth rounds,
-// keeping a nesting only when the intended element's value remains
-// distinguishable from every competitor's. It returns the final
-// expression and its value for the intended element.
-func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
-	var exp ast.Expr = ast.Prop(varName, prop)
-	v1 := intended
-	// Evaluation always substitutes the ORIGINAL property values of the
-	// intended element and its competitors into the full expression; the
-	// running results v1 are only the bookkeeping of lines 9-10.
+// complexifyAccess implements Algorithm 2: starting from base, an access
+// whose values for the intended element and its competitors are given, it
+// nests expression templates for depth rounds, keeping a nesting only
+// when the intended element's value remains distinguishable from every
+// competitor's. It returns the final expression and its value for the
+// intended element.
+//
+// Each round evaluates only the new layer, on the previous layer's value
+// per element. That equals evaluating the whole nested expression on the
+// element's original value, because templates are pure and a kept layer
+// has evaluated without error for every competitor.
+func (s *Synthesizer) complexifyAccess(base ast.Expr, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
+	exp, v1 := base, intended
+	// cur holds each competitor's value of exp; next collects the
+	// candidate layer's values and becomes cur when the layer is kept.
+	cur := append(s.compCur[:0], competitors...)
+	next := s.compNext[:0]
 	for d := 0; d < depth; d++ {
 		cls := functions.ClassOf(v1)
 		if s.tmplScratch == nil {
@@ -273,46 +271,85 @@ func (s *Synthesizer) complexifyAccess(varName, prop string, intended value.Valu
 			break
 		}
 		t := candidates[s.r.Intn(len(candidates))]
-		newExp := t.build(s.r, exp)
-		nv1, err := s.evalConst(newExp, varName, s.wrapAccess(prop, intended))
+		layer := t.build(s.r, holeVar)
+		nv1, err := s.evalConst(layer, holeVar.Name, v1)
 		if err != nil {
 			continue
 		}
 		distinct := true
-		for _, c := range competitors {
-			nc, err := s.evalConst(newExp, varName, s.wrapAccess(prop, c))
+		next = next[:0]
+		for _, c := range cur {
+			nc, err := s.evalConst(layer, holeVar.Name, c)
 			if err != nil || value.Equivalent(nc, nv1) {
 				distinct = false
 				break
 			}
+			next = append(next, nc)
 		}
 		if !distinct {
 			continue // try another template next round (line 8 of Alg. 2)
 		}
-		exp, v1 = newExp, nv1
+		exp, v1 = plugHole(layer, exp), nv1
+		cur, next = next, cur
 	}
+	s.compCur, s.compNext = cur, next
 	return exp, v1
 }
 
-// wrapAccessValue builds a map standing in for the pattern variable so
-// that varName.prop evaluates to v during Algorithm 2's checks.
-func wrapAccessValue(_ string, prop string, v value.Value) value.Value {
-	return value.Map(map[string]value.Value{prop: v})
+// plugHole replaces holeVar in a freshly built template layer with inner.
+// Every template places its input as a direct child of the node it
+// returns.
+func plugHole(layer, inner ast.Expr) ast.Expr {
+	switch e := layer.(type) {
+	case *ast.Binary:
+		if e.L == holeVar {
+			e.L = inner
+		} else {
+			e.R = inner
+		}
+	case *ast.Unary:
+		e.X = inner
+	case *ast.FuncCall:
+		e.Args[0] = inner
+	case *ast.ListLit:
+		e.Elems[0] = inner
+	case *ast.ListComprehension:
+		e.List = inner
+	case *ast.IndexExpr:
+		e.Subject = inner
+	default:
+		panic(fmt.Sprintf("plugHole: unexpected template layer %T", layer))
+	}
+	return layer
 }
 
 // pinPredicate renders a pin as a WHERE conjunct: Algorithm 2 nests the
-// property access, genValueExpr hides the comparison constant, and the
+// pin's access, genValueExpr hides the comparison constant, and the
 // result still matches only the pinned element.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
-	intended, _ := s.lookupProp(p.elem, "id")
+	access, intended, byProp := s.pinAccess(p)
 	var compVals []value.Value
 	for _, c := range p.competitors {
-		if v, ok := s.lookupProp(c, "id"); ok {
+		if !byProp {
+			compVals = append(compVals, value.Int(c.id))
+		} else if v, ok := s.lookupProp(c, "id"); ok {
 			compVals = append(compVals, v)
 		}
 	}
-	nested, v1 := s.complexifyAccess(p.varName, "id", intended, compVals, s.r.Intn(depth+1))
+	nested, v1 := s.complexifyAccess(access, intended, compVals, s.r.Intn(depth+1))
 	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
+}
+
+// pinAccess returns the expression that identifies a pinned element and
+// its value for that element. It is the element's `id` property when the
+// element has one (byProp), and id(var) otherwise: bulk-generated
+// relationships carry no properties, so `var.id` would be null for every
+// candidate and the pin would match nothing.
+func (s *Synthesizer) pinAccess(p pin) (access ast.Expr, intended value.Value, byProp bool) {
+	if v, ok := s.lookupProp(p.elem, "id"); ok {
+		return ast.Prop(p.varName, "id"), v, true
+	}
+	return &ast.FuncCall{Name: "id", Args: []ast.Expr{ast.Var(p.varName)}}, value.Int(p.elem.id), false
 }
 
 func (s *Synthesizer) lookupProp(e elemRef, name string) (value.Value, bool) {
@@ -362,11 +399,11 @@ func (s *Synthesizer) tryRandomExprVars(vars []string, depth int) ast.Expr {
 	case 1:
 		return ast.Bin(ast.OpNeq, s.tryRandomExprVars(vars, depth-1), s.tryRandomExprVars(vars, depth-1))
 	case 2:
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{s.tryRandomExprVars(vars, depth - 1)}}
+		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
 	case 3:
-		return &ast.FuncCall{Name: "coalesce", Args: []ast.Expr{s.tryRandomExprVars(vars, depth - 1), randomLiteral(s.r)}}
+		return &ast.FuncCall{Name: "coalesce", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1), randomLiteral(s.r)}}
 	default:
-		return &ast.ListLit{Elems: []ast.Expr{s.tryRandomExprVars(vars, depth - 1)}}
+		return &ast.ListLit{Elems: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
 	}
 }
 

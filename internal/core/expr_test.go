@@ -6,6 +6,7 @@ import (
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
+	"gqs/internal/functions"
 	"gqs/internal/graph"
 	"gqs/internal/value"
 )
@@ -25,9 +26,7 @@ func newTestSynth(seed int64) (*Synthesizer, *rand.Rand) {
 // to a different value for every competitor, at every nesting depth.
 func TestComplexifyAccessInvariant(t *testing.T) {
 	syn, r := newTestSynth(1)
-	mapFor := func(v value.Value) value.Value {
-		return value.Map(map[string]value.Value{"id": v})
-	}
+	mapFor := idMap
 	for trial := 0; trial < 2000; trial++ {
 		intended := value.Int(int64(r.Intn(60)))
 		var comps []value.Value
@@ -37,7 +36,7 @@ func TestComplexifyAccessInvariant(t *testing.T) {
 				comps = append(comps, c)
 			}
 		}
-		nested, v1 := syn.complexifyAccess("x", "id", intended, comps, 1+r.Intn(6))
+		nested, v1 := syn.complexifyAccess(ast.Prop("x", "id"), intended, comps, 1+r.Intn(6))
 		got, err := eval.Eval(&eval.Ctx{Graph: syn.g, Env: map[string]value.Value{"x": mapFor(intended)}}, nested)
 		if err != nil {
 			t.Fatalf("trial %d: eval error %v on %s", trial, err, ast.ExprString(nested))
@@ -55,6 +54,105 @@ func TestComplexifyAccessInvariant(t *testing.T) {
 	}
 }
 
+// idMap stands in for a pattern variable whose `id` property is v, so
+// that x.id evaluates to v.
+func idMap(v value.Value) value.Value {
+	return value.Map(map[string]value.Value{"id": v})
+}
+
+// complexifyAccessFull is Algorithm 2 as first written: every round
+// re-evaluates the whole nested expression on each element's original
+// property value. complexifyAccess must produce exactly its output.
+func (s *Synthesizer) complexifyAccessFull(varName, prop string, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
+	var exp ast.Expr = ast.Prop(varName, prop)
+	v1 := intended
+	wrap := func(v value.Value) value.Value {
+		return value.Map(map[string]value.Value{prop: v})
+	}
+	for d := 0; d < depth; d++ {
+		cls := functions.ClassOf(v1)
+		var candidates []exprTemplate
+		for _, t := range nestTemplates {
+			if t.accepts.Accepts(cls) {
+				candidates = append(candidates, t)
+			}
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		t := candidates[s.r.Intn(len(candidates))]
+		newExp := t.build(s.r, exp)
+		nv1, err := s.evalConst(newExp, varName, wrap(intended))
+		if err != nil {
+			continue
+		}
+		distinct := true
+		for _, c := range competitors {
+			nc, err := s.evalConst(newExp, varName, wrap(c))
+			if err != nil || value.Equivalent(nc, nv1) {
+				distinct = false
+				break
+			}
+		}
+		if distinct {
+			exp, v1 = newExp, nv1
+		}
+	}
+	return exp, v1
+}
+
+// TestComplexifyLayerEvalMatchesFull checks that evaluating only the new
+// template layer yields the same expression, the same value and the same
+// RNG draws as re-evaluating the whole expression, over many seeds and
+// every template class.
+func TestComplexifyLayerEvalMatchesFull(t *testing.T) {
+	randVal := func(r *rand.Rand) value.Value {
+		switch r.Intn(6) {
+		case 0:
+			return value.Str(randString(r, r.Intn(6)))
+		case 1:
+			return value.Float(float64(r.Intn(400)-200) / 4)
+		case 2:
+			return value.Bool(r.Intn(2) == 0)
+		case 3:
+			return value.List(value.Int(int64(r.Intn(9))), value.Int(int64(r.Intn(9))))
+		default:
+			return value.Int(int64(r.Intn(200) - 100))
+		}
+	}
+	kept := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		full, _ := newTestSynth(seed)
+		layer, _ := newTestSynth(seed)
+		inputs := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 100; trial++ {
+			intended := randVal(inputs)
+			comps := make([]value.Value, inputs.Intn(5))
+			for i := range comps {
+				comps[i] = randVal(inputs)
+			}
+			depth := inputs.Intn(7)
+			fe, fv := full.complexifyAccessFull("x", "id", intended, comps, depth)
+			le, lv := layer.complexifyAccess(ast.Prop("x", "id"), intended, comps, depth)
+			if fs, ls := ast.ExprString(fe), ast.ExprString(le); fs != ls {
+				t.Fatalf("seed %d trial %d: expression %s, want %s", seed, trial, ls, fs)
+			}
+			if lv.Kind() != fv.Kind() || lv.String() != fv.String() {
+				t.Fatalf("seed %d trial %d: v1 %v, want %v", seed, trial, lv, fv)
+			}
+			if _, ok := le.(*ast.PropAccess); !ok {
+				kept++
+			}
+		}
+		if full.r.Int63() != layer.r.Int63() {
+			t.Fatalf("seed %d: RNG streams diverged", seed)
+		}
+	}
+	if kept < 1000 {
+		t.Fatalf("only %d trials kept a template layer", kept)
+	}
+}
+
 // TestComplexifyStringProperty exercises Algorithm 2 over string-typed
 // properties.
 func TestComplexifyStringProperty(t *testing.T) {
@@ -65,8 +163,8 @@ func TestComplexifyStringProperty(t *testing.T) {
 		if value.Equivalent(comps[0], intended) {
 			continue
 		}
-		nested, v1 := syn.complexifyAccess("x", "id", intended, comps, 4)
-		got, err := syn.evalConst(nested, "x", wrapAccessValue("x", "id", intended))
+		nested, v1 := syn.complexifyAccess(ast.Prop("x", "id"), intended, comps, 4)
+		got, err := syn.evalConst(nested, "x", idMap(intended))
 		if err != nil || !value.Equivalent(got, v1) {
 			t.Fatalf("trial %d: %v / %v vs %v (%s)", trial, err, got, v1, ast.ExprString(nested))
 		}

@@ -74,17 +74,19 @@ type Synthesizer struct {
 	history   []*Path
 	elemScope map[string]graph.ID
 
-	// constCtx, constEnv, and constWrap are the reusable scratch state of
-	// evalConst/wrapAccess: synthesis is single-threaded, and evaluation
-	// retains neither the context nor the maps in its result (results
-	// only alias the substituted property values, which the caller owns).
-	constCtx  eval.Ctx
-	constEnv  map[string]value.Value
-	constWrap map[string]value.Value
+	// constCtx and constEnv are the reusable scratch state of evalConst:
+	// synthesis is single-threaded, and evaluation retains neither the
+	// context nor the map in its result (results only alias the
+	// substituted values, which the caller owns).
+	constCtx eval.Ctx
+	constEnv map[string]value.Value
 	// tmplScratch is the reusable candidate buffer of complexifyAccess's
 	// template filter; the selection only reads the current round's
 	// contents, so the backing array carries over between rounds.
 	tmplScratch []exprTemplate
+	// compCur and compNext are complexifyAccess's per-competitor value
+	// buffers, kept between calls.
+	compCur, compNext []value.Value
 }
 
 // NewSynthesizer creates a synthesizer over the generated graph.
@@ -230,8 +232,8 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 	var preds []ast.Expr
 	for _, p := range pins {
 		if s.cfg.DisableComplexExprs {
-			id, _ := s.lookupProp(p.elem, "id")
-			preds = append(preds, ast.Bin(ast.OpEq, ast.Prop(p.varName, "id"), ast.Lit(id)))
+			access, id, _ := s.pinAccess(p)
+			preds = append(preds, ast.Bin(ast.OpEq, access, ast.Lit(id)))
 		} else {
 			preds = append(preds, s.pinPredicate(p, s.cfg.ExprDepth))
 		}

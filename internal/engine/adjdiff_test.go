@@ -12,7 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"gqs/internal/graph"
@@ -95,7 +95,7 @@ func runAdjDiff(t *testing.T, label, text string, indexed, scan *Engine) {
 	if ei != "" {
 		return
 	}
-	if !reflect.DeepEqual(ri.Columns, rs.Columns) || !reflect.DeepEqual(ri.Rows, rs.Rows) {
+	if !slices.Equal(ri.Columns, rs.Columns) || !IdenticalRows(ri.Rows, rs.Rows) {
 		t.Fatalf("%s: %q: results diverge:\nindexed: %v %v\nscan:    %v %v",
 			label, text, ri.Columns, ri.Rows, rs.Columns, rs.Rows)
 	}

@@ -13,7 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"gqs/internal/core"
@@ -106,11 +106,11 @@ func runPlanDiffCorpus(t *testing.T, opts engine.Options, g *graph.Graph, schema
 		if perr != nil {
 			continue
 		}
-		if !reflect.DeepEqual(pres.Columns, ires.Columns) {
+		if !slices.Equal(pres.Columns, ires.Columns) {
 			t.Fatalf("%s: %q: planned columns %v, interpreted columns %v",
 				opts.Dialect.Name, text, pres.Columns, ires.Columns)
 		}
-		if !reflect.DeepEqual(pres.Rows, ires.Rows) {
+		if !engine.IdenticalRows(pres.Rows, ires.Rows) {
 			t.Fatalf("%s: %q:\nplanned rows:     %v\ninterpreted rows: %v",
 				opts.Dialect.Name, text, pres.Rows, ires.Rows)
 		}

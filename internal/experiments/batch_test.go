@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"gqs/internal/core"
@@ -46,10 +47,10 @@ func TestBatchDeterminismDifferential(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	flushes := 0
+	var flushes atomic.Int64 // OnFlush runs concurrently on both workers
 	ck, err := core.OpenCheckpoint(core.CheckpointConfig{Path: path, Every: 1,
 		OnFlush: func(int) {
-			if flushes++; flushes == 2 {
+			if flushes.Add(1) == 2 {
 				cancel()
 			}
 		}}, fp)

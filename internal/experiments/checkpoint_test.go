@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"gqs/internal/core"
@@ -64,11 +65,13 @@ func TestKillResumeDifferential(t *testing.T) {
 			// killed process's memory.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			flushes := 0
+			// OnFlush runs outside the checkpoint lock, concurrently on
+			// the sharded legs.
+			var flushes atomic.Int64
 			ck, err := core.OpenCheckpoint(core.CheckpointConfig{
 				Path: path, Every: 1,
 				OnFlush: func(int) {
-					if flushes++; flushes == leg.killAfter {
+					if flushes.Add(1) == int64(leg.killAfter) {
 						cancel()
 					}
 				},
@@ -92,7 +95,7 @@ func TestKillResumeDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if re.Stats().ResumedUnits == 0 {
-				t.Fatalf("kill point left nothing to resume (flushes=%d)", flushes)
+				t.Fatalf("kill point left nothing to resume (flushes=%d)", flushes.Load())
 			}
 			resumed := RunGQSCampaignDurable(context.Background(), cfg, re)
 			if err := re.Close(); err != nil {

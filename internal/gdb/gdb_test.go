@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gqs/internal/core"
@@ -159,6 +160,29 @@ func TestRunnerNoFalsePositivesOnReference(t *testing.T) {
 	}
 	if stats.Skips > stats.Queries/4 {
 		t.Errorf("too many skips: %+v", stats)
+	}
+}
+
+// TestNoFalsePositivesOnBulkGraph is the false-positive control on
+// bulk-generated graphs (`gqs -gdb reference -graph-scale 300`), whose
+// relationships carry no `id` property: pins must identify them by id(r).
+func TestNoFalsePositivesOnBulkGraph(t *testing.T) {
+	connect := NewFactory(FactoryConfig{GDB: "reference", Seed: 1})
+	cfg := core.DefaultRunnerConfig()
+	cfg.Graph = graph.GenConfig{MaxNodes: 13, MaxRels: 60, Scale: 300}
+	var mu sync.Mutex
+	ps := core.RunParallel(core.ParallelConfig{Workers: 1, Iterations: 4, Runner: cfg},
+		func(shard int) (core.Target, error) { return connect(shard) },
+		func(_ int, _ core.Target, tc *core.TestCase) {
+			if tc.Verdict == core.VerdictLogicBug || tc.Verdict == core.VerdictErrorBug {
+				mu.Lock()
+				defer mu.Unlock()
+				t.Errorf("false positive on a bulk graph:\n%s\nexpected %v\nactual %v\nerr %v",
+					tc.Query, tc.Expected, tc.Actual, tc.Err)
+			}
+		})
+	if ps.Queries == 0 || ps.Passes != ps.Queries {
+		t.Errorf("want every query to pass: %+v", ps.Stats)
 	}
 }
 

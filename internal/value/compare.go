@@ -24,18 +24,19 @@ func Equal(a, b Value) Tri {
 	}
 	switch a.kind {
 	case KindBool:
-		return TriOf(a.b == b.b)
+		return TriOf(a.bv() == b.bv())
 	case KindString:
-		return TriOf(a.s == b.s)
+		return TriOf(a.sv() == b.sv())
 	case KindNode, KindRel:
 		return TriOf(a.i == b.i)
 	case KindList:
-		if len(a.list) != len(b.list) {
+		al, bl := a.lv(), b.lv()
+		if len(al) != len(bl) {
 			return TriFalse
 		}
 		result := TriTrue
-		for i := range a.list {
-			switch Equal(a.list[i], b.list[i]) {
+		for i := range al {
+			switch Equal(al[i], bl[i]) {
 			case TriFalse:
 				return TriFalse
 			case TriUnknown:
@@ -44,12 +45,13 @@ func Equal(a, b Value) Tri {
 		}
 		return result
 	case KindMap:
-		if len(a.m) != len(b.m) {
+		am, bm := a.mv(), b.mv()
+		if len(am) != len(bm) {
 			return TriFalse
 		}
 		result := TriTrue
-		for k, av := range a.m {
-			bv, ok := b.m[k]
+		for k, av := range am {
+			bv, ok := bm[k]
 			if !ok {
 				return TriFalse
 			}
@@ -93,18 +95,16 @@ func Compare(a, b Value) (int, Tri) {
 		}
 		return cmpFloat(af, bf), TriTrue
 	case a.kind == KindString && b.kind == KindString:
-		return strings.Compare(a.s, b.s), TriTrue
+		return strings.Compare(a.sv(), b.sv()), TriTrue
 	case a.kind == KindBool && b.kind == KindBool:
-		return cmpBool(a.b, b.b), TriTrue
+		return cmpBool(a.bv(), b.bv()), TriTrue
 	case a.kind == KindList && b.kind == KindList:
 		// Lists compare lexicographically when every paired element is
 		// comparable; otherwise the comparison is undefined.
-		n := len(a.list)
-		if len(b.list) < n {
-			n = len(b.list)
-		}
+		al, bl := a.lv(), b.lv()
+		n := min(len(al), len(bl))
 		for i := 0; i < n; i++ {
-			c, ok := Compare(a.list[i], b.list[i])
+			c, ok := Compare(al[i], bl[i])
 			if ok != TriTrue {
 				return 0, TriUnknown
 			}
@@ -112,7 +112,7 @@ func Compare(a, b Value) (int, Tri) {
 				return c, TriTrue
 			}
 		}
-		return cmpInt(int64(len(a.list)), int64(len(b.list))), TriTrue
+		return cmpInt(int64(len(al)), int64(len(bl))), TriTrue
 	}
 	return 0, TriUnknown
 }
@@ -189,27 +189,29 @@ func Equivalent(a, b Value) bool {
 	}
 	switch a.kind {
 	case KindBool:
-		return a.b == b.b
+		return a.bv() == b.bv()
 	case KindString:
-		return a.s == b.s
+		return a.sv() == b.sv()
 	case KindNode, KindRel:
 		return a.i == b.i
 	case KindList:
-		if len(a.list) != len(b.list) {
+		al, bl := a.lv(), b.lv()
+		if len(al) != len(bl) {
 			return false
 		}
-		for i := range a.list {
-			if !Equivalent(a.list[i], b.list[i]) {
+		for i := range al {
+			if !Equivalent(al[i], bl[i]) {
 				return false
 			}
 		}
 		return true
 	case KindMap:
-		if len(a.m) != len(b.m) {
+		am, bm := a.mv(), b.mv()
+		if len(am) != len(bm) {
 			return false
 		}
-		for k, av := range a.m {
-			bv, ok := b.m[k]
+		for k, av := range am {
+			bv, ok := bm[k]
 			if !ok || !Equivalent(av, bv) {
 				return false
 			}
@@ -229,16 +231,17 @@ func numericEquivalent(a, b Value) bool {
 		if a.kind == KindInt {
 			return a.i == b.i
 		}
-		if math.IsNaN(a.f) || math.IsNaN(b.f) {
-			return math.IsNaN(a.f) && math.IsNaN(b.f)
+		af, bf := a.fv(), b.fv()
+		if math.IsNaN(af) || math.IsNaN(bf) {
+			return math.IsNaN(af) && math.IsNaN(bf)
 		}
-		return a.f == b.f
+		return af == bf
 	}
 	// Mixed int/float: normalize so a is the int.
 	if a.kind == KindFloat {
 		a, b = b, a
 	}
-	i, ok := exactInt(b.f)
+	i, ok := exactInt(b.fv())
 	return ok && i == a.i
 }
 
@@ -311,24 +314,23 @@ func OrderCompare(a, b Value) int {
 		// Equal numeric value: order int before float for determinism.
 		return cmpInt(int64(a.kind), int64(b.kind))
 	case a.kind == KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.sv(), b.sv())
 	case a.kind == KindBool:
-		return cmpBool(a.b, b.b)
+		return cmpBool(a.bv(), b.bv())
 	case a.kind == KindNode || a.kind == KindRel:
 		return cmpInt(a.i, b.i)
 	case a.kind == KindList:
-		n := len(a.list)
-		if len(b.list) < n {
-			n = len(b.list)
-		}
+		al, bl := a.lv(), b.lv()
+		n := min(len(al), len(bl))
 		for i := 0; i < n; i++ {
-			if c := OrderCompare(a.list[i], b.list[i]); c != 0 {
+			if c := OrderCompare(al[i], bl[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt(int64(len(a.list)), int64(len(b.list)))
+		return cmpInt(int64(len(al)), int64(len(bl)))
 	case a.kind == KindMap:
-		ak, bk := sortedKeys(a.m), sortedKeys(b.m)
+		am, bm := a.mv(), b.mv()
+		ak, bk := sortedKeys(am), sortedKeys(bm)
 		n := len(ak)
 		if len(bk) < n {
 			n = len(bk)
@@ -337,7 +339,7 @@ func OrderCompare(a, b Value) int {
 			if c := strings.Compare(ak[i], bk[i]); c != 0 {
 				return c
 			}
-			if c := OrderCompare(a.m[ak[i]], b.m[bk[i]]); c != 0 {
+			if c := OrderCompare(am[ak[i]], bm[bk[i]]); c != 0 {
 				return c
 			}
 		}
@@ -366,7 +368,7 @@ func (v Value) writeKey(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteByte('_')
 	case KindBool:
-		if v.b {
+		if v.bv() {
 			sb.WriteString("bT")
 		} else {
 			sb.WriteString("bF")
@@ -378,21 +380,23 @@ func (v Value) writeKey(sb *strings.Builder) {
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindFloat:
 		sb.WriteByte('n')
+		f := v.fv()
 		switch {
-		case math.IsNaN(v.f):
+		case math.IsNaN(f):
 			sb.WriteString("NaN")
 		default:
-			if i, ok := exactInt(v.f); ok {
+			if i, ok := exactInt(f); ok {
 				sb.WriteString(strconv.FormatInt(i, 10))
 			} else {
-				sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+				sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
 			}
 		}
 	case KindString:
 		sb.WriteByte('s')
-		sb.WriteString(strconv.Itoa(len(v.s)))
+		s := v.sv()
+		sb.WriteString(strconv.Itoa(len(s)))
 		sb.WriteByte(':')
-		sb.WriteString(v.s)
+		sb.WriteString(s)
 	case KindNode:
 		sb.WriteByte('N')
 		sb.WriteString(strconv.FormatInt(v.i, 10))
@@ -401,22 +405,23 @@ func (v Value) writeKey(sb *strings.Builder) {
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindList:
 		sb.WriteByte('[')
-		for _, e := range v.list {
+		for _, e := range v.lv() {
 			e.writeKey(sb)
 			sb.WriteByte(',')
 		}
 		sb.WriteByte(']')
 	case KindMap:
 		sb.WriteByte('{')
-		ks := make([]string, 0, len(v.m))
-		for k := range v.m {
+		m := v.mv()
+		ks := make([]string, 0, len(m))
+		for k := range m {
 			ks = append(ks, k)
 		}
 		sort.Strings(ks)
 		for _, k := range ks {
 			sb.WriteString(k)
 			sb.WriteByte('=')
-			v.m[k].writeKey(sb)
+			m[k].writeKey(sb)
 			sb.WriteByte(',')
 		}
 		sb.WriteByte('}')

@@ -30,24 +30,27 @@ func Add(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.kind == KindList && b.kind == KindList:
-		out := make([]Value, 0, len(a.list)+len(b.list))
-		out = append(out, a.list...)
-		out = append(out, b.list...)
+		al, bl := a.lv(), b.lv()
+		out := make([]Value, 0, len(al)+len(bl))
+		out = append(out, al...)
+		out = append(out, bl...)
 		return ListOf(out), nil
 	case a.kind == KindList:
-		out := make([]Value, 0, len(a.list)+1)
-		out = append(out, a.list...)
+		al := a.lv()
+		out := make([]Value, 0, len(al)+1)
+		out = append(out, al...)
 		return ListOf(append(out, b)), nil
 	case b.kind == KindList:
-		out := make([]Value, 0, len(b.list)+1)
+		bl := b.lv()
+		out := make([]Value, 0, len(bl)+1)
 		out = append(out, a)
-		return ListOf(append(out, b.list...)), nil
+		return ListOf(append(out, bl...)), nil
 	case a.kind == KindString && b.kind == KindString:
-		return Str(a.s + b.s), nil
+		return Str(a.sv() + b.sv()), nil
 	case a.kind == KindString && (b.IsNumber() || b.kind == KindBool):
-		return Str(a.s + plainString(b)), nil
+		return Str(a.sv() + plainString(b)), nil
 	case b.kind == KindString && (a.IsNumber() || a.kind == KindBool):
-		return Str(plainString(a) + b.s), nil
+		return Str(plainString(a) + b.sv()), nil
 	case a.kind == KindInt && b.kind == KindInt:
 		return Int(a.i + b.i), nil
 	case a.IsNumber() && b.IsNumber():
@@ -59,7 +62,7 @@ func Add(a, b Value) (Value, error) {
 // plainString renders a value without string quoting, for concatenation.
 func plainString(v Value) string {
 	if v.kind == KindString {
-		return v.s
+		return v.sv()
 	}
 	return v.String()
 }
@@ -151,7 +154,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return Int(-a.i), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.fv()), nil
 	}
 	return Null, typeErr("-", a, a)
 }
@@ -167,20 +170,21 @@ func Index(c, idx Value) (Value, error) {
 		if idx.kind != KindInt {
 			return Null, typeErr("[]", c, idx)
 		}
+		l := c.lv()
 		i := idx.i
-		n := int64(len(c.list))
+		n := int64(len(l))
 		if i < 0 {
 			i += n
 		}
 		if i < 0 || i >= n {
 			return Null, nil
 		}
-		return c.list[i], nil
+		return l[i], nil
 	case KindMap:
 		if idx.kind != KindString {
 			return Null, typeErr("[]", c, idx)
 		}
-		if v, ok := c.m[idx.s]; ok {
+		if v, ok := c.mv()[idx.sv()]; ok {
 			return v, nil
 		}
 		return Null, nil
@@ -198,7 +202,8 @@ func Slice(c, from, to Value) (Value, error) {
 	if c.kind != KindList {
 		return Null, typeErr("[..]", c, from)
 	}
-	n := int64(len(c.list))
+	l := c.lv()
+	n := int64(len(l))
 	lo, hi := int64(0), n
 	if !from.IsNull() {
 		if from.kind != KindInt {
@@ -223,7 +228,7 @@ func Slice(c, from, to Value) (Value, error) {
 	if lo >= hi {
 		return List(), nil
 	}
-	return ListOf(c.list[lo:hi]), nil
+	return ListOf(l[lo:hi]), nil
 }
 
 func clamp(x, lo, hi int64) int64 {
@@ -263,7 +268,7 @@ func stringPredicate(a, b Value, f func(s, sub string) bool) Tri {
 	if a.IsNull() || b.IsNull() || a.kind != KindString || b.kind != KindString {
 		return TriUnknown
 	}
-	return TriOf(f(a.s, b.s))
+	return TriOf(f(a.sv(), b.sv()))
 }
 
 // In implements the IN operator with its subtle null semantics: if any
@@ -278,7 +283,7 @@ func In(needle, haystack Value) Tri {
 		return TriUnknown
 	}
 	sawUnknown := false
-	for _, e := range haystack.list {
+	for _, e := range haystack.lv() {
 		switch Equal(needle, e) {
 		case TriTrue:
 			return TriTrue

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -61,14 +62,18 @@ func (k Kind) String() string {
 }
 
 // Value is a Cypher runtime value. The zero Value is null.
+//
+// A Value is three words: the kind, one scalar word and one pointer. The
+// scalar holds ints, node and relationship identifiers, bools (0/1) and
+// float bits; for strings and lists it holds the length. The pointer holds
+// the string's bytes, the list's first element, or the map's header, so
+// the garbage collector keeps the payload alive through it. The payload is
+// rebuilt on read by the accessors below (bv, fv, sv, lv, mv), which are
+// the only code that interprets the pointer.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64 // integers and node/relationship identifiers
-	f    float64
-	s    string
-	list []Value
-	m    map[string]Value
+	i    int64
+	p    unsafe.Pointer
 }
 
 // Null is the null value.
@@ -76,40 +81,65 @@ var Null = Value{kind: KindNull}
 
 // True and False are the boolean constants.
 var (
-	True  = Value{kind: KindBool, b: true}
-	False = Value{kind: KindBool, b: false}
+	True  = Value{kind: KindBool, i: 1}
+	False = Value{kind: KindBool, i: 0}
 )
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return True
+	}
+	return False
+}
 
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the Stringer method.)
-func String_(s string) Value { return Value{kind: KindString, s: s} }
+func String_(s string) Value { return Str(s) }
 
 // Str is a shorter alias for String_.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	return Value{kind: KindString, i: int64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // List returns a list value wrapping vs. The slice is not copied.
-func List(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+func List(vs ...Value) Value { return ListOf(vs) }
 
 // ListOf returns a list value wrapping the given slice without copying.
-func ListOf(vs []Value) Value { return Value{kind: KindList, list: vs} }
+// Only the slice's length is kept: AsList returns a slice whose capacity
+// equals its length, so appending to it always copies.
+func ListOf(vs []Value) Value {
+	return Value{kind: KindList, i: int64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+}
 
 // Map returns a map value wrapping m. The map is not copied.
-func Map(m map[string]Value) Value { return Value{kind: KindMap, m: m} }
+func Map(m map[string]Value) Value {
+	return Value{kind: KindMap, p: *(*unsafe.Pointer)(unsafe.Pointer(&m))}
+}
 
 // Node returns a node reference with the given element identifier.
 func Node(id int64) Value { return Value{kind: KindNode, i: id} }
 
 // Rel returns a relationship reference with the given element identifier.
 func Rel(id int64) Value { return Value{kind: KindRel, i: id} }
+
+// bv, fv, sv, lv and mv rebuild the payload of a bool, float, string,
+// list or map value. Each must only be called on a value of that kind; the
+// exported As* accessors check the kind first and return the zero payload
+// otherwise.
+func (v Value) bv() bool    { return v.i != 0 }
+func (v Value) fv() float64 { return math.Float64frombits(uint64(v.i)) }
+func (v Value) sv() string  { return unsafe.String((*byte)(v.p), int(v.i)) }
+func (v Value) lv() []Value { return unsafe.Slice((*Value)(v.p), int(v.i)) }
+func (v Value) mv() map[string]Value {
+	return *(*map[string]Value)(unsafe.Pointer(&v.p))
+}
 
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -124,31 +154,60 @@ func (v Value) IsNumber() bool { return v.kind == KindInt || v.kind == KindFloat
 func (v Value) IsEntity() bool { return v.kind == KindNode || v.kind == KindRel }
 
 // AsBool returns the boolean payload; it must only be called when Kind is KindBool.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.bv() }
 
 // AsInt returns the integer payload; it must only be called when Kind is KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return v.iv() }
 
 // AsFloat returns the float payload; for integers it returns the converted value.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
+	switch v.kind {
+	case KindInt:
 		return float64(v.i)
+	case KindFloat:
+		return v.fv()
 	}
-	return v.f
+	return 0
 }
 
 // AsString returns the string payload; it must only be called when Kind is KindString.
-func (v Value) AsString() string { return v.s }
+func (v Value) AsString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.sv()
+}
 
-// AsList returns the list payload; it must only be called when Kind is KindList.
-func (v Value) AsList() []Value { return v.list }
+// AsList returns the list payload; it must only be called when Kind is
+// KindList. The returned slice's capacity equals its length.
+func (v Value) AsList() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.lv()
+}
 
 // AsMap returns the map payload; it must only be called when Kind is KindMap.
-func (v Value) AsMap() map[string]Value { return v.m }
+func (v Value) AsMap() map[string]Value {
+	if v.kind != KindMap {
+		return nil
+	}
+	return v.mv()
+}
 
 // EntityID returns the node or relationship identifier; it must only be
 // called when Kind is KindNode or KindRel.
-func (v Value) EntityID() int64 { return v.i }
+func (v Value) EntityID() int64 { return v.iv() }
+
+// iv returns the scalar word of an integer, node or relationship value and
+// 0 for every other kind, whose scalar word means something else.
+func (v Value) iv() int64 {
+	switch v.kind {
+	case KindInt, KindNode, KindRel:
+		return v.i
+	}
+	return 0
+}
 
 // Tri is Cypher's three-valued logic: true, false, or unknown (null).
 type Tri int
@@ -242,7 +301,7 @@ func (v Value) Truth() (t Tri, ok bool) {
 	case KindNull:
 		return TriUnknown, true
 	case KindBool:
-		return TriOf(v.b), true
+		return TriOf(v.bv()), true
 	default:
 		return TriUnknown, false
 	}
@@ -268,18 +327,18 @@ func (v Value) format(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteString("null")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.bv()))
 	case KindInt:
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindFloat:
-		formatFloat(sb, v.f)
+		formatFloat(sb, v.fv())
 	case KindString:
 		sb.WriteByte('\'')
-		sb.WriteString(escapeString(v.s))
+		sb.WriteString(escapeString(v.sv()))
 		sb.WriteByte('\'')
 	case KindList:
 		sb.WriteByte('[')
-		for i, e := range v.list {
+		for i, e := range v.lv() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -288,13 +347,14 @@ func (v Value) format(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindMap:
 		sb.WriteByte('{')
-		for i, k := range sortedKeys(v.m) {
+		m := v.mv()
+		for i, k := range sortedKeys(m) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
 			sb.WriteString(k)
 			sb.WriteString(": ")
-			v.m[k].format(sb)
+			m[k].format(sb)
 		}
 		sb.WriteByte('}')
 	case KindNode:
