@@ -1,12 +1,18 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race bench bench-regress bench-go bench-e2e bench-test profile verify smoke crashtest plandiff
+.PHONY: build fmt test vet race bench bench-regress bench-go bench-e2e bench-test profile verify smoke crashtest plandiff
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every Go file (the bench module's
+# included) that gofmt would rewrite.
+fmt:
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -70,16 +76,18 @@ profile:
 	$(GO) run ./cmd/gqs-bench -exp bench -iterations 20 -cpuprofile cpu.out -memprofile mem.out
 
 # Kill-and-resume differential under the race detector, repeated: a
-# campaign killed at a checkpoint boundary (journal tail torn on top)
-# must resume into the byte-identical bug report of an uninterrupted run.
+# campaign killed at a checkpoint boundary (journal tail torn on top) at
+# the default worker count, at 1 worker and at GOMAXPROCS workers, plus a
+# kill in the middle of a journal write, must resume into the
+# byte-identical bug report of an uninterrupted run.
 crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
 
-# Tier-1 verification gate (see ROADMAP.md), plus the crash-safety
-# differential, the planned-vs-interpreted differential, the benchmark
-# module's tests, and the perf-regression gate over the recorded
-# BENCH_*.json history.
-verify: build vet test race crashtest plandiff bench-test bench-regress
+# Tier-1 verification gate (see ROADMAP.md), plus the formatting gate,
+# the crash-safety differential, the planned-vs-interpreted
+# differential, the benchmark module's tests, and the perf-regression
+# gate over the recorded BENCH_*.json history.
+verify: build fmt vet test race crashtest plandiff bench-test bench-regress
 
 # Short resilient-campaign smoke under the race detector: live faults,
 # flaky connection, watchdog timeouts — the hardened-runner acceptance.

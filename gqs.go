@@ -150,8 +150,6 @@ func OpenSim(name string) (*gdb.Sim, error) { return gdb.ByName(name) }
 // Tester runs the GQS workflow — generate graph, select ground truth,
 // synthesize query, validate — against a target.
 type Tester struct {
-	runner  *core.Runner
-	target  Target
 	factory TargetFactory
 	cfg     testerConfig
 }
@@ -228,27 +226,27 @@ func WithRobustness(rc RobustnessConfig) TesterOption {
 // WithWorkers sets the worker-pool size of a sharded tester
 // (NewShardedTester); 0 selects GOMAXPROCS. The merged Stats are
 // identical for every worker count at the same seed — only wall-clock
-// time changes. Ignored by NewTester, whose single shared target cannot
-// be driven concurrently.
+// time changes. Ignored by NewTester, which always runs one worker:
+// its single shared target cannot be driven concurrently.
 func WithWorkers(n int) TesterOption {
 	return func(c *testerConfig) { c.workers = n }
 }
 
-// WithBatch sets the work-unit size of a sharded tester: each unit a
-// worker drains is n contiguous logical iterations, amortizing per-unit
-// scheduling and checkpoint costs. The merged Stats are identical for
-// every batch size at the same seed — batching changes scheduling, not
-// results. <= 0 (the default) keeps one iteration per unit. Ignored by
-// NewTester.
+// WithBatch sets the work-unit size: each unit a worker drains is n
+// contiguous logical iterations, amortizing per-unit scheduling and
+// checkpoint costs (a journal records completed units, so it is also the
+// checkpoint granularity). The merged Stats are identical for every
+// batch size at the same seed — batching changes scheduling, not
+// results. <= 0 (the default) keeps one iteration per unit.
 func WithBatch(n int) TesterOption {
 	return func(c *testerConfig) { c.batch = n }
 }
 
-// WithCheckpoint journals completed work units (iterations, or shards on
-// a sharded tester) to a crash-safe append-only file, flushing a snapshot
-// every `every` completed units (<= 0 means every unit). A RunContext
-// canceled mid-campaign leaves the journal resumable; see WithResume.
-// Only RunContext honors the journal — plain Run ignores it.
+// WithCheckpoint journals completed work units (see WithBatch) to a
+// crash-safe append-only file, flushing a snapshot every `every`
+// completed units (<= 0 means every unit). A RunContext canceled
+// mid-campaign leaves the journal resumable; see WithResume. Only
+// RunContext honors the journal — plain Run ignores it.
 func WithCheckpoint(path string, every int) TesterOption {
 	return func(c *testerConfig) { c.ckPath, c.ckEvery = path, every }
 }
@@ -256,10 +254,11 @@ func WithCheckpoint(path string, every int) TesterOption {
 // WithResume makes RunContext resume the campaign recorded in the
 // WithCheckpoint journal: completed units are restored from the journal
 // (their stats fold into the returned Stats, but their test cases are
-// not re-reported) and the RNG fast-forwards past them, so the combined
+// not re-reported) and only the remaining iterations run — each derives
+// its RNG stream from (WithSeed, iteration) alone, so the combined
 // outcome is identical to an uninterrupted run. Resume is refused with
 // ErrFingerprintMismatch if the tester configuration, iteration count,
-// or mode changed since the journal was written.
+// worker count or batch size changed since the journal was written.
 func WithResume() TesterOption {
 	return func(c *testerConfig) { c.ckResume = true }
 }
@@ -272,13 +271,13 @@ var ErrFingerprintMismatch = core.ErrFingerprintMismatch
 // tester; see core.TargetFactory for the isolation contract.
 type TargetFactory = core.TargetFactory
 
-// NewTester creates a tester for the target.
+// NewTester creates a tester for the target. It runs on the same
+// executor as NewShardedTester, at one worker, reusing the caller's
+// target for every iteration and never closing it.
 func NewTester(target Target, opts ...TesterOption) *Tester {
-	cfg := testerConfig{runner: core.DefaultRunnerConfig()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &Tester{runner: core.NewRunner(target, cfg.runner), target: target, cfg: cfg}
+	t := NewShardedTester(func(int) (Target, error) { return sharedTarget{target}, nil }, opts...)
+	t.cfg.workers = 1
+	return t
 }
 
 // NewShardedTester creates a tester that fans its iterations across a
@@ -294,15 +293,76 @@ func NewShardedTester(factory TargetFactory, opts ...TesterOption) *Tester {
 	return &Tester{factory: factory, cfg: cfg}
 }
 
-// Run performs n full workflow iterations (one generated graph each),
-// invoking report for every synthesized test case. On a sharded tester
-// the iterations run across the worker pool and report is serialized
-// (never called concurrently), but cases from different shards may
-// interleave; use TestCase fields, not call order, to correlate.
-func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
-	if t.factory == nil {
-		return t.runner.Run(n, report)
+// sharedTarget adapts the caller's target for NewTester. Its no-op
+// SeedShard makes the executor reuse the one target for every shard
+// (each shard's RNG streams live in the runner, which is reseeded per
+// shard), and it has no Close, so the executor never closes a target
+// the caller owns. It always offers the prepared and snapshot paths,
+// forwarding to the target when it implements them and falling back to
+// its text execution and plain Reset when it does not.
+type sharedTarget struct{ Target }
+
+func (sharedTarget) SeedShard(int) {}
+
+func (t sharedTarget) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
+	if p, ok := t.Target.(PreparedTarget); ok {
+		return p.ExecutePrepared(ctx, pq)
 	}
+	return t.ExecuteCtx(ctx, pq.Text)
+}
+
+func (t sharedTarget) ResetSnapshot(snap *Snapshot, schema *graph.Schema) error {
+	if s, ok := t.Target.(SnapshotTarget); ok {
+		return s.ResetSnapshot(snap, schema)
+	}
+	return t.Reset(graph.FromSnapshot(snap), schema)
+}
+
+// Run performs n full workflow iterations (one generated graph each),
+// invoking report for every synthesized test case. Each call is a
+// self-contained campaign derived from WithSeed: calling Run twice
+// repeats the same n iterations rather than continuing from the first
+// call. report is serialized (never called concurrently), but on a
+// sharded tester cases from different shards may interleave; use
+// TestCase fields, not call order, to correlate.
+func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
+	return t.run(context.Background(), n, report, nil), nil
+}
+
+// RunContext is Run under a cancelable context and the WithCheckpoint /
+// WithResume options. Cancellation stops between work units, flushes a
+// final checkpoint, and returns the partial Stats with a nil error;
+// resuming later completes the campaign as if it had never been
+// interrupted.
+func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) (Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var ck *core.Checkpointer
+	if t.cfg.ckPath != "" {
+		fp := core.CampaignFingerprint("user-target", "", t.cfg.workers, t.cfg.resolvedBatch(), n, t.cfg.runner)
+		var err error
+		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
+			Path: t.cfg.ckPath, Every: t.cfg.ckEvery, Resume: t.cfg.ckResume,
+		}, fp)
+		if err != nil {
+			return Stats{}, err
+		}
+		defer ck.Close()
+	}
+	stats := t.run(ctx, n, report, ck)
+	if ck != nil {
+		if err := ck.Flush(); err != nil {
+			return stats, fmt.Errorf("gqs: checkpoint journal: %w", err)
+		}
+		ck.ApplyTo(&stats.Robust)
+	}
+	return stats, nil
+}
+
+// run executes one campaign of n iterations on the executor, journaling
+// completed units to ck when it is non-nil.
+func (t *Tester) run(ctx context.Context, n int, report func(*TestCase), ck *core.Checkpointer) Stats {
 	pcfg := core.ParallelConfig{
 		Workers: t.cfg.workers, Iterations: n,
 		Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
@@ -316,70 +376,7 @@ func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
 			report(tc)
 		}
 	}
-	ps := core.RunParallel(pcfg, t.factory, observe)
-	return ps.Stats, nil
-}
-
-// RunContext is Run under a cancelable context and the WithCheckpoint /
-// WithResume options. Unlike Run — which on a sequential tester continues
-// the same runner state across calls — RunContext always executes a
-// self-contained campaign of n iterations derived from WithSeed (the
-// determinism a resumable journal requires). Cancellation stops between
-// work units, flushes a final checkpoint, and returns the partial Stats
-// with a nil error; resuming later completes the campaign as if it had
-// never been interrupted.
-func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) (Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var ck *core.Checkpointer
-	if t.cfg.ckPath != "" {
-		mode, workers := "sequential", 0
-		if t.factory != nil {
-			mode, workers = "sharded", t.cfg.workers
-		}
-		fp := core.CampaignFingerprint(mode, "user-target", "", workers, t.cfg.resolvedBatch(), n, t.cfg.runner)
-		var err error
-		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
-			Path: t.cfg.ckPath, Every: t.cfg.ckEvery, Resume: t.cfg.ckResume,
-		}, fp)
-		if err != nil {
-			return Stats{}, err
-		}
-		defer ck.Close()
-	}
-	var stats Stats
-	if t.factory == nil {
-		var err error
-		stats, err = core.RunCheckpointedSequential(ctx, t.target, t.cfg.runner, n,
-			"target", ck, core.DurableHooks{}, report)
-		if err != nil {
-			return stats, err
-		}
-	} else {
-		pcfg := core.ParallelConfig{
-			Workers: t.cfg.workers, Iterations: n,
-			Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
-		}
-		var observe func(int, core.Target, *core.TestCase)
-		if report != nil {
-			var mu sync.Mutex
-			observe = func(_ int, _ core.Target, tc *core.TestCase) {
-				mu.Lock()
-				defer mu.Unlock()
-				report(tc)
-			}
-		}
-		ps := core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, observe, ck, core.DurableHooks{})
-		stats = ps.Stats
-	}
-	if ck != nil {
-		if err := ck.Flush(); err != nil {
-			return stats, fmt.Errorf("gqs: checkpoint journal: %w", err)
-		}
-		ck.ApplyTo(&stats.Robust)
-	}
-	return stats, nil
+	return core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, observe, ck, core.DurableHooks{}).Stats
 }
 
 // Synthesize builds a single ground-truth/query pair over a given graph,

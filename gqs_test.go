@@ -132,6 +132,79 @@ func TestTesterResilienceOptions(t *testing.T) {
 	}
 }
 
+// TestTesterReusesCallerTarget: NewTester drives the caller's own
+// target for every iteration. The executor must never close it — a
+// closed simulator refuses all work, so a second Run would fail every
+// iteration — and each Run is a self-contained campaign derived from
+// WithSeed. Every executed case carries the prepared path's features.
+func TestTesterReusesCallerTarget(t *testing.T) {
+	sim, err := OpenSim("falkordb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester := NewTester(sim, WithSeed(3), WithGraphSize(10, 30), WithQueriesPerGraph(4))
+	var runs [2]Stats
+	for i := range runs {
+		stats, err := tester.Run(4, func(tc *TestCase) {
+			if tc.Verdict != VerdictSkip && tc.Features == nil {
+				t.Errorf("run %d: case %d executed without the prepared path's features", i, tc.Seq)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Queries == 0 || stats.Robust.FailedIterations != 0 {
+			t.Fatalf("run %d: the caller's target did not survive the campaign: %+v", i, stats)
+		}
+		stats.Elapsed, stats.Robust.Downtime = 0, 0
+		runs[i] = stats
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("Run is not a self-contained campaign:\n  first:  %+v\n  second: %+v", runs[0], runs[1])
+	}
+}
+
+// textOnly hides every optional extension of a target (prepared
+// execution, snapshot resets, closing), so NewTester's adapter must fall
+// back to plain ExecuteCtx and Reset.
+type textOnly struct{ Target }
+
+// TestTesterTextOnlyTarget: a target implementing only Target runs
+// through Run and RunContext; on the fault-free reference it yields no
+// bug verdicts.
+func TestTesterTextOnlyTarget(t *testing.T) {
+	sim, err := OpenSim("reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester := NewTester(textOnly{sim}, WithSeed(5), WithGraphSize(8, 20), WithQueriesPerGraph(4))
+	bugs := 0
+	report := func(tc *TestCase) {
+		if tc.Verdict == VerdictLogicBug || tc.Verdict == VerdictErrorBug {
+			bugs++
+			t.Errorf("false alarm on the reference: %v %q: %v", tc.Verdict, tc.Query, tc.Err)
+		}
+	}
+	for _, run := range []struct {
+		name string
+		run  func() (Stats, error)
+	}{
+		{"Run", func() (Stats, error) { return tester.Run(4, report) }},
+		{"RunContext", func() (Stats, error) { return tester.RunContext(context.Background(), 4, report) }},
+	} {
+		stats, err := run.run()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if stats.Passes == 0 || stats.Robust.FailedIterations != 0 {
+			t.Fatalf("%s: text-only target did not run: %+v", run.name, stats)
+		}
+		if stats.LogicBugs+stats.ErrorBugs != 0 || bugs != 0 {
+			t.Fatalf("%s: %d logic-bug and %d error reports on the reference", run.name, stats.LogicBugs, stats.ErrorBugs)
+		}
+	}
+}
+
 func TestSynthesize(t *testing.T) {
 	q, expected, err := Synthesize(42, 10, 30)
 	if err != nil {
@@ -152,7 +225,7 @@ func TestSynthesize(t *testing.T) {
 func ckStatsScrub(s Stats) Stats {
 	s.Elapsed = 0
 	s.Robust.Downtime = 0
-	s.Robust.ResumeFastForwarded = 0
+	s.Robust.RestoredIterations = 0
 	s.Robust.CheckpointsWritten = 0
 	s.Robust.CheckpointBytes = 0
 	s.Robust.LastCheckpointAge = 0
@@ -168,7 +241,7 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 		name string
 		make func(opts ...TesterOption) *Tester
 	}{
-		{"sequential", func(opts ...TesterOption) *Tester {
+		{"single-target", func(opts ...TesterOption) *Tester {
 			sim, err := OpenSim("falkordb")
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +288,7 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resumed.Robust.ResumeFastForwarded == 0 {
+			if resumed.Robust.RestoredIterations == 0 {
 				t.Error("resume restored nothing")
 			}
 			if got := ckStatsScrub(resumed); got != want {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gqs/internal/gdb"
 )
 
 func ckPath(t *testing.T) string {
@@ -19,7 +17,7 @@ func ckPath(t *testing.T) string {
 // legitimately differ between a resumed run and an uninterrupted one.
 func scrubCk(s Stats) Stats {
 	s = scrub(s)
-	s.Robust.ResumeFastForwarded = 0
+	s.Robust.RestoredIterations = 0
 	s.Robust.CheckpointsWritten = 0
 	s.Robust.CheckpointBytes = 0
 	s.Robust.LastCheckpointAge = 0
@@ -127,125 +125,26 @@ func TestCheckpointCompactionBoundsJournal(t *testing.T) {
 
 func TestCampaignFingerprintSensitivity(t *testing.T) {
 	cfg := tinyRunnerConfig()
-	base := CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg)
-	if base != CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg) {
+	base := CampaignFingerprint("reference", "cat", 1, 1, 10, cfg)
+	if base != CampaignFingerprint("reference", "cat", 1, 1, 10, cfg) {
 		t.Fatal("fingerprint not deterministic")
+	}
+	if !strings.Contains(base, " mode=sharded ") {
+		t.Fatalf("fingerprint must keep mode=sharded so older journals resume: %s", base)
 	}
 	cfg2 := cfg
 	cfg2.Seed++
 	for name, other := range map[string]string{
-		"seed":       CampaignFingerprint("sequential", "reference", "cat", 1, 1, 10, cfg2),
-		"mode":       CampaignFingerprint("sharded", "reference", "cat", 1, 1, 10, cfg),
-		"targets":    CampaignFingerprint("sequential", "memgraph", "cat", 1, 1, 10, cfg),
-		"catalog":    CampaignFingerprint("sequential", "reference", "cat2", 1, 1, 10, cfg),
-		"workers":    CampaignFingerprint("sequential", "reference", "cat", 2, 1, 10, cfg),
-		"iterations": CampaignFingerprint("sequential", "reference", "cat", 1, 1, 11, cfg),
-		"batch":      CampaignFingerprint("sequential", "reference", "cat", 1, 4, 10, cfg),
+		"seed":       CampaignFingerprint("reference", "cat", 1, 1, 10, cfg2),
+		"targets":    CampaignFingerprint("memgraph", "cat", 1, 1, 10, cfg),
+		"catalog":    CampaignFingerprint("reference", "cat2", 1, 1, 10, cfg),
+		"workers":    CampaignFingerprint("reference", "cat", 2, 1, 10, cfg),
+		"iterations": CampaignFingerprint("reference", "cat", 1, 1, 11, cfg),
+		"batch":      CampaignFingerprint("reference", "cat", 1, 4, 10, cfg),
 	} {
 		if other == base {
 			t.Errorf("fingerprint insensitive to %s", name)
 		}
-	}
-}
-
-// TestCheckpointedSequentialResume: a sequential campaign killed after
-// its second checkpoint resumes into the byte-identical verdict stream
-// and merged stats of an uninterrupted run.
-func TestCheckpointedSequentialResume(t *testing.T) {
-	cfg := tinyRunnerConfig()
-	cfg.Seed = 31
-	const iterations = 6
-	fp := CampaignFingerprint("sequential", "reference", "", 1, 1, iterations, cfg)
-
-	trace := func(stats *Stats, run func(report func(*TestCase)) Stats) string {
-		var sb strings.Builder
-		s := run(func(tc *TestCase) {
-			sb.WriteString(tc.Verdict.String())
-			sb.WriteByte(';')
-		})
-		if stats != nil {
-			*stats = s
-		}
-		return sb.String()
-	}
-
-	// Uninterrupted durable run: the ground truth.
-	var full Stats
-	fullTrace := trace(&full, func(report func(*TestCase)) Stats {
-		ck, err := OpenCheckpoint(CheckpointConfig{Path: ckPath(t), Every: 1}, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ck.Close()
-		s, err := RunCheckpointedSequential(context.Background(), gdb.NewReference(),
-			cfg, iterations, "reference", ck, DurableHooks{}, report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-	if fullTrace == "" {
-		t.Fatal("campaign produced no verdicts")
-	}
-
-	// The same campaign killed (context-canceled) after 2 checkpoints.
-	path := ckPath(t)
-	var canceled context.CancelFunc
-	flushes := 0
-	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1,
-		OnFlush: func(int) {
-			if flushes++; flushes == 2 {
-				canceled()
-			}
-		}}, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	canceled = cancel
-	defer cancel()
-	partial, err := RunCheckpointedSequential(ctx, gdb.NewReference(),
-		cfg, iterations, "reference", ck, DurableHooks{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-	if partial.Graphs != 2 {
-		t.Fatalf("interrupted run completed %d iterations, want 2", partial.Graphs)
-	}
-
-	// Resume: the live tail must replay exactly the uninterrupted stream.
-	restoredUnits := 0
-	var resumed Stats
-	resumedTrace := trace(&resumed, func(report func(*TestCase)) Stats {
-		re, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1, Resume: true}, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		s, err := RunCheckpointedSequential(context.Background(), gdb.NewReference(),
-			cfg, iterations, "reference", re, DurableHooks{
-				Restore: func(UnitRecord) { restoredUnits++ },
-			}, report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-	if restoredUnits != 2 {
-		t.Fatalf("restored %d units, want 2", restoredUnits)
-	}
-	if resumed.Robust.ResumeFastForwarded != 2 {
-		t.Fatalf("ResumeFastForwarded = %d, want 2", resumed.Robust.ResumeFastForwarded)
-	}
-	// The resumed report stream covers only the live tail; it must be a
-	// suffix of the uninterrupted stream (the restored prefix is not
-	// replayed to the report callback).
-	if !strings.HasSuffix(fullTrace, resumedTrace) || resumedTrace == fullTrace {
-		t.Fatalf("resumed tail is not a proper suffix:\n  full:    %s\n  resumed: %s", fullTrace, resumedTrace)
-	}
-	if scrubCk(resumed) != scrubCk(full) {
-		t.Fatalf("resumed stats diverge:\n  full:    %+v\n  resumed: %+v", scrubCk(full), scrubCk(resumed))
 	}
 }
 
@@ -255,7 +154,7 @@ func TestCheckpointedSequentialResume(t *testing.T) {
 func TestCheckpointedParallelResume(t *testing.T) {
 	pcfg := shardTestConfig()
 	pcfg.Workers = 1 // deterministic completion order for the kill point
-	fp := CampaignFingerprint("sharded", "reference", "", pcfg.Workers, 1, pcfg.Iterations, pcfg.Runner)
+	fp := CampaignFingerprint("reference", "", pcfg.Workers, 1, pcfg.Iterations, pcfg.Runner)
 	factory := func(int) (Target, error) { return newRefTarget(nil), nil }
 
 	baseline := RunParallel(pcfg, factory, nil)
@@ -293,8 +192,8 @@ func TestCheckpointedParallelResume(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("resume ran every shard from scratch")
 	}
-	if resumed.Robust.ResumeFastForwarded != skipped {
-		t.Fatalf("ResumeFastForwarded = %d, want %d", resumed.Robust.ResumeFastForwarded, skipped)
+	if resumed.Robust.RestoredIterations != skipped {
+		t.Fatalf("RestoredIterations = %d, want %d", resumed.Robust.RestoredIterations, skipped)
 	}
 	if scrubCk(resumed.Stats) != scrubCk(baseline.Stats) {
 		t.Fatalf("resumed merged stats diverge:\n  baseline: %+v\n  resumed:  %+v",
@@ -308,135 +207,70 @@ func TestCheckpointedParallelResume(t *testing.T) {
 	}
 }
 
-// TestFastForwardMatchesBreakerState: an iteration whose target never
-// came up consumes only the graph draw; FastForward must honor that via
-// the recorded zero query count, and RestoreResilience must reinstate
-// the breaker so the resumed campaign probes instead of re-tripping.
-func TestCheckpointedSequentialResumeThroughOutage(t *testing.T) {
-	tgt := &flakyReset{Target: gdb.NewReference(), down: true}
-	cfg := tinyRunnerConfig()
-	cfg.Seed = 17
-	const iterations = 8
-	fp := CampaignFingerprint("sequential", "flaky", "", 1, 1, iterations, cfg)
-
-	// Baseline: 5 dead iterations (breaker trips), then the target heals.
-	baseRun := func(target Target, healAt int) (Stats, string) {
-		rn := NewRunner(target, cfg)
-		var sb strings.Builder
-		for i := 0; i < iterations; i++ {
-			if i == healAt {
-				tgt.down = false
-			}
-			if err := rn.RunIteration(func(tc *TestCase) {
-				sb.WriteString(tc.Verdict.String())
-				sb.WriteByte(';')
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return rn.Stats(), sb.String()
+// TestCheckpointedParallelResumeThroughOutage: a durable campaign
+// killed while some of its shards' targets never came up resumes to the
+// uninterrupted campaign's stats field by field — failed iterations,
+// restart counters and booked downtime included — because a dead shard's
+// outcome is journaled like any other and re-derived from its own seed.
+func TestCheckpointedParallelResumeThroughOutage(t *testing.T) {
+	pcfg := shardTestConfig()
+	pcfg.Workers = 1 // deterministic completion order for the kill point
+	fp := CampaignFingerprint("reference", "", pcfg.Workers, 1, pcfg.Iterations, pcfg.Runner)
+	down := map[int]bool{1: true, 2: true, 4: true} // one outage before the kill, one after
+	factory := func(shard int) (Target, error) {
+		return &flakyReset{Target: newRefTarget(nil), down: down[shard]}, nil
 	}
-	base, baseTrace := baseRun(tgt, 5)
-	if base.Robust.BreakerTrips != 1 || base.Graphs == 0 {
-		t.Fatalf("baseline scenario did not trip+heal: %+v", base.Robust)
+	// Only the busy time differs between runs; downtime is booked from
+	// the seeded jitter stream and must match.
+	clean := func(s Stats) Stats {
+		s.Elapsed = 0
+		s.Robust.RestoredIterations = 0
+		return s
 	}
 
-	// Durable run killed during the outage (after 4 dead iterations).
-	tgt2 := &flakyReset{Target: gdb.NewReference(), down: true}
+	baseline := RunParallel(pcfg, factory, nil)
+	if rb := baseline.Robust; rb.FailedIterations != len(down) || rb.RestartFailures == 0 || rb.Downtime == 0 {
+		t.Fatalf("baseline outage did not fail its iterations: %+v", rb)
+	}
+
 	path := ckPath(t)
-	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1}, fp)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	flushes := 0
+	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1,
+		OnFlush: func(int) {
+			if flushes++; flushes == 3 {
+				cancel()
+			}
+		}}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	flushes := 0
-	ck.cfg.OnFlush = func(int) {
-		if flushes++; flushes == 4 {
-			cancel()
-		}
-	}
-	if _, err := RunCheckpointedSequential(ctx, tgt2, cfg, iterations, "flaky", ck, DurableHooks{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
+	RunCheckpointedParallel(ctx, pcfg, "reference", factory, nil, ck, DurableHooks{})
 	ck.Close()
 
-	// Resume with a healed target from iteration 5 on: breaker state must
-	// carry over (open, then probed closed), and the verdict tail must
-	// match the baseline's.
-	tgt2.down = true
 	re, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1, Resume: true}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	u, ok := re.Completed("flaky", 3)
-	if !ok || !u.BreakerOpen || u.Queries != 0 {
-		t.Fatalf("outage unit not recorded with open breaker and zero queries: %+v ok=%v", u, ok)
+	if st := re.Stats(); st.ResumedUnits != 3 {
+		t.Fatalf("kill point restored %d units, want 3", st.ResumedUnits)
 	}
-	var sb strings.Builder
-	restored := 0
-	s, err := runCheckpointedSequentialHealing(context.Background(), tgt2, cfg, iterations, "flaky", re,
-		DurableHooks{Restore: func(UnitRecord) { restored++ }},
-		func(tc *TestCase) {
-			sb.WriteString(tc.Verdict.String())
-			sb.WriteByte(';')
-		}, 5)
-	if err != nil {
-		t.Fatal(err)
+	u, ok := re.Completed("reference", 2)
+	if !ok || u.Queries != 0 || u.Stats.Robust.FailedIterations != 1 || u.Stats.Robust.RestartFailures == 0 {
+		t.Fatalf("outage unit not journaled as a failed iteration: %+v ok=%v", u, ok)
 	}
-	if restored != 4 {
-		t.Fatalf("restored %d units, want 4", restored)
+	resumed := RunCheckpointedParallel(context.Background(), pcfg, "reference", factory, nil, re, DurableHooks{})
+	if resumed.Restored != 3 || resumed.Ran != pcfg.Iterations-3 {
+		t.Fatalf("resume: Restored=%d Ran=%d, want 3/%d", resumed.Restored, resumed.Ran, pcfg.Iterations-3)
 	}
-	if !strings.HasSuffix(baseTrace, sb.String()) {
-		t.Fatalf("resumed tail diverges:\n  baseline: %q\n  resumed:  %q", baseTrace, sb.String())
+	if got, want := clean(resumed.Stats), clean(baseline.Stats); got != want {
+		t.Fatalf("resumed stats diverge:\n  baseline: %+v\n  resumed:  %+v", want, got)
 	}
-	if got, want := scrubCk(s), scrubCk(base); got != want {
-		t.Fatalf("stats diverge:\n  baseline: %+v\n  resumed:  %+v", want, got)
-	}
-}
-
-// runCheckpointedSequentialHealing is RunCheckpointedSequential with a
-// heal hook: the flakyReset target comes up at iteration healAt, mirroring
-// the baseline scenario across the kill/resume boundary.
-func runCheckpointedSequentialHealing(ctx context.Context, target *flakyReset, cfg RunnerConfig,
-	iterations int, name string, ck *Checkpointer, hooks DurableHooks,
-	report func(*TestCase), healAt int) (Stats, error) {
-	var restored Stats
-	var counts []int
-	var last UnitRecord
-	for i := 0; i < iterations; i++ {
-		u, ok := ck.Completed(name, i)
-		if !ok {
-			break
+	for i := 3; i < pcfg.Iterations; i++ {
+		if a, b := clean(baseline.Shards[i].Stats), clean(resumed.Shards[i].Stats); a != b {
+			t.Errorf("live shard %d diverges after resume:\n  baseline: %+v\n  resumed:  %+v", i, a, b)
 		}
-		if hooks.Restore != nil {
-			hooks.Restore(u)
-		}
-		restored.Add(u.Stats)
-		counts = append(counts, u.Queries)
-		last = u
 	}
-	rn := NewRunnerCtx(ctx, target, cfg)
-	if len(counts) > 0 {
-		rn.FastForward(counts)
-		rn.RestoreResilience(last.BreakerOpen, last.ConsecFails)
-	}
-	prev := rn.Stats()
-	for i := len(counts); i < iterations; i++ {
-		if i >= healAt {
-			target.down = false
-		}
-		if err := rn.RunIteration(report); err != nil {
-			return restored, err
-		}
-		cur := rn.Stats()
-		open, fails := rn.Breaker()
-		ck.Record(UnitRecord{Target: name, Shard: i, Queries: cur.Queries - prev.Queries,
-			Stats: statsDelta(cur, prev), BreakerOpen: open, ConsecFails: fails})
-		prev = cur
-	}
-	total := restored
-	total.Add(rn.Stats())
-	return total, nil
 }

@@ -102,10 +102,10 @@ type RobustnessStats struct {
 	// Checkpoint/resume accounting (durable campaigns only; zero
 	// otherwise). These are harness-side facts, not target behaviour, and
 	// are therefore excluded from canonical campaign reports.
-	CheckpointsWritten  int           // snapshot records flushed to the journal
-	CheckpointBytes     int64         // framed bytes appended to the journal
-	LastCheckpointAge   time.Duration // age of the newest flush at campaign end
-	ResumeFastForwarded int           // iterations skipped or RNG-replayed on resume
+	CheckpointsWritten int           // snapshot records flushed to the journal
+	CheckpointBytes    int64         // framed bytes appended to the journal
+	LastCheckpointAge  time.Duration // age of the newest flush at campaign end
+	RestoredIterations int           // iterations restored from the journal on resume
 }
 
 // Add accumulates another stats block; campaign-level reports sum the
@@ -128,7 +128,7 @@ func (s *RobustnessStats) Add(o RobustnessStats) {
 		// The merged age is the oldest (most conservative) of the parts.
 		s.LastCheckpointAge = o.LastCheckpointAge
 	}
-	s.ResumeFastForwarded += o.ResumeFastForwarded
+	s.RestoredIterations += o.RestoredIterations
 }
 
 // PanicError wraps a panic recovered from a connector call. Unwrap

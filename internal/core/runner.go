@@ -472,46 +472,3 @@ func (rn *Runner) Run(n int, report func(*TestCase)) (Stats, error) {
 	}
 	return rn.stats, nil
 }
-
-// FastForward deterministically replays the RNG draws of already-
-// completed iterations without executing anything against the target:
-// the resume path of a checkpointed sequential campaign. counts[i] is
-// the number of test cases iteration i produced (0 for an iteration
-// whose target never came up — such an iteration consumed only the
-// graph-generation draws). The runner's graph/synthesis RNG stream and
-// test-case sequence numbers end up exactly where a live run of those
-// iterations would have left them; execution-side state (the jitter
-// stream, connector-internal RNG positions) is intentionally not
-// replayed because it never feeds verdicts — see DESIGN.md §10.
-func (rn *Runner) FastForward(counts []int) {
-	for _, count := range counts {
-		g, schema := graph.Generate(rn.r, rn.cfg.Graph)
-		rn.stats.Robust.ResumeFastForwarded++
-		if count <= 0 {
-			// ensureUp failed on this iteration: the live run drew only
-			// the graph, never constructing the synthesizer.
-			continue
-		}
-		synthCfg := rn.cfg.Synth
-		synthCfg.RelUniqueness = rn.target.RelUniqueness()
-		synthCfg.ProvidesDBLabels = rn.target.ProvidesDBLabels()
-		syn := NewSynthesizer(rn.r, g, schema, synthCfg)
-		replayed := 0
-		for q := 0; q < rn.cfg.QueriesPerGraph && replayed < count; q++ {
-			gt := SelectGroundTruth(rn.r, g, rn.cfg.Plan().MaxResultSet)
-			for k := 0; k < rn.cfg.QueriesPerGT && replayed < count; k++ {
-				syn.Synthesize(gt) //nolint:errcheck // a failed synthesis consumed the same draws live
-				rn.seq++
-				replayed++
-			}
-		}
-	}
-}
-
-// RestoreResilience reinstates the circuit-breaker state a checkpointed
-// campaign recorded, so a resumed runner treats a dead target exactly as
-// the killed one was treating it.
-func (rn *Runner) RestoreResilience(breakerOpen bool, consecFails int) {
-	rn.breakerOpen = breakerOpen
-	rn.consecFails = consecFails
-}

@@ -10,12 +10,13 @@ import (
 	"gqs/internal/functions"
 )
 
-// This file is the sharded parallel campaign executor. The paper's
-// evaluation runs month-long fuzzing campaigns; a sequential runner caps
-// throughput at one core. The workflow is embarrassingly parallel per
-// iteration — every iteration generates its own graph, restarts its own
-// instance, and synthesizes its own queries — so the executor fans
-// iterations across a worker pool.
+// This file is the campaign executor. The paper's evaluation runs
+// month-long fuzzing campaigns; one runner caps throughput at one core.
+// The workflow is embarrassingly parallel per iteration — every
+// iteration generates its own graph, restarts its own instance, and
+// synthesizes its own queries — so the executor fans iterations across a
+// worker pool. Every campaign front-end (the paper tables, cmd/gqs, the
+// public gqs.Tester) runs on it, at one worker or many.
 //
 // The determinism contract: the unit of sharding is the LOGICAL
 // iteration, not the worker and not the batch. Shard i derives its RNG
@@ -47,9 +48,8 @@ type TargetFactory func(shard int) (Target, error)
 // (engine seed and execution counter, flaky-injection stream) for a new
 // shard index. A worker reuses one such connector — and one Runner on
 // top of it, reseeded per shard — across every shard it drains,
-// skipping the per-shard engine and fault-catalog construction that
-// made workers=1 parallel campaigns slower than the sequential runner,
-// under the contract that after SeedShard(i) the target behaves
+// skipping the per-shard engine and fault-catalog construction, under
+// the contract that after SeedShard(i) the target behaves
 // byte-identically to a freshly built factory(i) instance.
 type ShardSeeder interface {
 	SeedShard(shard int)
@@ -117,8 +117,8 @@ type ShardStats struct {
 
 // ParallelStats is the merged, order-independent outcome of a sharded
 // campaign: per-field sums over the shards plus the pool's wall-clock
-// time (the merged Stats.Elapsed sums per-shard busy time, so
-// Elapsed/Wall approximates the achieved parallelism).
+// time. The merged Stats.Elapsed sums per-shard busy time, restored
+// units included; Parallelism uses the live part only.
 type ParallelStats struct {
 	Stats
 	Wall    time.Duration
@@ -129,9 +129,11 @@ type ParallelStats struct {
 	// Iterations, with the gap being canceled-before-start shards.
 	Ran      int
 	Restored int
-	// RanQueries counts the queries executed live this run (restored
-	// units' queries are in Stats.Queries but not here).
+	// RanQueries counts the queries executed live this run and
+	// RanElapsed sums their shards' busy time (restored units' queries
+	// and busy time are in Stats but not here).
 	RanQueries int
+	RanElapsed time.Duration
 	Shards     []ShardStats // indexed by shard, always in shard order
 }
 
@@ -152,6 +154,16 @@ func (p *ParallelStats) QueriesPerSec() float64 {
 		return 0
 	}
 	return float64(p.RanQueries) / p.Wall.Seconds()
+}
+
+// Parallelism is the achieved parallelism of this run: live busy time
+// over the pool's wall-clock time. Restored units are excluded — their
+// busy time was spent by another run, against another clock.
+func (p *ParallelStats) Parallelism() float64 {
+	if p.Wall <= 0 {
+		return 0
+	}
+	return p.RanElapsed.Seconds() / p.Wall.Seconds()
 }
 
 // Add accumulates another stats block; the merge layer sums per-shard
@@ -176,7 +188,7 @@ func (s *Stats) Add(o Stats) {
 //
 // A factory error costs one failed iteration (recorded in the merged
 // Stats.Robust), never the campaign — the same degraded-not-dead
-// contract the sequential runner keeps.
+// contract the Runner keeps for a target that will not come up.
 func RunParallel(cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
 	return RunParallelCtx(context.Background(), cfg, factory, observe)
 }
@@ -214,7 +226,7 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 		}
 		if cfg.SkipUnit != nil {
 			if s, ok := cfg.SkipUnit(us, count); ok {
-				s.Robust.ResumeFastForwarded += count
+				s.Robust.RestoredIterations += count
 				perShard[us] = s
 				restored += count
 				continue
@@ -229,7 +241,7 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 	if workers > len(pending) {
 		workers = len(pending)
 	}
-	var ran, ranQueries atomic.Int64
+	var ran, ranQueries, ranElapsed atomic.Int64
 	jobs := make(chan workUnit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -294,6 +306,7 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 						continue
 					}
 					ranQueries.Add(int64(perShard[shard].Queries))
+					ranElapsed.Add(int64(perShard[shard].Elapsed))
 				}
 				// Cancellation is monotonic: a nil ctx.Err() here proves
 				// the whole unit ran uninterrupted, so recording it as
@@ -325,6 +338,7 @@ feed:
 		Ran:        int(ran.Load()),
 		Restored:   restored,
 		RanQueries: int(ranQueries.Load()),
+		RanElapsed: time.Duration(ranElapsed.Load()),
 	}
 	ps.Shards = make([]ShardStats, n)
 	for i := range perShard {

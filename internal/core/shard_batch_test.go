@@ -40,12 +40,13 @@ func TestRunParallelDeterministicAcrossBatches(t *testing.T) {
 // TestParallelThroughputCountsOnlyRan is the resumed-throughput
 // regression test: restored work units were another run's work, so they
 // must appear in Restored (and the merged stats) but never in Ran, the
-// numerator of the live iteration rate.
+// numerator of the live iteration rate, nor in RanElapsed, the numerator
+// of the achieved parallelism.
 func TestParallelThroughputCountsOnlyRan(t *testing.T) {
 	pcfg := shardTestConfig()
 	pcfg.Workers = 2
 	pcfg.Batch = 2
-	fp := CampaignFingerprint("sharded", "reference", "", pcfg.Workers, pcfg.Batch, pcfg.Iterations, pcfg.Runner)
+	fp := CampaignFingerprint("reference", "", pcfg.Workers, pcfg.Batch, pcfg.Iterations, pcfg.Runner)
 	factory := func(int) (Target, error) { return newRefTarget(nil), nil }
 
 	path := ckPath(t)
@@ -64,6 +65,10 @@ func TestParallelThroughputCountsOnlyRan(t *testing.T) {
 	if live.IterationsPerSec() <= 0 || live.QueriesPerSec() <= 0 {
 		t.Fatalf("live run reports no throughput: %f iters/s, %f queries/s",
 			live.IterationsPerSec(), live.QueriesPerSec())
+	}
+	if live.RanElapsed != live.Elapsed || live.Parallelism() <= 0 {
+		t.Fatalf("uninterrupted run: RanElapsed=%v, want Stats.Elapsed=%v (parallelism %.2f)",
+			live.RanElapsed, live.Elapsed, live.Parallelism())
 	}
 
 	// A resume of the completed campaign restores every unit and runs
@@ -85,6 +90,16 @@ func TestParallelThroughputCountsOnlyRan(t *testing.T) {
 		t.Fatalf("resumed run inflates live throughput: %f iters/s, %f queries/s",
 			resumed.IterationsPerSec(), resumed.QueriesPerSec())
 	}
+	// The restored busy time stays in the merged stats, but it was spent
+	// against another run's clock: dividing it by this run's wall time
+	// reported parallelism far above the worker count.
+	if resumed.Elapsed == 0 || resumed.RanElapsed != 0 {
+		t.Fatalf("resumed run: Stats.Elapsed=%v (want restored busy time), RanElapsed=%v (want 0)",
+			resumed.Elapsed, resumed.RanElapsed)
+	}
+	if p := resumed.Parallelism(); p > float64(resumed.Workers) {
+		t.Fatalf("resumed run reports %.2fx parallelism on %d workers", p, resumed.Workers)
+	}
 	if scrubCk(resumed.Stats) != scrubCk(live.Stats) {
 		t.Fatalf("restored merged stats diverge:\n  live:    %+v\n  resumed: %+v",
 			scrubCk(live.Stats), scrubCk(resumed.Stats))
@@ -99,7 +114,7 @@ func TestFactoryFailureNotCheckpointedRetriedOnResume(t *testing.T) {
 	pcfg := shardTestConfig()
 	pcfg.Workers = 1 // deterministic unit order around the failure
 	pcfg.Batch = 2
-	fp := CampaignFingerprint("sharded", "reference", "", pcfg.Workers, pcfg.Batch, pcfg.Iterations, pcfg.Runner)
+	fp := CampaignFingerprint("reference", "", pcfg.Workers, pcfg.Batch, pcfg.Iterations, pcfg.Runner)
 
 	const failShard = 3 // mid-unit: unit [2,4) must not be recorded
 	var failed atomic.Bool

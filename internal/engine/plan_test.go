@@ -23,15 +23,15 @@ func TestPlanCoverage(t *testing.T) {
 		"CALL db.labels()",
 		"CALL db.labels() YIELD label RETURN label",
 		"CALL db.propertyKeys()",
-		"MATCH (n) RETURN count(n, n)",          // wrong arity errors at runtime, still planned
-		"MATCH (n) RETURN n.name LIMIT -1",      // negative LIMIT errors at runtime, still planned
+		"MATCH (n) RETURN count(n, n)",     // wrong arity errors at runtime, still planned
+		"MATCH (n) RETURN n.name LIMIT -1", // negative LIMIT errors at runtime, still planned
 	}
 	fallback := []string{
-		"MATCH (n) RETURN *",                // star projection
-		"CREATE (x:Tmp) RETURN x",           // writes
-		"MATCH (n) SET n.k = 1",             // writes
-		"CALL db.indexes()",                 // procedure outside the compiled set
-		"MATCH (n) WITH n.n RETURN 1 AS one", // unaliased WITH expression
+		"MATCH (n) RETURN *",                  // star projection
+		"CREATE (x:Tmp) RETURN x",             // writes
+		"MATCH (n) SET n.k = 1",               // writes
+		"CALL db.indexes()",                   // procedure outside the compiled set
+		"MATCH (n) WITH n.n RETURN 1 AS one",  // unaliased WITH expression
 		"MATCH (n) RETURN n.n AS a, n.m AS a", // duplicate columns
 	}
 	for _, q := range planned {

@@ -13,9 +13,7 @@ import (
 // TestBatchDeterminismDifferential is the batching acceptance test: the
 // canonical bug report is a pure function of the seed — not of the
 // worker count and not of the work-unit size. "Sequential" here is the
-// sharded executor's serial order (workers=1, batch=1); the legacy
-// workers=0 runner draws from one campaign-wide RNG stream and reports
-// a different (internally consistent) stream by design.
+// executor's serial order (workers=1, batch=1).
 func TestBatchDeterminismDifferential(t *testing.T) {
 	run := func(workers, batch int) *Campaign {
 		cfg := shardedTestConfig(workers)
@@ -69,7 +67,7 @@ func TestBatchDeterminismDifferential(t *testing.T) {
 	}
 	resumed := RunGQSCampaignDurable(context.Background(), cfg, re)
 	re.Close()
-	if resumed.Robust.ResumeFastForwarded == 0 {
+	if resumed.Robust.RestoredIterations == 0 {
 		t.Fatal("resume re-ran the whole campaign from scratch")
 	}
 	if got := reportDigest(resumed); got != want {
@@ -106,8 +104,8 @@ func TestResumedCampaignThroughputExcludesRestored(t *testing.T) {
 	}
 	defer re.Close()
 	resumed := RunGQSCampaignDurable(context.Background(), cfg, re)
-	if got, want := resumed.Robust.ResumeFastForwarded, cfg.Iterations*perGDB; got != want {
-		t.Fatalf("resume fast-forwarded %d iterations, want %d (everything)", got, want)
+	if got, want := resumed.Robust.RestoredIterations, cfg.Iterations*perGDB; got != want {
+		t.Fatalf("resume restored %d iterations, want %d (everything)", got, want)
 	}
 	if resumed.Throughput.Iterations != 0 {
 		t.Fatalf("fully-restored resume claims %d live iterations (inflated throughput)",

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the durable campaign front-end: RunGQSCampaign with a
-// checkpoint journal threaded through both executors. The per-unit
+// checkpoint journal threaded through the executor. The per-unit
 // payload is the shard log — the buffered detections the canonical merge
 // consumes — serialized by fault ID and re-resolved against the catalogs
 // on resume, so a resumed campaign's CanonicalBugReport is byte-identical
@@ -26,14 +26,20 @@ import (
 // CampaignFingerprint renders everything that determines a campaign's
 // outcome; see core.CampaignFingerprint for the refusal contract.
 func CampaignFingerprint(cfg CampaignConfig) string {
-	mode := "sequential"
-	if cfg.Workers >= 1 {
-		mode = "sharded"
-	}
 	var names []string
 	for _, sim := range gdb.All() {
 		names = append(names, sim.Name())
 	}
+	return Fingerprint(names, cfg, campaignRunnerConfig(cfg))
+}
+
+// Fingerprint is the checkpoint identity of a campaign against the named
+// GDBs under runner configuration rcfg. cfg supplies the target modes
+// (Live, FlakyRate), the executor shape (Workers, ResolvedBatch) and the
+// iteration budget; its other fields are read only through rcfg. The
+// gqs command binds its journals through it as well, so every front-end
+// labels targets and resolves batches the same way.
+func Fingerprint(names []string, cfg CampaignConfig, rcfg core.RunnerConfig) string {
 	targets := strings.Join(names, ",")
 	if cfg.Live {
 		targets += " live"
@@ -41,8 +47,8 @@ func CampaignFingerprint(cfg CampaignConfig) string {
 	if cfg.FlakyRate > 0 {
 		targets += fmt.Sprintf(" flaky=%g", cfg.FlakyRate)
 	}
-	return core.CampaignFingerprint(mode, targets, faults.CatalogFingerprint(),
-		cfg.Workers, cfg.ResolvedBatch(), cfg.Iterations, campaignRunnerConfig(cfg))
+	return core.CampaignFingerprint(targets, faults.CatalogFingerprint(),
+		cfg.Workers, cfg.ResolvedBatch(), cfg.Iterations, rcfg)
 }
 
 // RunGQSCampaignDurable is RunGQSCampaign under a cancelable context and
@@ -55,100 +61,14 @@ func RunGQSCampaignDurable(ctx context.Context, cfg CampaignConfig, ck *core.Che
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Workers >= 1 {
-		return runShardedCampaignCtx(ctx, cfg, ck)
-	}
-	return runSequentialCampaignCtx(ctx, cfg, ck)
-}
-
-// runSequentialCampaignCtx is the legacy sequential executor with
-// checkpoint/resume: the unit of durability is one workflow iteration,
-// resumed via the runner's RNG fast-forward (core.RunCheckpointedSequential).
-func runSequentialCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Checkpointer) *Campaign {
-	c := &Campaign{}
-	seen := map[string]bool{}
-	for _, sim := range gdb.All() {
-		if ctx.Err() != nil {
-			break
-		}
-		runSequentialOn(ctx, c, sim, cfg, seen, ck)
-	}
-	return c
-}
-
-func runSequentialOn(ctx context.Context, c *Campaign, sim *gdb.Sim, cfg CampaignConfig, seen map[string]bool, ck *core.Checkpointer) {
-	sim.SetLiveFaults(cfg.Live)
-	var tgt gdb.Connector = sim
-	if cfg.FlakyRate > 0 {
-		// Note the resume caveat: the sequential flaky stream is a single
-		// RNG over the whole campaign, so a resumed flaky sequential
-		// campaign does not replay the uninterrupted fault schedule (the
-		// sharded executor reseeds per shard and does). DESIGN.md §10.
-		tgt = gdb.NewFlaky(sim, gdb.FlakyConfig{
-			Seed:           cfg.Seed + 0x5eed,
-			ErrorRate:      cfg.FlakyRate,
-			ResetErrorRate: cfg.FlakyRate / 2,
-		})
-	}
-	name := sim.Name()
-	// cur buffers the current iteration's tallies; each completed
-	// iteration's Payload call seals it into logs. Without a checkpointer
-	// the whole run accumulates into one log — the merge arithmetic is
-	// identical either way.
-	var logs []shardLog
-	var cur shardLog
-	hooks := core.DurableHooks{
-		Payload: func(string, int, int) json.RawMessage {
-			p := encodeShardLogs([]shardLog{cur})
-			logs = append(logs, cur)
-			cur = shardLog{}
-			return p
-		},
-		Restore: func(u core.UnitRecord) {
-			logs = append(logs, decodeShardLogs(name, u.Payload, 1)[0])
-		},
-	}
-	stats, _ := core.RunCheckpointedSequential(ctx, tgt, campaignRunnerConfig(cfg),
-		cfg.Iterations, name, ck, hooks, func(tc *core.TestCase) {
-			cur.queries++
-			switch tc.Verdict {
-			case core.VerdictSkip:
-				cur.skips++
-				return
-			case core.VerdictPass:
-				return
-			}
-			b := tgt.TriggeredBug()
-			if b == nil {
-				return
-			}
-			for _, ev := range cur.events {
-				if ev.bug.ID == b.ID {
-					return
-				}
-			}
-			cur.events = append(cur.events, shardEvent{
-				bug:      b,
-				query:    tc.Query,
-				features: featuresOf(tc),
-				steps:    tc.Steps,
-				atLocal:  cur.queries,
-				graph:    tc.Graph,
-				schema:   tc.Schema,
-			})
-		})
-	if cur.queries > 0 || len(cur.events) > 0 {
-		logs = append(logs, cur) // ck == nil, or a canceled partial iteration
-	}
-	c.Robust.Add(stats.Robust)
-	mergeShardLogs(c, name, logs, seen, -1)
+	return runShardedCampaignCtx(ctx, cfg, ck)
 }
 
 // shardEventRecord and shardLogRecord are the journal payload codec for
 // one shard log. Bugs are persisted by catalog ID and re-resolved on
 // decode; feature vectors are recomputed from the query text. A unit
 // payload is a JSON array of shard-log records, one per logical shard
-// in the unit's range (sequential units always hold exactly one).
+// in the unit's range.
 type shardEventRecord struct {
 	Bug   string `json:"bug"`
 	Query string `json:"query"`

@@ -22,32 +22,28 @@ func reportDigest(c *Campaign) string {
 }
 
 // killResumeConfig sizes a campaign small enough for -race yet long
-// enough to hold several kill points. The sharded legs keep the flaky
-// injector on (its per-shard streams reseed deterministically on
-// resume); the sequential leg must not (a single campaign-wide flaky
-// stream cannot be fast-forwarded — DESIGN.md §10).
+// enough to hold several kill points. The flaky injector stays on: its
+// per-shard streams reseed deterministically on resume.
 func killResumeConfig(workers int) CampaignConfig {
 	cfg := DefaultCampaignConfig()
 	cfg.Iterations = 6
 	cfg.Workers = workers
-	if workers >= 1 {
-		cfg.FlakyRate = 0.05
-	}
+	cfg.FlakyRate = 0.05
 	return cfg
 }
 
-// TestKillResumeDifferential is the tentpole's proof obligation: a
+// TestKillResumeDifferential is the durability proof obligation: a
 // campaign killed at a checkpoint boundary — with the journal tail torn
 // on top — resumes into the byte-identical canonical bug report of an
-// uninterrupted run, for the sequential executor and the sharded one at
-// 1 and GOMAXPROCS workers.
+// uninterrupted run, at the default worker count (Workers 0, which the
+// paper tables use), at 1 worker, and at GOMAXPROCS workers.
 func TestKillResumeDifferential(t *testing.T) {
 	legs := []struct {
 		name      string
 		workers   int
 		killAfter int // cancel at this checkpoint flush
 	}{
-		{"sequential", 0, 5},
+		{"workers0", 0, 5},
 		{"workers1", 1, 3},
 		{"workersN", runtime.GOMAXPROCS(0), 7},
 	}
@@ -65,8 +61,8 @@ func TestKillResumeDifferential(t *testing.T) {
 			// killed process's memory.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// OnFlush runs outside the checkpoint lock, concurrently on
-			// the sharded legs.
+			// OnFlush runs outside the checkpoint lock, concurrently
+			// from every worker.
 			var flushes atomic.Int64
 			ck, err := core.OpenCheckpoint(core.CheckpointConfig{
 				Path: path, Every: 1,
@@ -101,7 +97,7 @@ func TestKillResumeDifferential(t *testing.T) {
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if resumed.Robust.ResumeFastForwarded == 0 {
+			if resumed.Robust.RestoredIterations == 0 {
 				t.Fatal("resume re-ran the whole campaign from scratch")
 			}
 			if got := reportDigest(resumed); got != want {
@@ -193,7 +189,7 @@ func TestResumeRefusesChangedConfig(t *testing.T) {
 	}
 	defer re.Close()
 	done := RunGQSCampaignDurable(context.Background(), cfg, re)
-	if done.Robust.ResumeFastForwarded == 0 || done.Queries == 0 {
+	if done.Robust.RestoredIterations == 0 || done.Queries == 0 {
 		t.Fatalf("completed campaign did not restore: %+v", done.Robust)
 	}
 }

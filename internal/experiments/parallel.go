@@ -14,7 +14,7 @@ import (
 	"gqs/internal/metrics"
 )
 
-// This file is the sharded campaign front-end: it fans the campaign's
+// This file is the campaign front-end: it fans the campaign's
 // iterations across core.RunParallel and merges the per-shard
 // detections into a canonical, order-independent report.
 //
@@ -24,8 +24,8 @@ import (
 // are buffered per shard during the run and *streamed* into a dedicated
 // merger goroutine as each unit completes: the merger holds completed
 // ranges in a pending set and folds them strictly in ascending shard
-// order, deduplicating against a campaign-wide seen-set exactly like
-// the sequential path does. Folding unit [s, s+c) therefore always
+// order, deduplicating against a campaign-wide seen-set. Folding unit
+// [s, s+c) therefore always
 // happens after every shard < s has been folded and before any shard
 // ≥ s+c — the same total order the old end-of-run barrier produced,
 // minus the barrier: early shards merge while late shards still run. A
@@ -53,11 +53,6 @@ type shardLog struct {
 	queries int
 	skips   int
 	events  []shardEvent
-}
-
-// runShardedCampaign is the Workers >= 1 executor behind RunGQSCampaign.
-func runShardedCampaign(cfg CampaignConfig) *Campaign {
-	return runShardedCampaignCtx(context.Background(), cfg, nil)
 }
 
 // runShardedCampaignCtx is the sharded executor under a cancelable
@@ -211,11 +206,8 @@ func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg Campaign
 // mergeShardLogs folds buffered per-shard detections into the campaign
 // in canonical order: ascending shard index, AtQuery = campaign queries
 // so far + earlier shards' query counts + the shard-local index. The
-// sharded executor streams contiguous ranges through here in ascending
-// order (startShard is the range's first logical shard); the sequential
-// executor passes its whole iteration list at once with startShard < 0,
-// meaning "not shard-indexed" — its findings report Shard 0 (see
-// Finding.Shard).
+// merger streams contiguous ranges through here in ascending order;
+// startShard is the range's first logical shard.
 func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[string]bool, startShard int) {
 	base := c.Queries
 	for i := range logs {
@@ -225,7 +217,7 @@ func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[strin
 				continue
 			}
 			seen[ev.bug.ID] = true
-			f := &Finding{
+			c.Findings = append(c.Findings, &Finding{
 				Bug:      ev.bug,
 				GDB:      gdbName,
 				Query:    ev.query,
@@ -234,12 +226,9 @@ func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[strin
 				AtQuery:  base + ev.atLocal,
 				Graph:    ev.graph,
 				Schema:   ev.schema,
+				Shard:    startShard + i,
 				Latency:  ev.latency,
-			}
-			if startShard >= 0 {
-				f.Shard = startShard + i
-			}
-			c.Findings = append(c.Findings, f)
+			})
 		}
 		base += log.queries
 		c.Skips += log.skips

@@ -56,7 +56,7 @@ func TestResilientCampaign(t *testing.T) {
 
 	// A transient error never reaches a verdict: every give-up is a skip
 	// and every finding carries real fault attribution (enforced by
-	// construction in runOn — a Finding requires TriggeredBug).
+	// construction in runShardedOn — a Finding requires TriggeredBug).
 	if rb.TransientGiveUps > c.Skips {
 		t.Errorf("give-ups (%d) must be classified as skips (%d)", rb.TransientGiveUps, c.Skips)
 	}
