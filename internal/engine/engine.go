@@ -84,9 +84,10 @@ type Options struct {
 	// DisableAdjIndex turns off index-backed relationship expansion (and
 	// the index-backed mid-chain label check) on snapshot-loaded graphs,
 	// forcing the adjacency-list scan path everywhere: the second leg of
-	// the scan-vs-index differential and the scan baseline in the
-	// large-graph bench. Indexed expansion is behaviour-preserving by
-	// construction — same rows, same order, same step accounting.
+	// the scan-vs-index differential and the scan side of the
+	// benchmark's large-graph index ≡ scan check. Indexed expansion is
+	// behaviour-preserving by construction — same rows, same order, same
+	// step accounting.
 	DisableAdjIndex bool
 	// Seed drives the execution-scoped state behind the nondeterministic
 	// functions (rand(), timestamp()): every execution derives its own

@@ -57,10 +57,6 @@ type Store struct {
 	src   *graph.Graph
 	snap  *graph.Snapshot
 	dirty bool
-	// cow accumulates the graph's copy-on-write counters across Reset
-	// cycles (ResetToBase clears the per-graph counters) for the bench
-	// harness.
-	cow graph.COWStats
 }
 
 // NewStore returns a store over an empty graph.
@@ -81,7 +77,6 @@ func (s *Store) Reset(g *graph.Graph, schema *graph.Schema) {
 	if !s.dirty && s.src == g && s.schema == schema && s.src != nil {
 		return
 	}
-	s.collectCOW()
 	s.g = g.Clone()
 	s.src, s.snap = g, nil
 	s.dirty = false
@@ -101,36 +96,17 @@ func (s *Store) ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) {
 		if !s.dirty {
 			return
 		}
-		s.collectCOW()
 		s.g.ResetToBase()
 		s.dirty = false
 		s.clearDeltas()
 		return
 	}
-	s.collectCOW()
 	s.g = graph.FromSnapshot(snap)
 	s.snap, s.src = snap, nil
 	s.dirty = false
 	s.schema = schema
 	s.base = snap.Index(schema)
 	s.clearDeltas()
-}
-
-// collectCOW books the current graph's copy-on-write counters before the
-// graph is replaced or reset.
-func (s *Store) collectCOW() {
-	if s.g != nil {
-		s.cow = s.cow.Add(s.g.COW())
-	}
-}
-
-// COWCopies returns the accumulated copy-on-write promotion counts
-// across every state the store has held, including the current one.
-func (s *Store) COWCopies() graph.COWStats {
-	if s.g != nil {
-		return s.cow.Add(s.g.COW())
-	}
-	return s.cow
 }
 
 func (s *Store) clearDeltas() {

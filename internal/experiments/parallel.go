@@ -239,8 +239,8 @@ func mergeShardLogs(c *Campaign, gdbName string, logs []shardLog, seen map[strin
 // CanonicalBugReport renders the campaign's merged outcome with every
 // hardware-dependent field (wall time, latency, throughput) stripped:
 // two campaigns at the same seed must produce byte-identical reports
-// regardless of worker count. The determinism tests and the bench's
-// identical_bug_sets check compare exactly this string.
+// regardless of worker count. The determinism tests and the benchmark's
+// campaign checks compare exactly this string.
 func (c *Campaign) CanonicalBugReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "queries=%d skips=%d findings=%d\n", c.Queries, c.Skips, len(c.Findings))

@@ -19,24 +19,58 @@ func shardedTestConfig(workers int) CampaignConfig {
 
 // TestShardedCampaignDeterministicAcrossWorkers is the determinism
 // contract: same seed, different worker counts, byte-identical merged
-// bug reports.
+// bug reports. The default case also pins the seed-1 report itself
+// (digest and finding count) that the benchmark's campaign checks, so a
+// change to synthesis, execution or the fault catalog that alters which
+// bugs a campaign finds fails here first.
 func TestShardedCampaignDeterministicAcrossWorkers(t *testing.T) {
-	one := RunGQSCampaign(shardedTestConfig(1))
-	four := RunGQSCampaign(shardedTestConfig(4))
-	a, b := one.CanonicalBugReport(), four.CanonicalBugReport()
-	if a != b {
-		t.Fatalf("canonical reports differ across worker counts:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", a, b)
-	}
-	if len(one.Findings) == 0 {
-		t.Fatal("campaign found no bugs; the determinism check is vacuous")
-	}
-	if one.Queries != four.Queries || one.Skips != four.Skips {
-		t.Fatalf("tallies differ: %d/%d queries, %d/%d skips",
-			one.Queries, four.Queries, one.Skips, four.Skips)
-	}
-	if four.Workers != 4 || four.Throughput.Iterations == 0 {
-		t.Errorf("sharded campaign must record workers and throughput, got %d workers, %+v",
-			four.Workers, four.Throughput)
+	defaultCfg := DefaultCampaignConfig()
+	defaultCfg.Seed = 1
+	defaultCfg.Iterations = 20
+	for _, tc := range []struct {
+		name     string
+		cfg      CampaignConfig
+		workers  []int
+		digest   string // "" = not pinned
+		findings int
+	}{
+		{name: "small", cfg: shardedTestConfig(1), workers: []int{1, 4}},
+		{name: "default-seed1", cfg: defaultCfg, workers: []int{1, 2},
+			digest: "0bae9bd11b8716ef", findings: 35},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first *Campaign
+			for _, n := range tc.workers {
+				cfg := tc.cfg
+				cfg.Workers = n
+				c := RunGQSCampaign(cfg)
+				if c.Workers != n || c.Throughput.Iterations == 0 {
+					t.Errorf("sharded campaign must record workers and throughput, got %d workers, %+v",
+						c.Workers, c.Throughput)
+				}
+				if len(c.Findings) == 0 {
+					t.Fatal("campaign found no bugs; the determinism check is vacuous")
+				}
+				if tc.digest != "" {
+					if d := reportDigest(c); d != tc.digest || len(c.Findings) != tc.findings {
+						t.Errorf("workers=%d: report digest %s with %d findings, want %s with %d",
+							n, d, len(c.Findings), tc.digest, tc.findings)
+					}
+				}
+				if first == nil {
+					first = c
+					continue
+				}
+				if a, b := first.CanonicalBugReport(), c.CanonicalBugReport(); a != b {
+					t.Fatalf("canonical reports differ across worker counts:\n--- workers=%d ---\n%s--- workers=%d ---\n%s",
+						first.Workers, a, n, b)
+				}
+				if first.Queries != c.Queries || first.Skips != c.Skips {
+					t.Fatalf("tallies differ: %d/%d queries, %d/%d skips",
+						first.Queries, c.Queries, first.Skips, c.Skips)
+				}
+			}
+		})
 	}
 }
 

@@ -72,20 +72,11 @@ type Graph struct {
 }
 
 // COWStats counts the copy-on-write promotions a graph performed since
-// it was created or last ResetToBase; the bench harness reports them per
-// campaign iteration to show what each write actually copied.
+// it was created or last ResetToBase: what each write actually copied.
 type COWStats struct {
 	NodeCopies int // base nodes copied into the overlay before mutation
 	RelCopies  int // base relationships copied before mutation
 	AdjCopies  int // base adjacency lists copied before append/remove
-}
-
-// Add returns the element-wise sum of two stat blocks.
-func (c COWStats) Add(o COWStats) COWStats {
-	c.NodeCopies += o.NodeCopies
-	c.RelCopies += o.RelCopies
-	c.AdjCopies += o.AdjCopies
-	return c
 }
 
 // Total returns the total number of copy-on-write promotions.
