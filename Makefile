@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt test vet race bench bench-go bench-test profile verify smoke crashtest plandiff
+.PHONY: build fmt test vet race fuzz bench bench-go bench-test profile verify smoke crashtest plandiff
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 # bench/run.sh directly, e.g. `bash bench/run.sh --workload replay`.
 bench:
 	bash bench/run.sh
+
+# Parser fuzzing (FuzzParsePrint): no input panics or hangs the parser,
+# and every input it accepts prints to a fixpoint after one round. The
+# committed seeds under internal/cypher/parser/testdata/fuzz also run in
+# `make test`; this explores beyond them for a short, fixed time.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct
@@ -61,10 +68,10 @@ crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
 
 # Tier-1 verification gate (see ROADMAP.md), plus the formatting gate,
-# the crash-safety differential, the planned-vs-interpreted
-# differential and the benchmark module's tests. Performance is
-# measured by `make bench`, not gated here.
-verify: build fmt vet test race crashtest plandiff bench-test
+# the parser fuzzer, the crash-safety differential, the
+# planned-vs-interpreted differential and the benchmark module's tests.
+# Performance is measured by `make bench`, not gated here.
+verify: build fmt vet test race fuzz crashtest plandiff bench-test
 
 # Short resilient-campaign smoke under the race detector: live faults,
 # flaky connection, watchdog timeouts — the hardened-runner acceptance.

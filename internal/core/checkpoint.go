@@ -127,8 +127,9 @@ type CheckpointStats struct {
 // Checkpointer tracks completed units and journals them. All methods
 // are goroutine-safe and nil-safe (a nil *Checkpointer does nothing), so
 // callers thread one through unconditionally. A broken journal degrades
-// the campaign — flush failures are counted and checkpointing stops —
-// but never kills it; the campaign's own work continues.
+// the campaign — flush failures are counted, checkpointing stops, and
+// Flush reports it — but never kills it; the campaign's own work
+// continues.
 type Checkpointer struct {
 	mu    sync.Mutex
 	cfg   CheckpointConfig
@@ -138,6 +139,8 @@ type Checkpointer struct {
 	units []UnitRecord
 	dirty int
 	stats CheckpointStats
+	// failure is the first flush failure since open.
+	failure error
 }
 
 type unitKey struct {
@@ -253,7 +256,7 @@ func (c *Checkpointer) flushLocked() {
 	})
 	payload, err := json.Marshal(snap)
 	if err != nil {
-		c.stats.Failures++
+		c.failLocked(fmt.Errorf("checkpoint: encode snapshot: %w", err))
 		return
 	}
 	before := c.j.Stats()
@@ -261,7 +264,7 @@ func (c *Checkpointer) flushLocked() {
 	after := c.j.Stats()
 	c.stats.WriteTime += after.WriteTime - before.WriteTime
 	if err != nil {
-		c.stats.Failures++
+		c.failLocked(err)
 		return
 	}
 	c.dirty = 0
@@ -273,9 +276,19 @@ func (c *Checkpointer) flushLocked() {
 	}
 }
 
+// failLocked counts a failed flush and keeps the first failure.
+func (c *Checkpointer) failLocked(err error) {
+	c.stats.Failures++
+	if c.failure == nil {
+		c.failure = err
+	}
+}
+
 // Flush forces a snapshot record for any unflushed units; the final
-// checkpoint of a graceful shutdown. Returns the journal's sticky error
-// so callers can warn that resumability was lost.
+// checkpoint of a graceful shutdown. If any flush since open failed, it
+// returns an error naming the first failure, and otherwise the
+// journal's sticky error (a failed compaction leaves one), so callers
+// can warn that resumability was lost.
 func (c *Checkpointer) Flush() error {
 	if c == nil {
 		return nil
@@ -284,6 +297,9 @@ func (c *Checkpointer) Flush() error {
 	defer c.mu.Unlock()
 	if c.dirty > 0 {
 		c.flushLocked()
+	}
+	if c.failure != nil {
+		return fmt.Errorf("%d checkpoint flush(es) failed, the first: %w", c.stats.Failures, c.failure)
 	}
 	return c.j.Err()
 }

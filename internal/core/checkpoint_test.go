@@ -274,3 +274,25 @@ func TestCheckpointedParallelResumeThroughOutage(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointFlushFailureReported: a flush that fails (here, a
+// snapshot that cannot be encoded) must surface from Flush and Close,
+// naming the first failure, even though the campaign carries on.
+func TestCheckpointFlushFailureReported(t *testing.T) {
+	ck, err := OpenCheckpoint(CheckpointConfig{Path: ckPath(t), Every: 1}, "fp-fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Record(UnitRecord{Target: "a", Shard: 0, Payload: []byte("{not json")})
+	ck.Record(UnitRecord{Target: "a", Shard: 1})
+	if st := ck.Stats(); st.Failures != 2 || st.Written != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	err = ck.Flush()
+	if err == nil || !strings.Contains(err.Error(), "encode snapshot") {
+		t.Fatalf("Flush = %v, want the first failure reported", err)
+	}
+	if err := ck.Close(); err == nil {
+		t.Fatal("Close must report the failed flushes too")
+	}
+}

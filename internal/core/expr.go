@@ -475,6 +475,28 @@ func (s *Synthesizer) truePredicate(depth int) ast.Expr {
 	return ast.Lit(value.True)
 }
 
+// containsEntity reports whether a value is, or nests inside a list or
+// map, a node or relationship.
+func containsEntity(v value.Value) bool {
+	switch v.Kind() {
+	case value.KindNode, value.KindRel:
+		return true
+	case value.KindList:
+		for _, el := range v.AsList() {
+			if containsEntity(el) {
+				return true
+			}
+		}
+	case value.KindMap:
+		for _, el := range v.AsMap() {
+			if containsEntity(el) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (s *Synthesizer) candidateTruePredicate(vars []string, depth int) ast.Expr {
 	if len(vars) == 0 {
 		return ast.Lit(value.True)
@@ -501,9 +523,9 @@ func (s *Synthesizer) candidateTruePredicate(vars []string, depth int) ast.Expr 
 	if actual.IsNull() {
 		return &ast.Unary{Op: ast.OpIsNull, X: access}
 	}
-	if actual.IsEntity() {
-		// Entity values (an endNode alias, say) have no literal form;
-		// only null checks are safely expressible.
+	if containsEntity(actual) {
+		// Entity values (an endNode alias, say, or a list holding one)
+		// have no literal form; only null checks are safely expressible.
 		return &ast.Unary{Op: ast.OpIsNotNull, X: access}
 	}
 	switch s.r.Intn(5) {

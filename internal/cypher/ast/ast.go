@@ -479,6 +479,15 @@ func init() {
 // Lit is a convenience constructor for literal expressions. Null, bools,
 // and small integers return shared interned nodes.
 func Lit(v value.Value) *Literal {
+	if l := InternedLit(v); l != nil {
+		return l
+	}
+	return &Literal{Val: v}
+}
+
+// InternedLit returns the shared node for v if v is interned (null, a
+// bool or a small integer), else nil.
+func InternedLit(v value.Value) *Literal {
 	switch v.Kind() {
 	case value.KindNull:
 		return litNull
@@ -492,7 +501,7 @@ func Lit(v value.Value) *Literal {
 			return litInts[i-internIntLo]
 		}
 	}
-	return &Literal{Val: v}
+	return nil
 }
 
 // Var is a convenience constructor for variable references. The

@@ -2,7 +2,35 @@ package ast
 
 import (
 	"strings"
+
+	"gqs/internal/cypher/lexer"
+	"gqs/internal/cypher/token"
 )
+
+// writeName writes a label, relationship type, property key, alias, map
+// key or parameter name, where the parser also accepts a keyword: in
+// backquotes only when it is not a bare identifier.
+func writeName(sb *strings.Builder, name string) {
+	if lexer.IsIdentifier(name) {
+		sb.WriteString(name)
+		return
+	}
+	sb.WriteByte('`')
+	sb.WriteString(name)
+	sb.WriteByte('`')
+}
+
+// writeVar writes a variable, which the parser reads only from an
+// identifier token: in backquotes also when it spells a keyword.
+func writeVar(sb *strings.Builder, name string) {
+	if lexer.IsIdentifier(name) && token.Lookup(name) == token.Ident {
+		sb.WriteString(name)
+		return
+	}
+	sb.WriteByte('`')
+	sb.WriteString(name)
+	sb.WriteByte('`')
+}
 
 // String renders the query back to Cypher text. Binary and unary
 // subexpressions are fully parenthesized, which sidesteps precedence
@@ -55,7 +83,7 @@ func printClause(sb *strings.Builder, c Clause) {
 		sb.WriteString("UNWIND ")
 		printExpr(sb, c.Expr)
 		sb.WriteString(" AS ")
-		sb.WriteString(c.Alias)
+		writeName(sb, c.Alias)
 	case *WithClause:
 		sb.WriteString("WITH ")
 		printProjection(sb, &c.Projection)
@@ -77,9 +105,13 @@ func printClause(sb *strings.Builder, c Clause) {
 			printExpr(sb, a)
 		}
 		sb.WriteByte(')')
-		if len(c.Yield) > 0 {
-			sb.WriteString(" YIELD ")
-			sb.WriteString(strings.Join(c.Yield, ", "))
+		for i, y := range c.Yield {
+			if i == 0 {
+				sb.WriteString(" YIELD ")
+			} else {
+				sb.WriteString(", ")
+			}
+			writeName(sb, y)
 		}
 	case *CreateClause:
 		sb.WriteString("CREATE ")
@@ -131,15 +163,15 @@ func printClause(sb *strings.Builder, c Clause) {
 				sb.WriteString(", ")
 			}
 			if len(it.Labels) > 0 {
-				sb.WriteString(it.Variable)
+				writeVar(sb, it.Variable)
 				for _, l := range it.Labels {
 					sb.WriteByte(':')
-					sb.WriteString(l)
+					writeName(sb, l)
 				}
 			} else {
 				printExpr(sb, it.Subject)
 				sb.WriteByte('.')
-				sb.WriteString(it.Property)
+				writeName(sb, it.Property)
 			}
 		}
 	}
@@ -147,16 +179,16 @@ func printClause(sb *strings.Builder, c Clause) {
 
 func printSetItem(sb *strings.Builder, it *SetItem) {
 	if len(it.Labels) > 0 {
-		sb.WriteString(it.Variable)
+		writeVar(sb, it.Variable)
 		for _, l := range it.Labels {
 			sb.WriteByte(':')
-			sb.WriteString(l)
+			writeName(sb, l)
 		}
 		return
 	}
 	printExpr(sb, it.Subject)
 	sb.WriteByte('.')
-	sb.WriteString(it.Property)
+	writeName(sb, it.Property)
 	sb.WriteString(" = ")
 	printExpr(sb, it.Value)
 }
@@ -178,7 +210,7 @@ func printProjection(sb *strings.Builder, p *Projection) {
 		printExpr(sb, it.Expr)
 		if it.Alias != "" {
 			sb.WriteString(" AS ")
-			sb.WriteString(it.Alias)
+			writeName(sb, it.Alias)
 		}
 	}
 	if len(p.OrderBy) > 0 {
@@ -214,7 +246,7 @@ func printPatterns(sb *strings.Builder, ps []*PatternPart) {
 
 func printPattern(sb *strings.Builder, p *PatternPart) {
 	if p.Variable != "" {
-		sb.WriteString(p.Variable)
+		writeVar(sb, p.Variable)
 		sb.WriteString(" = ")
 	}
 	for i, n := range p.Nodes {
@@ -226,14 +258,16 @@ func printPattern(sb *strings.Builder, p *PatternPart) {
 			sb.WriteByte('-')
 			if r.Variable != "" || len(r.Types) > 0 || r.Props != nil {
 				sb.WriteByte('[')
-				sb.WriteString(r.Variable)
+				if r.Variable != "" {
+					writeVar(sb, r.Variable)
+				}
 				for j, t := range r.Types {
 					if j == 0 {
 						sb.WriteByte(':')
 					} else {
 						sb.WriteByte('|')
 					}
-					sb.WriteString(t)
+					writeName(sb, t)
 				}
 				if r.Props != nil {
 					sb.WriteByte(' ')
@@ -247,10 +281,12 @@ func printPattern(sb *strings.Builder, p *PatternPart) {
 			}
 		}
 		sb.WriteByte('(')
-		sb.WriteString(n.Variable)
+		if n.Variable != "" {
+			writeVar(sb, n.Variable)
+		}
 		for _, l := range n.Labels {
 			sb.WriteByte(':')
-			sb.WriteString(l)
+			writeName(sb, l)
 		}
 		if n.Props != nil {
 			if n.Variable != "" || len(n.Labels) > 0 {
@@ -278,14 +314,14 @@ func printExpr(sb *strings.Builder, e Expr) {
 			e.Val.Format(sb)
 		}
 	case *Variable:
-		sb.WriteString(e.Name)
+		writeVar(sb, e.Name)
 	case *Parameter:
 		sb.WriteByte('$')
-		sb.WriteString(e.Name)
+		writeName(sb, e.Name)
 	case *PropAccess:
 		printExpr(sb, e.Subject)
 		sb.WriteByte('.')
-		sb.WriteString(e.Name)
+		writeName(sb, e.Name)
 	case *Binary:
 		sb.WriteByte('(')
 		printExpr(sb, e.L)
@@ -319,7 +355,15 @@ func printExpr(sb *strings.Builder, e Expr) {
 			sb.WriteString(" IS NOT NULL)")
 		}
 	case *FuncCall:
-		sb.WriteString(e.Name)
+		// count and exists are the keywords the parser takes for function
+		// names; any other keyword before '(' is read as the keyword.
+		if t := token.Lookup(e.Name); lexer.IsIdentifier(e.Name) && (t == token.Ident || t == token.KwCount || t == token.KwExists) {
+			sb.WriteString(e.Name)
+		} else {
+			sb.WriteByte('`')
+			sb.WriteString(e.Name)
+			sb.WriteByte('`')
+		}
 		sb.WriteByte('(')
 		if e.Distinct {
 			sb.WriteString("DISTINCT ")
@@ -349,7 +393,7 @@ func printExpr(sb *strings.Builder, e Expr) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(k)
+			writeName(sb, k)
 			sb.WriteString(": ")
 			printExpr(sb, e.Vals[i])
 		}
@@ -389,7 +433,7 @@ func printExpr(sb *strings.Builder, e Expr) {
 		sb.WriteString(" END")
 	case *ListComprehension:
 		sb.WriteByte('[')
-		sb.WriteString(e.Var)
+		writeVar(sb, e.Var)
 		sb.WriteString(" IN ")
 		printExpr(sb, e.List)
 		if e.Where != nil {
@@ -404,7 +448,7 @@ func printExpr(sb *strings.Builder, e Expr) {
 	case *Quantifier:
 		sb.WriteString(e.Kind.String())
 		sb.WriteByte('(')
-		sb.WriteString(e.Var)
+		writeVar(sb, e.Var)
 		sb.WriteString(" IN ")
 		printExpr(sb, e.List)
 		sb.WriteString(" WHERE ")

@@ -133,87 +133,82 @@ func (q *Query) AllClauses() []Clause {
 // Variables returns the names of the free variables referenced by the
 // expression, in first-occurrence order. Variables bound by list
 // comprehensions or quantifiers are not free within their scope.
-// It sits on hot paths (clause planning, predicate synthesis), so the
-// collector walks the tree directly with a scope stack and linear-scan
-// dedup — the variable counts involved are far too small for maps to
-// pay for themselves.
+// The variable counts involved are far too small for a map to pay for
+// itself, so duplicates are dropped by a linear scan.
 func Variables(e Expr) []string {
-	var c varCollector
-	c.walk(e)
-	return c.out
-}
-
-// varCollector accumulates free variables in first-occurrence order.
-// bound is the stack of comprehension/quantifier bindings in scope.
-type varCollector struct {
-	out   []string
-	bound []string
-}
-
-func (c *varCollector) add(name string) {
-	for _, b := range c.bound {
-		if b == name {
-			return
+	var out []string
+	EachFreeVar(e, func(name string) {
+		for _, s := range out {
+			if s == name {
+				return
+			}
 		}
-	}
-	for _, s := range c.out {
-		if s == name {
-			return
-		}
-	}
-	c.out = append(c.out, name)
+		out = append(out, name)
+	})
+	return out
 }
 
-func (c *varCollector) walk(e Expr) {
+// EachFreeVar calls visit for every occurrence of a free variable of the
+// expression, in pre-order. Variables bound by list comprehensions or
+// quantifiers are not free within their scope.
+func EachFreeVar(e Expr, visit func(name string)) {
+	eachFreeVar(e, visit, nil)
+}
+
+// eachFreeVar threads the binder stack as a parameter, so the common
+// binder-free walk allocates nothing.
+func eachFreeVar(e Expr, visit func(string), bound []string) {
 	switch e := e.(type) {
 	case nil:
 	case *Variable:
-		c.add(e.Name)
+		for _, b := range bound {
+			if b == e.Name {
+				return // bound locally, not free
+			}
+		}
+		visit(e.Name)
 	case *Literal, *Parameter:
 	case *PropAccess:
-		c.walk(e.Subject)
+		eachFreeVar(e.Subject, visit, bound)
 	case *Binary:
-		c.walk(e.L)
-		c.walk(e.R)
+		eachFreeVar(e.L, visit, bound)
+		eachFreeVar(e.R, visit, bound)
 	case *Unary:
-		c.walk(e.X)
+		eachFreeVar(e.X, visit, bound)
 	case *FuncCall:
 		for _, a := range e.Args {
-			c.walk(a)
+			eachFreeVar(a, visit, bound)
 		}
 	case *ListLit:
 		for _, el := range e.Elems {
-			c.walk(el)
+			eachFreeVar(el, visit, bound)
 		}
 	case *MapLit:
 		for _, v := range e.Vals {
-			c.walk(v)
+			eachFreeVar(v, visit, bound)
 		}
 	case *IndexExpr:
-		c.walk(e.Subject)
-		c.walk(e.Index)
+		eachFreeVar(e.Subject, visit, bound)
+		eachFreeVar(e.Index, visit, bound)
 	case *SliceExpr:
-		c.walk(e.Subject)
-		c.walk(e.From)
-		c.walk(e.To)
+		eachFreeVar(e.Subject, visit, bound)
+		eachFreeVar(e.From, visit, bound)
+		eachFreeVar(e.To, visit, bound)
 	case *CaseExpr:
-		c.walk(e.Test)
+		eachFreeVar(e.Test, visit, bound)
 		for i := range e.Whens {
-			c.walk(e.Whens[i])
-			c.walk(e.Thens[i])
+			eachFreeVar(e.Whens[i], visit, bound)
+			eachFreeVar(e.Thens[i], visit, bound)
 		}
-		c.walk(e.Else)
+		eachFreeVar(e.Else, visit, bound)
 	case *ListComprehension:
-		c.walk(e.List) // the list is evaluated outside the binding
-		c.bound = append(c.bound, e.Var)
-		c.walk(e.Where)
-		c.walk(e.Map)
-		c.bound = c.bound[:len(c.bound)-1]
+		eachFreeVar(e.List, visit, bound) // the list is evaluated outside the binding
+		inner := append(bound, e.Var)
+		eachFreeVar(e.Where, visit, inner)
+		eachFreeVar(e.Map, visit, inner)
 	case *Quantifier:
-		c.walk(e.List)
-		c.bound = append(c.bound, e.Var)
-		c.walk(e.Pred)
-		c.bound = c.bound[:len(c.bound)-1]
+		eachFreeVar(e.List, visit, bound)
+		eachFreeVar(e.Pred, visit, append(bound, e.Var))
 	}
 }
 
@@ -266,82 +261,4 @@ func Depth(e Expr) int {
 		children(Depth(e.List), Depth(e.Pred))
 	}
 	return max + 1
-}
-
-// VarsSatisfy reports whether every free variable of the expression
-// satisfies pred, short-circuiting on the first that does not. It is the
-// allocation-free form of "are all of Variables(e) in this scope" for
-// the clause planner's conjunct scheduling, where materializing the
-// variable list per conjunct per scope would dominate the compile cost.
-// Variables bound by list comprehensions or quantifiers are not free
-// within their scope, exactly as in Variables.
-func VarsSatisfy(e Expr, pred func(string) bool) bool {
-	return varsSatisfy(e, pred, nil)
-}
-
-// varsSatisfy mirrors varCollector's traversal with an early-exit
-// predicate. bound is the binder stack, threaded as a parameter so the
-// common binder-free walk allocates nothing.
-func varsSatisfy(e Expr, pred func(string) bool, bound []string) bool {
-	switch e := e.(type) {
-	case nil:
-	case *Variable:
-		for _, b := range bound {
-			if b == e.Name {
-				return true // bound locally, not free: always satisfied
-			}
-		}
-		return pred(e.Name)
-	case *Literal, *Parameter:
-	case *PropAccess:
-		return varsSatisfy(e.Subject, pred, bound)
-	case *Binary:
-		return varsSatisfy(e.L, pred, bound) && varsSatisfy(e.R, pred, bound)
-	case *Unary:
-		return varsSatisfy(e.X, pred, bound)
-	case *FuncCall:
-		for _, a := range e.Args {
-			if !varsSatisfy(a, pred, bound) {
-				return false
-			}
-		}
-	case *ListLit:
-		for _, el := range e.Elems {
-			if !varsSatisfy(el, pred, bound) {
-				return false
-			}
-		}
-	case *MapLit:
-		for _, v := range e.Vals {
-			if !varsSatisfy(v, pred, bound) {
-				return false
-			}
-		}
-	case *IndexExpr:
-		return varsSatisfy(e.Subject, pred, bound) && varsSatisfy(e.Index, pred, bound)
-	case *SliceExpr:
-		return varsSatisfy(e.Subject, pred, bound) && varsSatisfy(e.From, pred, bound) && varsSatisfy(e.To, pred, bound)
-	case *CaseExpr:
-		if !varsSatisfy(e.Test, pred, bound) {
-			return false
-		}
-		for i := range e.Whens {
-			if !varsSatisfy(e.Whens[i], pred, bound) || !varsSatisfy(e.Thens[i], pred, bound) {
-				return false
-			}
-		}
-		return varsSatisfy(e.Else, pred, bound)
-	case *ListComprehension:
-		if !varsSatisfy(e.List, pred, bound) { // the list is evaluated outside the binding
-			return false
-		}
-		inner := append(bound, e.Var)
-		return varsSatisfy(e.Where, pred, inner) && varsSatisfy(e.Map, pred, inner)
-	case *Quantifier:
-		if !varsSatisfy(e.List, pred, bound) {
-			return false
-		}
-		return varsSatisfy(e.Pred, pred, append(bound, e.Var))
-	}
-	return true
 }

@@ -25,8 +25,9 @@ type Lexer struct {
 	err *Error
 }
 
-// New returns a lexer over src.
-func New(src string) *Lexer { return &Lexer{src: src} }
+// Reset points the lexer at src and clears its state. A caller keeps
+// its Lexer by value instead of allocating one per query.
+func (l *Lexer) Reset(src string) { *l = Lexer{src: src} }
 
 // Err returns the first lexical error encountered, if any.
 func (l *Lexer) Err() error {
@@ -34,23 +35,6 @@ func (l *Lexer) Err() error {
 		return nil
 	}
 	return l.err
-}
-
-// All tokenizes the entire input, returning the token stream ending with
-// EOF, and the first error if any.
-func All(src string) ([]token.Token, error) {
-	l := New(src)
-	// Tokens average a handful of source bytes each; sizing up front keeps
-	// the append loop out of growslice for typical queries.
-	ts := make([]token.Token, 0, len(src)/4+8)
-	for {
-		t := l.Next()
-		ts = append(ts, t)
-		if t.Type == token.EOF || t.Type == token.Illegal {
-			break
-		}
-	}
-	return ts, l.Err()
 }
 
 func (l *Lexer) fail(pos int, format string, args ...any) token.Token {
@@ -87,79 +71,66 @@ func (l *Lexer) Next() token.Token {
 		return l.number()
 	case c == '\'' || c == '"':
 		return l.str(c)
-	case isIdentStart(rune(c)) || c >= utf8.RuneSelf:
+	case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
 		return l.ident()
+	case c >= utf8.RuneSelf:
+		// A non-ASCII rune continues only if an identifier can hold it
+		// (as in `café`); anything else is an error, not an empty
+		// identifier token that would leave the lexer in place.
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if isIdentPart(r) {
+			return l.ident()
+		}
+		l.pos += size
+		if r == utf8.RuneError && size == 1 {
+			return l.fail(start, "invalid UTF-8 byte %#x", c)
+		}
+		return l.fail(start, "unexpected character %q", r)
 	case c == '`':
 		return l.quotedIdent()
 	}
 	l.pos++
-	two := func(t token.Type) token.Token {
-		l.pos++
-		return token.Token{Type: t, Pos: start}
-	}
-	one := func(t token.Type) token.Token {
-		return token.Token{Type: t, Pos: start}
-	}
+	t := punct[c]
 	switch c {
-	case '(':
-		return one(token.LParen)
-	case ')':
-		return one(token.RParen)
-	case '[':
-		return one(token.LBracket)
-	case ']':
-		return one(token.RBracket)
-	case '{':
-		return one(token.LBrace)
-	case '}':
-		return one(token.RBrace)
-	case ',':
-		return one(token.Comma)
-	case ':':
-		return one(token.Colon)
-	case ';':
-		return one(token.Semi)
-	case '$':
-		return one(token.Dollar)
-	case '|':
-		return one(token.Pipe)
 	case '.':
 		if l.peekByte() == '.' {
-			return two(token.DotDot)
+			l.pos++
+			t = token.DotDot
 		}
-		return one(token.Dot)
-	case '+':
-		return one(token.Plus)
-	case '-':
-		return one(token.Minus)
-	case '*':
-		return one(token.Star)
-	case '/':
-		return one(token.Slash)
-	case '%':
-		return one(token.Percent)
-	case '^':
-		return one(token.Caret)
 	case '=':
 		if l.peekByte() == '~' {
-			return two(token.Regex)
+			l.pos++
+			t = token.Regex
 		}
-		return one(token.Eq)
 	case '<':
 		switch l.peekByte() {
 		case '>':
-			return two(token.Neq)
+			l.pos++
+			t = token.Neq
 		case '=':
-			return two(token.Le)
+			l.pos++
+			t = token.Le
 		}
-		return one(token.Lt)
 	case '>':
 		if l.peekByte() == '=' {
-			return two(token.Ge)
+			l.pos++
+			t = token.Ge
 		}
-		return one(token.Gt)
+	}
+	if t != token.Illegal {
+		return token.Token{Type: t, Pos: start}
 	}
 	return l.fail(start, "unexpected character %q", c)
+}
+
+// punct maps each byte that starts a punctuation or operator token to
+// its one-byte token; Next extends the few two-byte ones.
+var punct = [utf8.RuneSelf]token.Type{
+	'(': token.LParen, ')': token.RParen, '[': token.LBracket, ']': token.RBracket,
+	'{': token.LBrace, '}': token.RBrace, ',': token.Comma, ':': token.Colon,
+	';': token.Semi, '$': token.Dollar, '|': token.Pipe, '.': token.Dot,
+	'+': token.Plus, '-': token.Minus, '*': token.Star, '/': token.Slash,
+	'%': token.Percent, '^': token.Caret, '=': token.Eq, '<': token.Lt, '>': token.Gt,
 }
 
 func (l *Lexer) skipSpaceAndComments() {
@@ -224,6 +195,24 @@ func (l *Lexer) number() token.Token {
 func (l *Lexer) str(quote byte) token.Token {
 	start := l.pos
 	l.pos++ // opening quote
+	// Most strings hold no escape: their literal is a slice of the
+	// source, with no copy.
+	for i := l.pos; i < len(l.src); i++ {
+		switch l.src[i] {
+		case quote:
+			l.pos = i + 1
+			return token.Token{Type: token.String, Lit: l.src[start+1 : i], Pos: start}
+		case '\\':
+			return l.escapedStr(start, quote)
+		}
+	}
+	l.pos = len(l.src)
+	return l.fail(start, "unterminated string")
+}
+
+// escapedStr lexes a string literal that holds an escape sequence,
+// resolving the escapes into a fresh string.
+func (l *Lexer) escapedStr(start int, quote byte) token.Token {
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -278,6 +267,25 @@ func (l *Lexer) ident() token.Token {
 	return token.Token{Type: token.Lookup(lit), Lit: lit, Pos: start}
 }
 
+// IsIdentifier reports whether name, unquoted, lexes as exactly one
+// identifier or keyword token; any other name needs backquotes.
+func IsIdentifier(name string) bool {
+	if name == "" || isDigit(name[0]) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c >= utf8.RuneSelf {
+			// Non-ASCII: let the lexer decide which runes it takes.
+			l := Lexer{src: name}
+			t := l.Next()
+			return l.err == nil && (t.Type == token.Ident || t.Type >= token.KwMatch) && l.pos == len(name)
+		} else if !isIdentPartASCII(c) {
+			return false
+		}
+	}
+	return true
+}
+
 func isIdentPartASCII(c byte) bool {
 	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
@@ -295,10 +303,6 @@ func (l *Lexer) quotedIdent() token.Token {
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
 
 func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)

@@ -6,9 +6,24 @@ import (
 	"gqs/internal/cypher/token"
 )
 
+// all tokenizes the entire input, returning the token stream ending with
+// EOF (or the Illegal token of the first error), and that error.
+func all(src string) ([]token.Token, error) {
+	var l Lexer
+	l.Reset(src)
+	var ts []token.Token
+	for {
+		t := l.Next()
+		ts = append(ts, t)
+		if t.Type == token.EOF || t.Type == token.Illegal {
+			return ts, l.Err()
+		}
+	}
+}
+
 func types(t *testing.T, src string) []token.Type {
 	t.Helper()
-	toks, err := All(src)
+	toks, err := all(src)
 	if err != nil {
 		t.Fatalf("%q: %v", src, err)
 	}
@@ -51,7 +66,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestNumbers(t *testing.T) {
-	toks, err := All(`42 1.5 1e3 2.5e-2 7..9 1.k0`)
+	toks, err := all(`42 1.5 1e3 2.5e-2 7..9 1.k0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +90,7 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	toks, err := All(`'abc' "def" 'a\'b' 'x\ny'`)
+	toks, err := all(`'abc' "def" 'a\'b' 'x\ny'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +103,7 @@ func TestStrings(t *testing.T) {
 }
 
 func TestKeywordsCaseInsensitive(t *testing.T) {
-	toks, _ := All(`MATCH match Match oPtIoNaL`)
+	toks, _ := all(`MATCH match Match oPtIoNaL`)
 	for i := 0; i < 3; i++ {
 		if toks[i].Type != token.KwMatch {
 			t.Errorf("token %d: %v", i, toks[i].Type)
@@ -100,7 +115,7 @@ func TestKeywordsCaseInsensitive(t *testing.T) {
 }
 
 func TestQuotedIdent(t *testing.T) {
-	toks, err := All("`weird name`")
+	toks, err := all("`weird name`")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +134,7 @@ func TestComments(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "`unterminated", `'bad \q escape'`, "@"} {
-		if _, err := All(src); err == nil {
+		if _, err := all(src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
 	}
@@ -135,7 +150,7 @@ func TestTokenNames(t *testing.T) {
 }
 
 func TestUnicodeIdent(t *testing.T) {
-	toks, err := All("pät")
+	toks, err := all("pät")
 	if err != nil {
 		t.Fatal(err)
 	}

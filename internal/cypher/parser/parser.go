@@ -35,64 +35,206 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("parse error at %d: %s", e.Pos, e.Msg) }
 
+// parser is a recursive-descent parser over a streaming lexer: it keeps
+// the current token and up to three peeked ones (the grammar looks at
+// most three tokens ahead), so a parse materializes no token slice.
+//
+// A parse allocates nothing besides the tree, and the tree itself in
+// chunks. Each list the tree holds is built on a scratch stack of its
+// element type — a nested list pushes above its parent's elements and
+// is popped before the parent grows again — and a closed list is copied
+// into a shared slab at its exact length. The commonest node types come
+// from chunked arenas. A tree therefore shares its backing arrays
+// between nodes, which is safe because trees are immutable once built
+// and every list is capped at its length.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lx  lexer.Lexer
+	tok token.Token // current token
+	// ahead[:nahead] are the tokens after tok that were peeked at.
+	ahead  [3]token.Token
+	nahead int
+	// done is set once the lexer returned EOF or Illegal, the token in
+	// last; from then on every further token is that one again.
+	done bool
+	last token.Token
+
+	exprs    stack[ast.Expr]
+	names    stack[string]
+	clauses  stack[ast.Clause]
+	patterns stack[*ast.PatternPart]
+	nodes    stack[*ast.NodePattern]
+	rels     stack[*ast.RelPattern]
+	items    stack[*ast.ProjectionItem]
+	sorts    stack[*ast.SortItem]
+
+	nodePats chunk[ast.NodePattern]
+	relPats  chunk[ast.RelPattern]
+	binaries chunk[ast.Binary]
+	props    chunk[ast.PropAccess]
+	literals chunk[ast.Literal]
+	calls    chunk[ast.FuncCall]
+}
+
+// Slabs and chunks start small and double up to a bound, so a short
+// query wastes little and a long one still allocates rarely.
+const minChunk, maxChunk = 4, 64
+
+// nextChunkCap is the capacity of the chunk that follows one of capacity
+// prev, made to hold at least n elements.
+func nextChunkCap(prev, n int) int {
+	return max(n, min(max(2*prev, minChunk), maxChunk))
+}
+
+// stack holds the open lists of one element type and the slab the
+// closed ones are copied into. The first open elements live in the stack
+// itself, and so in the parser, which stays off the heap: a typical
+// query never grows the stack.
+type stack[T any] struct {
+	fixed [8]T
+	n     int // open elements in fixed
+	spill []T // open elements beyond fixed
+	slab  []T
+}
+
+func (s *stack[T]) push(v T) {
+	if s.n < len(s.fixed) {
+		s.fixed[s.n] = v
+		s.n++
+		return
+	}
+	s.spill = append(s.spill, v)
+}
+
+// mark returns the base of a list opened now.
+func (s *stack[T]) mark() int { return s.n + len(s.spill) }
+
+// pop closes the list opened at base and returns its elements, or nil if
+// there are none.
+func (s *stack[T]) pop(base int) []T {
+	n := s.mark() - base
+	if n == 0 {
+		return nil
+	}
+	if cap(s.slab)-len(s.slab) < n {
+		s.slab = make([]T, 0, nextChunkCap(cap(s.slab), n))
+	}
+	lo := len(s.slab)
+	if base < s.n {
+		s.slab = append(s.slab, s.fixed[base:s.n]...)
+		s.n = base
+	}
+	spilled := max(base-len(s.fixed), 0)
+	s.slab = append(s.slab, s.spill[spilled:]...)
+	s.spill = s.spill[:spilled]
+	return s.slab[lo:len(s.slab):len(s.slab)]
+}
+
+// chunk is an arena of one node type.
+type chunk[T any] []T
+
+// alloc returns a zeroed node.
+func (c *chunk[T]) alloc() *T {
+	if len(*c) == cap(*c) {
+		*c = make([]T, 0, nextChunkCap(cap(*c), 1))
+	}
+	*c = (*c)[:len(*c)+1]
+	return &(*c)[len(*c)-1]
+}
+
+func newParser(src string) *parser {
+	p := &parser{}
+	p.lx.Reset(src)
+	p.tok = p.lex()
+	return p
 }
 
 // Parse parses a complete Cypher query.
 func Parse(src string) (*ast.Query, error) {
 	parses.Add(1)
-	toks, err := lexer.All(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	q, err := p.parseQuery()
+	if err == nil {
+		// Allow a trailing semicolon.
+		p.accept(token.Semi)
+		if p.tok.Type != token.EOF {
+			err = p.errf("unexpected %s after end of query", p.tok.Type)
+		}
+	}
 	if err != nil {
-		return nil, err
-	}
-	// Allow a trailing semicolon.
-	if p.cur().Type == token.Semi {
-		p.next()
-	}
-	if p.cur().Type != token.EOF {
-		return nil, p.errf("unexpected %s after end of query", p.cur().Type)
+		return nil, p.lexErrOr(err)
 	}
 	return q, nil
 }
 
 // ParseExpr parses a standalone expression (used by tests and tools).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.All(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.tok.Type != token.EOF {
+		err = p.errf("unexpected %s after expression", p.tok.Type)
 	}
-	if p.cur().Type != token.EOF {
-		return nil, p.errf("unexpected %s after expression", p.cur().Type)
+	if err != nil {
+		return nil, p.lexErrOr(err)
 	}
 	return e, nil
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// lexErrOr returns the first lexical error of the whole input if there
+// is one, else err: a lexical error anywhere takes precedence over a
+// syntax error, as when the input was tokenized before parsing. Only a
+// failed parse pays for lexing the rest of the input.
+func (p *parser) lexErrOr(err error) error {
+	for !p.done {
+		p.lex()
 	}
-	return p.toks[len(p.toks)-1]
+	if lerr := p.lx.Err(); lerr != nil {
+		return lerr
+	}
+	return err
 }
 
-func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+// lex returns the lexer's next token, or the final one again once the
+// input is exhausted.
+func (p *parser) lex() token.Token {
+	if p.done {
+		return p.last
+	}
+	t := p.lx.Next()
+	if t.Type == token.EOF || t.Type == token.Illegal {
+		p.done, p.last = true, t
 	}
 	return t
+}
+
+// at returns the token i ≥ 1 positions after the current one.
+func (p *parser) at(i int) token.Token {
+	for p.nahead < i {
+		p.ahead[p.nahead] = p.lex()
+		p.nahead++
+	}
+	return p.ahead[i-1]
+}
+
+func (p *parser) cur() token.Token  { return p.tok }
+func (p *parser) peek() token.Token { return p.at(1) }
+
+// next consumes the current token and returns it. Past the end of the
+// input the final EOF (or Illegal) token stays current.
+func (p *parser) next() token.Token {
+	t := p.tok
+	if p.nahead == 0 {
+		p.tok = p.lex()
+	} else {
+		p.shift()
+	}
+	return t
+}
+
+// shift makes the first peeked token current.
+func (p *parser) shift() {
+	p.tok = p.ahead[0]
+	copy(p.ahead[:], p.ahead[1:p.nahead])
+	p.nahead--
 }
 
 func (p *parser) accept(t token.Type) bool {
@@ -126,13 +268,28 @@ func (p *parser) identLike() (string, error) {
 }
 
 func (p *parser) parseQuery() (*ast.Query, error) {
-	q := &ast.Query{}
+	// The query, its first part and the parts array of a single-part
+	// query, the common case, are one allocation.
+	qa := &struct {
+		q      ast.Query
+		single ast.SingleQuery
+		first  [1]*ast.SingleQuery
+	}{}
+	q := &qa.q
 	for {
-		s, err := p.parseSingleQuery()
-		if err != nil {
+		s := &qa.single
+		if q.Parts != nil {
+			s = new(ast.SingleQuery)
+		}
+		if err := p.parseSingleQuery(s); err != nil {
 			return nil, err
 		}
-		q.Parts = append(q.Parts, s)
+		if q.Parts == nil {
+			qa.first[0] = s
+			q.Parts = qa.first[:1:1]
+		} else {
+			q.Parts = append(q.Parts, s)
+		}
 		if !p.accept(token.KwUnion) {
 			break
 		}
@@ -141,22 +298,24 @@ func (p *parser) parseQuery() (*ast.Query, error) {
 	return q, nil
 }
 
-func (p *parser) parseSingleQuery() (*ast.SingleQuery, error) {
-	s := &ast.SingleQuery{}
+// parseSingleQuery parses one UNION arm into s.
+func (p *parser) parseSingleQuery(s *ast.SingleQuery) error {
+	base := p.clauses.mark()
 	for {
 		c, err := p.parseClause()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if c == nil {
 			break
 		}
-		s.Clauses = append(s.Clauses, c)
+		p.clauses.push(c)
 	}
+	s.Clauses = p.clauses.pop(base)
 	if len(s.Clauses) == 0 {
-		return nil, p.errf("expected a clause, found %s", p.cur().Type)
+		return p.errf("expected a clause, found %s", p.cur().Type)
 	}
-	return s, nil
+	return nil
 }
 
 func (p *parser) parseClause() (ast.Clause, error) {
@@ -242,11 +401,11 @@ func (p *parser) parseUnwind() (ast.Clause, error) {
 }
 
 func (p *parser) parseWith() (ast.Clause, error) {
-	proj, err := p.parseProjection()
+	w := &ast.WithClause{}
+	err := p.parseProjection(&w.Projection)
 	if err != nil {
 		return nil, err
 	}
-	w := &ast.WithClause{Projection: *proj}
 	if p.accept(token.KwWhere) {
 		if w.Where, err = p.parseExpr(); err != nil {
 			return nil, err
@@ -256,15 +415,16 @@ func (p *parser) parseWith() (ast.Clause, error) {
 }
 
 func (p *parser) parseReturn() (ast.Clause, error) {
-	proj, err := p.parseProjection()
-	if err != nil {
+	r := &ast.ReturnClause{}
+	if err := p.parseProjection(&r.Projection); err != nil {
 		return nil, err
 	}
-	return &ast.ReturnClause{Projection: *proj}, nil
+	return r, nil
 }
 
-func (p *parser) parseProjection() (*ast.Projection, error) {
-	proj := &ast.Projection{}
+// parseProjection parses a WITH/RETURN body into the clause's own
+// Projection.
+func (p *parser) parseProjection(proj *ast.Projection) error {
 	proj.Distinct = p.accept(token.KwDistinct)
 	if p.accept(token.Star) {
 		proj.Star = true
@@ -272,34 +432,37 @@ func (p *parser) parseProjection() (*ast.Projection, error) {
 			return p.parseProjectionTail(proj)
 		}
 	}
+	base := p.items.mark()
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		item := &ast.ProjectionItem{Expr: e}
 		if p.accept(token.KwAs) {
 			if item.Alias, err = p.identLike(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		proj.Items = append(proj.Items, item)
+		p.items.push(item)
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
+	proj.Items = p.items.pop(base)
 	return p.parseProjectionTail(proj)
 }
 
-func (p *parser) parseProjectionTail(proj *ast.Projection) (*ast.Projection, error) {
+func (p *parser) parseProjectionTail(proj *ast.Projection) error {
 	if p.accept(token.KwOrder) {
 		if _, err := p.expect(token.KwBy); err != nil {
-			return nil, err
+			return err
 		}
+		base := p.sorts.mark()
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s := &ast.SortItem{Expr: e}
 			switch p.cur().Type {
@@ -309,24 +472,25 @@ func (p *parser) parseProjectionTail(proj *ast.Projection) (*ast.Projection, err
 			case token.KwAsc, token.KwAscending:
 				p.next()
 			}
-			proj.OrderBy = append(proj.OrderBy, s)
+			p.sorts.push(s)
 			if !p.accept(token.Comma) {
 				break
 			}
 		}
+		proj.OrderBy = p.sorts.pop(base)
 	}
 	var err error
 	if p.accept(token.KwSkip) {
 		if proj.Skip, err = p.parseExpr(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if p.accept(token.KwLimit) {
 		if proj.Limit, err = p.parseExpr(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return proj, nil
+	return nil
 }
 
 func (p *parser) parseCall() (ast.Clause, error) {
@@ -343,31 +507,26 @@ func (p *parser) parseCall() (ast.Clause, error) {
 	}
 	c := &ast.CallClause{Procedure: name}
 	if p.accept(token.LParen) {
-		for p.cur().Type != token.RParen {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			c.Args = append(c.Args, a)
-			if !p.accept(token.Comma) {
-				break
-			}
+		if c.Args, err = p.parseArgs(token.RParen); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(token.RParen); err != nil {
 			return nil, err
 		}
 	}
 	if p.accept(token.KwYield) {
+		base := p.names.mark()
 		for {
 			y, err := p.identLike()
 			if err != nil {
 				return nil, err
 			}
-			c.Yield = append(c.Yield, y)
+			p.names.push(y)
 			if !p.accept(token.Comma) {
 				break
 			}
 		}
+		c.Yield = p.names.pop(base)
 	}
 	return c, nil
 }
@@ -428,15 +587,11 @@ func (p *parser) parseSetItem() (*ast.SetItem, error) {
 	// Label form: variable:Label(:Label)*
 	if p.cur().Type == token.Ident && p.peek().Type == token.Colon {
 		name := p.next().Lit
-		it := &ast.SetItem{Variable: name}
-		for p.accept(token.Colon) {
-			l, err := p.identLike()
-			if err != nil {
-				return nil, err
-			}
-			it.Labels = append(it.Labels, l)
+		labels, err := p.parseLabels()
+		if err != nil {
+			return nil, err
 		}
-		return it, nil
+		return &ast.SetItem{Variable: name, Labels: labels}, nil
 	}
 	// Property form: expr.prop = expr
 	subject, err := p.parsePostfix()
@@ -459,16 +614,18 @@ func (p *parser) parseSetItem() (*ast.SetItem, error) {
 
 func (p *parser) parseDelete(detach bool) (ast.Clause, error) {
 	d := &ast.DeleteClause{Detach: detach}
+	base := p.exprs.mark()
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		d.Exprs = append(d.Exprs, e)
+		p.exprs.push(e)
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
+	d.Exprs = p.exprs.pop(base)
 	return d, nil
 }
 
@@ -477,15 +634,11 @@ func (p *parser) parseRemove() (ast.Clause, error) {
 	for {
 		if p.cur().Type == token.Ident && p.peek().Type == token.Colon {
 			name := p.next().Lit
-			it := &ast.RemoveItem{Variable: name}
-			for p.accept(token.Colon) {
-				l, err := p.identLike()
-				if err != nil {
-					return nil, err
-				}
-				it.Labels = append(it.Labels, l)
+			labels, err := p.parseLabels()
+			if err != nil {
+				return nil, err
 			}
-			r.Items = append(r.Items, it)
+			r.Items = append(r.Items, &ast.RemoveItem{Variable: name, Labels: labels})
 		} else {
 			subject, err := p.parsePostfix()
 			if err != nil {
@@ -505,18 +658,18 @@ func (p *parser) parseRemove() (ast.Clause, error) {
 }
 
 func (p *parser) parsePatterns() ([]*ast.PatternPart, error) {
-	var pats []*ast.PatternPart
+	base := p.patterns.mark()
 	for {
 		pat, err := p.parsePattern()
 		if err != nil {
 			return nil, err
 		}
-		pats = append(pats, pat)
+		p.patterns.push(pat)
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
-	return pats, nil
+	return p.patterns.pop(base), nil
 }
 
 func (p *parser) parsePattern() (*ast.PatternPart, error) {
@@ -530,7 +683,8 @@ func (p *parser) parsePattern() (*ast.PatternPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	pat.Nodes = append(pat.Nodes, n)
+	nodeBase, relBase := p.nodes.mark(), p.rels.mark()
+	p.nodes.push(n)
 	for p.cur().Type == token.Lt || p.cur().Type == token.Minus {
 		r, err := p.parseRelPattern()
 		if err != nil {
@@ -540,9 +694,10 @@ func (p *parser) parsePattern() (*ast.PatternPart, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat.Rels = append(pat.Rels, r)
-		pat.Nodes = append(pat.Nodes, n)
+		p.rels.push(r)
+		p.nodes.push(n)
 	}
+	pat.Nodes, pat.Rels = p.nodes.pop(nodeBase), p.rels.pop(relBase)
 	return pat, nil
 }
 
@@ -550,16 +705,13 @@ func (p *parser) parseNodePattern() (*ast.NodePattern, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	n := &ast.NodePattern{}
+	n := p.nodePats.alloc()
 	if p.cur().Type == token.Ident {
 		n.Variable = p.next().Lit
 	}
-	for p.accept(token.Colon) {
-		l, err := p.identLike()
-		if err != nil {
-			return nil, err
-		}
-		n.Labels = append(n.Labels, l)
+	var err error
+	if n.Labels, err = p.parseLabels(); err != nil {
+		return nil, err
 	}
 	if p.cur().Type == token.LBrace {
 		m, err := p.parseMapLit()
@@ -575,7 +727,8 @@ func (p *parser) parseNodePattern() (*ast.NodePattern, error) {
 }
 
 func (p *parser) parseRelPattern() (*ast.RelPattern, error) {
-	r := &ast.RelPattern{Direction: ast.DirBoth}
+	r := p.relPats.alloc()
+	r.Direction = ast.DirBoth
 	left := p.accept(token.Lt)
 	if _, err := p.expect(token.Minus); err != nil {
 		return nil, err
@@ -585,17 +738,19 @@ func (p *parser) parseRelPattern() (*ast.RelPattern, error) {
 			r.Variable = p.next().Lit
 		}
 		if p.accept(token.Colon) {
+			base := p.names.mark()
 			for {
 				t, err := p.identLike()
 				if err != nil {
 					return nil, err
 				}
-				r.Types = append(r.Types, t)
+				p.names.push(t)
 				if !p.accept(token.Pipe) {
 					break
 				}
 				p.accept(token.Colon) // tolerate :T1|:T2 form
 			}
+			r.Types = p.names.pop(base)
 		}
 		if p.cur().Type == token.LBrace {
 			m, err := p.parseMapLit()
@@ -625,11 +780,41 @@ func (p *parser) parseRelPattern() (*ast.RelPattern, error) {
 	return r, nil
 }
 
+// parseLabels parses a possibly empty :L1:L2... label list.
+func (p *parser) parseLabels() ([]string, error) {
+	base := p.names.mark()
+	for p.accept(token.Colon) {
+		l, err := p.identLike()
+		if err != nil {
+			return nil, err
+		}
+		p.names.push(l)
+	}
+	return p.names.pop(base), nil
+}
+
+// parseArgs parses a possibly empty comma-separated expression list up
+// to, not including, the closing token.
+func (p *parser) parseArgs(closing token.Type) ([]ast.Expr, error) {
+	base := p.exprs.mark()
+	for p.cur().Type != closing {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.exprs.push(e)
+		if !p.accept(token.Comma) {
+			break
+		}
+	}
+	return p.exprs.pop(base), nil
+}
+
 func (p *parser) parseMapLit() (*ast.MapLit, error) {
 	if _, err := p.expect(token.LBrace); err != nil {
 		return nil, err
 	}
-	m := &ast.MapLit{}
+	keyBase, valBase := p.names.mark(), p.exprs.mark()
 	for p.cur().Type != token.RBrace {
 		k, err := p.identLike()
 		if err != nil {
@@ -642,8 +827,8 @@ func (p *parser) parseMapLit() (*ast.MapLit, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Keys = append(m.Keys, k)
-		m.Vals = append(m.Vals, v)
+		p.names.push(k)
+		p.exprs.push(v)
 		if !p.accept(token.Comma) {
 			break
 		}
@@ -651,10 +836,27 @@ func (p *parser) parseMapLit() (*ast.MapLit, error) {
 	if _, err := p.expect(token.RBrace); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &ast.MapLit{Keys: p.names.pop(keyBase), Vals: p.exprs.pop(valBase)}, nil
 }
 
 // ---- Expressions ----
+
+func (p *parser) bin(op ast.BinOp, l, r ast.Expr) *ast.Binary {
+	b := p.binaries.alloc()
+	*b = ast.Binary{Op: op, L: l, R: r}
+	return b
+}
+
+// lit returns a literal node: the shared one ast.Lit interns for v, or
+// one from the arena.
+func (p *parser) lit(v value.Value) *ast.Literal {
+	if l := ast.InternedLit(v); l != nil {
+		return l
+	}
+	l := p.literals.alloc()
+	l.Val = v
+	return l
+}
 
 func (p *parser) parseExpr() (ast.Expr, error) { return p.parseOr() }
 
@@ -668,7 +870,7 @@ func (p *parser) parseOr() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(ast.OpOr, l, r)
+		l = p.bin(ast.OpOr, l, r)
 	}
 	return l, nil
 }
@@ -683,7 +885,7 @@ func (p *parser) parseXor() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(ast.OpXor, l, r)
+		l = p.bin(ast.OpXor, l, r)
 	}
 	return l, nil
 }
@@ -698,7 +900,7 @@ func (p *parser) parseAnd() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(ast.OpAnd, l, r)
+		l = p.bin(ast.OpAnd, l, r)
 	}
 	return l, nil
 }
@@ -714,10 +916,25 @@ func (p *parser) parseNot() (ast.Expr, error) {
 	return p.parseComparison()
 }
 
-var comparisonOps = map[token.Type]ast.BinOp{
-	token.Eq: ast.OpEq, token.Neq: ast.OpNeq, token.Lt: ast.OpLt,
-	token.Le: ast.OpLe, token.Gt: ast.OpGt, token.Ge: ast.OpGe,
-	token.Regex: ast.OpRegex,
+// comparisonOp maps a comparison token to its operator.
+func comparisonOp(t token.Type) (ast.BinOp, bool) {
+	switch t {
+	case token.Eq:
+		return ast.OpEq, true
+	case token.Neq:
+		return ast.OpNeq, true
+	case token.Lt:
+		return ast.OpLt, true
+	case token.Le:
+		return ast.OpLe, true
+	case token.Gt:
+		return ast.OpGt, true
+	case token.Ge:
+		return ast.OpGe, true
+	case token.Regex:
+		return ast.OpRegex, true
+	}
+	return 0, false
 }
 
 func (p *parser) parseComparison() (ast.Expr, error) {
@@ -727,7 +944,7 @@ func (p *parser) parseComparison() (ast.Expr, error) {
 	}
 	for {
 		t := p.cur().Type
-		op, isCmp := comparisonOps[t]
+		op, isCmp := comparisonOp(t)
 		switch {
 		case isCmp:
 			p.next()
@@ -735,7 +952,7 @@ func (p *parser) parseComparison() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = ast.Bin(op, l, r)
+			l = p.bin(op, l, r)
 		case t == token.KwStarts:
 			p.next()
 			if _, err := p.expect(token.KwWith); err != nil {
@@ -745,7 +962,7 @@ func (p *parser) parseComparison() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = ast.Bin(ast.OpStartsWith, l, r)
+			l = p.bin(ast.OpStartsWith, l, r)
 		case t == token.KwEnds:
 			p.next()
 			if _, err := p.expect(token.KwWith); err != nil {
@@ -755,21 +972,21 @@ func (p *parser) parseComparison() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = ast.Bin(ast.OpEndsWith, l, r)
+			l = p.bin(ast.OpEndsWith, l, r)
 		case t == token.KwContains:
 			p.next()
 			r, err := p.parseAddSub()
 			if err != nil {
 				return nil, err
 			}
-			l = ast.Bin(ast.OpContains, l, r)
+			l = p.bin(ast.OpContains, l, r)
 		case t == token.KwIn:
 			p.next()
 			r, err := p.parseAddSub()
 			if err != nil {
 				return nil, err
 			}
-			l = ast.Bin(ast.OpIn, l, r)
+			l = p.bin(ast.OpIn, l, r)
 		case t == token.KwIs:
 			p.next()
 			not := p.accept(token.KwNot)
@@ -807,7 +1024,7 @@ func (p *parser) parseAddSub() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(op, l, r)
+		l = p.bin(op, l, r)
 	}
 }
 
@@ -833,7 +1050,7 @@ func (p *parser) parseMulDiv() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(op, l, r)
+		l = p.bin(op, l, r)
 	}
 }
 
@@ -847,7 +1064,7 @@ func (p *parser) parsePow() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ast.Bin(ast.OpPow, l, r)
+		l = p.bin(ast.OpPow, l, r)
 	}
 	return l, nil
 }
@@ -863,7 +1080,7 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 		// Fold -literal into a negative literal for cleaner trees.
 		if lit, ok := x.(*ast.Literal); ok && lit.Val.IsNumber() {
 			if v, err := value.Neg(lit.Val); err == nil {
-				return ast.Lit(v), nil
+				return p.lit(v), nil
 			}
 		}
 		return &ast.Unary{Op: ast.OpNeg, X: x}, nil
@@ -887,7 +1104,9 @@ func (p *parser) parsePostfix() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			e = &ast.PropAccess{Subject: e, Name: name}
+			pa := p.props.alloc()
+			pa.Subject, pa.Name = e, name
+			e = pa
 		case token.LBracket:
 			p.next()
 			var from ast.Expr
@@ -931,26 +1150,26 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad integer literal %q", t.Lit)
 		}
-		return ast.Lit(value.Int(i)), nil
+		return p.lit(value.Int(i)), nil
 	case token.Float:
 		p.next()
 		f, err := strconv.ParseFloat(t.Lit, 64)
 		if err != nil {
 			return nil, p.errf("bad float literal %q", t.Lit)
 		}
-		return ast.Lit(value.Float(f)), nil
+		return p.lit(value.Float(f)), nil
 	case token.String:
 		p.next()
-		return ast.Lit(value.Str(t.Lit)), nil
+		return p.lit(value.Str(t.Lit)), nil
 	case token.KwTrue:
 		p.next()
-		return ast.Lit(value.True), nil
+		return p.lit(value.True), nil
 	case token.KwFalse:
 		p.next()
-		return ast.Lit(value.False), nil
+		return p.lit(value.False), nil
 	case token.KwNull:
 		p.next()
-		return ast.Lit(value.Null), nil
+		return p.lit(value.Null), nil
 	case token.Dollar:
 		p.next()
 		name, err := p.identLike()
@@ -976,21 +1195,14 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		if p.cur().Type == token.Ident && p.peek().Type == token.KwIn {
 			return p.parseListComprehension()
 		}
-		l := &ast.ListLit{}
-		for p.cur().Type != token.RBracket {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			l.Elems = append(l.Elems, e)
-			if !p.accept(token.Comma) {
-				break
-			}
+		elems, err := p.parseArgs(token.RBracket)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(token.RBracket); err != nil {
 			return nil, err
 		}
-		return l, nil
+		return &ast.ListLit{Elems: elems}, nil
 	case token.LBrace:
 		return p.parseMapLit()
 	case token.KwCase:
@@ -1034,10 +1246,7 @@ var quantKinds = map[string]ast.QuantKind{
 // followed by IN right after the parenthesis.
 func (p *parser) isQuantifierAhead() bool {
 	// cur = name, cur+1 = '(' — look two and three tokens ahead.
-	if p.pos+3 >= len(p.toks) {
-		return false
-	}
-	return p.toks[p.pos+2].Type == token.Ident && p.toks[p.pos+3].Type == token.KwIn
+	return p.at(2).Type == token.Ident && p.at(3).Type == token.KwIn
 }
 
 func (p *parser) parseQuantifier(k ast.QuantKind) (ast.Expr, error) {
@@ -1102,20 +1311,15 @@ func (p *parser) parseFuncCall(name string) (ast.Expr, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	f := &ast.FuncCall{Name: name}
+	f := p.calls.alloc()
+	f.Name = name
 	f.Distinct = p.accept(token.KwDistinct)
 	if p.accept(token.Star) {
 		f.Star = true
 	} else {
-		for p.cur().Type != token.RParen {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			f.Args = append(f.Args, a)
-			if !p.accept(token.Comma) {
-				break
-			}
+		var err error
+		if f.Args, err = p.parseArgs(token.RParen); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expect(token.RParen); err != nil {

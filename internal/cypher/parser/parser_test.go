@@ -1,10 +1,13 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"gqs/internal/cypher/ast"
+	"gqs/internal/cypher/lexer"
 	"gqs/internal/value"
 )
 
@@ -372,5 +375,59 @@ func TestASTHelpers(t *testing.T) {
 	ast.ClauseExprs(q.AllClauses()[0], func(ast.Expr) { count++ })
 	if count != 1 {
 		t.Errorf("ClauseExprs visited %d exprs, want 1 (WHERE)", count)
+	}
+}
+
+// TestNonIdentifierRunesFailFast: a non-ASCII rune that cannot be part
+// of an identifier (a currency sign, a curly quote, invalid UTF-8) is a
+// positioned lexical error, returned promptly; the lexer once looped on
+// it forever. Identifiers may still hold non-ASCII letters.
+func TestNonIdentifierRunesFailFast(t *testing.T) {
+	for _, src := range []string{"RETURN 1 €", "RETURN “x”", "RETURN \xff", "MATCH (n) RETURN n → 1"} {
+		_, err := parseBounded(t, src)
+		var lerr *lexer.Error
+		if !errors.As(err, &lerr) || lerr.Pos != strings.IndexFunc(src, func(r rune) bool { return r >= utf8.RuneSelf }) {
+			t.Errorf("%q: err = %v, want a lexical error at the first non-ASCII rune", src, err)
+		}
+	}
+	if _, err := Parse("RETURN 1 AS café"); err != nil {
+		t.Errorf("a non-ASCII letter must stay an identifier part: %v", err)
+	}
+}
+
+// TestLexicalErrorWins: the first lexical error of the input is
+// reported even where the parser fails earlier on the tokens before it.
+func TestLexicalErrorWins(t *testing.T) {
+	for _, src := range []string{"RETURN 1 1 'open", "MATCH (a RETURN €", "RETURN ) `open"} {
+		_, err := Parse(src)
+		var lerr *lexer.Error
+		if !errors.As(err, &lerr) {
+			t.Errorf("%q: err = %v, want the lexical error", src, err)
+		}
+	}
+}
+
+// TestPrintQuotesNames: a name that is not a bare identifier prints in
+// backquotes, and so does a variable or function name spelling a
+// keyword, which the parser would read as the keyword; keywords stay
+// bare where the parser takes them as names.
+func TestPrintQuotesNames(t *testing.T) {
+	for src, want := range map[string]string{
+		"MATCH (a:Match) RETURN a.end, a.`quoted name`":    "MATCH (a:Match) RETURN a.end, a.`quoted name`",
+		"WITH `` AS x RETURN x":                            "WITH `` AS x RETURN x",
+		"MATCH (`end`)-[`my rel`:`T 1`]->(b) RETURN `end`": "MATCH (`end`)-[`my rel`:`T 1`]->(b) RETURN `end`",
+		"RETURN `match`(1), count(*)":                      "RETURN `match`(1), count(*)",
+		"RETURN {`a key`: 1} AS `the map`":                 "RETURN {`a key`: 1} AS `the map`",
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if got := q.String(); got != want {
+			t.Errorf("%q printed %q, want %q", src, got, want)
+		}
+		if _, err := Parse(q.String()); err != nil {
+			t.Errorf("%q: printed form does not parse: %v", src, err)
+		}
 	}
 }

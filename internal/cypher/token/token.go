@@ -3,7 +3,10 @@
 // update clauses).
 package token
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // Type identifies a lexical token class.
 type Type int
@@ -96,7 +99,7 @@ const (
 	KwCount
 )
 
-var names = map[Type]string{
+var names = [...]string{
 	Illegal: "ILLEGAL", EOF: "EOF", Ident: "IDENT", Int: "INT",
 	Float: "FLOAT", String: "STRING",
 	LParen: "(", RParen: ")", LBracket: "[", RBracket: "]",
@@ -122,42 +125,84 @@ var names = map[Type]string{
 
 // String returns the display name of the token type.
 func (t Type) String() string {
-	if s, ok := names[t]; ok {
-		return s
+	if t >= 0 && int(t) < len(names) {
+		return names[t]
 	}
 	return "TOKEN(?)"
 }
 
-var (
-	keywords      = map[string]Type{}
-	keywordsLower = map[string]Type{}
-)
+// maxKeywordLen is the byte length of the longest keyword (DESCENDING).
+const maxKeywordLen = 10
+
+// keywords holds the keywords by the length and first letter of their
+// upper-case spelling; no bucket holds more than a few.
+var keywords [maxKeywordLen + 1]['Z' - 'A' + 1][]Type
 
 func init() {
 	for t := KwMatch; t <= KwCount; t++ {
-		keywords[names[t]] = t
-		keywordsLower[strings.ToLower(names[t])] = t
+		n := names[t]
+		keywords[len(n)][n[0]-'A'] = append(keywords[len(n)][n[0]-'A'], t)
 	}
 }
 
+// keyword returns the keyword spelled by the upper-case ASCII letters
+// up, or Ident.
+func keyword(up []byte) Type {
+	if len(up) == 0 || len(up) > maxKeywordLen {
+		return Ident
+	}
+	for _, t := range keywords[len(up)][up[0]-'A'] {
+		if names[t] == string(up) {
+			return t
+		}
+	}
+	return Ident
+}
+
 // Lookup maps an identifier to its keyword type, or returns Ident.
-// Cypher keywords are case-insensitive. The all-upper and all-lower
-// spellings hit a map directly so the overwhelmingly common identifiers
-// (lowercase variables and properties, uppercase keywords) never pay
-// ToUpper's allocation; only mixed-case spellings normalize.
+// Cypher keywords are case-insensitive. Every keyword is ASCII letters
+// only, so the scan upper-cases into a stack buffer and rejects any
+// name with a digit or underscore (every nN/rN/aN variable and kN
+// property) without a probe; a candidate is compared with the few
+// keywords of its length and first letter, allocating nothing. A
+// non-ASCII name keeps the Unicode case mapping.
 func Lookup(ident string) Type {
-	if t, ok := keywords[ident]; ok {
-		return t
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		switch {
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		case 'A' <= c && c <= 'Z':
+		case c >= utf8.RuneSelf:
+			return lookupUnicode(ident)
+		default:
+			return Ident
+		}
+		if i == len(buf) {
+			// Longer than any keyword; a later non-ASCII rune cannot
+			// shorten the upper-case form back to keyword length.
+			return Ident
+		}
+		buf[i] = c
 	}
-	if t, ok := keywordsLower[ident]; ok {
-		return t
-	}
+	return keyword(buf[:len(ident)])
+}
+
+// lookupUnicode resolves a name holding a non-ASCII rune: only one
+// that also has an ASCII upper-case letter is upper-cased with the
+// Unicode mapping and looked up, so "Lımıt" spells LIMIT and "lımıt"
+// is a name.
+func lookupUnicode(ident string) Type {
 	for i := 0; i < len(ident); i++ {
 		if c := ident[i]; c >= 'A' && c <= 'Z' {
-			if t, ok := keywords[strings.ToUpper(ident)]; ok {
-				return t
+			up := strings.ToUpper(ident)
+			for i := 0; i < len(up); i++ {
+				if up[i] < 'A' || up[i] > 'Z' {
+					return Ident
+				}
 			}
-			break
+			return keyword([]byte(up))
 		}
 	}
 	return Ident

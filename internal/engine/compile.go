@@ -2,364 +2,362 @@ package engine
 
 import (
 	"errors"
+	"math"
+	"slices"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
 	"gqs/internal/functions"
-	"gqs/internal/value"
 )
 
 // This file lowers a parsed query to the physical plan of plan.go. The
 // lowering is conservative: any construct whose behaviour the compiled
 // executor cannot reproduce byte-for-byte — writes, `*` projections, a
-// misplaced RETURN, unknown procedures — makes compileQueryPlan return
-// nil, and ExecutePrepared falls back to the tree-walking interpreter,
+// misplaced RETURN, unknown procedures — leaves the query unplanned, and
+// ExecutePrepared falls back to the tree-walking interpreter,
 // which is trivially behaviour-identical (it IS the behaviour). The
 // synthesized read-only corpus compiles in full; the fallback exists for
 // hand-written queries and the write tests.
+//
+// Every prepared query is compiled exactly once and most are executed
+// once per target, so compilation is on the per-query path: it works on
+// small slices with linear scans instead of maps, and schedules each
+// WHERE conjunct from the position of its last-bound variable, found
+// once.
 var errUnsupportedPlan = errors.New("plan: unsupported construct")
 
-// scope maps in-scope variable names to their frame slots.
-type scope map[string]int
+// scope lists the variables in scope at a clause boundary, each name
+// once. A scope is never modified after it is built: a stage derives its
+// output scope into a fresh slice, so the plan may keep referring to it.
+type scope []eval.Var
 
-func (s scope) clone() scope {
-	out := make(scope, len(s)+4)
-	for k, v := range s {
-		out[k] = v
+// index returns the position of name in the scope, or -1.
+func (s scope) index(name string) int {
+	for i := range s {
+		if s[i].Name == name {
+			return i
+		}
 	}
-	return out
+	return -1
 }
 
-func (s scope) lookup(name string) (int, bool) {
-	slot, ok := s[name]
-	return slot, ok
+// with returns s with name bound to slot, replacing any binding the name
+// already has.
+func (s scope) with(name string, slot int) scope {
+	out := make(scope, len(s), len(s)+1)
+	copy(out, s)
+	if i := out.index(name); i >= 0 {
+		out[i].Slot = slot
+		return out
+	}
+	return append(out, eval.Var{Name: name, Slot: slot})
 }
 
-// slotAlloc hands out frame slots for one query part; its final count is
-// the part's frame width.
-type slotAlloc struct{ n int }
+// partCompiler lowers one query part. It owns the one expression
+// compiler every stage reuses, whose NextSlot counts the part's frame
+// slots.
+type partCompiler struct {
+	cmp eval.Compiler
 
-func (a *slotAlloc) next() int {
-	s := a.n
-	a.n++
+	// Scratch reused by every stage of the part: a MATCH clause's WHERE
+	// conjuncts and the scope position of each one's last variable.
+	conj []ast.Expr
+	last []int
+}
+
+func newPartCompiler(firstSlot int) *partCompiler {
+	pc := &partCompiler{}
+	pc.cmp.NextSlot = firstSlot
+	return pc
+}
+
+func (pc *partCompiler) next() int {
+	s := pc.cmp.NextSlot
+	pc.cmp.NextSlot++
 	return s
 }
 
-func (a *slotAlloc) compiler(sc scope) *eval.Compiler {
-	return &eval.Compiler{Lookup: sc.lookup, Temp: a.next}
-}
-
-// compileQueryPlan lowers a query, or returns nil when any part uses a
-// construct the plan executor does not cover.
-func compileQueryPlan(q *ast.Query) *queryPlan {
-	qp := &queryPlan{all: q.All}
-	for _, part := range q.Parts {
-		pp, err := compileSinglePlan(part)
-		if err != nil {
-			return nil
-		}
-		qp.parts = append(qp.parts, pp)
+// compile lowers e with the variables of sc in scope.
+func (pc *partCompiler) compile(sc scope, e ast.Expr) (eval.Compiled, error) {
+	pc.cmp.Vars = sc
+	fn, err := pc.cmp.Compile(e)
+	if err != nil {
+		return nil, errUnsupportedPlan
 	}
-	return qp
+	return fn, nil
 }
 
-func compileSinglePlan(sq *ast.SingleQuery) (*partPlan, error) {
-	alloc := &slotAlloc{}
-	sc := scope{}
-	pp := &partPlan{}
-	var projs []*cProjection
+// compilePred lowers the predicate e with the variables of sc in scope.
+func (pc *partCompiler) compilePred(sc scope, e ast.Expr) (eval.CompiledPred, error) {
+	pc.cmp.Vars = sc
+	fn, err := pc.cmp.CompilePred(e)
+	if err != nil {
+		return nil, errUnsupportedPlan
+	}
+	return fn, nil
+}
+
+// compileQueryPlan lowers a query into qp, or leaves qp the zero plan
+// when any part uses a construct the plan executor does not cover.
+func compileQueryPlan(qp *queryPlan, q *ast.Query) {
+	for _, part := range q.Parts {
+		if !plannable(part) {
+			return
+		}
+	}
+	var parts []partPlan
+	if len(q.Parts) <= len(qp.part1) {
+		parts = qp.part1[:len(q.Parts)]
+	} else {
+		parts = make([]partPlan, len(q.Parts))
+	}
+	for i, part := range q.Parts {
+		if err := compileSinglePlan(&parts[i], part); err != nil {
+			return
+		}
+	}
+	qp.parts, qp.all = parts, q.All
+}
+
+// plannable reports whether every clause of the part is of a kind the
+// plan executor runs, with RETURN last. It turns a write query away
+// before any of its stages compiles.
+func plannable(sq *ast.SingleQuery) bool {
 	for i, c := range sq.Clauses {
-		last := i == len(sq.Clauses)-1
-		switch c := c.(type) {
-		case *ast.MatchClause:
-			st, out, err := compileMatchStage(c, sc, alloc)
-			if err != nil {
-				return nil, err
-			}
-			pp.stages = append(pp.stages, st)
-			sc = out
-		case *ast.UnwindClause:
-			st, out, err := compileUnwindStage(c, sc, alloc)
-			if err != nil {
-				return nil, err
-			}
-			pp.stages = append(pp.stages, st)
-			sc = out
-		case *ast.WithClause:
-			st, out, err := compileProjectionStage(&c.Projection, c.Where, sc, alloc, true, false)
-			if err != nil {
-				return nil, err
-			}
-			pp.stages = append(pp.stages, st)
-			projs = append(projs, st)
-			sc = out
+		switch c.(type) {
+		case *ast.MatchClause, *ast.UnwindClause, *ast.WithClause, *ast.CallClause:
 		case *ast.ReturnClause:
-			if !last {
-				return nil, errUnsupportedPlan // interpreter raises the error
+			if i != len(sq.Clauses)-1 {
+				return false // interpreter raises the error
 			}
-			st, _, err := compileProjectionStage(&c.Projection, nil, sc, alloc, false, true)
-			if err != nil {
-				return nil, err
-			}
-			pp.stages = append(pp.stages, st)
-			projs = append(projs, st)
-		case *ast.CallClause:
-			st, out, err := compileCallStage(c, sc, alloc, last)
-			if err != nil {
-				return nil, err
-			}
-			pp.stages = append(pp.stages, st)
-			sc = out
 		default:
 			// Write clauses (and anything new) stay on the interpreter.
-			return nil, errUnsupportedPlan
+			return false
 		}
 	}
-	pp.width = alloc.n
+	return true
+}
+
+func compileSinglePlan(pp *partPlan, sq *ast.SingleQuery) error {
+	pc := newPartCompiler(0)
+	var sc scope
+	pp.stages = make([]planStage, len(sq.Clauses))
+	for i, c := range sq.Clauses {
+		last := i == len(sq.Clauses)-1
+		var st planStage
+		var err error
+		switch c := c.(type) {
+		case *ast.MatchClause:
+			st, sc, err = pc.matchStage(c, sc)
+		case *ast.UnwindClause:
+			st, sc, err = pc.unwindStage(c, sc)
+		case *ast.WithClause:
+			st, sc, err = pc.projectionStage(&c.Projection, c.Where, sc, true, false)
+		case *ast.ReturnClause:
+			st, _, err = pc.projectionStage(&c.Projection, nil, sc, false, true)
+		case *ast.CallClause:
+			st, sc, err = pc.callStage(c, sc, last)
+		default:
+			return errUnsupportedPlan // plannable admits no other clause
+		}
+		if err != nil {
+			return err
+		}
+		pp.stages[i] = st
+	}
+	pp.width = pc.cmp.NextSlot
 	// Projections need the final width for their interpreter cold path
 	// and the SKIP/LIMIT scratch frame; it is only known now.
-	for _, p := range projs {
-		p.width = alloc.n
+	for _, st := range pp.stages {
+		if p, ok := st.(*cProjection); ok {
+			p.width = pc.cmp.NextSlot
+		}
 	}
-	return pp, nil
+	return nil
 }
 
 // --- MATCH ---------------------------------------------------------
 
-func compileMatchStage(c *ast.MatchClause, sc scope, alloc *slotAlloc) (*cMatch, scope, error) {
-	pvars := patternVars(c.Patterns)
-	out := sc.clone()
-	optFill := make([]int, 0, len(pvars))
-	for _, v := range pvars {
-		if _, ok := out[v]; !ok {
-			s := alloc.next()
-			out[v] = s
-			optFill = append(optFill, s)
+// A MATCH clause's output scope is its input scope followed by the
+// pattern variables it binds, in order of first occurrence. Each pattern
+// part therefore binds a contiguous run of that scope, and a chain
+// binds its part's run in order: at every point of the forward build,
+// the variables bound so far are a prefix of the scope. Boundness is
+// static — every row at a clause boundary carries the same variable set —
+// so the schedule below, computed from scope positions alone, equals the
+// interpreter's per-row readiness checks: a WHERE conjunct runs at the
+// first point where the prefix covers the last of its variables.
+
+// never is the last-variable position of a conjunct that names a
+// variable the clause never binds.
+const never = math.MaxInt
+
+// lastVar returns the scope position of the last-bound free variable
+// of e: -1 if it has none, never if one is not in scope.
+func lastVar(e ast.Expr, sc scope) int {
+	last := -1
+	ast.EachFreeVar(e, func(name string) {
+		if i := sc.index(name); i < 0 {
+			last = never
+		} else {
+			last = max(last, i)
+		}
+	})
+	return last
+}
+
+func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope, error) {
+	// The new variables take consecutive fresh slots: exactly the slots
+	// OPTIONAL MATCH null-fills when nothing matched.
+	n := len(sc)
+	for _, p := range c.Patterns {
+		n += len(p.Nodes) + len(p.Rels)
+	}
+	out := make(scope, len(sc), n)
+	copy(out, sc)
+	st := &cMatch{optional: c.Optional, clause: c, nsc: len(sc), optLo: pc.cmp.NextSlot}
+	for _, p := range c.Patterns {
+		for ni, np := range p.Nodes {
+			out = pc.bindNew(out, np.Variable)
+			if ni < len(p.Rels) {
+				out = pc.bindNew(out, p.Rels[ni].Variable)
+			}
 		}
 	}
-	st := &cMatch{optional: c.Optional, optFill: optFill}
+	st.out, st.optHi = out, pc.cmp.NextSlot
 
 	// Conjunct predicates are compiled against the full post-clause
 	// scope: a conjunct referencing a variable that never binds becomes a
 	// closure raising the unknown-variable error when evaluated, exactly
 	// as the interpreter's conservative final pass surfaces it.
-	var conj []ast.Expr
+	pc.conj = pc.conj[:0]
 	if c.Where != nil {
-		conj = splitWhereExprs(nil, c.Where)
+		pc.conj = splitWhereExprs(pc.conj, c.Where)
+		st.preds = make([]eval.CompiledPred, len(pc.conj))
 	}
-	preds := make([]eval.CompiledPred, len(conj))
-	pcmp := alloc.compiler(out)
-	for i, cj := range conj {
-		p, err := pcmp.CompilePred(cj)
-		if err != nil {
-			return nil, nil, errUnsupportedPlan
-		}
-		preds[i] = p
-	}
-
-	// Schedule each conjunct at the earliest point where its variables
-	// are all bound. Boundness is static — every row at a clause boundary
-	// carries the same variable set — so the compile-time schedule equals
-	// the interpreter's per-row readiness checks. VarsSatisfy walks the
-	// conjunct instead of materializing its variable list; the scheduling
-	// decision is identical.
-	cum := make(map[string]bool, len(sc))
-	for name := range sc {
-		cum[name] = true
-	}
-	inCum := func(name string) bool { return cum[name] }
-	assigned := make([]bool, len(conj))
-	for i, cj := range conj {
-		if ast.VarsSatisfy(cj, inCum) {
-			st.entry = append(st.entry, preds[i])
-			assigned[i] = true
-		}
-	}
-	perPart := make([][]int, len(c.Patterns))
-	for pi, p := range c.Patterns {
-		for ni, n := range p.Nodes {
-			if n.Variable != "" {
-				cum[n.Variable] = true
-			}
-			if ni < len(p.Rels) && p.Rels[ni].Variable != "" {
-				cum[p.Rels[ni].Variable] = true
-			}
-		}
-		for i, cj := range conj {
-			if !assigned[i] && ast.VarsSatisfy(cj, inCum) {
-				perPart[pi] = append(perPart[pi], i)
-				assigned[i] = true
-			}
-		}
-	}
-	for i := range conj {
-		if !assigned[i] {
-			st.final = append(st.final, preds[i])
-		}
-	}
-
-	// Lower each pattern part. entryNames grows with each part's
-	// variables: part p's chain starts with everything parts 0..p-1
-	// bound, mirroring the interpreter's env. Only the forward
-	// orientation is compiled here; the reverse — used only when the
-	// executing store makes the last endpoint strictly cheaper — is
-	// deferred behind cPart.revBuild, which snapshots this loop's state
-	// (entryList prefix, conjunct assignment, fwd temp slots) so the
-	// deferred build produces exactly the chain the eager one would have.
-	entryNames := make(map[string]bool, len(sc))
-	entryList := make([]string, 0, len(sc)+len(pvars))
-	for name := range sc {
-		entryNames[name] = true
-		entryList = append(entryList, name)
-	}
-	for pi, p := range c.Patterns {
-		cp := &cPart{
-			costFirst: costSpec(p.Nodes[0], entryNames),
-			costLast:  costSpec(p.Nodes[len(p.Nodes)-1], entryNames),
-		}
-		// Record the temp slots the forward build allocates: the reverse
-		// orientation compiles the same property expressions, so it needs
-		// exactly as many, and temps are save/restored scratch — reusing
-		// the forward slots is safe even though the orientations pair
-		// them differently.
-		var temps []int
-		recTemp := func() int {
-			s := alloc.next()
-			temps = append(temps, s)
-			return s
-		}
-		var err error
-		cp.fwd, err = buildChain(p, entryNames, out, perPart[pi], conj, preds, recTemp)
+	pc.last = pc.last[:0]
+	for i, cj := range pc.conj {
+		p, err := pc.compilePred(out, cj)
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(p.Nodes) >= 2 {
-			part, conjIdx := p, perPart[pi]
-			entrySnap := entryList[:len(entryList):len(entryList)]
-			cp.revBuild = func() *cChain {
-				entry := make(map[string]bool, len(entrySnap))
-				for _, name := range entrySnap {
-					entry[name] = true
-				}
-				i := 0
-				replay := func() int {
-					if i < len(temps) {
-						s := temps[i]
-						i++
-						return s
-					}
-					// Unreachable: both orientations compile the same
-					// property expressions and therefore allocate the
-					// same number of temps.
-					return 0
-				}
-				rev, err := buildChain(reverseChain(part), entry, out, conjIdx, conj, preds, replay)
-				if err != nil {
-					// Unreachable for the same reason: chain compilation
-					// only fails on AST node types the expression
-					// compiler does not know, and the forward build of
-					// these same expressions succeeded.
-					return nil
-				}
-				return rev
-			}
+		st.preds[i] = p
+		pc.last = append(pc.last, lastVar(cj, out))
+		switch {
+		case pc.last[i] < len(sc):
+			st.entry = append(st.entry, p)
+		case pc.last[i] == never:
+			st.final = append(st.final, p)
 		}
-		st.parts = append(st.parts, cp)
-		for ni, n := range p.Nodes {
-			if n.Variable != "" {
-				entryNames[n.Variable] = true
-				entryList = append(entryList, n.Variable)
-			}
-			if ni < len(p.Rels) && p.Rels[ni].Variable != "" {
-				entryNames[p.Rels[ni].Variable] = true
-				entryList = append(entryList, p.Rels[ni].Variable)
-			}
+	}
+
+	// Lower each pattern part in its forward orientation. The reverse —
+	// used only when the executing store makes the last endpoint strictly
+	// cheaper — is built on demand (cPart.reverse), reusing the temp
+	// slots the forward build allocates here.
+	if len(c.Patterns) <= len(st.part1) {
+		st.parts = st.part1[:len(c.Patterns)]
+	} else {
+		st.parts = make([]cPart, len(c.Patterns))
+	}
+	lo := len(sc) // out[:lo] is bound when a part starts
+	for pi, p := range c.Patterns {
+		cp := &st.parts[pi]
+		cp.m, cp.index = st, pi
+		cp.costFirst = costSpec(p.Nodes[0], out, lo)
+		cp.costLast = costSpec(p.Nodes[len(p.Nodes)-1], out, lo)
+		cp.tempLo = pc.cmp.NextSlot
+		var err error
+		if lo, err = pc.chain(&cp.fwd, p, out, lo, pc.last, st.preds); err != nil {
+			return nil, nil, err
 		}
 	}
 	return st, out, nil
 }
 
-// costSpec captures matcher.nodeCost's inputs for one chain endpoint:
-// entry boundness (static) and the candidate labels. The cardinalities
-// themselves are read from the executing store (cCost.eval).
-func costSpec(n *ast.NodePattern, entry map[string]bool) cCost {
-	if n.Variable != "" && entry[n.Variable] {
+// bindNew appends a binding on a fresh slot for a pattern variable that
+// is not in scope yet.
+func (pc *partCompiler) bindNew(out scope, name string) scope {
+	if name == "" || out.index(name) >= 0 {
+		return out
+	}
+	return append(out, eval.Var{Name: name, Slot: pc.next()})
+}
+
+// costSpec captures matcher.nodeCost's inputs for one chain endpoint of
+// a part entered with out[:lo] bound: entry boundness (static) and the
+// candidate labels. The cardinalities themselves are read from the
+// executing store (cCost.eval).
+func costSpec(n *ast.NodePattern, out scope, lo int) cCost {
+	if n.Variable != "" && out.index(n.Variable) < lo {
 		return cCost{bound: true}
 	}
 	return cCost{labels: n.Labels}
 }
 
-// buildChain lowers one oriented pattern part. Inline property maps are
-// compiled against the scope bound BEFORE their element (the interpreter
-// checks properties before binding, so a self- or forward-reference is
-// an unknown-variable error there too); conjuncts are attached to the
-// element whose binding completes their variable set, in conjunct order.
-func buildChain(p *ast.PatternPart, entry map[string]bool, full scope, conjIdx []int, conj []ast.Expr, preds []eval.CompiledPred, temp func() int) (*cChain, error) {
-	bound := make(map[string]bool, len(entry)+len(p.Nodes)+len(p.Rels))
-	for name := range entry {
-		bound[name] = true
+// chain lowers one pattern part, oriented as p, entered with out[:lo]
+// bound, and returns the length of the prefix bound after it; out lists
+// the part's own variables in p's order of first occurrence. Inline
+// property maps are compiled against the scope bound BEFORE their
+// element (the interpreter checks properties before binding, so a self-
+// or forward-reference is an unknown-variable error there too). Each
+// conjunct whose last variable (last[i]) this part binds is attached to
+// the element binding it, in conjunct order.
+func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, last []int, preds []eval.CompiledPred) (int, error) {
+	k := lo // out[:k] is bound
+	// bind marks the element's variable bound and reports its slot and
+	// whether it was bound already.
+	bind := func(name string) (slot int, wasBound bool) {
+		if name == "" {
+			return -1, false
+		}
+		i := out.index(name)
+		if i < k {
+			return out[i].Slot, true
+		}
+		k++ // i == k: the next variable of the part, in order
+		return out[i].Slot, false
 	}
-	inBound := func(name string) bool { return bound[name] }
-	remaining := append([]int(nil), conjIdx...)
-	takeReady := func() []eval.CompiledPred {
-		var ready []eval.CompiledPred
-		rest := remaining[:0]
-		for _, ci := range remaining {
-			if ast.VarsSatisfy(conj[ci], inBound) {
-				ready = append(ready, preds[ci])
-			} else {
-				rest = append(rest, ci)
+	// Every element's conjuncts share one array, in element order and
+	// within an element in conjunct order.
+	var conjBuf []eval.CompiledPred
+	hi := lo + len(p.Nodes) + len(p.Rels)
+	n := 0
+	for _, l := range last {
+		if lo <= l && l < hi {
+			n++
+		}
+	}
+	if n > 0 {
+		conjBuf = make([]eval.CompiledPred, 0, n)
+	}
+	conjUpTo := func(from int) []eval.CompiledPred {
+		start := len(conjBuf)
+		for i, l := range last {
+			if from <= l && l < k {
+				conjBuf = append(conjBuf, preds[i])
 			}
 		}
-		remaining = rest
-		return ready
-	}
-	// boundCmp resolves only variables bound so far: Compile resolves
-	// lookups eagerly, so sharing the mutating map across elements is
-	// safe — each element's expressions see the scope at its own point.
-	boundCmp := &eval.Compiler{
-		Lookup: func(name string) (int, bool) {
-			if !bound[name] {
-				return 0, false
-			}
-			return full.lookup(name)
-		},
-		Temp: temp,
-	}
-	compileProps := func(m *ast.MapLit) (cProps, error) {
-		var out cProps
-		if m == nil {
-			return out, nil
+		if len(conjBuf) == start {
+			return nil
 		}
-		out.keys = m.Keys
-		out.vals = make([]eval.Compiled, len(m.Vals))
-		for i, v := range m.Vals {
-			fn, err := boundCmp.Compile(v)
-			if err != nil {
-				return out, errUnsupportedPlan
-			}
-			out.vals[i] = fn
-		}
-		return out, nil
+		return conjBuf[start:len(conjBuf):len(conjBuf)]
 	}
 
-	ch := &cChain{nodes: make([]cNode, len(p.Nodes)), rels: make([]cRel, len(p.Rels))}
+	ch.nodes, ch.rels = make([]cNode, len(p.Nodes)), make([]cRel, len(p.Rels))
 	for i, np := range p.Nodes {
 		cn := &ch.nodes[i]
-		cn.slot = -1
-		if np.Variable != "" {
-			cn.slot = full[np.Variable]
-			cn.bound = bound[np.Variable]
-		}
 		cn.labels = np.Labels
 		var err error
-		cn.props, err = compileProps(np.Props)
-		if err != nil {
-			return nil, err
+		if cn.props, err = pc.props(out[:k], np.Props); err != nil {
+			return 0, err
 		}
 		if i == 0 {
 			// Index probes for the entry scan, in the interpreter's
 			// label-major, key-minor order, sharing the compiled values.
+			if len(np.Labels) > 0 && len(cn.props.keys) > 0 {
+				cn.probes = make([]cProbe, 0, len(np.Labels)*len(cn.props.keys))
+			}
 			for _, l := range np.Labels {
 				for k, key := range cn.props.keys {
 					cn.probes = append(cn.probes, cProbe{
@@ -371,54 +369,122 @@ func buildChain(p *ast.PatternPart, entry map[string]bool, full scope, conjIdx [
 				}
 			}
 		}
-		if np.Variable != "" {
-			bound[np.Variable] = true
-		}
-		cn.conj = takeReady()
+		from := k
+		cn.slot, cn.bound = bind(np.Variable)
+		cn.conj = conjUpTo(from)
 		if i < len(p.Rels) {
 			rp := p.Rels[i]
 			cr := &ch.rels[i]
-			cr.slot = -1
-			if rp.Variable != "" {
-				cr.slot = full[rp.Variable]
-				cr.bound = bound[rp.Variable]
-			}
 			cr.types = rp.Types
 			cr.dir = rp.Direction
-			cr.props, err = compileProps(rp.Props)
-			if err != nil {
-				return nil, err
+			if cr.props, err = pc.props(out[:k], rp.Props); err != nil {
+				return 0, err
 			}
-			if rp.Variable != "" {
-				bound[rp.Variable] = true
-			}
-			cr.conj = takeReady()
+			from := k
+			cr.slot, cr.bound = bind(rp.Variable)
+			cr.conj = conjUpTo(from)
 		}
 	}
-	if len(remaining) != 0 {
-		// Defensive: the stage classifier only assigns a conjunct to this
-		// part when the part's variables complete it.
-		return nil, errUnsupportedPlan
+	return k, nil
+}
+
+// props compiles an inline property map with the variables of sc in
+// scope.
+func (pc *partCompiler) props(sc scope, m *ast.MapLit) (cProps, error) {
+	var out cProps
+	if m == nil {
+		return out, nil
 	}
-	return ch, nil
+	out.keys = m.Keys
+	out.vals = make([]eval.Compiled, len(m.Vals))
+	for i, v := range m.Vals {
+		fn, err := pc.compile(sc, v)
+		if err != nil {
+			return out, err
+		}
+		out.vals[i] = fn
+	}
+	return out, nil
+}
+
+// buildReverse lowers part p in reverse orientation. The reversed chain
+// meets the part's variables in another order, so it compiles against a
+// scope with the part's run reordered to match; slots stay with their
+// names. It replays the forward build's temp slots: both orientations
+// compile the same property expressions and therefore allocate the same
+// number of temps.
+func (st *cMatch) buildReverse(p *cPart) *cChain {
+	lo := st.nsc
+	for _, q := range st.clause.Patterns[:p.index] {
+		for _, np := range q.Nodes {
+			if np.Variable != "" {
+				lo = max(lo, st.out.index(np.Variable)+1)
+			}
+		}
+		for _, rp := range q.Rels {
+			if rp.Variable != "" {
+				lo = max(lo, st.out.index(rp.Variable)+1)
+			}
+		}
+	}
+	part := reverseChain(st.clause.Patterns[p.index])
+	rout := make(scope, lo, len(st.out))
+	copy(rout, st.out[:lo])
+	pc := newPartCompiler(p.tempLo)
+	for ni, np := range part.Nodes {
+		rout = reorderVar(rout, st.out, lo, np.Variable)
+		if ni < len(part.Rels) {
+			rout = reorderVar(rout, st.out, lo, part.Rels[ni].Variable)
+		}
+	}
+	for _, v := range st.out[lo:] {
+		if rout.index(v.Name) < 0 {
+			rout = append(rout, v)
+		}
+	}
+	last := make([]int, 0, len(st.preds))
+	if st.clause.Where != nil {
+		for _, cj := range splitWhereExprs(nil, st.clause.Where) {
+			last = append(last, lastVar(cj, rout))
+		}
+	}
+	rev := &cChain{}
+	if _, err := pc.chain(rev, part, rout, lo, last, st.preds); err != nil {
+		// Unreachable: chain compilation only fails on AST node types
+		// the expression compiler does not know, and the forward build of
+		// these same expressions succeeded.
+		return nil
+	}
+	return rev
+}
+
+// reorderVar appends the binding of name from out to rout if it is one
+// of the variables from position lo on and not there yet.
+func reorderVar(rout, out scope, lo int, name string) scope {
+	if name == "" || rout.index(name) >= 0 {
+		return rout
+	}
+	if i := out.index(name); i >= lo {
+		return append(rout, out[i])
+	}
+	return rout
 }
 
 // --- UNWIND --------------------------------------------------------
 
-func compileUnwindStage(c *ast.UnwindClause, sc scope, alloc *slotAlloc) (*cUnwind, scope, error) {
-	fn, err := alloc.compiler(sc).Compile(c.Expr)
+func (pc *partCompiler) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope, error) {
+	fn, err := pc.compile(sc, c.Expr)
 	if err != nil {
-		return nil, nil, errUnsupportedPlan
+		return nil, nil, err
 	}
-	out := sc.clone()
-	slot := alloc.next()
-	out[c.Alias] = slot // shadows any previous binding, as the row write did
-	return &cUnwind{list: fn, slot: slot}, out, nil
+	slot := pc.next()
+	// The alias shadows any previous binding, as the row write did.
+	return &cUnwind{list: fn, slot: slot}, sc.with(c.Alias, slot), nil
 }
 
 // --- CALL ----------------------------------------------------------
 
-func compileCallStage(c *ast.CallClause, sc scope, alloc *slotAlloc, last bool) (*cCall, scope, error) {
+func (pc *partCompiler) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, scope, error) {
 	var col string
 	switch c.Procedure {
 	case "db.labels":
@@ -436,15 +502,13 @@ func compileCallStage(c *ast.CallClause, sc scope, alloc *slotAlloc, last bool) 
 	if len(c.Yield) == 1 {
 		col = c.Yield[0]
 	}
-	out := sc.clone()
-	slot := alloc.next()
-	out[col] = slot
-	return &cCall{proc: c.Procedure, col: col, slot: slot, last: last}, out, nil
+	slot := pc.next()
+	return &cCall{proc: c.Procedure, col: col, slot: slot, last: last}, sc.with(col, slot), nil
 }
 
 // --- WITH / RETURN -------------------------------------------------
 
-func compileProjectionStage(p *ast.Projection, where ast.Expr, sc scope, alloc *slotAlloc, requireAlias, isReturn bool) (*cProjection, scope, error) {
+func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc scope, requireAlias, isReturn bool) (*cProjection, scope, error) {
 	if p.Star || len(p.Items) == 0 {
 		// `*` depends on the runtime row contents; an empty projection is
 		// an error — both stay on the interpreter.
@@ -455,11 +519,19 @@ func compileProjectionStage(p *ast.Projection, where ast.Expr, sc scope, alloc *
 		isReturn:     isReturn,
 		proj:         p,
 		requireAlias: requireAlias,
-		items:        make([]cProjItem, 0, len(p.Items)),
-		cols:         make([]string, 0, len(p.Items)),
 	}
-	seen := make(map[string]bool, len(p.Items))
-	for _, it := range p.Items {
+	if len(p.Items) <= len(st.item1) {
+		st.items, st.cols = st.item1[:len(p.Items)], st.col1[:len(p.Items)]
+	} else {
+		st.items, st.cols = make([]cProjItem, len(p.Items)), make([]string, len(p.Items))
+	}
+	// out is the projected scope: the next stage's after a WITH, and
+	// part of ORDER BY's.
+	var out scope
+	if !isReturn || len(p.OrderBy) > 0 {
+		out = make(scope, len(p.Items))
+	}
+	for i, it := range p.Items {
 		name := it.Alias
 		if name == "" {
 			if v, ok := it.Expr.(*ast.Variable); ok {
@@ -470,34 +542,31 @@ func compileProjectionStage(p *ast.Projection, where ast.Expr, sc scope, alloc *
 				name = ast.ExprString(it.Expr)
 			}
 		}
-		if seen[name] {
+		if slices.Contains(st.cols[:i], name) {
 			return nil, nil, errUnsupportedPlan // duplicate-column error
 		}
-		seen[name] = true
 		agg := eval.HasAggregate(it.Expr)
 		st.hasAgg = st.hasAgg || agg
-		st.items = append(st.items, cProjItem{name: name, slot: alloc.next(), agg: agg})
-		st.cols = append(st.cols, name)
+		slot := pc.next()
+		st.items[i] = cProjItem{name: name, slot: slot, agg: agg}
+		st.cols[i] = name
+		if out != nil {
+			out[i] = eval.Var{Name: name, Slot: slot}
+		}
 	}
 
 	if st.hasAgg {
-		if err := compileAggregation(st, p, sc, alloc); err != nil {
+		if err := pc.aggregation(st, p, sc); err != nil {
 			return nil, nil, err
 		}
 	} else {
-		cmp := alloc.compiler(sc)
 		for i, it := range p.Items {
-			fn, err := cmp.Compile(it.Expr)
+			fn, err := pc.compile(sc, it.Expr)
 			if err != nil {
-				return nil, nil, errUnsupportedPlan
+				return nil, nil, err
 			}
 			st.items[i].fn = fn
 		}
-	}
-
-	out := make(scope, len(st.items))
-	for i := range st.items {
-		out[st.items[i].name] = st.items[i].slot
 	}
 
 	// ORDER BY scope mirrors project's orderEnv: projected columns only
@@ -506,70 +575,66 @@ func compileProjectionStage(p *ast.Projection, where ast.Expr, sc scope, alloc *
 	if len(p.OrderBy) > 0 {
 		sortScope := out
 		if !st.hasAgg && !p.Distinct {
-			sortScope = sc.clone()
-			for name, slot := range out {
-				sortScope[name] = slot
+			sortScope = make(scope, 0, len(sc)+len(out))
+			for _, b := range sc {
+				if out.index(b.Name) < 0 {
+					sortScope = append(sortScope, b)
+				}
 			}
+			sortScope = append(sortScope, out...)
 		}
-		scmp := alloc.compiler(sortScope)
-		for _, s := range p.OrderBy {
-			fn, err := scmp.Compile(s.Expr)
+		st.sorts = make([]cSort, len(p.OrderBy))
+		for i, s := range p.OrderBy {
+			fn, err := pc.compile(sortScope, s.Expr)
 			if err != nil {
-				return nil, nil, errUnsupportedPlan
+				return nil, nil, err
 			}
-			st.sorts = append(st.sorts, cSort{key: fn, desc: s.Desc})
+			st.sorts[i] = cSort{key: fn, desc: s.Desc}
 		}
 	}
 
 	// SKIP/LIMIT evaluate in an empty environment (evalIn(row{}, x)).
-	ecmp := &eval.Compiler{Temp: alloc.next}
+	var err error
 	if p.Skip != nil {
-		fn, err := ecmp.Compile(p.Skip)
-		if err != nil {
-			return nil, nil, errUnsupportedPlan
+		if st.skip, err = pc.compile(nil, p.Skip); err != nil {
+			return nil, nil, err
 		}
-		st.skip = fn
 	}
 	if p.Limit != nil {
-		fn, err := ecmp.Compile(p.Limit)
-		if err != nil {
-			return nil, nil, errUnsupportedPlan
+		if st.limit, err = pc.compile(nil, p.Limit); err != nil {
+			return nil, nil, err
 		}
-		st.limit = fn
 	}
 
 	// A WITH's WHERE sees only the projected row.
 	if where != nil {
-		wp, err := alloc.compiler(out).CompilePred(where)
-		if err != nil {
-			return nil, nil, errUnsupportedPlan
+		if st.where, err = pc.compilePred(out, where); err != nil {
+			return nil, nil, err
 		}
-		st.where = wp
 	}
 	return st, out, nil
 }
 
-// compileAggregation collects the aggregate calls of every item in item
-// order (as Engine.aggregate walks them), assigns each a result slot,
-// and compiles the item expressions with those slots spliced in place of
-// the calls via the Special hook.
-func compileAggregation(st *cProjection, p *ast.Projection, sc scope, alloc *slotAlloc) error {
-	cmp := alloc.compiler(sc)
-	callSlot := map[*ast.FuncCall]int{}
+// aggregation collects the aggregate calls of every item in item order
+// (as Engine.aggregate walks them), assigns each a result slot, and
+// compiles the item expressions with those slots spliced in place of the
+// calls via the Special hook.
+func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope) error {
+	st.calls = st.call1[:0]
 	var compileErr error
 	for _, it := range p.Items {
 		ast.WalkExprs(it.Expr, func(x ast.Expr) bool {
 			f, ok := x.(*ast.FuncCall)
-			if !ok {
-				return true
+			if !ok || compileErr != nil {
+				return compileErr == nil
 			}
 			if f.Star {
-				callSlot[f] = alloc.next()
 				st.calls = append(st.calls, cAggCall{
+					call:     f,
 					star:     true,
 					distinct: f.Distinct,
 					argCount: len(f.Args),
-					slot:     callSlot[f],
+					slot:     pc.next(),
 				})
 				return false
 			}
@@ -578,28 +643,18 @@ func compileAggregation(st *cProjection, p *ast.Projection, sc scope, alloc *slo
 				return true
 			}
 			c := cAggCall{
+				call:     f,
 				spec:     spec,
 				distinct: f.Distinct,
 				argCount: len(f.Args),
-				slot:     alloc.next(),
+				slot:     pc.next(),
 			}
 			if len(f.Args) >= 1 {
-				fn, err := cmp.Compile(f.Args[0])
-				if err != nil {
-					compileErr = errUnsupportedPlan
-					return false
-				}
-				c.arg = fn
+				c.arg, compileErr = pc.compile(sc, f.Args[0])
 			}
-			if spec.HasParam && len(f.Args) == 2 {
-				fn, err := cmp.Compile(f.Args[1])
-				if err != nil {
-					compileErr = errUnsupportedPlan
-					return false
-				}
-				c.param = fn
+			if compileErr == nil && spec.HasParam && len(f.Args) == 2 {
+				c.param, compileErr = pc.compile(sc, f.Args[1])
 			}
-			callSlot[f] = c.slot
 			st.calls = append(st.calls, c)
 			return false // aggregates do not nest
 		})
@@ -608,33 +663,40 @@ func compileAggregation(st *cProjection, p *ast.Projection, sc scope, alloc *slo
 		return compileErr
 	}
 	// Item expressions: grouping items evaluate per input row; aggregated
-	// items evaluate at finalization with each call reading its slot.
-	itemCmp := &eval.Compiler{
-		Lookup: sc.lookup,
-		Temp:   alloc.next,
-		Special: func(x ast.Expr) (eval.Compiled, bool) {
-			f, ok := x.(*ast.FuncCall)
-			if !ok {
-				return nil, false
-			}
-			slot, ok := callSlot[f]
-			if !ok {
-				return nil, false
-			}
-			return func(ctx *eval.Ctx) (value.Value, error) {
-				return ctx.Frame[slot], nil
-			}, true
-		},
-	}
+	// items evaluate at finalization with each call reading its slot. An
+	// item that is one aggregate call is just that read; any other is
+	// compiled with every call spliced in (a call node that occurs twice
+	// reads the slot of its last occurrence).
+	defer func() { pc.cmp.Splices = nil }()
 	for i, it := range p.Items {
-		fn, err := itemCmp.Compile(it.Expr)
-		if err != nil {
-			return errUnsupportedPlan
-		}
-		st.items[i].fn = fn
 		if !st.items[i].agg {
 			st.groupItems = append(st.groupItems, i)
 		}
+		if slot, ok := st.callSlot(it.Expr); ok {
+			st.items[i].fn = eval.Slot(slot)
+			continue
+		}
+		if pc.cmp.Splices == nil {
+			pc.cmp.Splices = make([]eval.Splice, len(st.calls))
+			for k, c := range st.calls {
+				pc.cmp.Splices[k] = eval.Splice{Expr: c.call, Slot: c.slot}
+			}
+		}
+		fn, err := pc.compile(sc, it.Expr)
+		if err != nil {
+			return err
+		}
+		st.items[i].fn = fn
 	}
 	return nil
+}
+
+// callSlot returns the result slot of the aggregate call e, if e is one.
+func (st *cProjection) callSlot(e ast.Expr) (int, bool) {
+	for k := len(st.calls) - 1; k >= 0; k-- {
+		if ast.Expr(st.calls[k].call) == e {
+			return st.calls[k].slot, true
+		}
+	}
+	return 0, false
 }

@@ -33,7 +33,7 @@ func appendConjuncts(dst []conjunct, e ast.Expr) []conjunct {
 
 // splitWhereExprs is the plan compiler's form of splitWhere: the same
 // top-level AND split, without the per-conjunct variable lists — the
-// compiler schedules conjuncts with ast.VarsSatisfy walks instead.
+// compiler schedules each conjunct by its last-bound variable instead.
 func splitWhereExprs(dst []ast.Expr, e ast.Expr) []ast.Expr {
 	if b, ok := e.(*ast.Binary); ok && b.Op == ast.OpAnd {
 		return splitWhereExprs(splitWhereExprs(dst, b.L), b.R)

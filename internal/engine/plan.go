@@ -37,8 +37,9 @@ type frame = []value.Value
 // queryPlan is the compiled form of one query: one partPlan per UNION
 // arm, plus the ALL flags between them.
 type queryPlan struct {
-	parts []*partPlan
+	parts []partPlan
 	all   []bool
+	part1 [1]partPlan // parts of a query without UNION
 }
 
 // partPlan is one single-query pipeline: a stage per clause, and the
@@ -177,8 +178,8 @@ func (e *Engine) runPlan(p *queryPlan) (*Result, error) {
 		e.pstate.rowBufs = e.pstate.rowBufs[:arenaMaxRetain:arenaMaxRetain]
 	}
 	var out *Result
-	for i, pp := range p.parts {
-		r, err := e.runPlanPart(pp)
+	for i := range p.parts {
+		r, err := e.runPlanPart(&p.parts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -299,40 +300,54 @@ type cChain struct {
 	rels  []cRel
 }
 
-// cPart is one pattern part. The forward orientation is precompiled; the
-// reverse is built on first demand (revBuild, nil for single-node parts)
-// because most executions never reverse — the executor picks fwd or rev
-// once per execution from the cost estimates, mirroring matcher.orient
-// (whose per-row choice is constant across rows: boundness is static and
-// the store does not change during a read-only execution). revOnce makes
-// the lazy build safe across concurrent executions of the shared plan;
-// after it fires the chain is immutable like everything else here.
+// cPart is pattern part index of its clause m. The forward orientation is
+// precompiled; the reverse is built on first demand (buildReverse) because
+// most executions never reverse — the executor picks fwd or rev once per
+// execution from the cost estimates, mirroring matcher.orient (whose
+// per-row choice is constant across rows: boundness is static and the
+// store does not change during a read-only execution). revOnce makes the
+// lazy build safe across concurrent executions of the shared plan; after
+// it fires the chain is immutable like everything else here.
 type cPart struct {
-	fwd       *cChain
+	fwd       cChain
 	costFirst cCost
 	costLast  cCost
-	revBuild  func() *cChain
+	m         *cMatch
+	index     int
+	tempLo    int // first of the temp slots the forward build allocated
 	revOnce   sync.Once
 	rev       *cChain
 }
 
+// reversible reports whether the part has two ends to start from.
+func (p *cPart) reversible() bool { return len(p.fwd.nodes) >= 2 }
+
 // reverse returns the reversed chain, building it on first use.
 func (p *cPart) reverse() *cChain {
-	p.revOnce.Do(func() { p.rev = p.revBuild() })
+	p.revOnce.Do(func() { p.rev = p.m.buildReverse(p) })
 	return p.rev
 }
 
 // cMatch is a compiled MATCH / OPTIONAL MATCH clause. entry holds the
 // conjuncts evaluable from the input row alone; final the conjuncts that
 // never become fully bound (they surface unknown-variable errors at emit
-// time, as the interpreter's conservative final pass does); optFill the
-// slots OPTIONAL MATCH null-fills when nothing matched.
+// time, as the interpreter's conservative final pass does); slots
+// [optLo, optHi) are the ones OPTIONAL MATCH null-fills when nothing
+// matched. clause, out (the post-clause scope, whose first nsc entries
+// are the input scope) and preds (every WHERE conjunct, in order) are
+// what a part's reverse build needs.
 type cMatch struct {
-	optional bool
-	entry    []eval.CompiledPred
-	final    []eval.CompiledPred
-	parts    []*cPart
-	optFill  []int
+	optional     bool
+	entry        []eval.CompiledPred
+	final        []eval.CompiledPred
+	parts        []cPart
+	part1        [1]cPart // parts of a one-pattern clause
+	optLo, optHi int
+
+	clause *ast.MatchClause
+	out    scope
+	nsc    int
+	preds  []eval.CompiledPred
 }
 
 // planMatcher is the slot-frame mirror of matcher: one instance serves
@@ -371,8 +386,9 @@ func (st *cMatch) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		ps.rev = make([]bool, len(st.parts))
 	}
 	rev := ps.rev[:len(st.parts)]
-	for i, p := range st.parts {
-		rev[i] = p.revBuild != nil && p.costLast.eval(e.store) < p.costFirst.eval(e.store)
+	for i := range st.parts {
+		p := &st.parts[i]
+		rev[i] = p.reversible() && p.costLast.eval(e.store) < p.costFirst.eval(e.store)
 		if rev[i] {
 			e.planTrace = append(e.planTrace, "ReverseTraversal")
 		}
@@ -427,7 +443,7 @@ func (st *cMatch) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		if st.optional && !pm.matched {
 			nf := ps.arena.alloc(w)
 			copy(nf, r)
-			for _, s := range st.optFill {
+			for s := st.optLo; s < st.optHi; s++ {
 				nf[s] = value.Null
 			}
 			pm.out = append(pm.out, nf)
@@ -459,7 +475,7 @@ func (pm *planMatcher) part(pi int) error {
 		}
 		return pm.emit()
 	}
-	ch := pm.m.parts[pi].fwd
+	ch := &pm.m.parts[pi].fwd
 	if pm.rev[pi] {
 		ch = pm.m.parts[pi].reverse()
 	}
@@ -1021,6 +1037,7 @@ type cProjItem struct {
 // accumulator spec, the compiled argument/parameter expressions, and the
 // slot its per-group result is published in for the item expressions.
 type cAggCall struct {
+	call     *ast.FuncCall
 	spec     *functions.AggSpec
 	star     bool
 	distinct bool
@@ -1056,6 +1073,11 @@ type cProjection struct {
 	proj         *ast.Projection
 	requireAlias bool
 	width        int // part frame width, set by compileSinglePlan
+
+	// items, cols and calls of a one-item, one-aggregate projection.
+	item1 [1]cProjItem
+	col1  [1]string
+	call1 [1]cAggCall
 }
 
 func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 
 	"gqs/internal/cypher/ast"
@@ -50,17 +49,17 @@ type PreparedQuery struct {
 	plans     map[*ast.MatchClause]*matchPlan
 	plansOnce sync.Once
 	// plan is the compiled physical plan (slot frames, pushed-down
-	// conjuncts, compiled expressions; see plan.go), or nil when the
-	// query uses a construct the plan executor does not cover and
-	// execution stays on the interpreter. Immutable and shared exactly
-	// like the AST: everything dialect- or store-dependent is resolved by
-	// the executing engine at run time.
-	plan *queryPlan
+	// conjuncts, compiled expressions; see plan.go), or the zero plan
+	// when the query uses a construct the plan executor does not cover
+	// and execution stays on the interpreter. Immutable and shared
+	// exactly like the AST: everything dialect- or store-dependent is
+	// resolved by the executing engine at run time.
+	plan queryPlan
 }
 
 // Planned reports whether the query compiled to a physical plan (false
 // means every execution uses the interpreter fallback).
-func (pq *PreparedQuery) Planned() bool { return pq.plan != nil }
+func (pq *PreparedQuery) Planned() bool { return pq.plan.parts != nil }
 
 // matchPlan is the execution-independent analysis of one MATCH clause:
 // everything execMatch used to recompute per execution that is in fact a
@@ -114,10 +113,10 @@ func Prepare(text string) (*PreparedQuery, error) {
 // exactly as if the parser had returned it.
 func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 	f := metrics.AnalyzeAST(q)
-	h := fnv.New64a()
-	h.Write([]byte(text))
-	f.Hash = h.Sum64()
-	return &PreparedQuery{Text: text, AST: q, Features: f, plan: compileQueryPlan(q)}
+	f.Hash = metrics.TextHash(text)
+	pq := &PreparedQuery{Text: text, AST: q, Features: f}
+	compileQueryPlan(&pq.plan, q)
+	return pq
 }
 
 // ExecutePrepared runs a prepared query, sharing its AST with any other
@@ -126,10 +125,10 @@ func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 // (identical behaviour, no per-row map allocation or AST walking) unless
 // the engine opts out via DisablePlan or DisablePlanner.
 func (e *Engine) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
-	if pq.plan != nil && !e.opts.DisablePlan && !e.opts.DisablePlanner {
+	if pq.Planned() && !e.opts.DisablePlan && !e.opts.DisablePlanner {
 		e.beginExec(ctx, nil)
 		defer e.endExec()
-		return e.runPlan(pq.plan)
+		return e.runPlan(&pq.plan)
 	}
 	pq.plansOnce.Do(func() { pq.plans = planMatches(pq.AST) })
 	e.plans = pq.plans

@@ -22,32 +22,43 @@ type Compiled func(*Ctx) (value.Value, error)
 // coercion EvalPredicate applies (non-boolean results are a type error).
 type CompiledPred func(*Ctx) (value.Tri, error)
 
-// Compiler lowers AST expressions to Compiled closures. The caller owns
-// slot assignment: Lookup resolves the free variables of the expression
-// being compiled, and Temp allocates scratch slots for comprehension and
-// quantifier locals (the caller sizes its frames accordingly).
+// Var is a variable in scope and the frame slot that holds it.
+type Var struct {
+	Name string
+	Slot int
+}
+
+// Splice stands for a subexpression whose value the caller publishes in
+// a frame slot: the engine splices per-group aggregate results into
+// projection items this way.
+type Splice struct {
+	Expr ast.Expr
+	Slot int
+}
+
+// Compiler lowers AST expressions to Compiled closures. One Compiler may
+// compile any number of expressions, and its fields may change between
+// them; it keeps only scratch state of its own. The caller owns slot
+// assignment and sizes its frames to the final NextSlot.
 //
-// A variable neither bound locally nor resolved by Lookup compiles to a
-// closure that returns UnknownVariableError at evaluation time — not a
-// compile error — because the interpreter, too, only raises the error if
-// the expression is actually evaluated (a query producing zero rows
-// never sees it).
+// A variable neither bound locally nor in scope compiles to a closure
+// that returns UnknownVariableError at evaluation time — not a compile
+// error — because the interpreter, too, only raises the error if the
+// expression is actually evaluated (a query producing zero rows never
+// sees it).
 type Compiler struct {
-	// Lookup resolves a free variable to its frame slot. Nil means no
-	// variables are in scope.
-	Lookup func(name string) (int, bool)
-	// Temp allocates a fresh frame slot for an expression-local variable
-	// (list-comprehension or quantifier binder). Required if such
-	// expressions can occur.
-	Temp func() int
-	// Special intercepts subexpressions the caller wants to compile
-	// itself; the engine uses it to splice per-group aggregate results
-	// into projection items. Checked before any other handling, and the
-	// intercepted node's children are not compiled.
-	Special func(ast.Expr) (Compiled, bool)
+	// Vars are the variables in scope, each name once.
+	Vars []Var
+	// NextSlot is the next free frame slot. An expression-local binder
+	// (list-comprehension or quantifier variable) takes a slot from it.
+	NextSlot int
+	// Splices are checked before any other handling: a spliced node
+	// compiles to a read of its slot (the last splice of a node wins),
+	// and its children are not compiled.
+	Splices []Splice
 
 	// locals is the stack of expression-local binders currently in
-	// scope, innermost last; it shadows Lookup.
+	// scope, innermost last; it shadows Vars.
 	locals []localBinding
 	// fctx is the scratch context constant folding evaluates in. Frames,
 	// graph, parameters, and execution state are all nil: an expression
@@ -71,7 +82,8 @@ var slotReaders = func() [64]Compiled {
 	return t
 }()
 
-func slotFn(slot int) Compiled {
+// Slot returns the closure that reads one frame slot.
+func Slot(slot int) Compiled {
 	if slot < len(slotReaders) {
 		return slotReaders[slot]
 	}
@@ -155,34 +167,42 @@ func (c *Compiler) tryFold(fn Compiled, allConst bool) comp {
 	return constComp(v)
 }
 
+func (c *Compiler) temp() int {
+	s := c.NextSlot
+	c.NextSlot++
+	return s
+}
+
 func (c *Compiler) resolveVar(name string) (int, bool) {
 	for i := len(c.locals) - 1; i >= 0; i-- {
 		if c.locals[i].name == name {
 			return c.locals[i].slot, true
 		}
 	}
-	if c.Lookup != nil {
-		return c.Lookup(name)
+	for _, v := range c.Vars {
+		if v.Name == name {
+			return v.Slot, true
+		}
 	}
 	return 0, false
 }
 
 func (c *Compiler) compile(e ast.Expr) (comp, error) {
-	if c.Special != nil {
-		if fn, ok := c.Special(e); ok {
-			return comp{fn: fn}, nil
+	for i := len(c.Splices) - 1; i >= 0; i-- {
+		if c.Splices[i].Expr == e {
+			return comp{fn: Slot(c.Splices[i].Slot)}, nil
 		}
 	}
 	// Fold maximal constant subtrees before building their closure
 	// trees: evaluating the AST directly yields the same value tryFold
 	// would have produced (the closures mirror Eval exactly), without
 	// allocating a closure per node only to discard the whole tree.
-	// Skipped under Special — an interceptable node could hide anywhere
+	// Skipped under splices — a spliced node could hide anywhere
 	// in the subtree — and for bare literals, which constComp below
 	// already handles without an Eval walk. An erroring constant falls
 	// through to normal compilation so the error keeps surfacing at
 	// evaluation time, exactly as tryFold keeps erroring closures.
-	if c.Special == nil {
+	if len(c.Splices) == 0 {
 		if _, lit := e.(*ast.Literal); !lit && constExpr(e) {
 			if c.fctx == nil {
 				c.fctx = &Ctx{}
@@ -197,7 +217,7 @@ func (c *Compiler) compile(e ast.Expr) (comp, error) {
 		return constComp(e.Val), nil
 	case *ast.Variable:
 		if slot, ok := c.resolveVar(e.Name); ok {
-			return comp{fn: slotFn(slot)}, nil
+			return comp{fn: Slot(slot)}, nil
 		}
 		err := &UnknownVariableError{Name: e.Name}
 		return errComp(err), nil
@@ -523,7 +543,7 @@ func (c *Compiler) compileUnary(e *ast.Unary) (comp, error) {
 func (c *Compiler) compileFuncCall(e *ast.FuncCall) (comp, error) {
 	// Aggregates in scalar position fail at evaluation time, mirroring
 	// evalFuncCall's first check. (Projection items route their aggregate
-	// calls through Special before reaching here.)
+	// calls through Splices before reaching here.)
 	if functions.IsAggregate(e.Name) {
 		return errComp(ErrAggregateInScalar), nil
 	}
@@ -637,7 +657,7 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension) (comp, error) 
 	if err != nil {
 		return comp{}, err
 	}
-	slot := c.Temp()
+	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
 	var where CompiledPred
 	if e.Where != nil {
@@ -705,7 +725,7 @@ func (c *Compiler) compileQuantifier(e *ast.Quantifier) (comp, error) {
 	if err != nil {
 		return comp{}, err
 	}
-	slot := c.Temp()
+	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
 	pp, err := c.compile(e.Pred)
 	c.locals = c.locals[:len(c.locals)-1]

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"gqs/internal/value"
 )
@@ -41,7 +42,24 @@ func LookupAgg(name string) *AggSpec {
 	if s, ok := aggRegistry[name]; ok {
 		return s
 	}
-	return aggRegistry[strings.ToLower(name)]
+	// Most misses are scalar functions, looked up for every call the
+	// plan compiler meets: fold ASCII names in a stack buffer rather than
+	// allocate the lower-case copy.
+	var buf [24]byte
+	if len(name) > len(buf) {
+		return aggRegistry[strings.ToLower(name)]
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case c >= utf8.RuneSelf:
+			return aggRegistry[strings.ToLower(name)]
+		}
+		buf[i] = c
+	}
+	return aggRegistry[string(buf[:len(name)])]
 }
 
 // AllAggs returns every aggregation operator.

@@ -31,10 +31,11 @@ const magic = "GQSJRNL1"
 // corruption (a torn length field), not a real record.
 const maxRecord = 64 << 20
 
-// ErrBroken is returned by Append after a write or sync failure: the
-// journal's tail state on disk is unknown, so the handle refuses further
-// appends and relies on the next Open's recovery scan to re-establish
-// the valid prefix.
+// ErrBroken is returned by Append after a write or sync failure, or after
+// a record too large to write: the journal's tail state on disk is
+// unknown (or a record is missing from it), so the handle refuses
+// further appends and relies on the next Open's recovery scan to
+// re-establish the valid prefix.
 var ErrBroken = errors.New("journal: broken by a previous write failure")
 
 // ErrNotJournal reports a file whose header is not a journal's.
@@ -192,8 +193,8 @@ func (j *Journal) writeAll(b []byte) error {
 }
 
 // Append frames payload (length, CRC32, bytes), writes it, and syncs.
-// On any failure — short write, write error, sync error — the on-disk
-// tail state is unknown, so the journal marks itself broken and refuses
+// On any failure — a record over the size limit, short write, write
+// error, sync error — the journal marks itself broken and refuses
 // further appends; the next Open recovers the valid prefix and truncates
 // whatever the failed append left behind.
 func (j *Journal) Append(payload []byte) error {
@@ -201,7 +202,11 @@ func (j *Journal) Append(payload []byte) error {
 		return ErrBroken
 	}
 	if len(payload) > maxRecord {
-		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecord)
+		// Nothing was written, but the record is lost: break the journal
+		// like a failed write, so the loss is reported, not skipped.
+		j.firstErr = fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecord)
+		j.stats.AppendFailures++
+		return j.firstErr
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))

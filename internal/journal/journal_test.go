@@ -252,3 +252,30 @@ func TestKillAfterBytesLeavesRecoverablePrefix(t *testing.T) {
 		t.Fatalf("recovered %d records, want exactly the %d acknowledged", len(recs), wrote)
 	}
 }
+
+func TestOversizedRecordBreaksJournal(t *testing.T) {
+	path := tempPath(t)
+	j, _ := mustOpen(t, path, Options{NoSync: true})
+	appendAll(t, j, "intact")
+	// Fresh zeroed pages: the length check refuses the record before
+	// anything reads them.
+	if err := j.Append(make([]byte, maxRecord+1)); err == nil || errors.Is(err, ErrBroken) {
+		t.Fatalf("oversized append err = %v, want the size error", err)
+	}
+	if j.Err() == nil {
+		t.Fatal("a refused record must leave the sticky error set")
+	}
+	if err := j.Append([]byte("after")); !errors.Is(err, ErrBroken) {
+		t.Fatalf("append after a refused record = %v, want ErrBroken", err)
+	}
+	if st := j.Stats(); st.AppendFailures != 1 || st.Appends != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	j.Close()
+
+	j2, recs := mustOpen(t, path, Options{})
+	defer j2.Close()
+	if len(recs) != 1 || string(recs[0]) != "intact" {
+		t.Fatalf("recovered %q, want the intact prefix", recs)
+	}
+}

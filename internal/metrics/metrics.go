@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"hash/fnv"
 	"strings"
 
 	"gqs/internal/cypher/ast"
@@ -43,176 +42,332 @@ func Analyze(text string) *Features {
 		return nil
 	}
 	f := AnalyzeAST(q)
-	h := fnv.New64a()
-	h.Write([]byte(text))
-	f.Hash = h.Sum64()
+	f.Hash = TextHash(text)
 	return f
 }
 
-// AnalyzeAST measures a parsed query. The Hash field is left zero;
+// TextHash is the FNV-1a hash of a query text, the Features.Hash of
+// that text.
+func TextHash(text string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(text); i++ {
+		h ^= uint64(text[i])
+		h *= prime64
+	}
+	return h
+}
+
+// AnalyzeAST measures a query tree. The Hash field is left zero;
 // Analyze fills it from the text.
+//
+// The tree may come from the parser or from the synthesizer, and both
+// must measure as the parse of their printed text does: the parser
+// folds a negated number into one literal, and reads a list or map
+// value printed from a literal back as a list or map of literals, so
+// those literals are measured in their parsed shape.
 func AnalyzeAST(q *ast.Query) *Features {
-	f := &Features{
+	a := analyzer{f: &Features{
 		ClauseCounts: map[string]int{},
 		Functions:    map[string]int{},
-	}
-	introduced := map[string]int{} // variable -> clause index of introduction
-	clauseIdx := 0
+	}}
+	a.query(q)
+	return a.f
+}
 
-	noteExprs := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if d := ast.Depth(e); d > f.MaxExprDepth {
-			f.MaxExprDepth = d
-		}
-		ast.WalkExprs(e, func(x ast.Expr) bool {
-			switch x := x.(type) {
-			case *ast.FuncCall:
-				name := strings.ToLower(x.Name)
-				f.Functions[name]++
-				if name == "replace" && len(x.Args) == 3 {
-					if lit, ok := x.Args[1].(*ast.Literal); ok && lit.Val.Kind() == value.KindString && lit.Val.AsString() == "" {
-						f.HasReplaceEmptyString = true
-					}
-				}
-			case *ast.Variable:
-				if at, ok := introduced[x.Name]; ok && at < clauseIdx {
-					f.CrossRefs++
-				}
-			}
-			return true
-		})
-	}
+// analyzer holds the state of one AnalyzeAST pass.
+type analyzer struct {
+	f *Features
+	// introduced holds the first variables with the index of the clause
+	// that introduced each, and more any further ones: a short query
+	// binds too few names for a map to pay for itself, a long one too
+	// many for a scan.
+	introduced [8]introduction
+	nintro     int
+	more       map[string]int
+	clauseIdx  int
+}
 
-	intro := func(v string) {
-		if v == "" {
-			return
-		}
-		if _, ok := introduced[v]; !ok {
-			introduced[v] = clauseIdx
-		}
-	}
+type introduction struct {
+	name   string
+	clause int
+}
 
-	patterns := func(ps []*ast.PatternPart) {
-		f.Patterns += len(ps)
-		for _, p := range ps {
-			intro(p.Variable)
-			for i, n := range p.Nodes {
-				// A reference to a variable introduced earlier is a
-				// cross-clause dependency even inside a pattern.
-				if at, ok := introduced[n.Variable]; ok && at < clauseIdx {
-					f.CrossRefs++
-				}
-				intro(n.Variable)
-				if n.Props != nil {
-					noteExprs(n.Props)
-				}
-				if i < len(p.Rels) {
-					r := p.Rels[i]
-					if at, ok := introduced[r.Variable]; ok && at < clauseIdx {
-						f.CrossRefs++
-					}
-					intro(r.Variable)
-					if r.Props != nil {
-						noteExprs(r.Props)
-					}
-				}
-			}
-		}
-	}
-
-	projection := func(p *ast.Projection) {
-		for _, it := range p.Items {
-			noteExprs(it.Expr)
-			if it.Alias != "" {
-				intro(it.Alias)
-			} else if v, ok := it.Expr.(*ast.Variable); ok {
-				intro(v.Name)
-			}
-		}
-		if p.Distinct {
-			f.HasDistinct = true
-			f.ClauseCounts["DISTINCT"]++
-		}
-		if len(p.OrderBy) > 0 {
-			f.HasOrderBy = true
-			f.ClauseCounts["ORDER BY"]++
-			for _, s := range p.OrderBy {
-				noteExprs(s.Expr)
-			}
-		}
-		if p.Skip != nil {
-			f.ClauseCounts["SKIP"]++
-			noteExprs(p.Skip)
-		}
-		if p.Limit != nil {
-			f.HasLimit = true
-			f.ClauseCounts["LIMIT"]++
-			noteExprs(p.Limit)
-		}
-	}
-
+func (a *analyzer) query(q *ast.Query) {
+	f := a.f
 	if len(q.Parts) > 1 {
 		f.HasUnion = true
 		f.ClauseCounts["UNION"] = len(q.Parts) - 1
 	}
-	sawMatch := false
+	sawMatch, unwinds := false, 0
 	for _, part := range q.Parts {
 		for _, c := range part.Clauses {
 			f.Clauses++
 			f.ClauseCounts[ast.ClauseName(c)]++
 			switch c := c.(type) {
 			case *ast.MatchClause:
-				if !sawMatch && f.ClauseCounts["UNWIND"] > 0 {
+				if !sawMatch && unwinds > 0 {
 					f.UnwindBeforeMatch = true
 				}
 				sawMatch = true
-				patterns(c.Patterns)
+				a.patterns(c.Patterns)
 				if c.Where != nil {
 					f.ClauseCounts["WHERE"]++
-					noteExprs(c.Where)
+					a.note(c.Where)
 				}
 			case *ast.UnwindClause:
-				noteExprs(c.Expr)
-				intro(c.Alias)
+				unwinds++
+				a.note(c.Expr)
+				a.intro(c.Alias)
 			case *ast.WithClause:
-				projection(&c.Projection)
+				a.projection(&c.Projection)
 				if c.Where != nil {
 					f.ClauseCounts["WHERE"]++
-					noteExprs(c.Where)
+					a.note(c.Where)
 				}
 			case *ast.ReturnClause:
-				projection(&c.Projection)
+				a.projection(&c.Projection)
 			case *ast.CallClause:
-				for _, a := range c.Args {
-					noteExprs(a)
+				for _, e := range c.Args {
+					a.note(e)
 				}
 				for _, y := range c.Yield {
-					intro(y)
+					a.intro(y)
 				}
 			case *ast.CreateClause:
-				patterns(c.Patterns)
+				a.patterns(c.Patterns)
 			case *ast.MergeClause:
-				patterns([]*ast.PatternPart{c.Pattern})
+				a.pattern(c.Pattern)
+				f.Patterns++
 			case *ast.SetClause:
 				for _, it := range c.Items {
-					noteExprs(it.Subject)
-					noteExprs(it.Value)
+					a.note(it.Subject)
+					a.note(it.Value)
 				}
 			case *ast.DeleteClause:
 				for _, e := range c.Exprs {
-					noteExprs(e)
+					a.note(e)
 				}
 			case *ast.RemoveClause:
 				for _, it := range c.Items {
-					noteExprs(it.Subject)
+					a.note(it.Subject)
 				}
 			}
-			clauseIdx++
+			a.clauseIdx++
 		}
 	}
-	return f
+}
+
+// introducedAt returns the clause that introduced the variable.
+func (a *analyzer) introducedAt(name string) (int, bool) {
+	for _, in := range a.introduced[:a.nintro] {
+		if in.name == name {
+			return in.clause, true
+		}
+	}
+	at, ok := a.more[name]
+	return at, ok
+}
+
+func (a *analyzer) intro(name string) {
+	if name == "" {
+		return
+	}
+	if _, ok := a.introducedAt(name); ok {
+		return
+	}
+	if a.nintro < len(a.introduced) {
+		a.introduced[a.nintro] = introduction{name, a.clauseIdx}
+		a.nintro++
+		return
+	}
+	if a.more == nil {
+		a.more = make(map[string]int)
+	}
+	a.more[name] = a.clauseIdx
+}
+
+// crossRef counts a reference to a variable an earlier clause introduced.
+func (a *analyzer) crossRef(name string) {
+	if at, ok := a.introducedAt(name); ok && at < a.clauseIdx {
+		a.f.CrossRefs++
+	}
+}
+
+func (a *analyzer) patterns(ps []*ast.PatternPart) {
+	a.f.Patterns += len(ps)
+	for _, p := range ps {
+		a.pattern(p)
+	}
+}
+
+func (a *analyzer) pattern(p *ast.PatternPart) {
+	a.intro(p.Variable)
+	for i, n := range p.Nodes {
+		// A reference to a variable introduced earlier is a cross-clause
+		// dependency even inside a pattern.
+		a.crossRef(n.Variable)
+		a.intro(n.Variable)
+		if n.Props != nil {
+			a.note(n.Props)
+		}
+		if i < len(p.Rels) {
+			r := p.Rels[i]
+			a.crossRef(r.Variable)
+			a.intro(r.Variable)
+			if r.Props != nil {
+				a.note(r.Props)
+			}
+		}
+	}
+}
+
+func (a *analyzer) projection(p *ast.Projection) {
+	f := a.f
+	for _, it := range p.Items {
+		a.note(it.Expr)
+		if it.Alias != "" {
+			a.intro(it.Alias)
+		} else if v, ok := it.Expr.(*ast.Variable); ok {
+			a.intro(v.Name)
+		}
+	}
+	if p.Distinct {
+		f.HasDistinct = true
+		f.ClauseCounts["DISTINCT"]++
+	}
+	if len(p.OrderBy) > 0 {
+		f.HasOrderBy = true
+		f.ClauseCounts["ORDER BY"]++
+		for _, s := range p.OrderBy {
+			a.note(s.Expr)
+		}
+	}
+	if p.Skip != nil {
+		f.ClauseCounts["SKIP"]++
+		a.note(p.Skip)
+	}
+	if p.Limit != nil {
+		f.HasLimit = true
+		f.ClauseCounts["LIMIT"]++
+		a.note(p.Limit)
+	}
+}
+
+// note measures one top-level expression.
+func (a *analyzer) note(e ast.Expr) {
+	if e == nil {
+		return
+	}
+	if d := a.expr(e); d > a.f.MaxExprDepth {
+		a.f.MaxExprDepth = d
+	}
+}
+
+// expr counts the function calls and cross-clause references of an
+// expression and returns its nesting depth (a leaf has depth 1; a nil
+// child, 0) in one walk.
+func (a *analyzer) expr(e ast.Expr) int {
+	d := 0
+	child := func(c ast.Expr) {
+		if c != nil {
+			d = max(d, a.expr(c))
+		}
+	}
+	switch e := e.(type) {
+	case *ast.Literal:
+		return literalDepth(e.Val)
+	case *ast.Variable:
+		a.crossRef(e.Name)
+	case *ast.PropAccess:
+		child(e.Subject)
+	case *ast.Binary:
+		child(e.L)
+		child(e.R)
+	case *ast.Unary:
+		if _, ok := foldedNumber(e); ok {
+			return 1
+		}
+		child(e.X)
+	case *ast.FuncCall:
+		name := strings.ToLower(e.Name)
+		a.f.Functions[name]++
+		if name == "replace" && len(e.Args) == 3 {
+			if lit, ok := e.Args[1].(*ast.Literal); ok && lit.Val.Kind() == value.KindString && lit.Val.AsString() == "" {
+				a.f.HasReplaceEmptyString = true
+			}
+		}
+		for _, x := range e.Args {
+			child(x)
+		}
+	case *ast.ListLit:
+		for _, x := range e.Elems {
+			child(x)
+		}
+	case *ast.MapLit:
+		for _, x := range e.Vals {
+			child(x)
+		}
+	case *ast.IndexExpr:
+		child(e.Subject)
+		child(e.Index)
+	case *ast.SliceExpr:
+		child(e.Subject)
+		child(e.From)
+		child(e.To)
+	case *ast.CaseExpr:
+		child(e.Test)
+		for i := range e.Whens {
+			child(e.Whens[i])
+			child(e.Thens[i])
+		}
+		child(e.Else)
+	case *ast.ListComprehension:
+		child(e.List)
+		child(e.Where)
+		child(e.Map)
+	case *ast.Quantifier:
+		child(e.List)
+		child(e.Pred)
+	}
+	return d + 1
+}
+
+// foldedNumber reports whether the parser reads the printed expression
+// as a single numeric literal: a number under any run of negations,
+// each of which the parser folds while the negation succeeds.
+func foldedNumber(e ast.Expr) (value.Value, bool) {
+	switch e := e.(type) {
+	case *ast.Literal:
+		return e.Val, e.Val.IsNumber()
+	case *ast.Unary:
+		if e.Op != ast.OpNeg {
+			break
+		}
+		if v, ok := foldedNumber(e.X); ok {
+			if n, err := value.Neg(v); err == nil {
+				return n, true
+			}
+		}
+	}
+	return value.Null, false
+}
+
+// literalDepth is the depth of a literal's printed text as parsed: a
+// list or map value prints as a list or map of literals.
+func literalDepth(v value.Value) int {
+	d := 0
+	switch v.Kind() {
+	case value.KindList:
+		for _, el := range v.AsList() {
+			d = max(d, literalDepth(el))
+		}
+	case value.KindMap:
+		for _, el := range v.AsMap() {
+			d = max(d, literalDepth(el))
+		}
+	}
+	return d + 1
 }
 
 // CoarseSeed derives a stable value from the coarse feature vector

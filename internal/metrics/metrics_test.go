@@ -1,6 +1,13 @@
 package metrics
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"gqs/internal/cypher/ast"
+	"gqs/internal/cypher/parser"
+	"gqs/internal/value"
+)
 
 func TestAnalyzeFigure1(t *testing.T) {
 	// The Figure 1 FalkorDB bug query.
@@ -108,5 +115,60 @@ func TestDepthMetric(t *testing.T) {
 	deep := Analyze(`MATCH (n) WHERE toString(abs((n.id + 1) * 2)) = '4' RETURN n.k0`)
 	if deep.MaxExprDepth <= shallow.MaxExprDepth {
 		t.Errorf("deep %d vs shallow %d", deep.MaxExprDepth, shallow.MaxExprDepth)
+	}
+}
+
+// TestDepthMatchesAST: AnalyzeAST measures depth in the same walk that
+// counts functions and references; on parsed trees its MaxExprDepth is
+// the deepest ast.Depth of any expression the analysis visits.
+func TestDepthMatchesAST(t *testing.T) {
+	for _, src := range []string{
+		`MATCH (n0 {k0: [1, [2, [3]]]})-[r]->(n1) WHERE n0.id = abs(-(1 + n1.id)) RETURN n0`,
+		`UNWIND [x IN range(1, 3) WHERE x > 1 | x * 2] AS a0 RETURN a0 ORDER BY a0 SKIP 1 LIMIT 2`,
+		`WITH {a: {b: {c: 1}}} AS m WHERE all(v IN [m.a] WHERE v IS NOT NULL) RETURN m.a.b.c AS c`,
+		`MATCH (n) RETURN CASE n.k WHEN 1 THEN [n.id][0] ELSE n.id[0..1] END AS c`,
+	} {
+		q, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		want := 0
+		for _, c := range q.AllClauses() {
+			ast.ClauseExprs(c, func(e ast.Expr) { want = max(want, ast.Depth(e)) })
+		}
+		if got := AnalyzeAST(q).MaxExprDepth; got != want {
+			t.Errorf("%s: MaxExprDepth = %d, want %d", src, got, want)
+		}
+	}
+}
+
+// TestLiteralsMeasuredAsParsed: a synthesized tree measures like the
+// parse of its printed text, where a negated number is one folded
+// literal and a list or map value printed from a literal is a list or
+// map of literals.
+func TestLiteralsMeasuredAsParsed(t *testing.T) {
+	neg := func(e ast.Expr) ast.Expr { return &ast.Unary{Op: ast.OpNeg, X: e} }
+	list := value.ListOf([]value.Value{value.Int(1), value.ListOf([]value.Value{value.Str("x")})})
+	for _, e := range []ast.Expr{
+		neg(neg(ast.Lit(value.Float(481310.452)))),
+		neg(ast.Lit(value.Int(-7))),
+		neg(ast.Var("a0")),
+		ast.Lit(list),
+		ast.Lit(value.Map(map[string]value.Value{"k": list})),
+		ast.Bin(ast.OpEq, ast.Var("a0"), neg(ast.Lit(list))),
+	} {
+		q := &ast.Query{Parts: []*ast.SingleQuery{{Clauses: []ast.Clause{
+			&ast.WithClause{Projection: ast.Projection{Items: []*ast.ProjectionItem{{Expr: ast.Lit(value.Int(1)), Alias: "a0"}}}},
+			&ast.ReturnClause{Projection: ast.Projection{Items: []*ast.ProjectionItem{{Expr: e, Alias: "a1"}}}},
+		}}}}
+		text := q.String()
+		got, want := AnalyzeAST(q), Analyze(text)
+		if want == nil {
+			t.Fatalf("%s does not parse", text)
+		}
+		got.Hash = want.Hash
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: tree features %+v, text features %+v", text, *got, *want)
+		}
 	}
 }
