@@ -28,12 +28,16 @@ race:
 bench:
 	bash bench/run.sh
 
-# Parser fuzzing (FuzzParsePrint): no input panics or hangs the parser,
-# and every input it accepts prints to a fixpoint after one round. The
-# committed seeds under internal/cypher/parser/testdata/fuzz also run in
-# `make test`; this explores beyond them for a short, fixed time.
+# Fuzzing, each target for a short, fixed time beyond its committed
+# seeds under testdata/fuzz (which also run in `make test`):
+#   - FuzzParsePrint: no input panics or hangs the parser, and every
+#     input it accepts prints to a fixpoint after one round;
+#   - FuzzGroundTruth: for any seed, graph size, dialect and ablation,
+#     the fault-free engine returns exactly the synthesized expected
+#     result, on the prepared and the text path.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct
@@ -68,7 +72,7 @@ crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
 
 # Tier-1 verification gate (see ROADMAP.md), plus the formatting gate,
-# the parser fuzzer, the crash-safety differential, the
+# the parser and ground-truth fuzzers, the crash-safety differential, the
 # planned-vs-interpreted differential and the benchmark module's tests.
 # Performance is measured by `make bench`, not gated here.
 verify: build fmt vet test race fuzz crashtest plandiff bench-test

@@ -54,6 +54,7 @@ type options struct {
 	noPlan     bool
 	workers    int
 	batch      int
+	ckEvery    int
 }
 
 // campaign maps the options onto the experiments layer's campaign
@@ -71,16 +72,31 @@ func (o options) campaign() experiments.CampaignConfig {
 	}
 }
 
-// validate rejects option values no campaign can run with; main reports
-// them like a flag parse error (message on stderr, exit code 2).
+// validate rejects option values no campaign can run with, or that
+// would silently test nothing or mean something other than they say;
+// main reports them like a flag parse error (message on stderr, exit
+// code 2).
 func validate(o options) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"iterations", o.iterations}, {"workers", o.workers}, {"batch", o.batch}} {
-		if f.v < 0 {
+		min  int
+	}{
+		{"iterations", o.iterations, 0}, {"workers", o.workers, 0}, {"batch", o.batch, 0},
+		{"graph-scale", o.graphScale, 0}, {"checkpoint-every", o.ckEvery, 0},
+		{"max-nodes", o.maxNodes, 1}, {"max-rels", o.maxRels, 1},
+		{"max-steps", o.maxSteps, 1}, {"max-result-set", o.resultSet, 1},
+	} {
+		switch {
+		case f.v >= f.min:
+		case f.min == 0:
 			return fmt.Errorf("invalid value %d for flag -%s: must not be negative", f.v, f.name)
+		default:
+			return fmt.Errorf("invalid value %d for flag -%s: must be at least %d", f.v, f.name, f.min)
 		}
+	}
+	if o.flaky < 0 || o.flaky > 1 {
+		return fmt.Errorf("invalid value %v for flag -flaky: must be between 0 and 1", o.flaky)
 	}
 	return nil
 }
@@ -118,6 +134,7 @@ func main() {
 		timeout: *timeout, retries: *retries,
 		flaky: *flaky, live: *live, noPlan: *noPlan,
 		workers: *workers, batch: *batchSize,
+		ckEvery: *ckEvery,
 	}
 	if err := validate(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
@@ -149,7 +166,7 @@ func main() {
 	if *checkpoint != "" {
 		var err error
 		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
-			Path: *checkpoint, Every: *ckEvery, Resume: *resume,
+			Path: *checkpoint, Every: opts.ckEvery, Resume: *resume,
 		}, fingerprint(names, opts))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gqs: %v\n", err)

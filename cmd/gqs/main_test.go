@@ -5,23 +5,55 @@ import (
 	"testing"
 )
 
-// TestValidateRejectsNegativeCounts: negative -iterations, -workers and
-// -batch are refused up front (main exits 2, like a flag parse error)
-// instead of reaching the executor — a negative -iterations used to
-// panic sizing the per-shard detection buffers.
+// TestValidateRejectsNegativeCounts: option values that no campaign can
+// run with, or that would silently test nothing or mean something else,
+// are refused up front (main exits 2, like a flag parse error) instead
+// of reaching the executor — a negative -iterations used to panic sizing
+// the per-shard detection buffers, -flaky 2 failed every restart and ran
+// no query, and -max-rels 0 meant the library's default of 500.
 func TestValidateRejectsNegativeCounts(t *testing.T) {
-	if err := validate(options{}); err != nil {
-		t.Fatalf("zero counts are valid (0 workers = GOMAXPROCS, 0 batch = automatic): %v", err)
+	// The flag defaults.
+	valid := options{
+		iterations: 30, maxNodes: 13, maxRels: 60, maxSteps: 9, resultSet: 6, ckEvery: 10,
 	}
-	for flag, o := range map[string]options{
-		"-iterations": {iterations: -1},
-		"-workers":    {iterations: 4, workers: -1},
-		"-batch":      {iterations: 4, workers: 2, batch: -3},
+	if err := validate(valid); err != nil {
+		t.Fatalf("the flag defaults are valid: %v", err)
+	}
+	for _, o := range []options{
+		// 0 workers = GOMAXPROCS, 0 batch = automatic, 0 graph-scale =
+		// the paper's generator, 0 checkpoint-every and -flaky 1 are
+		// accepted.
+		func(o options) options { o.iterations, o.workers, o.batch = 0, 0, 0; return o }(valid),
+		func(o options) options { o.graphScale, o.ckEvery, o.flaky = 0, 0, 1; return o }(valid),
+		func(o options) options { o.maxNodes, o.maxRels, o.maxSteps, o.resultSet = 1, 1, 1, 1; return o }(valid),
 	} {
+		if err := validate(o); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+	for flag, set := range map[string]func(*options){
+		"-iterations":       func(o *options) { o.iterations = -1 },
+		"-workers":          func(o *options) { o.workers = -1 },
+		"-batch":            func(o *options) { o.batch = -3 },
+		"-graph-scale":      func(o *options) { o.graphScale = -1 },
+		"-checkpoint-every": func(o *options) { o.ckEvery = -5 },
+		"-max-nodes":        func(o *options) { o.maxNodes = 0 },
+		"-max-rels":         func(o *options) { o.maxRels = 0 },
+		"-max-steps":        func(o *options) { o.maxSteps = -2 },
+		"-max-result-set":   func(o *options) { o.resultSet = 0 },
+		"-flaky":            func(o *options) { o.flaky = 2 },
+	} {
+		o := valid
+		set(&o)
 		err := validate(o)
 		if err == nil || !strings.Contains(err.Error(), flag+":") {
-			t.Errorf("%s negative: err = %v, want an error naming the flag", flag, err)
+			t.Errorf("%s invalid: err = %v, want an error naming the flag", flag, err)
 		}
+	}
+	o := valid
+	o.flaky = -0.1
+	if err := validate(o); err == nil {
+		t.Error("-flaky -0.1 must be refused")
 	}
 }
 

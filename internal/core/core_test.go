@@ -239,19 +239,18 @@ func TestUniquifyGuarantee(t *testing.T) {
 		g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 6, MaxRels: 60})
 		syn := NewSynthesizer(r, g, schema, DefaultConfig())
 		gt := SelectGroundTruth(r, g, 3)
-		syn.plan = BuildPlan(r, g, gt, DefaultPlanConfig())
-		syn.tracker = NewTracker(g)
-		syn.elemScope = map[string]int64{}
+		syn.reset()
+		syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt, DefaultPlanConfig())
 		var required []elemRef
 		for _, o := range syn.plan.Ops {
 			if o.Kind == OpAddElem {
 				required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
 			}
 		}
-		chains := collectChains(r, g, required)
-		enc, binding := syn.encodeChains(chains, syn.elemScope)
-		pins := syn.uniquify(enc, syn.elemScope, binding)
-		if n := syn.countMatches(enc, syn.elemScope, pins, 3); n != 1 {
+		chains := syn.chains.collectChains(r, g, required)
+		enc := syn.encodeChains(chains)
+		pins := syn.uniquify(enc)
+		if n := syn.countMatches(enc, pins, 3); n != 1 {
 			t.Fatalf("trial %d: pattern matches %d times after uniquification", trial, n)
 		}
 	}
@@ -263,7 +262,7 @@ func TestTracker(t *testing.T) {
 	if tr.RowCount() != 1 || tr.TotalMult() != 1 {
 		t.Fatal("tracker must start with one row")
 	}
-	tr.Bind(map[string]valueT{"x": intV(1)})
+	tr.Bind("x", intV(1))
 	if got := tr.Vars(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("Vars = %v", got)
 	}
@@ -274,9 +273,8 @@ func TestTracker(t *testing.T) {
 	if tr.RowCount() != 3 || tr.TotalMult() != 3 {
 		t.Fatalf("after unwind: %d rows, %d mult", tr.RowCount(), tr.TotalMult())
 	}
-	consts := tr.ConstantVars()
-	if !consts["x"] || consts["u"] {
-		t.Errorf("ConstantVars = %v", consts)
+	if consts := tr.ConstantVarNames(); len(consts) != 1 || consts[0] != "x" {
+		t.Errorf("ConstantVarNames = %v", consts)
 	}
 	// Project away u without DISTINCT: multiplicities sum.
 	if err := tr.Project([]ProjItem{{Name: "x", Expr: varE("x")}}, false); err != nil {
@@ -304,6 +302,7 @@ func TestTracker(t *testing.T) {
 func TestGenValueExpr(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := graph.New()
+	syn := &Synthesizer{r: r, g: g}
 	targets := []valueT{
 		intV(0), intV(-42), intV(1999999999),
 		strV(""), strV("hello world"), strV("q11cZH6h"),
@@ -313,7 +312,7 @@ func TestGenValueExpr(t *testing.T) {
 	}
 	for _, target := range targets {
 		for i := 0; i < 40; i++ {
-			e := genValueExpr(r, target, 1+r.Intn(5))
+			e := syn.genValueExpr(target, 1+r.Intn(5))
 			got, err := evalBare(g, e)
 			if err != nil {
 				t.Fatalf("genValueExpr(%v): eval error %v on %s", target, err, astString(e))

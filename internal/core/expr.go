@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
@@ -32,109 +33,110 @@ func randString(r *rand.Rand, n int) string {
 // genValueExpr returns an expression with no free variables that
 // evaluates exactly to target. Only operations that are precision-exact
 // are used, so the oracle's expected values are never perturbed.
-func genValueExpr(r *rand.Rand, target value.Value, depth int) ast.Expr {
+func (s *Synthesizer) genValueExpr(target value.Value, depth int) ast.Expr {
+	r, a := s.r, &s.nodes
 	if depth <= 0 {
-		return ast.Lit(target)
+		return a.lit(target)
 	}
-	rec := func(v value.Value) ast.Expr { return genValueExpr(r, v, depth-1) }
+	rec := func(v value.Value) ast.Expr { return s.genValueExpr(v, depth-1) }
 	switch target.Kind() {
 	case value.KindInt:
 		v := target.AsInt()
 		switch r.Intn(4) {
 		case 0: // (v-c) + c
 			c := int64(r.Intn(2001) - 1000)
-			return ast.Bin(ast.OpAdd, rec(value.Int(v-c)), ast.Lit(value.Int(c)))
+			return a.bin(ast.OpAdd, rec(value.Int(v-c)), a.lit(value.Int(c)))
 		case 1: // (v+c) - c
 			c := int64(r.Intn(2001) - 1000)
-			return ast.Bin(ast.OpSub, rec(value.Int(v+c)), ast.Lit(value.Int(c)))
+			return a.bin(ast.OpSub, rec(value.Int(v+c)), a.lit(value.Int(c)))
 		case 2: // toInteger('v')
-			return &ast.FuncCall{Name: "toInteger", Args: []ast.Expr{rec(value.Str(fmt.Sprintf("%d", v)))}}
+			return a.call("toInteger", rec(value.Str(strconv.FormatInt(v, 10))))
 		default: // char_length of a string of that length, when small
 			if v >= 0 && v <= 24 {
-				return &ast.FuncCall{Name: "char_length", Args: []ast.Expr{rec(value.Str(randString(r, int(v))))}}
+				return a.call("char_length", rec(value.Str(randString(r, int(v)))))
 			}
-			return ast.Bin(ast.OpAdd, rec(value.Int(v-1)), ast.Lit(value.Int(1)))
+			return a.bin(ast.OpAdd, rec(value.Int(v-1)), a.lit(value.Int(1)))
 		}
 	case value.KindFloat:
 		switch r.Intn(3) {
 		case 0: // f + 0.0 is exact
-			return ast.Bin(ast.OpAdd, ast.Lit(target), ast.Lit(value.Float(0)))
+			return a.bin(ast.OpAdd, a.lit(target), a.lit(value.Float(0)))
 		case 1: // -(-f)
-			return &ast.Unary{Op: ast.OpNeg, X: rec(value.Float(-target.AsFloat()))}
+			return a.unary(ast.OpNeg, rec(value.Float(-target.AsFloat())))
 		default: // f * 1.0 is exact
-			return ast.Bin(ast.OpMul, ast.Lit(target), ast.Lit(value.Float(1)))
+			return a.bin(ast.OpMul, a.lit(target), a.lit(value.Float(1)))
 		}
 	case value.KindString:
-		s := target.AsString()
+		str := target.AsString()
 		switch r.Intn(4) {
 		case 0: // split concatenation
 			cut := 0
-			if len(s) > 0 {
-				cut = r.Intn(len(s) + 1)
+			if len(str) > 0 {
+				cut = r.Intn(len(str) + 1)
 			}
-			return ast.Bin(ast.OpAdd, rec(value.Str(s[:cut])), ast.Lit(value.Str(s[cut:])))
+			return a.bin(ast.OpAdd, rec(value.Str(str[:cut])), a.lit(value.Str(str[cut:])))
 		case 1: // reverse(reverse(s))
-			rev := []rune(s)
+			rev := []rune(str)
 			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 				rev[i], rev[j] = rev[j], rev[i]
 			}
-			return &ast.FuncCall{Name: "reverse", Args: []ast.Expr{rec(value.Str(string(rev)))}}
+			return a.call("reverse", rec(value.Str(string(rev))))
 		case 2: // left(s + junk, len(s))
 			junk := randString(r, 1+r.Intn(4))
-			return &ast.FuncCall{Name: "left", Args: []ast.Expr{
-				ast.Bin(ast.OpAdd, ast.Lit(value.Str(s)), ast.Lit(value.Str(junk))),
-				rec(value.Int(int64(len([]rune(s))))),
-			}}
+			return a.call("left",
+				a.bin(ast.OpAdd, a.lit(value.Str(str)), a.lit(value.Str(junk))),
+				rec(value.Int(int64(len([]rune(str))))),
+			)
 		default:
 			// replace with a search string that cannot occur: a marker
 			// strictly longer than s, or — exercising the underspecified
 			// corner behind the Figure 9 Memgraph hang — the empty
 			// string, which the reference semantics defines as identity.
-			search := randString(r, len(s)+1)
+			search := randString(r, len(str)+1)
 			if r.Intn(3) == 0 {
 				search = ""
 			}
-			return &ast.FuncCall{Name: "replace", Args: []ast.Expr{
-				rec(value.Str(s)),
-				ast.Lit(value.Str(search)),
-				ast.Lit(value.Str(randString(r, 1+r.Intn(5)))),
-			}}
+			return a.call("replace",
+				rec(value.Str(str)),
+				a.lit(value.Str(search)),
+				a.lit(value.Str(randString(r, 1+r.Intn(5)))),
+			)
 		}
 	case value.KindBool:
 		b := target.AsBool()
 		switch r.Intn(4) {
 		case 0: // NOT NOT b
-			return &ast.Unary{Op: ast.OpNot, X: &ast.Unary{Op: ast.OpNot, X: rec(target)}}
+			return a.unary(ast.OpNot, a.unary(ast.OpNot, rec(target)))
 		case 1: // comparison
-			a, c := int64(r.Intn(100)), int64(100+r.Intn(100))
+			x, c := int64(r.Intn(100)), int64(100+r.Intn(100))
 			if b {
-				return ast.Bin(ast.OpLt, rec(value.Int(a)), ast.Lit(value.Int(c)))
+				return a.bin(ast.OpLt, rec(value.Int(x)), a.lit(value.Int(c)))
 			}
-			return ast.Bin(ast.OpGt, rec(value.Int(a)), ast.Lit(value.Int(c)))
+			return a.bin(ast.OpGt, rec(value.Int(x)), a.lit(value.Int(c)))
 		case 2:
 			if b {
-				return ast.Bin(ast.OpAnd, rec(target), ast.Lit(value.True))
+				return a.bin(ast.OpAnd, rec(target), a.lit(value.True))
 			}
-			return ast.Bin(ast.OpOr, rec(target), ast.Lit(value.False))
+			return a.bin(ast.OpOr, rec(target), a.lit(value.False))
 		default:
-			return &ast.FuncCall{Name: "toBoolean", Args: []ast.Expr{ast.Lit(value.Str(fmt.Sprintf("%v", b)))}}
+			return a.call("toBoolean", a.lit(value.Str(strconv.FormatBool(b))))
 		}
 	case value.KindList:
 		elems := target.AsList()
-		out := &ast.ListLit{}
-		for _, el := range elems {
-			out.Elems = append(out.Elems, genValueExpr(r, el, depth-1))
+		items := a.args(len(elems))
+		for i, el := range elems {
+			items[i] = s.genValueExpr(el, depth-1)
 		}
+		out := a.list(items)
 		if r.Intn(3) == 0 {
 			// Identity comprehension: [w IN list | w]. The "w" prefix is
 			// reserved for comprehension variables, so no shadowing of
 			// pattern variables or aliases can occur.
-			v := fmt.Sprintf("w%d", r.Intn(100))
-			return &ast.ListComprehension{Var: v, List: out, Map: ast.Var(v)}
+			return identityComprehension(r, out)
 		}
 		return out
 	default:
-		return ast.Lit(target)
+		return a.lit(target)
 	}
 }
 
@@ -143,100 +145,110 @@ func genValueExpr(r *rand.Rand, target value.Value, depth int) ast.Expr {
 // result class.
 type exprTemplate struct {
 	accepts functions.TypeClass
-	build   func(r *rand.Rand, inner ast.Expr) ast.Expr
+	build   func(s *Synthesizer, inner ast.Expr) ast.Expr
 }
 
 var nestTemplates = []exprTemplate{
 	// Integer templates.
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Int(int64(r.Intn(999)+1))))
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpAdd, in, s.nodes.lit(value.Int(int64(s.r.Intn(999)+1))))
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpSub, in, ast.Lit(value.Int(int64(r.Intn(999)+1))))
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpSub, in, s.nodes.lit(value.Int(int64(s.r.Intn(999)+1))))
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpMul, in, ast.Lit(value.Int(int64(r.Intn(9)+2))))
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpMul, in, s.nodes.lit(value.Int(int64(s.r.Intn(9)+2))))
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("toString", in)
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "abs", Args: []ast.Expr{in}}
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("abs", in)
 	}},
-	{functions.TInt, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "sign", Args: []ast.Expr{in}}
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("sign", in)
 	}},
-	{functions.TInt, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.ListLit{Elems: []ast.Expr{in, ast.Lit(value.Int(int64(r.Intn(100))))}}
+	{functions.TInt, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		w := s.nodes.args(2)
+		w[0], w[1] = in, s.nodes.lit(value.Int(int64(s.r.Intn(100))))
+		return s.nodes.list(w)
 	}},
 	// String templates.
-	{functions.TStr, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, in, ast.Lit(value.Str(randString(r, 1+r.Intn(4)))))
+	{functions.TStr, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpAdd, in, s.nodes.lit(value.Str(randString(s.r, 1+s.r.Intn(4)))))
 	}},
-	{functions.TStr, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpAdd, ast.Lit(value.Str(randString(r, 1+r.Intn(4)))), in)
+	{functions.TStr, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpAdd, s.nodes.lit(value.Str(randString(s.r, 1+s.r.Intn(4)))), in)
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "reverse", Args: []ast.Expr{in}}
+	{functions.TStr, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("reverse", in)
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "char_length", Args: []ast.Expr{in}}
+	{functions.TStr, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("char_length", in)
 	}},
-	{functions.TStr, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toUpper", Args: []ast.Expr{in}}
+	{functions.TStr, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("toUpper", in)
 	}},
 	// Float templates (exact operations only).
-	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.Unary{Op: ast.OpNeg, X: in}
+	{functions.TFloat, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.unary(ast.OpNeg, in)
 	}},
-	{functions.TFloat, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TFloat, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("toString", in)
 	}},
-	{functions.TFloat, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		return ast.Bin(ast.OpMul, in, ast.Lit(value.Float(float64(r.Intn(3)+2))))
+	{functions.TFloat, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.bin(ast.OpMul, in, s.nodes.lit(value.Float(float64(s.r.Intn(3)+2))))
 	}},
 	// Boolean templates.
-	{functions.TBool, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.Unary{Op: ast.OpNot, X: in}
+	{functions.TBool, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.unary(ast.OpNot, in)
 	}},
-	{functions.TBool, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{in}}
+	{functions.TBool, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("toString", in)
 	}},
 	// List templates.
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "reverse", Args: []ast.Expr{in}}
+	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("reverse", in)
 	}},
-	{functions.TList, func(r *rand.Rand, in ast.Expr) ast.Expr {
-		v := fmt.Sprintf("w%d", r.Intn(100))
-		return &ast.ListComprehension{Var: v, List: in, Map: ast.Var(v)}
+	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return identityComprehension(s.r, in)
 	}},
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
-		return &ast.FuncCall{Name: "size", Args: []ast.Expr{in}}
+	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.call("size", in)
 	}},
-	{functions.TList, func(_ *rand.Rand, in ast.Expr) ast.Expr {
+	{functions.TList, func(_ *Synthesizer, in ast.Expr) ast.Expr {
 		return &ast.IndexExpr{Subject: in, Index: ast.Lit(value.Int(0))}
 	}},
 }
 
-// evalConst evaluates an expression after substituting the single free
-// variable with a concrete value. The context and environment are scratch
-// state reused across calls: evaluation results never alias either (they
-// can only alias the substituted value v, which the caller owns).
-func (s *Synthesizer) evalConst(e ast.Expr, varName string, v value.Value) (value.Value, error) {
-	if s.constEnv == nil {
-		s.constEnv = make(map[string]value.Value, 1)
+// templatesByClass lists, per value class, the nesting templates that
+// accept it, in nestTemplates order.
+var templatesByClass = func() (t [functions.TMap + 1][]exprTemplate) {
+	for cls := range t {
+		for _, tmpl := range nestTemplates {
+			if tmpl.accepts.Accepts(functions.TypeClass(cls)) {
+				t[cls] = append(t[cls], tmpl)
+			}
+		}
 	}
-	clear(s.constEnv)
-	s.constEnv[varName] = v
-	s.constCtx.Graph = s.g
-	s.constCtx.Env = s.constEnv
-	return eval.Eval(&s.constCtx, e)
-}
+	return
+}()
 
-// holeVar is the placeholder complexifyAccess builds each template layer
-// around. Its name is not a Cypher identifier the synthesizer emits, and
-// it never reaches a query: plugHole replaces it once the layer is kept.
-var holeVar = ast.Var("_")
+// wNames are the comprehension variables w0..w99.
+var wNames = func() (t [100]string) {
+	for i := range t {
+		t[i] = "w" + strconv.Itoa(i)
+	}
+	return
+}()
+
+// identityComprehension wraps a list in [wN IN list | wN]. The "w"
+// prefix is reserved for comprehension variables, so no shadowing of
+// pattern variables or aliases can occur.
+func identityComprehension(r *rand.Rand, list ast.Expr) ast.Expr {
+	v := wNames[r.Intn(100)]
+	return &ast.ListComprehension{Var: v, List: list, Map: ast.Var(v)}
+}
 
 // complexifyAccess implements Algorithm 2: starting from base, an access
 // whose values for the intended element and its competitors are given, it
@@ -248,38 +260,36 @@ var holeVar = ast.Var("_")
 // Each round evaluates only the new layer, on the previous layer's value
 // per element. That equals evaluating the whole nested expression on the
 // element's original value, because templates are pure and a kept layer
-// has evaluated without error for every competitor.
+// has evaluated without error for every competitor. The layer is built
+// around s.hole, a literal set to each input value in turn, so the
+// evaluation needs no variable binding; a kept layer gets the real inner
+// expression in the hole's place.
 func (s *Synthesizer) complexifyAccess(base ast.Expr, intended value.Value, competitors []value.Value, depth int) (ast.Expr, value.Value) {
+	if s.constEnv == nil {
+		s.constEnv = make(map[string]value.Value, 1)
+		s.hole = &ast.Literal{}
+	}
+	s.constCtx.Graph, s.constCtx.Env = s.g, s.constEnv
 	exp, v1 := base, intended
 	// cur holds each competitor's value of exp; next collects the
 	// candidate layer's values and becomes cur when the layer is kept.
 	cur := append(s.compCur[:0], competitors...)
 	next := s.compNext[:0]
 	for d := 0; d < depth; d++ {
-		cls := functions.ClassOf(v1)
-		if s.tmplScratch == nil {
-			s.tmplScratch = make([]exprTemplate, 0, len(nestTemplates))
-		}
-		candidates := s.tmplScratch[:0]
-		for _, t := range nestTemplates {
-			if t.accepts.Accepts(cls) {
-				candidates = append(candidates, t)
-			}
-		}
-		s.tmplScratch = candidates
+		candidates := templatesByClass[functions.ClassOf(v1)]
 		if len(candidates) == 0 {
 			break
 		}
 		t := candidates[s.r.Intn(len(candidates))]
-		layer := t.build(s.r, holeVar)
-		nv1, err := s.evalConst(layer, holeVar.Name, v1)
+		layer := t.build(s, s.hole)
+		nv1, err := s.evalLayer(layer, v1)
 		if err != nil {
 			continue
 		}
 		distinct := true
 		next = next[:0]
 		for _, c := range cur {
-			nc, err := s.evalConst(layer, holeVar.Name, c)
+			nc, err := s.evalLayer(layer, c)
 			if err != nil || value.Equivalent(nc, nv1) {
 				distinct = false
 				break
@@ -289,20 +299,27 @@ func (s *Synthesizer) complexifyAccess(base ast.Expr, intended value.Value, comp
 		if !distinct {
 			continue // try another template next round (line 8 of Alg. 2)
 		}
-		exp, v1 = plugHole(layer, exp), nv1
+		exp, v1 = s.plugHole(layer, exp), nv1
 		cur, next = next, cur
 	}
 	s.compCur, s.compNext = cur, next
 	return exp, v1
 }
 
-// plugHole replaces holeVar in a freshly built template layer with inner.
-// Every template places its input as a direct child of the node it
-// returns.
-func plugHole(layer, inner ast.Expr) ast.Expr {
+// evalLayer evaluates a template layer with v in its hole.
+func (s *Synthesizer) evalLayer(layer ast.Expr, v value.Value) (value.Value, error) {
+	s.hole.Val = v
+	return eval.Eval(&s.constCtx, layer)
+}
+
+// plugHole replaces the hole in a freshly built template layer with
+// inner. Every template places its input as a direct child of the node
+// it returns.
+func (s *Synthesizer) plugHole(layer, inner ast.Expr) ast.Expr {
+	hole := ast.Expr(s.hole)
 	switch e := layer.(type) {
 	case *ast.Binary:
-		if e.L == holeVar {
+		if e.L == hole {
 			e.L = inner
 		} else {
 			e.R = inner
@@ -328,7 +345,7 @@ func plugHole(layer, inner ast.Expr) ast.Expr {
 // result still matches only the pinned element.
 func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 	access, intended, byProp := s.pinAccess(p)
-	var compVals []value.Value
+	compVals := s.compVals[:0]
 	for _, c := range p.competitors {
 		if !byProp {
 			compVals = append(compVals, value.Int(c.id))
@@ -336,8 +353,9 @@ func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 			compVals = append(compVals, v)
 		}
 	}
+	s.compVals = compVals
 	nested, v1 := s.complexifyAccess(access, intended, compVals, s.r.Intn(depth+1))
-	return ast.Bin(ast.OpEq, nested, genValueExpr(s.r, v1, s.r.Intn(depth+1)))
+	return s.nodes.bin(ast.OpEq, nested, s.genValueExpr(v1, s.r.Intn(depth+1)))
 }
 
 // pinAccess returns the expression that identifies a pinned element and
@@ -347,18 +365,13 @@ func (s *Synthesizer) pinPredicate(p pin, depth int) ast.Expr {
 // candidate and the pin would match nothing.
 func (s *Synthesizer) pinAccess(p pin) (access ast.Expr, intended value.Value, byProp bool) {
 	if v, ok := s.lookupProp(p.elem, "id"); ok {
-		return ast.Prop(p.varName, "id"), v, true
+		return s.nodes.prop(p.varName, "id"), v, true
 	}
-	return &ast.FuncCall{Name: "id", Args: []ast.Expr{ast.Var(p.varName)}}, value.Int(p.elem.id), false
+	return s.nodes.call("id", ast.Var(p.varName)), value.Int(p.elem.id), false
 }
 
 func (s *Synthesizer) lookupProp(e elemRef, name string) (value.Value, bool) {
 	return s.g.Lookup(graphPropertyKey(e, name))
-}
-
-// refOf classifies a graph element identifier as a node or relationship.
-func (s *Synthesizer) refOf(id int64) elemRef {
-	return elemRef{id: id, isRel: s.g.Rel(id) != nil}
 }
 
 // randomScalarExpr builds an arbitrary expression over the in-scope
@@ -368,7 +381,7 @@ func (s *Synthesizer) refOf(id int64) elemRef {
 func (s *Synthesizer) randomScalarExpr(depth int) ast.Expr {
 	e := s.tryRandomExpr(depth)
 	if err := s.tracker.Check(e); err != nil {
-		return ast.Lit(value.Int(int64(s.r.Intn(2000000000)) - 1000000000))
+		return s.nodes.lit(value.Int(int64(s.r.Intn(2000000000)) - 1000000000))
 	}
 	return e
 }
@@ -384,39 +397,40 @@ func (s *Synthesizer) tryRandomExprVars(vars []string, depth int) ast.Expr {
 		// Leaf: literal or a property access on an element variable.
 		if len(vars) > 0 && s.r.Intn(2) == 0 {
 			v := vars[s.r.Intn(len(vars))]
-			if id, ok := s.elemScope[v]; ok {
-				if name, ok2 := s.randomPropName(s.refOf(id)); ok2 {
-					return ast.Prop(v, name)
+			if ref, ok := s.lookupScope(v); ok {
+				if name, ok2 := s.randomPropName(ref); ok2 {
+					return s.nodes.prop(v, name)
 				}
 			}
 			return ast.Var(v)
 		}
-		return randomLiteral(s.r)
+		return s.randomLiteral()
 	}
 	switch s.r.Intn(5) {
 	case 0:
-		return ast.Bin(ast.OpAdd, s.tryRandomExprVars(vars, depth-1), ast.Lit(value.Int(int64(s.r.Intn(100)))))
+		return s.nodes.bin(ast.OpAdd, s.tryRandomExprVars(vars, depth-1), s.nodes.lit(value.Int(int64(s.r.Intn(100)))))
 	case 1:
-		return ast.Bin(ast.OpNeq, s.tryRandomExprVars(vars, depth-1), s.tryRandomExprVars(vars, depth-1))
+		return s.nodes.bin(ast.OpNeq, s.tryRandomExprVars(vars, depth-1), s.tryRandomExprVars(vars, depth-1))
 	case 2:
-		return &ast.FuncCall{Name: "toString", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
+		return s.nodes.call("toString", s.tryRandomExprVars(vars, depth-1))
 	case 3:
-		return &ast.FuncCall{Name: "coalesce", Args: []ast.Expr{s.tryRandomExprVars(vars, depth-1), randomLiteral(s.r)}}
+		return s.nodes.call("coalesce", s.tryRandomExprVars(vars, depth-1), s.randomLiteral())
 	default:
-		return &ast.ListLit{Elems: []ast.Expr{s.tryRandomExprVars(vars, depth-1)}}
+		return s.nodes.list1(s.tryRandomExprVars(vars, depth-1))
 	}
 }
 
-func randomLiteral(r *rand.Rand) ast.Expr {
+func (s *Synthesizer) randomLiteral() ast.Expr {
+	r := s.r
 	switch r.Intn(4) {
 	case 0:
-		return ast.Lit(value.Int(int64(int32(r.Uint32()))))
+		return s.nodes.lit(value.Int(int64(int32(r.Uint32()))))
 	case 1:
-		return ast.Lit(value.Str(randString(r, 4+r.Intn(6))))
+		return s.nodes.lit(value.Str(randString(r, 4+r.Intn(6))))
 	case 2:
-		return ast.Lit(value.Bool(r.Intn(2) == 0))
+		return s.nodes.lit(value.Bool(r.Intn(2) == 0))
 	default:
-		return ast.Lit(value.Float(float64(r.Intn(1000)) / 4))
+		return s.nodes.lit(value.Float(float64(r.Intn(1000)) / 4))
 	}
 }
 
@@ -436,15 +450,11 @@ func (s *Synthesizer) randomPropName(ref elemRef) (string, bool) {
 		}
 		props = n.Props
 	}
-	names := make([]string, 0, len(props))
-	for k := range props {
-		names = append(names, k)
-	}
-	if len(names) == 0 {
+	if len(props) == 0 {
 		return "", false
 	}
-	sortStrings(names)
-	return names[s.r.Intn(len(names))], true
+	// Map order is random; the draw is over the sorted names.
+	return nthName(props, s.r.Intn(len(props))), true
 }
 
 func sortStrings(xs []string) {
@@ -472,7 +482,7 @@ func (s *Synthesizer) truePredicate(depth int) ast.Expr {
 			return e
 		}
 	}
-	return ast.Lit(value.True)
+	return s.nodes.lit(value.True)
 }
 
 // containsEntity reports whether a value is, or nests inside a list or
@@ -499,18 +509,17 @@ func containsEntity(v value.Value) bool {
 
 func (s *Synthesizer) candidateTruePredicate(vars []string, depth int) ast.Expr {
 	if len(vars) == 0 {
-		return ast.Lit(value.True)
+		return s.nodes.lit(value.True)
 	}
 	v := vars[s.r.Intn(len(vars))]
 	var access ast.Expr
 	var actual value.Value
-	if id, ok := s.elemScope[v]; ok {
-		ref := s.refOf(id)
+	if ref, ok := s.lookupScope(v); ok {
 		name, ok2 := s.randomPropName(ref)
 		if !ok2 {
 			return nil
 		}
-		access = ast.Prop(v, name)
+		access = s.nodes.prop(v, name)
 		actual, _ = s.lookupProp(ref, name)
 	} else {
 		access = ast.Var(v)
@@ -521,36 +530,38 @@ func (s *Synthesizer) candidateTruePredicate(vars []string, depth int) ast.Expr 
 		}
 	}
 	if actual.IsNull() {
-		return &ast.Unary{Op: ast.OpIsNull, X: access}
+		return s.nodes.unary(ast.OpIsNull, access)
 	}
 	if containsEntity(actual) {
 		// Entity values (an endNode alias, say, or a list holding one)
 		// have no literal form; only null checks are safely expressible.
-		return &ast.Unary{Op: ast.OpIsNotNull, X: access}
+		return s.nodes.unary(ast.OpIsNotNull, access)
 	}
 	switch s.r.Intn(5) {
 	case 0: // equality with hidden constant
-		return ast.Bin(ast.OpEq, access, genValueExpr(s.r, actual, s.r.Intn(depth+1)))
+		return s.nodes.bin(ast.OpEq, access, s.genValueExpr(actual, s.r.Intn(depth+1)))
 	case 1: // ordering
 		switch actual.Kind() {
 		case value.KindInt:
-			return ast.Bin(ast.OpLe, access, ast.Lit(value.Int(actual.AsInt())))
+			return s.nodes.bin(ast.OpLe, access, s.nodes.lit(value.Int(actual.AsInt())))
 		case value.KindString:
-			return ast.Bin(ast.OpGe, access, ast.Lit(value.Str(""))) // every string ≥ ""
+			return s.nodes.bin(ast.OpGe, access, s.nodes.lit(value.Str(""))) // every string ≥ ""
 		default:
-			return &ast.Unary{Op: ast.OpIsNotNull, X: access}
+			return s.nodes.unary(ast.OpIsNotNull, access)
 		}
 	case 2: // string suffix (Figure 1 style)
 		if actual.Kind() == value.KindString && actual.AsString() != "" {
 			str := actual.AsString()
 			suffix := str[len(str)/2:]
-			return ast.Bin(ast.OpEndsWith, access, ast.Lit(value.Str(suffix)))
+			return s.nodes.bin(ast.OpEndsWith, access, s.nodes.lit(value.Str(suffix)))
 		}
-		return &ast.Unary{Op: ast.OpIsNotNull, X: access}
+		return s.nodes.unary(ast.OpIsNotNull, access)
 	case 3: // membership
-		junk := randomLiteral(s.r)
-		return ast.Bin(ast.OpIn, access, &ast.ListLit{Elems: []ast.Expr{genValueExpr(s.r, actual, s.r.Intn(depth+1)), junk}})
+		junk := s.randomLiteral()
+		w := s.nodes.args(2)
+		w[0], w[1] = s.genValueExpr(actual, s.r.Intn(depth+1)), junk
+		return s.nodes.bin(ast.OpIn, access, s.nodes.list(w))
 	default: // double negation
-		return &ast.Unary{Op: ast.OpNot, X: &ast.Unary{Op: ast.OpNot, X: ast.Bin(ast.OpEq, access, ast.Lit(actual))}}
+		return s.nodes.unary(ast.OpNot, s.nodes.unary(ast.OpNot, s.nodes.bin(ast.OpEq, access, s.nodes.lit(actual))))
 	}
 }

@@ -15,9 +15,7 @@ func newTestSynth(seed int64) (*Synthesizer, *rand.Rand) {
 	r := rand.New(rand.NewSource(seed))
 	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 40})
 	syn := NewSynthesizer(r, g, schema, DefaultConfig())
-	syn.plan = &Plan{ElemVar: map[elemRef]string{}}
-	syn.tracker = NewTracker(g)
-	syn.elemScope = map[string]int64{}
+	syn.reset()
 	return syn, r
 }
 
@@ -60,6 +58,12 @@ func idMap(v value.Value) value.Value {
 	return value.Map(map[string]value.Value{"id": v})
 }
 
+// evalConst evaluates an expression with its single free variable bound
+// to v.
+func (s *Synthesizer) evalConst(e ast.Expr, varName string, v value.Value) (value.Value, error) {
+	return eval.Eval(&eval.Ctx{Graph: s.g, Env: map[string]value.Value{varName: v}}, e)
+}
+
 // complexifyAccessFull is Algorithm 2 as first written: every round
 // re-evaluates the whole nested expression on each element's original
 // property value. complexifyAccess must produce exactly its output.
@@ -81,7 +85,7 @@ func (s *Synthesizer) complexifyAccessFull(varName, prop string, intended value.
 			break
 		}
 		t := candidates[s.r.Intn(len(candidates))]
-		newExp := t.build(s.r, exp)
+		newExp := t.build(s, exp)
 		nv1, err := s.evalConst(newExp, varName, wrap(intended))
 		if err != nil {
 			continue
@@ -177,13 +181,11 @@ func TestTruePredicateHolds(t *testing.T) {
 	syn, r := newTestSynth(3)
 	// Bind a couple of variables to real elements.
 	ids := syn.g.NodeIDs()
-	syn.elemScope["n0"] = ids[0]
-	syn.elemScope["n1"] = ids[1]
-	syn.tracker.Bind(map[string]value.Value{
-		"n0": value.Node(ids[0]),
-		"n1": value.Node(ids[1]),
-		"a0": value.Int(42),
-	})
+	syn.bindScope("n0", elemRef{id: ids[0]})
+	syn.bindScope("n1", elemRef{id: ids[1]})
+	syn.tracker.Bind("n0", value.Node(ids[0]))
+	syn.tracker.Bind("n1", value.Node(ids[1]))
+	syn.tracker.Bind("a0", value.Int(42))
 	for trial := 0; trial < 300; trial++ {
 		p := syn.truePredicate(1 + r.Intn(5))
 		ok, err := syn.tracker.HoldsEverywhere(p)
@@ -198,8 +200,8 @@ func TestTruePredicateHolds(t *testing.T) {
 func TestRandomScalarExprEvaluates(t *testing.T) {
 	syn, r := newTestSynth(4)
 	ids := syn.g.NodeIDs()
-	syn.elemScope["n0"] = ids[0]
-	syn.tracker.Bind(map[string]value.Value{"n0": value.Node(ids[0])})
+	syn.bindScope("n0", elemRef{id: ids[0]})
+	syn.tracker.Bind("n0", value.Node(ids[0]))
 	for trial := 0; trial < 500; trial++ {
 		e := syn.randomScalarExpr(1 + r.Intn(6))
 		if err := syn.tracker.Check(e); err != nil {

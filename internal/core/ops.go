@@ -120,6 +120,14 @@ type Operation struct {
 	// expected result set.
 	Essential bool
 
+	// idx is the operation's position in Plan.Ops, which indexes the
+	// scheduler's per-operation state.
+	idx int
+	// listSize is the number of items an L+ operation's UNWIND list
+	// gets (the expressions themselves are built at synthesis time from
+	// in-scope variables).
+	listSize int
+
 	// strong and weak outgoing constraint edges (this ≺ other, this ⪯ other).
 	// Most operations carry only one or two edges, so the slices start
 	// out backed by the inline buffers below and only touch the heap

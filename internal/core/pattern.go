@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/graph"
@@ -23,32 +22,69 @@ type PathStep struct {
 	Forward bool
 }
 
-// clone returns a deep copy.
-func (p *Path) clone() *Path {
-	return &Path{
-		Nodes: append([]graph.ID(nil), p.Nodes...),
-		Steps: append([]PathStep(nil), p.Steps...),
-	}
+// chainScratch is the working memory of chain collection and mutation.
+// Paths come from an arena of Path structs whose Nodes and Steps arrays
+// are reused: a query's paths are only referenced by that query's
+// history and clauses, so reset recycles them all. When the arena is
+// full it moves to a fresh, larger block and leaves the old one to the
+// paths still pointing into it.
+type chainScratch struct {
+	paths []Path
+	// used is the clause's set of traversed relationships, mused the
+	// mutation's; both are small, so they are searched linearly.
+	used, mused []graph.ID
+	order       []elemRef
+	base, mut   []*Path
+	shared      []sharing
+	// BFS state: mark[node] is 1 + the node's index in crumbs, 0 when
+	// unvisited; every BFS clears the marks it set before returning.
+	mark   []int32
+	crumbs []crumb
+	queue  []graph.ID
 }
 
-// reverse returns the path walked end-to-start.
-func (p *Path) reverse() *Path {
-	n := len(p.Nodes)
-	out := &Path{Nodes: make([]graph.ID, n), Steps: make([]PathStep, len(p.Steps))}
-	for i, id := range p.Nodes {
-		out.Nodes[n-1-i] = id
+type crumb struct {
+	node, prevNode graph.ID
+	step           PathStep
+}
+
+// sharing is a node shared by the base chain and a previous pattern.
+type sharing struct {
+	node    graph.ID
+	basePos int
+	prevPos int
+}
+
+// reset recycles every path of the previous query.
+func (cs *chainScratch) reset() { cs.paths = cs.paths[:0] }
+
+// newPath returns an empty path from the arena.
+func (cs *chainScratch) newPath() *Path {
+	if len(cs.paths) == cap(cs.paths) {
+		cs.paths = make([]Path, 0, max(2*cap(cs.paths), 16))
 	}
-	for i, s := range p.Steps {
-		out.Steps[len(p.Steps)-1-i] = PathStep{Rel: s.Rel, Forward: !s.Forward}
-	}
+	cs.paths = cs.paths[:len(cs.paths)+1]
+	p := &cs.paths[len(cs.paths)-1]
+	p.Nodes, p.Steps = p.Nodes[:0], p.Steps[:0]
+	return p
+}
+
+// clone returns a deep copy.
+func (cs *chainScratch) clone(p *Path) *Path {
+	out := cs.newPath()
+	out.Nodes = append(out.Nodes, p.Nodes...)
+	out.Steps = append(out.Steps, p.Steps...)
 	return out
 }
 
-// relSet returns the relationships used by the path.
-func (p *Path) relSet() map[graph.ID]bool {
-	out := make(map[graph.ID]bool, len(p.Steps))
-	for _, s := range p.Steps {
-		out[s.Rel] = true
+// reverse returns the path walked end-to-start.
+func (cs *chainScratch) reverse(p *Path) *Path {
+	out := cs.newPath()
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		out.Nodes = append(out.Nodes, p.Nodes[i])
+	}
+	for i := len(p.Steps) - 1; i >= 0; i-- {
+		out.Steps = append(out.Steps, PathStep{Rel: p.Steps[i].Rel, Forward: !p.Steps[i].Forward})
 	}
 	return out
 }
@@ -79,73 +115,89 @@ func (p *Path) appendStep(s PathStep, to graph.ID) {
 	p.Nodes = append(p.Nodes, to)
 }
 
-// bfsPath finds a shortest undirected walk from one of the start nodes to
-// the target node, avoiding the given relationships. It returns nil when
-// the target is unreachable.
-func bfsPath(g *graph.Graph, starts []graph.ID, target graph.ID, avoid map[graph.ID]bool) *Path {
-	type crumb struct {
-		prevNode graph.ID
-		step     PathStep
+// visit marks the node visited with its BFS crumb.
+func (cs *chainScratch) visit(c crumb) {
+	if int(c.node) >= len(cs.mark) {
+		cs.mark = append(cs.mark, make([]int32, int(c.node)+1-len(cs.mark))...)
+		cs.mark = cs.mark[:cap(cs.mark)]
 	}
-	visited := map[graph.ID]crumb{}
-	queue := append([]graph.ID(nil), starts...)
-	for _, s := range starts {
-		visited[s] = crumb{prevNode: -1}
+	cs.crumbs = append(cs.crumbs, c)
+	cs.mark[c.node] = int32(len(cs.crumbs))
+}
+
+// visited returns the node's crumb, if the BFS reached it.
+func (cs *chainScratch) visited(id graph.ID) (crumb, bool) {
+	if int(id) < len(cs.mark) {
+		if k := cs.mark[id]; k > 0 {
+			return cs.crumbs[k-1], true
+		}
 	}
-	found := false
-	if contains(starts, target) {
-		found = true
-	}
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, rid := range g.Incident(cur) {
-			if avoid[rid] {
-				continue
+	return crumb{}, false
+}
+
+// bfsPath finds a shortest undirected walk from start to the target
+// node, avoiding the given relationships. It returns nil when the target
+// is unreachable.
+func (cs *chainScratch) bfsPath(g *graph.Graph, start, target graph.ID, avoid []graph.ID) *Path {
+	cs.crumbs, cs.queue = cs.crumbs[:0], append(cs.queue[:0], start)
+	cs.visit(crumb{node: start, prevNode: -1})
+	defer func() {
+		for _, c := range cs.crumbs {
+			cs.mark[c.node] = 0
+		}
+	}()
+	found := start == target
+	for head := 0; head < len(cs.queue) && !found; head++ {
+		cur := cs.queue[head]
+		for _, rids := range [2][]graph.ID{g.Out(cur), g.In(cur)} {
+			for _, rid := range rids {
+				if contains(avoid, rid) {
+					continue
+				}
+				r := g.Rel(rid)
+				next := r.End
+				fwd := true
+				if next == cur && r.Start != r.End {
+					next = r.Start
+					fwd = false
+				} else if r.Start != cur {
+					next = r.Start
+					fwd = false
+				}
+				if _, seen := cs.visited(next); seen {
+					continue
+				}
+				cs.visit(crumb{node: next, prevNode: cur, step: PathStep{Rel: rid, Forward: fwd}})
+				if next == target {
+					found = true
+					break
+				}
+				cs.queue = append(cs.queue, next)
 			}
-			r := g.Rel(rid)
-			next := r.End
-			fwd := true
-			if next == cur && r.Start != r.End {
-				next = r.Start
-				fwd = false
-			} else if r.Start != cur {
-				next = r.Start
-				fwd = false
-			}
-			if _, seen := visited[next]; seen {
-				continue
-			}
-			visited[next] = crumb{prevNode: cur, step: PathStep{Rel: rid, Forward: fwd}}
-			if next == target {
-				found = true
+			if found {
 				break
 			}
-			queue = append(queue, next)
 		}
 	}
 	if !found {
 		return nil
 	}
 	// Rebuild the walk back from the target.
-	var revNodes []graph.ID
-	var revSteps []PathStep
-	cur := target
-	for {
-		revNodes = append(revNodes, cur)
-		c := visited[cur]
+	n := 1
+	for c, _ := cs.visited(target); c.prevNode != -1; c, _ = cs.visited(c.prevNode) {
+		n++
+	}
+	out := cs.newPath()
+	out.Nodes = append(out.Nodes, make([]graph.ID, n)...)
+	out.Steps = append(out.Steps, make([]PathStep, n-1)...)
+	c, _ := cs.visited(target)
+	for i := n - 1; ; i-- {
+		out.Nodes[i] = c.node
 		if c.prevNode == -1 {
 			break
 		}
-		revSteps = append(revSteps, c.step)
-		cur = c.prevNode
-	}
-	out := &Path{}
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		out.Nodes = append(out.Nodes, revNodes[i])
-	}
-	for i := len(revSteps) - 1; i >= 0; i-- {
-		out.Steps = append(out.Steps, revSteps[i])
+		out.Steps[i-1] = c.step
+		c, _ = cs.visited(c.prevNode)
 	}
 	return out
 }
@@ -159,108 +211,49 @@ func contains(ids []graph.ID, id graph.ID) bool {
 	return false
 }
 
+// removeAll deletes every occurrence of id from the set.
+func removeAll(ids []graph.ID, id graph.ID) []graph.ID {
+	out := ids[:0]
+	for _, x := range ids {
+		if x != id {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // collectChains builds base patterns: one or more concrete paths that
 // together contain every required element (§3.4, "GQS begins by
 // collecting paths through the graph that contain the elements to be
 // introduced"). Relationships are not repeated within the clause.
-func collectChains(r *rand.Rand, g *graph.Graph, required []elemRef) []*Path {
-	reqNodes := map[graph.ID]bool{}
-	reqRels := map[graph.ID]bool{}
-	for _, e := range required {
-		if e.isRel {
-			reqRels[e.id] = true
-		} else {
-			reqNodes[e.id] = true
+func (cs *chainScratch) collectChains(r *rand.Rand, g *graph.Graph, required []elemRef) []*Path {
+	cs.used = cs.used[:0]
+	chains := cs.base[:0]
+
+	// Deterministic element order (element IDs are unique), then
+	// shuffled.
+	order := append(cs.order[:0], required...)
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && order[j].id < order[j-1].id; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	usedRels := map[graph.ID]bool{}
-	var chains []*Path
-
-	// Deterministic element order, then shuffled.
-	var order []elemRef
-	order = append(order, required...)
-	sort.Slice(order, func(i, j int) bool { return order[i].id < order[j].id })
+	cs.order = order
 	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	covered := func(e elemRef) bool {
-		for _, c := range chains {
-			if e.isRel && c.hasRel(e.id) {
-				return true
-			}
-			if !e.isRel && c.indexOfNode(e.id) >= 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	startChain := func(e elemRef) *Path {
-		if !e.isRel {
-			return &Path{Nodes: []graph.ID{e.id}}
-		}
-		rel := g.Rel(e.id)
-		usedRels[e.id] = true
-		p := &Path{Nodes: []graph.ID{rel.Start}}
-		p.appendStep(PathStep{Rel: e.id, Forward: true}, rel.End)
-		if r.Intn(2) == 0 {
-			return p.reverse()
-		}
-		return p
-	}
-
-	extendTo := func(c *Path, e elemRef) bool {
-		target := e.id
-		via := graph.ID(-1)
-		if e.isRel {
-			// Reach either endpoint, then traverse the relationship.
-			rel := g.Rel(e.id)
-			target, via = rel.Start, rel.End
-		}
-		ends := []graph.ID{c.Nodes[len(c.Nodes)-1]}
-		sub := bfsPath(g, ends, target, usedRels)
-		if sub == nil && e.isRel {
-			target, via = via, target
-			sub = bfsPath(g, ends, target, usedRels)
-		}
-		if sub == nil || len(sub.Nodes)+len(c.Nodes) > 8 {
-			return false
-		}
-		for _, s := range sub.Steps {
-			usedRels[s.Rel] = true
-		}
-		for i, s := range sub.Steps {
-			c.appendStep(s, sub.Nodes[i+1])
-		}
-		if e.isRel {
-			if usedRels[e.id] {
-				// The BFS walk itself traversed the required relationship
-				// on the way to its endpoint; the chain already covers it.
-				return c.hasRel(e.id)
-			}
-			rel := g.Rel(e.id)
-			usedRels[e.id] = true
-			if rel.Start == target {
-				c.appendStep(PathStep{Rel: e.id, Forward: true}, rel.End)
-			} else {
-				c.appendStep(PathStep{Rel: e.id, Forward: false}, rel.Start)
-			}
-		}
-		return true
-	}
-
 	for _, e := range order {
-		if covered(e) {
+		if covered(chains, e) {
 			continue
 		}
 		if len(chains) > 0 && r.Intn(3) == 0 {
 			// Occasionally extend the most recent chain toward the
 			// element; separate chains otherwise, which yields the
 			// multi-pattern MATCH clauses of Figure 1.
-			if extendTo(chains[len(chains)-1], e) {
+			if cs.extendTo(g, chains[len(chains)-1], e) {
 				continue
 			}
 		}
-		chains = append(chains, startChain(e))
+		chains = append(chains, cs.startChain(r, g, e))
 	}
 	if len(chains) == 0 {
 		// A MATCH step with no required elements still needs a pattern;
@@ -269,34 +262,118 @@ func collectChains(r *rand.Rand, g *graph.Graph, required []elemRef) []*Path {
 		if len(ids) == 0 {
 			return nil
 		}
-		chains = append(chains, &Path{Nodes: []graph.ID{ids[r.Intn(len(ids))]}})
+		p := cs.newPath()
+		p.Nodes = append(p.Nodes, ids[r.Intn(len(ids))])
+		chains = append(chains, p)
 	}
 	// Random extension of chain ends keeps patterns from degenerating to
 	// single nodes.
 	for _, c := range chains {
 		for len(c.Steps) < 1+r.Intn(4) {
-			if !extendRandom(r, g, c, usedRels) {
+			if !cs.extendRandom(r, g, c) {
 				break
 			}
 		}
 	}
+	cs.base = chains
 	return chains
 }
 
-// extendRandom grows the chain by one unused relationship from its tail.
-func extendRandom(r *rand.Rand, g *graph.Graph, c *Path, used map[graph.ID]bool) bool {
+// covered reports whether a chain contains the element.
+func covered(chains []*Path, e elemRef) bool {
+	for _, c := range chains {
+		if e.isRel && c.hasRel(e.id) {
+			return true
+		}
+		if !e.isRel && c.indexOfNode(e.id) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// startChain begins a chain at the element: a lone node, or a
+// relationship traversed in a random direction.
+func (cs *chainScratch) startChain(r *rand.Rand, g *graph.Graph, e elemRef) *Path {
+	p := cs.newPath()
+	if !e.isRel {
+		p.Nodes = append(p.Nodes, e.id)
+		return p
+	}
+	rel := g.Rel(e.id)
+	cs.used = append(cs.used, e.id)
+	p.Nodes = append(p.Nodes, rel.Start)
+	p.appendStep(PathStep{Rel: e.id, Forward: true}, rel.End)
+	if r.Intn(2) == 0 {
+		return cs.reverse(p)
+	}
+	return p
+}
+
+// extendTo extends the chain from its tail to the element along a
+// shortest walk over unused relationships.
+func (cs *chainScratch) extendTo(g *graph.Graph, c *Path, e elemRef) bool {
+	target := e.id
+	via := graph.ID(-1)
+	if e.isRel {
+		// Reach either endpoint, then traverse the relationship.
+		rel := g.Rel(e.id)
+		target, via = rel.Start, rel.End
+	}
+	end := c.Nodes[len(c.Nodes)-1]
+	sub := cs.bfsPath(g, end, target, cs.used)
+	if sub == nil && e.isRel {
+		target, via = via, target
+		sub = cs.bfsPath(g, end, target, cs.used)
+	}
+	if sub == nil || len(sub.Nodes)+len(c.Nodes) > 8 {
+		return false
+	}
+	for _, s := range sub.Steps {
+		cs.used = append(cs.used, s.Rel)
+	}
+	for i, s := range sub.Steps {
+		c.appendStep(s, sub.Nodes[i+1])
+	}
+	if e.isRel {
+		if contains(cs.used, e.id) {
+			// The BFS walk itself traversed the required relationship
+			// on the way to its endpoint; the chain already covers it.
+			return c.hasRel(e.id)
+		}
+		rel := g.Rel(e.id)
+		cs.used = append(cs.used, e.id)
+		if rel.Start == target {
+			c.appendStep(PathStep{Rel: e.id, Forward: true}, rel.End)
+		} else {
+			c.appendStep(PathStep{Rel: e.id, Forward: false}, rel.Start)
+		}
+	}
+	return true
+}
+
+// extendRandom grows the chain by one unused relationship from its tail,
+// drawn from the tail's incident relationships (outgoing, then
+// incoming).
+func (cs *chainScratch) extendRandom(r *rand.Rand, g *graph.Graph, c *Path) bool {
 	tail := c.Nodes[len(c.Nodes)-1]
-	inc := g.Incident(tail)
-	if len(inc) == 0 {
+	out, in := g.Out(tail), g.In(tail)
+	n := len(out) + len(in)
+	if n == 0 {
 		return false
 	}
 	for try := 0; try < 4; try++ {
-		rid := inc[r.Intn(len(inc))]
-		if used[rid] {
+		var rid graph.ID
+		if k := r.Intn(n); k < len(out) {
+			rid = out[k]
+		} else {
+			rid = in[k-len(out)]
+		}
+		if contains(cs.used, rid) {
 			continue
 		}
 		rel := g.Rel(rid)
-		used[rid] = true
+		cs.used = append(cs.used, rid)
 		if rel.Start == tail {
 			c.appendStep(PathStep{Rel: rid, Forward: true}, rel.End)
 		} else {
@@ -308,25 +385,19 @@ func extendRandom(r *rand.Rand, g *graph.Graph, c *Path, used map[graph.ID]bool)
 }
 
 // clonePaths deep-copies a chain set.
-func clonePaths(ps []*Path) []*Path {
-	out := make([]*Path, len(ps))
-	for i, p := range ps {
-		out[i] = p.clone()
+func (cs *chainScratch) clonePaths(ps []*Path) []*Path {
+	out := cs.mut[:0]
+	for _, p := range ps {
+		out = append(out, cs.clone(p))
 	}
+	cs.mut = out
 	return out
 }
 
 // coversAll reports whether the chains contain every required element.
 func coversAll(chains []*Path, required []elemRef) bool {
 	for _, e := range required {
-		found := false
-		for _, c := range chains {
-			if (e.isRel && c.hasRel(e.id)) || (!e.isRel && c.indexOfNode(e.id) >= 0) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !covered(chains, e) {
 			return false
 		}
 	}
@@ -337,31 +408,28 @@ func coversAll(chains []*Path, required []elemRef) bool {
 // (concatenation, branching, cross) by combining base chains with the
 // patterns used in previous clauses, then returns the mutated chain set.
 // Mutations that would repeat a relationship within the clause are
-// skipped, preserving well-formedness.
-func mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
+// skipped, preserving well-formedness. chains is modified in place.
+func (cs *chainScratch) mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
 	if len(history) == 0 || len(chains) == 0 {
 		return chains
 	}
-	used := map[graph.ID]bool{}
+	used := cs.mused[:0]
 	for _, c := range chains {
-		for rel := range c.relSet() {
-			used[rel] = true
+		for _, st := range c.Steps {
+			used = append(used, st.Rel)
 		}
 	}
+	defer func() { cs.mused = used }()
 	prev := history[r.Intn(len(history))]
 	base := chains[r.Intn(len(chains))]
 	// Find a node shared between the base chain and the previous pattern.
-	type sharing struct {
-		node    graph.ID
-		basePos int
-		prevPos int
-	}
-	var shared []sharing
+	shared := cs.shared[:0]
 	for i, n := range base.Nodes {
 		if j := prev.indexOfNode(n); j >= 0 {
 			shared = append(shared, sharing{node: n, basePos: i, prevPos: j})
 		}
 	}
+	cs.shared = shared
 	if len(shared) == 0 {
 		return chains
 	}
@@ -372,18 +440,16 @@ func mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
 		if p == nil || len(p.Steps) == 0 {
 			return false
 		}
-		// Check step-by-step rather than over relSet(): a recombined
-		// walk may repeat a relationship internally (base and previous
-		// pattern can share relationships), which a set would hide.
-		local := map[graph.ID]bool{}
-		for _, s := range p.Steps {
-			if used[s.Rel] || local[s.Rel] {
+		// Check step by step: a recombined walk may repeat a
+		// relationship internally (base and previous pattern can share
+		// relationships).
+		for k, st := range p.Steps {
+			if contains(used, st.Rel) || p.hasRelBefore(k, st.Rel) {
 				return false
 			}
-			local[s.Rel] = true
 		}
-		for rel := range local {
-			used[rel] = true
+		for _, st := range p.Steps {
+			used = append(used, st.Rel)
 		}
 		chains = append(chains, p)
 		return true
@@ -392,24 +458,24 @@ func mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
 	case baseEnd && prevEnd:
 		// ① Concatenation: extend the base chain with the previous
 		// pattern's walk, joined at the shared node.
-		seg := prev.clone()
+		seg := cs.clone(prev)
 		if s.prevPos != 0 {
-			seg = seg.reverse()
+			seg = cs.reverse(seg)
 		}
 		fresh := true
-		for rel := range seg.relSet() {
-			if used[rel] {
+		for _, st := range seg.Steps {
+			if contains(used, st.Rel) {
 				fresh = false
 			}
 		}
 		if fresh {
 			oriented := base
 			if s.basePos == 0 {
-				oriented = base.reverse()
+				oriented = cs.reverse(base)
 			}
 			for i, st := range seg.Steps {
 				oriented.appendStep(st, seg.Nodes[i+1])
-				used[st.Rel] = true
+				used = append(used, st.Rel)
 			}
 			chains[indexOfPath(chains, base)] = oriented
 		}
@@ -417,20 +483,19 @@ func mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
 		// ② Branching: a sub-walk of the previous pattern starting at
 		// the shared node becomes a second chain, sharing the node's
 		// variable and so forming a branch.
-		seg := subWalkFrom(prev, s.prevPos, 2)
-		addIfFresh(seg)
+		addIfFresh(cs.subWalkFrom(prev, s.prevPos, 2))
 	default:
 		// ③ Cross: split both walks at the shared node and recombine the
 		// halves into new chains.
-		b1, b2 := splitAt(base, s.basePos)
-		p1, p2 := splitAt(prev, s.prevPos)
+		b1, b2 := cs.splitAt(base, s.basePos)
+		p1, p2 := cs.splitAt(prev, s.prevPos)
 		chains = removePath(chains, base)
-		for rel := range base.relSet() {
-			delete(used, rel)
+		for _, st := range base.Steps {
+			used = removeAll(used, st.Rel)
 		}
 		// Recombine: base-left + prev-right, prev-left + base-right.
-		c1 := joinAt(b1, p2)
-		c2 := joinAt(p1, b2)
+		c1 := cs.joinAt(b1, p2)
+		c2 := cs.joinAt(p1, b2)
 		if !addIfFresh(c1) {
 			addIfFresh(b1)
 			addIfFresh(p2)
@@ -442,6 +507,17 @@ func mutateChains(r *rand.Rand, chains []*Path, history []*Path) []*Path {
 	return chains
 }
 
+// hasRelBefore reports whether one of the path's first k steps traverses
+// the relationship.
+func (p *Path) hasRelBefore(k int, id graph.ID) bool {
+	for _, s := range p.Steps[:k] {
+		if s.Rel == id {
+			return true
+		}
+	}
+	return false
+}
+
 func indexOfPath(ps []*Path, p *Path) int {
 	for i, x := range ps {
 		if x == p {
@@ -451,10 +527,13 @@ func indexOfPath(ps []*Path, p *Path) int {
 	return 0
 }
 
+// removePath deletes p from ps in place, keeping the order.
 func removePath(ps []*Path, p *Path) []*Path {
 	for i, x := range ps {
 		if x == p {
-			return append(append([]*Path{}, ps[:i]...), ps[i+1:]...)
+			copy(ps[i:], ps[i+1:])
+			ps[len(ps)-1] = nil
+			return ps[:len(ps)-1]
 		}
 	}
 	return ps
@@ -462,8 +541,9 @@ func removePath(ps []*Path, p *Path) []*Path {
 
 // subWalkFrom extracts up to maxSteps traversals starting at position pos,
 // walking toward the nearer end.
-func subWalkFrom(p *Path, pos, maxSteps int) *Path {
-	out := &Path{Nodes: []graph.ID{p.Nodes[pos]}}
+func (cs *chainScratch) subWalkFrom(p *Path, pos, maxSteps int) *Path {
+	out := cs.newPath()
+	out.Nodes = append(out.Nodes, p.Nodes[pos])
 	roomLeft, roomRight := pos, len(p.Steps)-pos
 	if roomRight >= roomLeft {
 		for i := pos; i < len(p.Steps) && len(out.Steps) < maxSteps; i++ {
@@ -481,27 +561,25 @@ func subWalkFrom(p *Path, pos, maxSteps int) *Path {
 
 // splitAt cuts the path at node position pos, returning the left part
 // (ending at the node) and the right part (starting at the node).
-func splitAt(p *Path, pos int) (*Path, *Path) {
-	left := &Path{
-		Nodes: append([]graph.ID(nil), p.Nodes[:pos+1]...),
-		Steps: append([]PathStep(nil), p.Steps[:pos]...),
-	}
-	right := &Path{
-		Nodes: append([]graph.ID(nil), p.Nodes[pos:]...),
-		Steps: append([]PathStep(nil), p.Steps[pos:]...),
-	}
+func (cs *chainScratch) splitAt(p *Path, pos int) (*Path, *Path) {
+	left := cs.newPath()
+	left.Nodes = append(left.Nodes, p.Nodes[:pos+1]...)
+	left.Steps = append(left.Steps, p.Steps[:pos]...)
+	right := cs.newPath()
+	right.Nodes = append(right.Nodes, p.Nodes[pos:]...)
+	right.Steps = append(right.Steps, p.Steps[pos:]...)
 	return left, right
 }
 
 // joinAt concatenates a (ending at node X) with b (starting at X).
-func joinAt(a, b *Path) *Path {
+func (cs *chainScratch) joinAt(a, b *Path) *Path {
 	if len(a.Nodes) == 0 || len(b.Nodes) == 0 {
 		return nil
 	}
 	if a.Nodes[len(a.Nodes)-1] != b.Nodes[0] {
 		return nil
 	}
-	out := a.clone()
+	out := cs.clone(a)
 	for i, st := range b.Steps {
 		out.appendStep(st, b.Nodes[i+1])
 	}
@@ -512,83 +590,104 @@ func joinAt(a, b *Path) *Path {
 }
 
 // encChain is a chain encoded as an AST pattern together with its
-// intended concrete binding: variable names to graph elements.
+// intended concrete binding: the graph element at each position and the
+// clause variable slot (an index into Synthesizer.cvars) naming it.
 type encChain struct {
-	part    *ast.PatternPart
-	nodeIDs []graph.ID
-	relIDs  []graph.ID
+	part      *ast.PatternPart
+	nodeIDs   []graph.ID
+	relIDs    []graph.ID
+	nodeSlots []int32
+	relSlots  []int32
+}
+
+// clauseVar is one variable slot of the clause being encoded: an element
+// variable in scope before the clause, or one the clause's patterns
+// introduce. used marks the slots the patterns reference, which the
+// clause binds.
+type clauseVar struct {
+	name    string
+	ref     elemRef
+	inScope bool
+	used    bool
+}
+
+// slotOf returns the clause slot naming the element, creating it — with
+// the plan's variable for the element, or a fresh one — when the element
+// has none yet. Reusing in-scope variables for already-bound elements
+// creates the cross-clause references of §3.3.
+func (s *Synthesizer) slotOf(ref elemRef) int32 {
+	for i := range s.cvars {
+		if s.cvars[i].ref == ref {
+			s.cvars[i].used = true
+			return int32(i)
+		}
+	}
+	v, ok := s.plan.elemVar(ref)
+	if !ok {
+		if ref.isRel {
+			v = s.freshVar("r")
+		} else {
+			v = s.freshVar("n")
+		}
+	}
+	s.cvars = append(s.cvars, clauseVar{name: v, ref: ref, used: true})
+	return int32(len(s.cvars) - 1)
 }
 
 // encodeChains renders concrete paths as AST search patterns, assigning
-// variables (reusing in-scope variables for already-bound elements, which
-// creates the cross-clause references of §3.3), optionally attaching
-// labels and types, and randomly erasing relationship directions (§3.4's
-// additional mutations).
-func (s *Synthesizer) encodeChains(chains []*Path, scope map[string]graph.ID) ([]*encChain, map[string]graph.ID) {
-	// element -> variable for this clause: start from the in-scope nodes
-	// and relationships.
-	elemVar := map[elemRef]string{}
-	for v, id := range scope {
-		// scope maps var -> element id; invert. Rel vs node resolved by
-		// the graph.
-		if s.g.Node(id) != nil && s.g.Rel(id) == nil {
-			elemVar[elemRef{id: id}] = v
-		} else if s.g.Rel(id) != nil {
-			elemVar[elemRef{id: id, isRel: true}] = v
-		}
+// each position a clause variable slot (see slotOf), optionally
+// attaching labels and types, and randomly erasing relationship
+// directions (§3.4's additional mutations). The slots are left in
+// s.cvars.
+func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
+	s.cvars = s.cvars[:0]
+	for _, sv := range s.scope {
+		s.cvars = append(s.cvars, clauseVar{name: sv.name, ref: sv.ref, inScope: true})
 	}
-	binding := map[string]graph.ID{}
-	varOf := func(ref elemRef) string {
-		if v, ok := elemVar[ref]; ok {
-			binding[v] = ref.id
-			return v
-		}
-		var v string
-		if ref.isRel {
-			if planned, ok := s.plan.ElemVar[ref]; ok {
-				v = planned
-			} else {
-				v = s.freshVar("r")
-			}
-		} else {
-			if planned, ok := s.plan.ElemVar[ref]; ok {
-				v = planned
-			} else {
-				v = s.freshVar("n")
-			}
-		}
-		elemVar[ref] = v
-		binding[v] = ref.id
-		return v
+	a := &s.nodes
+	s.nodeSlotBuf, s.relSlotBuf, s.relIDBuf = s.nodeSlotBuf[:0], s.relSlotBuf[:0], s.relIDBuf[:0]
+	if cap(s.encBuf) < len(chains) {
+		s.encBuf = make([]encChain, len(chains))
 	}
-
-	out := make([]*encChain, 0, len(chains))
-	for _, c := range chains {
-		part := &ast.PatternPart{
-			Nodes: make([]*ast.NodePattern, 0, len(c.Nodes)),
-			Rels:  make([]*ast.RelPattern, 0, len(c.Steps)),
-		}
-		ec := &encChain{part: part, nodeIDs: make([]graph.ID, 0, len(c.Nodes)), relIDs: make([]graph.ID, 0, len(c.Steps))}
+	s.encBuf = s.encBuf[:len(chains)]
+	s.enc = s.enc[:0]
+	for ci, c := range chains {
+		part := a.parts.Alloc()
+		part.Nodes = window(&a.nodePtrs, len(c.Nodes))
+		part.Rels = window(&a.relPtrs, len(c.Steps))
+		ns, rs := len(s.nodeSlotBuf), len(s.relSlotBuf)
 		for i, nid := range c.Nodes {
-			np := &ast.NodePattern{Variable: varOf(elemRef{id: nid})}
+			slot := s.slotOf(elemRef{id: nid})
+			s.nodeSlotBuf = append(s.nodeSlotBuf, slot)
+			np := a.nodePats.Alloc()
+			np.Variable = s.cvars[slot].name
 			n := s.g.Node(nid)
 			if len(n.Labels) > 0 && s.r.Intn(2) == 0 {
-				// Attach a random non-empty subset of the labels.
+				// Attach a random non-empty subset of the labels: the
+				// first k of a permutation.
 				k := 1 + s.r.Intn(len(n.Labels))
-				perm := s.r.Perm(len(n.Labels))
-				np.Labels = make([]string, 0, k)
-				for _, j := range perm[:k] {
-					np.Labels = append(np.Labels, n.Labels[j])
+				np.Labels = window(&a.strs, k)
+				var pb [8]int
+				perm := pb[:0]
+				if k > len(pb) {
+					perm = make([]int, 0, k)
+				}
+				for j, l := range permPrefix(s.r, len(n.Labels), perm[:k]) {
+					np.Labels[j] = n.Labels[l]
 				}
 			}
-			part.Nodes = append(part.Nodes, np)
-			ec.nodeIDs = append(ec.nodeIDs, nid)
+			part.Nodes[i] = np
 			if i < len(c.Steps) {
 				st := c.Steps[i]
 				rel := s.g.Rel(st.Rel)
-				rp := &ast.RelPattern{Variable: varOf(elemRef{id: st.Rel, isRel: true})}
+				slot := s.slotOf(elemRef{id: st.Rel, isRel: true})
+				s.relSlotBuf = append(s.relSlotBuf, slot)
+				s.relIDBuf = append(s.relIDBuf, st.Rel)
+				rp := a.relPats.Alloc()
+				rp.Variable = s.cvars[slot].name
 				if s.r.Intn(2) == 0 {
-					rp.Types = []string{rel.Type}
+					rp.Types = window(&a.strs, 1)
+					rp.Types[0] = rel.Type
 				}
 				switch {
 				case s.r.Intn(4) == 0:
@@ -598,11 +697,18 @@ func (s *Synthesizer) encodeChains(chains []*Path, scope map[string]graph.ID) ([
 				default:
 					rp.Direction = ast.DirLeft
 				}
-				part.Rels = append(part.Rels, rp)
-				ec.relIDs = append(ec.relIDs, st.Rel)
+				part.Rels[i] = rp
 			}
 		}
-		out = append(out, ec)
+		ec := &s.encBuf[ci]
+		*ec = encChain{
+			part:      part,
+			nodeIDs:   c.Nodes,
+			relIDs:    s.relIDBuf[rs:len(s.relIDBuf):len(s.relIDBuf)],
+			nodeSlots: s.nodeSlotBuf[ns:len(s.nodeSlotBuf):len(s.nodeSlotBuf)],
+			relSlots:  s.relSlotBuf[rs:len(s.relSlotBuf):len(s.relSlotBuf)],
+		}
+		s.enc = append(s.enc, ec)
 	}
-	return out, binding
+	return s.enc
 }

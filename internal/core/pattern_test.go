@@ -24,7 +24,8 @@ func lineGraph(k int) *graph.Graph {
 func TestBFSPathFindsShortestWalk(t *testing.T) {
 	g := lineGraph(5)
 	ids := g.NodeIDs()
-	p := bfsPath(g, []graph.ID{ids[0]}, ids[4], nil)
+	var cs chainScratch
+	p := cs.bfsPath(g, ids[0], ids[4], nil)
 	if p == nil {
 		t.Fatal("no path found on a line graph")
 	}
@@ -37,20 +38,16 @@ func TestBFSPathFindsShortestWalk(t *testing.T) {
 		}
 	}
 	// Reverse direction works via incoming relationships.
-	p = bfsPath(g, []graph.ID{ids[4]}, ids[0], nil)
+	p = cs.bfsPath(g, ids[4], ids[0], nil)
 	if p == nil || len(p.Steps) != 4 || p.Steps[0].Forward {
 		t.Fatalf("reverse path broken: %+v", p)
 	}
 	// Avoided relationships make the target unreachable.
-	avoid := map[graph.ID]bool{}
-	for _, rid := range g.RelIDs() {
-		avoid[rid] = true
-	}
-	if bfsPath(g, []graph.ID{ids[0]}, ids[4], avoid) != nil {
+	if cs.bfsPath(g, ids[0], ids[4], g.RelIDs()) != nil {
 		t.Error("avoid set must block the path")
 	}
 	// Start == target.
-	p = bfsPath(g, []graph.ID{ids[2]}, ids[2], nil)
+	p = cs.bfsPath(g, ids[2], ids[2], nil)
 	if p == nil || len(p.Steps) != 0 {
 		t.Error("trivial path broken")
 	}
@@ -68,7 +65,8 @@ func TestCollectChainsCoversRequired(t *testing.T) {
 		for i := 0; i < 2 && i < len(rels); i++ {
 			required = append(required, elemRef{id: rels[r.Intn(len(rels))], isRel: true})
 		}
-		chains := collectChains(r, g, required)
+		var cs chainScratch
+		chains := cs.collectChains(r, g, required)
 		for _, e := range required {
 			found := false
 			for _, c := range chains {
@@ -112,11 +110,12 @@ func TestMutateChainsKeepsWalksValid(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
 		nodes := g.NodeIDs()
+		var hs, cs chainScratch
 		req1 := []elemRef{{id: nodes[r.Intn(len(nodes))]}}
-		history := collectChains(r, g, req1)
+		history := hs.collectChains(r, g, req1)
 		req2 := []elemRef{{id: nodes[r.Intn(len(nodes))]}}
-		base := collectChains(r, g, req2)
-		mutated := mutateChains(r, base, history)
+		base := cs.collectChains(r, g, req2)
+		mutated := cs.mutateChains(r, base, history)
 		if len(mutated) == 0 {
 			t.Fatalf("trial %d: mutation dropped all chains", trial)
 		}
@@ -152,27 +151,28 @@ func TestMutateChainsKeepsWalksValid(t *testing.T) {
 func TestPathHelpers(t *testing.T) {
 	g := lineGraph(4)
 	ids := g.NodeIDs()
-	p := bfsPath(g, []graph.ID{ids[0]}, ids[3], nil)
-	rev := p.reverse()
+	var cs chainScratch
+	p := cs.bfsPath(g, ids[0], ids[3], nil)
+	rev := cs.reverse(p)
 	if rev.Nodes[0] != p.Nodes[len(p.Nodes)-1] {
 		t.Error("reverse must flip endpoints")
 	}
 	if rev.Steps[0].Forward == p.Steps[len(p.Steps)-1].Forward {
 		t.Error("reverse must flip traversal direction")
 	}
-	c := p.clone()
+	c := cs.clone(p)
 	c.Nodes[0] = 999
 	if p.Nodes[0] == 999 {
 		t.Error("clone must not share node storage")
 	}
-	left, right := splitAt(p, 2)
+	left, right := cs.splitAt(p, 2)
 	if left.Nodes[len(left.Nodes)-1] != p.Nodes[2] || right.Nodes[0] != p.Nodes[2] {
 		t.Error("splitAt endpoints broken")
 	}
-	if joined := joinAt(left, right); joined == nil || len(joined.Steps) != len(p.Steps) {
+	if joined := cs.joinAt(left, right); joined == nil || len(joined.Steps) != len(p.Steps) {
 		t.Error("joinAt must reassemble the original length")
 	}
-	if joinAt(right, left) != nil && right.Nodes[len(right.Nodes)-1] != left.Nodes[0] {
+	if cs.joinAt(right, left) != nil && right.Nodes[len(right.Nodes)-1] != left.Nodes[0] {
 		t.Error("joinAt must reject non-matching endpoints")
 	}
 	if p.indexOfNode(999) != -1 {
@@ -185,15 +185,22 @@ func TestEncodeChainsBindings(t *testing.T) {
 	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 20})
 	syn := NewSynthesizer(r, g, schema, DefaultConfig())
 	gt := SelectGroundTruth(r, g, 2)
-	syn.plan = BuildPlan(r, g, gt, DefaultPlanConfig())
+	syn.reset()
+	syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt, DefaultPlanConfig())
 	var required []elemRef
 	for _, o := range syn.plan.Ops {
 		if o.Kind == OpAddElem {
 			required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
 		}
 	}
-	chains := collectChains(r, g, required)
-	enc, binding := syn.encodeChains(chains, map[string]int64{})
+	chains := syn.chains.collectChains(r, g, required)
+	enc := syn.encodeChains(chains)
+	binding := map[string]graph.ID{}
+	for _, cv := range syn.cvars {
+		if cv.used {
+			binding[cv.name] = cv.ref.id
+		}
+	}
 	// Every named pattern element has a binding consistent with the
 	// chain's concrete IDs.
 	for _, ec := range enc {
@@ -221,9 +228,9 @@ func TestEncodeChainsBindings(t *testing.T) {
 		}
 	}
 	// Planned variables are used for planned elements.
-	for ref, v := range syn.plan.ElemVar {
-		if id, ok := binding[v]; ok && id != ref.id {
-			t.Fatalf("planned var %s bound to %d, plan says %d", v, id, ref.id)
+	for _, pe := range syn.plan.elems {
+		if id, ok := binding[pe.v]; ok && id != pe.ref.id {
+			t.Fatalf("planned var %s bound to %d, plan says %d", pe.v, id, pe.ref.id)
 		}
 	}
 }

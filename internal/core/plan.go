@@ -29,21 +29,46 @@ type elemRef struct {
 }
 
 // Plan is the full operation plan for one query: the ground truth, the
-// operations with their constraint DAG, and the variable naming.
+// operations with their constraint DAG, and the variable naming. A
+// Synthesizer rebuilds its plan in place for every query, so the
+// operations and element table live in slices reused across queries.
 type Plan struct {
-	GT      *GroundTruth
-	Ops     []*Operation
-	ElemVar map[elemRef]string // element -> pattern variable
-	// listExprs records, for each L+ alias, how many list items to
-	// synthesize (the expressions themselves are built at synthesis time
-	// from in-scope variables).
-	ListSizes map[string]int
+	GT  *GroundTruth
+	Ops []*Operation
+	// elems lists the plan's elements in introduction order with their
+	// pattern variable and paired E+/E- operations; it is the element ->
+	// variable map, searched linearly (a plan holds a handful of
+	// elements).
+	elems []planElem
 	// aliasSeq continues the aN counter for synthesis-time aliases;
 	// NodeSeq and RelSeq continue the nN/rN counters for helper pattern
 	// variables introduced during encoding.
 	aliasSeq int
 	NodeSeq  int
 	RelSeq   int
+
+	// opBuf backs Ops. It is sized for the plan's largest possible
+	// operation count before any operation is created, because
+	// operations point into it (constraint edges, Ops) and must not move.
+	opBuf []Operation
+	sched schedScratch
+}
+
+// planElem is one element of the plan and its E+/E- operations.
+type planElem struct {
+	ref      elemRef
+	v        string
+	add, rem *Operation
+}
+
+// elemVar returns the pattern variable planned for the element.
+func (p *Plan) elemVar(ref elemRef) (string, bool) {
+	for i := range p.elems {
+		if p.elems[i].ref == ref {
+			return p.elems[i].v, true
+		}
+	}
+	return "", false
 }
 
 // nextAlias returns a fresh aN alias name.
@@ -76,6 +101,13 @@ const gtEnumLimit = 4096
 
 // SelectGroundTruth randomly selects properties from graph elements,
 // forming the expected result set (§3.1 step ②).
+//
+// The selection is a uniform draw over every property key ⟨e, p⟩ of the
+// graph in (element, name) order: n = 1 + Intn(maxEntries) keys, taken
+// as the first n entries of a Perm over all keys. The keys are never
+// materialized: NodeIDs and RelIDs are ascending and share one ID space,
+// so merging them gives the element order, and only the n drawn
+// positions are resolved to an element and the name at that rank.
 func SelectGroundTruth(r *rand.Rand, g *graph.Graph, maxEntries int) *GroundTruth {
 	if maxEntries < 1 {
 		maxEntries = 1
@@ -83,35 +115,115 @@ func SelectGroundTruth(r *rand.Rand, g *graph.Graph, maxEntries int) *GroundTrut
 	if g.NumNodes()+g.NumRels() > gtEnumLimit {
 		return selectGroundTruthSampled(r, g, maxEntries)
 	}
-	var keys []graph.PropertyKey
-	for _, id := range g.NodeIDs() {
-		for name := range g.Node(id).Props {
-			keys = append(keys, graph.PropertyKey{Element: id, Name: name})
-		}
+	nodeIDs, relIDs := g.NodeIDs(), g.RelIDs()
+	var countBuf [2 * gtStackElems]int32
+	counts := countBuf[:0]
+	if len(nodeIDs)+len(relIDs) > len(countBuf) {
+		counts = make([]int32, 0, len(nodeIDs)+len(relIDs))
 	}
-	for _, id := range g.RelIDs() {
-		for name := range g.Rel(id).Props {
-			keys = append(keys, graph.PropertyKey{Element: id, IsRel: true, Name: name})
-		}
+	total := 0
+	for m := newElemMerge(nodeIDs, relIDs); m.next(); {
+		c := len(m.props(g))
+		counts = append(counts, int32(c))
+		total += c
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Element != keys[j].Element {
-			return keys[i].Element < keys[j].Element
-		}
-		return keys[i].Name < keys[j].Name
-	})
 	n := 1 + r.Intn(maxEntries)
-	if n > len(keys) {
-		n = len(keys)
+	if n > total {
+		n = total
 	}
-	gt := &GroundTruth{}
-	perm := r.Perm(len(keys))
-	for i := 0; i < n; i++ {
-		k := keys[perm[i]]
-		v, _ := g.Lookup(k)
-		gt.Entries = append(gt.Entries, GTEntry{Key: k, Value: v})
+	var selBuf [gtStackElems]int
+	sel := selBuf[:0]
+	if n > len(selBuf) {
+		sel = make([]int, 0, n)
+	}
+	sel = permPrefix(r, total, sel[:n])
+	gt := &GroundTruth{Entries: make([]GTEntry, n)}
+	for i, pos := range sel {
+		// Find the element holding key position pos, then the name of
+		// rank pos-offset among its property names.
+		m := newElemMerge(nodeIDs, relIDs)
+		for k := 0; m.next(); k++ {
+			if c := int(counts[k]); pos >= c {
+				pos -= c
+				continue
+			}
+			props := m.props(g)
+			name := nthName(props, pos)
+			gt.Entries[i] = GTEntry{
+				Key:   graph.PropertyKey{Element: m.id, IsRel: m.isRel, Name: name},
+				Value: props[name],
+			}
+			break
+		}
 	}
 	return gt
+}
+
+// gtStackElems sizes SelectGroundTruth's stack buffers: campaign graphs
+// (at most 13 nodes and 60 relationships by default) fit without a heap
+// allocation.
+const gtStackElems = 64
+
+// elemMerge walks a graph's elements in ascending ID order by merging the
+// ascending node and relationship ID lists.
+type elemMerge struct {
+	nodes, rels []graph.ID
+	id          graph.ID
+	isRel       bool
+}
+
+func newElemMerge(nodes, rels []graph.ID) elemMerge {
+	return elemMerge{nodes: nodes, rels: rels}
+}
+
+func (m *elemMerge) next() bool {
+	switch {
+	case len(m.nodes) > 0 && (len(m.rels) == 0 || m.nodes[0] < m.rels[0]):
+		m.id, m.isRel, m.nodes = m.nodes[0], false, m.nodes[1:]
+	case len(m.rels) > 0:
+		m.id, m.isRel, m.rels = m.rels[0], true, m.rels[1:]
+	default:
+		return false
+	}
+	return true
+}
+
+// props returns the current element's property map.
+func (m *elemMerge) props(g *graph.Graph) map[string]value.Value {
+	if m.isRel {
+		return g.Rel(m.id).Props
+	}
+	return g.Node(m.id).Props
+}
+
+// nthName returns the property name of rank k in ascending order.
+func nthName(props map[string]value.Value, k int) string {
+	var buf [8]string
+	names := buf[:0]
+	for name := range props {
+		names = append(names, name)
+	}
+	sortStrings(names)
+	return names[k]
+}
+
+// permPrefix fills out with the first len(out) entries of r.Perm(n),
+// making exactly the draws r.Perm(n) makes. Perm's swap loop only ever
+// writes a prefix position from another prefix position or from the
+// loop index, so the prefix evolves independently of the rest of the
+// permutation, which is never stored.
+func permPrefix(r *rand.Rand, n int, out []int) []int {
+	k := len(out)
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		if i < k {
+			out[i] = out[j]
+			out[j] = i
+		} else if j < k {
+			out[j] = i
+		}
+	}
+	return out
 }
 
 // selectGroundTruthSampled is the large-graph path: draw elements
@@ -161,79 +273,54 @@ func selectGroundTruthSampled(r *rand.Rand, g *graph.Graph, maxEntries int) *Gro
 // essential operations for each expected property (E+ ≺ (E,p)+ ⪯ E-) and
 // random supplementary operations, each with its paired removal.
 func BuildPlan(r *rand.Rand, g *graph.Graph, gt *GroundTruth, cfg PlanConfig) *Plan {
-	p := &Plan{GT: gt, ElemVar: map[elemRef]string{}, ListSizes: map[string]int{}}
-	nodeSeq, relSeq := 0, 0
-	varFor := func(ref elemRef) string {
-		if v, ok := p.ElemVar[ref]; ok {
-			return v
-		}
-		var v string
-		if ref.isRel {
-			v = seqName('r', relSeq)
-			relSeq++
-		} else {
-			v = seqName('n', nodeSeq)
-			nodeSeq++
-		}
-		p.ElemVar[ref] = v
-		return v
+	p := &Plan{}
+	p.build(r, g.NodeIDs(), g.RelIDs(), gt, cfg)
+	return p
+}
+
+// build is BuildPlan into p, reusing p's storage, over the graph's
+// ascending node and relationship ID lists.
+func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth, cfg PlanConfig) {
+	// Every loop below adds at most this many operations: three per
+	// entry, two per extra element, and four (the item and an anchor
+	// element) per alias or list.
+	bound := 3*len(gt.Entries) + 2*max(cfg.MaxExtraElems, 0) + 4*max(cfg.MaxAliases, 0) + 4*max(cfg.MaxLists, 0)
+	if cap(p.opBuf) < bound {
+		p.opBuf = make([]Operation, 0, bound)
 	}
+	p.GT, p.opBuf, p.Ops, p.elems = gt, p.opBuf[:0], p.Ops[:0], p.elems[:0]
+	p.aliasSeq, p.NodeSeq, p.RelSeq = 0, 0, 0
 
 	// Essential operations (category i).
-	adds := map[elemRef]*Operation{}
-	removes := map[elemRef]*Operation{}
-	addElem := func(ref elemRef) (*Operation, *Operation) {
-		if op, ok := adds[ref]; ok {
-			return op, removes[ref]
-		}
-		v := varFor(ref)
-		add := &Operation{Kind: OpAddElem, Var: v, Element: ref.id, IsRel: ref.isRel}
-		rem := &Operation{Kind: OpRemoveElem, Var: v, Element: ref.id, IsRel: ref.isRel}
-		adds[ref], removes[ref] = add, rem
-		p.Ops = append(p.Ops, add, rem)
-		return add, rem
-	}
 	for i := range gt.Entries {
 		e := &gt.Entries[i]
-		ref := elemRef{id: e.Key.Element, isRel: e.Key.IsRel}
-		add, rem := addElem(ref)
-		add.Essential, rem.Essential = true, true
+		pe := p.addElem(elemRef{id: e.Key.Element, isRel: e.Key.IsRel})
+		pe.add.Essential, pe.rem.Essential = true, true
 		e.Alias = p.nextAlias()
-		access := &Operation{
+		access := p.newOp(Operation{
 			Kind: OpAccessProp, Var: e.Alias,
 			Element: e.Key.Element, IsRel: e.Key.IsRel, Prop: e.Key.Name,
 			Essential: true,
-		}
+		})
 		p.Ops = append(p.Ops, access)
-		add.Before(access)
-		access.WeakBefore(rem)
+		pe.add.Before(access)
+		access.WeakBefore(pe.rem)
 	}
 
-	// Supplementary operations (category ii).
-	nodeIDs := g.NodeIDs()
-	relIDs := g.RelIDs()
-	randomRef := func() (elemRef, bool) {
-		pickRel := len(relIDs) > 0 && r.Intn(3) == 0
-		if pickRel {
-			return elemRef{id: relIDs[r.Intn(len(relIDs))], isRel: true}, true
-		}
-		if len(nodeIDs) == 0 {
-			return elemRef{}, false
-		}
-		return elemRef{id: nodeIDs[r.Intn(len(nodeIDs))]}, true
-	}
+	// Supplementary operations (category ii). Every loop bound is redrawn
+	// on each iteration; the draw schedule depends on it.
 
 	// Extra elements.
 	for i := 0; i < r.Intn(cfg.MaxExtraElems+1); i++ {
-		ref, ok := randomRef()
+		ref, ok := randomRef(r, nodeIDs, relIDs)
 		if !ok {
 			break
 		}
-		if _, dup := adds[ref]; dup {
+		if p.findElem(ref) >= 0 {
 			continue
 		}
-		add, rem := addElem(ref)
-		add.Before(rem)
+		pe := p.addElem(ref)
+		pe.add.Before(pe.rem)
 	}
 
 	// Supplementary aliases. Most are anchored on an element that must be
@@ -241,15 +328,14 @@ func BuildPlan(r *rand.Rand, g *graph.Graph, gt *GroundTruth, cfg PlanConfig) *P
 	// are pure expressions with no anchor.
 	for i := 0; i < r.Intn(cfg.MaxAliases+1); i++ {
 		alias := p.nextAlias()
-		aAdd := &Operation{Kind: OpAddAlias, Var: alias, Element: -1}
-		aRem := &Operation{Kind: OpRemoveAlias, Var: alias}
+		aAdd := p.newOp(Operation{Kind: OpAddAlias, Var: alias, Element: -1})
+		aRem := p.newOp(Operation{Kind: OpRemoveAlias, Var: alias})
 		if r.Intn(100) < 70 {
-			ref, ok := randomRef()
-			if ok {
-				add, rem := addElem(ref)
+			if ref, ok := randomRef(r, nodeIDs, relIDs); ok {
+				pe := p.addElem(ref)
 				aAdd.Element, aAdd.IsRel = ref.id, ref.isRel
-				add.Before(aAdd)
-				aAdd.WeakBefore(rem)
+				pe.add.Before(aAdd)
+				aAdd.WeakBefore(pe.rem)
 			}
 		}
 		p.Ops = append(p.Ops, aAdd, aRem)
@@ -262,38 +348,74 @@ func BuildPlan(r *rand.Rand, g *graph.Graph, gt *GroundTruth, cfg PlanConfig) *P
 	// query shape.
 	for i := 0; i < r.Intn(cfg.MaxLists+1); i++ {
 		alias := p.nextAlias()
-		lAdd := &Operation{Kind: OpExpandList, Var: alias, Element: -1}
-		lRem := &Operation{Kind: OpTruncList, Var: alias}
+		lAdd := p.newOp(Operation{Kind: OpExpandList, Var: alias, Element: -1})
+		lRem := p.newOp(Operation{Kind: OpTruncList, Var: alias})
 		if r.Intn(100) < 40 {
-			ref, ok := randomRef()
-			if ok {
-				add, rem := addElem(ref)
+			if ref, ok := randomRef(r, nodeIDs, relIDs); ok {
+				pe := p.addElem(ref)
 				lAdd.Element, lAdd.IsRel = ref.id, ref.isRel
-				add.Before(lAdd)
-				lAdd.WeakBefore(rem)
+				pe.add.Before(lAdd)
+				lAdd.WeakBefore(pe.rem)
 			}
 		}
 		p.Ops = append(p.Ops, lAdd, lRem)
-		p.ListSizes[alias] = 1 + r.Intn(3)
+		lAdd.listSize = 1 + r.Intn(3)
 		lAdd.Before(lRem)
 	}
-
-	p.NodeSeq, p.RelSeq = nodeSeq, relSeq
-	return p
+	for i, o := range p.Ops {
+		o.idx = i
+	}
 }
 
-// GTElements returns the distinct elements referenced by the ground truth.
-func (gt *GroundTruth) GTElements() []graph.PropertyKey {
-	seen := map[elemRef]bool{}
-	var out []graph.PropertyKey
-	for _, e := range gt.Entries {
-		ref := elemRef{id: e.Key.Element, isRel: e.Key.IsRel}
-		if !seen[ref] {
-			seen[ref] = true
-			out = append(out, e.Key)
+// newOp places an operation in the plan's operation buffer. The caller
+// appends it to Ops, which fixes its position in the DAG scan.
+func (p *Plan) newOp(o Operation) *Operation {
+	p.opBuf = append(p.opBuf, o)
+	return &p.opBuf[len(p.opBuf)-1]
+}
+
+// findElem returns the element's index in the plan, or -1.
+func (p *Plan) findElem(ref elemRef) int {
+	for i := range p.elems {
+		if p.elems[i].ref == ref {
+			return i
 		}
 	}
-	return out
+	return -1
+}
+
+// addElem returns the element's plan entry, introducing it — with its
+// pattern variable and its E+/E- pair, appended to Ops — on first use.
+func (p *Plan) addElem(ref elemRef) planElem {
+	if i := p.findElem(ref); i >= 0 {
+		return p.elems[i]
+	}
+	var v string
+	if ref.isRel {
+		v = seqName('r', p.RelSeq)
+		p.RelSeq++
+	} else {
+		v = seqName('n', p.NodeSeq)
+		p.NodeSeq++
+	}
+	add := p.newOp(Operation{Kind: OpAddElem, Var: v, Element: ref.id, IsRel: ref.isRel})
+	rem := p.newOp(Operation{Kind: OpRemoveElem, Var: v, Element: ref.id, IsRel: ref.isRel})
+	p.Ops = append(p.Ops, add, rem)
+	pe := planElem{ref: ref, v: v, add: add, rem: rem}
+	p.elems = append(p.elems, pe)
+	return pe
+}
+
+// randomRef draws a supplementary element: a relationship one time in
+// three (when the graph has any), a node otherwise.
+func randomRef(r *rand.Rand, nodeIDs, relIDs []graph.ID) (elemRef, bool) {
+	if len(relIDs) > 0 && r.Intn(3) == 0 {
+		return elemRef{id: relIDs[r.Intn(len(relIDs))], isRel: true}, true
+	}
+	if len(nodeIDs) == 0 {
+		return elemRef{}, false
+	}
+	return elemRef{id: nodeIDs[r.Intn(len(nodeIDs))]}, true
 }
 
 // ExpectedColumns returns the output aliases in entry order.

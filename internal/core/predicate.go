@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"gqs/internal/cypher/ast"
 	"gqs/internal/graph"
 )
@@ -14,35 +12,31 @@ import (
 // complexified by Algorithm 2 while preserving distinguishability.
 type pin struct {
 	varName     string
+	slot        int32
 	elem        elemRef
 	competitors []elemRef
 }
+
+// noID marks an unbound variable slot: element IDs are never negative.
+const noID graph.ID = -1
 
 // uniquify walks the encoded chains from bound anchors outward, adding
 // pins wherever several graph candidates could match a pattern segment,
 // then verifies global uniqueness with a full backtracking count and
 // falls back to pinning every element if the stepwise pass was not
 // sufficient. The returned pins guarantee that the clause's patterns
-// match exactly the intended binding.
-func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, binding map[string]graph.ID) []pin {
-	var pins []pin
-	fixed := map[string]graph.ID{}
-	for v, id := range inScope {
-		fixed[v] = id
-	}
-	pinVar := func(v string, ref elemRef, comps []elemRef) {
-		if _, done := fixed[v]; done {
-			return
-		}
-		pins = append(pins, pin{varName: v, elem: ref, competitors: comps})
-		fixed[v] = ref.id
-	}
-
+// match exactly the intended binding. It works on the clause's variable
+// slots (s.cvars): fixed[slot] is the element a slot is known to bind,
+// or noID. The pins and their competitor lists are scratch, valid until
+// the next clause.
+func (s *Synthesizer) uniquify(chains []*encChain) []pin {
+	s.resetFixed()
+	s.pins, s.compBuf = s.pins[:0], s.compBuf[:0]
 	for _, ec := range chains {
 		// Anchor: the first position whose variable is already fixed.
 		anchor := -1
-		for i, np := range ec.part.Nodes {
-			if _, ok := fixed[np.Variable]; ok {
+		for i, slot := range ec.nodeSlots {
+			if s.fixed[slot] != noID {
 				anchor = i
 				break
 			}
@@ -53,69 +47,92 @@ func (s *Synthesizer) uniquify(chains []*encChain, inScope map[string]graph.ID, 
 			// constructed to ensure that it only matches the desired
 			// graph element").
 			anchor = 0
-			np := ec.part.Nodes[0]
-			ref := elemRef{id: ec.nodeIDs[0]}
-			pinVar(np.Variable, ref, s.nodeCompetitors(np, ec.nodeIDs[0]))
+			s.pinVar(ec.nodeSlots[0], elemRef{id: ec.nodeIDs[0]}, s.nodeCompetitors(ec.part.Nodes[0], ec.nodeIDs[0]))
 		}
-		fixed[ec.part.Nodes[anchor].Variable] = ec.nodeIDs[anchor]
+		s.fixed[ec.nodeSlots[anchor]] = ec.nodeIDs[anchor]
 		// March right, then left.
 		for i := anchor; i < len(ec.relIDs); i++ {
-			s.uniquifySegment(ec, i, true, fixed, pinVar)
+			s.uniquifySegment(ec, i, true)
 		}
 		for i := anchor - 1; i >= 0; i-- {
-			s.uniquifySegment(ec, i, false, fixed, pinVar)
+			s.uniquifySegment(ec, i, false)
 		}
 	}
 
 	// Global verification: the stepwise pass is a heuristic; if any
 	// ambiguity survives, pin everything.
-	if s.countMatches(chains, inScope, pins, 2) != 1 {
-		pins = pins[:0]
-		fixed = map[string]graph.ID{}
-		for v, id := range inScope {
-			fixed[v] = id
-		}
+	if s.countMatches(chains, s.pins, 2) != 1 {
+		s.pins, s.compBuf = s.pins[:0], s.compBuf[:0]
+		s.resetFixed()
 		for _, ec := range chains {
 			for i, np := range ec.part.Nodes {
-				pinVar(np.Variable, elemRef{id: ec.nodeIDs[i]}, s.nodeCompetitors(np, ec.nodeIDs[i]))
+				s.pinVar(ec.nodeSlots[i], elemRef{id: ec.nodeIDs[i]}, s.nodeCompetitors(np, ec.nodeIDs[i]))
 			}
 			for i, rp := range ec.part.Rels {
-				pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, s.relCompetitors(rp, ec.relIDs[i]))
+				s.pinVar(ec.relSlots[i], elemRef{id: ec.relIDs[i], isRel: true}, s.relCompetitors(rp, ec.relIDs[i]))
 			}
 		}
 	}
-	return pins
+	return s.pins
+}
+
+// resetFixed fixes exactly the slots of the variables in scope before the
+// clause.
+func (s *Synthesizer) resetFixed() {
+	s.fixed = s.fixed[:0]
+	for _, cv := range s.cvars {
+		id := noID
+		if cv.inScope {
+			id = cv.ref.id
+		}
+		s.fixed = append(s.fixed, id)
+	}
+}
+
+// pinVar pins the slot to the element unless it is already fixed. comps
+// is a window of s.compBuf.
+func (s *Synthesizer) pinVar(slot int32, ref elemRef, comps []elemRef) {
+	if s.fixed[slot] != noID {
+		return
+	}
+	s.pins = append(s.pins, pin{varName: s.cvars[slot].name, slot: slot, elem: ref, competitors: comps})
+	s.fixed[slot] = ref.id
 }
 
 // uniquifySegment handles one pattern segment: expanding from the bound
 // node at position i (forward) or i+1 (backward) across relationship i.
-func (s *Synthesizer) uniquifySegment(ec *encChain, i int, forward bool, fixed map[string]graph.ID, pinVar func(string, elemRef, []elemRef)) {
-	rp := ec.part.Rels[i]
-	var fromPos, toPos int
-	if forward {
-		fromPos, toPos = i, i+1
-	} else {
+func (s *Synthesizer) uniquifySegment(ec *encChain, i int, forward bool) {
+	fromPos, toPos := i, i+1
+	if !forward {
 		fromPos, toPos = i+1, i
 	}
-	from := ec.nodeIDs[fromPos]
-	toPattern := ec.part.Nodes[toPos]
-	cands := s.segmentCandidates(from, rp, toPattern, forward, fixed)
-	if len(cands) > 1 {
-		var comps []elemRef
-		for _, c := range cands {
-			if c != ec.relIDs[i] {
-				comps = append(comps, elemRef{id: c, isRel: true})
+	start := len(s.compBuf)
+	n := s.segmentCandidates(ec, i, fromPos, toPos, forward)
+	if n > 1 {
+		// The candidates went to compBuf; drop the intended one to leave
+		// the competitors.
+		comps := s.compBuf[start:start]
+		for _, c := range s.compBuf[start:] {
+			if c.id != ec.relIDs[i] {
+				comps = append(comps, c)
 			}
 		}
-		pinVar(rp.Variable, elemRef{id: ec.relIDs[i], isRel: true}, comps)
+		s.compBuf = s.compBuf[:start+len(comps)]
+		s.pinVar(ec.relSlots[i], elemRef{id: ec.relIDs[i], isRel: true}, comps[:len(comps):len(comps)])
+	} else {
+		s.compBuf = s.compBuf[:start]
 	}
-	fixed[rp.Variable] = ec.relIDs[i]
-	fixed[toPattern.Variable] = ec.nodeIDs[toPos]
+	s.fixed[ec.relSlots[i]] = ec.relIDs[i]
+	s.fixed[ec.nodeSlots[toPos]] = ec.nodeIDs[toPos]
 }
 
-// segmentCandidates enumerates the relationships that could match one
-// pattern segment given the bindings fixed so far.
-func (s *Synthesizer) segmentCandidates(from graph.ID, rp *ast.RelPattern, toPattern *ast.NodePattern, forward bool, fixed map[string]graph.ID) []graph.ID {
+// segmentCandidates appends to s.compBuf the relationships that could
+// match relationship i of the chain, expanding from the node at fromPos
+// given the bindings fixed so far, and returns how many it appended.
+func (s *Synthesizer) segmentCandidates(ec *encChain, i, fromPos, toPos int, forward bool) int {
+	rp, toPattern := ec.part.Rels[i], ec.part.Nodes[toPos]
+	wantRel, wantTo := s.fixed[ec.relSlots[i]], s.fixed[ec.nodeSlots[toPos]]
+	from := ec.nodeIDs[fromPos]
 	dir := rp.Direction
 	if !forward {
 		switch dir {
@@ -125,86 +142,84 @@ func (s *Synthesizer) segmentCandidates(from graph.ID, rp *ast.RelPattern, toPat
 			dir = ast.DirRight
 		}
 	}
-	var cands []graph.ID
-	try := func(rid graph.ID, far graph.ID) {
-		rel := s.g.Rel(rid)
+	start := len(s.compBuf)
+	try := func(rid graph.ID, rel *graph.Rel, far graph.ID) {
 		if len(rp.Types) > 0 && !containsStr(rp.Types, rel.Type) {
 			return
 		}
-		if want, ok := fixed[rp.Variable]; ok && want != rid {
+		if wantRel != noID && wantRel != rid {
 			return
 		}
-		farNode := s.g.Node(far)
-		for _, l := range toPattern.Labels {
-			if !farNode.HasLabel(l) {
-				return
-			}
-		}
-		if want, ok := fixed[toPattern.Variable]; ok && want != far {
+		if len(toPattern.Labels) > 0 && !hasLabels(s.g.Node(far), toPattern.Labels) {
 			return
 		}
-		cands = append(cands, rid)
+		if wantTo != noID && wantTo != far {
+			return
+		}
+		s.compBuf = append(s.compBuf, elemRef{id: rid, isRel: true})
 	}
 	g := s.g
 	switch dir {
 	case ast.DirRight:
 		for _, rid := range g.Out(from) {
-			try(rid, g.Rel(rid).End)
+			rel := g.Rel(rid)
+			try(rid, rel, rel.End)
 		}
 	case ast.DirLeft:
 		for _, rid := range g.In(from) {
-			try(rid, g.Rel(rid).Start)
+			rel := g.Rel(rid)
+			try(rid, rel, rel.Start)
 		}
 	default:
 		for _, rid := range g.Out(from) {
-			try(rid, g.Rel(rid).End)
+			rel := g.Rel(rid)
+			try(rid, rel, rel.End)
 		}
 		for _, rid := range g.In(from) {
-			if r := g.Rel(rid); r.Start != r.End {
-				try(rid, r.Start)
+			if rel := g.Rel(rid); rel.Start != rel.End {
+				try(rid, rel, rel.Start)
 			}
 		}
 	}
-	return cands
+	return len(s.compBuf) - start
+}
+
+// hasLabels reports whether the node carries every label.
+func hasLabels(n *graph.Node, labels []string) bool {
+	for _, l := range labels {
+		if !n.HasLabel(l) {
+			return false
+		}
+	}
+	return true
 }
 
 // nodeCompetitors returns the other nodes satisfying the encoded label
-// constraints of the pattern node.
+// constraints of the pattern node, as a window of s.compBuf.
 func (s *Synthesizer) nodeCompetitors(np *ast.NodePattern, intended graph.ID) []elemRef {
-	var out []elemRef
-	for _, id := range s.g.NodeIDs() {
-		if id == intended {
-			continue
-		}
-		n := s.g.Node(id)
-		ok := true
-		for _, l := range np.Labels {
-			if !n.HasLabel(l) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, elemRef{id: id})
+	start := len(s.compBuf)
+	for _, id := range s.nodeIDs {
+		if id != intended && (len(np.Labels) == 0 || hasLabels(s.g.Node(id), np.Labels)) {
+			s.compBuf = append(s.compBuf, elemRef{id: id})
 		}
 	}
-	return out
+	return s.compBuf[start:len(s.compBuf):len(s.compBuf)]
 }
 
 // relCompetitors returns the other relationships satisfying the encoded
-// type constraints.
+// type constraints, as a window of s.compBuf.
 func (s *Synthesizer) relCompetitors(rp *ast.RelPattern, intended graph.ID) []elemRef {
-	var out []elemRef
-	for _, id := range s.g.RelIDs() {
+	start := len(s.compBuf)
+	for _, id := range s.relIDs {
 		if id == intended {
 			continue
 		}
 		if len(rp.Types) > 0 && !containsStr(rp.Types, s.g.Rel(id).Type) {
 			continue
 		}
-		out = append(out, elemRef{id: id, isRel: true})
+		s.compBuf = append(s.compBuf, elemRef{id: id, isRel: true})
 	}
-	return out
+	return s.compBuf[start:len(s.compBuf):len(s.compBuf)]
 }
 
 func containsStr(xs []string, x string) bool {
@@ -216,150 +231,159 @@ func containsStr(xs []string, x string) bool {
 	return false
 }
 
+// matcher counts the matches of a clause's encoded chains by
+// backtracking over variable slots (see countMatches). It shares nothing
+// with the engine's matchers, which the oracle tests.
+type matcher struct {
+	g      *graph.Graph
+	nodes  []graph.ID
+	chains []*encChain
+	// env[slot] is the element the slot binds on the current branch and
+	// pinned[slot] the element a pin requires, noID for none; used holds
+	// the relationships the branch has bound, which the clause may not
+	// repeat.
+	env, pinned []graph.ID
+	used        []graph.ID
+	count       int
+	limit       int
+}
+
 // countMatches counts (up to limit) the matches of the encoded chains
 // under reference semantics: in-scope variables are fixed, pinned
 // variables must bind their pinned element, and relationships are unique
 // within the clause. It is the ground truth for the uniqueness invariant
 // the oracle depends on.
-func (s *Synthesizer) countMatches(chains []*encChain, inScope map[string]graph.ID, pins []pin, limit int) int {
-	env := map[string]graph.ID{}
-	for v, id := range inScope {
-		env[v] = id
+func (s *Synthesizer) countMatches(chains []*encChain, pins []pin, limit int) int {
+	m := &s.match
+	*m = matcher{
+		g: s.g, nodes: s.nodeIDs, chains: chains, limit: limit,
+		env: m.env[:0], pinned: m.pinned[:0], used: m.used[:0],
 	}
-	pinned := map[string]graph.ID{}
+	for _, cv := range s.cvars {
+		id := noID
+		if cv.inScope {
+			id = cv.ref.id
+		}
+		m.env = append(m.env, id)
+		m.pinned = append(m.pinned, noID)
+	}
 	for _, p := range pins {
-		pinned[p.varName] = p.elem.id
+		m.pinned[p.slot] = p.elem.id
 	}
-	used := map[graph.ID]bool{}
-	count := 0
+	m.matchChain(0)
+	return m.count
+}
 
-	var matchChain func(ci int) bool // each returns true to stop early
-	var matchNodeAt func(ci, pos int, id graph.ID) bool
-	var matchRel func(ci, pos int) bool
+// Each matcher method returns true to stop the search early.
 
-	bind := func(v string, id graph.ID, cont func() bool) bool {
-		if want, ok := pinned[v]; ok && want != id {
-			return false
-		}
-		if old, ok := env[v]; ok {
-			if old != id {
-				return false
-			}
-			return cont()
-		}
-		env[v] = id
-		stop := cont()
-		delete(env, v)
-		return stop
+func (m *matcher) matchChain(ci int) bool {
+	if ci == len(m.chains) {
+		m.count++
+		return m.count >= m.limit
 	}
-
-	matchNodeAt = func(ci, pos int, id graph.ID) bool {
-		np := chains[ci].part.Nodes[pos]
-		n := s.g.Node(id)
-		if n == nil {
-			return false
-		}
-		for _, l := range np.Labels {
-			if !n.HasLabel(l) {
-				return false
-			}
-		}
-		return bind(np.Variable, id, func() bool {
-			if pos == len(chains[ci].part.Nodes)-1 {
-				return matchChain(ci + 1)
-			}
-			return matchRel(ci, pos)
-		})
+	slot := m.chains[ci].nodeSlots[0]
+	if id := m.env[slot]; id != noID {
+		return m.matchNodeAt(ci, 0, id)
 	}
+	if id := m.pinned[slot]; id != noID {
+		return m.matchNodeAt(ci, 0, id)
+	}
+	for _, id := range m.nodes {
+		if m.matchNodeAt(ci, 0, id) {
+			return true
+		}
+	}
+	return false
+}
 
-	matchRel = func(ci, pos int) bool {
-		rp := chains[ci].part.Rels[pos]
-		from := env[chains[ci].part.Nodes[pos].Variable]
-		tryRel := func(rid, far graph.ID) bool {
-			rel := s.g.Rel(rid)
-			if len(rp.Types) > 0 && !containsStr(rp.Types, rel.Type) {
-				return false
-			}
-			already, bound := env[rp.Variable]
-			if bound {
-				if already != rid {
-					return false
-				}
-			} else if used[rid] {
-				return false
-			}
-			if want, ok := pinned[rp.Variable]; ok && want != rid {
-				return false
-			}
-			if !bound {
-				used[rid] = true
-				defer delete(used, rid)
-			}
-			return bind(rp.Variable, rid, func() bool {
-				return matchNodeAt(ci, pos+1, far)
-			})
-		}
-		g := s.g
-		switch rp.Direction {
-		case ast.DirRight:
-			for _, rid := range g.Out(from) {
-				if tryRel(rid, g.Rel(rid).End) {
-					return true
-				}
-			}
-		case ast.DirLeft:
-			for _, rid := range g.In(from) {
-				if tryRel(rid, g.Rel(rid).Start) {
-					return true
-				}
-			}
-		default:
-			for _, rid := range g.Out(from) {
-				if tryRel(rid, g.Rel(rid).End) {
-					return true
-				}
-			}
-			for _, rid := range g.In(from) {
-				if r := g.Rel(rid); r.Start != r.End {
-					if tryRel(rid, r.Start) {
-						return true
-					}
-				}
-			}
-		}
+func (m *matcher) matchNodeAt(ci, pos int, id graph.ID) bool {
+	ec := m.chains[ci]
+	if n := m.g.Node(id); n == nil || !hasLabels(n, ec.part.Nodes[pos].Labels) {
 		return false
 	}
+	slot := ec.nodeSlots[pos]
+	if want := m.pinned[slot]; want != noID && want != id {
+		return false
+	}
+	if old := m.env[slot]; old != noID {
+		if old != id {
+			return false
+		}
+		return m.nodeBound(ci, pos)
+	}
+	m.env[slot] = id
+	stop := m.nodeBound(ci, pos)
+	m.env[slot] = noID
+	return stop
+}
 
-	matchChain = func(ci int) bool {
-		if ci == len(chains) {
-			count++
-			return count >= limit
-		}
-		np := chains[ci].part.Nodes[0]
-		if id, bound := env[np.Variable]; bound {
-			return matchNodeAt(ci, 0, id)
-		}
-		if id, ok := pinned[np.Variable]; ok {
-			return matchNodeAt(ci, 0, id)
-		}
-		for _, id := range s.g.NodeIDs() {
-			if matchNodeAt(ci, 0, id) {
+// nodeBound continues the search once position pos of chain ci is bound.
+func (m *matcher) nodeBound(ci, pos int) bool {
+	if pos == len(m.chains[ci].nodeSlots)-1 {
+		return m.matchChain(ci + 1)
+	}
+	return m.matchRel(ci, pos)
+}
+
+func (m *matcher) matchRel(ci, pos int) bool {
+	ec := m.chains[ci]
+	rp := ec.part.Rels[pos]
+	from := m.env[ec.nodeSlots[pos]]
+	g := m.g
+	switch rp.Direction {
+	case ast.DirRight:
+		for _, rid := range g.Out(from) {
+			if rel := g.Rel(rid); m.tryRel(ci, pos, rp, rid, rel, rel.End) {
 				return true
 			}
 		}
-		return false
+	case ast.DirLeft:
+		for _, rid := range g.In(from) {
+			if rel := g.Rel(rid); m.tryRel(ci, pos, rp, rid, rel, rel.Start) {
+				return true
+			}
+		}
+	default:
+		for _, rid := range g.Out(from) {
+			if rel := g.Rel(rid); m.tryRel(ci, pos, rp, rid, rel, rel.End) {
+				return true
+			}
+		}
+		for _, rid := range g.In(from) {
+			if rel := g.Rel(rid); rel.Start != rel.End {
+				if m.tryRel(ci, pos, rp, rid, rel, rel.Start) {
+					return true
+				}
+			}
+		}
 	}
-
-	matchChain(0)
-	return count
+	return false
 }
 
-// pinsToSortedVars lists pinned variables deterministically (testing aid).
-func pinsToSortedVars(pins []pin) []string {
-	out := make([]string, len(pins))
-	for i, p := range pins {
-		out[i] = p.varName
+func (m *matcher) tryRel(ci, pos int, rp *ast.RelPattern, rid graph.ID, rel *graph.Rel, far graph.ID) bool {
+	if len(rp.Types) > 0 && !containsStr(rp.Types, rel.Type) {
+		return false
 	}
-	sort.Strings(out)
-	return out
+	slot := m.chains[ci].relSlots[pos]
+	if bound := m.env[slot]; bound != noID {
+		if bound != rid {
+			return false
+		}
+		if want := m.pinned[slot]; want != noID && want != rid {
+			return false
+		}
+		return m.matchNodeAt(ci, pos+1, far)
+	}
+	if contains(m.used, rid) {
+		return false
+	}
+	if want := m.pinned[slot]; want != noID && want != rid {
+		return false
+	}
+	m.used = append(m.used, rid)
+	m.env[slot] = rid
+	stop := m.matchNodeAt(ci, pos+1, far)
+	m.env[slot] = noID
+	m.used = m.used[:len(m.used)-1]
+	return stop
 }

@@ -293,7 +293,9 @@ func (rn *Runner) RunIteration(report func(*TestCase)) error {
 	}
 	rn.stats.Graphs++
 
-	synthCfg := rn.cfg.Synth
+	// Default the config before applying the target's dialect flags, so
+	// that no default can overwrite them.
+	synthCfg := rn.cfg.Synth.withDefaults()
 	synthCfg.RelUniqueness = rn.target.RelUniqueness()
 	synthCfg.ProvidesDBLabels = rn.target.ProvidesDBLabels()
 	syn := NewSynthesizer(rn.r, g, schema, synthCfg)

@@ -20,7 +20,7 @@ type Step struct {
 // Ops is a list of operations with small helpers.
 type Ops []*Operation
 
-// Kinds reports whether any operation has the given kind.
+// Has reports whether any operation has the given kind.
 func (os Ops) Has(k OpKind) bool {
 	for _, o := range os {
 		if o.Kind == k {
@@ -30,15 +30,19 @@ func (os Ops) Has(k OpKind) bool {
 	return false
 }
 
-// OfKind returns the operations of the given kind.
-func (os Ops) OfKind(k OpKind) Ops {
-	var out Ops
-	for _, o := range os {
-		if o.Kind == k {
-			out = append(out, o)
-		}
-	}
-	return out
+// schedScratch is Schedule's working state, kept with the plan so that
+// rescheduling a rebuilt plan reuses it. Everything is indexed by
+// Operation.idx. The steps' Ops and Vars slices are windows into ops and
+// vars; a window is never written again once its step is complete, so
+// when an append moves an arena, completed steps keep the old array.
+type schedScratch struct {
+	indeg    []int32
+	assigned []bool
+	scan     []int32
+	steps    []Step
+	out      []*Step
+	ops      []*Operation
+	vars     []string
 }
 
 // Schedule distributes the plan's operations across steps, implementing
@@ -48,129 +52,152 @@ func (os Ops) OfKind(k OpKind) Ops {
 // remaining constraint is satisfied within the step. maxSteps bounds the
 // schedule length; once close to the bound the scan stops rejecting
 // eligible operations.
+//
+// The returned steps live in the plan's scratch space: they are valid
+// until the plan is scheduled again.
 func Schedule(r *rand.Rand, plan *Plan, maxSteps int) []*Step {
 	if maxSteps < 2 {
 		maxSteps = 2
 	}
-	indeg := map[*Operation]int{}
-	assigned := map[*Operation]bool{}
+	sc := &plan.sched
+	n := len(plan.Ops)
+	sc.indeg = resize(sc.indeg, n)
+	sc.assigned = resize(sc.assigned, n)
 	for _, o := range plan.Ops {
-		if _, ok := indeg[o]; !ok {
-			indeg[o] = 0
-		}
 		for _, t := range o.strong {
-			indeg[t]++
+			sc.indeg[t.idx]++
 		}
 		for _, t := range o.weak {
-			indeg[t]++
+			sc.indeg[t.idx]++
 		}
 	}
-	remaining := len(plan.Ops)
-	var steps []*Step
-	vars := []string{}
-	scan := append([]*Operation(nil), plan.Ops...)
-
-	// Hoisted out of the step loop so each closure allocates once per
-	// schedule rather than once per step.
-	swap := func(i, j int) { scan[i], scan[j] = scan[j], scan[i] }
-	align := func(step *Step, o *Operation) bool {
-		if len(step.Ops) == 0 {
-			return true
-		}
-		if step.Ops[0].Clause() != o.Clause() {
-			return false
-		}
-		// One UNWIND clause expands exactly one list.
-		return o.Clause() != ClauseUnwind
+	remaining := n
+	// The scan order is a permutation of operation indices: shuffling
+	// integers is cheaper than shuffling pointers.
+	sc.scan = sc.scan[:0]
+	for i := range plan.Ops {
+		sc.scan = append(sc.scan, int32(i))
 	}
-	assign := func(step *Step, o *Operation) {
-		step.Ops = append(step.Ops, o)
-		assigned[o] = true
-		remaining--
-	}
+	sc.steps, sc.ops, sc.vars = sc.steps[:0], sc.ops[:0], sc.vars[:0]
+	scan, indeg, assigned := sc.scan, sc.indeg, sc.assigned
+	var vars []string
 
 	for remaining > 0 {
 		// The scan order within a pass is unspecified by Algorithm 1;
 		// shuffling it lets any eligible operation open a step — an
 		// unanchored UNWIND can precede the first MATCH (Figure 17).
-		r.Shuffle(len(scan), swap)
-		// refVars returns a fresh slice each step and nothing mutates it
-		// in place afterwards, so steps can share it without copying.
-		step := &Step{VarsBefore: vars}
-		mustPack := len(steps) >= maxSteps-2
-		for _, o := range scan {
-			if assigned[o] || indeg[o] != 0 || !align(step, o) {
+		r.Shuffle(len(scan), func(i, j int) { scan[i], scan[j] = scan[j], scan[i] })
+		start := len(sc.ops)
+		mustPack := len(sc.steps) >= maxSteps-2
+		// align reports whether o may join the step under construction.
+		align := func(o *Operation) bool {
+			if len(sc.ops) == start {
+				return true
+			}
+			if sc.ops[start].Clause() != o.Clause() {
+				return false
+			}
+			// One UNWIND clause expands exactly one list.
+			return o.Clause() != ClauseUnwind
+		}
+		assign := func(o *Operation) {
+			sc.ops = append(sc.ops, o)
+			assigned[o.idx] = true
+			remaining--
+		}
+		for _, k := range scan {
+			o := plan.Ops[k]
+			if assigned[k] || indeg[k] != 0 || !align(o) {
 				continue
 			}
 			if !mustPack && r.Intn(2) == 0 {
 				continue
 			}
-			assign(step, o)
+			assign(o)
 			// Weakly-related successors may join the same step (lines
 			// 7-11 of Algorithm 1).
 			for _, o2 := range o.weak {
-				if !assigned[o2] && indeg[o2] == 1 && align(step, o2) && (mustPack || r.Intn(2) == 0) {
-					assign(step, o2)
+				if !assigned[o2.idx] && indeg[o2.idx] == 1 && align(o2) && (mustPack || r.Intn(2) == 0) {
+					assign(o2)
 				}
 			}
 		}
-		if len(step.Ops) == 0 {
+		if len(sc.ops) == start {
 			// The random scan kept everything back; force the first
 			// eligible operation so the loop terminates.
-			for _, o := range scan {
-				if !assigned[o] && indeg[o] == 0 {
-					assign(step, o)
+			for _, k := range scan {
+				if !assigned[k] && indeg[k] == 0 {
+					assign(plan.Ops[k])
 					break
 				}
 			}
 		}
+		ops := Ops(sc.ops[start:len(sc.ops):len(sc.ops)])
 		// Remove the step from the DAG (line 15).
-		for _, o := range step.Ops {
+		for _, o := range ops {
 			for _, t := range o.strong {
-				indeg[t]--
+				indeg[t.idx]--
 			}
 			for _, t := range o.weak {
-				if !assigned[t] {
-					indeg[t]--
+				if !assigned[t.idx] {
+					indeg[t.idx]--
 				}
 			}
 		}
-		step.Clause = step.Ops[0].Clause()
-		vars = refVars(vars, step)
-		step.VarsAfter = vars
-		steps = append(steps, step)
+		before := vars
+		vars = sc.refVars(before, ops)
+		sc.steps = append(sc.steps, Step{Ops: ops, Clause: ops[0].Clause(), VarsBefore: before, VarsAfter: vars})
 	}
-	return normalizeTail(steps)
+	normalizeTail(sc)
+	sc.out = sc.out[:0]
+	for i := range sc.steps {
+		sc.out = append(sc.out, &sc.steps[i])
+	}
+	return sc.out
+}
+
+// resize returns s with length n, zeroed, reusing its array if it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // refVars implements line 14 of Algorithm 1: variables introduced by the
-// step become referenceable; removed ones stop being referenceable.
-func refVars(prev []string, step *Step) []string {
-	var removed map[string]bool
-	for _, o := range step.Ops {
-		switch o.Kind {
-		case OpRemoveElem, OpRemoveAlias, OpTruncList:
-			if removed == nil {
-				removed = make(map[string]bool, len(step.Ops))
-			}
-			removed[o.Var] = true
-		}
-	}
-	out := make([]string, 0, len(prev)+len(step.Ops))
+// step become referenceable; removed ones stop being referenceable. The
+// result is a window appended to the vars arena.
+func (sc *schedScratch) refVars(prev []string, ops Ops) []string {
+	start := len(sc.vars)
 	for _, v := range prev {
-		if !removed[v] {
-			out = append(out, v)
+		if !removes(ops, v) {
+			sc.vars = append(sc.vars, v)
 		}
 	}
-	for _, o := range step.Ops {
+	for _, o := range ops {
 		switch o.Kind {
 		case OpAddElem, OpAccessProp, OpAddAlias, OpExpandList:
-			if !removed[o.Var] && !containsStr(out, o.Var) {
-				out = append(out, o.Var)
+			if !removes(ops, o.Var) && !containsStr(sc.vars[start:], o.Var) {
+				sc.vars = append(sc.vars, o.Var)
 			}
 		}
 	}
-	return out
+	return sc.vars[start:len(sc.vars):len(sc.vars)]
+}
+
+// removes reports whether the step drops the variable.
+func removes(ops Ops, v string) bool {
+	for _, o := range ops {
+		switch o.Kind {
+		case OpRemoveElem, OpRemoveAlias, OpTruncList:
+			if o.Var == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // normalizeTail guarantees the schedule ends with a projection step (the
@@ -178,16 +205,16 @@ func refVars(prev []string, step *Step) []string {
 // add operation has a removal or access downstream in the projection
 // family — but a defensive trailing step keeps synthesis simple if a
 // future plan shape violates it.
-func normalizeTail(steps []*Step) []*Step {
-	if len(steps) == 0 {
-		return []*Step{{Clause: ClauseProjection}}
+func normalizeTail(sc *schedScratch) {
+	if len(sc.steps) == 0 {
+		sc.steps = append(sc.steps, Step{Clause: ClauseProjection})
+		return
 	}
-	if last := steps[len(steps)-1]; last.Clause != ClauseProjection {
-		steps = append(steps, &Step{
+	if last := sc.steps[len(sc.steps)-1]; last.Clause != ClauseProjection {
+		sc.steps = append(sc.steps, Step{
 			Clause:     ClauseProjection,
 			VarsBefore: last.VarsAfter,
 			VarsAfter:  last.VarsAfter,
 		})
 	}
-	return steps
 }

@@ -63,38 +63,95 @@ type Synthesized struct {
 }
 
 // Synthesizer builds queries for one generated graph.
+//
+// Its working state lives in slices reused from query to query: the
+// plan and schedule, the tracker's row table, the clause's variable
+// slots, the pins, and the evaluation scratch of Algorithm 2. None of
+// it carries information from one query to the next — each query
+// resets what it uses — so a Synthesizer emits exactly what a fresh one
+// would for the same draws.
 type Synthesizer struct {
 	r      *rand.Rand
 	g      *graph.Graph
 	schema *graph.Schema
 	cfg    Config
 
-	plan      *Plan
-	tracker   *Tracker
-	history   []*Path
-	elemScope map[string]graph.ID
+	plan    Plan
+	tracker Tracker
+	history []*Path
+	// scope lists the element variables in scope, in binding order.
+	scope []scopeVar
+	// nodeIDs and relIDs are the graph's ascending ID lists, fetched once
+	// per query.
+	nodeIDs, relIDs []graph.ID
 
-	// constCtx and constEnv are the reusable scratch state of evalConst:
-	// synthesis is single-threaded, and evaluation retains neither the
-	// context nor the map in its result (results only alias the
-	// substituted values, which the caller owns).
-	constCtx eval.Ctx
-	constEnv map[string]value.Value
-	// tmplScratch is the reusable candidate buffer of complexifyAccess's
-	// template filter; the selection only reads the current round's
-	// contents, so the backing array carries over between rounds.
-	tmplScratch []exprTemplate
-	// compCur and compNext are complexifyAccess's per-competitor value
-	// buffers, kept between calls.
-	compCur, compNext []value.Value
+	// union is the synthesizer of UNION branches, created on first use.
+	union *Synthesizer
+
+	// Clause scratch: the encoded chains, the clause's variable slots
+	// (see encodeChains), the uniquifying pins with their competitor
+	// lists, and the slot matcher.
+	encBuf      []encChain
+	enc         []*encChain
+	nodeSlotBuf []int32
+	relSlotBuf  []int32
+	relIDBuf    []graph.ID
+	cvars       []clauseVar
+	fixed       []graph.ID
+	pins        []pin
+	compBuf     []elemRef
+	match       matcher
+	preds       []ast.Expr
+	relVars     []string
+	required    []elemRef
+	chains      chainScratch
+
+	// Evaluation scratch of Algorithm 2 (complexifyAccess): the hole
+	// literal a template layer is built around, the context and the
+	// otherwise empty environment its layers evaluate in (list
+	// comprehensions bind their variable there), and the per-competitor
+	// value buffers. The hole is allocated on its own: rejected layers
+	// in the AST arena point at it, and must not keep the whole
+	// Synthesizer alive.
+	hole                        *ast.Literal
+	constCtx                    eval.Ctx
+	constEnv                    map[string]value.Value
+	compVals, compCur, compNext []value.Value
+
+	// Projection scratch.
+	outVars []string
+	titems  []ProjItem
+
+	// nodes allocates the AST nodes of the queries, and queries counts
+	// them; textHint is the capacity the next query's text starts with.
+	nodes    astArena
+	queries  int
+	textHint int
+}
+
+// scopeVar is an element variable in scope and the element it binds.
+type scopeVar struct {
+	name string
+	ref  elemRef
+}
+
+// withDefaults resolves the zero values a caller may leave unset: the
+// zero Config (a RunnerConfig's Synth left out) is DefaultConfig, and a
+// zero MaxSteps is the paper's step bound. Every other field — the
+// dialect flags above all — is kept as given.
+func (c Config) withDefaults() Config {
+	if c == (Config{}) {
+		return DefaultConfig()
+	}
+	if c.MaxSteps == 0 {
+		c.MaxSteps = DefaultConfig().MaxSteps
+	}
+	return c
 }
 
 // NewSynthesizer creates a synthesizer over the generated graph.
 func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Config) *Synthesizer {
-	if cfg.MaxSteps == 0 {
-		cfg = DefaultConfig()
-	}
-	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg}
+	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg.withDefaults()}
 }
 
 func (s *Synthesizer) pct(p int) bool { return s.r.Intn(100) < p }
@@ -110,18 +167,62 @@ func (s *Synthesizer) freshVar(prefix string) string {
 	return v
 }
 
+// lookupScope returns the element an in-scope variable binds.
+func (s *Synthesizer) lookupScope(name string) (elemRef, bool) {
+	for _, sv := range s.scope {
+		if sv.name == name {
+			return sv.ref, true
+		}
+	}
+	return elemRef{}, false
+}
+
+// bindScope brings an element variable into scope.
+func (s *Synthesizer) bindScope(name string, ref elemRef) {
+	for i := range s.scope {
+		if s.scope[i].name == name {
+			s.scope[i].ref = ref
+			return
+		}
+	}
+	s.scope = append(s.scope, scopeVar{name: name, ref: ref})
+}
+
 // Synthesize builds a complete test query for the ground truth,
 // implementing step ③ of the GQS workflow.
 func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
 	return s.synthesize(gt, true)
 }
 
+// arenaQueries is the number of queries that share one AST arena: the
+// runner's queries per graph (8 ground truths of 2 queries), so a
+// campaign synthesizer fills one arena. Consecutive queries share
+// chunks, and a chunk keeps every tree with a node in it alive, so a
+// fresh arena per arenaQueries queries bounds what one live query keeps
+// alive, while the trees of an arena stay packed without per-query
+// waste.
+const arenaQueries = 16
+
+// reset starts a query: it fetches the graph's ID lists, empties the
+// tracker, the pattern history, the scope and the path arena, and starts
+// a fresh AST arena every arenaQueries queries.
+func (s *Synthesizer) reset() {
+	s.nodeIDs, s.relIDs = s.g.NodeIDs(), s.g.RelIDs()
+	s.tracker.reset(s.g)
+	clear(s.history)
+	s.history = s.history[:0]
+	s.scope = s.scope[:0]
+	s.chains.reset()
+	if s.queries%arenaQueries == 0 {
+		s.nodes = astArena{}
+	}
+	s.queries++
+}
+
 func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized, error) {
-	s.plan = BuildPlan(s.r, s.g, gt, s.cfg.Plan)
-	steps := Schedule(s.r, s.plan, s.cfg.MaxSteps)
-	s.tracker = NewTracker(s.g)
-	s.history = nil
-	s.elemScope = map[string]graph.ID{}
+	s.reset()
+	s.plan.build(s.r, s.nodeIDs, s.relIDs, gt, s.cfg.Plan)
+	steps := Schedule(s.r, &s.plan, s.cfg.MaxSteps)
 
 	var clauses []ast.Clause
 	if s.cfg.ProvidesDBLabels && s.pct(s.cfg.CallPct) {
@@ -149,8 +250,10 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 	expected := s.tracker.Result(gt.ExpectedColumns())
 
 	if allowUnion && s.pct(s.cfg.UnionPct) {
-		second := NewSynthesizer(s.r, s.g, s.schema, s.cfg)
-		s2, err := second.synthesize(gt, false)
+		if s.union == nil {
+			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
+		}
+		s2, err := s.union.synthesize(gt, false)
 		if err == nil {
 			all := s.r.Intn(2) == 0
 			q.Parts = append(q.Parts, s2.Query.Parts...)
@@ -162,9 +265,15 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 		}
 	}
 
+	// Size the text's builder for the previous query's text plus a
+	// quarter, so most texts are written without regrowing it.
+	var text strings.Builder
+	text.Grow(s.textHint)
+	q.Print(&text)
+	s.textHint = text.Len() + text.Len()/4
 	return &Synthesized{
 		Query:    q,
-		Text:     q.String(),
+		Text:     text.String(),
 		Expected: expected,
 		Steps:    len(steps),
 		GT:       gt,
@@ -174,8 +283,7 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 func dedupeResult(r *engine.Result) *engine.Result {
 	seen := map[string]bool{}
 	out := &engine.Result{Columns: r.Columns}
-	for i, row := range r.Rows {
-		_ = i
+	for _, row := range r.Rows {
 		var kb strings.Builder
 		for _, v := range row {
 			v.AppendKey(&kb)
@@ -209,11 +317,14 @@ func (s *Synthesizer) callPrologue() []ast.Clause {
 // uniquifying predicates, dialect workarounds, and extra dependency
 // predicates.
 func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
-	var required []elemRef
-	for _, o := range step.Ops.OfKind(OpAddElem) {
-		required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
+	required := s.required[:0]
+	for _, o := range step.Ops {
+		if o.Kind == OpAddElem {
+			required = append(required, elemRef{id: o.Element, isRel: o.IsRel})
+		}
 	}
-	chains := collectChains(s.r, s.g, required)
+	s.required = required
+	chains := s.chains.collectChains(s.r, s.g, required)
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("empty graph: cannot synthesize MATCH")
 	}
@@ -221,40 +332,40 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 		// Mutate a copy: a cross mutation whose recombined halves clash
 		// on shared relationships can drop a chain, so fall back to the
 		// unmutated base patterns if any required element is lost.
-		if mutated := mutateChains(s.r, clonePaths(chains), s.history); coversAll(mutated, required) {
+		if mutated := s.chains.mutateChains(s.r, s.chains.clonePaths(chains), s.history); coversAll(mutated, required) {
 			chains = mutated
 		}
 	}
-	enc, binding := s.encodeChains(chains, s.elemScope)
+	enc := s.encodeChains(chains)
 	s.history = append(s.history, chains...)
 
-	pins := s.uniquify(enc, s.elemScope, binding)
-	var preds []ast.Expr
-	for _, p := range pins {
+	preds := s.preds[:0]
+	for _, p := range s.uniquify(enc) {
 		if s.cfg.DisableComplexExprs {
 			access, id, _ := s.pinAccess(p)
-			preds = append(preds, ast.Bin(ast.OpEq, access, ast.Lit(id)))
+			preds = append(preds, s.nodes.bin(ast.OpEq, access, s.nodes.lit(id)))
 		} else {
 			preds = append(preds, s.pinPredicate(p, s.cfg.ExprDepth))
 		}
 	}
 	if !s.cfg.RelUniqueness {
-		preds = append(preds, pairwiseDistinct(enc)...)
+		preds = s.appendPairwiseDistinct(preds, enc)
 	}
 
 	// Bind the intended elements in the tracker before generating the
 	// dependency predicates, so they can reference this clause's
 	// variables too (e.g. Figure 1's second MATCH referencing n2 and n5).
-	vals := make(map[string]value.Value, len(binding))
-	for v, id := range binding {
-		if s.g.Rel(id) != nil {
-			vals[v] = value.Rel(id)
-		} else {
-			vals[v] = value.Node(id)
+	for _, cv := range s.cvars {
+		if !cv.used {
+			continue
 		}
-		s.elemScope[v] = id
+		v := value.Node(cv.ref.id)
+		if cv.ref.isRel {
+			v = value.Rel(cv.ref.id)
+		}
+		s.tracker.Bind(cv.name, v)
+		s.bindScope(cv.name, cv.ref)
 	}
-	s.tracker.Bind(vals)
 
 	for s.pct(s.cfg.TruePredPct) {
 		preds = append(preds, s.truePredicate(s.cfg.ExprDepth))
@@ -262,35 +373,34 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 			break
 		}
 	}
+	s.preds = preds
 
-	parts := make([]*ast.PatternPart, len(enc))
+	parts := window(&s.nodes.partPtrs, len(enc))
 	for i, ec := range enc {
 		parts[i] = ec.part
 	}
 	return &ast.MatchClause{
 		Optional: s.pct(s.cfg.OptionalMatchPct),
 		Patterns: parts,
-		Where:    ast.And(preds...),
+		Where:    s.nodes.and(preds),
 	}, nil
 }
 
-// pairwiseDistinct emits the `e1 <> e2` workaround for dialects without
-// relationship uniqueness (FalkorDB, Kùzu), as described in §4.
-func pairwiseDistinct(enc []*encChain) []ast.Expr {
-	var relVars []string
-	seen := map[string]bool{}
+// appendPairwiseDistinct appends the `e1 <> e2` workaround for dialects
+// without relationship uniqueness (FalkorDB, Kùzu), as described in §4.
+func (s *Synthesizer) appendPairwiseDistinct(out []ast.Expr, enc []*encChain) []ast.Expr {
+	relVars := s.relVars[:0]
 	for _, ec := range enc {
 		for _, rp := range ec.part.Rels {
-			if rp.Variable != "" && !seen[rp.Variable] {
-				seen[rp.Variable] = true
+			if rp.Variable != "" && !containsStr(relVars, rp.Variable) {
 				relVars = append(relVars, rp.Variable)
 			}
 		}
 	}
-	var out []ast.Expr
+	s.relVars = relVars
 	for i := 0; i < len(relVars); i++ {
 		for j := i + 1; j < len(relVars); j++ {
-			out = append(out, ast.Bin(ast.OpNeq, ast.Var(relVars[i]), ast.Var(relVars[j])))
+			out = append(out, s.nodes.bin(ast.OpNeq, ast.Var(relVars[i]), ast.Var(relVars[j])))
 		}
 	}
 	return out
@@ -300,82 +410,111 @@ func pairwiseDistinct(enc []*encChain) []ast.Expr {
 // references the anchor element and whose remaining items are arbitrary
 // evaluable expressions (§3.2's L+ operation).
 func (s *Synthesizer) synthUnwind(step *Step) (ast.Clause, error) {
-	ops := step.Ops.OfKind(OpExpandList)
-	if len(ops) != 1 {
-		return nil, fmt.Errorf("UNWIND step must hold exactly one L+ operation, got %d", len(ops))
+	var op *Operation
+	n := 0
+	for _, o := range step.Ops {
+		if o.Kind == OpExpandList {
+			op = o
+			n++
+		}
 	}
-	op := ops[0]
-	size := s.plan.ListSizes[op.Var]
+	if n != 1 {
+		return nil, fmt.Errorf("UNWIND step must hold exactly one L+ operation, got %d", n)
+	}
+	size := op.listSize
 	if size < 1 {
 		size = 1 + s.r.Intn(2)
 	}
-	items := make([]ast.Expr, size)
+	items := s.nodes.args(size)
 	for i := range items {
 		items[i] = s.randomScalarExpr(s.cfg.ExprDepth / 2)
 	}
 	// Anchor the first item on the operation's element when its variable
 	// is in scope, building a cross-step dependency.
-	if v, ok := s.plan.ElemVar[elemRef{id: op.Element, isRel: op.IsRel}]; ok {
-		if _, inScope := s.elemScope[v]; inScope {
-			if name, ok2 := s.randomPropName(elemRef{id: op.Element, isRel: op.IsRel}); ok2 {
-				items[0] = ast.Prop(v, name)
+	ref := elemRef{id: op.Element, isRel: op.IsRel}
+	if v, ok := s.plan.elemVar(ref); ok {
+		if _, inScope := s.lookupScope(v); inScope {
+			if name, ok2 := s.randomPropName(ref); ok2 {
+				items[0] = s.nodes.prop(v, name)
 			}
 		}
 	}
-	list := &ast.ListLit{Elems: items}
+	list := s.nodes.list(items)
 	if err := s.tracker.Unwind(op.Var, list); err != nil {
 		return nil, err
 	}
 	return &ast.UnwindClause{Expr: list, Alias: op.Var}, nil
 }
 
-// synthProjection concretizes a WITH or (when last) the final RETURN.
-func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error) {
-	accessOps := map[string]*Operation{}
-	aliasOps := map[string]*Operation{}
+// projOp returns the step's operation producing the variable: its last
+// (E,p)+ operation, else its last A+ operation, else nil.
+func projOp(step *Step, v string) *Operation {
+	var access, alias *Operation
 	for _, o := range step.Ops {
+		if o.Var != v {
+			continue
+		}
 		switch o.Kind {
 		case OpAccessProp:
-			accessOps[o.Var] = o
+			access = o
 		case OpAddAlias:
-			aliasOps[o.Var] = o
+			alias = o
 		}
 	}
+	if access != nil {
+		return access
+	}
+	return alias
+}
 
-	itemExpr := func(v string) (ast.Expr, error) {
-		if o, ok := accessOps[v]; ok {
-			ref := elemRef{id: o.Element, isRel: o.IsRel}
-			ev, ok := s.plan.ElemVar[ref]
-			if !ok {
-				return nil, fmt.Errorf("property access on unintroduced element %d", o.Element)
-			}
-			return ast.Prop(ev, o.Prop), nil
-		}
-		if o, ok := aliasOps[v]; ok {
-			if e := s.entityAliasExpr(o); e != nil {
-				return e, nil
-			}
-			return s.randomScalarExpr(s.cfg.ExprDepth / 2), nil
-		}
+// itemExpr builds the projection item for the variable: the property
+// access of an (E,p)+ operation, the expression of an A+ operation, or
+// the variable itself, carried over.
+func (s *Synthesizer) itemExpr(o *Operation, v string) (ast.Expr, error) {
+	if o == nil {
 		return ast.Var(v), nil
 	}
+	if o.Kind == OpAccessProp {
+		ev, ok := s.plan.elemVar(elemRef{id: o.Element, isRel: o.IsRel})
+		if !ok {
+			return nil, fmt.Errorf("property access on unintroduced element %d", o.Element)
+		}
+		return s.nodes.prop(ev, o.Prop), nil
+	}
+	if e := s.entityAliasExpr(o); e != nil {
+		return e, nil
+	}
+	return s.randomScalarExpr(s.cfg.ExprDepth / 2), nil
+}
 
-	var outVars []string
+// synthProjection concretizes a WITH or (when last) the final RETURN.
+func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error) {
+	outVars := s.outVars[:0]
 	if last {
-		outVars = s.plan.GT.ExpectedColumns()
+		for _, e := range s.plan.GT.Entries {
+			outVars = append(outVars, e.Alias)
+		}
 	} else {
-		outVars = step.VarsAfter
+		outVars = append(outVars, step.VarsAfter...)
 	}
+	// A projection must project something; keep a constant column. Its
+	// stand-in A+ operation has element 0, so entityAliasExpr may still
+	// anchor it on that element.
+	var constOp *Operation
 	if len(outVars) == 0 {
-		// A projection must project something; keep a constant column.
-		outVars = []string{s.plan.nextAlias()}
-		aliasOps[outVars[0]] = &Operation{Kind: OpAddAlias, Var: outVars[0]}
+		outVars = append(outVars, s.plan.nextAlias())
+		constOp = &Operation{Kind: OpAddAlias, Var: outVars[0]}
 	}
+	s.outVars = outVars
 
-	items := make([]*ast.ProjectionItem, len(outVars))
-	titems := make([]ProjItem, len(outVars))
+	items := window(&s.nodes.itemPtrs, len(outVars))
+	titems := s.titems[:0]
 	for i, v := range outVars {
-		e, err := itemExpr(v)
+		o := constOp
+		if o == nil {
+			o = projOp(step, v)
+		}
+		e, err := s.itemExpr(o, v)
 		if err != nil {
 			return nil, err
 		}
@@ -383,9 +522,11 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 		if ve, isVar := e.(*ast.Variable); isVar && ve.Name == v {
 			alias = "" // plain carry: no AS needed
 		}
-		items[i] = &ast.ProjectionItem{Expr: e, Alias: alias}
-		titems[i] = ProjItem{Name: v, Expr: e}
+		items[i] = s.nodes.items.Alloc()
+		*items[i] = ast.ProjectionItem{Expr: e, Alias: alias}
+		titems = append(titems, ProjItem{Name: v, Expr: e})
 	}
+	s.titems = titems
 
 	distinct := step.Ops.Has(OpTruncList) && s.pct(70)
 	if !distinct && s.pct(15) {
@@ -400,12 +541,12 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	// ORDER BY over the projected columns, occasionally (Figure 8 style).
 	if s.pct(25) {
 		n := 1 + s.r.Intn(2)
-		perm := s.r.Perm(len(outVars))
-		for _, j := range perm[:min(n, len(outVars))] {
-			proj.OrderBy = append(proj.OrderBy, &ast.SortItem{
-				Expr: ast.Var(outVars[j]),
-				Desc: s.r.Intn(2) == 0,
-			})
+		var pb [2]int
+		perm := permPrefix(s.r, len(outVars), pb[:min(n, len(outVars))])
+		proj.OrderBy = window(&s.nodes.sortPtrs, len(perm))
+		for k, j := range perm {
+			proj.OrderBy[k] = s.nodes.sorts.Alloc()
+			*proj.OrderBy[k] = ast.SortItem{Expr: ast.Var(outVars[j]), Desc: s.r.Intn(2) == 0}
 		}
 	}
 	// LIMIT is only order-independent when a single distinct row remains.
@@ -417,13 +558,13 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	}
 
 	// Drop element variables that fell out of scope.
-	newScope := map[string]graph.ID{}
-	for _, v := range outVars {
-		if id, ok := s.elemScope[v]; ok {
-			newScope[v] = id
+	kept := s.scope[:0]
+	for _, sv := range s.scope {
+		if containsStr(outVars, sv.name) {
+			kept = append(kept, sv)
 		}
 	}
-	s.elemScope = newScope
+	s.scope = kept
 
 	if last {
 		return &ast.ReturnClause{Projection: proj}, nil
@@ -447,38 +588,34 @@ func (s *Synthesizer) entityAliasExpr(o *Operation) ast.Expr {
 	if o.Element < 0 || s.r.Intn(2) == 0 {
 		return nil
 	}
-	v, ok := s.plan.ElemVar[elemRef{id: o.Element, isRel: o.IsRel}]
+	v, ok := s.plan.elemVar(elemRef{id: o.Element, isRel: o.IsRel})
 	if !ok {
 		return nil
 	}
-	if _, inScope := s.elemScope[v]; !inScope {
+	if _, inScope := s.lookupScope(v); !inScope {
 		return nil
 	}
+	var name string
 	if o.IsRel {
 		switch s.r.Intn(4) {
 		case 0:
-			return &ast.FuncCall{Name: "endNode", Args: []ast.Expr{ast.Var(v)}}
+			name = "endNode"
 		case 1:
-			return &ast.FuncCall{Name: "startNode", Args: []ast.Expr{ast.Var(v)}}
+			name = "startNode"
 		case 2:
-			return &ast.FuncCall{Name: "type", Args: []ast.Expr{ast.Var(v)}}
+			name = "type"
 		default:
-			return &ast.FuncCall{Name: "id", Args: []ast.Expr{ast.Var(v)}}
+			name = "id"
+		}
+	} else {
+		switch s.r.Intn(3) {
+		case 0:
+			name = "labels"
+		case 1:
+			name = "id"
+		default:
+			name = "keys"
 		}
 	}
-	switch s.r.Intn(3) {
-	case 0:
-		return &ast.FuncCall{Name: "labels", Args: []ast.Expr{ast.Var(v)}}
-	case 1:
-		return &ast.FuncCall{Name: "id", Args: []ast.Expr{ast.Var(v)}}
-	default:
-		return &ast.FuncCall{Name: "keys", Args: []ast.Expr{ast.Var(v)}}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return s.nodes.call(name, ast.Var(v))
 }

@@ -38,6 +38,13 @@ func writeVar(sb *strings.Builder, name string) {
 func (q *Query) String() string {
 	var sb strings.Builder
 	sb.Grow(256)
+	q.Print(&sb)
+	return sb.String()
+}
+
+// Print writes the text String returns to sb, for a caller that sizes
+// the builder itself.
+func (q *Query) Print(sb *strings.Builder) {
 	for i, p := range q.Parts {
 		if i > 0 {
 			sb.WriteString(" UNION ")
@@ -45,9 +52,8 @@ func (q *Query) String() string {
 				sb.WriteString("ALL ")
 			}
 		}
-		p.print(&sb)
+		p.print(sb)
 	}
-	return sb.String()
 }
 
 // String renders the single query as Cypher text.

@@ -67,22 +67,12 @@ type parser struct {
 	items    stack[*ast.ProjectionItem]
 	sorts    stack[*ast.SortItem]
 
-	nodePats chunk[ast.NodePattern]
-	relPats  chunk[ast.RelPattern]
-	binaries chunk[ast.Binary]
-	props    chunk[ast.PropAccess]
-	literals chunk[ast.Literal]
-	calls    chunk[ast.FuncCall]
-}
-
-// Slabs and chunks start small and double up to a bound, so a short
-// query wastes little and a long one still allocates rarely.
-const minChunk, maxChunk = 4, 64
-
-// nextChunkCap is the capacity of the chunk that follows one of capacity
-// prev, made to hold at least n elements.
-func nextChunkCap(prev, n int) int {
-	return max(n, min(max(2*prev, minChunk), maxChunk))
+	nodePats ast.Chunk[ast.NodePattern]
+	relPats  ast.Chunk[ast.RelPattern]
+	binaries ast.Chunk[ast.Binary]
+	props    ast.Chunk[ast.PropAccess]
+	literals ast.Chunk[ast.Literal]
+	calls    ast.Chunk[ast.FuncCall]
 }
 
 // stack holds the open lists of one element type and the slab the
@@ -116,7 +106,7 @@ func (s *stack[T]) pop(base int) []T {
 		return nil
 	}
 	if cap(s.slab)-len(s.slab) < n {
-		s.slab = make([]T, 0, nextChunkCap(cap(s.slab), n))
+		s.slab = make([]T, 0, ast.NextChunkCap(cap(s.slab), n))
 	}
 	lo := len(s.slab)
 	if base < s.n {
@@ -127,18 +117,6 @@ func (s *stack[T]) pop(base int) []T {
 	s.slab = append(s.slab, s.spill[spilled:]...)
 	s.spill = s.spill[:spilled]
 	return s.slab[lo:len(s.slab):len(s.slab)]
-}
-
-// chunk is an arena of one node type.
-type chunk[T any] []T
-
-// alloc returns a zeroed node.
-func (c *chunk[T]) alloc() *T {
-	if len(*c) == cap(*c) {
-		*c = make([]T, 0, nextChunkCap(cap(*c), 1))
-	}
-	*c = (*c)[:len(*c)+1]
-	return &(*c)[len(*c)-1]
 }
 
 func newParser(src string) *parser {
@@ -705,7 +683,7 @@ func (p *parser) parseNodePattern() (*ast.NodePattern, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	n := p.nodePats.alloc()
+	n := p.nodePats.Alloc()
 	if p.cur().Type == token.Ident {
 		n.Variable = p.next().Lit
 	}
@@ -727,7 +705,7 @@ func (p *parser) parseNodePattern() (*ast.NodePattern, error) {
 }
 
 func (p *parser) parseRelPattern() (*ast.RelPattern, error) {
-	r := p.relPats.alloc()
+	r := p.relPats.Alloc()
 	r.Direction = ast.DirBoth
 	left := p.accept(token.Lt)
 	if _, err := p.expect(token.Minus); err != nil {
@@ -842,7 +820,7 @@ func (p *parser) parseMapLit() (*ast.MapLit, error) {
 // ---- Expressions ----
 
 func (p *parser) bin(op ast.BinOp, l, r ast.Expr) *ast.Binary {
-	b := p.binaries.alloc()
+	b := p.binaries.Alloc()
 	*b = ast.Binary{Op: op, L: l, R: r}
 	return b
 }
@@ -853,7 +831,7 @@ func (p *parser) lit(v value.Value) *ast.Literal {
 	if l := ast.InternedLit(v); l != nil {
 		return l
 	}
-	l := p.literals.alloc()
+	l := p.literals.Alloc()
 	l.Val = v
 	return l
 }
@@ -1104,7 +1082,7 @@ func (p *parser) parsePostfix() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			pa := p.props.alloc()
+			pa := p.props.Alloc()
 			pa.Subject, pa.Name = e, name
 			e = pa
 		case token.LBracket:
@@ -1311,7 +1289,7 @@ func (p *parser) parseFuncCall(name string) (ast.Expr, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	f := p.calls.alloc()
+	f := p.calls.Alloc()
 	f.Name = name
 	f.Distinct = p.accept(token.KwDistinct)
 	if p.accept(token.Star) {

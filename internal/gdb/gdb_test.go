@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -160,6 +161,34 @@ func TestRunnerNoFalsePositivesOnReference(t *testing.T) {
 	}
 	if stats.Skips > stats.Queries/4 {
 		t.Errorf("too many skips: %+v", stats)
+	}
+}
+
+// TestZeroMaxStepsKeepsDialect: a zero Synth.MaxSteps selects the
+// paper's step bound and nothing else. The dialect flags the runner takes
+// from the target must survive it: Kùzu has no db.labels(), so no query
+// may open with the CALL prologue, and no error or discrepancy may be
+// left without an injected fault to account for it.
+func TestZeroMaxStepsKeepsDialect(t *testing.T) {
+	sim := NewKuzuSim()
+	cfg := core.DefaultRunnerConfig()
+	cfg.Synth.MaxSteps = 0
+	cfg.Graph = graph.GenConfig{MaxNodes: 13, MaxRels: 60}
+	rn := core.NewRunner(sim, cfg)
+	stats, err := rn.Run(20, func(tc *core.TestCase) {
+		if strings.Contains(tc.Query, "db.labels") {
+			t.Errorf("query calls db.labels() on kuzu:\n%s", tc.Query)
+		}
+		if (tc.Verdict == core.VerdictLogicBug || tc.Verdict == core.VerdictErrorBug) && sim.TriggeredBug() == nil {
+			t.Errorf("unattributed %s:\n%s\nexpected %v\nactual %v\nerr %v",
+				tc.Verdict, tc.Query, tc.Expected, tc.Actual, tc.Err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Queries == 0 || stats.Passes == 0 {
+		t.Errorf("campaign ran nothing: %+v", stats)
 	}
 }
 

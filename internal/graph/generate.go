@@ -106,6 +106,8 @@ func (c GenConfig) withDefaults() GenConfig {
 	d := DefaultGenConfig()
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = d.MaxNodes
+	} else if c.MaxNodes < 2 {
+		c.MaxNodes = 2 // at least 2 nodes are generated
 	}
 	if c.MaxRels <= 0 {
 		c.MaxRels = d.MaxRels

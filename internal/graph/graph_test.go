@@ -153,6 +153,18 @@ func TestGenerateRespectsBounds(t *testing.T) {
 	}
 }
 
+// TestGenerateMaxNodesOne: a node bound of 1 is below the documented
+// minimum of 2 generated nodes; it generates 2 instead of panicking.
+func TestGenerateMaxNodesOne(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 10; i++ {
+		g, _ := Generate(r, GenConfig{MaxNodes: 1, MaxRels: 5})
+		if g.NumNodes() != 2 || g.NumRels() < 1 || g.NumRels() > 5 {
+			t.Fatalf("MaxNodes 1 generated %d nodes and %d relationships", g.NumNodes(), g.NumRels())
+		}
+	}
+}
+
 func checkPropType(t *testing.T, s *Schema, name string, v value.Value) {
 	t.Helper()
 	want, ok := s.Props[name]
