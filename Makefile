@@ -34,10 +34,16 @@ bench:
 #     input it accepts prints to a fixpoint after one round;
 #   - FuzzGroundTruth: for any seed, graph size, dialect and ablation,
 #     the fault-free engine returns exactly the synthesized expected
-#     result, on the prepared and the text path.
+#     result, on the prepared and the text path;
+#   - FuzzJournalScan: journal recovery never panics on any bytes, errs
+#     only on a foreign header, and its valid prefix rescans and
+#     re-frames to itself. Its seeds are real journals of a few KB, and
+#     minimizing a new input of that size takes quadratically many runs,
+#     so minimization is capped at 1s to leave the 10s for fuzzing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/journal/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct

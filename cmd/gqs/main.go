@@ -98,6 +98,14 @@ func validate(o options) error {
 	if o.flaky < 0 || o.flaky > 1 {
 		return fmt.Errorf("invalid value %v for flag -flaky: must be between 0 and 1", o.flaky)
 	}
+	// The runner reads a zero as "use the default", which is not what
+	// the command line says.
+	if o.timeout == 0 {
+		return fmt.Errorf("invalid value 0 for flag -timeout: would mean the 20s default; use -timeout -1s to disable the deadline")
+	}
+	if o.retries == 0 {
+		return fmt.Errorf("invalid value 0 for flag -retries: would mean the default of 2; use -retries -1 to disable retries")
+	}
 	return nil
 }
 
@@ -113,8 +121,8 @@ func main() {
 		graphScale = flag.Int("graph-scale", 0, "bulk-generate power-law graphs of exactly this many nodes (0 = the paper's small-graph generator); large graphs pair well with low -iterations")
 		verbose    = flag.Bool("v", false, "print every failing query")
 		reportDir  = flag.String("reports", "", "directory to write reproducible bug reports into (one .md per distinct bug)")
-		timeout    = flag.Duration("timeout", 20*time.Second, "per-query wall-clock deadline (negative disables the watchdog)")
-		retries    = flag.Int("retries", 2, "retries for transient connector errors (negative disables)")
+		timeout    = flag.Duration("timeout", 20*time.Second, "per-query wall-clock deadline (negative, e.g. -1s, disables it; 0 is refused)")
+		retries    = flag.Int("retries", 2, "retries for transient connector errors (-1 disables them; 0 is refused)")
 		flaky      = flag.Float64("flaky", 0, "inject transient connector errors at this rate (0..1) to exercise the retry machinery")
 		live       = flag.Bool("live", false, "manifest injected faults live: hangs block until the deadline, crashes panic in the connector")
 		noPlan     = flag.Bool("no-plan", false, "execute prepared queries on the interpreter instead of compiled plans (differential debugging; the bug set is identical either way)")

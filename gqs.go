@@ -116,8 +116,22 @@ type Snapshot = graph.Snapshot
 type Value = value.Value
 
 // Target is the connector interface the tester drives: any Cypher
-// database exposing reset-and-execute semantics can be tested.
+// database exposing reset-and-execute semantics can be tested. Each
+// query runs under a per-query deadline (WithTimeout). By default every
+// call runs in a watchdog goroutine, and a call that ignores
+// cancellation past the grace window is abandoned and the target
+// restarted. A target implementing CancelAwareTarget is called on the
+// tester's own goroutine instead, and every call is waited for.
 type Target = core.Target
+
+// CancelAwareTarget is the optional inline-execution extension of
+// Target: a target whose CancelAware reports true promises that every
+// call returns promptly once its context is canceled, and the tester
+// then runs its queries without a goroutine per query. A late call
+// still counts as a wedged timeout and restarts the target, but a call
+// that never returns blocks the tester. The bundled simulated GDBs
+// implement it.
+type CancelAwareTarget = core.CancelAwareTarget
 
 // Stats summarizes a testing campaign.
 type Stats = core.Stats
@@ -205,7 +219,7 @@ func WithQueriesPerGraph(n int) TesterOption {
 
 // WithTimeout sets the per-query wall-clock deadline. A query exceeding
 // it is canceled: an error-bug when a fault hung the target, a skip
-// otherwise. Negative disables the watchdog.
+// otherwise. Negative disables the deadline.
 func WithTimeout(d time.Duration) TesterOption {
 	return func(c *testerConfig) { c.runner.Robust.Timeout = d }
 }
@@ -299,10 +313,16 @@ func NewShardedTester(factory TargetFactory, opts ...TesterOption) *Tester {
 // shard), and it has no Close, so the executor never closes a target
 // the caller owns. It always offers the prepared and snapshot paths,
 // forwarding to the target when it implements them and falling back to
-// its text execution and plain Reset when it does not.
+// its text execution and plain Reset when it does not, and it reports
+// the target's own CancelAware answer (false when it has none).
 type sharedTarget struct{ Target }
 
 func (sharedTarget) SeedShard(int) {}
+
+func (t sharedTarget) CancelAware() bool {
+	ca, ok := t.Target.(CancelAwareTarget)
+	return ok && ca.CancelAware()
+}
 
 func (t sharedTarget) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
 	if p, ok := t.Target.(PreparedTarget); ok {

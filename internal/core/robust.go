@@ -10,7 +10,8 @@ import (
 )
 
 // This file is the runner's resilience layer (§5.4.4): per-query
-// wall-clock deadlines enforced by a watchdog, panic isolation around
+// wall-clock deadlines (enforced by a watchdog goroutine unless the
+// target declares prompt cancellation), panic isolation around
 // connector calls, retry-with-backoff for transient connection errors,
 // and a restart sequence guarded by a per-target circuit breaker. A
 // months-long fuzzing campaign must survive exactly the failure modes it
@@ -24,12 +25,13 @@ type RobustnessConfig struct {
 	// Timeout is the per-query wall-clock deadline. A query exceeding it
 	// is canceled and counted as a timeout: an error-bug when a fault
 	// hung the connector, a skip otherwise (the paper's treatment of
-	// benign timeouts). 0 ⇒ 20s; negative ⇒ no watchdog (queries run
-	// inline and may block forever).
+	// benign timeouts). 0 ⇒ 20s; negative ⇒ no deadline (queries run
+	// inline under the campaign's context and may block forever).
 	Timeout time.Duration
-	// Grace is how long past the deadline the watchdog waits for the
-	// cooperative cancellation to unwind before declaring the connector
-	// wedged and abandoning the in-flight call. 0 ⇒ 1s.
+	// Grace is how long past the deadline a call may take to unwind
+	// before the connector is declared wedged: the watchdog abandons
+	// the in-flight call, and a cancel-aware target's late result is
+	// discarded. 0 ⇒ 1s.
 	Grace time.Duration
 	// Retries is how many times a transient connector error is retried
 	// before the query is given up as a skip. 0 ⇒ 2; negative ⇒ none.
@@ -147,14 +149,22 @@ func (e *PanicError) Unwrap() error {
 }
 
 // isTransient duck-types transient connector errors (gdb.TransientError
-// and any user error with a Transient() bool method).
+// and any user error with a Transient() bool method). Like hasBugID and
+// faultKind it returns before errors.As on a nil error: the As target
+// escapes to the heap, and every passing query checks a nil error.
 func isTransient(err error) bool {
+	if err == nil {
+		return false
+	}
 	var tr interface{ Transient() bool }
 	return errors.As(err, &tr) && tr.Transient()
 }
 
 // hasBugID reports whether the error chain carries fault attribution.
 func hasBugID(err error) bool {
+	if err == nil {
+		return false
+	}
 	var b interface{ BugID() string }
 	return errors.As(err, &b)
 }
@@ -162,6 +172,9 @@ func hasBugID(err error) bool {
 // faultKind extracts the fault class ("crash", "hang", ...) from an
 // attributed error chain, or "".
 func faultKind(err error) string {
+	if err == nil {
+		return ""
+	}
 	var k interface{ FaultKind() string }
 	if errors.As(err, &k) {
 		return k.FaultKind()
@@ -187,45 +200,45 @@ func (rn *Runner) exec(ctx context.Context, query string, pq *engine.PreparedQue
 	return rn.target.ExecuteCtx(ctx, query)
 }
 
-// executeGuarded runs one query through the watchdog: a per-query
-// deadline, cooperative cancellation, and panic isolation. The query
-// runs in its own goroutine; if it ignores cancellation for longer than
-// the grace window it is abandoned (the goroutine leaks, as any harness
-// abandoning a wedged driver call must) and the target is restarted.
-// pq, when non-nil, routes the call through the prepared path.
+// executeGuarded runs one query under the per-query deadline, with
+// panic isolation. A cancel-aware target's call runs inline, on the
+// runner's goroutine (see CancelAwareTarget). Any other target's call
+// runs in its own goroutine, the watchdog: if the call ignores
+// cancellation for longer than the grace window it is abandoned (the
+// goroutine leaks, as any harness abandoning a wedged database call
+// must). Either way, a call that ends more than the grace window past
+// its deadline is a wedged timeout, and the target is restarted. pq,
+// when non-nil, routes the call through the prepared path.
 func (rn *Runner) executeGuarded(query string, pq *engine.PreparedQuery) execOutcome {
 	if rn.rb.Timeout < 0 {
-		return rn.executeInline(query, pq)
+		return rn.executeInline(rn.ctx, query, pq)
 	}
 	ctx, cancel := context.WithTimeout(rn.ctx, rn.rb.Timeout)
 	defer cancel()
-	ch := make(chan execOutcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- execOutcome{err: &PanicError{Val: p}, panicked: true}
-			}
-		}()
-		res, err := rn.exec(ctx, query, pq)
-		ch <- execOutcome{res: res, err: err}
-	}()
 	var o execOutcome
-	select {
-	case o = <-ch:
-	case <-ctx.Done():
-		grace := time.NewTimer(rn.rb.Grace)
+	if rn.cancelAware {
+		o = rn.executeInline(ctx, query, pq)
+		if ctx.Err() != nil {
+			if deadline, _ := ctx.Deadline(); time.Since(deadline) > rn.rb.Grace {
+				return rn.wedged()
+			}
+			o.timedOut = true
+		}
+	} else {
+		ch := make(chan execOutcome, 1)
+		go func() { ch <- rn.executeInline(ctx, query, pq) }()
 		select {
 		case o = <-ch:
-			grace.Stop()
-		case <-grace.C:
-			return execOutcome{
-				timedOut: true,
-				wedged:   true,
-				err: fmt.Errorf("connector unresponsive %v past its %v deadline: %w",
-					rn.rb.Grace, rn.rb.Timeout, engine.ErrCanceled),
+		case <-ctx.Done():
+			grace := time.NewTimer(rn.rb.Grace)
+			select {
+			case o = <-ch:
+				grace.Stop()
+			case <-grace.C:
+				return rn.wedged()
 			}
+			o.timedOut = true
 		}
-		o.timedOut = true
 	}
 	// The deadline may race a late error: normalize so every
 	// deadline-canceled failure is classified as a timeout.
@@ -235,19 +248,29 @@ func (rn *Runner) executeGuarded(query string, pq *engine.PreparedQuery) execOut
 	return o
 }
 
-// executeInline runs the query without a watchdog (Timeout < 0), keeping
-// only panic isolation.
-func (rn *Runner) executeInline(query string, pq *engine.PreparedQuery) (o execOutcome) {
+// wedged is the outcome of a call that ignored cancellation past the
+// grace window: a timeout whose result, if any, is discarded, and
+// whose target is restarted.
+func (rn *Runner) wedged() execOutcome {
+	return execOutcome{
+		timedOut: true,
+		wedged:   true,
+		err: fmt.Errorf("connector unresponsive %v past its %v deadline: %w",
+			rn.rb.Grace, rn.rb.Timeout, engine.ErrCanceled),
+	}
+}
+
+// executeInline makes one call on the calling goroutine under ctx,
+// recovering a panic into a PanicError. ctx is the campaign's own when
+// the watchdog is disabled (Timeout < 0), the per-query deadline
+// otherwise.
+func (rn *Runner) executeInline(ctx context.Context, query string, pq *engine.PreparedQuery) (o execOutcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			o = execOutcome{err: &PanicError{Val: p}, panicked: true}
 		}
 	}()
-	if pq != nil && rn.prepared != nil {
-		res, err := rn.prepared.ExecutePrepared(rn.ctx, pq)
-		return execOutcome{res: res, err: err}
-	}
-	res, err := rn.target.Execute(query)
+	res, err := rn.exec(ctx, query, pq)
 	return execOutcome{res: res, err: err}
 }
 

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +64,41 @@ func tinyRunnerConfig() RunnerConfig {
 	return cfg
 }
 
+// cancelAware declares a test target cancel-aware, so the runner calls
+// it on its own goroutine instead of through the watchdog.
+type cancelAware struct{ Target }
+
+func (cancelAware) CancelAware() bool { return true }
+
+// onBothPaths runs one iteration on a fresh target from mk through the
+// watchdog, and one on another fresh target declared cancel-aware, which
+// the runner calls inline. Both must give the same verdicts and errors
+// and the same Stats (Elapsed aside); it returns those Stats.
+func onBothPaths(t *testing.T, cfg RunnerConfig, mk func() Target) Stats {
+	t.Helper()
+	var traces [2]string
+	var stats [2]Stats
+	for i, tgt := range []Target{mk(), cancelAware{mk()}} {
+		rn := NewRunner(tgt, cfg)
+		if rn.cancelAware != (i == 1) {
+			t.Fatalf("target %T: cancelAware = %v", tgt, rn.cancelAware)
+		}
+		var sb strings.Builder
+		if err := rn.RunIteration(func(tc *TestCase) { fmt.Fprintf(&sb, "%v %v;", tc.Verdict, tc.Err) }); err != nil {
+			t.Fatal(err)
+		}
+		traces[i], stats[i] = sb.String(), rn.Stats()
+		stats[i].Elapsed = 0
+	}
+	if traces[0] != traces[1] {
+		t.Fatalf("verdicts diverge:\nwatchdog %s\ninline   %s", traces[0], traces[1])
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("stats diverge:\nwatchdog %+v\ninline   %+v", stats[0], stats[1])
+	}
+	return stats[0]
+}
+
 func verdictTrace(rn *Runner, iterations int) string {
 	var sb strings.Builder
 	rn.Run(iterations, func(tc *TestCase) {
@@ -72,17 +110,15 @@ func verdictTrace(rn *Runner, iterations int) string {
 
 // TestHangTimeoutIsErrorBug: a connector hanging on a triggered fault is
 // canceled at the deadline and classified as the paper's hang class of
-// error-bugs, and the target is restarted afterwards.
+// error-bugs, and the target is restarted afterwards — on the watchdog
+// and on the inline path alike.
 func TestHangTimeoutIsErrorBug(t *testing.T) {
-	tgt := &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
-		<-ctx.Done() // cooperative live hang: unwind once canceled
-		return nil, &stubFaultErr{id: "ST-H1", kind: "hang"}
-	}}
-	rn := NewRunner(tgt, tinyRunnerConfig())
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := onBothPaths(t, tinyRunnerConfig(), func() Target {
+		return &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+			<-ctx.Done() // cooperative live hang: unwind once canceled
+			return nil, &stubFaultErr{id: "ST-H1", kind: "hang"}
+		}}
+	})
 	if st.ErrorBugs == 0 {
 		t.Errorf("hang timeouts must be error-bugs: %+v", st)
 	}
@@ -95,17 +131,15 @@ func TestHangTimeoutIsErrorBug(t *testing.T) {
 }
 
 // TestBenignTimeoutIsSkip: a slow query with no fault involved times out
-// into a skip — not evidence of a bug — and needs no restart.
+// into a skip — not evidence of a bug — and needs no restart, on both
+// execution paths.
 func TestBenignTimeoutIsSkip(t *testing.T) {
-	tgt := &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
-		<-ctx.Done()
-		return nil, engine.ErrCanceled
-	}}
-	rn := NewRunner(tgt, tinyRunnerConfig())
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := onBothPaths(t, tinyRunnerConfig(), func() Target {
+		return &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+			<-ctx.Done()
+			return nil, engine.ErrCanceled
+		}}
+	})
 	if st.ErrorBugs != 0 || st.LogicBugs != 0 {
 		t.Errorf("benign timeout counted as a bug: %+v", st)
 	}
@@ -118,16 +152,14 @@ func TestBenignTimeoutIsSkip(t *testing.T) {
 }
 
 // TestPanicIsolated: a connector panic (live crash fault) is recovered
-// into a crash verdict, the process survives, and the target restarts.
+// into a crash verdict, the process survives, and the target restarts,
+// whether the call ran in the watchdog goroutine or inline.
 func TestPanicIsolated(t *testing.T) {
-	tgt := &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
-		panic(&stubFaultErr{id: "ST-C1", kind: "crash"})
-	}}
-	rn := NewRunner(tgt, tinyRunnerConfig())
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := onBothPaths(t, tinyRunnerConfig(), func() Target {
+		return &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+			panic(&stubFaultErr{id: "ST-C1", kind: "crash"})
+		}}
+	})
 	if st.Robust.PanicsRecovered == 0 {
 		t.Fatalf("panic not recovered: %+v", st.Robust)
 	}
@@ -184,6 +216,128 @@ func TestWedgedConnectorRestarts(t *testing.T) {
 	}
 }
 
+// TestLateResultIsTimeout: a call that unwinds only after its deadline
+// is a timeout skip, whatever it returns, on both execution paths.
+// Within the grace window the target stays up. Past it the connector is
+// wedged: a cancel-aware call is waited for and then treated exactly
+// like the call the watchdog abandons, and the target is restarted.
+func TestLateResultIsTimeout(t *testing.T) {
+	cfg := tinyRunnerConfig()
+	cfg.Robust.Timeout = 15 * time.Millisecond
+	cfg.Robust.Grace = 60 * time.Millisecond
+	cfg.QueriesPerGraph = 1
+	for _, tc := range []struct {
+		name     string
+		late     time.Duration
+		restarts int
+	}{
+		{"within-grace", cfg.Robust.Grace / 3, 0},
+		{"past-grace", 3 * cfg.Robust.Grace, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := onBothPaths(t, cfg, func() Target {
+				return &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+					<-ctx.Done()
+					time.Sleep(tc.late)
+					return &engine.Result{}, nil // too late to count
+				}}
+			})
+			if st.Skips != 1 || st.Robust.Timeouts != 1 || st.LogicBugs != 0 {
+				t.Errorf("late result not a timeout skip: %+v", st)
+			}
+			if st.Robust.Restarts != tc.restarts {
+				t.Errorf("Restarts = %d, want %d", st.Robust.Restarts, tc.restarts)
+			}
+		})
+	}
+}
+
+// TestInlineCallRunsOnRunnerGoroutine: a cancel-aware target is called
+// on the runner's own goroutine, so its stack holds RunIteration; the
+// watchdog calls every other target on a goroutine of its own.
+func TestInlineCallRunsOnRunnerGoroutine(t *testing.T) {
+	for _, inline := range []bool{false, true} {
+		var stack string
+		var tgt Target = &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+			buf := make([]byte, 64<<10)
+			stack = string(buf[:runtime.Stack(buf, false)])
+			return nil, errors.New("done")
+		}}
+		if inline {
+			tgt = cancelAware{tgt}
+		}
+		cfg := tinyRunnerConfig()
+		cfg.QueriesPerGraph = 1
+		if err := NewRunner(tgt, cfg).RunIteration(nil); err != nil {
+			t.Fatal(err)
+		}
+		if stack == "" {
+			t.Fatal("the target was never called")
+		}
+		if got := strings.Contains(stack, "(*Runner).RunIteration"); got != inline {
+			t.Errorf("inline=%v: call stack holds RunIteration = %v:\n%s", inline, got, stack)
+		}
+	}
+}
+
+// TestNoDeadlineHonoursCampaignCancel: with the deadline disabled
+// (Timeout < 0), a text-only target is still called under the
+// campaign's context, so canceling the campaign ends the query in
+// flight instead of leaving the runner blocked.
+func TestNoDeadlineHonoursCampaignCancel(t *testing.T) {
+	cfg := tinyRunnerConfig()
+	cfg.Robust.Timeout = -1
+	started := make(chan struct{})
+	var once sync.Once
+	tgt := &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return nil, engine.ErrCanceled
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rn := NewRunnerCtx(ctx, tgt, cfg)
+	done := make(chan Stats, 1)
+	go func() {
+		rn.RunIteration(nil) //nolint:errcheck // RunIteration absorbs failures
+		done <- rn.Stats()
+	}()
+	bound := time.NewTimer(10 * time.Second)
+	defer bound.Stop()
+	select {
+	case <-started:
+	case <-bound.C:
+		t.Fatal("no query reached the target")
+	}
+	cancel()
+	select {
+	case st := <-done:
+		if st.Queries != 1 || st.Skips != 1 || st.ErrorBugs != 0 {
+			t.Errorf("canceled query must end the iteration as one skip: %+v", st)
+		}
+	case <-bound.C:
+		t.Fatal("canceling the campaign did not interrupt the query in flight")
+	}
+}
+
+// TestErrorChecksDoNotAllocateOnNil: the runner checks every call's
+// error for a transient, an attributed or a crash/hang fault, and a
+// passing query's error is nil; those checks must not allocate.
+func TestErrorChecksDoNotAllocateOnNil(t *testing.T) {
+	var err error
+	for name, check := range map[string]func(){
+		"isTransient": func() { sinkBool = isTransient(err) },
+		"hasBugID":    func() { sinkBool = hasBugID(err) },
+		"faultKind":   func() { sinkBool = faultKind(err) != "" },
+	} {
+		if n := testing.AllocsPerRun(100, check); n != 0 {
+			t.Errorf("%s(nil) allocates %.0f times", name, n)
+		}
+	}
+}
+
+var sinkBool bool
+
 // failFirstAttempt wraps a healthy target, failing the first attempt of
 // every query transiently so each query needs exactly one retry.
 type failFirstAttempt struct {
@@ -204,14 +358,12 @@ func (f *failFirstAttempt) Execute(q string) (*engine.Result, error) {
 }
 
 // TestTransientRetrySucceeds: transient connector errors are retried and
-// the query still completes normally — retries are invisible to verdicts.
+// the query still completes normally — retries are invisible to verdicts,
+// on both execution paths.
 func TestTransientRetrySucceeds(t *testing.T) {
-	tgt := &failFirstAttempt{Target: gdb.NewReference()}
-	rn := NewRunner(tgt, tinyRunnerConfig())
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := onBothPaths(t, tinyRunnerConfig(), func() Target {
+		return &failFirstAttempt{Target: gdb.NewReference()}
+	})
 	if st.Robust.Retries == 0 || st.Robust.TransientErrors == 0 {
 		t.Fatalf("no retries recorded: %+v", st.Robust)
 	}
@@ -228,16 +380,13 @@ func TestTransientRetrySucceeds(t *testing.T) {
 
 // TestTransientExhaustionIsSkip: a connection that stays down through
 // every retry yields skips, never error-bugs (satellite: classifyError
-// must not count transients as bugs).
+// must not count transients as bugs), on both execution paths.
 func TestTransientExhaustionIsSkip(t *testing.T) {
-	tgt := &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
-		return nil, &stubTransientErr{}
-	}}
-	rn := NewRunner(tgt, tinyRunnerConfig())
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := onBothPaths(t, tinyRunnerConfig(), func() Target {
+		return &scriptTarget{exec: func(ctx context.Context) (*engine.Result, error) {
+			return nil, &stubTransientErr{}
+		}}
+	})
 	if st.ErrorBugs != 0 || st.LogicBugs != 0 {
 		t.Fatalf("transient exhaustion counted as a bug: %+v", st)
 	}

@@ -17,12 +17,14 @@ type Target interface {
 	Name() string
 	Reset(g *graph.Graph, schema *graph.Schema) error
 	Execute(query string) (*engine.Result, error)
-	// ExecuteCtx runs the query under a context; the runner's watchdog
-	// cancels it at the per-query deadline. Implementations should abort
-	// promptly once the context is canceled (returning
-	// engine.ErrCanceled or the in-flight fault's error); calls that
-	// ignore cancellation past the grace window are abandoned and the
-	// target is restarted.
+	// ExecuteCtx runs the query under a context that the runner cancels
+	// at the per-query deadline. Implementations should abort promptly
+	// once the context is canceled (returning engine.ErrCanceled or the
+	// in-flight fault's error). Each call runs in a watchdog goroutine;
+	// one that ignores cancellation past the grace window is abandoned
+	// and the target is restarted. A target that declares prompt
+	// cancellation (CancelAwareTarget) is instead called on the runner's
+	// goroutine, and the runner waits for every call to return.
 	ExecuteCtx(ctx context.Context, query string) (*engine.Result, error)
 	RelUniqueness() bool
 	ProvidesDBLabels() bool
@@ -54,6 +56,25 @@ type PreparedTarget interface {
 type SnapshotTarget interface {
 	Target
 	ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) error
+}
+
+// CancelAwareTarget is the optional inline-execution extension of
+// Target (the gdb connectors implement it). A target whose CancelAware
+// reports true promises that every ExecuteCtx and ExecutePrepared call
+// returns promptly once its context is canceled. The runner then makes
+// each call on its own goroutine under the per-query deadline, instead
+// of handing it to a fresh watchdog goroutine. The outcomes are the
+// watchdog's: a call that returns more than Grace past its deadline
+// has its result discarded and counts as a wedged timeout, and the
+// target is restarted. But the runner learns this only when the call
+// returns: a cancel-aware call that never returns blocks its worker
+// for good, where the watchdog would have abandoned it. Targets
+// without the interface, or reporting false, keep the watchdog.
+// Reporting through a method lets wrappers forward their inner
+// target's answer.
+type CancelAwareTarget interface {
+	Target
+	CancelAware() bool
 }
 
 // Verdict classifies one executed test case.
@@ -158,9 +179,12 @@ type Runner struct {
 	// extension, nil when the target only takes deep-copy Resets.
 	prepared PreparedTarget
 	snapshot SnapshotTarget
-	r        *rand.Rand
-	seq      int
-	stats    Stats
+	// cancelAware runs the target's calls inline under their deadline
+	// instead of in a watchdog goroutine (see CancelAwareTarget).
+	cancelAware bool
+	r           *rand.Rand
+	seq         int
+	stats       Stats
 
 	// Resilience state. jr is a dedicated jitter RNG so backoff draws
 	// never perturb the graph/synthesis stream — same seed, same
@@ -201,6 +225,9 @@ func NewRunner(target Target, cfg RunnerConfig) *Runner {
 	}
 	rn.prepared, _ = target.(PreparedTarget)
 	rn.snapshot, _ = target.(SnapshotTarget)
+	if ca, ok := target.(CancelAwareTarget); ok {
+		rn.cancelAware = ca.CancelAware()
+	}
 	return rn
 }
 
@@ -219,11 +246,11 @@ func NewRunnerCtx(ctx context.Context, target Target, cfg RunnerConfig) *Runner 
 }
 
 // Reseed rewinds the runner to the state NewRunner would build for the
-// given seed, reusing its allocations (RNG sources, config, prepared/
-// snapshot bindings). The sharded executor calls it between logical
-// shards so one worker-lifetime Runner replaces a fresh construction
-// per shard; after Reseed(s) the runner behaves byte-identically to
-// NewRunnerCtx(ctx, target, cfg-with-Seed-s).
+// given seed, reusing its allocations (RNG sources, config, the
+// target's extension bindings). The sharded executor calls it between
+// logical shards so one worker-lifetime Runner replaces a fresh
+// construction per shard; after Reseed(s) the runner behaves
+// byte-identically to NewRunnerCtx(ctx, target, cfg-with-Seed-s).
 func (rn *Runner) Reseed(seed int64) {
 	rn.cfg.Seed = seed
 	rn.r.Seed(seed)

@@ -55,6 +55,8 @@ type Campaign struct {
 	Workers    int
 	Wall       time.Duration
 	Throughput metrics.Throughput
+	// legs holds each GDB leg's merged executor Stats, in run order.
+	legs []core.Stats
 }
 
 // CampaignConfig bounds a GQS campaign.
@@ -122,7 +124,7 @@ func DefaultCampaignConfig() CampaignConfig {
 // identity (the ground truth the paper's manual deduplication
 // approximates).
 func RunGQSCampaign(cfg CampaignConfig) *Campaign {
-	return runShardedCampaignCtx(context.Background(), cfg, nil)
+	return runShardedCampaignCtx(context.Background(), cfg, nil, nil)
 }
 
 // campaignRunnerConfig is the one runner configuration every campaign —

@@ -61,7 +61,7 @@ func RunGQSCampaignDurable(ctx context.Context, cfg CampaignConfig, ck *core.Che
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return runShardedCampaignCtx(ctx, cfg, ck)
+	return runShardedCampaignCtx(ctx, cfg, ck, nil)
 }
 
 // shardEventRecord and shardLogRecord are the journal payload codec for

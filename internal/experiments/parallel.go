@@ -59,8 +59,10 @@ type shardLog struct {
 // context and an optional checkpointer (nil ⇒ plain run): completed
 // shards are journaled, restored shards are skipped, and cancellation
 // stops between shards. A canceled campaign's merge covers only what
-// completed — callers resuming later discard it.
-func runShardedCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Checkpointer) *Campaign {
+// completed — callers resuming later discard it. wrap, when non-nil,
+// wraps every connector the campaign builds before the executor sees
+// it; the differential tests use it to move execution paths.
+func runShardedCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Checkpointer, wrap func(gdb.Connector) core.Target) *Campaign {
 	meter := metrics.NewMeter()
 	c := &Campaign{Workers: cfg.Workers}
 	seen := map[string]bool{}
@@ -73,7 +75,7 @@ func runShardedCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Che
 		if ctx.Err() != nil {
 			break
 		}
-		runShardedOn(ctx, c, sim.Name(), cfg, seen, meter, ck, share)
+		runShardedOn(ctx, c, sim.Name(), cfg, seen, meter, ck, share, wrap)
 	}
 	for range c.Findings {
 		meter.AddBug()
@@ -85,7 +87,7 @@ func runShardedCampaignCtx(ctx context.Context, cfg CampaignConfig, ck *core.Che
 
 // runShardedOn runs the sharded campaign against one GDB, streaming
 // completed work units into the canonical ascending-shard merge.
-func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg CampaignConfig, seen map[string]bool, meter *metrics.Meter, ck *core.Checkpointer, share *core.SnapshotShare) {
+func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg CampaignConfig, seen map[string]bool, meter *metrics.Meter, ck *core.Checkpointer, share *core.SnapshotShare, wrap func(gdb.Connector) core.Target) {
 	n := cfg.Iterations
 	if n <= 0 {
 		return
@@ -103,7 +105,13 @@ func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg Campaign
 		FlakyRate: cfg.FlakyRate,
 		Seed:      cfg.Seed,
 	})
-	factory := func(shard int) (core.Target, error) { return connect(shard) }
+	factory := func(shard int) (core.Target, error) {
+		conn, err := connect(shard)
+		if err != nil || wrap == nil {
+			return conn, err
+		}
+		return wrap(conn), nil
+	}
 
 	// Shard slots are disjoint and observer calls per shard are
 	// sequential, so the logs need no locking (see RunParallel's
@@ -201,6 +209,7 @@ func runShardedOn(ctx context.Context, c *Campaign, gdbName string, cfg Campaign
 	// resumed campaign's restored units were another run's work.
 	meter.AddIterations(ps.Ran)
 	c.Robust.Add(ps.Robust)
+	c.legs = append(c.legs, ps.Stats)
 }
 
 // mergeShardLogs folds buffered per-shard detections into the campaign

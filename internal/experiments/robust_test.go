@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"gqs/internal/core"
 	"gqs/internal/faults"
+	"gqs/internal/gdb"
 )
 
 // TestResilientCampaign is the acceptance scenario for the hardened
@@ -72,5 +74,52 @@ func TestLiveCampaignStillFindsLogicBugs(t *testing.T) {
 	c := RunGQSCampaign(cfg)
 	if len(c.LogicFindings()) == 0 {
 		t.Errorf("live campaign found no logic bugs in %d queries", c.Queries)
+	}
+}
+
+// watchdogOnly hides a connector's cancel-awareness, so the runner
+// sends each of its calls through a watchdog goroutine. SeedShard is
+// forwarded, so the executor still reuses one connector per worker.
+type watchdogOnly struct{ gdb.Connector }
+
+func (watchdogOnly) CancelAware() bool { return false }
+
+func (w watchdogOnly) SeedShard(shard int) { w.Connector.(core.ShardSeeder).SeedShard(shard) }
+
+// TestInlineMatchesWatchdogCampaign: running cancel-aware connectors'
+// queries on the runner's goroutine changes only where each call runs.
+// The same fixed-seed campaign through the watchdog gives the
+// byte-identical canonical bug report and the same per-GDB Stats,
+// Robust included, with the default simulated faults and with live
+// faults behind a flaky connection under a short deadline.
+func TestInlineMatchesWatchdogCampaign(t *testing.T) {
+	plain := DefaultCampaignConfig()
+	plain.Iterations = 10
+	live := plain
+	live.Live = true
+	live.FlakyRate = 0.12
+	live.Robust = core.RobustnessConfig{Timeout: 40 * time.Millisecond}
+	for name, cfg := range map[string]CampaignConfig{"default-faults": plain, "live-flaky": live} {
+		t.Run(name, func(t *testing.T) {
+			inline := runShardedCampaignCtx(context.Background(), cfg, nil, nil)
+			watchdog := runShardedCampaignCtx(context.Background(), cfg, nil,
+				func(c gdb.Connector) core.Target { return watchdogOnly{c} })
+			if a, b := watchdog.CanonicalBugReport(), inline.CanonicalBugReport(); a != b {
+				t.Fatalf("bug reports diverge:\nwatchdog:\n%s\ninline:\n%s", a, b)
+			}
+			if len(inline.legs) != len(gdb.All()) || len(watchdog.legs) != len(inline.legs) {
+				t.Fatalf("legs: watchdog %d, inline %d, want %d", len(watchdog.legs), len(inline.legs), len(gdb.All()))
+			}
+			for i := range inline.legs {
+				a, b := watchdog.legs[i], inline.legs[i]
+				a.Elapsed, b.Elapsed = 0, 0
+				if a != b {
+					t.Errorf("%s stats diverge:\nwatchdog %+v\ninline   %+v", gdb.All()[i].Name(), a, b)
+				}
+			}
+			if cfg.Live && (inline.Robust.Timeouts == 0 || inline.Robust.PanicsRecovered == 0 || inline.Robust.Retries == 0) {
+				t.Errorf("live scenario too tame to compare the paths: %+v", inline.Robust)
+			}
+		})
 	}
 }

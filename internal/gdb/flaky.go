@@ -89,6 +89,10 @@ func (f *Flaky) RelUniqueness() bool { return f.inner.RelUniqueness() }
 // ProvidesDBLabels implements Connector.
 func (f *Flaky) ProvidesDBLabels() bool { return f.inner.ProvidesDBLabels() }
 
+// CancelAware implements Connector: the injector's own latency waits on
+// the context, so the wrapper cancels as promptly as its inner connector.
+func (f *Flaky) CancelAware() bool { return f.inner.CancelAware() }
+
 // Close implements Connector.
 func (f *Flaky) Close() error { return f.inner.Close() }
 

@@ -30,9 +30,10 @@ type Connector interface {
 	// Behaviour is otherwise identical to Reset with the sealed graph.
 	ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) error
 	Execute(query string) (*engine.Result, error)
-	// ExecuteCtx runs the query under a context so the harness watchdog
-	// can cancel it; implementations must return (engine.ErrCanceled or
-	// the in-flight fault's error) promptly after cancellation.
+	// ExecuteCtx runs the query under a context so the harness can
+	// cancel it at the per-query deadline; implementations must return
+	// (engine.ErrCanceled or the in-flight fault's error) promptly after
+	// cancellation.
 	ExecuteCtx(ctx context.Context, query string) (*engine.Result, error)
 	// ExecutePrepared runs an already parsed-and-analyzed query — the
 	// prepared execution path that removes the per-target parse tax. The
@@ -46,6 +47,13 @@ type Connector interface {
 	RelUniqueness() bool
 	// ProvidesDBLabels reports whether CALL db.labels() exists.
 	ProvidesDBLabels() bool
+	// CancelAware reports whether ExecuteCtx and ExecutePrepared keep
+	// the promise above. The runner then waits for each call on its own
+	// goroutine, under the deadline, and never abandons it; a connector
+	// reporting false has each call run in a watchdog goroutine that is
+	// abandoned if the call outlives its deadline by the grace window
+	// (see core.CancelAwareTarget).
+	CancelAware() bool
 	// TriggeredBug returns the injected fault exercised by the most
 	// recent Execute, if any. Experiments use it for ground-truth
 	// attribution and deduplication; testers must not.
@@ -182,6 +190,11 @@ func (s *Sim) RelUniqueness() bool { return s.eng.Dialect().RelUniqueness }
 
 // ProvidesDBLabels implements Connector.
 func (s *Sim) ProvidesDBLabels() bool { return s.eng.Dialect().ProvidesDBLabels }
+
+// CancelAware implements Connector: the engine polls its context while
+// it matches and pipelines rows, and live faults wait on it, so every
+// call returns promptly once its context is canceled.
+func (s *Sim) CancelAware() bool { return true }
 
 // Reset implements Connector: it restarts the simulated instance with a
 // fresh copy of the graph.

@@ -167,6 +167,14 @@ func scan(data []byte) (records [][]byte, valid int64, err error) {
 	}
 }
 
+// appendFrame appends payload's frame to dst: its length and CRC32
+// (big-endian uint32 each), then the payload — what scan reads back.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // open opens the backing file for appending through the configured hook.
 func (j *Journal) open() (File, error) {
 	if j.opts.OpenFile != nil {
@@ -208,10 +216,7 @@ func (j *Journal) Append(payload []byte) error {
 		j.stats.AppendFailures++
 		return j.firstErr
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
+	frame := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	if err := j.writeAll(frame); err != nil {
 		j.firstErr = err
 		j.stats.AppendFailures++
@@ -247,11 +252,7 @@ func (j *Journal) Compact(payloads [][]byte) error {
 	}
 	write([]byte(magic))
 	for _, p := range payloads {
-		frame := make([]byte, 8)
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(p)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(p))
-		write(frame)
-		write(p)
+		write(appendFrame(nil, p))
 	}
 	if err == nil {
 		err = f.Sync()
