@@ -37,13 +37,21 @@ bench:
 #     result, on the prepared and the text path;
 #   - FuzzJournalScan: journal recovery never panics on any bytes, errs
 #     only on a foreign header, and its valid prefix rescans and
-#     re-frames to itself. Its seeds are real journals of a few KB, and
-#     minimizing a new input of that size takes quadratically many runs,
-#     so minimization is capped at 1s to leave the 10s for fuzzing.
+#     re-frames to itself;
+#   - FuzzCheckpointRecover: picking the snapshot to resume from never
+#     panics, refuses a foreign fingerprint, and a restored snapshot
+#     re-encodes to the same units;
+#   - FuzzShardLogsDecode: decoding a unit's payload never panics,
+#     returns one log per shard, and reports input it cannot decode.
+# The last three are seeded from real journals of a few KB, and
+# minimizing a new input of that size takes quadratically many runs, so
+# their minimization is capped at 1s to leave the 10s for fuzzing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzShardLogsDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct
@@ -73,12 +81,15 @@ profile:
 # campaign killed at a checkpoint boundary (journal tail torn on top) at
 # the default worker count, at 1 worker and at GOMAXPROCS workers, plus a
 # kill in the middle of a journal write, must resume into the
-# byte-identical bug report of an uninterrupted run.
+# byte-identical bug report of an uninterrupted run; and the gqs command,
+# canceled at a checkpoint boundary at 1 and 2 workers, must resume into
+# an uninterrupted run's output and report files.
 crashtest:
 	$(GO) test -race -count=3 -run 'TestKillResumeDifferential|TestMidWriteKillResume' ./internal/experiments/
+	$(GO) test -race -count=3 -run 'TestCLIKillResumeDifferential' ./cmd/gqs/
 
 # Tier-1 verification gate (see ROADMAP.md), plus the formatting gate,
-# the parser and ground-truth fuzzers, the crash-safety differential, the
+# the fuzzers, the crash-safety differentials, the
 # planned-vs-interpreted differential and the benchmark module's tests.
 # Performance is measured by `make bench`, not gated here.
 verify: build fmt vet test race fuzz crashtest plandiff bench-test

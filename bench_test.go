@@ -140,7 +140,7 @@ func BenchmarkTable6Round(b *testing.B) {
 			if gds, ok := tester.(*baselines.GDsmith); ok {
 				peer := gdb.NewReference()
 				peer.Reset(g, schema)
-				gds.Peers = []core.Target{peer}
+				gds.Peers = []baselines.Target{peer}
 				defer func() { gds.Peers = nil }()
 			}
 			b.ResetTimer()

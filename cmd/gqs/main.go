@@ -10,82 +10,99 @@
 //	gqs -gdb all -checkpoint run.journal -checkpoint-every 5   # durable
 //	gqs -gdb all -checkpoint run.journal -resume               # after a kill
 //
-// With -checkpoint the campaign journals completed work units to a
-// crash-safe file; SIGINT/SIGTERM drain in-flight work, write a final
-// checkpoint, and exit 0, and -resume restores everything already
-// completed and runs only the rest — to the byte-identical results an
-// uninterrupted run would have produced.
+// The command runs the experiments package's campaign and prints it as
+// it merges: each GDB's detections in canonical shard order, then the
+// GDB's summary. With -checkpoint the campaign journals completed work
+// units to a crash-safe file; SIGINT/SIGTERM drain in-flight work, write
+// a final checkpoint, and exit 0, and -resume restores everything
+// already completed and runs only the rest — printing the lines an
+// uninterrupted run would have printed (under -v, restored units print
+// only their non-verbose lines).
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
 
 	"gqs/internal/core"
 	"gqs/internal/experiments"
-	"gqs/internal/faults"
 	"gqs/internal/gdb"
-	"gqs/internal/graph"
 	"gqs/internal/metrics"
 )
 
-// options carries the flag values into each per-GDB run.
+// options is the parsed command line: the campaign, and how this
+// command prints and journals it.
 type options struct {
-	seed       int64
-	iterations int
-	maxNodes   int
-	maxRels    int
-	maxSteps   int
-	resultSet  int
-	graphScale int
+	cfg        experiments.CampaignConfig
 	verbose    bool
 	reportDir  string
-	timeout    time.Duration
-	retries    int
-	flaky      float64
-	live       bool
-	noPlan     bool
-	workers    int
-	batch      int
+	checkpoint string
 	ckEvery    int
+	resume     bool
 }
 
-// campaign maps the options onto the experiments layer's campaign
-// config, the one home of the rules this command shares with the paper
-// campaigns: the automatic batch size (ResolvedBatch) and the target
-// label of the checkpoint fingerprint. The runner settings travel
-// separately, in runnerConfig.
-func (o options) campaign() experiments.CampaignConfig {
-	return experiments.CampaignConfig{
-		Iterations: o.iterations,
-		Live:       o.live,
-		FlakyRate:  o.flaky,
-		Workers:    o.workers,
-		Batch:      o.batch,
+// parseArgs maps the command line onto options; the flag package reports
+// parse errors on stderr. -gdb all leaves cfg.GDBs nil, the campaign's
+// four simulated GDBs.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("gqs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := options{cfg: experiments.CampaignConfig{Synth: core.DefaultConfig(), QueriesPerGraph: 8}}
+	cfg := &o.cfg
+	gdbName := fs.String("gdb", "all", "GDB under test: neo4j, memgraph, kuzu, falkordb, reference, or all")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed (campaigns are deterministic per seed)")
+	fs.IntVar(&cfg.Iterations, "iterations", 30, "workflow iterations (one generated graph each)")
+	fs.IntVar(&cfg.Graph.MaxNodes, "max-nodes", 13, "maximum nodes per generated graph")
+	fs.IntVar(&cfg.Graph.MaxRels, "max-rels", 60, "maximum relationships per generated graph")
+	fs.IntVar(&cfg.Synth.MaxSteps, "max-steps", 9, "maximum synthesis steps per query")
+	fs.IntVar(&cfg.Synth.Plan.MaxResultSet, "max-result-set", 6, "maximum expected-result-set size")
+	fs.IntVar(&cfg.Graph.Scale, "graph-scale", 0, "bulk-generate power-law graphs of exactly this many nodes (0 = the paper's small-graph generator); large graphs pair well with low -iterations")
+	fs.BoolVar(&o.verbose, "v", false, "print every failing query")
+	fs.StringVar(&o.reportDir, "reports", "", "directory to write reproducible bug reports into (one .md per distinct bug)")
+	fs.DurationVar(&cfg.Robust.Timeout, "timeout", 20*time.Second, "per-query wall-clock deadline (negative, e.g. -1s, disables it; 0 is refused)")
+	fs.IntVar(&cfg.Robust.Retries, "retries", 2, "retries for transient connector errors (-1 disables them; 0 is refused)")
+	fs.Float64Var(&cfg.FlakyRate, "flaky", 0, "inject transient connector errors at this rate (0..1) to exercise the retry machinery")
+	fs.BoolVar(&cfg.Live, "live", false, "manifest injected faults live: hangs block until the deadline, crashes panic in the connector")
+	fs.BoolVar(&cfg.NoPlan, "no-plan", false, "execute prepared queries on the interpreter instead of compiled plans (differential debugging; the bug set is identical either way)")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size; the reported bug set is identical for every value at the same seed (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Batch, "batch", 0, "iterations per work unit (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal completed work units to this file for crash-safe resume")
+	fs.IntVar(&o.ckEvery, "checkpoint-every", 10, "flush a checkpoint snapshot every N completed work units")
+	fs.BoolVar(&o.resume, "resume", false, "resume the campaign recorded in -checkpoint (refused if the configuration changed)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
+	if *gdbName != "all" {
+		cfg.GDBs = []string{*gdbName}
+	}
+	cfg.Reports = o.reportDir != ""
+	return o, nil
 }
 
 // validate rejects option values no campaign can run with, or that
 // would silently test nothing or mean something other than they say;
-// main reports them like a flag parse error (message on stderr, exit
-// code 2).
+// run reports them like a flag parse error (message on stderr, exit
+// code 2) before it opens any journal.
 func validate(o options) error {
+	cfg := o.cfg
 	for _, f := range []struct {
 		name string
 		v    int
 		min  int
 	}{
-		{"iterations", o.iterations, 0}, {"workers", o.workers, 0}, {"batch", o.batch, 0},
-		{"graph-scale", o.graphScale, 0}, {"checkpoint-every", o.ckEvery, 0},
-		{"max-nodes", o.maxNodes, 1}, {"max-rels", o.maxRels, 1},
-		{"max-steps", o.maxSteps, 1}, {"max-result-set", o.resultSet, 1},
+		{"iterations", cfg.Iterations, 0}, {"workers", cfg.Workers, 0}, {"batch", cfg.Batch, 0},
+		{"graph-scale", cfg.Graph.Scale, 0}, {"checkpoint-every", o.ckEvery, 0},
+		{"max-nodes", cfg.Graph.MaxNodes, 1}, {"max-rels", cfg.Graph.MaxRels, 1},
+		{"max-steps", cfg.Synth.MaxSteps, 1}, {"max-result-set", cfg.Synth.Plan.MaxResultSet, 1},
 	} {
 		switch {
 		case f.v >= f.min:
@@ -95,328 +112,192 @@ func validate(o options) error {
 			return fmt.Errorf("invalid value %d for flag -%s: must be at least %d", f.v, f.name, f.min)
 		}
 	}
-	if o.flaky < 0 || o.flaky > 1 {
-		return fmt.Errorf("invalid value %v for flag -flaky: must be between 0 and 1", o.flaky)
+	if cfg.FlakyRate < 0 || cfg.FlakyRate > 1 {
+		return fmt.Errorf("invalid value %v for flag -flaky: must be between 0 and 1", cfg.FlakyRate)
 	}
 	// The runner reads a zero as "use the default", which is not what
 	// the command line says.
-	if o.timeout == 0 {
+	if cfg.Robust.Timeout == 0 {
 		return fmt.Errorf("invalid value 0 for flag -timeout: would mean the 20s default; use -timeout -1s to disable the deadline")
 	}
-	if o.retries == 0 {
+	if cfg.Robust.Retries == 0 {
 		return fmt.Errorf("invalid value 0 for flag -retries: would mean the default of 2; use -retries -1 to disable retries")
+	}
+	for _, name := range cfg.GDBs {
+		if _, err := gdb.ByName(name); err != nil {
+			return fmt.Errorf("invalid value %q for flag -gdb: must be neo4j, memgraph, kuzu, falkordb, reference or all", name)
+		}
+	}
+	if o.resume && o.checkpoint == "" {
+		return errors.New("invalid flag -resume: requires -checkpoint")
 	}
 	return nil
 }
 
 func main() {
-	var (
-		gdbName    = flag.String("gdb", "all", "GDB under test: neo4j, memgraph, kuzu, falkordb, reference, or all")
-		seed       = flag.Int64("seed", 1, "random seed (campaigns are deterministic per seed)")
-		iterations = flag.Int("iterations", 30, "workflow iterations (one generated graph each)")
-		maxNodes   = flag.Int("max-nodes", 13, "maximum nodes per generated graph")
-		maxRels    = flag.Int("max-rels", 60, "maximum relationships per generated graph")
-		maxSteps   = flag.Int("max-steps", 9, "maximum synthesis steps per query")
-		resultSet  = flag.Int("max-result-set", 6, "maximum expected-result-set size")
-		graphScale = flag.Int("graph-scale", 0, "bulk-generate power-law graphs of exactly this many nodes (0 = the paper's small-graph generator); large graphs pair well with low -iterations")
-		verbose    = flag.Bool("v", false, "print every failing query")
-		reportDir  = flag.String("reports", "", "directory to write reproducible bug reports into (one .md per distinct bug)")
-		timeout    = flag.Duration("timeout", 20*time.Second, "per-query wall-clock deadline (negative, e.g. -1s, disables it; 0 is refused)")
-		retries    = flag.Int("retries", 2, "retries for transient connector errors (-1 disables them; 0 is refused)")
-		flaky      = flag.Float64("flaky", 0, "inject transient connector errors at this rate (0..1) to exercise the retry machinery")
-		live       = flag.Bool("live", false, "manifest injected faults live: hangs block until the deadline, crashes panic in the connector")
-		noPlan     = flag.Bool("no-plan", false, "execute prepared queries on the interpreter instead of compiled plans (differential debugging; the bug set is identical either way)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size; the reported bug set is identical for every value at the same seed (0 = GOMAXPROCS)")
-		batchSize  = flag.Int("batch", 0, "iterations per work unit (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
-		checkpoint = flag.String("checkpoint", "", "journal completed work units to this file for crash-safe resume")
-		ckEvery    = flag.Int("checkpoint-every", 10, "flush a checkpoint snapshot every N completed work units")
-		resume     = flag.Bool("resume", false, "resume the campaign recorded in -checkpoint (refused if the configuration changed)")
-	)
-	flag.Parse()
-	opts := options{
-		seed: *seed, iterations: *iterations,
-		maxNodes: *maxNodes, maxRels: *maxRels,
-		maxSteps: *maxSteps, resultSet: *resultSet,
-		graphScale: *graphScale,
-		verbose:    *verbose, reportDir: *reportDir,
-		timeout: *timeout, retries: *retries,
-		flaky: *flaky, live: *live, noPlan: *noPlan,
-		workers: *workers, batch: *batchSize,
-		ckEvery: *ckEvery,
+	// SIGINT/SIGTERM cancel the campaign context: the executor drains
+	// in-flight work and stops between units, and run flushes the final
+	// checkpoint. stop restores the default handlers once run is past
+	// that graceful window.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it parses args, runs the campaign under ctx and
+// prints it, and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, err := parseArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	if err := validate(opts); err != nil {
-		fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
-		os.Exit(2)
-	}
-	if opts.workers == 0 {
-		opts.workers = runtime.GOMAXPROCS(0) // the flag's default, spelled out
-	}
-	if *reportDir != "" {
-		if err := os.MkdirAll(*reportDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
-			os.Exit(1)
+	if err == nil {
+		if err = validate(o); err != nil {
+			fmt.Fprintf(stderr, "gqs: %v\n", err)
 		}
 	}
-
-	names := []string{*gdbName}
-	if *gdbName == "all" {
-		names = []string{"neo4j", "memgraph", "kuzu", "falkordb"}
+	if err != nil {
+		return 2
 	}
-
-	// SIGINT/SIGTERM cancel the campaign context: the executors drain
-	// in-flight work and stop between units, the final checkpoint below
-	// flushes, and a second signal kills outright (stop() restores the
-	// default handlers once we're past the graceful window).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if o.cfg.Workers == 0 {
+		o.cfg.Workers = runtime.GOMAXPROCS(0) // the flag's default, spelled out
+	}
+	if o.reportDir != "" {
+		if err := os.MkdirAll(o.reportDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "gqs: %v\n", err)
+			return 1
+		}
+	}
 
 	var ck *core.Checkpointer
-	if *checkpoint != "" {
-		var err error
+	if o.checkpoint != "" {
+		// The journal is bound to experiments.CampaignFingerprint: the
+		// output options (-v, -reports, -no-plan) are not part of it.
 		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
-			Path: *checkpoint, Every: opts.ckEvery, Resume: *resume,
-		}, fingerprint(names, opts))
+			Path: o.checkpoint, Every: o.ckEvery, Resume: o.resume,
+		}, experiments.CampaignFingerprint(o.cfg))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gqs: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gqs: %v\n", err)
+			return 1
 		}
 		if n := ck.Stats().ResumedUnits; n > 0 {
-			fmt.Printf("resuming from %s: %d completed units restored\n", *checkpoint, n)
+			fmt.Fprintf(stdout, "resuming from %s: %d completed units restored\n", o.checkpoint, n)
 		}
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "gqs: -resume requires -checkpoint")
-		os.Exit(1)
 	}
 
+	p := &printer{w: stdout, stderr: stderr, o: o, ck: ck}
+	c := experiments.RunCampaign(ctx, o.cfg, ck, &experiments.Monitor{
+		AllCases: o.verbose, LegStart: p.legStart, Detection: p.detection, LegDone: p.legDone,
+	})
 	exit := 0
-	for _, name := range names {
-		if ctx.Err() != nil {
-			break
-		}
-		if err := runGDB(ctx, name, opts, ck); err != nil {
-			fmt.Fprintf(os.Stderr, "gqs: %s: %v\n", name, err)
-			exit = 1
-		}
+	if c.UndecodedUnits > 0 {
+		fmt.Fprintf(stderr, "gqs: %d restored work units have journal payloads that do not decode; their detections are missing from this report\n", c.UndecodedUnits)
+		exit = 1
 	}
 	if ck != nil {
 		if err := ck.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "gqs: checkpoint journal degraded (campaign results unaffected): %v\n", err)
+			fmt.Fprintf(stderr, "gqs: checkpoint journal degraded (campaign results unaffected): %v\n", err)
 			exit = 1
 		}
 		cs := ck.Stats()
-		fmt.Printf("checkpoint: %d snapshots journaled (%d bytes) to %s\n", cs.Written, cs.Bytes, *checkpoint)
+		fmt.Fprintf(stdout, "checkpoint: %d snapshots journaled (%d bytes) to %s\n", cs.Written, cs.Bytes, o.checkpoint)
 		ck.Close()
 	}
 	if ctx.Err() != nil {
-		stop()
-		if ck != nil {
-			fmt.Printf("interrupted: progress checkpointed; rerun with -resume -checkpoint %s to continue\n", *checkpoint)
-		} else {
-			fmt.Fprintln(os.Stderr, "gqs: interrupted")
-			exit = 130
+		if ck == nil {
+			fmt.Fprintln(stderr, "gqs: interrupted")
+			return 130
 		}
+		fmt.Fprintf(stdout, "interrupted: progress checkpointed; rerun with -resume -checkpoint %s to continue\n", o.checkpoint)
 	}
-	os.Exit(exit)
+	return exit
 }
 
-// fingerprint renders the campaign identity the checkpoint journal is
-// bound to; see core.CampaignFingerprint. The output options (-v,
-// -reports) are deliberately excluded — they do not affect the
-// deterministic stream. -no-plan is excluded too: compiled plans and the
-// interpreter are behaviour-identical by contract (the plandiff gate
-// enforces it), so a campaign checkpointed under one may resume under
-// the other.
-func fingerprint(names []string, o options) string {
-	return experiments.Fingerprint(names, o.campaign(), runnerConfig(o))
+// printer renders the campaign as the experiments merge hands it over:
+// each GDB's header, its detections in canonical shard order — the
+// first detection of each bug, every unattributed one, and under -v
+// every failing case of the units that ran — and its summary.
+type printer struct {
+	w, stderr io.Writer
+	o         options
+	ck        *core.Checkpointer
+	distinct  int // bugs first detected in the current leg
+	ckBefore  int // checkpoint snapshots written before the current leg
 }
 
-// runnerConfig translates the flags into the runner configuration every
-// shard runs with.
-func runnerConfig(o options) core.RunnerConfig {
-	cfg := core.DefaultRunnerConfig()
-	cfg.Seed = o.seed
-	cfg.Graph = graph.GenConfig{MaxNodes: o.maxNodes, MaxRels: o.maxRels, Scale: o.graphScale}
-	cfg.Synth.MaxSteps = o.maxSteps
-	cfg.Synth.Plan.MaxResultSet = o.resultSet
-	cfg.Robust.Timeout = o.timeout
-	cfg.Robust.Retries = o.retries
-	return cfg
+func (p *printer) legStart(name string) {
+	cfg := p.o.cfg
+	fmt.Fprintf(p.w, "=== testing %s (seed %d, %d iterations, %d workers, batch %d) ===\n",
+		name, cfg.Seed, cfg.Iterations, cfg.Workers, cfg.ResolvedBatch())
+	p.distinct, p.ckBefore = 0, p.ck.Stats().Written
 }
 
-// cmdDetection is one logic- or error-bug detection, prerendered so the
-// checkpoint journal can replay a restored unit's output (and report
-// file) exactly as the original run printed it.
-type cmdDetection struct {
-	Bug     string `json:"bug,omitempty"` // catalog ID; "" = unattributed
-	Desc    string `json:"desc,omitempty"`
-	Verdict string `json:"verdict"`
-	Seq     int    `json:"seq"`
-	Steps   int    `json:"steps"`
-	Query   string `json:"query,omitempty"`
-	Detail  string `json:"detail,omitempty"` // expected/actual or error lines
-	Report  string `json:"report,omitempty"` // reproducible bug report (md)
-}
-
-// captureDetection renders a failing test case into its durable form;
-// ok is false for passes and skips.
-func captureDetection(name string, target core.Target, tc *core.TestCase, reportDir string) (cmdDetection, bool) {
-	if tc.Verdict != core.VerdictLogicBug && tc.Verdict != core.VerdictErrorBug {
-		return cmdDetection{}, false
-	}
-	d := cmdDetection{Verdict: tc.Verdict.String(), Seq: tc.Seq, Steps: tc.Steps, Query: tc.Query}
-	if tb, ok := target.(interface{ TriggeredBug() *faults.Bug }); ok {
-		if b := tb.TriggeredBug(); b != nil {
-			d.Bug, d.Desc = b.ID, b.Description
-			if reportDir != "" {
-				d.Report = tc.Report(name)
-			}
-		}
-	}
-	if tc.Verdict == core.VerdictLogicBug {
-		d.Detail = fmt.Sprintf("  expected: %v\n  actual:   %v", tc.Expected.Canonical(), tc.Actual.Canonical())
-	} else {
-		d.Detail = fmt.Sprintf("  error: %v", tc.Err)
-	}
-	return d, true
-}
-
-// emitDetection prints one detection (live or restored) and writes its
-// report file on first sight of the bug.
-func emitDetection(name string, shard int, d cmdDetection, o options, found map[string]bool) {
+func (p *printer) detection(d experiments.Detection) {
+	verbose := p.o.verbose && !d.Restored
 	tag := "UNATTRIBUTED"
-	fresh := true
-	if d.Bug != "" {
-		tag = d.Bug
-		fresh = !found[tag]
-		found[tag] = true
-	}
-	if fresh && o.reportDir != "" && d.Bug != "" && d.Report != "" {
-		path := o.reportDir + "/" + name + "-" + d.Bug + ".md"
-		if werr := os.WriteFile(path, []byte(d.Report), 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "gqs: write report: %v\n", werr)
+	if d.Bug != nil {
+		tag = d.Bug.ID
+		switch {
+		case d.Fresh:
+			p.distinct++
+			p.writeReport(d)
+		case !verbose:
+			return
 		}
 	}
-	if !fresh && !o.verbose {
+	tc := d.Case
+	fmt.Fprintf(p.w, "[%s] %s (shard %d, query #%d, %d steps)\n", tc.Verdict, tag, d.Shard, tc.Seq, tc.Steps)
+	if d.Bug != nil {
+		fmt.Fprintf(p.w, "  %s\n", d.Bug.Description)
+	}
+	if !verbose {
 		return
 	}
-	fmt.Printf("[%s] %s (shard %d, query #%d, %d steps)\n", d.Verdict, tag, shard, d.Seq, d.Steps)
-	if d.Desc != "" {
-		fmt.Printf("  %s\n", d.Desc)
-	}
-	if o.verbose {
-		fmt.Printf("  query: %s\n", d.Query)
-		fmt.Printf("%s\n", d.Detail)
+	fmt.Fprintf(p.w, "  query: %s\n", tc.Query)
+	if tc.Verdict == core.VerdictLogicBug {
+		fmt.Fprintf(p.w, "  expected: %v\n  actual:   %v\n", tc.Expected.Canonical(), tc.Actual.Canonical())
+	} else {
+		fmt.Fprintf(p.w, "  error: %v\n", tc.Err)
 	}
 }
 
-// encodeDetectionUnits / decodeDetectionUnits are the work-unit payload
-// codec: one detection list per logical shard in the unit's range.
-// decode always returns exactly count lists (corrupt payload ⇒ empty).
-func encodeDetectionUnits(units [][]cmdDetection) json.RawMessage {
-	p, err := json.Marshal(units)
-	if err != nil {
-		return nil
+// writeReport writes a bug's report file on its first detection.
+func (p *printer) writeReport(d experiments.Detection) {
+	if d.Report == "" {
+		return
 	}
-	return p
+	path := filepath.Join(p.o.reportDir, d.GDB+"-"+d.Bug.ID+".md")
+	if err := os.WriteFile(path, []byte(d.Report), 0o644); err != nil {
+		fmt.Fprintf(p.stderr, "gqs: write report: %v\n", err)
+	}
 }
 
-func decodeDetectionUnits(data json.RawMessage, count int) [][]cmdDetection {
-	out := make([][]cmdDetection, count)
-	var units [][]cmdDetection
-	if len(data) > 0 {
-		json.Unmarshal(data, &units) //nolint:errcheck // corrupt payload ⇒ no replayed output
-	}
-	copy(out, units)
-	return out
-}
-
-// runGDB runs the campaign against one GDB: iterations fan out across a
-// worker pool, detections are buffered per shard, and the output is
-// printed in canonical shard order — so it is identical for every worker
-// count at the same seed, and across kill/resume boundaries.
-func runGDB(ctx context.Context, name string, o options, ck *core.Checkpointer) error {
-	if _, err := gdb.ByName(name); err != nil {
-		return err // reject unknown names before spinning up a pool
-	}
-	connect := gdb.NewFactory(gdb.FactoryConfig{
-		GDB: name, Live: o.live, FlakyRate: o.flaky, Seed: o.seed, NoPlan: o.noPlan,
-	})
-	pcfg := core.ParallelConfig{
-		Workers:    o.workers,
-		Iterations: o.iterations,
-		Batch:      o.campaign().ResolvedBatch(),
-		Runner:     runnerConfig(o),
-	}
-	fmt.Printf("=== testing %s (seed %d, %d iterations, %d workers, batch %d) ===\n",
-		name, o.seed, o.iterations, o.workers, pcfg.Batch)
-
-	// Detections are buffered per shard (the observer runs concurrently
-	// across shards, sequentially within one — disjoint slots need no
-	// lock) and rendered after the pool drains, in shard order. The
-	// checkpoint hooks use the same slots at unit granularity: Payload
-	// seals a finished unit's range of buffers into its journal record,
-	// Restore refills a skipped unit's slots from the journal.
-	logs := make([][]cmdDetection, o.iterations)
-	meter := metrics.NewMeter()
-	ckBefore := ck.Stats().Written
-	hooks := core.DurableHooks{
-		Payload: func(_ string, start, count int) json.RawMessage {
-			return encodeDetectionUnits(logs[start : start+count])
-		},
-		Restore: func(u core.UnitRecord) {
-			count := u.UnitCount()
-			if u.Shard >= 0 && u.Shard+count <= len(logs) {
-				copy(logs[u.Shard:u.Shard+count], decodeDetectionUnits(u.Payload, count))
-			}
-		},
-	}
-	ps := core.RunCheckpointedParallel(ctx, pcfg, name,
-		func(shard int) (core.Target, error) { return connect(shard) },
-		func(shard int, target core.Target, tc *core.TestCase) {
-			meter.AddQuery()
-			if d, ok := captureDetection(name, target, tc, o.reportDir); ok {
-				logs[shard] = append(logs[shard], d)
-			}
-		}, ck, hooks)
-	// Only iterations that actually ran count toward live throughput;
-	// restored units were another run's work.
-	meter.AddIterations(ps.Ran)
-	meter.AddCheckpoints(ck.Stats().Written - ckBefore)
-
-	found := map[string]bool{}
-	for shard, dets := range logs {
-		for _, d := range dets {
-			emitDetection(name, shard, d, o, found)
-		}
-	}
-	for range found {
-		meter.AddBug()
-	}
-	printSummary(name, ps.Stats, len(found))
-	fmt.Printf("%s: throughput: %s; %d workers, %.2fx parallelism\n",
-		name, meter.Snapshot(), ps.Workers, ps.Parallelism())
-	return nil
-}
-
-// printSummary renders the per-GDB closing lines.
-func printSummary(name string, stats core.Stats, distinct int) {
-	fmt.Printf("%s: %d queries, %d passed, %d logic-bug reports, %d error reports, %d skipped; %d distinct bugs; %.1fs\n",
-		name, stats.Queries, stats.Passes, stats.LogicBugs, stats.ErrorBugs, stats.Skips,
-		distinct, stats.Elapsed.Seconds())
-	rb := stats.Robust
-	// The checkpoint counters get their own line; blank them before the
-	// zero-comparison so a clean durable run doesn't print an all-zero
+// legDone prints a GDB's closing lines from its executor stats.
+func (p *printer) legDone(name string, ps *core.ParallelStats) {
+	s := ps.Stats
+	fmt.Fprintf(p.w, "%s: %d queries, %d passed, %d logic-bug reports, %d error reports, %d skipped; %d distinct bugs; %.1fs\n",
+		name, s.Queries, s.Passes, s.LogicBugs, s.ErrorBugs, s.Skips, p.distinct, s.Elapsed.Seconds())
+	// Restored iterations get their own line; blank them before the
+	// zero-comparison so a clean resumed run doesn't print an all-zero
 	// resilience line.
-	ckWritten, ckBytes, ckRestored := rb.CheckpointsWritten, rb.CheckpointBytes, rb.RestoredIterations
-	rb.CheckpointsWritten, rb.CheckpointBytes, rb.LastCheckpointAge, rb.RestoredIterations = 0, 0, 0, 0
+	rb := s.Robust
+	restored := rb.RestoredIterations
+	rb.RestoredIterations = 0
 	if rb != (core.RobustnessStats{}) {
-		fmt.Printf("%s: resilience: %d timeouts, %d retries (%d transient, %d give-ups), %d panics recovered, %d restarts (%d failed), %d breaker trips, %d abandoned graphs, %v downtime\n",
+		fmt.Fprintf(p.w, "%s: resilience: %d timeouts, %d retries (%d transient, %d give-ups), %d panics recovered, %d restarts (%d failed), %d breaker trips, %d abandoned graphs, %v downtime\n",
 			name, rb.Timeouts, rb.Retries, rb.TransientErrors, rb.TransientGiveUps,
 			rb.PanicsRecovered, rb.Restarts, rb.RestartFailures, rb.BreakerTrips,
 			rb.AbandonedGraphs, rb.Downtime.Round(time.Millisecond))
 	}
-	if ckWritten > 0 || ckRestored > 0 {
-		fmt.Printf("%s: checkpoint: %d snapshots (%d bytes), %d iterations restored on resume\n",
-			name, ckWritten, ckBytes, ckRestored)
+	if restored > 0 {
+		fmt.Fprintf(p.w, "%s: checkpoint: %d iterations restored on resume\n", name, restored)
 	}
+	// Only iterations that ran count toward live throughput; restored
+	// units were another run's work.
+	tp := metrics.Throughput{
+		Iterations: int64(ps.Ran), Queries: int64(ps.RanQueries), Bugs: int64(p.distinct),
+		Checkpoints: int64(p.ck.Stats().Written - p.ckBefore), Elapsed: ps.Wall,
+	}
+	fmt.Fprintf(p.w, "%s: throughput: %s; %d workers, %.2fx parallelism\n", name, tp, ps.Workers, ps.Parallelism())
 }

@@ -94,9 +94,12 @@ func (db *DB) SetPlanExecution(enabled bool) {
 // connectors that implement it are handed each synthesized query parsed
 // and analyzed once (one parse per oracle check instead of one per call),
 // with transient-error retries reusing the same PreparedQuery. The
-// bundled simulated GDBs implement it; text-only targets keep working
-// unchanged.
-type PreparedTarget = core.PreparedTarget
+// bundled simulated GDBs implement it; text-only targets get the query
+// text through ExecuteCtx.
+type PreparedTarget interface {
+	Target
+	ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error)
+}
 
 // SnapshotTarget is the optional copy-on-write restart extension of
 // Target: connectors that implement it share one immutable sealed
@@ -104,9 +107,12 @@ type PreparedTarget = core.PreparedTarget
 // iteration, so restoring state between oracle checks is O(1) for
 // read-only workloads and O(entries written) otherwise. Behaviour must
 // be indistinguishable from Reset with the same graph; the bundled
-// simulated GDBs implement it, and targets without it keep the
-// deep-clone Reset path.
-type SnapshotTarget = core.SnapshotTarget
+// simulated GDBs implement it, and targets without it get a Reset with
+// a fresh graph over the snapshot.
+type SnapshotTarget interface {
+	Target
+	ResetSnapshot(snap *Snapshot, schema *graph.Schema) error
+}
 
 // Snapshot is an immutable, shareable view of one graph state; see
 // SnapshotTarget and DESIGN.md §9.
@@ -122,7 +128,17 @@ type Value = value.Value
 // cancellation past the grace window is abandoned and the target
 // restarted. A target implementing CancelAwareTarget is called on the
 // tester's own goroutine instead, and every call is waited for.
-type Target = core.Target
+type Target interface {
+	Name() string
+	Reset(g *graph.Graph, schema *graph.Schema) error
+	Execute(query string) (*Result, error)
+	// ExecuteCtx runs the query under a context the tester cancels at
+	// the per-query deadline; implementations should return promptly
+	// once it is canceled.
+	ExecuteCtx(ctx context.Context, query string) (*Result, error)
+	RelUniqueness() bool
+	ProvidesDBLabels() bool
+}
 
 // CancelAwareTarget is the optional inline-execution extension of
 // Target: a target whose CancelAware reports true promises that every
@@ -131,7 +147,10 @@ type Target = core.Target
 // still counts as a wedged timeout and restarts the target, but a call
 // that never returns blocks the tester. The bundled simulated GDBs
 // implement it.
-type CancelAwareTarget = core.CancelAwareTarget
+type CancelAwareTarget interface {
+	Target
+	CancelAware() bool
+}
 
 // Stats summarizes a testing campaign.
 type Stats = core.Stats
@@ -164,7 +183,7 @@ func OpenSim(name string) (*gdb.Sim, error) { return gdb.ByName(name) }
 // Tester runs the GQS workflow — generate graph, select ground truth,
 // synthesize query, validate — against a target.
 type Tester struct {
-	factory TargetFactory
+	factory core.TargetFactory
 	cfg     testerConfig
 }
 
@@ -259,14 +278,13 @@ func WithBatch(n int) TesterOption {
 // WithCheckpoint journals completed work units (see WithBatch) to a
 // crash-safe append-only file, flushing a snapshot every `every`
 // completed units (<= 0 means every unit). A RunContext canceled
-// mid-campaign leaves the journal resumable; see WithResume. Only
-// RunContext honors the journal — plain Run ignores it.
+// mid-campaign leaves the journal resumable; see WithResume.
 func WithCheckpoint(path string, every int) TesterOption {
 	return func(c *testerConfig) { c.ckPath, c.ckEvery = path, every }
 }
 
-// WithResume makes RunContext resume the campaign recorded in the
-// WithCheckpoint journal: completed units are restored from the journal
+// WithResume makes Run and RunContext resume the campaign recorded in
+// the WithCheckpoint journal: completed units are restored from the journal
 // (their stats fold into the returned Stats, but their test cases are
 // not re-reported) and only the remaining iterations run — each derives
 // its RNG stream from (WithSeed, iteration) alone, so the combined
@@ -277,19 +295,21 @@ func WithResume() TesterOption {
 	return func(c *testerConfig) { c.ckResume = true }
 }
 
-// ErrFingerprintMismatch is returned by RunContext when WithResume finds
-// a journal written under a different configuration.
+// ErrFingerprintMismatch is returned by Run and RunContext when
+// WithResume finds a journal written under a different configuration.
 var ErrFingerprintMismatch = core.ErrFingerprintMismatch
 
 // TargetFactory builds one independent target per shard for a sharded
-// tester; see core.TargetFactory for the isolation contract.
-type TargetFactory = core.TargetFactory
+// tester. Every call must return an independent instance, because shards
+// execute concurrently and targets are not goroutine-safe.
+type TargetFactory func(shard int) (Target, error)
 
 // NewTester creates a tester for the target. It runs on the same
 // executor as NewShardedTester, at one worker, reusing the caller's
 // target for every iteration and never closing it.
 func NewTester(target Target, opts ...TesterOption) *Tester {
-	t := NewShardedTester(func(int) (Target, error) { return sharedTarget{target}, nil }, opts...)
+	shared := sharedTarget{textTarget{target}}
+	t := newTester(func(int) (core.Target, error) { return shared, nil }, opts)
 	t.cfg.workers = 1
 	return t
 }
@@ -300,6 +320,16 @@ func NewTester(target Target, opts ...TesterOption) *Tester {
 // (WithSeed, shard index) and a fresh target from the factory, so the
 // merged stats do not depend on the worker count.
 func NewShardedTester(factory TargetFactory, opts ...TesterOption) *Tester {
+	return newTester(func(shard int) (core.Target, error) {
+		t, err := factory(shard)
+		if err != nil {
+			return nil, err
+		}
+		return textTarget{t}, nil
+	}, opts)
+}
+
+func newTester(factory core.TargetFactory, opts []TesterOption) *Tester {
 	cfg := testerConfig{runner: core.DefaultRunnerConfig()}
 	for _, o := range opts {
 		o(&cfg)
@@ -307,53 +337,67 @@ func NewShardedTester(factory TargetFactory, opts ...TesterOption) *Tester {
 	return &Tester{factory: factory, cfg: cfg}
 }
 
-// sharedTarget adapts the caller's target for NewTester. Its no-op
-// SeedShard makes the executor reuse the one target for every shard
-// (each shard's RNG streams live in the runner, which is reseeded per
-// shard), and it has no Close, so the executor never closes a target
-// the caller owns. It always offers the prepared and snapshot paths,
-// forwarding to the target when it implements them and falling back to
-// its text execution and plain Reset when it does not, and it reports
-// the target's own CancelAware answer (false when it has none).
-type sharedTarget struct{ Target }
+// textTarget adapts a Target to the executor's runner, which only
+// resets onto sealed snapshots and runs prepared queries. It forwards
+// both to the target's own SnapshotTarget and PreparedTarget extensions
+// when it has them, and otherwise Resets onto a fresh graph over the
+// snapshot and runs the query text through ExecuteCtx. It reports the
+// target's own CancelAware answer (false when it has none) and forwards
+// Close, so the executor still closes the targets a factory builds.
+type textTarget struct{ Target }
 
-func (sharedTarget) SeedShard(int) {}
-
-func (t sharedTarget) CancelAware() bool {
-	ca, ok := t.Target.(CancelAwareTarget)
-	return ok && ca.CancelAware()
-}
-
-func (t sharedTarget) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
+func (t textTarget) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
 	if p, ok := t.Target.(PreparedTarget); ok {
 		return p.ExecutePrepared(ctx, pq)
 	}
 	return t.ExecuteCtx(ctx, pq.Text)
 }
 
-func (t sharedTarget) ResetSnapshot(snap *Snapshot, schema *graph.Schema) error {
+func (t textTarget) ResetSnapshot(snap *Snapshot, schema *graph.Schema) error {
 	if s, ok := t.Target.(SnapshotTarget); ok {
 		return s.ResetSnapshot(snap, schema)
 	}
 	return t.Reset(graph.FromSnapshot(snap), schema)
 }
 
-// Run performs n full workflow iterations (one generated graph each),
-// invoking report for every synthesized test case. Each call is a
-// self-contained campaign derived from WithSeed: calling Run twice
-// repeats the same n iterations rather than continuing from the first
-// call. report is serialized (never called concurrently), but on a
-// sharded tester cases from different shards may interleave; use
-// TestCase fields, not call order, to correlate.
-func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
-	return t.run(context.Background(), n, report, nil), nil
+func (t textTarget) CancelAware() bool {
+	ca, ok := t.Target.(CancelAwareTarget)
+	return ok && ca.CancelAware()
 }
 
-// RunContext is Run under a cancelable context and the WithCheckpoint /
-// WithResume options. Cancellation stops between work units, flushes a
-// final checkpoint, and returns the partial Stats with a nil error;
-// resuming later completes the campaign as if it had never been
-// interrupted.
+func (t textTarget) Close() error {
+	if c, ok := t.Target.(interface{ Close() error }); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// sharedTarget is NewTester's adapter. Its no-op SeedShard makes the
+// executor reuse the caller's one target for every shard (each shard's
+// RNG streams live in the runner, which is reseeded per shard), and its
+// no-op Close keeps the executor from closing a target the caller owns.
+type sharedTarget struct{ textTarget }
+
+func (sharedTarget) SeedShard(int) {}
+
+func (sharedTarget) Close() error { return nil }
+
+// Run performs n full workflow iterations (one generated graph each),
+// invoking report for every synthesized test case; it is RunContext
+// under a context that is never canceled. Each call is a self-contained
+// campaign derived from WithSeed: calling Run twice repeats the same n
+// iterations rather than continuing from the first call. report is
+// serialized (never called concurrently), but on a sharded tester cases
+// from different shards may interleave; use TestCase fields, not call
+// order, to correlate.
+func (t *Tester) Run(n int, report func(*TestCase)) (Stats, error) {
+	return t.RunContext(context.Background(), n, report)
+}
+
+// RunContext is Run under a cancelable context. Cancellation stops
+// between work units, flushes a final checkpoint (see WithCheckpoint),
+// and returns the partial Stats with a nil error; resuming later
+// completes the campaign as if it had never been interrupted.
 func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -370,19 +414,6 @@ func (t *Tester) RunContext(ctx context.Context, n int, report func(*TestCase)) 
 		}
 		defer ck.Close()
 	}
-	stats := t.run(ctx, n, report, ck)
-	if ck != nil {
-		if err := ck.Flush(); err != nil {
-			return stats, fmt.Errorf("gqs: checkpoint journal: %w", err)
-		}
-		ck.ApplyTo(&stats.Robust)
-	}
-	return stats, nil
-}
-
-// run executes one campaign of n iterations on the executor, journaling
-// completed units to ck when it is non-nil.
-func (t *Tester) run(ctx context.Context, n int, report func(*TestCase), ck *core.Checkpointer) Stats {
 	pcfg := core.ParallelConfig{
 		Workers: t.cfg.workers, Iterations: n,
 		Batch: t.cfg.resolvedBatch(), Runner: t.cfg.runner,
@@ -396,7 +427,14 @@ func (t *Tester) run(ctx context.Context, n int, report func(*TestCase), ck *cor
 			report(tc)
 		}
 	}
-	return core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, observe, ck, core.DurableHooks{}).Stats
+	stats := core.RunCheckpointedParallel(ctx, pcfg, "target", t.factory, observe, ck, core.DurableHooks{}).Stats
+	if ck != nil {
+		if err := ck.Flush(); err != nil {
+			return stats, fmt.Errorf("gqs: checkpoint journal: %w", err)
+		}
+		ck.ApplyTo(&stats.Robust)
+	}
+	return stats, nil
 }
 
 // Synthesize builds a single ground-truth/query pair over a given graph,

@@ -3,6 +3,7 @@ package gqs
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -233,8 +234,9 @@ func ckStatsScrub(s Stats) Stats {
 }
 
 // TestTesterRunContextCheckpointResume: the public checkpoint API — a
-// campaign canceled mid-run resumes from its journal and converges on
-// the stats an uninterrupted run produces, on both tester shapes.
+// campaign canceled mid-run resumes from its journal, through RunContext
+// and through Run, and converges on the stats an uninterrupted run
+// produces, on both tester shapes.
 func TestTesterRunContextCheckpointResume(t *testing.T) {
 	const iters = 6
 	shapes := []struct {
@@ -284,15 +286,38 @@ func TestTesterRunContextCheckpointResume(t *testing.T) {
 				t.Fatalf("cancellation did not interrupt: partial ran %d of %d queries", partial.Queries, want.Queries)
 			}
 
-			resumed, err := shape.make(append(durable, WithResume())...).RunContext(context.Background(), iters, nil)
+			// Resume a copy of the journal through Run as well: it is
+			// RunContext without cancellation, journal options included.
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resumed.Robust.RestoredIterations == 0 {
-				t.Error("resume restored nothing")
+			runPath := filepath.Join(t.TempDir(), "run.journal")
+			if err := os.WriteFile(runPath, data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if got := ckStatsScrub(resumed); got != want {
-				t.Errorf("resumed stats diverge:\n  resumed: %+v\n  want:    %+v", got, want)
+			for _, resume := range []struct {
+				name string
+				run  func() (Stats, error)
+			}{
+				{"RunContext", func() (Stats, error) {
+					return shape.make(append(durable, WithResume())...).RunContext(context.Background(), iters, nil)
+				}},
+				{"Run", func() (Stats, error) {
+					opts := append(append([]TesterOption{}, base...), WithCheckpoint(runPath, 1), WithResume())
+					return shape.make(opts...).Run(iters, nil)
+				}},
+			} {
+				resumed, err := resume.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resumed.Robust.RestoredIterations == 0 {
+					t.Errorf("%s: resume restored nothing", resume.name)
+				}
+				if got := ckStatsScrub(resumed); got != want {
+					t.Errorf("%s: resumed stats diverge:\n  resumed: %+v\n  want:    %+v", resume.name, got, want)
+				}
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gqs/internal/core"
 	"gqs/internal/cypher/parser"
 	"gqs/internal/gdb"
 	"gqs/internal/graph"
@@ -161,7 +160,7 @@ func TestGDsmithDifferentialFlagsInjectedBugs(t *testing.T) {
 		}
 	}
 	gds := NewGDsmith()
-	gds.Peers = []core.Target{ref, neo}
+	gds.Peers = []Target{ref, neo}
 	violations := 0
 	for i := 0; i < 100; i++ {
 		rep := gds.Test(r, falkor, g, schema)

@@ -3,7 +3,6 @@ package baselines
 import (
 	"hash/fnv"
 
-	"gqs/internal/core"
 	"gqs/internal/cypher/ast"
 	"gqs/internal/cypher/parser"
 	"gqs/internal/engine"
@@ -19,7 +18,7 @@ import (
 // p IS NULL; their union must equal the unfiltered result. It returns
 // whether the oracle was applicable, whether the relation was violated,
 // the executed queries, and the first execution error.
-func TLPCheck(target core.Target, query string) (applied, violated bool, queries []string, err error) {
+func TLPCheck(target Target, query string) (applied, violated bool, queries []string, err error) {
 	build := func(f func(*ast.MatchClause, ast.Expr)) (string, bool) {
 		q, perr := parser.Parse(query)
 		if perr != nil {
@@ -71,7 +70,7 @@ func TLPCheck(target core.Target, query string) (applied, violated bool, queries
 // GRevCheck applies GRev's oracle: rewrite the query into a semantically
 // equivalent one and compare result multisets. The rewrite is chosen
 // deterministically from the query hash.
-func GRevCheck(target core.Target, query string) (applied, violated bool, queries []string, err error) {
+func GRevCheck(target Target, query string) (applied, violated bool, queries []string, err error) {
 	q, perr := parser.Parse(query)
 	if perr != nil {
 		return false, false, nil, nil

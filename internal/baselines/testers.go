@@ -5,14 +5,21 @@ import (
 	"math/rand"
 	"strings"
 
-	"gqs/internal/core"
 	"gqs/internal/engine"
 	"gqs/internal/graph"
 )
 
+// Target is the slice of a GDB connector the baseline testers drive:
+// they load a graph and run query text (every gdb.Connector implements
+// it).
+type Target interface {
+	Name() string
+	Reset(g *graph.Graph, schema *graph.Schema) error
+	Execute(query string) (*engine.Result, error)
+}
+
 // Tester is one baseline logic-bug detector: a query generator plus a
-// test oracle. Testers observe targets only through the same Connector
-// surface GQS uses.
+// test oracle.
 type Tester interface {
 	Name() string
 	// Generate produces one test query for the graph (used both by the
@@ -20,7 +27,7 @@ type Tester interface {
 	Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) string
 	// Test runs one round against the target, returning the executed
 	// queries and whether the oracle flagged a violation.
-	Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report
+	Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report
 	// Supports reports whether the tester supported the GDB in the
 	// paper's evaluation (GDBMeter, Gamera, and GQT lack Memgraph).
 	Supports(gdb string) bool
@@ -61,7 +68,7 @@ type GDsmith struct {
 	// Peers are the other databases each query is differentially
 	// executed against. They are constructed lazily per Test call when
 	// nil (the campaign runner injects specific peers).
-	Peers []core.Target
+	Peers []Target
 }
 
 // NewGDsmith returns the differential tester.
@@ -96,7 +103,7 @@ func (t *GDsmith) Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) s
 // Test implements Tester: run the query on the target and on every peer,
 // then compare rendered output (order-sensitive, the way GDsmith diffs
 // formatted result sets).
-func (t *GDsmith) Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report {
+func (t *GDsmith) Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report {
 	q := t.Generate(r, g, schema)
 	rep := &Report{Tester: t.Name(), Queries: []string{q}}
 	base, baseErr := target.Execute(q)
@@ -170,7 +177,7 @@ func (t *GDBMeter) Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) 
 }
 
 // Test implements Tester: apply the TLP oracle to a generated query.
-func (t *GDBMeter) Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report {
+func (t *GDBMeter) Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report {
 	q := t.Generate(r, g, schema)
 	applied, violated, queries, err := TLPCheck(target, q)
 	rep := &Report{Tester: t.Name(), Queries: queries, Err: err}
@@ -208,7 +215,7 @@ func (t *Gamera) Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) st
 
 // Test implements Tester: result of the directed pattern must be a
 // subset of the direction-erased pattern's result.
-func (t *Gamera) Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report {
+func (t *Gamera) Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report {
 	q := t.Generate(r, g, schema)
 	relaxed := eraseDirections(q)
 	rep := &Report{Tester: t.Name(), Queries: []string{q, relaxed}}
@@ -254,7 +261,7 @@ func (t *GQT) Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) strin
 }
 
 // Test implements Tester: surjective transformation (drop one label).
-func (t *GQT) Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report {
+func (t *GQT) Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report {
 	q := t.Generate(r, g, schema)
 	relaxed := dropOneLabel(q)
 	rep := &Report{Tester: t.Name(), Queries: []string{q, relaxed}}
@@ -303,7 +310,7 @@ func (t *GRev) Generate(r *rand.Rand, g *graph.Graph, schema *graph.Schema) stri
 }
 
 // Test implements Tester: rewrite and compare multisets.
-func (t *GRev) Test(r *rand.Rand, target core.Target, g *graph.Graph, schema *graph.Schema) *Report {
+func (t *GRev) Test(r *rand.Rand, target Target, g *graph.Graph, schema *graph.Schema) *Report {
 	q := t.Generate(r, g, schema)
 	applied, violated, queries, err := GRevCheck(target, q)
 	rep := &Report{Tester: t.Name(), Queries: queries, Err: err}

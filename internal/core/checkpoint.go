@@ -173,29 +173,41 @@ func OpenCheckpoint(cfg CheckpointConfig, fingerprint string) (*Checkpointer, er
 			"checkpoint %s: journal already holds a campaign (%d records); resume it or remove the file",
 			cfg.Path, len(recs))
 	}
-	// Last decodable snapshot wins; earlier records are superseded
-	// full-state snapshots kept only until the next compaction.
-	var snap snapshotRecord
-	found := false
-	for i := len(recs) - 1; i >= 0 && !found; i-- {
-		snap = snapshotRecord{}
-		found = json.Unmarshal(recs[i], &snap) == nil && snap.Version == checkpointVersion
-	}
-	if !found {
+	units, err := recoverUnits(recs, fingerprint)
+	if err != nil {
 		j.Close()
-		return nil, fmt.Errorf("checkpoint %s: no decodable snapshot among %d records", cfg.Path, len(recs))
+		if !errors.Is(err, ErrFingerprintMismatch) {
+			err = fmt.Errorf("checkpoint %s: %w", cfg.Path, err)
+		}
+		return nil, err
 	}
-	if snap.Fingerprint != fingerprint {
-		j.Close()
-		return nil, fmt.Errorf("%w:\n  journal: %s\n  current: %s",
-			ErrFingerprintMismatch, snap.Fingerprint, fingerprint)
-	}
-	for _, u := range snap.Units {
+	for _, u := range units {
 		c.idx[unitKey{u.Target, u.Shard}] = len(c.units)
 		c.units = append(c.units, u)
 	}
 	c.stats.ResumedUnits = len(c.units)
 	return c, nil
+}
+
+// recoverUnits picks the state a resume restores from a journal's
+// records: the units of the newest record that decodes as a snapshot of
+// this checkpoint version (earlier records are superseded full-state
+// snapshots kept only until the next compaction). It fails when no
+// record decodes, and with ErrFingerprintMismatch when that snapshot
+// belongs to another campaign.
+func recoverUnits(recs [][]byte, fingerprint string) ([]UnitRecord, error) {
+	for i := len(recs) - 1; i >= 0; i-- {
+		var snap snapshotRecord
+		if json.Unmarshal(recs[i], &snap) != nil || snap.Version != checkpointVersion {
+			continue
+		}
+		if snap.Fingerprint != fingerprint {
+			return nil, fmt.Errorf("%w:\n  journal: %s\n  current: %s",
+				ErrFingerprintMismatch, snap.Fingerprint, fingerprint)
+		}
+		return snap.Units, nil
+	}
+	return nil, fmt.Errorf("no decodable snapshot among %d records", len(recs))
 }
 
 // Completed returns the recorded unit for (target, shard) if the

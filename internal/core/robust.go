@@ -191,15 +191,6 @@ type execOutcome struct {
 	wedged   bool // the connector ignored cancellation past the grace window
 }
 
-// exec dispatches one call: the prepared path when both the target and
-// the caller have a PreparedQuery, the text path otherwise.
-func (rn *Runner) exec(ctx context.Context, query string, pq *engine.PreparedQuery) (*engine.Result, error) {
-	if pq != nil && rn.prepared != nil {
-		return rn.prepared.ExecutePrepared(ctx, pq)
-	}
-	return rn.target.ExecuteCtx(ctx, query)
-}
-
 // executeGuarded runs one query under the per-query deadline, with
 // panic isolation. A cancel-aware target's call runs inline, on the
 // runner's goroutine (see CancelAwareTarget). Any other target's call
@@ -207,17 +198,16 @@ func (rn *Runner) exec(ctx context.Context, query string, pq *engine.PreparedQue
 // cancellation for longer than the grace window it is abandoned (the
 // goroutine leaks, as any harness abandoning a wedged database call
 // must). Either way, a call that ends more than the grace window past
-// its deadline is a wedged timeout, and the target is restarted. pq,
-// when non-nil, routes the call through the prepared path.
-func (rn *Runner) executeGuarded(query string, pq *engine.PreparedQuery) execOutcome {
+// its deadline is a wedged timeout, and the target is restarted.
+func (rn *Runner) executeGuarded(pq *engine.PreparedQuery) execOutcome {
 	if rn.rb.Timeout < 0 {
-		return rn.executeInline(rn.ctx, query, pq)
+		return rn.executeInline(rn.ctx, pq)
 	}
 	ctx, cancel := context.WithTimeout(rn.ctx, rn.rb.Timeout)
 	defer cancel()
 	var o execOutcome
 	if rn.cancelAware {
-		o = rn.executeInline(ctx, query, pq)
+		o = rn.executeInline(ctx, pq)
 		if ctx.Err() != nil {
 			if deadline, _ := ctx.Deadline(); time.Since(deadline) > rn.rb.Grace {
 				return rn.wedged()
@@ -226,7 +216,7 @@ func (rn *Runner) executeGuarded(query string, pq *engine.PreparedQuery) execOut
 		}
 	} else {
 		ch := make(chan execOutcome, 1)
-		go func() { ch <- rn.executeInline(ctx, query, pq) }()
+		go func() { ch <- rn.executeInline(ctx, pq) }()
 		select {
 		case o = <-ch:
 		case <-ctx.Done():
@@ -264,13 +254,13 @@ func (rn *Runner) wedged() execOutcome {
 // recovering a panic into a PanicError. ctx is the campaign's own when
 // the watchdog is disabled (Timeout < 0), the per-query deadline
 // otherwise.
-func (rn *Runner) executeInline(ctx context.Context, query string, pq *engine.PreparedQuery) (o execOutcome) {
+func (rn *Runner) executeInline(ctx context.Context, pq *engine.PreparedQuery) (o execOutcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			o = execOutcome{err: &PanicError{Val: p}, panicked: true}
 		}
 	}()
-	res, err := rn.exec(ctx, query, pq)
+	res, err := rn.target.ExecutePrepared(ctx, pq)
 	return execOutcome{res: res, err: err}
 }
 
@@ -316,14 +306,9 @@ func (rn *Runner) restartBackoff(a int) time.Duration {
 	return rn.jitter(d)
 }
 
-// resetTarget brings the target to the current graph state: the O(1)
-// copy-on-write snapshot path when the target supports it, the legacy
-// deep-copy Reset otherwise.
+// resetTarget brings the target to the iteration's sealed graph.
 func (rn *Runner) resetTarget() error {
-	if rn.snapshot != nil && rn.curSnap != nil {
-		return rn.snapshot.ResetSnapshot(rn.curSnap, rn.curSchema)
-	}
-	return rn.target.Reset(rn.curGraph, rn.curSchema)
+	return rn.target.ResetSnapshot(rn.curSnap, rn.curSchema)
 }
 
 // restartSequence tries to bring the target back with a fresh instance

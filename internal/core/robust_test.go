@@ -16,24 +16,21 @@ import (
 	"gqs/internal/graph"
 )
 
-// scriptTarget is a stub Target whose Execute behaviour is scripted per
-// test; Reset failures are scripted through resetErr.
+// scriptTarget is a stub Target whose execution is scripted per test;
+// reset failures are scripted through resetErr.
 type scriptTarget struct {
 	exec     func(ctx context.Context) (*engine.Result, error)
 	resetErr func() error
 }
 
 func (s *scriptTarget) Name() string { return "stub" }
-func (s *scriptTarget) Reset(g *graph.Graph, sc *graph.Schema) error {
+func (s *scriptTarget) ResetSnapshot(*graph.Snapshot, *graph.Schema) error {
 	if s.resetErr != nil {
 		return s.resetErr()
 	}
 	return nil
 }
-func (s *scriptTarget) Execute(q string) (*engine.Result, error) {
-	return s.exec(context.Background())
-}
-func (s *scriptTarget) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
+func (s *scriptTarget) ExecutePrepared(ctx context.Context, _ *engine.PreparedQuery) (*engine.Result, error) {
 	return s.exec(ctx)
 }
 func (s *scriptTarget) RelUniqueness() bool    { return true }
@@ -281,8 +278,8 @@ func TestInlineCallRunsOnRunnerGoroutine(t *testing.T) {
 }
 
 // TestNoDeadlineHonoursCampaignCancel: with the deadline disabled
-// (Timeout < 0), a text-only target is still called under the
-// campaign's context, so canceling the campaign ends the query in
+// (Timeout < 0), a target is still called under the campaign's
+// context, so canceling the campaign ends the query in
 // flight instead of leaving the runner blocked.
 func TestNoDeadlineHonoursCampaignCancel(t *testing.T) {
 	cfg := tinyRunnerConfig()
@@ -345,16 +342,12 @@ type failFirstAttempt struct {
 	calls int
 }
 
-func (f *failFirstAttempt) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
+func (f *failFirstAttempt) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
 	f.calls++
 	if f.calls%2 == 1 {
 		return nil, &stubTransientErr{}
 	}
-	return f.Target.ExecuteCtx(ctx, q)
-}
-
-func (f *failFirstAttempt) Execute(q string) (*engine.Result, error) {
-	return f.ExecuteCtx(context.Background(), q)
+	return f.Target.ExecutePrepared(ctx, pq)
 }
 
 // TestTransientRetrySucceeds: transient connector errors are retried and
@@ -404,17 +397,17 @@ func TestTransientExhaustionIsSkip(t *testing.T) {
 	}
 }
 
-// flakyReset wraps a healthy target with a switchable Reset failure.
+// flakyReset wraps a healthy target with a switchable reset failure.
 type flakyReset struct {
 	Target
 	down bool
 }
 
-func (f *flakyReset) Reset(g *graph.Graph, s *graph.Schema) error {
+func (f *flakyReset) ResetSnapshot(snap *graph.Snapshot, s *graph.Schema) error {
 	if f.down {
 		return errors.New("instance did not come up")
 	}
-	return f.Target.Reset(g, s)
+	return f.Target.ResetSnapshot(snap, s)
 }
 
 // TestBreakerTripsAndCampaignContinues: a target that cannot be brought

@@ -11,51 +11,33 @@ import (
 	"gqs/internal/metrics"
 )
 
-// Target is the slice of the GDB-connector interface the runner needs
-// (the gdb package's connectors implement it).
+// Target is the GDB-connector interface the runner drives (every
+// gdb.Connector implements it). The runner seals each generated graph
+// into one immutable graph.Snapshot, and every restart of the iteration
+// — the initial load, crash recovery, flaky-reset retries — resets the
+// target onto it: state restoration between oracle checks is O(1) for
+// read-only workloads. It prepares each synthesized query exactly once
+// (one feature analysis, one plan compilation) and hands every
+// execution, transient-error retries included, the same immutable
+// PreparedQuery. Text-only targets are adapted once, at the public gqs
+// API.
 type Target interface {
 	Name() string
-	Reset(g *graph.Graph, schema *graph.Schema) error
-	Execute(query string) (*engine.Result, error)
-	// ExecuteCtx runs the query under a context that the runner cancels
-	// at the per-query deadline. Implementations should abort promptly
-	// once the context is canceled (returning engine.ErrCanceled or the
-	// in-flight fault's error). Each call runs in a watchdog goroutine;
-	// one that ignores cancellation past the grace window is abandoned
-	// and the target is restarted. A target that declares prompt
-	// cancellation (CancelAwareTarget) is instead called on the runner's
-	// goroutine, and the runner waits for every call to return.
-	ExecuteCtx(ctx context.Context, query string) (*engine.Result, error)
 	RelUniqueness() bool
 	ProvidesDBLabels() bool
-}
-
-// PreparedTarget is the optional prepared-execution extension of Target
-// (the gdb connectors implement it). When a target supports it, the
-// runner parses and analyzes each synthesized query exactly once and
-// hands every execution — including transient-error retries — the same
-// immutable PreparedQuery, instead of paying a parse per call. Since the
-// plan compiler landed, Prepare also lowers the query to a physical plan
-// (engine/plan.go) shared the same way: one compile serves all five
-// oracle targets and every shard, and each ExecutePrepared runs the plan
-// on slot frames instead of interpreting the AST. Targets without the
-// interface (e.g. the differential baselines) keep the text path.
-type PreparedTarget interface {
-	Target
-	ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error)
-}
-
-// SnapshotTarget is the optional copy-on-write restart extension of
-// Target (the gdb connectors implement it). When a target supports it,
-// the runner seals each generated graph into one immutable
-// graph.Snapshot and every restart of the iteration — the initial load,
-// crash recovery, flaky-reset retries — shares it instead of deep-
-// copying the graph, making state restoration between oracle checks
-// O(1) for read-only workloads. Behaviour must be identical to Reset
-// with the same graph; targets without it keep the legacy path.
-type SnapshotTarget interface {
-	Target
+	// ResetSnapshot clears the instance and loads the snapshot; each
+	// instance overlays its own writes and drops them on the next reset.
 	ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) error
+	// ExecutePrepared runs the query under a context that the runner
+	// cancels at the per-query deadline. Implementations should abort
+	// promptly once the context is canceled (returning
+	// engine.ErrCanceled or the in-flight fault's error) and must treat
+	// the PreparedQuery as read-only. Each call runs in a watchdog
+	// goroutine; one that ignores cancellation past the grace window is
+	// abandoned and the target is restarted. A target that declares
+	// prompt cancellation (CancelAwareTarget) is instead called on the
+	// runner's goroutine, and the runner waits for every call to return.
+	ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error)
 }
 
 // CancelAwareTarget is the optional inline-execution extension of
@@ -112,10 +94,9 @@ type TestCase struct {
 	Err      error
 	Verdict  Verdict
 	Elapsed  time.Duration
-	// Features is the query's precomputed feature vector when the target
-	// took the prepared path (nil on the text path). Observers needing
-	// features should use it before falling back to metrics.Analyze, so
-	// the analysis runs once per query instead of once per consumer.
+	// Features is the query's feature vector, computed once when the
+	// query was prepared (nil only for synthesis failures) — the vector
+	// the target's fault triggers evaluated.
 	Features *metrics.Features
 	// Graph and Schema are the generated database the query ran against;
 	// the oracle-replay experiments (§5.4.3) re-execute the query on the
@@ -174,11 +155,6 @@ type Runner struct {
 	// backoff pauses wake immediately, and in-flight queries inherit it
 	// under the per-query deadline. Always non-nil (Background default).
 	ctx context.Context
-	// prepared is target's prepared-execution extension, nil when the
-	// target only speaks text; snapshot is its copy-on-write restart
-	// extension, nil when the target only takes deep-copy Resets.
-	prepared PreparedTarget
-	snapshot SnapshotTarget
 	// cancelAware runs the target's calls inline under their deadline
 	// instead of in a watchdog goroutine (see CancelAwareTarget).
 	cancelAware bool
@@ -195,11 +171,10 @@ type Runner struct {
 	breakerOpen  bool // circuit breaker state
 	abandonGraph bool // set when a mid-graph restart sequence fails
 	needRecover  bool // a crash/hang verdict is awaiting a restart
-	curGraph     *graph.Graph
-	curSchema    *graph.Schema
-	// curSnap is the sealed snapshot of curGraph, nil when the target has
-	// no SnapshotTarget extension.
-	curSnap *graph.Snapshot
+	// curSnap and curSchema are the iteration's sealed graph, the state
+	// every restart resets the target to.
+	curSnap   *graph.Snapshot
+	curSchema *graph.Schema
 	// share, when set, dedups the per-iteration seal across executor
 	// passes (see SnapshotShare); shareShard is the logical shard slot
 	// the next iteration resolves against.
@@ -223,8 +198,6 @@ func NewRunner(target Target, cfg RunnerConfig) *Runner {
 		rb:     cfg.Robust.withDefaults(),
 		jr:     rand.New(rand.NewSource(cfg.Seed ^ 0x6a77_3b2c_9d1e_5f48)),
 	}
-	rn.prepared, _ = target.(PreparedTarget)
-	rn.snapshot, _ = target.(SnapshotTarget)
 	if ca, ok := target.(CancelAwareTarget); ok {
 		rn.cancelAware = ca.CancelAware()
 	}
@@ -261,7 +234,7 @@ func (rn *Runner) Reseed(seed int64) {
 	rn.breakerOpen = false
 	rn.abandonGraph = false
 	rn.needRecover = false
-	rn.curGraph, rn.curSchema, rn.curSnap = nil, nil, nil
+	rn.curSnap, rn.curSchema = nil, nil
 }
 
 // SetShare installs the campaign-wide snapshot share and the logical
@@ -295,24 +268,17 @@ func (rn *Runner) RunIteration(report func(*TestCase)) error {
 	defer func() { rn.stats.Elapsed += time.Since(start) }()
 
 	g, schema := graph.Generate(rn.r, rn.cfg.Graph)
-	rn.curSnap = nil
-	if rn.snapshot != nil {
-		// One immutable snapshot per iteration: every restart below —
-		// and, campaign-wide, every other target validating the same
-		// graph — shares it instead of deep-copying the graph. Sealing
-		// leaves g fully readable for ground-truth selection and
-		// synthesis. With a share installed, the seal itself (and the
-		// snapshot's cached index build) is dedup'd across the campaign's
-		// per-target legs: the generation draws above still advance this
-		// runner's RNG stream, but the resulting content-identical graph
-		// is swapped for the canonical shared instance.
-		if rn.share != nil {
-			g, schema, rn.curSnap = rn.share.resolve(rn.shareShard, g, schema)
-		} else {
-			rn.curSnap = g.Seal()
-		}
-	}
-	rn.curGraph, rn.curSchema = g, schema
+	// One immutable snapshot per iteration: every restart below — and,
+	// campaign-wide, every other target validating the same graph —
+	// shares it instead of copying the graph. Sealing leaves g fully
+	// readable for ground-truth selection and synthesis. With a share
+	// installed, the seal itself (and the snapshot's cached index build)
+	// is dedup'd across the campaign's per-target legs: the generation
+	// draws above still advance this runner's RNG stream, but the
+	// resulting content-identical graph is swapped for the canonical
+	// shared instance.
+	g, schema, rn.curSnap = rn.share.resolve(rn.shareShard, g, schema)
+	rn.curSchema = schema
 	rn.abandonGraph = false
 	if !rn.ensureUp() {
 		rn.stats.Robust.FailedIterations++
@@ -394,20 +360,16 @@ func (rn *Runner) runOne(syn *Synthesizer, gt *GroundTruth) *TestCase {
 	// by every attempt below and every downstream consumer (fault
 	// triggers on the target, feature aggregation in the observers). The
 	// synthesizer built the AST and printed sq.Text from it, so the
-	// prepared path hands that AST over directly — no parse at all.
-	// Text-only targets skip this and parse per call as before.
-	var pq *engine.PreparedQuery
-	if rn.prepared != nil {
-		pq = engine.PrepareAST(sq.Query, sq.Text)
-		tc.Features = pq.Features
-	}
+	// prepared query takes that AST over directly — no parse at all.
+	pq := engine.PrepareAST(sq.Query, sq.Text)
+	tc.Features = pq.Features
 
 	// Execute through the watchdog, retrying transient connector errors
 	// with jittered backoff. A flaky connection must never inflate bug
 	// counts: retries are not verdicts, and exhausting them is a skip.
 	var out execOutcome
 	for attempt := 0; ; attempt++ {
-		out = rn.executeGuarded(sq.Text, pq)
+		out = rn.executeGuarded(pq)
 		if !isTransient(out.err) {
 			break
 		}

@@ -22,13 +22,12 @@ func newRefTarget(closed *atomic.Int64) *refTarget {
 }
 
 func (t *refTarget) Name() string { return "reference" }
-func (t *refTarget) Reset(g *graph.Graph, s *graph.Schema) error {
-	t.eng.LoadGraph(g, s)
+func (t *refTarget) ResetSnapshot(snap *graph.Snapshot, s *graph.Schema) error {
+	t.eng.LoadSnapshot(snap, s)
 	return nil
 }
-func (t *refTarget) Execute(q string) (*engine.Result, error) { return t.eng.Execute(q) }
-func (t *refTarget) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
-	return t.eng.ExecuteCtx(ctx, q)
+func (t *refTarget) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
+	return t.eng.ExecutePrepared(ctx, pq)
 }
 func (t *refTarget) RelUniqueness() bool    { return true }
 func (t *refTarget) ProvidesDBLabels() bool { return true }

@@ -61,9 +61,10 @@ func NewSnapshotShare(iterations, expectedUses int) *SnapshotShare {
 
 // resolve returns the canonical (graph, schema, snapshot) triple for
 // shard, publishing the caller's freshly generated g/schema (sealed) if
-// the slot is empty. The caller must have generated g/schema from the
-// shard's own RNG stream — the triple is only shareable because that
-// makes it content-identical across callers.
+// the slot is empty; a nil share, or a shard outside it, just seals g.
+// The caller must have generated g/schema from the shard's own RNG
+// stream — the triple is only shareable because that makes it
+// content-identical across callers.
 func (s *SnapshotShare) resolve(shard int, g *graph.Graph, schema *graph.Schema) (*graph.Graph, *graph.Schema, *graph.Snapshot) {
 	if s == nil || shard < 0 || shard >= len(s.slots) {
 		return g, schema, g.Seal()

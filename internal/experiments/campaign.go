@@ -2,7 +2,8 @@
 // table and figure of the GQS paper's evaluation (§5) against the
 // simulated GDBs. Each experiment returns a structured result and can
 // render itself as a text table; the gqs-bench command and the root
-// benchmark suite drive them.
+// benchmark suite drive them. Its GQS campaign (RunCampaign) is also the
+// one the gqs command runs and prints.
 package experiments
 
 import (
@@ -50,11 +51,15 @@ type Campaign struct {
 	// (timeouts, retries, restarts, breaker trips, downtime).
 	Robust core.RobustnessStats
 	// Workers is the configured worker-pool size (0 = GOMAXPROCS); Wall
-	// is the campaign's wall-clock time and Throughput the final meter
-	// reading.
+	// is the campaign's wall-clock time and Throughput the work this run
+	// executed in it.
 	Workers    int
 	Wall       time.Duration
 	Throughput metrics.Throughput
+	// UndecodedUnits counts the work units restored from the checkpoint
+	// journal whose payload did not decode: their stats are in the
+	// campaign, their detections are missing from it.
+	UndecodedUnits int
 	// legs holds each GDB leg's merged executor Stats, in run order.
 	legs []core.Stats
 }
@@ -83,6 +88,20 @@ type CampaignConfig struct {
 	// automatic size from Iterations and Workers (see ResolvedBatch);
 	// results are byte-identical for every batch size.
 	Batch int
+	// GDBs names the simulated GDBs the campaign tests, one leg each, in
+	// this order; nil tests the four of gdb.All().
+	GDBs []string
+	// QueriesPerGraph is the number of ground truths drawn per generated
+	// graph; 0 selects 6.
+	QueriesPerGraph int
+	// NoPlan executes prepared queries on the interpreter instead of
+	// compiled plans (differential debugging; the findings are identical
+	// either way).
+	NoPlan bool
+	// Reports renders the reproducible bug report of each shard's first
+	// detection of each bug into Detection.Report and the journal
+	// payload, so a resumed campaign can still hand it out.
+	Reports bool
 }
 
 // ResolvedBatch is the effective work-unit size of the sharded
@@ -124,7 +143,19 @@ func DefaultCampaignConfig() CampaignConfig {
 // identity (the ground truth the paper's manual deduplication
 // approximates).
 func RunGQSCampaign(cfg CampaignConfig) *Campaign {
-	return runShardedCampaignCtx(context.Background(), cfg, nil, nil)
+	return runCampaign(context.Background(), cfg, nil, nil, nil)
+}
+
+// gdbs returns the names of the GDBs the campaign tests, in leg order.
+func (cfg CampaignConfig) gdbs() []string {
+	if cfg.GDBs != nil {
+		return cfg.GDBs
+	}
+	var names []string
+	for _, sim := range gdb.All() {
+		names = append(names, sim.Name())
+	}
+	return names
 }
 
 // campaignRunnerConfig is the one runner configuration every campaign —
@@ -132,26 +163,18 @@ func RunGQSCampaign(cfg CampaignConfig) *Campaign {
 // single-sourced is what lets the checkpoint fingerprint agree with the
 // executor.
 func campaignRunnerConfig(cfg CampaignConfig) core.RunnerConfig {
+	qpg := cfg.QueriesPerGraph
+	if qpg <= 0 {
+		qpg = 6
+	}
 	return core.RunnerConfig{
 		Seed:            cfg.Seed,
 		Graph:           cfg.Graph,
 		Synth:           cfg.Synth,
-		QueriesPerGraph: 6,
+		QueriesPerGraph: qpg,
 		QueriesPerGT:    2,
 		Robust:          cfg.Robust,
 	}
-}
-
-// featuresOf returns the test case's feature vector: the one the
-// prepared execution path already computed when available, a fresh
-// analysis only for text-path targets. The prepared vector is the same
-// one the target's fault triggers evaluated, so findings are reported
-// with exactly the features that selected their bug.
-func featuresOf(tc *core.TestCase) *metrics.Features {
-	if tc.Features != nil {
-		return tc.Features
-	}
-	return metrics.Analyze(tc.Query)
 }
 
 // ByGDB groups findings per GDB.
@@ -186,20 +209,14 @@ func newRecordingTarget(sim *gdb.Sim) *recordingTarget {
 	return &recordingTarget{sim: sim, bugs: map[string]*faults.Bug{}}
 }
 
-func (rt *recordingTarget) Name() string           { return rt.sim.Name() }
-func (rt *recordingTarget) RelUniqueness() bool    { return rt.sim.RelUniqueness() }
-func (rt *recordingTarget) ProvidesDBLabels() bool { return rt.sim.ProvidesDBLabels() }
+func (rt *recordingTarget) Name() string { return rt.sim.Name() }
 
 func (rt *recordingTarget) Reset(g *graph.Graph, schema *graph.Schema) error {
 	return rt.sim.Reset(g, schema)
 }
 
 func (rt *recordingTarget) Execute(q string) (*engine.Result, error) {
-	return rt.ExecuteCtx(context.Background(), q)
-}
-
-func (rt *recordingTarget) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
-	res, err := rt.sim.ExecuteCtx(ctx, q)
+	res, err := rt.sim.Execute(q)
 	if b := rt.sim.TriggeredBug(); b != nil {
 		rt.bugs[b.ID] = b
 	}
@@ -268,7 +285,7 @@ func RunBaselineCampaign(tester baselines.Tester, gdbName string, rounds int, se
 			peerName = "falkordb"
 		}
 		peer, _ := gdb.ByName(peerName)
-		gds.Peers = []core.Target{newRecordingPeer(peer)}
+		gds.Peers = []baselines.Target{newRecordingTarget(peer)}
 		defer func() { gds.Peers = nil }()
 	}
 
@@ -296,8 +313,8 @@ func RunBaselineCampaign(tester baselines.Tester, gdbName string, rounds int, se
 		// about another system, but not a find for this column.)
 		if gds, ok := tester.(*baselines.GDsmith); ok {
 			for _, p := range gds.Peers {
-				if rp, ok := p.(*recordingPeer); ok {
-					rp.rt.drain()
+				if rt, ok := p.(*recordingTarget); ok {
+					rt.drain()
 				}
 			}
 		}
@@ -323,24 +340,6 @@ func RunBaselineCampaign(tester baselines.Tester, gdbName string, rounds int, se
 		}
 	}
 	return out, nil
-}
-
-// recordingPeer adapts a recording target for the GDsmith peer slot.
-type recordingPeer struct{ rt *recordingTarget }
-
-func newRecordingPeer(sim *gdb.Sim) *recordingPeer {
-	return &recordingPeer{rt: newRecordingTarget(sim)}
-}
-
-func (p *recordingPeer) Name() string           { return p.rt.Name() }
-func (p *recordingPeer) RelUniqueness() bool    { return p.rt.RelUniqueness() }
-func (p *recordingPeer) ProvidesDBLabels() bool { return p.rt.ProvidesDBLabels() }
-func (p *recordingPeer) Reset(g *graph.Graph, s *graph.Schema) error {
-	return p.rt.Reset(g, s)
-}
-func (p *recordingPeer) Execute(q string) (*engine.Result, error) { return p.rt.Execute(q) }
-func (p *recordingPeer) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
-	return p.rt.ExecuteCtx(ctx, q)
 }
 
 func hasBugError(err error) bool {

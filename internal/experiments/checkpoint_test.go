@@ -193,3 +193,41 @@ func TestResumeRefusesChangedConfig(t *testing.T) {
 		t.Fatalf("completed campaign did not restore: %+v", done.Robust)
 	}
 }
+
+// TestDurableCampaignCountsUndecodablePayloads: a restored unit whose
+// payload does not decode is counted, not merged silently as empty. Its
+// tallies still come from the journal, so the campaign totals stay
+// those of an uninterrupted run while its findings are missing.
+func TestDurableCampaignCountsUndecodablePayloads(t *testing.T) {
+	cfg := DefaultCampaignConfig()
+	cfg.Iterations, cfg.Workers, cfg.Batch = 2, 1, 1
+	cfg.GDBs = []string{"falkordb"}
+	want := RunGQSCampaign(cfg)
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	ck, err := core.OpenCheckpoint(core.CheckpointConfig{Path: path}, CampaignFingerprint(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 of the campaign is the whole of its one-iteration prefix.
+	first := cfg
+	first.Iterations = 1
+	shard0 := RunGQSCampaign(first).legs[0]
+	ck.Record(core.UnitRecord{Target: "falkordb", Shard: 0, Count: 1, Queries: shard0.Queries, Stats: shard0,
+		Payload: []byte(`[[{"bug":"FK-L1","verdict":"logic-bug","seq":3}]]`)})
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := core.OpenCheckpoint(core.CheckpointConfig{Path: path, Resume: true}, CampaignFingerprint(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got := RunGQSCampaignDurable(context.Background(), cfg, re)
+	if got.UndecodedUnits != 1 {
+		t.Fatalf("UndecodedUnits = %d, want 1", got.UndecodedUnits)
+	}
+	if got.Queries != want.Queries || len(got.Findings) >= len(want.Findings) {
+		t.Errorf("resumed %d queries and %d findings; want %d queries and fewer than %d findings",
+			got.Queries, len(got.Findings), want.Queries, len(want.Findings))
+	}
+}

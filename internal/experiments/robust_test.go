@@ -58,7 +58,7 @@ func TestResilientCampaign(t *testing.T) {
 
 	// A transient error never reaches a verdict: every give-up is a skip
 	// and every finding carries real fault attribution (enforced by
-	// construction in runShardedOn — a Finding requires TriggeredBug).
+	// construction in the campaign merge — a Finding requires TriggeredBug).
 	if rb.TransientGiveUps > c.Skips {
 		t.Errorf("give-ups (%d) must be classified as skips (%d)", rb.TransientGiveUps, c.Skips)
 	}
@@ -101,8 +101,8 @@ func TestInlineMatchesWatchdogCampaign(t *testing.T) {
 	live.Robust = core.RobustnessConfig{Timeout: 40 * time.Millisecond}
 	for name, cfg := range map[string]CampaignConfig{"default-faults": plain, "live-flaky": live} {
 		t.Run(name, func(t *testing.T) {
-			inline := runShardedCampaignCtx(context.Background(), cfg, nil, nil)
-			watchdog := runShardedCampaignCtx(context.Background(), cfg, nil,
+			inline := runCampaign(context.Background(), cfg, nil, nil, nil)
+			watchdog := runCampaign(context.Background(), cfg, nil, nil,
 				func(c gdb.Connector) core.Target { return watchdogOnly{c} })
 			if a, b := watchdog.CanonicalBugReport(), inline.CanonicalBugReport(); a != b {
 				t.Fatalf("bug reports diverge:\nwatchdog:\n%s\ninline:\n%s", a, b)

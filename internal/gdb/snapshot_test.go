@@ -9,19 +9,14 @@ import (
 	"gqs/internal/graph"
 )
 
-// legacyOnly wraps a Sim exposing only the Target + PreparedTarget
-// surface: ResetSnapshot is hidden, so the runner falls back to the
-// deep-clone Reset path. It is the control arm of the COW campaign
-// differential below.
+// legacyOnly wraps a Sim whose ResetSnapshot loads a fresh overlay graph
+// through the deep-clone Reset path instead of the copy-on-write one. It
+// is the control arm of the COW campaign differential below.
 type legacyOnly struct{ s *Sim }
 
 func (l legacyOnly) Name() string { return l.s.Name() }
-func (l legacyOnly) Reset(g *graph.Graph, schema *graph.Schema) error {
-	return l.s.Reset(g, schema)
-}
-func (l legacyOnly) Execute(q string) (*engine.Result, error) { return l.s.Execute(q) }
-func (l legacyOnly) ExecuteCtx(ctx context.Context, q string) (*engine.Result, error) {
-	return l.s.ExecuteCtx(ctx, q)
+func (l legacyOnly) ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) error {
+	return l.s.Reset(graph.FromSnapshot(snap), schema)
 }
 func (l legacyOnly) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
 	return l.s.ExecutePrepared(ctx, pq)
@@ -55,7 +50,7 @@ func campaignTrace(t *testing.T, target core.Target, iterations int) []string {
 
 // TestCampaignCOWMatchesLegacyReset is the campaign-level differential
 // for the copy-on-write Reset: the same fixed-seed campaign through the
-// snapshot path and through the hidden-ResetSnapshot legacy path must
+// snapshot path and through the deep-clone Reset path must
 // produce the identical sequence of queries, verdicts, and results, on
 // the clean reference engine and on a fault-injected GDB (whose write
 // workload exercises overlay mutation + restore every iteration).

@@ -2,56 +2,18 @@ package metrics
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// Meter is a goroutine-safe throughput meter for parallel campaigns: the
-// worker pool's shards bump its atomic counters and anyone (a progress
-// printer, the final summary) can take a consistent-enough Snapshot at
-// any time without stopping the pool.
-type Meter struct {
-	start       time.Time
-	iterations  atomic.Int64
-	queries     atomic.Int64
-	bugs        atomic.Int64
-	checkpoints atomic.Int64
-}
-
-// NewMeter starts a meter; rates are measured from this instant.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// AddIterations records completed workflow iterations.
-func (m *Meter) AddIterations(n int) { m.iterations.Add(int64(n)) }
-
-// AddQuery records one executed test case.
-func (m *Meter) AddQuery() { m.queries.Add(1) }
-
-// AddBug records one distinct-bug detection.
-func (m *Meter) AddBug() { m.bugs.Add(1) }
-
-// AddCheckpoints records checkpoint snapshots flushed to the journal
-// during the campaign.
-func (m *Meter) AddCheckpoints(n int) { m.checkpoints.Add(int64(n)) }
-
-// Throughput is a point-in-time reading of a Meter.
+// Throughput is the live work of a campaign (or of one leg) and its
+// wall-clock time: restored work units are not this run's work, so they
+// are never counted.
 type Throughput struct {
 	Iterations  int64
 	Queries     int64
 	Bugs        int64
 	Checkpoints int64
 	Elapsed     time.Duration
-}
-
-// Snapshot reads the counters.
-func (m *Meter) Snapshot() Throughput {
-	return Throughput{
-		Iterations:  m.iterations.Load(),
-		Queries:     m.queries.Load(),
-		Bugs:        m.bugs.Load(),
-		Checkpoints: m.checkpoints.Load(),
-		Elapsed:     time.Since(m.start),
-	}
 }
 
 // IterationsPerSec is the wall-clock iteration rate.

@@ -2,34 +2,9 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestMeterCountsConcurrently(t *testing.T) {
-	m := NewMeter()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				m.AddQuery()
-			}
-			m.AddIterations(2)
-			m.AddBug()
-		}()
-	}
-	wg.Wait()
-	s := m.Snapshot()
-	if s.Queries != 800 || s.Iterations != 16 || s.Bugs != 8 {
-		t.Fatalf("snapshot = %+v, want 800 queries, 16 iterations, 8 bugs", s)
-	}
-	if s.Elapsed <= 0 {
-		t.Fatal("elapsed must be positive")
-	}
-}
 
 func TestThroughputRates(t *testing.T) {
 	tp := Throughput{Iterations: 10, Queries: 50, Elapsed: 2 * time.Second}
