@@ -38,20 +38,26 @@ bench:
 #   - FuzzJournalScan: journal recovery never panics on any bytes, errs
 #     only on a foreign header, and its valid prefix rescans and
 #     re-frames to itself;
-#   - FuzzCheckpointRecover: picking the snapshot to resume from never
-#     panics, refuses a foreign fingerprint, and a restored snapshot
-#     re-encodes to the same units;
+#   - FuzzCheckpointRecover: folding a journal's records into the units
+#     a resume restores never panics, refuses a foreign fingerprint,
+#     restores each unit's last write once, and folds split or
+#     re-encoded records to the same units;
 #   - FuzzShardLogsDecode: decoding a unit's payload never panics,
-#     returns one log per shard, and reports input it cannot decode.
-# The last three are seeded from real journals of a few KB, and
+#     returns one log per shard, and reports input it cannot decode;
+#   - FuzzPlanVsInterp: any query that compiles to a plan gives the same
+#     columns and rows, or the same error, on the planned and the
+#     interpreted engine under every dialect.
+# The journal targets are seeded from real journals of a few KB, and
 # minimizing a new input of that size takes quadratically many runs, so
-# their minimization is capped at 1s to leave the 10s for fuzzing.
+# their minimization is capped at 1s to leave the 10s for fuzzing; a
+# FuzzPlanVsInterp input runs ten engines, so its cap is 1s too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLogsDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanVsInterp$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct

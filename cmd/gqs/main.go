@@ -76,7 +76,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size; the reported bug set is identical for every value at the same seed (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.Batch, "batch", 0, "iterations per work unit (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal completed work units to this file for crash-safe resume")
-	fs.IntVar(&o.ckEvery, "checkpoint-every", 10, "flush a checkpoint snapshot every N completed work units")
+	fs.IntVar(&o.ckEvery, "checkpoint-every", 10, "append a checkpoint record every N completed work units")
 	fs.BoolVar(&o.resume, "resume", false, "resume the campaign recorded in -checkpoint (refused if the configuration changed)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -201,7 +201,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			exit = 1
 		}
 		cs := ck.Stats()
-		fmt.Fprintf(stdout, "checkpoint: %d snapshots journaled (%d bytes) to %s\n", cs.Written, cs.Bytes, o.checkpoint)
+		fmt.Fprintf(stdout, "checkpoint: %d records journaled (%d bytes) to %s\n", cs.Written, cs.Bytes, o.checkpoint)
 		ck.Close()
 	}
 	if ctx.Err() != nil {
@@ -223,7 +223,7 @@ type printer struct {
 	o         options
 	ck        *core.Checkpointer
 	distinct  int // bugs first detected in the current leg
-	ckBefore  int // checkpoint snapshots written before the current leg
+	ckBefore  int // checkpoint records written before the current leg
 }
 
 func (p *printer) legStart(name string) {

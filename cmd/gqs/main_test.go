@@ -416,3 +416,42 @@ func TestResumeReportsUndecodablePayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeFullStateJournal: a journal whose records each hold every
+// unit completed so far — as the command wrote them before a record
+// held only the units completed since the previous flush — resumes with
+// all its units restored, into the lines of an uninterrupted run; the
+// journal it leaves, full-state records followed by the resumed run's,
+// restores every unit. testdata/fullstate-falkordb.journal is such a
+// journal, cut by cancellation after three flushes of
+// `gqs -gdb falkordb -iterations 12 -workers 1 -batch 1 -max-nodes 5
+// -max-rels 8 -checkpoint-every 1`.
+func TestResumeFullStateJournal(t *testing.T) {
+	args := []string{"-gdb", "falkordb", "-iterations", "12", "-workers", "1", "-batch", "1",
+		"-max-nodes", "5", "-max-rels", "8", "-checkpoint-every", "1"}
+	code, want, stderr := runCmd(context.Background(), args...)
+	if code != 0 {
+		t.Fatalf("uninterrupted run: exit %d\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "fullstate-falkordb.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	drop := []string{"resuming from ", "checkpoint: "}
+	for _, restored := range []int{3, 12} {
+		code, got, stderr := runCmd(context.Background(), append(args, "-checkpoint", path, "-resume")...)
+		if code != 0 {
+			t.Fatalf("resume restoring %d units: exit %d\n%s", restored, code, stderr)
+		}
+		if line := fmt.Sprintf("resuming from %s: %d completed units restored\n", path, restored); !strings.HasPrefix(got, line) {
+			t.Fatalf("want %q first:\n%s", line, got)
+		}
+		if g, w := comparable(got, drop...), comparable(want, drop...); g != w {
+			t.Errorf("resume restoring %d units differs from an uninterrupted run\n%s", restored, firstDiff(g, w))
+		}
+	}
+}

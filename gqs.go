@@ -276,9 +276,10 @@ func WithBatch(n int) TesterOption {
 }
 
 // WithCheckpoint journals completed work units (see WithBatch) to a
-// crash-safe append-only file, flushing a snapshot every `every`
-// completed units (<= 0 means every unit). A RunContext canceled
-// mid-campaign leaves the journal resumable; see WithResume.
+// crash-safe append-only file: every `every` completed units (<= 0
+// means every unit) it appends one record holding just those units, so
+// each unit is written once. A RunContext canceled mid-campaign leaves
+// the journal resumable; see WithResume.
 func WithCheckpoint(path string, every int) TesterOption {
 	return func(c *testerConfig) { c.ckPath, c.ckEvery = path, every }
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,13 +17,14 @@ import (
 // byte-identically. The unit of durability is the sharded executor's
 // work unit — a contiguous range of logical iterations, each of which
 // derives its RNG stream from (campaign seed, iteration) alone. Each
-// flush appends one full-state snapshot record; recovery takes the last
-// valid one, so a torn tail costs at most the units recorded since the
-// previous flush, which the resumed campaign simply re-runs —
+// flush appends one record of the units completed since the previous
+// flush; recovery folds every valid record in order, the last write
+// winning per (target, shard), so a torn tail costs at most the units of
+// the record being written, which the resumed campaign simply re-runs —
 // deterministically, to the same outcome.
 
-// checkpointVersion tags snapshot records; a future layout change bumps
-// it and refuses to resume older journals rather than misreading them.
+// checkpointVersion tags records; a future layout change bumps it and
+// refuses to resume older journals rather than misreading them.
 const checkpointVersion = 1
 
 // ErrFingerprintMismatch reports a resume attempt against a journal
@@ -80,10 +80,11 @@ func (u UnitRecord) UnitCount() int {
 	return u.Count
 }
 
-// snapshotRecord is one journal record: the full campaign state at a
-// flush. Full-state records make recovery trivial (last valid record
-// wins) at the cost of journal growth, which compaction bounds.
-type snapshotRecord struct {
+// unitsRecord is one journal record: the units completed since the
+// previous flush. Journals written before records held only those units
+// hold full-state records of the same layout, which the fold reads as
+// large deltas.
+type unitsRecord struct {
 	Version     int          `json:"version"`
 	Fingerprint string       `json:"fingerprint"`
 	Units       []UnitRecord `json:"units"`
@@ -93,9 +94,9 @@ type snapshotRecord struct {
 type CheckpointConfig struct {
 	// Path is the journal file.
 	Path string
-	// Every flushes a snapshot record after this many newly completed
-	// units; 0 ⇒ 1 (every unit). A kill loses at most Every-1 units of
-	// progress — never correctness.
+	// Every appends a record after this many newly completed units;
+	// 0 ⇒ 1 (every unit). A kill loses at most Every units of progress
+	// — never correctness.
 	Every int
 	// Resume accepts an existing journal (with a matching fingerprint)
 	// and restores its units. Without it, opening a non-empty journal is
@@ -105,18 +106,15 @@ type CheckpointConfig struct {
 	// Journal passes options (fault-injection hook, NoSync) to the
 	// underlying journal.
 	Journal journal.Options
-	// CompactBytes triggers an atomic rewrite (latest snapshot only) when
-	// the journal grows past this size; 0 ⇒ 4 MiB.
-	CompactBytes int64
-	// OnFlush, when set, observes every flush attempt with the number of
-	// completed units; tests use it to kill campaigns at exact points.
-	// Called outside the checkpoint lock.
-	OnFlush func(completedUnits int)
+	// OnFlush, when set, observes every flush attempt Record makes with
+	// the number of units the record holds; tests use it to kill
+	// campaigns at exact points. Called outside the checkpoint lock.
+	OnFlush func(units int)
 }
 
 // CheckpointStats counts the checkpoint layer's work.
 type CheckpointStats struct {
-	Written      int           // snapshot records flushed successfully
+	Written      int           // records appended successfully
 	Failures     int           // flushes that failed (journal broken or marshal error)
 	Bytes        int64         // framed bytes appended
 	WriteTime    time.Duration // time spent writing+syncing the journal
@@ -124,21 +122,22 @@ type CheckpointStats struct {
 	ResumedUnits int           // units restored from the journal at open
 }
 
-// Checkpointer tracks completed units and journals them. All methods
-// are goroutine-safe and nil-safe (a nil *Checkpointer does nothing), so
-// callers thread one through unconditionally. A broken journal degrades
-// the campaign — flush failures are counted, checkpointing stops, and
-// Flush reports it — but never kills it; the campaign's own work
-// continues.
+// Checkpointer journals completed units. It holds only the units not
+// yet flushed (at most Every) and the restored units the executor has
+// not yet taken. All methods are goroutine-safe and nil-safe (a nil
+// *Checkpointer does nothing), so callers thread one through
+// unconditionally. A broken journal degrades the campaign — the failure
+// is counted, checkpointing stops, and Flush reports it — but never
+// kills it; the campaign's own work continues.
 type Checkpointer struct {
-	mu    sync.Mutex
-	cfg   CheckpointConfig
-	j     *journal.Journal
-	fp    string
-	idx   map[unitKey]int
-	units []UnitRecord
-	dirty int
-	stats CheckpointStats
+	mu       sync.Mutex
+	cfg      CheckpointConfig
+	j        *journal.Journal
+	fp       string
+	pending  []UnitRecord
+	restored map[unitKey]UnitRecord
+	resumed  int
+	failures int
 	// failure is the first flush failure since open.
 	failure error
 }
@@ -156,14 +155,11 @@ func OpenCheckpoint(cfg CheckpointConfig, fingerprint string) (*Checkpointer, er
 	if cfg.Every <= 0 {
 		cfg.Every = 1
 	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 4 << 20
-	}
 	j, recs, err := journal.Open(cfg.Path, cfg.Journal)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpointer{cfg: cfg, j: j, fp: fingerprint, idx: map[unitKey]int{}}
+	c := &Checkpointer{cfg: cfg, j: j, fp: fingerprint}
 	if len(recs) == 0 {
 		return c, nil
 	}
@@ -173,7 +169,7 @@ func OpenCheckpoint(cfg CheckpointConfig, fingerprint string) (*Checkpointer, er
 			"checkpoint %s: journal already holds a campaign (%d records); resume it or remove the file",
 			cfg.Path, len(recs))
 	}
-	units, err := recoverUnits(recs, fingerprint)
+	c.restored, err = recoverUnits(recs, fingerprint)
 	if err != nil {
 		j.Close()
 		if !errors.Is(err, ErrFingerprintMismatch) {
@@ -181,139 +177,126 @@ func OpenCheckpoint(cfg CheckpointConfig, fingerprint string) (*Checkpointer, er
 		}
 		return nil, err
 	}
-	for _, u := range units {
-		c.idx[unitKey{u.Target, u.Shard}] = len(c.units)
-		c.units = append(c.units, u)
-	}
-	c.stats.ResumedUnits = len(c.units)
+	c.resumed = len(c.restored)
 	return c, nil
 }
 
-// recoverUnits picks the state a resume restores from a journal's
-// records: the units of the newest record that decodes as a snapshot of
-// this checkpoint version (earlier records are superseded full-state
-// snapshots kept only until the next compaction). It fails when no
-// record decodes, and with ErrFingerprintMismatch when that snapshot
-// belongs to another campaign.
-func recoverUnits(recs [][]byte, fingerprint string) ([]UnitRecord, error) {
-	for i := len(recs) - 1; i >= 0; i-- {
-		var snap snapshotRecord
-		if json.Unmarshal(recs[i], &snap) != nil || snap.Version != checkpointVersion {
+// recoverUnits folds a journal's records into the units a resume
+// restores: every record that decodes at this checkpoint version, in
+// journal order, the last write winning per (target, shard). It skips
+// records that do not decode, fails when none does, and fails with
+// ErrFingerprintMismatch when one belongs to another campaign.
+func recoverUnits(recs [][]byte, fingerprint string) (map[unitKey]UnitRecord, error) {
+	units := map[unitKey]UnitRecord{}
+	decoded := 0
+	for _, rec := range recs {
+		var r unitsRecord
+		if json.Unmarshal(rec, &r) != nil || r.Version != checkpointVersion {
 			continue
 		}
-		if snap.Fingerprint != fingerprint {
+		if r.Fingerprint != fingerprint {
 			return nil, fmt.Errorf("%w:\n  journal: %s\n  current: %s",
-				ErrFingerprintMismatch, snap.Fingerprint, fingerprint)
+				ErrFingerprintMismatch, r.Fingerprint, fingerprint)
 		}
-		return snap.Units, nil
+		decoded++
+		for _, u := range r.Units {
+			units[unitKey{u.Target, u.Shard}] = u
+		}
 	}
-	return nil, fmt.Errorf("no decodable snapshot among %d records", len(recs))
+	if decoded == 0 {
+		return nil, fmt.Errorf("no decodable record among %d records", len(recs))
+	}
+	return units, nil
 }
 
-// Completed returns the recorded unit for (target, shard) if the
-// campaign has completed it (restored or recorded this run).
+// Completed returns the restored unit for (target, shard) if the journal
+// held one that the executor has not taken yet.
 func (c *Checkpointer) Completed(target string, shard int) (UnitRecord, bool) {
 	if c == nil {
 		return UnitRecord{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.idx[unitKey{target, shard}]
-	if !ok {
-		return UnitRecord{}, false
-	}
-	return c.units[i], true
+	u, ok := c.restored[unitKey{target, shard}]
+	return u, ok
 }
 
-// Record registers a completed unit and flushes a snapshot record once
-// Every units have accumulated. Safe to call from worker goroutines.
+// take is Completed for the executor: it hands the restored unit over
+// once and drops it, so restored payloads do not outlive their merge.
+func (c *Checkpointer) take(target string, shard int) (UnitRecord, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := unitKey{target, shard}
+	u, ok := c.restored[k]
+	delete(c.restored, k)
+	return u, ok
+}
+
+// Record queues a completed unit and appends a record once Every units
+// are queued. Once the journal is broken it does nothing: checkpointing
+// has stopped, and Flush reports why. Safe to call from worker
+// goroutines.
 func (c *Checkpointer) Record(u UnitRecord) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	k := unitKey{u.Target, u.Shard}
-	if i, ok := c.idx[k]; ok {
-		c.units[i] = u
-	} else {
-		c.idx[k] = len(c.units)
-		c.units = append(c.units, u)
+	if c.j.Err() != nil {
+		c.mu.Unlock()
+		return
 	}
-	c.dirty++
-	flushed := -1
-	if c.dirty >= c.cfg.Every {
+	c.pending = append(c.pending, u)
+	units := len(c.pending)
+	flushed := units >= c.cfg.Every
+	if flushed {
 		c.flushLocked()
-		flushed = len(c.units)
 	}
 	cb := c.cfg.OnFlush
 	c.mu.Unlock()
-	if flushed >= 0 && cb != nil {
-		cb(flushed)
+	if flushed && cb != nil {
+		cb(units)
 	}
 }
 
-// flushLocked appends one full-state snapshot record. Units are
-// serialized sorted by (target, shard) so the record bytes are
-// independent of completion order. Failures are counted, not fatal: a
-// campaign with a broken journal keeps finding bugs, it just stops
-// being resumable past the last good record.
+// flushLocked appends one record of the queued units and empties the
+// queue, whether or not the append succeeds. Failures are counted, not
+// fatal: a campaign with a broken journal keeps finding bugs, it just
+// stops being resumable past the last good record; a record that does
+// not encode costs only its own units, which a resume re-runs.
 func (c *Checkpointer) flushLocked() {
-	snap := snapshotRecord{Version: checkpointVersion, Fingerprint: c.fp,
-		Units: append([]UnitRecord(nil), c.units...)}
-	sort.SliceStable(snap.Units, func(i, k int) bool {
-		if snap.Units[i].Target != snap.Units[k].Target {
-			return snap.Units[i].Target < snap.Units[k].Target
+	rec, err := json.Marshal(unitsRecord{Version: checkpointVersion, Fingerprint: c.fp, Units: c.pending})
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	if err != nil {
+		err = fmt.Errorf("checkpoint: encode record: %w", err)
+	} else {
+		err = c.j.Append(rec)
+	}
+	if err != nil {
+		c.failures++
+		if c.failure == nil {
+			c.failure = err
 		}
-		return snap.Units[i].Shard < snap.Units[k].Shard
-	})
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		c.failLocked(fmt.Errorf("checkpoint: encode snapshot: %w", err))
-		return
-	}
-	before := c.j.Stats()
-	err = c.j.Append(payload)
-	after := c.j.Stats()
-	c.stats.WriteTime += after.WriteTime - before.WriteTime
-	if err != nil {
-		c.failLocked(err)
-		return
-	}
-	c.dirty = 0
-	c.stats.Written++
-	c.stats.Bytes += after.Bytes - before.Bytes
-	c.stats.LastFlush = time.Now()
-	if c.j.Size() > c.cfg.CompactBytes {
-		c.j.Compact([][]byte{payload}) //nolint:errcheck // failure leaves the (valid) long journal
 	}
 }
 
-// failLocked counts a failed flush and keeps the first failure.
-func (c *Checkpointer) failLocked(err error) {
-	c.stats.Failures++
-	if c.failure == nil {
-		c.failure = err
-	}
-}
-
-// Flush forces a snapshot record for any unflushed units; the final
-// checkpoint of a graceful shutdown. If any flush since open failed, it
-// returns an error naming the first failure, and otherwise the
-// journal's sticky error (a failed compaction leaves one), so callers
-// can warn that resumability was lost.
+// Flush appends a record of any queued units; the final checkpoint of a
+// graceful shutdown. If any flush since open failed, it returns an error
+// naming the first failure, so callers can warn that resumability was
+// lost.
 func (c *Checkpointer) Flush() error {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dirty > 0 {
+	if len(c.pending) > 0 {
 		c.flushLocked()
 	}
 	if c.failure != nil {
-		return fmt.Errorf("%d checkpoint flush(es) failed, the first: %w", c.stats.Failures, c.failure)
+		return fmt.Errorf("%d checkpoint flush(es) failed, the first: %w", c.failures, c.failure)
 	}
-	return c.j.Err()
+	return nil
 }
 
 // Stats returns the checkpoint counters.
@@ -323,15 +306,9 @@ func (c *Checkpointer) Stats() CheckpointStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Path returns the journal path ("" on a nil checkpointer).
-func (c *Checkpointer) Path() string {
-	if c == nil {
-		return ""
-	}
-	return c.cfg.Path
+	js := c.j.Stats()
+	return CheckpointStats{Written: js.Appends, Failures: c.failures, Bytes: js.Bytes,
+		WriteTime: js.WriteTime, LastFlush: js.LastAppend, ResumedUnits: c.resumed}
 }
 
 // ApplyTo folds the checkpoint counters into a campaign's robustness
@@ -392,7 +369,7 @@ func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name strin
 	if ck != nil {
 		userDone := cfg.UnitDone
 		cfg.SkipUnit = func(start, count int) (Stats, bool) {
-			u, ok := ck.Completed(name, start)
+			u, ok := ck.take(name, start)
 			if !ok || u.UnitCount() != count {
 				return Stats{}, false
 			}

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gqs/internal/journal"
 )
 
 func ckPath(t *testing.T) string {
@@ -101,26 +105,98 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
-func TestCheckpointCompactionBoundsJournal(t *testing.T) {
+// TestCheckpointWritesEachUnitOnce: a flush appends only the units
+// completed since the previous one, so the journal is its 8-byte header
+// plus exactly the bytes Stats reports, each (target, shard) is in
+// exactly one record, and the fold of those records restores them all.
+func TestCheckpointWritesEachUnitOnce(t *testing.T) {
 	path := ckPath(t)
-	fp := "fp-compact"
-	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1, CompactBytes: 512}, fp)
+	fp := "fp-once"
+	const n = 50
+	ck, err := OpenCheckpoint(CheckpointConfig{Path: path, Every: 1}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < n; i++ {
 		ck.Record(UnitRecord{Target: "a", Shard: i, Queries: i})
+		ck.Record(UnitRecord{Target: "b", Shard: i, Queries: i})
 	}
-	ck.Close()
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := ck.Stats()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 8+st.Bytes {
+		t.Fatalf("journal is %d bytes, want its 8-byte header plus the %d bytes appended", fi.Size(), st.Bytes)
+	}
+	j, recs, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(recs) != st.Written || st.Written != 2*n {
+		t.Fatalf("%d records on disk, Written = %d, want %d", len(recs), st.Written, 2*n)
+	}
+	seen := map[unitKey]int{}
+	for _, rec := range recs {
+		var r unitsRecord
+		if err := json.Unmarshal(rec, &r); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range r.Units {
+			seen[unitKey{u.Target, u.Shard}]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		for _, target := range []string{"a", "b"} {
+			if c := seen[unitKey{target, i}]; c != 1 {
+				t.Fatalf("unit (%s, %d) is in %d records, want 1", target, i, c)
+			}
+		}
+	}
 
 	re, err := OpenCheckpoint(CheckpointConfig{Path: path, Resume: true}, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st := re.Stats(); st.ResumedUnits != 50 {
-		t.Fatalf("compaction lost units: %+v", st)
+	if st := re.Stats(); st.ResumedUnits != 2*n {
+		t.Fatalf("ResumedUnits = %d, want %d", st.ResumedUnits, 2*n)
 	}
+}
+
+// TestCheckpointBrokenJournalRecordsNothing: once an append fails the
+// journal is broken and checkpointing stops, so a later unit is neither
+// queued nor encoded and counts no further failure; Flush still names
+// the first one.
+func TestCheckpointBrokenJournalRecordsNothing(t *testing.T) {
+	// Write 1 is the journal header, write 2 the first record.
+	open := func(path string) (journal.File, error) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return journal.NewFaultFile(f, journal.FaultConfig{ShortWriteAt: 2}), nil
+	}
+	ck, err := OpenCheckpoint(CheckpointConfig{Path: ckPath(t), Every: 1,
+		Journal: journal.Options{OpenFile: open}}, "fp-broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := json.RawMessage(`"` + strings.Repeat("x", 1<<10) + `"`)
+	for i := 0; i < 500; i++ {
+		ck.Record(UnitRecord{Target: "a", Shard: i, Payload: payload})
+	}
+	if st := ck.Stats(); st.Failures != 1 || st.Written != 0 {
+		t.Fatalf("stats: %+v, want one failure and nothing written", st)
+	}
+	if err := ck.Flush(); err == nil || !strings.Contains(err.Error(), "short write") {
+		t.Fatalf("Flush = %v, want the short write reported", err)
+	}
+	ck.Close()
 }
 
 func TestCampaignFingerprintSensitivity(t *testing.T) {
@@ -276,8 +352,9 @@ func TestCheckpointedParallelResumeThroughOutage(t *testing.T) {
 }
 
 // TestCheckpointFlushFailureReported: a flush that fails (here, a
-// snapshot that cannot be encoded) must surface from Flush and Close,
-// naming the first failure, even though the campaign carries on.
+// record that cannot be encoded) costs only its own units, and must
+// surface from Flush and Close, naming the first failure, even though
+// the campaign — and its checkpoint — carries on.
 func TestCheckpointFlushFailureReported(t *testing.T) {
 	ck, err := OpenCheckpoint(CheckpointConfig{Path: ckPath(t), Every: 1}, "fp-fail")
 	if err != nil {
@@ -285,11 +362,11 @@ func TestCheckpointFlushFailureReported(t *testing.T) {
 	}
 	ck.Record(UnitRecord{Target: "a", Shard: 0, Payload: []byte("{not json")})
 	ck.Record(UnitRecord{Target: "a", Shard: 1})
-	if st := ck.Stats(); st.Failures != 2 || st.Written != 0 {
+	if st := ck.Stats(); st.Failures != 1 || st.Written != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	err = ck.Flush()
-	if err == nil || !strings.Contains(err.Error(), "encode snapshot") {
+	if err == nil || !strings.Contains(err.Error(), "encode record") {
 		t.Fatalf("Flush = %v, want the first failure reported", err)
 	}
 	if err := ck.Close(); err == nil {

@@ -104,7 +104,7 @@ type RobustnessStats struct {
 	// Checkpoint/resume accounting (durable campaigns only; zero
 	// otherwise). These are harness-side facts, not target behaviour, and
 	// are therefore excluded from canonical campaign reports.
-	CheckpointsWritten int           // snapshot records flushed to the journal
+	CheckpointsWritten int           // records appended to the journal
 	CheckpointBytes    int64         // framed bytes appended to the journal
 	LastCheckpointAge  time.Duration // age of the newest flush at campaign end
 	RestoredIterations int           // iterations restored from the journal on resume

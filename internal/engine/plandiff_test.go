@@ -160,3 +160,30 @@ func TestPlanDiffHandwritten(t *testing.T) {
 		runPlanDiffCorpus(t, opts, g, schema, planDiffQueries)
 	}
 }
+
+// FuzzPlanVsInterp extends the differential to arbitrary input: any
+// text that parses and compiles to a plan gives the same columns and
+// identical rows, or the identical error, on the planned and the
+// interpreted engine, under every dialect configuration, on the graph
+// TestPlanDiffHandwritten uses. The limits are tight so that a fuzzed
+// cartesian product fails fast — identically on both paths — instead
+// of running for seconds. The seeds are planDiffQueries plus, under
+// testdata/fuzz/FuzzPlanVsInterp, 30 planned queries synthesized on
+// that graph.
+func FuzzPlanVsInterp(f *testing.F) {
+	for _, q := range planDiffQueries {
+		f.Add(q)
+	}
+	r := rand.New(rand.NewSource(5))
+	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
+	f.Fuzz(func(t *testing.T, text string) {
+		if pq, err := engine.Prepare(text); err != nil || !pq.Planned() {
+			return
+		}
+		for _, opts := range planDiffDialects() {
+			opts.Seed = 5
+			opts.Limits = engine.Limits{MaxRows: 2_000, MaxMatchSteps: 20_000}
+			runPlanDiffCorpus(t, opts, g, schema, []string{text})
+		}
+	})
+}

@@ -128,7 +128,7 @@ func TestMidWriteKillResume(t *testing.T) {
 			return f, nil
 		}
 		first = false
-		// Big enough that the first few snapshot records (fingerprint +
+		// Big enough that the first few records (fingerprint +
 		// unit stats + query-text payloads) land durably, small enough to
 		// die long before the campaign's ~24 units finish.
 		return journal.NewFaultFile(f, journal.FaultConfig{KillAfterBytes: 48 << 10}), nil
@@ -150,7 +150,7 @@ func TestMidWriteKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if re.Stats().ResumedUnits == 0 {
-		t.Fatal("no valid snapshot survived the torn write")
+		t.Fatal("no valid record survived the torn write")
 	}
 	resumed := RunGQSCampaignDurable(context.Background(), cfg, re)
 	re.Close()

@@ -17,9 +17,11 @@ func feats() *metrics.Features { return metrics.Analyze(`MATCH (a) RETURN a`) }
 // watchdog cancels the context.
 func TestLiveHangBlocksUntilCanceled(t *testing.T) {
 	b := &Bug{ID: "T-HANG", Kind: Hang}
+	// Start the clock before the deadline's: a goroutine preempted
+	// between the two would otherwise measure less than the timeout.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := b.ManifestCtx(ctx, true, nil, feats())
 	elapsed := time.Since(start)
 	if elapsed < 30*time.Millisecond {

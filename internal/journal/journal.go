@@ -1,7 +1,7 @@
 // Package journal implements the append-only checkpoint journal behind
 // durable campaigns (DESIGN.md §10): CRC32-framed records appended with
-// an fsync per record, recovered with torn-tail tolerance, and compacted
-// atomically (temp file + fsync + rename + directory fsync).
+// an fsync per record and recovered with torn-tail tolerance. A journal
+// is only ever appended to; it is never rewritten.
 //
 // The crash-consistency contract is prefix durability: after any crash —
 // including one that tears the frame being written — reopening the
@@ -19,7 +19,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -61,7 +60,7 @@ type Options struct {
 	// fault-injection seam: tests wrap the real file in a FaultFile.
 	OpenFile func(path string) (File, error)
 	// NoSync skips the per-append fsync (for tests and benchmarks that
-	// measure framing cost without disk latency). Compaction still syncs.
+	// measure framing cost without disk latency).
 	NoSync bool
 }
 
@@ -70,7 +69,6 @@ type Stats struct {
 	Appends          int           // records appended successfully
 	AppendFailures   int           // appends that failed (journal now broken)
 	Bytes            int64         // framed bytes appended successfully
-	Compactions      int           // atomic rewrites performed
 	RecoveredRecords int           // valid records recovered by Open
 	TornBytes        int64         // trailing bytes dropped by Open's recovery
 	WriteTime        time.Duration // time spent in Write+Sync (incl. failures)
@@ -229,75 +227,8 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Compact atomically replaces the journal's contents with the given
-// payloads (normally just the latest snapshot record): write a temp
-// file, fsync it, rename it over the journal, fsync the directory, then
-// reopen the append handle. A crash at any point leaves either the old
-// journal or the new one — never a mix.
-func (j *Journal) Compact(payloads [][]byte) error {
-	if j.firstErr != nil {
-		return ErrBroken
-	}
-	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	var size int64
-	write := func(b []byte) {
-		if err == nil {
-			_, err = f.Write(b)
-			size += int64(len(b))
-		}
-	}
-	write([]byte(magic))
-	for _, p := range payloads {
-		write(appendFrame(nil, p))
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	syncDir(filepath.Dir(j.path))
-	// The old handle points at the unlinked inode; swap to the new file.
-	j.f.Close()
-	nf, err := j.open()
-	if err != nil {
-		j.firstErr = err
-		return fmt.Errorf("journal: compact reopen: %w", err)
-	}
-	j.f = nf
-	j.size = size
-	j.stats.Compactions++
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename is durable; best-effort, since
-// some platforms reject fsync on directories.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync() //nolint:errcheck // advisory on platforms without dir fsync
-	d.Close()
-}
-
 // Size is the valid on-disk size in bytes (header + appended frames).
 func (j *Journal) Size() int64 { return j.size }
-
-// Path returns the backing file path.
-func (j *Journal) Path() string { return j.path }
 
 // Err returns the sticky first write failure, nil while healthy.
 func (j *Journal) Err() error { return j.firstErr }

@@ -142,41 +142,13 @@ func TestPartialHeaderIsEmptyJournal(t *testing.T) {
 	appendAll(t, j, "x")
 }
 
-func TestCompactKeepsOnlyGivenPayloads(t *testing.T) {
-	path := tempPath(t)
-	j, _ := mustOpen(t, path, Options{})
-	appendAll(t, j, "s1", "s2", "s3", "s4")
-	big := j.Size()
-	if err := j.Compact([][]byte{[]byte("s4")}); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if j.Size() >= big {
-		t.Fatalf("compaction did not shrink: %d -> %d", big, j.Size())
-	}
-	appendAll(t, j, "s5") // the reopened handle must still append
-	j.Close()
-	_, recs := mustOpen(t, path, Options{})
-	if len(recs) != 2 || string(recs[0]) != "s4" || string(recs[1]) != "s5" {
-		t.Fatalf("after compact recovered %q", recs)
-	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temp file left behind: %v", err)
-	}
-}
-
-// faultOpen returns an OpenFile hook injecting cfg into the first opened
-// file (reopens after compaction get a clean file).
+// faultOpen returns an OpenFile hook injecting cfg into the opened file.
 func faultOpen(cfg FaultConfig) func(string) (File, error) {
-	first := true
 	return func(path string) (File, error) {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
 			return nil, err
 		}
-		if !first {
-			return f, nil
-		}
-		first = false
 		return NewFaultFile(f, cfg), nil
 	}
 }
