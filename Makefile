@@ -46,11 +46,16 @@ bench:
 #     returns one log per shard, and reports input it cannot decode;
 #   - FuzzPlanVsInterp: any query that compiles to a plan gives the same
 #     columns and rows, or the same error, on the planned and the
-#     interpreted engine under every dialect.
+#     interpreted engine under every dialect;
+#   - FuzzAdjIndex: on a generated sealed graph, after a subset of the
+#     overlay writes, a read at a MaxMatchSteps of 1-400 gives the same
+#     rows, or the same error, with and without the adjacency index.
 # The journal targets are seeded from real journals of a few KB, and
 # minimizing a new input of that size takes quadratically many runs, so
 # their minimization is capped at 1s to leave the 10s for fuzzing; a
-# FuzzPlanVsInterp input runs ten engines, so its cap is 1s too.
+# FuzzPlanVsInterp input runs ten engines and a FuzzAdjIndex input
+# builds a graph and runs up to seven queries on two engines, so their
+# caps are 1s too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
@@ -58,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLogsDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanVsInterp$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzAdjIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct

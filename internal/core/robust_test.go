@@ -81,9 +81,7 @@ func onBothPaths(t *testing.T, cfg RunnerConfig, mk func() Target) Stats {
 			t.Fatalf("target %T: cancelAware = %v", tgt, rn.cancelAware)
 		}
 		var sb strings.Builder
-		if err := rn.RunIteration(func(tc *TestCase) { fmt.Fprintf(&sb, "%v %v;", tc.Verdict, tc.Err) }); err != nil {
-			t.Fatal(err)
-		}
+		rn.RunIteration(func(tc *TestCase) { fmt.Fprintf(&sb, "%v %v;", tc.Verdict, tc.Err) })
 		traces[i], stats[i] = sb.String(), rn.Stats()
 		stats[i].Elapsed = 0
 	}
@@ -198,9 +196,7 @@ func TestWedgedConnectorRestarts(t *testing.T) {
 	cfg.Robust.Grace = 15 * time.Millisecond
 	cfg.QueriesPerGraph = 1
 	rn := NewRunner(tgt, cfg)
-	if err := rn.RunIteration(nil); err != nil {
-		t.Fatal(err)
-	}
+	rn.RunIteration(nil)
 	st := rn.Stats()
 	if st.Skips == 0 || st.Robust.Timeouts == 0 {
 		t.Errorf("wedged call not skipped as timeout: %+v / %+v", st, st.Robust)
@@ -265,9 +261,7 @@ func TestInlineCallRunsOnRunnerGoroutine(t *testing.T) {
 		}
 		cfg := tinyRunnerConfig()
 		cfg.QueriesPerGraph = 1
-		if err := NewRunner(tgt, cfg).RunIteration(nil); err != nil {
-			t.Fatal(err)
-		}
+		NewRunner(tgt, cfg).RunIteration(nil)
 		if stack == "" {
 			t.Fatal("the target was never called")
 		}
@@ -296,7 +290,7 @@ func TestNoDeadlineHonoursCampaignCancel(t *testing.T) {
 	rn := NewRunnerCtx(ctx, tgt, cfg)
 	done := make(chan Stats, 1)
 	go func() {
-		rn.RunIteration(nil) //nolint:errcheck // RunIteration absorbs failures
+		rn.RunIteration(nil)
 		done <- rn.Stats()
 	}()
 	bound := time.NewTimer(10 * time.Second)

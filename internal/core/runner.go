@@ -263,7 +263,7 @@ func (rn *Runner) Stats() Stats { return rn.stats }
 // (Stats.Robust.FailedIterations) and the caller moves on to the next
 // graph, with the circuit breaker bounding how much effort each dead
 // iteration costs.
-func (rn *Runner) RunIteration(report func(*TestCase)) error {
+func (rn *Runner) RunIteration(report func(*TestCase)) {
 	start := time.Now()
 	defer func() { rn.stats.Elapsed += time.Since(start) }()
 
@@ -282,7 +282,7 @@ func (rn *Runner) RunIteration(report func(*TestCase)) error {
 	rn.abandonGraph = false
 	if !rn.ensureUp() {
 		rn.stats.Robust.FailedIterations++
-		return nil
+		return
 	}
 	rn.stats.Graphs++
 
@@ -315,7 +315,6 @@ func (rn *Runner) RunIteration(report func(*TestCase)) error {
 		// gracefully and let the next iteration probe again.
 		rn.stats.Robust.AbandonedGraphs++
 	}
-	return nil
 }
 
 // Plan returns the effective plan configuration.
@@ -455,11 +454,7 @@ func (rn *Runner) Run(n int, report func(*TestCase)) (Stats, error) {
 		if rn.ctx.Err() != nil {
 			break
 		}
-		if err := rn.RunIteration(report); err != nil {
-			// Defensive: RunIteration absorbs failures itself today,
-			// but a future error path must still not kill the campaign.
-			rn.stats.Robust.FailedIterations++
-		}
+		rn.RunIteration(report)
 	}
 	return rn.stats, nil
 }

@@ -137,25 +137,6 @@ type ParallelStats struct {
 	Shards     []ShardStats // indexed by shard, always in shard order
 }
 
-// IterationsPerSec is the campaign's live wall-clock iteration
-// throughput: only iterations that actually ran count — a resumed
-// campaign must not claim its restored units as this run's speed.
-func (p *ParallelStats) IterationsPerSec() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return float64(p.Ran) / p.Wall.Seconds()
-}
-
-// QueriesPerSec is the campaign's live wall-clock query throughput
-// (restored units excluded, as in IterationsPerSec).
-func (p *ParallelStats) QueriesPerSec() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return float64(p.RanQueries) / p.Wall.Seconds()
-}
-
 // Parallelism is the achieved parallelism of this run: live busy time
 // over the pool's wall-clock time. Restored units are excluded — their
 // busy time was spent by another run, against another clock.

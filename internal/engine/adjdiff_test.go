@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gqs/internal/graph"
@@ -154,6 +155,87 @@ func TestAdjIndexStepLimitEquivalence(t *testing.T) {
 			runAdjDiff(t, fmt.Sprintf("maxSteps=%d", ms), text, indexed, scan)
 		}
 	}
+}
+
+// FuzzAdjIndex extends the scan-vs-index differential to generated
+// inputs. Each input decodes to a sealed graph (seed, up to 24 nodes and
+// 140 relationships, as adjDiffGraph), one of adjDiffOptions, a subset of
+// adjDiffWrites applied to both engines (diverged copy-on-write
+// overlays), a read — one of adjDiffReads or a typed 1–3-hop chain — and
+// a MaxMatchSteps of 1–400, so step-limit trips are part of the
+// contract. The indexed and the scan engine must then agree on every
+// write and on the read, as in runAdjDiff. The seeds under
+// testdata/fuzz/FuzzAdjIndex are TestAdjIndexScanDifferential's four
+// graph seeds and some of TestAdjIndexStepLimitEquivalence's limits.
+func FuzzAdjIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nodes, rels, dialect, writes, read uint8, chain uint64, steps uint16) {
+		r := rand.New(rand.NewSource(seed))
+		g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 2 + int(nodes%23), MaxRels: 1 + int(rels%140)})
+		snap := g.Seal()
+		all := adjDiffOptions()
+		opts := all[int(dialect)%len(all)]
+		opts.Limits.MaxMatchSteps = 1 + int(steps%400)
+		scanOpts := opts
+		scanOpts.DisableAdjIndex = true
+		indexed, scan := New(opts), New(scanOpts)
+		indexed.LoadSnapshot(snap, schema)
+		scan.LoadSnapshot(snap, schema)
+		label := fmt.Sprintf("seed %d/%s/maxSteps=%d", seed, opts.Dialect.Name, opts.Limits.MaxMatchSteps)
+		for i, w := range adjDiffWrites {
+			if writes&(1<<i) != 0 {
+				runAdjDiff(t, label+"/write", w, indexed, scan)
+			}
+		}
+		text := adjDiffReads[int(read/2)%len(adjDiffReads)]
+		if read%2 == 0 {
+			text = adjFuzzChain(chain, schema)
+			if _, err := Prepare(text); err != nil {
+				t.Fatalf("generated chain %q does not parse: %v", text, err)
+			}
+		}
+		runAdjDiff(t, label, text, indexed, scan)
+	})
+}
+
+// adjFuzzChain renders the typed chain of 1–3 hops that x encodes: per
+// hop a direction and one or two relationship types, per node an
+// optional label. It returns every element's id, so the differential
+// compares row order too.
+func adjFuzzChain(x uint64, schema *graph.Schema) string {
+	next := func(n int) int {
+		v := int(x % uint64(n))
+		x /= uint64(n)
+		return v
+	}
+	var b strings.Builder
+	node := func(i int) {
+		fmt.Fprintf(&b, "(n%d", i)
+		if l := next(2 * len(schema.Labels)); l < len(schema.Labels) {
+			b.WriteString(":" + schema.Labels[l])
+		}
+		b.WriteString(")")
+	}
+	hops := 1 + next(3)
+	b.WriteString("MATCH ")
+	node(0)
+	ret := "n0.id"
+	for i := 0; i < hops; i++ {
+		dir := next(3)
+		if dir == 1 {
+			b.WriteString("<")
+		}
+		fmt.Fprintf(&b, "-[r%d:%s", i, schema.RelTypes[next(len(schema.RelTypes))])
+		if t := next(2 * len(schema.RelTypes)); t < len(schema.RelTypes) {
+			b.WriteString("|" + schema.RelTypes[t])
+		}
+		b.WriteString("]-")
+		if dir == 0 {
+			b.WriteString(">")
+		}
+		node(i + 1)
+		ret += fmt.Sprintf(", r%d.id, n%d.id", i, i+1)
+	}
+	return b.String() + " RETURN " + ret
 }
 
 // TestStoreNodeHasLabel pins the delta resolution the mid-chain label

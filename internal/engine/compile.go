@@ -78,23 +78,15 @@ func (pc *partCompiler) next() int {
 }
 
 // compile lowers e with the variables of sc in scope.
-func (pc *partCompiler) compile(sc scope, e ast.Expr) (eval.Compiled, error) {
+func (pc *partCompiler) compile(sc scope, e ast.Expr) eval.Compiled {
 	pc.cmp.Vars = sc
-	fn, err := pc.cmp.Compile(e)
-	if err != nil {
-		return nil, errUnsupportedPlan
-	}
-	return fn, nil
+	return pc.cmp.Compile(e)
 }
 
 // compilePred lowers the predicate e with the variables of sc in scope.
-func (pc *partCompiler) compilePred(sc scope, e ast.Expr) (eval.CompiledPred, error) {
+func (pc *partCompiler) compilePred(sc scope, e ast.Expr) eval.CompiledPred {
 	pc.cmp.Vars = sc
-	fn, err := pc.cmp.CompilePred(e)
-	if err != nil {
-		return nil, errUnsupportedPlan
-	}
-	return fn, nil
+	return pc.cmp.CompilePred(e)
 }
 
 // compileQueryPlan lowers a query into qp, or leaves qp the zero plan
@@ -148,9 +140,9 @@ func compileSinglePlan(pp *partPlan, sq *ast.SingleQuery) error {
 		var err error
 		switch c := c.(type) {
 		case *ast.MatchClause:
-			st, sc, err = pc.matchStage(c, sc)
+			st, sc = pc.matchStage(c, sc)
 		case *ast.UnwindClause:
-			st, sc, err = pc.unwindStage(c, sc)
+			st, sc = pc.unwindStage(c, sc)
 		case *ast.WithClause:
 			st, sc, err = pc.projectionStage(&c.Projection, c.Where, sc, true, false)
 		case *ast.ReturnClause:
@@ -206,7 +198,7 @@ func lastVar(e ast.Expr, sc scope) int {
 	return last
 }
 
-func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope, error) {
+func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 	// The new variables take consecutive fresh slots: exactly the slots
 	// OPTIONAL MATCH null-fills when nothing matched.
 	n := len(sc)
@@ -237,10 +229,7 @@ func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope
 	}
 	pc.last = pc.last[:0]
 	for i, cj := range pc.conj {
-		p, err := pc.compilePred(out, cj)
-		if err != nil {
-			return nil, nil, err
-		}
+		p := pc.compilePred(out, cj)
 		st.preds[i] = p
 		pc.last = append(pc.last, lastVar(cj, out))
 		switch {
@@ -267,12 +256,9 @@ func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope
 		cp.costFirst = costSpec(p.Nodes[0], out, lo)
 		cp.costLast = costSpec(p.Nodes[len(p.Nodes)-1], out, lo)
 		cp.tempLo = pc.cmp.NextSlot
-		var err error
-		if lo, err = pc.chain(&cp.fwd, p, out, lo, pc.last, st.preds); err != nil {
-			return nil, nil, err
-		}
+		lo = pc.chain(&cp.fwd, p, out, lo, pc.last, st.preds)
 	}
-	return st, out, nil
+	return st, out
 }
 
 // bindNew appends a binding on a fresh slot for a pattern variable that
@@ -303,7 +289,7 @@ func costSpec(n *ast.NodePattern, out scope, lo int) cCost {
 // or forward-reference is an unknown-variable error there too). Each
 // conjunct whose last variable (last[i]) this part binds is attached to
 // the element binding it, in conjunct order.
-func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, last []int, preds []eval.CompiledPred) (int, error) {
+func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, last []int, preds []eval.CompiledPred) int {
 	k := lo // out[:k] is bound
 	// bind marks the element's variable bound and reports its slot and
 	// whether it was bound already.
@@ -348,10 +334,7 @@ func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int,
 	for i, np := range p.Nodes {
 		cn := &ch.nodes[i]
 		cn.labels = np.Labels
-		var err error
-		if cn.props, err = pc.props(out[:k], np.Props); err != nil {
-			return 0, err
-		}
+		cn.props = pc.props(out[:k], np.Props)
 		if i == 0 {
 			// Index probes for the entry scan, in the interpreter's
 			// label-major, key-minor order, sharing the compiled values.
@@ -360,12 +343,7 @@ func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int,
 			}
 			for _, l := range np.Labels {
 				for k, key := range cn.props.keys {
-					cn.probes = append(cn.probes, cProbe{
-						label: l,
-						key:   key,
-						val:   cn.props.vals[k],
-						trace: "NodeIndexScan:" + l + "." + key,
-					})
+					cn.probes = append(cn.probes, cProbe{label: l, key: key, val: cn.props.vals[k]})
 				}
 			}
 		}
@@ -377,34 +355,28 @@ func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int,
 			cr := &ch.rels[i]
 			cr.types = rp.Types
 			cr.dir = rp.Direction
-			if cr.props, err = pc.props(out[:k], rp.Props); err != nil {
-				return 0, err
-			}
+			cr.props = pc.props(out[:k], rp.Props)
 			from := k
 			cr.slot, cr.bound = bind(rp.Variable)
 			cr.conj = conjUpTo(from)
 		}
 	}
-	return k, nil
+	return k
 }
 
 // props compiles an inline property map with the variables of sc in
 // scope.
-func (pc *partCompiler) props(sc scope, m *ast.MapLit) (cProps, error) {
+func (pc *partCompiler) props(sc scope, m *ast.MapLit) cProps {
 	var out cProps
 	if m == nil {
-		return out, nil
+		return out
 	}
 	out.keys = m.Keys
 	out.vals = make([]eval.Compiled, len(m.Vals))
 	for i, v := range m.Vals {
-		fn, err := pc.compile(sc, v)
-		if err != nil {
-			return out, err
-		}
-		out.vals[i] = fn
+		out.vals[i] = pc.compile(sc, v)
 	}
-	return out, nil
+	return out
 }
 
 // buildReverse lowers part p in reverse orientation. The reversed chain
@@ -449,12 +421,7 @@ func (st *cMatch) buildReverse(p *cPart) *cChain {
 		}
 	}
 	rev := &cChain{}
-	if _, err := pc.chain(rev, part, rout, lo, last, st.preds); err != nil {
-		// Unreachable: chain compilation only fails on AST node types
-		// the expression compiler does not know, and the forward build of
-		// these same expressions succeeded.
-		return nil
-	}
+	pc.chain(rev, part, rout, lo, last, st.preds)
 	return rev
 }
 
@@ -472,14 +439,11 @@ func reorderVar(rout, out scope, lo int, name string) scope {
 
 // --- UNWIND --------------------------------------------------------
 
-func (pc *partCompiler) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope, error) {
-	fn, err := pc.compile(sc, c.Expr)
-	if err != nil {
-		return nil, nil, err
-	}
+func (pc *partCompiler) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
+	fn := pc.compile(sc, c.Expr)
 	slot := pc.next()
 	// The alias shadows any previous binding, as the row write did.
-	return &cUnwind{list: fn, slot: slot}, sc.with(c.Alias, slot), nil
+	return &cUnwind{list: fn, slot: slot}, sc.with(c.Alias, slot)
 }
 
 // --- CALL ----------------------------------------------------------
@@ -556,16 +520,10 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 	}
 
 	if st.hasAgg {
-		if err := pc.aggregation(st, p, sc); err != nil {
-			return nil, nil, err
-		}
+		pc.aggregation(st, p, sc)
 	} else {
 		for i, it := range p.Items {
-			fn, err := pc.compile(sc, it.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			st.items[i].fn = fn
+			st.items[i].fn = pc.compile(sc, it.Expr)
 		}
 	}
 
@@ -585,32 +543,21 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 		}
 		st.sorts = make([]cSort, len(p.OrderBy))
 		for i, s := range p.OrderBy {
-			fn, err := pc.compile(sortScope, s.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			st.sorts[i] = cSort{key: fn, desc: s.Desc}
+			st.sorts[i] = cSort{key: pc.compile(sortScope, s.Expr), desc: s.Desc}
 		}
 	}
 
 	// SKIP/LIMIT evaluate in an empty environment (evalIn(row{}, x)).
-	var err error
 	if p.Skip != nil {
-		if st.skip, err = pc.compile(nil, p.Skip); err != nil {
-			return nil, nil, err
-		}
+		st.skip = pc.compile(nil, p.Skip)
 	}
 	if p.Limit != nil {
-		if st.limit, err = pc.compile(nil, p.Limit); err != nil {
-			return nil, nil, err
-		}
+		st.limit = pc.compile(nil, p.Limit)
 	}
 
 	// A WITH's WHERE sees only the projected row.
 	if where != nil {
-		if st.where, err = pc.compilePred(out, where); err != nil {
-			return nil, nil, err
-		}
+		st.where = pc.compilePred(out, where)
 	}
 	return st, out, nil
 }
@@ -619,14 +566,13 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 // (as Engine.aggregate walks them), assigns each a result slot, and
 // compiles the item expressions with those slots spliced in place of the
 // calls via the Special hook.
-func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope) error {
+func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope) {
 	st.calls = st.call1[:0]
-	var compileErr error
 	for _, it := range p.Items {
 		ast.WalkExprs(it.Expr, func(x ast.Expr) bool {
 			f, ok := x.(*ast.FuncCall)
-			if !ok || compileErr != nil {
-				return compileErr == nil
+			if !ok {
+				return true
 			}
 			if f.Star {
 				st.calls = append(st.calls, cAggCall{
@@ -650,17 +596,14 @@ func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope
 				slot:     pc.next(),
 			}
 			if len(f.Args) >= 1 {
-				c.arg, compileErr = pc.compile(sc, f.Args[0])
+				c.arg = pc.compile(sc, f.Args[0])
 			}
-			if compileErr == nil && spec.HasParam && len(f.Args) == 2 {
-				c.param, compileErr = pc.compile(sc, f.Args[1])
+			if spec.HasParam && len(f.Args) == 2 {
+				c.param = pc.compile(sc, f.Args[1])
 			}
 			st.calls = append(st.calls, c)
 			return false // aggregates do not nest
 		})
-	}
-	if compileErr != nil {
-		return compileErr
 	}
 	// Item expressions: grouping items evaluate per input row; aggregated
 	// items evaluate at finalization with each call reading its slot. An
@@ -682,13 +625,8 @@ func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope
 				pc.cmp.Splices[k] = eval.Splice{Expr: c.call, Slot: c.slot}
 			}
 		}
-		fn, err := pc.compile(sc, it.Expr)
-		if err != nil {
-			return err
-		}
-		st.items[i].fn = fn
+		st.items[i].fn = pc.compile(sc, it.Expr)
 	}
-	return nil
 }
 
 // callSlot returns the result slot of the aggregate call e, if e is one.

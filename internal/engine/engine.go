@@ -101,8 +101,9 @@ type Engine struct {
 	store  *Store
 	opts   Options
 	params map[string]value.Value
-	// planTrace records, for tests and ablation benches, which access
-	// paths the planner chose during the most recent query.
+	// planTrace records, for tests, which access paths the interpreter
+	// chose during the most recent query; a plan execution clears it and
+	// records nothing.
 	planTrace []string
 	// ctx is the context of the in-flight ExecuteCtx call; cancelTick
 	// rate-limits how often the hot loops poll it.
@@ -112,9 +113,6 @@ type Engine struct {
 	// counts executions so each derives an independent stream.
 	exec    *functions.ExecState
 	execSeq int64
-	// plans is the in-flight PreparedQuery's per-MATCH-clause analysis;
-	// nil on the text path, where execMatch analyzes clauses live.
-	plans map[*ast.MatchClause]*matchPlan
 	// ectx is the scratch eval.Ctx reused across every row of an
 	// execution; evalCtx refreshes its fields instead of allocating a new
 	// context per evaluated expression. Evaluation never retains the
@@ -181,7 +179,9 @@ func (e *Engine) SetSeed(seed int64) {
 	e.execSeq = 0
 }
 
-// PlanTrace returns the access paths chosen for the most recent query.
+// PlanTrace returns the access paths the interpreter chose for the most
+// recent query (index, label or full scans and reversed traversals). It
+// is empty after a compiled plan ran.
 func (e *Engine) PlanTrace() []string { return e.planTrace }
 
 // Execute parses and runs a query.
@@ -277,15 +277,6 @@ func (e *Engine) checkCancelNow() error {
 // cancelCheckWindow is how many hot-loop iterations pass between context
 // polls; must be a power of two.
 const cancelCheckWindow = 256
-
-// Explain runs the query and returns the access paths the planner chose,
-// one entry per scan decision — a light-weight EXPLAIN.
-func (e *Engine) Explain(query string) ([]string, error) {
-	if _, err := e.Execute(query); err != nil {
-		return nil, err
-	}
-	return append([]string(nil), e.planTrace...), nil
-}
 
 // ExecuteAST runs a parsed query.
 func (e *Engine) ExecuteAST(q *ast.Query) (*Result, error) {

@@ -44,26 +44,14 @@ func splitWhereExprs(dst []ast.Expr, e ast.Expr) []ast.Expr {
 // execMatch runs a MATCH or OPTIONAL MATCH clause over the input rows.
 func (e *Engine) execMatch(c *ast.MatchClause, in []row) ([]row, error) {
 	var conj []conjunct
-	var pvars []string
-	if p := e.plans[c]; p != nil {
-		// Prepared path: the clause analysis was done once at Prepare
-		// time and is shared read-only across every execution.
-		if e.opts.DisablePlanner {
-			conj = p.whole
-		} else {
-			conj = p.conj
+	if e.opts.DisablePlanner {
+		if c.Where != nil {
+			conj = []conjunct{{expr: c.Where, vars: ast.Variables(c.Where)}}
 		}
-		pvars = p.vars
 	} else {
-		if e.opts.DisablePlanner {
-			if c.Where != nil {
-				conj = []conjunct{{expr: c.Where, vars: ast.Variables(c.Where)}}
-			}
-		} else {
-			conj = splitWhere(c.Where)
-		}
-		pvars = patternVars(c.Patterns)
+		conj = splitWhere(c.Where)
 	}
+	pvars := patternVars(c.Patterns)
 	steps := 0
 	// One matcher serves every input row: its backtracking state (the
 	// applied flags and the relationship-uniqueness set) is fully unwound

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"gqs/internal/graph"
@@ -24,24 +23,6 @@ func TestExecuteParams(t *testing.T) {
 	// Parameters do not leak across executions.
 	if _, err := e.Execute(`RETURN $want`); err == nil {
 		t.Error("parameter leaked across executions")
-	}
-}
-
-func TestExplain(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 20})
-	e := NewReference()
-	e.LoadGraph(g, schema)
-	trace, err := e.Explain(`MATCH (n:L0) RETURN count(*) AS c`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(trace, ",")
-	if !strings.Contains(joined, "NodeByLabelScan") {
-		t.Errorf("explain trace = %v", trace)
-	}
-	if _, err := e.Explain(`NOT A QUERY`); err == nil {
-		t.Error("explain of garbage must error")
 	}
 }
 

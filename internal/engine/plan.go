@@ -261,13 +261,11 @@ type cProps struct {
 }
 
 // cProbe is one candidate index probe of the chain's first node: a
-// (label, property) pair with the compiled value expression and the
-// precomputed trace string.
+// (label, property) pair with the compiled value expression.
 type cProbe struct {
 	label string
 	key   string
 	val   eval.Compiled
-	trace string
 }
 
 // cNode is one pattern node of a chain. slot is -1 for anonymous nodes;
@@ -389,9 +387,6 @@ func (st *cMatch) run(e *Engine, in []frame) ([]frame, *Result, error) {
 	for i := range st.parts {
 		p := &st.parts[i]
 		rev[i] = p.reversible() && p.costLast.eval(e.store) < p.costFirst.eval(e.store)
-		if rev[i] {
-			e.planTrace = append(e.planTrace, "ReverseTraversal")
-		}
 	}
 	g := e.store.Graph()
 	var adj *graph.AdjIndex
@@ -538,7 +533,6 @@ func (pm *planMatcher) scan(n *cNode) ([]graph.ID, bool) {
 			continue // probe value unavailable: fall through, as interpreted
 		}
 		if ids, ok := st.NodesByIndex(p.label, p.key, v); ok {
-			pm.e.planTrace = append(pm.e.planTrace, p.trace)
 			return ids, false
 		}
 	}
@@ -549,10 +543,8 @@ func (pm *planMatcher) scan(n *cNode) ([]graph.ID, bool) {
 				best = ids
 			}
 		}
-		pm.e.planTrace = append(pm.e.planTrace, "NodeByLabelScan")
 		return best, pm.revScan
 	}
-	pm.e.planTrace = append(pm.e.planTrace, "AllNodesScan")
 	return pm.g.NodeIDs(), pm.revScan
 }
 

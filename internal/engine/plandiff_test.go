@@ -72,6 +72,12 @@ var planDiffQueries = []string{
 	"MATCH (n) RETURN *",
 	"CREATE (x:Tmp) RETURN x",
 	"CALL db.propertyKeys() YIELD propertyKey RETURN propertyKey",
+	// Constant folding beside aggregate splices: a constant operand
+	// folds, an erroring one fails at run time, and a star call is an
+	// aggregate (both engines run pi(*) as count(*)), never a constant.
+	"MATCH (n) RETURN count(*) + (2 * 3) AS x",
+	"MATCH (n) RETURN count(*) + 1 / 0 AS x",
+	"MATCH (n) RETURN pi(*) + 1 AS x",
 }
 
 // runPlanDiffCorpus executes every query on planned and interpreted

@@ -74,10 +74,10 @@ func BenchmarkPrepare(b *testing.B) {
 // large-graph shapes: lexing, parsing, feature analysis and plan
 // compilation together.
 var prepareAllocs = map[string]float64{
-	"hop1":  35,
-	"hop2":  35,
-	"hop3":  36,
-	"hub":   34,
+	"hop1":  34,
+	"hop2":  34,
+	"hop3":  35,
+	"hub":   33,
 	"write": 29,
 }
 

@@ -2,20 +2,22 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/cypher/parser"
 	"gqs/internal/metrics"
 )
 
-// PreparedQuery is a query parsed and analyzed exactly once, ready to be
-// executed any number of times — sequentially or concurrently — by any
-// number of targets. It is the unit of the prepared-execution path that
-// removes the per-target parse tax: the runner prepares each synthesized
-// query once, and every connector executing it reuses the same AST and
-// the same feature vector instead of re-lexing, re-parsing, and
-// re-analyzing the text.
+// PreparedQuery is a query parsed, analyzed and compiled exactly once,
+// ready to be executed any number of times — sequentially or
+// concurrently — by any number of targets. It is the unit of the
+// prepared-execution path that removes the per-target parse tax: the
+// runner prepares each synthesized query once, and every connector
+// executing it reuses the same AST, feature vector and compiled plan
+// instead of re-lexing, re-parsing, and re-analyzing the text. A query
+// without a plan (writes), and every query on an engine with DisablePlan
+// or DisablePlanner, runs on the interpreter, which analyzes each clause
+// live, as the text path does.
 //
 // Invariants:
 //
@@ -39,15 +41,6 @@ type PreparedQuery struct {
 	// Features is the precomputed complexity/feature analysis driving
 	// fault triggers and the Table 5 metrics. Treat as read-only.
 	Features *metrics.Features
-	// plans carries the per-MATCH-clause analysis (WHERE conjuncts and
-	// pattern variables) the interpreter path needs, built lazily on the
-	// first interpreter execution: when the query compiled to a physical
-	// plan, the interpreter only ever runs under -no-plan, so paying the
-	// analysis at Prepare time would tax the common path for nothing.
-	// plansOnce makes the lazy build safe under concurrent executions;
-	// after it fires the map is immutable and shared like the AST.
-	plans     map[*ast.MatchClause]*matchPlan
-	plansOnce sync.Once
 	// plan is the compiled physical plan (slot frames, pushed-down
 	// conjuncts, compiled expressions; see plan.go), or the zero plan
 	// when the query uses a construct the plan executor does not cover
@@ -60,39 +53,6 @@ type PreparedQuery struct {
 // Planned reports whether the query compiled to a physical plan (false
 // means every execution uses the interpreter fallback).
 func (pq *PreparedQuery) Planned() bool { return pq.plan.parts != nil }
-
-// matchPlan is the execution-independent analysis of one MATCH clause:
-// everything execMatch used to recompute per execution that is in fact a
-// pure function of the AST. conj is the planner-path conjunct split,
-// whole the single-conjunct form used when the planner is disabled, and
-// vars the variables the patterns introduce. All three are read-only
-// once built.
-type matchPlan struct {
-	conj  []conjunct
-	whole []conjunct
-	vars  []string
-}
-
-// planMatches analyzes every MATCH clause of the query once. Only
-// top-level clauses are planned; execMatch falls back to live analysis
-// for any clause not in the map.
-func planMatches(q *ast.Query) map[*ast.MatchClause]*matchPlan {
-	plans := map[*ast.MatchClause]*matchPlan{}
-	for _, part := range q.Parts {
-		for _, c := range part.Clauses {
-			m, ok := c.(*ast.MatchClause)
-			if !ok {
-				continue
-			}
-			p := &matchPlan{conj: splitWhere(m.Where), vars: patternVars(m.Patterns)}
-			if m.Where != nil {
-				p.whole = []conjunct{{expr: m.Where, vars: ast.Variables(m.Where)}}
-			}
-			plans[m] = p
-		}
-	}
-	return plans
-}
 
 // Prepare parses and analyzes a query once. This is the single parse of
 // the prepared execution path: the returned value carries everything a
@@ -130,9 +90,6 @@ func (e *Engine) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Resul
 		defer e.endExec()
 		return e.runPlan(&pq.plan)
 	}
-	pq.plansOnce.Do(func() { pq.plans = planMatches(pq.AST) })
-	e.plans = pq.plans
-	defer func() { e.plans = nil }()
 	return e.ExecuteASTCtx(ctx, pq.AST)
 }
 

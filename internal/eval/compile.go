@@ -97,35 +97,15 @@ type localBinding struct {
 	slot int
 }
 
-// comp is the internal compilation result: the closure plus constant
-// information for folding.
-type comp struct {
-	fn    Compiled
-	val   value.Value
-	konst bool
-}
-
-// Compile lowers the expression to a closure. The error return is
-// reserved for AST node types the compiler does not know; every node the
-// parser can produce compiles (semantic errors become closures that
-// fail at evaluation time, exactly as the interpreter fails).
-func (c *Compiler) Compile(e ast.Expr) (Compiled, error) {
-	cp, err := c.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	return cp.fn, nil
-}
+// Compile lowers the expression to a closure. Every expression
+// compiles: semantic errors, and node types the compiler does not know,
+// become closures that fail at evaluation time (and only if evaluated),
+// exactly as the interpreter fails.
+func (c *Compiler) Compile(e ast.Expr) Compiled { return c.compile(e) }
 
 // CompilePred lowers the expression to a predicate, mirroring
 // EvalPredicate's coercion and its exact type-error message.
-func (c *Compiler) CompilePred(e ast.Expr) (CompiledPred, error) {
-	cp, err := c.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	return predOf(cp.fn), nil
-}
+func (c *Compiler) CompilePred(e ast.Expr) CompiledPred { return predOf(c.compile(e)) }
 
 func predOf(fn Compiled) CompiledPred {
 	return func(ctx *Ctx) (value.Tri, error) {
@@ -141,30 +121,12 @@ func predOf(fn Compiled) CompiledPred {
 	}
 }
 
-func constComp(v value.Value) comp {
-	return comp{fn: func(*Ctx) (value.Value, error) { return v, nil }, val: v, konst: true}
+func constFn(v value.Value) Compiled {
+	return func(*Ctx) (value.Value, error) { return v, nil }
 }
 
-func errComp(err error) comp {
-	return comp{fn: func(*Ctx) (value.Value, error) { return value.Null, err }}
-}
-
-// tryFold runs a closure whose operands are all constants once, at
-// compile time, and replaces it with the resulting constant. A fold
-// that errors keeps the closure: the error must surface at evaluation
-// time (and only if evaluated), as the interpreter's would.
-func (c *Compiler) tryFold(fn Compiled, allConst bool) comp {
-	if !allConst {
-		return comp{fn: fn}
-	}
-	if c.fctx == nil {
-		c.fctx = &Ctx{}
-	}
-	v, err := fn(c.fctx)
-	if err != nil {
-		return comp{fn: fn}
-	}
-	return constComp(v)
+func errFn(err error) Compiled {
+	return func(*Ctx) (value.Value, error) { return value.Null, err }
 }
 
 func (c *Compiler) temp() int {
@@ -187,49 +149,44 @@ func (c *Compiler) resolveVar(name string) (int, bool) {
 	return 0, false
 }
 
-func (c *Compiler) compile(e ast.Expr) (comp, error) {
+func (c *Compiler) compile(e ast.Expr) Compiled {
 	for i := len(c.Splices) - 1; i >= 0; i-- {
 		if c.Splices[i].Expr == e {
-			return comp{fn: Slot(c.Splices[i].Slot)}, nil
+			return Slot(c.Splices[i].Slot)
 		}
 	}
-	// Fold maximal constant subtrees before building their closure
-	// trees: evaluating the AST directly yields the same value tryFold
-	// would have produced (the closures mirror Eval exactly), without
-	// allocating a closure per node only to discard the whole tree.
-	// Skipped under splices — a spliced node could hide anywhere
-	// in the subtree — and for bare literals, which constComp below
-	// already handles without an Eval walk. An erroring constant falls
-	// through to normal compilation so the error keeps surfacing at
-	// evaluation time, exactly as tryFold keeps erroring closures.
-	if len(c.Splices) == 0 {
-		if _, lit := e.(*ast.Literal); !lit && constExpr(e) {
-			if c.fctx == nil {
-				c.fctx = &Ctx{}
-			}
-			if v, err := Eval(c.fctx, e); err == nil {
-				return constComp(v), nil
-			}
+	// The one constant fold: a maximal constant subtree becomes its value
+	// by one Eval of the AST, without a closure per node. No spliced node
+	// hides in such a subtree, since constExpr rejects the aggregate and
+	// star calls projections splice. Bare literals skip the Eval walk. A
+	// subtree whose Eval errors is compiled like any other, so the error
+	// surfaces at evaluation time (and only if evaluated), as the
+	// interpreter's would.
+	if _, lit := e.(*ast.Literal); !lit && constExpr(e) {
+		if c.fctx == nil {
+			c.fctx = &Ctx{}
+		}
+		if v, err := Eval(c.fctx, e); err == nil {
+			return constFn(v)
 		}
 	}
 	switch e := e.(type) {
 	case *ast.Literal:
-		return constComp(e.Val), nil
+		return constFn(e.Val)
 	case *ast.Variable:
 		if slot, ok := c.resolveVar(e.Name); ok {
-			return comp{fn: Slot(slot)}, nil
+			return Slot(slot)
 		}
-		err := &UnknownVariableError{Name: e.Name}
-		return errComp(err), nil
+		return errFn(&UnknownVariableError{Name: e.Name})
 	case *ast.Parameter:
 		name := e.Name
-		return comp{fn: func(ctx *Ctx) (value.Value, error) {
+		return func(ctx *Ctx) (value.Value, error) {
 			v, ok := ctx.Params[name]
 			if !ok {
 				return value.Null, fmt.Errorf("parameter $%s is not bound", name)
 			}
 			return v, nil
-		}}, nil
+		}
 	case *ast.PropAccess:
 		return c.compilePropAccess(e)
 	case *ast.Binary:
@@ -240,16 +197,10 @@ func (c *Compiler) compile(e ast.Expr) (comp, error) {
 		return c.compileFuncCall(e)
 	case *ast.ListLit:
 		elems := make([]Compiled, len(e.Elems))
-		allConst := true
 		for i, el := range e.Elems {
-			cp, err := c.compile(el)
-			if err != nil {
-				return comp{}, err
-			}
-			elems[i] = cp.fn
-			allConst = allConst && cp.konst
+			elems[i] = c.compile(el)
 		}
-		fn := func(ctx *Ctx) (value.Value, error) {
+		return func(ctx *Ctx) (value.Value, error) {
 			out := make([]value.Value, len(elems))
 			for i, el := range elems {
 				v, err := el(ctx)
@@ -260,20 +211,13 @@ func (c *Compiler) compile(e ast.Expr) (comp, error) {
 			}
 			return value.ListOf(out), nil
 		}
-		return c.tryFold(fn, allConst), nil
 	case *ast.MapLit:
 		keys := e.Keys
 		vals := make([]Compiled, len(e.Vals))
-		allConst := true
 		for i, v := range e.Vals {
-			cp, err := c.compile(v)
-			if err != nil {
-				return comp{}, err
-			}
-			vals[i] = cp.fn
-			allConst = allConst && cp.konst
+			vals[i] = c.compile(v)
 		}
-		fn := func(ctx *Ctx) (value.Value, error) {
+		return func(ctx *Ctx) (value.Value, error) {
 			out := make(map[string]value.Value, len(keys))
 			for i, k := range keys {
 				v, err := vals[i](ctx)
@@ -284,67 +228,46 @@ func (c *Compiler) compile(e ast.Expr) (comp, error) {
 			}
 			return value.Map(out), nil
 		}
-		return c.tryFold(fn, allConst), nil
 	case *ast.IndexExpr:
-		sub, err := c.compile(e.Subject)
-		if err != nil {
-			return comp{}, err
-		}
-		idx, err := c.compile(e.Index)
-		if err != nil {
-			return comp{}, err
-		}
-		fn := func(ctx *Ctx) (value.Value, error) {
-			s, err := sub.fn(ctx)
+		sub, idx := c.compile(e.Subject), c.compile(e.Index)
+		return func(ctx *Ctx) (value.Value, error) {
+			s, err := sub(ctx)
 			if err != nil {
 				return value.Null, err
 			}
-			i, err := idx.fn(ctx)
+			i, err := idx(ctx)
 			if err != nil {
 				return value.Null, err
 			}
 			return value.Index(s, i)
 		}
-		return c.tryFold(fn, sub.konst && idx.konst), nil
 	case *ast.SliceExpr:
-		sub, err := c.compile(e.Subject)
-		if err != nil {
-			return comp{}, err
-		}
-		allConst := sub.konst
-		var from, to comp
+		sub := c.compile(e.Subject)
+		var from, to Compiled
 		if e.From != nil {
-			if from, err = c.compile(e.From); err != nil {
-				return comp{}, err
-			}
-			allConst = allConst && from.konst
+			from = c.compile(e.From)
 		}
 		if e.To != nil {
-			if to, err = c.compile(e.To); err != nil {
-				return comp{}, err
-			}
-			allConst = allConst && to.konst
+			to = c.compile(e.To)
 		}
-		fromFn, toFn := from.fn, to.fn
-		fn := func(ctx *Ctx) (value.Value, error) {
-			s, err := sub.fn(ctx)
+		return func(ctx *Ctx) (value.Value, error) {
+			s, err := sub(ctx)
 			if err != nil {
 				return value.Null, err
 			}
 			fromV, toV := value.Null, value.Null
-			if fromFn != nil {
-				if fromV, err = fromFn(ctx); err != nil {
+			if from != nil {
+				if fromV, err = from(ctx); err != nil {
 					return value.Null, err
 				}
 			}
-			if toFn != nil {
-				if toV, err = toFn(ctx); err != nil {
+			if to != nil {
+				if toV, err = to(ctx); err != nil {
 					return value.Null, err
 				}
 			}
 			return value.Slice(s, fromV, toV)
 		}
-		return c.tryFold(fn, allConst), nil
 	case *ast.CaseExpr:
 		return c.compileCase(e)
 	case *ast.ListComprehension:
@@ -354,19 +277,15 @@ func (c *Compiler) compile(e ast.Expr) (comp, error) {
 	default:
 		// Mirror the interpreter: an unknown node type is a runtime
 		// error, raised only if the expression is evaluated.
-		err := fmt.Errorf("cannot evaluate %T", e)
-		return errComp(err), nil
+		return errFn(fmt.Errorf("cannot evaluate %T", e))
 	}
 }
 
-func (c *Compiler) compilePropAccess(e *ast.PropAccess) (comp, error) {
-	sub, err := c.compile(e.Subject)
-	if err != nil {
-		return comp{}, err
-	}
+func (c *Compiler) compilePropAccess(e *ast.PropAccess) Compiled {
+	sub := c.compile(e.Subject)
 	name := e.Name
-	fn := func(ctx *Ctx) (value.Value, error) {
-		s, err := sub.fn(ctx)
+	return func(ctx *Ctx) (value.Value, error) {
+		s, err := sub(ctx)
 		if err != nil {
 			return value.Null, err
 		}
@@ -391,29 +310,17 @@ func (c *Compiler) compilePropAccess(e *ast.PropAccess) (comp, error) {
 			return value.Null, fmt.Errorf("type error: cannot access property %s of %s", name, s.Kind())
 		}
 	}
-	// A constant subject can only be null, a map, or a scalar (entity
-	// references never appear as parsed constants), none of which touch
-	// the graph — safe to fold.
-	return c.tryFold(fn, sub.konst), nil
 }
 
-func (c *Compiler) compileBinary(e *ast.Binary) (comp, error) {
-	l, err := c.compile(e.L)
-	if err != nil {
-		return comp{}, err
-	}
-	r, err := c.compile(e.R)
-	if err != nil {
-		return comp{}, err
-	}
-	allConst := l.konst && r.konst
+func (c *Compiler) compileBinary(e *ast.Binary) Compiled {
+	l, r := c.compile(e.L), c.compile(e.R)
 	// Logical operators interpret their operands as predicates, exactly
 	// as evalBinary does via EvalPredicate.
 	switch e.Op {
 	case ast.OpAnd, ast.OpOr, ast.OpXor:
-		lp, rp := predOf(l.fn), predOf(r.fn)
+		lp, rp := predOf(l), predOf(r)
 		op := e.Op
-		fn := func(ctx *Ctx) (value.Value, error) {
+		return func(ctx *Ctx) (value.Value, error) {
 			lt, err := lp(ctx)
 			if err != nil {
 				return value.Null, err
@@ -431,7 +338,6 @@ func (c *Compiler) compileBinary(e *ast.Binary) (comp, error) {
 				return lt.Xor(rt).Value(), nil
 			}
 		}
-		return c.tryFold(fn, allConst), nil
 	}
 	var bin func(l, r value.Value) (value.Value, error)
 	switch e.Op {
@@ -475,49 +381,43 @@ func (c *Compiler) compileBinary(e *ast.Binary) (comp, error) {
 			return value.Null, fmt.Errorf("unknown binary operator %v", op)
 		}
 	}
-	fn := func(ctx *Ctx) (value.Value, error) {
-		lv, err := l.fn(ctx)
+	return func(ctx *Ctx) (value.Value, error) {
+		lv, err := l(ctx)
 		if err != nil {
 			return value.Null, err
 		}
-		rv, err := r.fn(ctx)
+		rv, err := r(ctx)
 		if err != nil {
 			return value.Null, err
 		}
 		return bin(lv, rv)
 	}
-	return c.tryFold(fn, allConst), nil
 }
 
-func (c *Compiler) compileUnary(e *ast.Unary) (comp, error) {
-	x, err := c.compile(e.X)
-	if err != nil {
-		return comp{}, err
-	}
+func (c *Compiler) compileUnary(e *ast.Unary) Compiled {
+	x := c.compile(e.X)
 	switch e.Op {
 	case ast.OpNot:
-		xp := predOf(x.fn)
-		fn := func(ctx *Ctx) (value.Value, error) {
+		xp := predOf(x)
+		return func(ctx *Ctx) (value.Value, error) {
 			t, err := xp(ctx)
 			if err != nil {
 				return value.Null, err
 			}
 			return t.Not().Value(), nil
 		}
-		return c.tryFold(fn, x.konst), nil
 	case ast.OpNeg:
-		fn := func(ctx *Ctx) (value.Value, error) {
-			v, err := x.fn(ctx)
+		return func(ctx *Ctx) (value.Value, error) {
+			v, err := x(ctx)
 			if err != nil {
 				return value.Null, err
 			}
 			return value.Neg(v)
 		}
-		return c.tryFold(fn, x.konst), nil
 	case ast.OpIsNull, ast.OpIsNotNull:
 		not := e.Op == ast.OpIsNotNull
-		fn := func(ctx *Ctx) (value.Value, error) {
-			v, err := x.fn(ctx)
+		return func(ctx *Ctx) (value.Value, error) {
+			v, err := x(ctx)
 			if err != nil {
 				return value.Null, err
 			}
@@ -527,41 +427,33 @@ func (c *Compiler) compileUnary(e *ast.Unary) (comp, error) {
 			}
 			return value.Bool(isNull), nil
 		}
-		return c.tryFold(fn, x.konst), nil
 	default:
 		op := e.Op
-		fn := func(ctx *Ctx) (value.Value, error) {
-			if _, err := x.fn(ctx); err != nil {
+		return func(ctx *Ctx) (value.Value, error) {
+			if _, err := x(ctx); err != nil {
 				return value.Null, err
 			}
 			return value.Null, fmt.Errorf("unknown unary operator %v", op)
 		}
-		return comp{fn: fn}, nil
 	}
 }
 
-func (c *Compiler) compileFuncCall(e *ast.FuncCall) (comp, error) {
+func (c *Compiler) compileFuncCall(e *ast.FuncCall) Compiled {
 	// Aggregates in scalar position fail at evaluation time, mirroring
 	// evalFuncCall's first check. (Projection items route their aggregate
 	// calls through Splices before reaching here.)
 	if functions.IsAggregate(e.Name) {
-		return errComp(ErrAggregateInScalar), nil
+		return errFn(ErrAggregateInScalar)
 	}
 	f := functions.Lookup(e.Name)
 	if f == nil {
-		return errComp(fmt.Errorf("unknown function %s", e.Name)), nil
+		return errFn(fmt.Errorf("unknown function %s", e.Name))
 	}
 	args := make([]Compiled, len(e.Args))
-	allConst := true
 	for i, a := range e.Args {
-		cp, err := c.compile(a)
-		if err != nil {
-			return comp{}, err
-		}
-		args[i] = cp.fn
-		allConst = allConst && cp.konst
+		args[i] = c.compile(a)
 	}
-	fn := func(ctx *Ctx) (value.Value, error) {
+	return func(ctx *Ctx) (value.Value, error) {
 		base := len(ctx.argScratch)
 		for _, a := range args {
 			v, err := a(ctx)
@@ -576,49 +468,29 @@ func (c *Compiler) compileFuncCall(e *ast.FuncCall) (comp, error) {
 		ctx.argScratch = ctx.argScratch[:base]
 		return res, err
 	}
-	// Nondeterministic functions (rand, timestamp) draw from the
-	// per-execution state; folding one would change how many draws later
-	// evaluations see and desynchronize the stream from the interpreter.
-	return c.tryFold(fn, allConst && !f.Nondeterministic), nil
 }
 
-func (c *Compiler) compileCase(e *ast.CaseExpr) (comp, error) {
+func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
 	var test Compiled
 	if e.Test != nil {
-		cp, err := c.compile(e.Test)
-		if err != nil {
-			return comp{}, err
-		}
-		test = cp.fn
+		test = c.compile(e.Test)
 	}
 	whens := make([]Compiled, len(e.Whens))
 	whenPreds := make([]CompiledPred, len(e.Whens))
 	thens := make([]Compiled, len(e.Thens))
 	for i, w := range e.Whens {
-		cp, err := c.compile(w)
-		if err != nil {
-			return comp{}, err
-		}
 		if e.Test != nil {
-			whens[i] = cp.fn
+			whens[i] = c.compile(w)
 		} else {
-			whenPreds[i] = predOf(cp.fn)
+			whenPreds[i] = predOf(c.compile(w))
 		}
-		tp, err := c.compile(e.Thens[i])
-		if err != nil {
-			return comp{}, err
-		}
-		thens[i] = tp.fn
+		thens[i] = c.compile(e.Thens[i])
 	}
 	var els Compiled
 	if e.Else != nil {
-		cp, err := c.compile(e.Else)
-		if err != nil {
-			return comp{}, err
-		}
-		els = cp.fn
+		els = c.compile(e.Else)
 	}
-	fn := func(ctx *Ctx) (value.Value, error) {
+	return func(ctx *Ctx) (value.Value, error) {
 		if test != nil {
 			t, err := test(ctx)
 			if err != nil {
@@ -649,37 +521,23 @@ func (c *Compiler) compileCase(e *ast.CaseExpr) (comp, error) {
 		}
 		return value.Null, nil
 	}
-	return comp{fn: fn}, nil
 }
 
-func (c *Compiler) compileComprehension(e *ast.ListComprehension) (comp, error) {
-	list, err := c.compile(e.List)
-	if err != nil {
-		return comp{}, err
-	}
+func (c *Compiler) compileComprehension(e *ast.ListComprehension) Compiled {
+	list := c.compile(e.List)
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
 	var where CompiledPred
 	if e.Where != nil {
-		cp, err := c.compile(e.Where)
-		if err != nil {
-			c.locals = c.locals[:len(c.locals)-1]
-			return comp{}, err
-		}
-		where = predOf(cp.fn)
+		where = predOf(c.compile(e.Where))
 	}
 	var mapFn Compiled
 	if e.Map != nil {
-		cp, err := c.compile(e.Map)
-		if err != nil {
-			c.locals = c.locals[:len(c.locals)-1]
-			return comp{}, err
-		}
-		mapFn = cp.fn
+		mapFn = c.compile(e.Map)
 	}
 	c.locals = c.locals[:len(c.locals)-1]
-	fn := func(ctx *Ctx) (value.Value, error) {
-		lv, err := list.fn(ctx)
+	return func(ctx *Ctx) (value.Value, error) {
+		lv, err := list(ctx)
 		if err != nil {
 			return value.Null, err
 		}
@@ -717,25 +575,17 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension) (comp, error) 
 		ctx.Frame[slot] = old
 		return value.ListOf(out), nil
 	}
-	return comp{fn: fn}, nil
 }
 
-func (c *Compiler) compileQuantifier(e *ast.Quantifier) (comp, error) {
-	list, err := c.compile(e.List)
-	if err != nil {
-		return comp{}, err
-	}
+func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
+	list := c.compile(e.List)
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
-	pp, err := c.compile(e.Pred)
+	pred := predOf(c.compile(e.Pred))
 	c.locals = c.locals[:len(c.locals)-1]
-	if err != nil {
-		return comp{}, err
-	}
-	pred := predOf(pp.fn)
 	kind := e.Kind
-	fn := func(ctx *Ctx) (value.Value, error) {
-		lv, err := list.fn(ctx)
+	return func(ctx *Ctx) (value.Value, error) {
+		lv, err := list(ctx)
 		if err != nil {
 			return value.Null, err
 		}
@@ -805,18 +655,18 @@ func (c *Compiler) compileQuantifier(e *ast.Quantifier) (comp, error) {
 			}
 		}
 	}
-	return comp{fn: fn}, nil
 }
 
-// constExpr reports whether an expression is constant under exactly the
-// rules the per-node konst flags implement: literals compose through
-// operators, property access, indexing, slicing, collection literals,
-// and deterministic non-aggregate function calls; variables, parameters,
-// CASE, comprehensions, and quantifiers do not participate (the last
-// three never fold today, and this predicate preserves that). The walk
-// allocates nothing, which is the point: it lets compile fold a maximal
-// constant subtree by one Eval of the AST instead of building a closure
-// per node first.
+// constExpr reports whether an expression is constant, the one rule of
+// compile's fold: literals composed through operators, property access,
+// indexing, slicing, collection literals and deterministic scalar
+// function calls. Variables, parameters, CASE, comprehensions and
+// quantifiers are not constant. Nor are aggregate calls and star calls
+// (f(*), which both engines run as count(*)): HasAggregate counts both,
+// and a projection splices them. Nondeterministic functions (rand,
+// timestamp) draw from the per-execution state, so folding one would
+// desynchronize the stream from the interpreter. The walk allocates
+// nothing.
 func constExpr(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Literal:
@@ -830,11 +680,9 @@ func constExpr(e ast.Expr) bool {
 		case ast.OpNot, ast.OpNeg, ast.OpIsNull, ast.OpIsNotNull:
 			return constExpr(e.X)
 		}
-		// An unknown unary operator never folds (compileUnary returns
-		// its closure unfolded), so it is not constant here either.
 		return false
 	case *ast.FuncCall:
-		if functions.IsAggregate(e.Name) {
+		if e.Star || functions.IsAggregate(e.Name) {
 			return false
 		}
 		f := functions.Lookup(e.Name)

@@ -79,7 +79,7 @@ func TestBatchDeterminismDifferential(t *testing.T) {
 // TestResumedCampaignThroughputExcludesRestored is the throughput
 // regression test: a resumed campaign's iteration rate must count only
 // the iterations this run executed — restoring a finished campaign and
-// claiming its shards as live speed inflated IterationsPerSec by the
+// claiming its shards as live speed inflated the iteration rate by the
 // whole restored prefix.
 func TestResumedCampaignThroughputExcludesRestored(t *testing.T) {
 	cfg := shardedTestConfig(2)

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -318,8 +319,8 @@ func RunBaselineCampaign(tester baselines.Tester, gdbName string, rounds int, se
 				}
 			}
 		}
-		detected := rep.Violated || hasBugError(rep.Err)
-		if !detected {
+		var be interface{ BugID() string }
+		if !rep.Violated && !errors.As(rep.Err, &be) {
 			continue
 		}
 		var own []*faults.Bug
@@ -342,32 +343,6 @@ func RunBaselineCampaign(tester baselines.Tester, gdbName string, rounds int, se
 	return out, nil
 }
 
-func hasBugError(err error) bool {
-	if err == nil {
-		return false
-	}
-	var be interface{ BugID() string }
-	if asErr(err, &be) {
-		return true
-	}
-	return false
-}
-
-func asErr(err error, target *interface{ BugID() string }) bool {
-	for err != nil {
-		if b, ok := err.(interface{ BugID() string }); ok {
-			*target = b
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // RunGQSTimeline runs GQS against one GDB with a round budget, emitting
 // detection events comparable to the baseline campaigns (one "round" is
 // one synthesized query).
@@ -386,14 +361,14 @@ func RunGQSTimeline(gdbName string, rounds int, seed int64) (*TesterCampaign, er
 	}
 	rn := core.NewRunner(sim, cfg)
 	round := 0
-	// Stall guard: RunIteration no longer errors on a dead target (it
-	// records a failed iteration and returns), so a permanently-down
-	// instance must not spin this budget loop forever.
+	// Stall guard: on a dead target RunIteration records a failed
+	// iteration and returns, so a permanently-down instance must not
+	// spin this budget loop forever.
 	const maxStalls = 25
 	stalls := 0
 	for round < rounds && stalls < maxStalls {
 		before := round
-		err := rn.RunIteration(func(tc *core.TestCase) {
+		rn.RunIteration(func(tc *core.TestCase) {
 			round++
 			if round > rounds {
 				return
@@ -410,9 +385,6 @@ func RunGQSTimeline(gdbName string, rounds int, seed int64) (*TesterCampaign, er
 				out.Events = append(out.Events, TesterEvent{Round: round, Bug: b})
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
 		if round == before {
 			stalls++
 		} else {

@@ -338,16 +338,9 @@ func FalseAlarms(w io.Writer, rounds int, seed int64) (reports, falsePositives i
 	reports = len(tc.Found) + tc.FalsePositives
 	falsePositives = tc.FalsePositives
 	fmt.Fprintf(w, "GDsmith false alarms: %d reports over %d rounds, %d false positives (%.0f%%)\n",
-		reports, rounds, falsePositives, 100*float64(falsePositives)/float64(maxInt(reports, 1)))
+		reports, rounds, falsePositives, 100*float64(falsePositives)/float64(max(reports, 1)))
 	fmt.Fprintln(w, "(paper: 1192 reports, 1160 false positives, ~98%)")
 	return
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Bench helpers used by the root benchmark suite.

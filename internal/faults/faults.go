@@ -171,13 +171,6 @@ func (e *BugError) BugID() string { return e.ID }
 // Kind type.
 func (e *BugError) FaultKind() string { return e.Kind.String() }
 
-// Apply manifests the bug on a query result, deterministically in the
-// query hash. For non-logic bugs it returns the corresponding error. This
-// is the instant "simulated" manifestation; ManifestCtx adds live mode.
-func (b *Bug) Apply(res *engine.Result, f *metrics.Features) (*engine.Result, error) {
-	return b.ManifestCtx(context.Background(), false, res, f)
-}
-
 // sleepCtx blocks for d or until the context is canceled, reporting
 // whether it slept the full duration.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
@@ -327,7 +320,9 @@ type Set struct {
 // Select returns the first catalog fault the query triggers (one root
 // cause per execution, as real engines fail on the first broken code
 // path), or nil. Logic bugs do not trigger on queries that already
-// failed outright — there is no result to corrupt.
+// failed outright — there is no result to corrupt. A connector records
+// the selected bug for attribution before it calls ManifestCtx, because
+// a live crash panics out of that call (see gdb.Sim.ExecutePrepared).
 func (s *Set) Select(f *metrics.Features, execErr error) *Bug {
 	if s == nil || f == nil {
 		return nil
@@ -342,35 +337,6 @@ func (s *Set) Select(f *metrics.Features, execErr error) *Bug {
 		return b
 	}
 	return nil
-}
-
-// Apply runs the catalog against a query in simulated mode: the first
-// triggered fault manifests instantly. It returns the possibly-corrupted
-// result, the possibly-injected error, and the triggered bug for
-// attribution.
-func (s *Set) Apply(f *metrics.Features, res *engine.Result, execErr error) (*engine.Result, error, *Bug) {
-	return s.ApplyCtx(context.Background(), false, f, res, execErr)
-}
-
-// ApplyCtx runs the catalog against a query, manifesting the first
-// triggered fault in simulated or live mode (see Bug.ManifestCtx). Note
-// that in live mode a Crash fault panics out of this call — callers that
-// need attribution across the panic should Select first, record the bug,
-// then ManifestCtx themselves (as the gdb connectors do).
-func (s *Set) ApplyCtx(ctx context.Context, live bool, f *metrics.Features, res *engine.Result, execErr error) (*engine.Result, error, *Bug) {
-	b := s.Select(f, execErr)
-	if b == nil {
-		return res, execErr, nil
-	}
-	if b.Kind == Logic {
-		out, merr := b.ManifestCtx(ctx, live, res, f)
-		if merr != nil { // canceled mid-latency: not a manifested result
-			return nil, merr, b
-		}
-		return out, nil, b
-	}
-	_, err := b.ManifestCtx(ctx, live, nil, f)
-	return nil, err, b
 }
 
 // ByID finds a bug in the set.

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"testing"
 
 	"gqs/internal/engine"
@@ -118,7 +119,7 @@ func TestApplyManifestations(t *testing.T) {
 	}
 	check := func(m Manifestation) *engine.Result {
 		b := &Bug{ID: "T", Kind: Logic, Manifest: m}
-		out, err := b.Apply(res, f)
+		out, err := b.ManifestCtx(context.Background(), false, res, f)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -141,7 +142,7 @@ func TestApplyManifestations(t *testing.T) {
 	}
 	// The original result is never mutated.
 	if res.Rows[0][0].AsInt() != 1 || res.Len() != 2 {
-		t.Error("Apply mutated the input result")
+		t.Error("ManifestCtx mutated the input result")
 	}
 }
 
@@ -154,8 +155,8 @@ func TestApplyDeterministicUnderRewrite(t *testing.T) {
 	res := &engine.Result{Columns: []string{"x", "y"},
 		Rows: [][]value.Value{{value.Int(1), value.Str("s")}, {value.Int(2), value.Str("t")}}}
 	b := &Bug{ID: "T2", Kind: Logic, Manifest: WrongValue}
-	o1, _ := b.Apply(res, f1)
-	o2, _ := b.Apply(res, f2)
+	o1, _ := b.ManifestCtx(context.Background(), false, res, f1)
+	o2, _ := b.ManifestCtx(context.Background(), false, res, f2)
 	if !o1.Equal(o2) {
 		t.Error("equivalent rewrites must manifest identically")
 	}
@@ -165,7 +166,7 @@ func TestNonLogicApply(t *testing.T) {
 	f := metrics.Analyze(`MATCH (n) RETURN n`)
 	for _, k := range []Kind{Crash, Hang, Exception} {
 		b := &Bug{ID: "E", Kind: k}
-		_, err := b.Apply(nil, f)
+		_, err := b.ManifestCtx(context.Background(), false, nil, f)
 		be, ok := err.(*BugError)
 		if !ok || be.BugID() != "E" || be.Kind != k {
 			t.Errorf("kind %v: err = %v", k, err)
@@ -177,22 +178,21 @@ func TestSetApplyFirstTriggeredWins(t *testing.T) {
 	f := metrics.Analyze(`WITH replace('a', '', 'b') AS x RETURN x`)
 	set := Memgraph()
 	res := &engine.Result{Columns: []string{"x"}, Rows: [][]value.Value{{value.Str("a")}}}
-	out, err, bug := set.Apply(f, res, nil)
+	bug := set.Select(f, nil)
 	if bug == nil || bug.ID != "MG-O1" {
 		t.Fatalf("expected MG-O1, got %v", bug)
 	}
-	if err == nil || out != nil {
+	if out, err := bug.ManifestCtx(context.Background(), false, res, f); err == nil || out != nil {
 		t.Error("hang must be an error")
 	}
-	// An untriggered query passes through untouched.
+	// An untriggered query selects nothing, so it passes through.
 	f2 := metrics.Analyze(`MATCH (n) RETURN n.k0`)
-	out, err, bug = set.Apply(f2, res, nil)
-	if bug != nil || err != nil || !out.Equal(res) {
-		t.Error("untouched pass-through broken")
+	if bug := set.Select(f2, nil); bug != nil {
+		t.Errorf("untriggered query selected %v", bug)
 	}
 	// A nil set is a no-op.
 	var nilSet *Set
-	if _, _, b := nilSet.Apply(f2, res, nil); b != nil {
+	if b := nilSet.Select(f2, nil); b != nil {
 		t.Error("nil set must be a no-op")
 	}
 }

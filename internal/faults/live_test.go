@@ -73,12 +73,12 @@ func TestLiveLatency(t *testing.T) {
 }
 
 // TestSimulatedModeUnchanged: live == false keeps the instant
-// manifestation, and Apply still reports hang/crash as plain errors.
+// manifestation and reports hang/crash as plain errors.
 func TestSimulatedModeUnchanged(t *testing.T) {
 	for _, k := range []Kind{Crash, Hang, Exception} {
 		b := &Bug{ID: "T-SIM", Kind: k, Latency: time.Hour} // latency ignored when not live
 		start := time.Now()
-		_, err := b.Apply(nil, feats())
+		_, err := b.ManifestCtx(context.Background(), false, nil, feats())
 		if time.Since(start) > time.Second {
 			t.Fatalf("%v: simulated manifestation must be instant", k)
 		}
@@ -92,7 +92,9 @@ func TestSimulatedModeUnchanged(t *testing.T) {
 	}
 }
 
-// TestSelectMatchesApply: Select returns the same bug Apply attributes.
+// TestSelectMatchesApply: the error a selected bug manifests carries the
+// ID Select chose, so attribution recorded before the manifestation
+// agrees with the error the runner sees.
 func TestSelectMatchesApply(t *testing.T) {
 	s := Memgraph()
 	f := metrics.Analyze(`WITH replace('x', '', 'y') AS a0 RETURN a0`)
@@ -100,9 +102,10 @@ func TestSelectMatchesApply(t *testing.T) {
 	if want == nil || want.ID != "MG-O1" {
 		t.Fatalf("Select = %v, want MG-O1", want)
 	}
-	_, _, got := s.Apply(f, nil, nil)
-	if got != want {
-		t.Errorf("Apply attributed %v, Select chose %v", got, want)
+	_, err := want.ManifestCtx(context.Background(), false, nil, f)
+	var be *BugError
+	if !errors.As(err, &be) || be.BugID() != want.ID {
+		t.Errorf("manifested %v, Select chose %v", err, want)
 	}
 	if s.Select(nil, nil) != nil || (*Set)(nil).Select(f, nil) != nil {
 		t.Error("nil set/features must select nothing")

@@ -40,23 +40,3 @@ func (t Throughput) String() string {
 	}
 	return s
 }
-
-// LatencySummary summarizes per-shard bug latencies (time from shard
-// start to each distinct detection): min, mean, and max.
-func LatencySummary(ds []time.Duration) (min, mean, max time.Duration) {
-	if len(ds) == 0 {
-		return 0, 0, 0
-	}
-	min, max = ds[0], ds[0]
-	var sum time.Duration
-	for _, d := range ds {
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		sum += d
-	}
-	return min, sum / time.Duration(len(ds)), max
-}

@@ -22,13 +22,3 @@ func TestThroughputRates(t *testing.T) {
 		t.Errorf("String() = %q missing rate", tp.String())
 	}
 }
-
-func TestLatencySummary(t *testing.T) {
-	lo, mean, hi := LatencySummary([]time.Duration{3 * time.Second, time.Second, 2 * time.Second})
-	if lo != time.Second || hi != 3*time.Second || mean != 2*time.Second {
-		t.Fatalf("summary = %v/%v/%v", lo, mean, hi)
-	}
-	if lo, mean, hi = LatencySummary(nil); lo != 0 || mean != 0 || hi != 0 {
-		t.Fatal("empty summary must be zero")
-	}
-}
