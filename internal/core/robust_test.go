@@ -413,10 +413,7 @@ func TestBreakerTripsAndCampaignContinues(t *testing.T) {
 	cfg := tinyRunnerConfig()
 	rn := NewRunner(tgt, cfg)
 
-	if _, err := rn.Run(5, nil); err != nil {
-		t.Fatalf("a dead target must not abort the campaign: %v", err)
-	}
-	st := rn.Stats()
+	st := rn.Run(5, nil)
 	if st.Robust.FailedIterations != 5 {
 		t.Errorf("FailedIterations = %d, want 5", st.Robust.FailedIterations)
 	}
@@ -436,10 +433,7 @@ func TestBreakerTripsAndCampaignContinues(t *testing.T) {
 	// The target heals: the next half-open probe closes the breaker and
 	// the campaign resumes producing verdicts.
 	tgt.down = false
-	if _, err := rn.Run(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = rn.Stats()
+	st = rn.Run(2, nil)
 	if open, _ := rn.Breaker(); open {
 		t.Errorf("breaker must close after a successful probe")
 	}
@@ -515,8 +509,7 @@ func TestPauseInterruptedByCancellation(t *testing.T) {
 	start := time.Now()
 	done := make(chan Stats, 1)
 	go func() {
-		st, _ := rn.Run(3, nil)
-		done <- st
+		done <- rn.Run(3, nil)
 	}()
 	select {
 	case st := <-done:
@@ -541,10 +534,7 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	rn := NewRunner(tgt, tinyRunnerConfig())
 
 	// Trip the breaker (DefaultRobustness threshold: 3 failed sequences).
-	if _, err := rn.Run(3, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := rn.Stats()
+	st := rn.Run(3, nil)
 	if open, _ := rn.Breaker(); !open || st.Robust.BreakerTrips != 1 {
 		t.Fatalf("breaker not tripped after 3 dead iterations: open=%v %+v", open, st.Robust)
 	}
@@ -552,10 +542,7 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 
 	// Dead target, open breaker: each iteration is one cheap failed probe.
 	const probes = 4
-	if _, err := rn.Run(probes, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = rn.Stats()
+	st = rn.Run(probes, nil)
 	if open, _ := rn.Breaker(); !open {
 		t.Error("failed probes must leave the breaker open")
 	}
@@ -578,10 +565,7 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 
 	// Heal: the next probe closes the breaker with a single restart.
 	tgt.down = false
-	if _, err := rn.Run(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = rn.Stats()
+	st = rn.Run(1, nil)
 	if open, fails := rn.Breaker(); open || fails != 0 {
 		t.Errorf("successful probe must close the breaker and clear the streak: open=%v fails=%d", open, fails)
 	}

@@ -449,12 +449,12 @@ func classifyError(err error) Verdict {
 // Run executes n workflow iterations. Failed iterations (target down
 // past the restart sequence) are recorded in Stats.Robust and do not
 // abort the campaign.
-func (rn *Runner) Run(n int, report func(*TestCase)) (Stats, error) {
+func (rn *Runner) Run(n int, report func(*TestCase)) Stats {
 	for i := 0; i < n; i++ {
 		if rn.ctx.Err() != nil {
 			break
 		}
 		rn.RunIteration(report)
 	}
-	return rn.stats, nil
+	return rn.stats
 }

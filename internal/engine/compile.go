@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
@@ -20,32 +21,70 @@ import (
 // hand-written queries and the write tests.
 //
 // Every prepared query is compiled exactly once and most are executed
-// once per target, so compilation is on the per-query path: it works on
-// small slices with linear scans instead of maps, and schedules each
-// WHERE conjunct from the position of its last-bound variable, found
-// once.
+// once per target, so compilation is on the per-query path. A plan's
+// structures are carved from per-query slabs, one per kind, sized
+// exactly by a pass over the AST (planSlab); everything that serves only
+// the lowering itself — scopes, WHERE conjuncts and the positions of
+// their variables, the expression compiler — lives in a builder reused
+// from query to query. WHERE conjuncts are scheduled from the scope
+// positions of the variables the expression compiler resolves, recorded
+// once for both chain orientations.
 var errUnsupportedPlan = errors.New("plan: unsupported construct")
 
 // scope lists the variables in scope at a clause boundary, each name
 // once. A scope is never modified after it is built: a stage derives its
-// output scope into a fresh slice, so the plan may keep referring to it.
+// output scope into a fresh slice.
 type scope []eval.Var
 
 // index returns the position of name in the scope, or -1.
 func (s scope) index(name string) int {
 	for i := range s {
-		if s[i].Name == name {
+		if s[i].Named(name) {
 			return i
 		}
 	}
 	return -1
 }
 
+// builder is the scratch of lowering one query. Nothing a plan keeps
+// points into it, so builders are pooled and reused from query to query.
+type builder struct {
+	cmp  eval.Compiler
+	slab planSlab
+
+	// vars backs the scopes the stages derive.
+	vars []eval.Var
+	// A MATCH clause's WHERE conjuncts; for each, the scope position of
+	// its last-bound variable, and the end of its variables' positions
+	// in refs.
+	conj   []ast.Expr
+	last   []int
+	refEnd []int
+	refs   []int
+	// pos holds the scope position of each element variable of a MATCH
+	// clause's patterns, in chain order (-1 for an anonymous one); rank
+	// is the reversed chain's binding order of a part's variables.
+	pos     []int
+	rank    []int
+	splices []eval.Splice
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// scope returns an empty scope with room for n variables.
+func (b *builder) scope(n int) scope {
+	if cap(b.vars)-len(b.vars) < n {
+		b.vars = make([]eval.Var, 0, max(2*cap(b.vars), n, 64))
+	}
+	l := len(b.vars)
+	b.vars = b.vars[:l+n]
+	return scope(b.vars[l : l : l+n])
+}
+
 // with returns s with name bound to slot, replacing any binding the name
 // already has.
-func (s scope) with(name string, slot int) scope {
-	out := make(scope, len(s), len(s)+1)
-	copy(out, s)
+func (b *builder) with(s scope, name string, slot int) scope {
+	out := append(b.scope(len(s)+1), s...)
 	if i := out.index(name); i >= 0 {
 		out[i].Slot = slot
 		return out
@@ -53,40 +92,121 @@ func (s scope) with(name string, slot int) scope {
 	return append(out, eval.Var{Name: name, Slot: slot})
 }
 
-// partCompiler lowers one query part. It owns the one expression
-// compiler every stage reuses, whose NextSlot counts the part's frame
-// slots.
-type partCompiler struct {
-	cmp eval.Compiler
-
-	// Scratch reused by every stage of the part: a MATCH clause's WHERE
-	// conjuncts and the scope position of each one's last variable.
-	conj []ast.Expr
-	last []int
-}
-
-func newPartCompiler(firstSlot int) *partCompiler {
-	pc := &partCompiler{}
-	pc.cmp.NextSlot = firstSlot
-	return pc
-}
-
-func (pc *partCompiler) next() int {
-	s := pc.cmp.NextSlot
-	pc.cmp.NextSlot++
+func (b *builder) next() int {
+	s := b.cmp.NextSlot
+	b.cmp.NextSlot++
 	return s
 }
 
 // compile lowers e with the variables of sc in scope.
-func (pc *partCompiler) compile(sc scope, e ast.Expr) eval.Compiled {
-	pc.cmp.Vars = sc
-	return pc.cmp.Compile(e)
+func (b *builder) compile(sc scope, e ast.Expr) eval.Operand {
+	b.cmp.Vars = sc
+	return b.cmp.Compile(e)
 }
 
 // compilePred lowers the predicate e with the variables of sc in scope.
-func (pc *partCompiler) compilePred(sc scope, e ast.Expr) eval.CompiledPred {
-	pc.cmp.Vars = sc
-	return pc.cmp.CompilePred(e)
+func (b *builder) compilePred(sc scope, e ast.Expr) eval.CompiledPred {
+	b.cmp.Vars = sc
+	return b.cmp.CompilePred(e)
+}
+
+// planSlab holds the plan structures of one query, each kind in one
+// allocation, which the lowering carves up in order.
+type planSlab struct {
+	stages  []planStage
+	matches []cMatch
+	projs   []cProjection
+	unwinds []cUnwind
+	parts   []cPart
+	nodes   []cNode
+	rels    []cRel
+	props   []cProp
+	preds   []eval.CompiledPred
+	ints    []int
+	items   []cProjItem
+	sorts   []cSort
+}
+
+// carve cuts the next n elements off a slab.
+func carve[T any](s *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	out := (*s)[:n:n]
+	*s = (*s)[n:]
+	return out
+}
+
+// size allocates the slabs for q: exactly what lowering every part
+// carves.
+func (s *planSlab) size(q *ast.Query) {
+	var n struct {
+		stages, matches, projs, unwinds, parts, nodes, rels int
+		props, conj, items, sorts                           int
+	}
+	projection := func(p *ast.Projection) {
+		n.projs++
+		n.items += len(p.Items)
+		n.sorts += len(p.OrderBy)
+	}
+	for _, sq := range q.Parts {
+		n.stages += len(sq.Clauses)
+		for _, c := range sq.Clauses {
+			switch c := c.(type) {
+			case *ast.MatchClause:
+				n.matches++
+				n.parts += len(c.Patterns)
+				n.conj += conjuncts(c.Where)
+				for _, p := range c.Patterns {
+					n.nodes += len(p.Nodes)
+					n.rels += len(p.Rels)
+					for _, np := range p.Nodes {
+						if np.Props != nil {
+							n.props += len(np.Props.Vals)
+						}
+					}
+					for _, rp := range p.Rels {
+						if rp.Props != nil {
+							n.props += len(rp.Props.Vals)
+						}
+					}
+				}
+			case *ast.WithClause:
+				projection(&c.Projection)
+			case *ast.ReturnClause:
+				projection(&c.Projection)
+			case *ast.UnwindClause:
+				n.unwinds++
+			}
+		}
+	}
+	*s = planSlab{
+		stages:  make([]planStage, n.stages),
+		matches: make([]cMatch, n.matches),
+		projs:   make([]cProjection, n.projs),
+		unwinds: make([]cUnwind, n.unwinds),
+		parts:   make([]cPart, n.parts),
+		nodes:   make([]cNode, n.nodes),
+		rels:    make([]cRel, n.rels),
+		props:   make([]cProp, n.props),
+		// Each conjunct in clause order, then each in the list of the
+		// one place the schedule runs it.
+		preds: make([]eval.CompiledPred, 2*n.conj),
+		ints:  make([]int, n.conj),
+		items: make([]cProjItem, n.items),
+		sorts: make([]cSort, n.sorts),
+	}
+}
+
+// conjuncts counts the top-level AND operands of a WHERE predicate.
+func conjuncts(e ast.Expr) int {
+	if e == nil {
+		return 0
+	}
+	if b, ok := e.(*ast.Binary); ok && b.Op == ast.OpAnd {
+		return conjuncts(b.L) + conjuncts(b.R)
+	}
+	return 1
 }
 
 // compileQueryPlan lowers a query into qp, or leaves qp the zero plan
@@ -97,6 +217,9 @@ func compileQueryPlan(qp *queryPlan, q *ast.Query) {
 			return
 		}
 	}
+	b := builders.Get().(*builder)
+	defer b.release()
+	b.slab.size(q)
 	var parts []partPlan
 	if len(q.Parts) <= len(qp.part1) {
 		parts = qp.part1[:len(q.Parts)]
@@ -104,11 +227,24 @@ func compileQueryPlan(qp *queryPlan, q *ast.Query) {
 		parts = make([]partPlan, len(q.Parts))
 	}
 	for i, part := range q.Parts {
-		if err := compileSinglePlan(&parts[i], part); err != nil {
+		if err := b.part(&parts[i], part); err != nil {
 			return
 		}
 	}
 	qp.parts, qp.all = parts, q.All
+}
+
+// release resets the builder and returns it to the pool. It drops every
+// reference into the plan and the query's AST (the synthesizer's nodes
+// come from shared chunks, so one stale pointer would keep many queries'
+// trees alive); the scopes keep only variable names.
+func (b *builder) release() {
+	b.slab = planSlab{}
+	b.cmp.Reset()
+	clear(b.conj[:cap(b.conj)])
+	clear(b.splices[:cap(b.splices)])
+	b.vars = b.vars[:0]
+	builders.Put(b)
 }
 
 // plannable reports whether every clause of the part is of a kind the
@@ -130,25 +266,25 @@ func plannable(sq *ast.SingleQuery) bool {
 	return true
 }
 
-func compileSinglePlan(pp *partPlan, sq *ast.SingleQuery) error {
-	pc := newPartCompiler(0)
+func (b *builder) part(pp *partPlan, sq *ast.SingleQuery) error {
+	b.cmp.NextSlot = 0
 	var sc scope
-	pp.stages = make([]planStage, len(sq.Clauses))
+	pp.stages = carve(&b.slab.stages, len(sq.Clauses))
 	for i, c := range sq.Clauses {
 		last := i == len(sq.Clauses)-1
 		var st planStage
 		var err error
 		switch c := c.(type) {
 		case *ast.MatchClause:
-			st, sc = pc.matchStage(c, sc)
+			st, sc = b.matchStage(c, sc)
 		case *ast.UnwindClause:
-			st, sc = pc.unwindStage(c, sc)
+			st, sc = b.unwindStage(c, sc)
 		case *ast.WithClause:
-			st, sc, err = pc.projectionStage(&c.Projection, c.Where, sc, true, false)
+			st, sc, err = b.projectionStage(&c.Projection, c.Where, sc, true, false)
 		case *ast.ReturnClause:
-			st, _, err = pc.projectionStage(&c.Projection, nil, sc, false, true)
+			st, _, err = b.projectionStage(&c.Projection, nil, sc, false, true)
 		case *ast.CallClause:
-			st, sc, err = pc.callStage(c, sc, last)
+			st, sc, err = b.callStage(c, sc, last)
 		default:
 			return errUnsupportedPlan // plannable admits no other clause
 		}
@@ -157,12 +293,12 @@ func compileSinglePlan(pp *partPlan, sq *ast.SingleQuery) error {
 		}
 		pp.stages[i] = st
 	}
-	pp.width = pc.cmp.NextSlot
+	pp.width = b.cmp.NextSlot
 	// Projections need the final width for their interpreter cold path
 	// and the SKIP/LIMIT scratch frame; it is only known now.
 	for _, st := range pp.stages {
 		if p, ok := st.(*cProjection); ok {
-			p.width = pc.cmp.NextSlot
+			p.width = pp.width
 		}
 	}
 	return nil
@@ -181,274 +317,357 @@ func compileSinglePlan(pp *partPlan, sq *ast.SingleQuery) error {
 // first point where the prefix covers the last of its variables.
 
 // never is the last-variable position of a conjunct that names a
-// variable the clause never binds.
-const never = math.MaxInt
+// variable the clause never binds: past every scope position.
+const never = math.MaxInt32
 
-// lastVar returns the scope position of the last-bound free variable
-// of e: -1 if it has none, never if one is not in scope.
-func lastVar(e ast.Expr, sc scope) int {
-	last := -1
-	ast.EachFreeVar(e, func(name string) {
-		if i := sc.index(name); i < 0 {
-			last = never
-		} else {
-			last = max(last, i)
-		}
-	})
-	return last
-}
-
-func (pc *partCompiler) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
+func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 	// The new variables take consecutive fresh slots: exactly the slots
 	// OPTIONAL MATCH null-fills when nothing matched.
 	n := len(sc)
 	for _, p := range c.Patterns {
 		n += len(p.Nodes) + len(p.Rels)
 	}
-	out := make(scope, len(sc), n)
-	copy(out, sc)
-	st := &cMatch{optional: c.Optional, clause: c, nsc: len(sc), optLo: pc.cmp.NextSlot}
+	out := append(b.scope(n), sc...)
+	st := &carve(&b.slab.matches, 1)[0]
+	st.optional, st.optLo = c.Optional, b.cmp.NextSlot
+	b.pos = b.pos[:0]
 	for _, p := range c.Patterns {
 		for ni, np := range p.Nodes {
-			out = pc.bindNew(out, np.Variable)
+			out = b.bindNew(out, np.Variable)
 			if ni < len(p.Rels) {
-				out = pc.bindNew(out, p.Rels[ni].Variable)
+				out = b.bindNew(out, p.Rels[ni].Variable)
 			}
 		}
 	}
-	st.out, st.optHi = out, pc.cmp.NextSlot
+	pos := b.pos
+	st.optHi = b.cmp.NextSlot
 
 	// Conjunct predicates are compiled against the full post-clause
 	// scope: a conjunct referencing a variable that never binds becomes a
 	// closure raising the unknown-variable error when evaluated, exactly
-	// as the interpreter's conservative final pass surfaces it.
-	pc.conj = pc.conj[:0]
+	// as the interpreter's conservative final pass surfaces it. Compiling
+	// a conjunct records the scope positions of its variables, from which
+	// both chain orientations schedule it.
+	b.conj, b.last, b.refs, b.refEnd = b.conj[:0], b.last[:0], b.refs[:0], b.refEnd[:0]
 	if c.Where != nil {
-		pc.conj = splitWhereExprs(pc.conj, c.Where)
-		st.preds = make([]eval.CompiledPred, len(pc.conj))
+		b.conj = splitWhereExprs(b.conj, c.Where)
 	}
-	pc.last = pc.last[:0]
-	for i, cj := range pc.conj {
-		p := pc.compilePred(out, cj)
-		st.preds[i] = p
-		pc.last = append(pc.last, lastVar(cj, out))
-		switch {
-		case pc.last[i] < len(sc):
-			st.entry = append(st.entry, p)
-		case pc.last[i] == never:
-			st.final = append(st.final, p)
+	st.preds = carve(&b.slab.preds, len(b.conj))
+	sched := carve(&b.slab.preds, len(b.conj))[:0]
+	st.revLast = carve(&b.slab.ints, len(b.conj))
+	for i, cj := range b.conj {
+		b.cmp.Refs = b.cmp.Refs[:0]
+		st.preds[i] = b.compilePred(out, cj)
+		last := -1
+		for _, r := range b.cmp.Refs {
+			if r < 0 {
+				last = never
+			} else {
+				last = max(last, r)
+			}
 		}
+		b.refs = append(b.refs, b.cmp.Refs...)
+		b.refEnd = append(b.refEnd, len(b.refs))
+		b.last = append(b.last, last)
+		st.revLast[i] = last
 	}
+	st.entry = schedule(&sched, st.preds, b.last, -1, len(sc))
+	st.final = schedule(&sched, st.preds, b.last, never, never+1)
 
 	// Lower each pattern part in its forward orientation. The reverse —
 	// used only when the executing store makes the last endpoint strictly
-	// cheaper — is built on demand (cPart.reverse), reusing the temp
-	// slots the forward build allocates here.
-	if len(c.Patterns) <= len(st.part1) {
-		st.parts = st.part1[:len(c.Patterns)]
-	} else {
-		st.parts = make([]cPart, len(c.Patterns))
-	}
+	// cheaper — is built on demand (cPart.reverse) from the forward chain.
+	st.parts = carve(&b.slab.parts, len(c.Patterns))
 	lo := len(sc) // out[:lo] is bound when a part starts
 	for pi, p := range c.Patterns {
 		cp := &st.parts[pi]
-		cp.m, cp.index = st, pi
-		cp.costFirst = costSpec(p.Nodes[0], out, lo)
-		cp.costLast = costSpec(p.Nodes[len(p.Nodes)-1], out, lo)
-		cp.tempLo = pc.cmp.NextSlot
-		lo = pc.chain(&cp.fwd, p, out, lo, pc.last, st.preds)
+		cp.m, cp.lo, cp.slotLo = st, lo, st.optLo+lo-len(sc)
+		hi, dependent := b.chain(&cp.fwd, p, out, lo, pos, st.preds, &sched)
+		pos = pos[len(p.Nodes)+len(p.Rels):]
+		if cp.reversible() {
+			b.reverseLast(cp, st.revLast, hi)
+			if dependent {
+				cp.rprops = b.reverseProps(p, out, lo)
+			}
+		}
+		lo = hi
 	}
 	return st, out
 }
 
+// schedule appends to sched, in conjunct order, the conjuncts whose
+// last-variable position lies in [from, to), and returns them. sched
+// has room for every conjunct of the clause, each scheduled once.
+func schedule(sched *[]eval.CompiledPred, preds []eval.CompiledPred, last []int, from, to int) []eval.CompiledPred {
+	start := len(*sched)
+	for i, l := range last {
+		if from <= l && l < to {
+			*sched = append(*sched, preds[i])
+		}
+	}
+	if len(*sched) == start {
+		return nil
+	}
+	return (*sched)[start:len(*sched):len(*sched)]
+}
+
 // bindNew appends a binding on a fresh slot for a pattern variable that
-// is not in scope yet.
-func (pc *partCompiler) bindNew(out scope, name string) scope {
-	if name == "" || out.index(name) >= 0 {
-		return out
+// is not in scope yet, and records the variable's position.
+func (b *builder) bindNew(out scope, name string) scope {
+	i := -1
+	if name != "" {
+		if i = out.index(name); i < 0 {
+			i, out = len(out), append(out, eval.Var{Name: name, Slot: b.next()})
+		}
 	}
-	return append(out, eval.Var{Name: name, Slot: pc.next()})
+	b.pos = append(b.pos, i)
+	return out
 }
 
-// costSpec captures matcher.nodeCost's inputs for one chain endpoint of
-// a part entered with out[:lo] bound: entry boundness (static) and the
-// candidate labels. The cardinalities themselves are read from the
-// executing store (cCost.eval).
-func costSpec(n *ast.NodePattern, out scope, lo int) cCost {
-	if n.Variable != "" && out.index(n.Variable) < lo {
-		return cCost{bound: true}
-	}
-	return cCost{labels: n.Labels}
-}
-
-// chain lowers one pattern part, oriented as p, entered with out[:lo]
-// bound, and returns the length of the prefix bound after it; out lists
-// the part's own variables in p's order of first occurrence. Inline
-// property maps are compiled against the scope bound BEFORE their
+// chain lowers pattern part p in its forward orientation, entered with
+// out[:lo] bound, and returns the length of the prefix bound after it;
+// out lists the part's own variables in p's order of first occurrence,
+// and pos the position in out of each element's variable, in order.
+// Inline property maps are compiled against the scope bound BEFORE their
 // element (the interpreter checks properties before binding, so a self-
 // or forward-reference is an unknown-variable error there too). Each
-// conjunct whose last variable (last[i]) this part binds is attached to
-// the element binding it, in conjunct order.
-func (pc *partCompiler) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, last []int, preds []eval.CompiledPred) int {
+// conjunct whose last variable this part binds is attached to the
+// element binding it, in conjunct order. chain also reports whether a
+// property map names a variable of the part, or one not in scope yet:
+// such maps must be compiled anew for the reversed chain.
+func (b *builder) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, pos []int, preds []eval.CompiledPred, sched *[]eval.CompiledPred) (int, bool) {
 	k := lo // out[:k] is bound
-	// bind marks the element's variable bound and reports its slot and
-	// whether it was bound already.
-	bind := func(name string) (slot int, wasBound bool) {
-		if name == "" {
+	// bind marks the next element's variable bound and reports its slot
+	// and whether it was bound already.
+	bind := func() (slot int32, wasBound bool) {
+		i := pos[0]
+		pos = pos[1:]
+		if i < 0 {
 			return -1, false
 		}
-		i := out.index(name)
 		if i < k {
-			return out[i].Slot, true
+			return int32(out[i].Slot), true
 		}
 		k++ // i == k: the next variable of the part, in order
-		return out[i].Slot, false
+		return int32(out[i].Slot), false
 	}
-	// Every element's conjuncts share one array, in element order and
-	// within an element in conjunct order.
-	var conjBuf []eval.CompiledPred
-	hi := lo + len(p.Nodes) + len(p.Rels)
-	n := 0
-	for _, l := range last {
-		if lo <= l && l < hi {
-			n++
+	dependent := false
+	props := func(m *ast.MapLit) cProps {
+		b.cmp.Refs = b.cmp.Refs[:0]
+		ps := b.props(out[:k], m, &b.slab.props)
+		for _, r := range b.cmp.Refs {
+			dependent = dependent || r < 0 || r >= lo
 		}
+		return ps
 	}
-	if n > 0 {
-		conjBuf = make([]eval.CompiledPred, 0, n)
-	}
-	conjUpTo := func(from int) []eval.CompiledPred {
-		start := len(conjBuf)
-		for i, l := range last {
-			if from <= l && l < k {
-				conjBuf = append(conjBuf, preds[i])
-			}
-		}
-		if len(conjBuf) == start {
-			return nil
-		}
-		return conjBuf[start:len(conjBuf):len(conjBuf)]
-	}
-
-	ch.nodes, ch.rels = make([]cNode, len(p.Nodes)), make([]cRel, len(p.Rels))
+	ch.nodes, ch.rels = carve(&b.slab.nodes, len(p.Nodes)), carve(&b.slab.rels, len(p.Rels))
 	for i, np := range p.Nodes {
 		cn := &ch.nodes[i]
 		cn.labels = np.Labels
-		cn.props = pc.props(out[:k], np.Props)
-		if i == 0 {
-			// Index probes for the entry scan, in the interpreter's
-			// label-major, key-minor order, sharing the compiled values.
-			if len(np.Labels) > 0 && len(cn.props.keys) > 0 {
-				cn.probes = make([]cProbe, 0, len(np.Labels)*len(cn.props.keys))
-			}
-			for _, l := range np.Labels {
-				for k, key := range cn.props.keys {
-					cn.probes = append(cn.probes, cProbe{label: l, key: key, val: cn.props.vals[k]})
-				}
-			}
-		}
+		cn.props = props(np.Props)
 		from := k
-		cn.slot, cn.bound = bind(np.Variable)
-		cn.conj = conjUpTo(from)
+		cn.slot, cn.bound = bind()
+		cn.conj = schedule(sched, preds, b.last, from, k)
 		if i < len(p.Rels) {
 			rp := p.Rels[i]
 			cr := &ch.rels[i]
 			cr.types = rp.Types
 			cr.dir = rp.Direction
-			cr.props = pc.props(out[:k], rp.Props)
+			cr.props = props(rp.Props)
 			from := k
-			cr.slot, cr.bound = bind(rp.Variable)
-			cr.conj = conjUpTo(from)
+			cr.slot, cr.bound = bind()
+			cr.conj = schedule(sched, preds, b.last, from, k)
 		}
 	}
-	return k
+	return k, dependent
 }
 
 // props compiles an inline property map with the variables of sc in
-// scope.
-func (pc *partCompiler) props(sc scope, m *ast.MapLit) cProps {
-	var out cProps
+// scope, into the next elements of slab.
+func (b *builder) props(sc scope, m *ast.MapLit, slab *[]cProp) cProps {
 	if m == nil {
-		return out
+		return nil
 	}
-	out.keys = m.Keys
-	out.vals = make([]eval.Compiled, len(m.Vals))
+	out := cProps(carve(slab, len(m.Vals)))
 	for i, v := range m.Vals {
-		out.vals[i] = pc.compile(sc, v)
+		out[i] = cProp{key: m.Keys[i], val: b.compile(sc, v)}
 	}
 	return out
 }
 
-// buildReverse lowers part p in reverse orientation. The reversed chain
-// meets the part's variables in another order, so it compiles against a
-// scope with the part's run reordered to match; slots stay with their
-// names. It replays the forward build's temp slots: both orientations
-// compile the same property expressions and therefore allocate the same
-// number of temps.
+// reverseLast sets, for each conjunct the part schedules, the scope
+// position of its last variable in the reversed chain's binding order:
+// the part's variables, positions [p.lo, hi), bind in the order of their
+// first occurrence from the far end. A variable at position i holds
+// slot p.slotLo+i-p.lo.
+func (b *builder) reverseLast(p *cPart, revLast []int, hi int) {
+	lo := p.lo
+	b.rank = slices.Grow(b.rank[:0], hi-lo)[:hi-lo]
+	for i := range b.rank {
+		b.rank[i] = -1
+	}
+	r := 0
+	see := func(slot int32) {
+		if i := int(slot) - p.slotLo; slot >= 0 && i >= 0 && b.rank[i] < 0 {
+			b.rank[i] = r
+			r++
+		}
+	}
+	ns, rs := p.fwd.nodes, p.fwd.rels
+	for i := len(ns) - 1; i >= 0; i-- {
+		see(ns[i].slot)
+		if i > 0 {
+			see(rs[i-1].slot)
+		}
+	}
+	start := 0
+	for i, l := range b.last {
+		end := b.refEnd[i]
+		if lo <= l && l < hi {
+			rl := -1
+			for _, pos := range b.refs[start:end] {
+				if pos >= lo {
+					pos = lo + b.rank[pos-lo]
+				}
+				rl = max(rl, pos)
+			}
+			revLast[i] = rl
+		}
+		start = end
+	}
+}
+
+// reverseProps compiles the part's property maps for its reversed chain,
+// each against the variables bound before its element in that order.
+// They are indexed like the forward chain's elements, nodes first.
+func (b *builder) reverseProps(p *ast.PatternPart, out scope, lo int) []cProps {
+	rout := make(scope, lo, len(out))
+	copy(rout, out[:lo])
+	bind := func(name string) {
+		if name == "" || rout.index(name) >= 0 {
+			return
+		}
+		if i := out.index(name); i >= lo {
+			rout = append(rout, out[i])
+		}
+	}
+	compile := func(m *ast.MapLit) cProps {
+		var slab []cProp
+		if m != nil {
+			slab = make([]cProp, len(m.Vals))
+		}
+		return b.props(rout, m, &slab)
+	}
+	ps := make([]cProps, len(p.Nodes)+len(p.Rels))
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		ps[i] = compile(p.Nodes[i].Props)
+		bind(p.Nodes[i].Variable)
+		if i > 0 {
+			rp := p.Rels[i-1]
+			ps[len(p.Nodes)+i-1] = compile(rp.Props)
+			bind(rp.Variable)
+		}
+	}
+	return ps
+}
+
+// buildReverse lowers part p in reverse orientation from its forward
+// chain: the elements mirrored, relationship directions flipped, and
+// each variable's boundness and each conjunct's attachment recomputed
+// for the reversed binding order (revLast). Labels, types, slots and —
+// unless the part's maps name its own variables (rprops) — the compiled
+// property maps are the forward chain's.
 func (st *cMatch) buildReverse(p *cPart) *cChain {
-	lo := st.nsc
-	for _, q := range st.clause.Patterns[:p.index] {
-		for _, np := range q.Nodes {
-			if np.Variable != "" {
-				lo = max(lo, st.out.index(np.Variable)+1)
+	fwd := &p.fwd
+	m := len(fwd.rels)
+	rev := &cChain{nodes: make([]cNode, m+1), rels: make([]cRel, m)}
+	n := 0
+	for i := range fwd.nodes {
+		n += len(fwd.nodes[i].conj)
+	}
+	for i := range fwd.rels {
+		n += len(fwd.rels[i].conj)
+	}
+	var sched []eval.CompiledPred
+	if n > 0 {
+		sched = make([]eval.CompiledPred, 0, n)
+	}
+	k := p.lo // positions [0, k) are bound
+	// bind reports whether the variable in slot is bound before its
+	// element: it was bound before the part, or an earlier element of
+	// the reversed chain (the first nodes and rels) binds it.
+	bind := func(slot int32, nodes, rels int) bool {
+		if slot < 0 {
+			return false
+		}
+		if int(slot) < p.slotLo {
+			return true
+		}
+		for _, x := range rev.nodes[:nodes] {
+			if x.slot == slot {
+				return true
 			}
 		}
-		for _, rp := range q.Rels {
-			if rp.Variable != "" {
-				lo = max(lo, st.out.index(rp.Variable)+1)
+		for _, x := range rev.rels[:rels] {
+			if x.slot == slot {
+				return true
 			}
 		}
+		k++
+		return false
 	}
-	part := reverseChain(st.clause.Patterns[p.index])
-	rout := make(scope, lo, len(st.out))
-	copy(rout, st.out[:lo])
-	pc := newPartCompiler(p.tempLo)
-	for ni, np := range part.Nodes {
-		rout = reorderVar(rout, st.out, lo, np.Variable)
-		if ni < len(part.Rels) {
-			rout = reorderVar(rout, st.out, lo, part.Rels[ni].Variable)
+	for i := 0; i <= m; i++ {
+		fn, rn := &fwd.nodes[m-i], &rev.nodes[i]
+		rn.labels, rn.slot = fn.labels, fn.slot
+		rn.props = p.props(m-i, fn.props)
+		from := k
+		rn.bound = bind(rn.slot, i, i)
+		rn.conj = schedule(&sched, st.preds, st.revLast, from, k)
+		if i < m {
+			fr, rr := &fwd.rels[m-1-i], &rev.rels[i]
+			rr.types, rr.slot, rr.dir = fr.types, fr.slot, flip(fr.dir)
+			rr.props = p.props(m+1+m-1-i, fr.props)
+			from := k
+			rr.bound = bind(rr.slot, i+1, i)
+			rr.conj = schedule(&sched, st.preds, st.revLast, from, k)
 		}
 	}
-	for _, v := range st.out[lo:] {
-		if rout.index(v.Name) < 0 {
-			rout = append(rout, v)
-		}
-	}
-	last := make([]int, 0, len(st.preds))
-	if st.clause.Where != nil {
-		for _, cj := range splitWhereExprs(nil, st.clause.Where) {
-			last = append(last, lastVar(cj, rout))
-		}
-	}
-	rev := &cChain{}
-	pc.chain(rev, part, rout, lo, last, st.preds)
 	return rev
 }
 
-// reorderVar appends the binding of name from out to rout if it is one
-// of the variables from position lo on and not there yet.
-func reorderVar(rout, out scope, lo int, name string) scope {
-	if name == "" || rout.index(name) >= 0 {
-		return rout
+// props returns the compiled property map of forward element i (nodes
+// first) for the reversed chain.
+func (p *cPart) props(i int, fwd cProps) cProps {
+	if p.rprops != nil {
+		return p.rprops[i]
 	}
-	if i := out.index(name); i >= lo {
-		return append(rout, out[i])
+	return fwd
+}
+
+// flip reverses a relationship pattern's direction.
+func flip(d ast.Direction) ast.Direction {
+	switch d {
+	case ast.DirLeft:
+		return ast.DirRight
+	case ast.DirRight:
+		return ast.DirLeft
 	}
-	return rout
+	return d
 }
 
 // --- UNWIND --------------------------------------------------------
 
-func (pc *partCompiler) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
-	fn := pc.compile(sc, c.Expr)
-	slot := pc.next()
+func (b *builder) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
+	st := &carve(&b.slab.unwinds, 1)[0]
+	st.list = b.compile(sc, c.Expr)
+	st.slot = b.next()
 	// The alias shadows any previous binding, as the row write did.
-	return &cUnwind{list: fn, slot: slot}, sc.with(c.Alias, slot)
+	return st, b.with(sc, c.Alias, st.slot)
 }
 
 // --- CALL ----------------------------------------------------------
 
-func (pc *partCompiler) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, scope, error) {
+func (b *builder) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, scope, error) {
 	var col string
 	switch c.Procedure {
 	case "db.labels":
@@ -466,36 +685,26 @@ func (pc *partCompiler) callStage(c *ast.CallClause, sc scope, last bool) (*cCal
 	if len(c.Yield) == 1 {
 		col = c.Yield[0]
 	}
-	slot := pc.next()
-	return &cCall{proc: c.Procedure, col: col, slot: slot, last: last}, sc.with(col, slot), nil
+	slot := b.next()
+	return &cCall{proc: c.Procedure, col: col, slot: slot, last: last}, b.with(sc, col, slot), nil
 }
 
 // --- WITH / RETURN -------------------------------------------------
 
-func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc scope, requireAlias, isReturn bool) (*cProjection, scope, error) {
+func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, requireAlias, isReturn bool) (*cProjection, scope, error) {
 	if p.Star || len(p.Items) == 0 {
 		// `*` depends on the runtime row contents; an empty projection is
 		// an error — both stay on the interpreter.
 		return nil, nil, errUnsupportedPlan
 	}
-	st := &cProjection{
-		distinct:     p.Distinct,
-		isReturn:     isReturn,
-		proj:         p,
-		requireAlias: requireAlias,
-	}
-	if len(p.Items) <= len(st.item1) {
-		st.items, st.cols = st.item1[:len(p.Items)], st.col1[:len(p.Items)]
-	} else {
-		st.items, st.cols = make([]cProjItem, len(p.Items)), make([]string, len(p.Items))
-	}
+	st := &carve(&b.slab.projs, 1)[0]
+	st.distinct, st.isReturn = p.Distinct, isReturn
+	st.proj, st.requireAlias = p, requireAlias
+	st.items = carve(&b.slab.items, len(p.Items))
 	// out is the projected scope: the next stage's after a WITH, and
 	// part of ORDER BY's.
-	var out scope
-	if !isReturn || len(p.OrderBy) > 0 {
-		out = make(scope, len(p.Items))
-	}
-	for i, it := range p.Items {
+	out := b.scope(len(p.Items))
+	for _, it := range p.Items {
 		name := it.Alias
 		if name == "" {
 			if v, ok := it.Expr.(*ast.Variable); ok {
@@ -506,24 +715,21 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 				name = ast.ExprString(it.Expr)
 			}
 		}
-		if slices.Contains(st.cols[:i], name) {
+		if out.index(name) >= 0 {
 			return nil, nil, errUnsupportedPlan // duplicate-column error
 		}
 		agg := eval.HasAggregate(it.Expr)
 		st.hasAgg = st.hasAgg || agg
-		slot := pc.next()
-		st.items[i] = cProjItem{name: name, slot: slot, agg: agg}
-		st.cols[i] = name
-		if out != nil {
-			out[i] = eval.Var{Name: name, Slot: slot}
-		}
+		slot := b.next()
+		st.items[len(out)] = cProjItem{name: name, slot: int32(slot), agg: agg}
+		out = append(out, eval.Var{Name: name, Slot: slot})
 	}
 
 	if st.hasAgg {
-		pc.aggregation(st, p, sc)
+		b.aggregation(st, p, sc)
 	} else {
 		for i, it := range p.Items {
-			st.items[i].fn = pc.compile(sc, it.Expr)
+			st.items[i].fn = b.compile(sc, it.Expr)
 		}
 	}
 
@@ -533,31 +739,31 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 	if len(p.OrderBy) > 0 {
 		sortScope := out
 		if !st.hasAgg && !p.Distinct {
-			sortScope = make(scope, 0, len(sc)+len(out))
-			for _, b := range sc {
-				if out.index(b.Name) < 0 {
-					sortScope = append(sortScope, b)
+			sortScope = b.scope(len(sc) + len(out))
+			for _, v := range sc {
+				if out.index(v.Name) < 0 {
+					sortScope = append(sortScope, v)
 				}
 			}
 			sortScope = append(sortScope, out...)
 		}
-		st.sorts = make([]cSort, len(p.OrderBy))
+		st.sorts = carve(&b.slab.sorts, len(p.OrderBy))
 		for i, s := range p.OrderBy {
-			st.sorts[i] = cSort{key: pc.compile(sortScope, s.Expr), desc: s.Desc}
+			st.sorts[i] = cSort{key: b.compile(sortScope, s.Expr), desc: s.Desc}
 		}
 	}
 
 	// SKIP/LIMIT evaluate in an empty environment (evalIn(row{}, x)).
 	if p.Skip != nil {
-		st.skip = pc.compile(nil, p.Skip)
+		st.skip = b.compile(nil, p.Skip)
 	}
 	if p.Limit != nil {
-		st.limit = pc.compile(nil, p.Limit)
+		st.limit = b.compile(nil, p.Limit)
 	}
 
 	// A WITH's WHERE sees only the projected row.
 	if where != nil {
-		st.where = pc.compilePred(out, where)
+		st.where = b.compilePred(out, where)
 	}
 	return st, out, nil
 }
@@ -565,9 +771,8 @@ func (pc *partCompiler) projectionStage(p *ast.Projection, where ast.Expr, sc sc
 // aggregation collects the aggregate calls of every item in item order
 // (as Engine.aggregate walks them), assigns each a result slot, and
 // compiles the item expressions with those slots spliced in place of the
-// calls via the Special hook.
-func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope) {
-	st.calls = st.call1[:0]
+// calls.
+func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
 	for _, it := range p.Items {
 		ast.WalkExprs(it.Expr, func(x ast.Expr) bool {
 			f, ok := x.(*ast.FuncCall)
@@ -580,7 +785,7 @@ func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope
 					star:     true,
 					distinct: f.Distinct,
 					argCount: len(f.Args),
-					slot:     pc.next(),
+					slot:     b.next(),
 				})
 				return false
 			}
@@ -593,13 +798,13 @@ func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope
 				spec:     spec,
 				distinct: f.Distinct,
 				argCount: len(f.Args),
-				slot:     pc.next(),
+				slot:     b.next(),
 			}
 			if len(f.Args) >= 1 {
-				c.arg = pc.compile(sc, f.Args[0])
+				c.arg = b.compile(sc, f.Args[0])
 			}
 			if spec.HasParam && len(f.Args) == 2 {
-				c.param = pc.compile(sc, f.Args[1])
+				c.param = b.compile(sc, f.Args[1])
 			}
 			st.calls = append(st.calls, c)
 			return false // aggregates do not nest
@@ -610,22 +815,23 @@ func (pc *partCompiler) aggregation(st *cProjection, p *ast.Projection, sc scope
 	// item that is one aggregate call is just that read; any other is
 	// compiled with every call spliced in (a call node that occurs twice
 	// reads the slot of its last occurrence).
-	defer func() { pc.cmp.Splices = nil }()
+	defer func() { b.cmp.Splices = nil }()
 	for i, it := range p.Items {
 		if !st.items[i].agg {
 			st.groupItems = append(st.groupItems, i)
 		}
 		if slot, ok := st.callSlot(it.Expr); ok {
-			st.items[i].fn = eval.Slot(slot)
+			st.items[i].fn = eval.SlotOperand(slot)
 			continue
 		}
-		if pc.cmp.Splices == nil {
-			pc.cmp.Splices = make([]eval.Splice, len(st.calls))
-			for k, c := range st.calls {
-				pc.cmp.Splices[k] = eval.Splice{Expr: c.call, Slot: c.slot}
+		if b.cmp.Splices == nil {
+			b.splices = b.splices[:0]
+			for _, c := range st.calls {
+				b.splices = append(b.splices, eval.Splice{Expr: c.call, Slot: c.slot})
 			}
+			b.cmp.Splices = b.splices
 		}
-		st.items[i].fn = pc.compile(sc, it.Expr)
+		st.items[i].fn = b.compile(sc, it.Expr)
 	}
 }
 

@@ -103,8 +103,8 @@ type Engine struct {
 	params map[string]value.Value
 	// planTrace records, for tests, which access paths the interpreter
 	// chose during the most recent query; a plan execution clears it and
-	// records nothing.
-	planTrace []string
+	// records nothing. PlanTrace renders it.
+	planTrace []accessPath
 	// ctx is the context of the in-flight ExecuteCtx call; cancelTick
 	// rate-limits how often the hot loops poll it.
 	ctx        context.Context
@@ -179,10 +179,25 @@ func (e *Engine) SetSeed(seed int64) {
 	e.execSeq = 0
 }
 
+// accessPath is one access path the interpreter chose: its kind, and an
+// index scan's label and property key.
+type accessPath struct {
+	kind, label, key string
+}
+
 // PlanTrace returns the access paths the interpreter chose for the most
 // recent query (index, label or full scans and reversed traversals). It
 // is empty after a compiled plan ran.
-func (e *Engine) PlanTrace() []string { return e.planTrace }
+func (e *Engine) PlanTrace() []string {
+	out := make([]string, len(e.planTrace))
+	for i, p := range e.planTrace {
+		out[i] = p.kind
+		if p.label != "" || p.key != "" {
+			out[i] += ":" + p.label + "." + p.key
+		}
+	}
+	return out
+}
 
 // Execute parses and runs a query.
 func (e *Engine) Execute(query string) (*Result, error) {

@@ -267,7 +267,7 @@ func (m *matcher) orient(p *ast.PatternPart) *ast.PatternPart {
 	first, last := p.Nodes[0], p.Nodes[len(p.Nodes)-1]
 	cf, cl := m.nodeCost(first), m.nodeCost(last)
 	if cl < cf {
-		m.engine.planTrace = append(m.engine.planTrace, "ReverseTraversal")
+		m.engine.planTrace = append(m.engine.planTrace, accessPath{kind: "ReverseTraversal"})
 		return reverseChain(p)
 	}
 	return p
@@ -369,7 +369,7 @@ func (m *matcher) nodeCandidates(np *ast.NodePattern) []graph.ID {
 					}
 					ids, ok := st.NodesByIndex(l, key, v)
 					if ok {
-						m.engine.planTrace = append(m.engine.planTrace, "NodeIndexScan:"+l+"."+key)
+						m.engine.planTrace = append(m.engine.planTrace, accessPath{"NodeIndexScan", l, key})
 						return ids
 					}
 				}
@@ -383,11 +383,11 @@ func (m *matcher) nodeCandidates(np *ast.NodePattern) []graph.ID {
 					best = ids
 				}
 			}
-			m.engine.planTrace = append(m.engine.planTrace, "NodeByLabelScan")
+			m.engine.planTrace = append(m.engine.planTrace, accessPath{kind: "NodeByLabelScan"})
 			return m.maybeReverse(best)
 		}
 	}
-	m.engine.planTrace = append(m.engine.planTrace, "AllNodesScan")
+	m.engine.planTrace = append(m.engine.planTrace, accessPath{kind: "AllNodesScan"})
 	return m.maybeReverse(st.Graph().NodeIDs())
 }
 

@@ -90,8 +90,8 @@ func TestOrient(t *testing.T) {
 	if got.Rels[0].Direction != ast.DirLeft {
 		t.Errorf("reversed rel direction = %v, want DirLeft", got.Rels[0].Direction)
 	}
-	if len(e.planTrace) == 0 || e.planTrace[len(e.planTrace)-1] != "ReverseTraversal" {
-		t.Errorf("orient must record ReverseTraversal, trace: %v", e.planTrace)
+	if tr := e.PlanTrace(); len(tr) == 0 || tr[len(tr)-1] != "ReverseTraversal" {
+		t.Errorf("orient must record ReverseTraversal, trace: %v", tr)
 	}
 
 	// Equal costs: stable (no reversal) — determinism depends on ties

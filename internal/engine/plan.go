@@ -230,23 +230,18 @@ func (e *Engine) runPlanPart(pp *partPlan) (*Result, error) {
 
 // --- MATCH ---------------------------------------------------------
 
-// cCost is the compiled cost estimate for starting a chain at a node:
-// zero when the node variable is already bound at the part's entry,
-// otherwise the most selective label cardinality. Evaluated against the
-// executing store so one plan orients correctly on every target.
-type cCost struct {
-	bound  bool
-	labels []string
-}
-
-func (c *cCost) eval(st *Store) int {
-	if c.bound {
+// cost is matcher.nodeCost of starting the part at chain endpoint n:
+// zero when the node variable is bound before the part, otherwise the
+// most selective label cardinality. Evaluated against the executing
+// store so one plan orients correctly on every target.
+func (p *cPart) cost(st *Store, n *cNode) int {
+	if n.slot >= 0 && int(n.slot) < p.slotLo {
 		return 0
 	}
 	best := st.Graph().NumNodes()
-	for _, l := range c.labels {
-		if n := st.LabelCount(l); n < best {
-			best = n
+	for _, l := range n.labels {
+		if c := st.LabelCount(l); c < best {
+			best = c
 		}
 	}
 	return best
@@ -255,17 +250,11 @@ func (c *cCost) eval(st *Store) int {
 // cProps is a compiled inline property map: evaluated key by key in
 // declaration order against the current frame, exactly as
 // matcher.checkProps evaluates the MapLit.
-type cProps struct {
-	keys []string
-	vals []eval.Compiled
-}
+type cProps []cProp
 
-// cProbe is one candidate index probe of the chain's first node: a
-// (label, property) pair with the compiled value expression.
-type cProbe struct {
-	label string
-	key   string
-	val   eval.Compiled
+type cProp struct {
+	key string
+	val eval.Operand
 }
 
 // cNode is one pattern node of a chain. slot is -1 for anonymous nodes;
@@ -273,17 +262,16 @@ type cProbe struct {
 // node is an equality check, not a scan). conj are the WHERE conjuncts
 // that become fully bound at this element, in conjunct order.
 type cNode struct {
-	slot   int
+	slot   int32
 	bound  bool
 	labels []string
 	props  cProps
-	probes []cProbe // chain entry node only
 	conj   []eval.CompiledPred
 }
 
 // cRel is one pattern relationship of a chain.
 type cRel struct {
-	slot  int
+	slot  int32
 	bound bool
 	types []string
 	dir   ast.Direction
@@ -298,23 +286,25 @@ type cChain struct {
 	rels  []cRel
 }
 
-// cPart is pattern part index of its clause m. The forward orientation is
+// cPart is one pattern part of its clause m. The forward orientation is
 // precompiled; the reverse is built on first demand (buildReverse) because
 // most executions never reverse — the executor picks fwd or rev once per
 // execution from the cost estimates, mirroring matcher.orient (whose
 // per-row choice is constant across rows: boundness is static and the
 // store does not change during a read-only execution). revOnce makes the
 // lazy build safe across concurrent executions of the shared plan; after
-// it fires the chain is immutable like everything else here.
+// it fires the chain is immutable like everything else here. The part
+// binds the clause scope's positions from lo on, in slots from slotLo
+// on; rprops are its property maps compiled for the reverse, when they
+// name its own variables.
 type cPart struct {
-	fwd       cChain
-	costFirst cCost
-	costLast  cCost
-	m         *cMatch
-	index     int
-	tempLo    int // first of the temp slots the forward build allocated
-	revOnce   sync.Once
-	rev       *cChain
+	fwd     cChain
+	m       *cMatch
+	lo      int
+	slotLo  int
+	rprops  []cProps
+	revOnce sync.Once
+	rev     *cChain
 }
 
 // reversible reports whether the part has two ends to start from.
@@ -331,21 +321,18 @@ func (p *cPart) reverse() *cChain {
 // never become fully bound (they surface unknown-variable errors at emit
 // time, as the interpreter's conservative final pass does); slots
 // [optLo, optHi) are the ones OPTIONAL MATCH null-fills when nothing
-// matched. clause, out (the post-clause scope, whose first nsc entries
-// are the input scope) and preds (every WHERE conjunct, in order) are
+// matched. preds (every WHERE conjunct, in order) and revLast (the
+// scope position of each one's last variable in reversed chains) are
 // what a part's reverse build needs.
 type cMatch struct {
 	optional     bool
 	entry        []eval.CompiledPred
 	final        []eval.CompiledPred
 	parts        []cPart
-	part1        [1]cPart // parts of a one-pattern clause
 	optLo, optHi int
 
-	clause *ast.MatchClause
-	out    scope
-	nsc    int
-	preds  []eval.CompiledPred
+	preds   []eval.CompiledPred
+	revLast []int
 }
 
 // planMatcher is the slot-frame mirror of matcher: one instance serves
@@ -386,7 +373,7 @@ func (st *cMatch) run(e *Engine, in []frame) ([]frame, *Result, error) {
 	rev := ps.rev[:len(st.parts)]
 	for i := range st.parts {
 		p := &st.parts[i]
-		rev[i] = p.reversible() && p.costLast.eval(e.store) < p.costFirst.eval(e.store)
+		rev[i] = p.reversible() && p.cost(e.store, &p.fwd.nodes[len(p.fwd.nodes)-1]) < p.cost(e.store, &p.fwd.nodes[0])
 	}
 	g := e.store.Graph()
 	var adj *graph.AdjIndex
@@ -517,23 +504,25 @@ func (pm *planMatcher) node0(ch *cChain, pi int) error {
 }
 
 // scan picks the access path for an unbound entry node, mirroring
-// matcher.nodeCandidates: index probe, most-selective label scan, full
-// scan. Instead of copying to reverse under ReverseScan dialects it
-// reports descending iteration (index probes are never reversed, as in
-// the interpreter).
+// matcher.nodeCandidates: an index probe per (label, property) pair, in
+// label-major, key-minor order, then the most-selective label scan, then
+// a full scan. Instead of copying to reverse under ReverseScan dialects
+// it reports descending iteration (index probes are never reversed, as
+// in the interpreter).
 func (pm *planMatcher) scan(n *cNode) ([]graph.ID, bool) {
 	st := pm.e.store
-	for i := range n.probes {
-		p := &n.probes[i]
-		if !st.HasIndex(p.label, p.key) {
-			continue
-		}
-		v, err := p.val(pm.ctx)
-		if err != nil || v.IsNull() {
-			continue // probe value unavailable: fall through, as interpreted
-		}
-		if ids, ok := st.NodesByIndex(p.label, p.key, v); ok {
-			return ids, false
+	for _, l := range n.labels {
+		for _, p := range n.props {
+			if !st.HasIndex(l, p.key) {
+				continue
+			}
+			v, err := p.val.Eval(pm.ctx)
+			if err != nil || v.IsNull() {
+				continue // probe value unavailable: fall through, as interpreted
+			}
+			if ids, ok := st.NodesByIndex(l, p.key, v); ok {
+				return ids, false
+			}
 		}
 	}
 	if len(n.labels) > 0 {
@@ -576,7 +565,7 @@ func (pm *planMatcher) bindNode0(ch *cChain, pi int, id graph.ID) error {
 }
 
 func (pm *planMatcher) checkNode(n *cNode, id graph.ID) (bool, error) {
-	if pm.adj != nil && len(n.labels) > 0 && len(n.props.keys) == 0 {
+	if pm.adj != nil && len(n.labels) > 0 && len(n.props) == 0 {
 		// Label-only check through the label index (base + store
 		// deltas): membership implies existence — deleted nodes are
 		// unindexed — so the node table is never touched. Gated with
@@ -598,16 +587,16 @@ func (pm *planMatcher) checkNode(n *cNode, id graph.ID) (bool, error) {
 			return false, nil
 		}
 	}
-	return pm.checkProps(&n.props, gn.Props)
+	return pm.checkProps(n.props, gn.Props)
 }
 
-func (pm *planMatcher) checkProps(p *cProps, props map[string]value.Value) (bool, error) {
-	for i, key := range p.keys {
-		want, err := p.vals[i](pm.ctx)
+func (pm *planMatcher) checkProps(ps cProps, props map[string]value.Value) (bool, error) {
+	for _, p := range ps {
+		want, err := p.val.Eval(pm.ctx)
 		if err != nil {
 			return false, err
 		}
-		got, ok := props[key]
+		got, ok := props[p.key]
 		if !ok || value.Equal(got, want) != value.TriTrue {
 			return false, nil
 		}
@@ -665,7 +654,7 @@ func (pm *planMatcher) tryRel(ch *cChain, i, pi int, rid, other graph.ID) error 
 	if !typeMatches(r.types, gr.Type) {
 		return nil
 	}
-	ok, err := pm.checkProps(&r.props, gr.Props)
+	ok, err := pm.checkProps(r.props, gr.Props)
 	if err != nil || !ok {
 		return err
 	}
@@ -713,8 +702,8 @@ func (pm *planMatcher) tryRelIndexed(ch *cChain, i, pi int, rid, other graph.ID)
 		return err
 	}
 	r := &ch.rels[i]
-	if len(r.props.keys) > 0 {
-		ok, err := pm.checkProps(&r.props, pm.g.Rel(rid).Props)
+	if len(r.props) > 0 {
+		ok, err := pm.checkProps(r.props, pm.g.Rel(rid).Props)
 		if err != nil || !ok {
 			return err
 		}
@@ -917,7 +906,7 @@ func (pm *planMatcher) nodeAt(ch *cChain, i, pi int, id graph.ID) error {
 // --- UNWIND --------------------------------------------------------
 
 type cUnwind struct {
-	list eval.Compiled
+	list eval.Operand
 	slot int
 }
 
@@ -930,7 +919,7 @@ func (st *cUnwind) run(e *Engine, in []frame) ([]frame, *Result, error) {
 			return nil, nil, err
 		}
 		ctx.Frame = r
-		v, err := st.list(ctx)
+		v, err := st.list.Eval(ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1017,12 +1006,12 @@ func (st *cCall) run(e *Engine, in []frame) ([]frame, *Result, error) {
 
 // cProjItem is one compiled projection item: the output column's slot
 // and its compiled expression (for aggregating items, compiled with the
-// per-group aggregate results spliced in via the Special hook).
+// per-group aggregate results spliced in).
 type cProjItem struct {
 	name string
-	slot int
+	slot int32
 	agg  bool
-	fn   eval.Compiled
+	fn   eval.Operand
 }
 
 // cAggCall is one aggregate call occurrence within a projection: its
@@ -1034,13 +1023,13 @@ type cAggCall struct {
 	star     bool
 	distinct bool
 	argCount int
-	arg      eval.Compiled // nil for star calls
-	param    eval.Compiled // non-nil only for HasParam calls with 2 args
+	arg      eval.Operand // zero for star calls
+	param    eval.Operand // set only for HasParam calls with 2 args
 	slot     int
 }
 
 type cSort struct {
-	key  eval.Compiled
+	key  eval.Operand
 	desc bool
 }
 
@@ -1051,25 +1040,19 @@ type cSort struct {
 // (unknown-variable errors included), which slot reads cannot mimic.
 type cProjection struct {
 	items      []cProjItem
-	cols       []string
 	groupItems []int // indices into items of the non-aggregating items
 	calls      []cAggCall
 	hasAgg     bool
 	distinct   bool
 	isReturn   bool
 	sorts      []cSort
-	skip       eval.Compiled
-	limit      eval.Compiled
+	skip       eval.Operand      // zero without SKIP
+	limit      eval.Operand      // zero without LIMIT
 	where      eval.CompiledPred // WITH ... WHERE only
 
-	proj         *ast.Projection
 	requireAlias bool
-	width        int // part frame width, set by compileSinglePlan
-
-	// items, cols and calls of a one-item, one-aggregate projection.
-	item1 [1]cProjItem
-	col1  [1]string
-	call1 [1]cAggCall
+	proj         *ast.Projection
+	width        int // part frame width, set by builder.part
 }
 
 func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
@@ -1093,7 +1076,7 @@ func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
 			}
 			ctx.Frame = r
 			for i := range st.items {
-				v, err := st.items[i].fn(ctx)
+				v, err := st.items[i].fn.Eval(ctx)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -1207,7 +1190,7 @@ func (st *cProjection) orderBy(ctx *eval.Ctx, rows []frame) error {
 	for i, r := range rows {
 		ctx.Frame = r
 		for j := range st.sorts {
-			v, err := st.sorts[j].key(ctx)
+			v, err := st.sorts[j].key.Eval(ctx)
 			if err != nil {
 				return err
 			}
@@ -1240,13 +1223,13 @@ func (st *cProjection) orderBy(ctx *eval.Ctx, rows []frame) error {
 }
 
 func (st *cProjection) skipLimit(e *Engine, ctx *eval.Ctx, rows []frame) ([]frame, error) {
-	if st.skip == nil && st.limit == nil {
+	if st.skip.IsZero() && st.limit.IsZero() {
 		return rows, nil
 	}
 	// SKIP/LIMIT evaluate in an empty environment (variable references
 	// error), but comprehension binders still need their temp slots.
 	ctx.Frame = e.pstate.ensure(st.width)
-	if st.skip != nil {
+	if !st.skip.IsZero() {
 		n, err := nonNegIntC(ctx, st.skip, "SKIP")
 		if err != nil {
 			return nil, err
@@ -1257,7 +1240,7 @@ func (st *cProjection) skipLimit(e *Engine, ctx *eval.Ctx, rows []frame) ([]fram
 			rows = rows[n:]
 		}
 	}
-	if st.limit != nil {
+	if !st.limit.IsZero() {
 		n, err := nonNegIntC(ctx, st.limit, "LIMIT")
 		if err != nil {
 			return nil, err
@@ -1269,8 +1252,8 @@ func (st *cProjection) skipLimit(e *Engine, ctx *eval.Ctx, rows []frame) ([]fram
 	return rows, nil
 }
 
-func nonNegIntC(ctx *eval.Ctx, fn eval.Compiled, what string) (int64, error) {
-	v, err := fn(ctx)
+func nonNegIntC(ctx *eval.Ctx, x eval.Operand, what string) (int64, error) {
+	v, err := x.Eval(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -1281,7 +1264,10 @@ func nonNegIntC(ctx *eval.Ctx, fn eval.Compiled, what string) (int64, error) {
 }
 
 func (st *cProjection) buildResult(rows []frame) *Result {
-	res := &Result{Columns: append([]string(nil), st.cols...)}
+	res := &Result{Columns: make([]string, len(st.items))}
+	for i := range st.items {
+		res.Columns[i] = st.items[i].name
+	}
 	if len(rows) == 0 {
 		return res
 	}
@@ -1323,7 +1309,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 		ctx.Frame = r
 		keyBuf = keyBuf[:0]
 		for gi, idx := range st.groupItems {
-			v, err := st.items[idx].fn(ctx)
+			v, err := st.items[idx].fn.Eval(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -1347,7 +1333,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 					if c.argCount != 2 {
 						return nil, fmt.Errorf("%s requires two arguments", c.spec.Name)
 					}
-					p, err := c.param(ctx)
+					p, err := c.param.Eval(ctx)
 					if err != nil {
 						return nil, err
 					}
@@ -1370,7 +1356,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 				v = value.True // counted regardless
 			} else {
 				var err error
-				v, err = c.arg(ctx)
+				v, err = c.arg.Eval(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -1401,7 +1387,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 			if !it.agg {
 				continue
 			}
-			v, err := it.fn(ctx)
+			v, err := it.fn.Eval(ctx)
 			if err != nil {
 				return nil, err
 			}

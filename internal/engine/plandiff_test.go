@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"gqs/internal/core"
@@ -78,6 +79,37 @@ var planDiffQueries = []string{
 	"MATCH (n) RETURN count(*) + (2 * 3) AS x",
 	"MATCH (n) RETURN count(*) + 1 / 0 AS x",
 	"MATCH (n) RETURN pi(*) + 1 AS x",
+	// Predicates the expression compiler specializes: constant ones
+	// (true, false, null, or a type error raised only when evaluated),
+	// logical operators with a null or non-boolean side, a constant
+	// operand whose fold errors, IN a constant list, and logical
+	// operators in value position.
+	"MATCH (n) WHERE 1 RETURN n.id",
+	"MATCH (n) WHERE NOT 'a' RETURN n.id",
+	"MATCH (n) WHERE 1 < 2 RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE 2 < 1 RETURN n.id",
+	"MATCH (n) WHERE null RETURN n.id",
+	"MATCH (n) WHERE n.id > 2 XOR null RETURN n.id",
+	"MATCH (n) WHERE (n.id > 2 AND null) OR n.id = 1 RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE n.id > 2 OR null RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE n.id > 2 XOR 1 RETURN n.id",
+	"MATCH (n) WHERE 'x' AND n.id > 2 RETURN n.id",
+	"MATCH (n) WHERE n.id OR n.id > 2 RETURN n.id",
+	"MATCH (n) WHERE n.id = 1 / 0 RETURN n.id",
+	"MATCH (n) WHERE n.id IN [1, 3, null] RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE NOT (n.id IN [1, 3]) RETURN n.id ORDER BY n.id",
+	"MATCH (n) RETURN n.id > 2 XOR n.id < 4 AS v, NOT n.id IS NULL AS w, n.id ORDER BY n.id",
+	// Chains the planner reverses (the labeled end is cheaper): WHERE
+	// conjuncts and property maps in the reversed binding order, a
+	// repeated variable, a map naming a variable only the reversed order
+	// binds before it, and one naming a variable that neither order
+	// binds before it.
+	"MATCH (a)-[r]->(b:L11) WHERE a.id > 1 AND b.id > 1 AND r.id >= 0 AND a.id <> b.id RETURN a.id, b.id ORDER BY a.id, b.id",
+	"MATCH (a)-[r]->(b)<-[s]-(a:L11) WHERE r.id < s.id AND b.id >= 0 RETURN a.id, b.id, r.id, s.id ORDER BY r.id, s.id",
+	"MATCH (a:L7), (b)-[r]->(c:L11) WHERE a.id < c.id AND r.id > a.id RETURN a.id, r.id ORDER BY a.id, r.id",
+	"MATCH (a {id: b.id - 4})<-[r]-(b:L11) RETURN a.id, b.id ORDER BY a.id, b.id",
+	"MATCH (a)-[r]->(b:L11 {id: a.id}) RETURN count(*)",
+	"MATCH (x:L0) MATCH (a)-[r]->(b:L11 {id: x.id + 3}) RETURN a.id, b.id ORDER BY a.id",
 }
 
 // runPlanDiffCorpus executes every query on planned and interpreted
@@ -165,6 +197,59 @@ func TestPlanDiffHandwritten(t *testing.T) {
 		opts.Seed = 5
 		runPlanDiffCorpus(t, opts, g, schema, planDiffQueries)
 	}
+}
+
+// TestPlanDiffConcurrent prepares and runs the hand-written corpus from
+// several goroutines at once, as the campaign's workers do: each
+// prepares its own plans (the compiler's pooled builders) and also runs
+// one shared set (whose reverse chains are built on first use, racing).
+// Every planned result must equal the interpreter's.
+func TestPlanDiffConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
+	outcome := func(res *engine.Result, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(res.Columns, res.Rows)
+	}
+	ctx := context.Background()
+	interp := engine.New(engine.Options{Dialect: engine.Reference, Seed: 5, DisablePlan: true})
+	interp.LoadGraph(g, schema)
+	var texts, want []string
+	var shared []*engine.PreparedQuery
+	for _, q := range planDiffQueries {
+		pq, err := engine.Prepare(q)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", q, err)
+		}
+		if pq.Planned() { // a write would change the graph under the others
+			texts, shared = append(texts, q), append(shared, pq)
+			want = append(want, outcome(interp.ExecutePrepared(ctx, pq)))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := engine.New(engine.Options{Dialect: engine.Reference, Seed: 5})
+			e.LoadGraph(g, schema)
+			for i, q := range texts {
+				own, err := engine.Prepare(q)
+				if err != nil {
+					t.Errorf("prepare %q: %v", q, err)
+					return
+				}
+				for _, pq := range []*engine.PreparedQuery{own, shared[i]} {
+					if got := outcome(e.ExecutePrepared(ctx, pq)); got != want[i] {
+						t.Errorf("%q: planned %s, interpreted %s", q, got, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FuzzPlanVsInterp extends the differential to arbitrary input: any

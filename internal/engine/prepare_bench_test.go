@@ -74,16 +74,22 @@ func BenchmarkPrepare(b *testing.B) {
 // large-graph shapes: lexing, parsing, feature analysis and plan
 // compilation together.
 var prepareAllocs = map[string]float64{
-	"hop1":  34,
-	"hop2":  34,
-	"hop3":  35,
-	"hub":   33,
-	"write": 29,
+	"hop1":  30,
+	"hop2":  30,
+	"hop3":  31,
+	"hub":   30,
+	"write": 26,
 }
+
+// synthPrepareAllocs is the most PrepareAST may allocate per query, on
+// average, over BenchmarkPrepare's synthesized corpus: feature analysis
+// and plan compilation, the constants folding makes included.
+const synthPrepareAllocs = 74
 
 // TestPrepareAllocs keeps the preparation path allocation-light: a
 // query is prepared for every execution, so an allocation added here is
-// paid on every operation of the large-graph workload.
+// paid on every operation of the large-graph workload, and on every
+// synthesized query of a campaign.
 func TestPrepareAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -97,5 +103,14 @@ func TestPrepareAllocs(t *testing.T) {
 		if got > prepareAllocs[s.name] {
 			t.Errorf("%s: Prepare allocates %.0f times, want at most %.0f", s.name, got, prepareAllocs[s.name])
 		}
+	}
+	qs, texts := synthCorpus(t, 11, 64)
+	got := testing.AllocsPerRun(20, func() {
+		for k := range qs {
+			engine.PrepareAST(qs[k], texts[k])
+		}
+	}) / float64(len(qs))
+	if got > synthPrepareAllocs {
+		t.Errorf("synthesized: PrepareAST allocates %.1f times per query, want at most %d", got, synthPrepareAllocs)
 	}
 }

@@ -25,10 +25,9 @@ import (
 //     writes to it (planner rewrites such as traversal reversal and
 //     aggregate substitution copy the nodes they change), so one
 //     PreparedQuery may be in flight on several connectors at once.
-//   - Features is the analysis of exactly this AST, with Hash computed
-//     from Text — byte-for-byte what metrics.Analyze(Text) returns, so
-//     fault triggers keyed on the feature vector see identical features
-//     on every target.
+//   - Features is the analysis of exactly this AST — what
+//     metrics.Analyze(Text) returns, so fault triggers keyed on the
+//     feature vector see identical features on every target.
 //   - All per-execution state (variable environments, the rand()/
 //     timestamp() stream of functions.ExecState, cancellation) lives in
 //     the executing engine, never in the PreparedQuery.
@@ -72,9 +71,7 @@ func Prepare(text string) (*PreparedQuery, error) {
 // compatibility paths). The AST is treated as immutable from here on,
 // exactly as if the parser had returned it.
 func PrepareAST(q *ast.Query, text string) *PreparedQuery {
-	f := metrics.AnalyzeAST(q)
-	f.Hash = metrics.TextHash(text)
-	pq := &PreparedQuery{Text: text, AST: q, Features: f}
+	pq := &PreparedQuery{Text: text, AST: q, Features: metrics.AnalyzeAST(q)}
 	compileQueryPlan(&pq.plan, q)
 	return pq
 }

@@ -278,45 +278,50 @@ func evalQuantifier(ctx *Ctx, e *ast.Quantifier) (value.Value, error) {
 			unknowns++
 		}
 	}
-	// Three-valued quantifier semantics, as in openCypher.
-	switch e.Kind {
+	return quantified(e.Kind, trues, falses, unknowns), nil
+}
+
+// quantified is a quantifier's three-valued result from the counts of
+// its predicate's outcomes over the list, as in openCypher.
+func quantified(kind ast.QuantKind, trues, falses, unknowns int) value.Value {
+	switch kind {
 	case ast.QuantAll:
 		switch {
 		case falses > 0:
-			return value.False, nil
+			return value.False
 		case unknowns > 0:
-			return value.Null, nil
+			return value.Null
 		default:
-			return value.True, nil
+			return value.True
 		}
 	case ast.QuantAny:
 		switch {
 		case trues > 0:
-			return value.True, nil
+			return value.True
 		case unknowns > 0:
-			return value.Null, nil
+			return value.Null
 		default:
-			return value.False, nil
+			return value.False
 		}
 	case ast.QuantNone:
 		switch {
 		case trues > 0:
-			return value.False, nil
+			return value.False
 		case unknowns > 0:
-			return value.Null, nil
+			return value.Null
 		default:
-			return value.True, nil
+			return value.True
 		}
 	default: // single
 		switch {
 		case trues > 1:
-			return value.False, nil
+			return value.False
 		case unknowns > 0:
-			return value.Null, nil
+			return value.Null
 		case trues == 1:
-			return value.True, nil
+			return value.True
 		default:
-			return value.False, nil
+			return value.False
 		}
 	}
 }
@@ -326,11 +331,17 @@ func evalPropAccess(ctx *Ctx, e *ast.PropAccess) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
+	return property(ctx, s, e.Name)
+}
+
+// property reads property name of s: a map entry, or a node's or
+// relationship's property in the context's graph.
+func property(ctx *Ctx, s value.Value, name string) (value.Value, error) {
 	switch s.Kind() {
 	case value.KindNull:
 		return value.Null, nil
 	case value.KindMap:
-		if v, ok := s.AsMap()[e.Name]; ok {
+		if v, ok := s.AsMap()[name]; ok {
 			return v, nil
 		}
 		return value.Null, nil
@@ -339,12 +350,12 @@ func evalPropAccess(ctx *Ctx, e *ast.PropAccess) (value.Value, error) {
 		if !ok {
 			return value.Null, fmt.Errorf("unknown entity %d", s.EntityID())
 		}
-		if v, ok := props[e.Name]; ok {
+		if v, ok := props[name]; ok {
 			return v, nil
 		}
 		return value.Null, nil
 	default:
-		return value.Null, fmt.Errorf("type error: cannot access property %s of %s", e.Name, s.Kind())
+		return value.Null, fmt.Errorf("type error: cannot access property %s of %s", name, s.Kind())
 	}
 }
 
@@ -460,13 +471,24 @@ func evalUnary(ctx *Ctx, e *ast.Unary) (value.Value, error) {
 	}
 }
 
-func evalFuncCall(ctx *Ctx, e *ast.FuncCall) (value.Value, error) {
-	if functions.IsAggregate(e.Name) {
-		return value.Null, ErrAggregateInScalar
+// scalarFunc resolves a function called in scalar position: an
+// aggregate there is an error, as is an unknown name. No name is in both
+// registries, so the scalar registry, which holds nearly every call, is
+// asked first.
+func scalarFunc(name string) (*functions.Func, error) {
+	if f := functions.Lookup(name); f != nil {
+		return f, nil
 	}
-	f := functions.Lookup(e.Name)
-	if f == nil {
-		return value.Null, fmt.Errorf("unknown function %s", e.Name)
+	if functions.IsAggregate(name) {
+		return nil, ErrAggregateInScalar
+	}
+	return nil, fmt.Errorf("unknown function %s", name)
+}
+
+func evalFuncCall(ctx *Ctx, e *ast.FuncCall) (value.Value, error) {
+	f, err := scalarFunc(e.Name)
+	if err != nil {
+		return value.Null, err
 	}
 	base := len(ctx.argScratch)
 	for _, a := range e.Args {
@@ -524,17 +546,27 @@ func EvalPredicate(ctx *Ctx, e ast.Expr) (value.Tri, error) {
 	}
 	t, ok := v.Truth()
 	if !ok {
-		return value.TriUnknown, fmt.Errorf("type error: expected a boolean predicate, got %s", v.Kind())
+		return value.TriUnknown, notBoolean(v.Kind())
 	}
 	return t, nil
+}
+
+// notBoolean is the type error of a predicate whose value is not a truth
+// value.
+func notBoolean(k value.Kind) error {
+	return fmt.Errorf("type error: expected a boolean predicate, got %s", k)
 }
 
 // HasAggregate reports whether the expression contains an aggregation
 // operator at any depth.
 func HasAggregate(e ast.Expr) bool {
+	switch e.(type) {
+	case *ast.Variable, *ast.Literal, *ast.Parameter:
+		return false // most projection items
+	}
 	found := false
 	ast.WalkExprs(e, func(x ast.Expr) bool {
-		if f, ok := x.(*ast.FuncCall); ok && (functions.IsAggregate(f.Name) || f.Star) {
+		if f, ok := x.(*ast.FuncCall); ok && (f.Star || functions.IsAggregate(f.Name)) {
 			found = true
 			return false
 		}

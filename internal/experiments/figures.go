@@ -106,9 +106,7 @@ func Fig11(w io.Writer, c *Campaign) map[string]int {
 		if f.Features == nil {
 			continue
 		}
-		for name, n := range f.Features.ClauseCounts {
-			agg[name] += n
-		}
+		f.Features.EachClause(func(name string, n int) { agg[name] += n })
 	}
 	names := sortedKeysByCount(agg)
 	var labels []string
@@ -129,11 +127,7 @@ func Fig12(w io.Writer, c *Campaign) map[string]int {
 		if f.Features == nil {
 			continue
 		}
-		for name, n := range f.Features.ClauseCounts {
-			if n > 0 {
-				agg[name]++
-			}
-		}
+		f.Features.EachClause(func(name string, _ int) { agg[name]++ })
 	}
 	names := sortedKeysByCount(agg)
 	var labels []string
@@ -145,7 +139,7 @@ func Fig12(w io.Writer, c *Campaign) map[string]int {
 	histogram(w, "Figure 12: bugs related to each clause type", labels, counts)
 	orderByOrWith := 0
 	for _, f := range c.Findings {
-		if f.Features != nil && (f.Features.ClauseCounts["ORDER BY"] > 0 || f.Features.ClauseCounts["WITH"] > 0) {
+		if f.Features != nil && (f.Features.ClauseCount("ORDER BY") > 0 || f.Features.ClauseCount("WITH") > 0) {
 			orderByOrWith++
 		}
 	}

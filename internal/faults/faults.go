@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"gqs/internal/engine"
@@ -104,11 +103,10 @@ func (t Trigger) Matches(f *metrics.Features) bool {
 		f.CrossRefs < t.MinRefs:
 		return false
 	}
-	if t.Clause != "" && f.ClauseCounts[t.Clause] == 0 {
+	if t.Clause != "" && f.ClauseCount(t.Clause) == 0 {
 		return false
 	}
-	// Function names are recorded lowercased by the metrics package.
-	if t.Func != "" && f.Functions[strings.ToLower(t.Func)] == 0 {
+	if t.Func != "" && f.FuncCount(t.Func) == 0 {
 		return false
 	}
 	if t.ReplaceEmpty && !f.HasReplaceEmptyString {
@@ -188,11 +186,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // ManifestCtx manifests the bug on a query result, deterministically in
-// the query hash. In simulated mode (live == false) non-logic bugs return
-// instantly with the corresponding error — cheap, for high-volume
-// experiment campaigns. In live mode the bug behaves the way the real
-// bug class does, so the harness's watchdog/recovery paths are exercised
-// for real rather than pretended:
+// the query's coarse features (seed). A logic bug draws its corruption
+// from rng, reseeded, so a connector reuses one generator; a nil rng
+// draws from a fresh one, with the same stream. In simulated mode
+// (live == false) non-logic bugs return instantly with the
+// corresponding error — cheap, for high-volume experiment campaigns. In
+// live mode the bug behaves the way the real bug class does, so the
+// harness's watchdog/recovery paths are exercised for real rather than
+// pretended:
 //
 //   - Hang blocks until ctx is canceled (the Figure 9 non-termination),
 //     then reports the hang error to the unwinding execution path;
@@ -200,7 +201,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 //     process died mid-call would;
 //   - Exception and logic bugs manifest as usual, after the bug's
 //     injected Latency (canceled early if ctx expires first).
-func (b *Bug) ManifestCtx(ctx context.Context, live bool, res *engine.Result, f *metrics.Features) (*engine.Result, error) {
+func (b *Bug) ManifestCtx(ctx context.Context, live bool, res *engine.Result, f *metrics.Features, rng *rand.Rand) (*engine.Result, error) {
 	if live {
 		switch b.Kind {
 		case Hang:
@@ -232,7 +233,11 @@ func (b *Bug) ManifestCtx(ctx context.Context, live bool, res *engine.Result, f 
 	for _, row := range res.Rows {
 		out.Rows = append(out.Rows, append([]value.Value(nil), row...))
 	}
-	rng := rand.New(rand.NewSource(b.seed(f)))
+	if rng == nil {
+		rng = rand.New(rand.NewSource(b.seed(f)))
+	} else {
+		rng.Seed(b.seed(f))
+	}
 	switch b.Manifest {
 	case EmptyResult:
 		out.Rows = nil

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gqs/internal/engine"
@@ -119,7 +121,7 @@ func TestApplyManifestations(t *testing.T) {
 	}
 	check := func(m Manifestation) *engine.Result {
 		b := &Bug{ID: "T", Kind: Logic, Manifest: m}
-		out, err := b.ManifestCtx(context.Background(), false, res, f)
+		out, err := b.ManifestCtx(context.Background(), false, res, f, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -155,10 +157,34 @@ func TestApplyDeterministicUnderRewrite(t *testing.T) {
 	res := &engine.Result{Columns: []string{"x", "y"},
 		Rows: [][]value.Value{{value.Int(1), value.Str("s")}, {value.Int(2), value.Str("t")}}}
 	b := &Bug{ID: "T2", Kind: Logic, Manifest: WrongValue}
-	o1, _ := b.ManifestCtx(context.Background(), false, res, f1)
-	o2, _ := b.ManifestCtx(context.Background(), false, res, f2)
+	o1, _ := b.ManifestCtx(context.Background(), false, res, f1, nil)
+	o2, _ := b.ManifestCtx(context.Background(), false, res, f2, nil)
 	if !o1.Equal(o2) {
 		t.Error("equivalent rewrites must manifest identically")
+	}
+}
+
+// TestManifestReseedsRNG: a connector's generator, reseeded per
+// manifestation, corrupts exactly as a fresh generator does, whatever it
+// drew before.
+func TestManifestReseedsRNG(t *testing.T) {
+	res := &engine.Result{Columns: []string{"x", "y"},
+		Rows: [][]value.Value{{value.Int(1), value.Str("s")}, {value.Int(2), value.Str("t")}, {value.Null, value.Bool(true)}}}
+	shared := rand.New(rand.NewSource(99))
+	for i, q := range []string{
+		`MATCH (a)-[r]->(b) WHERE a.id = 1 RETURN a.k0`,
+		`MATCH (n) RETURN n.k0`,
+		`UNWIND [1, 2] AS x WITH x MATCH (n) RETURN n.id, x`,
+	} {
+		f := metrics.Analyze(q)
+		for _, m := range []Manifestation{DuplicateRow, NullValue, WrongValue} {
+			b := &Bug{ID: fmt.Sprintf("R%d", i), Kind: Logic, Manifest: m}
+			want, _ := b.ManifestCtx(context.Background(), false, res, f, nil)
+			got, _ := b.ManifestCtx(context.Background(), false, res, f, shared)
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Errorf("%s, %v: reused generator gave %v, fresh %v", q, m, got.Rows, want.Rows)
+			}
+		}
 	}
 }
 
@@ -166,7 +192,7 @@ func TestNonLogicApply(t *testing.T) {
 	f := metrics.Analyze(`MATCH (n) RETURN n`)
 	for _, k := range []Kind{Crash, Hang, Exception} {
 		b := &Bug{ID: "E", Kind: k}
-		_, err := b.ManifestCtx(context.Background(), false, nil, f)
+		_, err := b.ManifestCtx(context.Background(), false, nil, f, nil)
 		be, ok := err.(*BugError)
 		if !ok || be.BugID() != "E" || be.Kind != k {
 			t.Errorf("kind %v: err = %v", k, err)
@@ -182,7 +208,7 @@ func TestSetApplyFirstTriggeredWins(t *testing.T) {
 	if bug == nil || bug.ID != "MG-O1" {
 		t.Fatalf("expected MG-O1, got %v", bug)
 	}
-	if out, err := bug.ManifestCtx(context.Background(), false, res, f); err == nil || out != nil {
+	if out, err := bug.ManifestCtx(context.Background(), false, res, f, nil); err == nil || out != nil {
 		t.Error("hang must be an error")
 	}
 	// An untriggered query selects nothing, so it passes through.

@@ -22,7 +22,7 @@ func TestLiveHangBlocksUntilCanceled(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := b.ManifestCtx(ctx, true, nil, feats())
+	_, err := b.ManifestCtx(ctx, true, nil, feats(), nil)
 	elapsed := time.Since(start)
 	if elapsed < 30*time.Millisecond {
 		t.Errorf("live hang returned after %v, before the watchdog deadline", elapsed)
@@ -47,7 +47,7 @@ func TestLiveCrashPanics(t *testing.T) {
 			t.Errorf("panic value = %v, want attributed *BugError", p)
 		}
 	}()
-	b.ManifestCtx(context.Background(), true, nil, feats())
+	b.ManifestCtx(context.Background(), true, nil, feats(), nil)
 }
 
 // TestLiveLatency: a live exception spends its injected latency before
@@ -55,7 +55,7 @@ func TestLiveCrashPanics(t *testing.T) {
 func TestLiveLatency(t *testing.T) {
 	b := &Bug{ID: "T-EXC", Kind: Exception, Latency: 20 * time.Millisecond}
 	start := time.Now()
-	_, err := b.ManifestCtx(context.Background(), true, nil, feats())
+	_, err := b.ManifestCtx(context.Background(), true, nil, feats(), nil)
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("latency not injected: manifested after %v", d)
 	}
@@ -66,7 +66,7 @@ func TestLiveLatency(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = b.ManifestCtx(ctx, true, nil, feats())
+	_, err = b.ManifestCtx(ctx, true, nil, feats(), nil)
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Errorf("canceled latency: err = %v, want ErrCanceled", err)
 	}
@@ -78,7 +78,7 @@ func TestSimulatedModeUnchanged(t *testing.T) {
 	for _, k := range []Kind{Crash, Hang, Exception} {
 		b := &Bug{ID: "T-SIM", Kind: k, Latency: time.Hour} // latency ignored when not live
 		start := time.Now()
-		_, err := b.ManifestCtx(context.Background(), false, nil, feats())
+		_, err := b.ManifestCtx(context.Background(), false, nil, feats(), nil)
 		if time.Since(start) > time.Second {
 			t.Fatalf("%v: simulated manifestation must be instant", k)
 		}
@@ -102,7 +102,7 @@ func TestSelectMatchesApply(t *testing.T) {
 	if want == nil || want.ID != "MG-O1" {
 		t.Fatalf("Select = %v, want MG-O1", want)
 	}
-	_, err := want.ManifestCtx(context.Background(), false, nil, f)
+	_, err := want.ManifestCtx(context.Background(), false, nil, f, nil)
 	var be *BugError
 	if !errors.As(err, &be) || be.BugID() != want.ID {
 		t.Errorf("manifested %v, Select chose %v", err, want)

@@ -2,6 +2,7 @@ package functions
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gqs/internal/value"
@@ -467,5 +468,22 @@ func TestNondeterministicFlag(t *testing.T) {
 	}
 	if Lookup("abs").Nondeterministic {
 		t.Error("abs must be deterministic")
+	}
+}
+
+// TestRegistriesDisjoint: no name is both a scalar function and an
+// aggregate, in any case, so a caller may ask either registry first.
+func TestRegistriesDisjoint(t *testing.T) {
+	for _, a := range AllAggs() {
+		for _, name := range []string{a.Name, strings.ToLower(a.Name), strings.ToUpper(a.Name)} {
+			if Lookup(name) != nil {
+				t.Errorf("%s is both an aggregate and a scalar function", name)
+			}
+		}
+	}
+	for _, f := range All() {
+		if IsAggregate(f.Name) {
+			t.Errorf("%s is both a scalar function and an aggregate", f.Name)
+		}
 	}
 }

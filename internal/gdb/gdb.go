@@ -9,6 +9,7 @@ package gdb
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"gqs/internal/engine"
 	"gqs/internal/faults"
@@ -91,6 +92,8 @@ type Sim struct {
 	lastBug        *faults.Bug
 	closed         bool
 	live           bool
+	// rng is reseeded for every logic bug that manifests.
+	rng *rand.Rand
 }
 
 // options for constructing simulated GDBs.
@@ -286,13 +289,16 @@ func (s *Sim) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*e
 		return res, err
 	}
 	if bug.Kind == faults.Logic {
-		out, merr := bug.ManifestCtx(ctx, s.live, res, f)
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(0))
+		}
+		out, merr := bug.ManifestCtx(ctx, s.live, res, f, s.rng)
 		if merr != nil { // canceled mid-latency: not a manifested result
 			return nil, merr
 		}
 		return out, nil
 	}
-	_, err = bug.ManifestCtx(ctx, s.live, nil, f)
+	_, err = bug.ManifestCtx(ctx, s.live, nil, f, nil)
 	return nil, err
 }
 

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/cypher/parser"
@@ -18,13 +19,14 @@ type Features struct {
 	// The four Table 5 metrics.
 	Patterns     int // search patterns (pattern parts across MATCH/MERGE/CREATE)
 	MaxExprDepth int // deepest expression nesting
-	Clauses      int // clauses including subclauses usage via ClauseCounts
+	Clauses      int // clauses, without subclauses (see ClauseCount)
 	CrossRefs    int // references to variables introduced in earlier clauses
 
-	// Supporting detail.
-	ClauseCounts map[string]int // per clause name, WHERE and ORDER BY included
-	Functions    map[string]int // function invocation counts
-	Hash         uint64         // FNV-1a of the query text (deterministic gating)
+	// Supporting detail: the count of each clause name, WHERE and ORDER
+	// BY included (clauseNames order), and of each function, one entry
+	// per name up to case.
+	clauses [len(clauseNames)]int32
+	funcs   []funcCount
 
 	// Special triggers observed in the paper's bugs.
 	HasReplaceEmptyString bool // replace(s, '', r) — the Figure 9 Memgraph hang
@@ -35,31 +37,91 @@ type Features struct {
 	HasUnion              bool
 }
 
+// clauseNames are the names ClauseCount counts: ast.ClauseName's, and
+// the subclauses.
+var clauseNames = [...]string{
+	"MATCH", "OPTIONAL MATCH", "UNWIND", "WITH", "RETURN", "CALL", "CREATE",
+	"SET", "MERGE", "DELETE", "DETACH DELETE", "REMOVE", "?",
+	"WHERE", "DISTINCT", "ORDER BY", "SKIP", "LIMIT", "UNION",
+}
+
+// clauseIndex returns the position of a clause name in clauseNames, or
+// -1.
+func clauseIndex(name string) int {
+	for i, n := range clauseNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+type funcCount struct {
+	name string // as first spelled in the query
+	n    int
+}
+
+// ClauseCount returns how often the clause or subclause occurs.
+func (f *Features) ClauseCount(name string) int {
+	if i := clauseIndex(name); i >= 0 {
+		return int(f.clauses[i])
+	}
+	return 0
+}
+
+// EachClause calls visit for each clause name the query uses, with its
+// count.
+func (f *Features) EachClause(visit func(name string, n int)) {
+	for i, n := range f.clauses {
+		if n > 0 {
+			visit(clauseNames[i], int(n))
+		}
+	}
+}
+
+// FuncCount returns how often the query calls the function, whose name
+// is matched regardless of case.
+func (f *Features) FuncCount(name string) int {
+	for _, c := range f.funcs {
+		if sameName(c.name, name) {
+			return c.n
+		}
+	}
+	return 0
+}
+
+// sameName reports whether two function names are equal once
+// lower-cased, as the function registries compare them, without
+// lower-casing ASCII names.
+func sameName(a, b string) bool {
+	if a == b {
+		return true
+	}
+	if isASCII(a) && isASCII(b) {
+		return len(a) == len(b) && strings.EqualFold(a, b)
+	}
+	return strings.ToLower(a) == strings.ToLower(b)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 // Analyze parses and measures a query; it returns nil for unparsable text.
 func Analyze(text string) *Features {
 	q, err := parser.Parse(text)
 	if err != nil {
 		return nil
 	}
-	f := AnalyzeAST(q)
-	f.Hash = TextHash(text)
-	return f
+	return AnalyzeAST(q)
 }
 
-// TextHash is the FNV-1a hash of a query text, the Features.Hash of
-// that text.
-func TextHash(text string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(text); i++ {
-		h ^= uint64(text[i])
-		h *= prime64
-	}
-	return h
-}
-
-// AnalyzeAST measures a query tree. The Hash field is left zero;
-// Analyze fills it from the text.
+// AnalyzeAST measures a query tree.
 //
 // The tree may come from the parser or from the synthesizer, and both
 // must measure as the parse of their printed text does: the parser
@@ -67,25 +129,33 @@ func TextHash(text string) uint64 {
 // value printed from a literal back as a list or map of literals, so
 // those literals are measured in their parsed shape.
 func AnalyzeAST(q *ast.Query) *Features {
-	a := analyzer{f: &Features{
-		ClauseCounts: map[string]int{},
-		Functions:    map[string]int{},
-	}}
+	a := analyzer{f: &Features{}}
 	a.query(q)
+	if n := a.nfunc + len(a.moreFuncs); n > 0 {
+		a.f.funcs = make([]funcCount, n)
+		copy(a.f.funcs[copy(a.f.funcs, a.funcs[:a.nfunc]):], a.moreFuncs)
+	}
 	return a.f
 }
 
-// analyzer holds the state of one AnalyzeAST pass.
+// analyzer holds the state of one AnalyzeAST pass. Its tables keep their
+// first entries in arrays and any further ones in a map or slice: a
+// synthesized query introduces 20–30 variables and calls a dozen
+// functions, so the overflow is rare.
 type analyzer struct {
 	f *Features
 	// introduced holds the first variables with the index of the clause
-	// that introduced each, and more any further ones: a short query
-	// binds too few names for a map to pay for itself, a long one too
-	// many for a scan.
-	introduced [8]introduction
+	// that introduced each, found through the open-addressed hash table
+	// slots (positions plus one), and more any further ones.
+	introduced [32]introduction
+	slots      [64]uint8
 	nintro     int
 	more       map[string]int
 	clauseIdx  int
+	// funcs counts the first function names, moreFuncs any further ones.
+	funcs     [16]funcCount
+	nfunc     int
+	moreFuncs []funcCount
 }
 
 type introduction struct {
@@ -93,17 +163,51 @@ type introduction struct {
 	clause int
 }
 
+// counter returns the count of the named function, or nil. A query
+// mostly repeats one spelling of a name, which the first pass finds.
+func (a *analyzer) counter(name string) *funcCount {
+	for pass := 0; pass < 2; pass++ {
+		for _, cs := range [2][]funcCount{a.funcs[:a.nfunc], a.moreFuncs} {
+			for i := range cs {
+				if cs[i].name == name || pass == 1 && sameName(cs[i].name, name) {
+					return &cs[i]
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// count adds one occurrence of a clause or subclause.
+func (a *analyzer) count(name string, n int) {
+	a.f.clauses[clauseIndex(name)] += int32(n)
+}
+
+// call counts one call of the named function.
+func (a *analyzer) call(name string) {
+	if c := a.counter(name); c != nil {
+		c.n++
+		return
+	}
+	if a.nfunc < len(a.funcs) {
+		a.funcs[a.nfunc] = funcCount{name, 1}
+		a.nfunc++
+		return
+	}
+	a.moreFuncs = append(a.moreFuncs, funcCount{name, 1})
+}
+
 func (a *analyzer) query(q *ast.Query) {
 	f := a.f
 	if len(q.Parts) > 1 {
 		f.HasUnion = true
-		f.ClauseCounts["UNION"] = len(q.Parts) - 1
+		a.count("UNION", len(q.Parts)-1)
 	}
 	sawMatch, unwinds := false, 0
 	for _, part := range q.Parts {
 		for _, c := range part.Clauses {
 			f.Clauses++
-			f.ClauseCounts[ast.ClauseName(c)]++
+			a.count(ast.ClauseName(c), 1)
 			switch c := c.(type) {
 			case *ast.MatchClause:
 				if !sawMatch && unwinds > 0 {
@@ -112,7 +216,7 @@ func (a *analyzer) query(q *ast.Query) {
 				sawMatch = true
 				a.patterns(c.Patterns)
 				if c.Where != nil {
-					f.ClauseCounts["WHERE"]++
+					a.count("WHERE", 1)
 					a.note(c.Where)
 				}
 			case *ast.UnwindClause:
@@ -122,7 +226,7 @@ func (a *analyzer) query(q *ast.Query) {
 			case *ast.WithClause:
 				a.projection(&c.Projection)
 				if c.Where != nil {
-					f.ClauseCounts["WHERE"]++
+					a.count("WHERE", 1)
 					a.note(c.Where)
 				}
 			case *ast.ReturnClause:
@@ -160,13 +264,22 @@ func (a *analyzer) query(q *ast.Query) {
 
 // introducedAt returns the clause that introduced the variable.
 func (a *analyzer) introducedAt(name string) (int, bool) {
-	for _, in := range a.introduced[:a.nintro] {
-		if in.name == name {
+	for h := slotOf(name); a.slots[h] != 0; h = (h + 1) % len(a.slots) {
+		if in := &a.introduced[a.slots[h]-1]; in.name == name {
 			return in.clause, true
 		}
 	}
 	at, ok := a.more[name]
 	return at, ok
+}
+
+// slotOf is the home slot of a name in analyzer.slots: its FNV-1a hash.
+func slotOf(name string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return int(h % 64)
 }
 
 func (a *analyzer) intro(name string) {
@@ -179,6 +292,11 @@ func (a *analyzer) intro(name string) {
 	if a.nintro < len(a.introduced) {
 		a.introduced[a.nintro] = introduction{name, a.clauseIdx}
 		a.nintro++
+		h := slotOf(name)
+		for a.slots[h] != 0 {
+			h = (h + 1) % len(a.slots)
+		}
+		a.slots[h] = uint8(a.nintro)
 		return
 	}
 	if a.more == nil {
@@ -234,22 +352,22 @@ func (a *analyzer) projection(p *ast.Projection) {
 	}
 	if p.Distinct {
 		f.HasDistinct = true
-		f.ClauseCounts["DISTINCT"]++
+		a.count("DISTINCT", 1)
 	}
 	if len(p.OrderBy) > 0 {
 		f.HasOrderBy = true
-		f.ClauseCounts["ORDER BY"]++
+		a.count("ORDER BY", 1)
 		for _, s := range p.OrderBy {
 			a.note(s.Expr)
 		}
 	}
 	if p.Skip != nil {
-		f.ClauseCounts["SKIP"]++
+		a.count("SKIP", 1)
 		a.note(p.Skip)
 	}
 	if p.Limit != nil {
 		f.HasLimit = true
-		f.ClauseCounts["LIMIT"]++
+		a.count("LIMIT", 1)
 		a.note(p.Limit)
 	}
 }
@@ -290,9 +408,8 @@ func (a *analyzer) expr(e ast.Expr) int {
 		}
 		child(e.X)
 	case *ast.FuncCall:
-		name := strings.ToLower(e.Name)
-		a.f.Functions[name]++
-		if name == "replace" && len(e.Args) == 3 {
+		a.call(e.Name)
+		if len(e.Args) == 3 && sameName(e.Name, "replace") {
 			if lit, ok := e.Args[1].(*ast.Literal); ok && lit.Val.Kind() == value.KindString && lit.Val.AsString() == "" {
 				a.f.HasReplaceEmptyString = true
 			}
@@ -371,9 +488,9 @@ func literalDepth(v value.Value) int {
 }
 
 // CoarseSeed derives a stable value from the coarse feature vector
-// (patterns, depth, clauses, cross-references). Unlike Hash it survives
-// semantics-preserving rewrites of the query text, which makes it the
-// right key for modelling root-cause-determined behaviour.
+// (patterns, depth, clauses, cross-references). Unlike a hash of the
+// text it survives semantics-preserving rewrites of the query, which
+// makes it the right key for modelling root-cause-determined behaviour.
 func (f *Features) CoarseSeed() uint64 {
 	var h uint64 = 1469598103934665603
 	mix := func(x int) {

@@ -28,14 +28,14 @@ func TestAnalyzeFigure1(t *testing.T) {
 	if f.Clauses != 5 {
 		t.Errorf("clauses = %d, want 5 (MATCH, UNWIND, WITH, MATCH, RETURN)", f.Clauses)
 	}
-	if f.ClauseCounts["MATCH"] != 2 || f.ClauseCounts["UNWIND"] != 1 || f.ClauseCounts["WHERE"] != 2 {
-		t.Errorf("clause counts: %v", f.ClauseCounts)
+	if f.ClauseCount("MATCH") != 2 || f.ClauseCount("UNWIND") != 1 || f.ClauseCount("WHERE") != 2 {
+		t.Errorf("clause counts: %v", f.clauses)
 	}
 	if !f.HasDistinct {
 		t.Error("DISTINCT not detected")
 	}
-	if f.Functions["endnode"] != 1 {
-		t.Errorf("functions: %v", f.Functions)
+	if f.FuncCount("endnode") != 1 || f.FuncCount("endNode") != 1 {
+		t.Errorf("functions: %v", f.funcs)
 	}
 	// n5 is referenced in four different clauses (§1); plenty of
 	// cross-clause references must be counted.
@@ -45,8 +45,17 @@ func TestAnalyzeFigure1(t *testing.T) {
 	if f.MaxExprDepth < 3 {
 		t.Errorf("depth = %d", f.MaxExprDepth)
 	}
-	if f.Hash == 0 {
-		t.Error("hash must be set")
+}
+
+// TestFuncCountsIgnoreCase: calls count per function name up to case,
+// as the function registries resolve them.
+func TestFuncCountsIgnoreCase(t *testing.T) {
+	f := Analyze(`RETURN toString(1) AS a, TOSTRING(2) AS b, tostring(abs(-3)) AS c`)
+	if f.FuncCount("toString") != 3 || f.FuncCount("TOSTRING") != 3 || f.FuncCount("abs") != 1 || f.FuncCount("reverse") != 0 {
+		t.Errorf("functions: %v", f.funcs)
+	}
+	if len(f.funcs) != 2 {
+		t.Errorf("one entry per name up to case, got %v", f.funcs)
 	}
 }
 
@@ -166,7 +175,6 @@ func TestLiteralsMeasuredAsParsed(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s does not parse", text)
 		}
-		got.Hash = want.Hash
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: tree features %+v, text features %+v", text, *got, *want)
 		}

@@ -9,11 +9,13 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -308,92 +310,102 @@ func (v Value) Truth() (t Tri, ok bool) {
 }
 
 // String renders the value in Cypher literal notation, e.g. 'abc', [1, 2],
-// {k: 1}. Nodes and relationships render as (#id) and [#id].
+// {k: 1}. Nodes and relationships render as (#id) and [#id]. Null and
+// booleans cost no allocation and other values one, unless a rendering
+// outgrows a small stack buffer.
 func (v Value) String() string {
-	var sb strings.Builder
-	v.format(&sb)
-	return sb.String()
+	switch v.kind {
+	case KindNull:
+		return "null"
+	case KindBool:
+		return strconv.FormatBool(v.bv())
+	case KindInt:
+		return strconv.FormatInt(v.i, 10)
+	}
+	var buf [64]byte
+	return string(v.appendTo(buf[:0]))
 }
 
 // Format renders the value in the same Cypher literal notation as String,
 // appending to the caller's builder. Printers that assemble whole queries
 // or rows use it to avoid materializing an intermediate string per value.
 func (v Value) Format(sb *strings.Builder) {
-	v.format(sb)
+	var buf [64]byte
+	sb.Write(v.appendTo(buf[:0]))
 }
 
-func (v Value) format(sb *strings.Builder) {
+// appendTo appends the rendering of String to b.
+func (v Value) appendTo(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		sb.WriteString("null")
+		return append(b, "null"...)
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.bv()))
+		return strconv.AppendBool(b, v.bv())
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		return strconv.AppendInt(b, v.i, 10)
 	case KindFloat:
-		formatFloat(sb, v.fv())
+		return appendFloat(b, v.fv())
 	case KindString:
-		sb.WriteByte('\'')
-		sb.WriteString(escapeString(v.sv()))
-		sb.WriteByte('\'')
+		s := v.sv()
+		b = append(b, '\'')
+		if !strings.ContainsAny(s, `'\`) {
+			b = append(b, s...)
+		} else {
+			for _, r := range s {
+				if r == '\'' || r == '\\' {
+					b = append(b, '\\')
+				}
+				b = utf8.AppendRune(b, r)
+			}
+		}
+		return append(b, '\'')
 	case KindList:
-		sb.WriteByte('[')
+		b = append(b, '[')
 		for i, e := range v.lv() {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			e.format(sb)
+			b = e.appendTo(b)
 		}
-		sb.WriteByte(']')
+		return append(b, ']')
 	case KindMap:
-		sb.WriteByte('{')
+		b = append(b, '{')
 		m := v.mv()
 		for i, k := range sortedKeys(m) {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(k)
-			sb.WriteString(": ")
-			m[k].format(sb)
+			b = append(b, k...)
+			b = append(b, ": "...)
+			b = m[k].appendTo(b)
 		}
-		sb.WriteByte('}')
+		return append(b, '}')
 	case KindNode:
-		fmt.Fprintf(sb, "(#%d)", v.i)
+		b = append(b, "(#"...)
+		return append(strconv.AppendInt(b, v.i, 10), ')')
 	case KindRel:
-		fmt.Fprintf(sb, "[#%d]", v.i)
+		b = append(b, "[#"...)
+		return append(strconv.AppendInt(b, v.i, 10), ']')
 	}
+	return b
 }
 
-func formatFloat(sb *strings.Builder, f float64) {
+func appendFloat(b []byte, f float64) []byte {
 	switch {
 	case math.IsNaN(f):
-		sb.WriteString("NaN")
+		return append(b, "NaN"...)
 	case math.IsInf(f, 1):
-		sb.WriteString("Infinity")
+		return append(b, "Infinity"...)
 	case math.IsInf(f, -1):
-		sb.WriteString("-Infinity")
-	default:
-		s := strconv.FormatFloat(f, 'g', -1, 64)
-		sb.WriteString(s)
-		// Keep floats visually distinct from integers.
-		if !strings.ContainsAny(s, ".eE") {
-			sb.WriteString(".0")
-		}
+		return append(b, "-Infinity"...)
 	}
-}
-
-func escapeString(s string) string {
-	if !strings.ContainsAny(s, `'\`) {
-		return s
+	start := len(b)
+	b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	// Keep floats visually distinct from integers.
+	if !bytes.ContainsAny(b[start:], ".eE") {
+		b = append(b, ".0"...)
 	}
-	var sb strings.Builder
-	for _, r := range s {
-		if r == '\'' || r == '\\' {
-			sb.WriteByte('\\')
-		}
-		sb.WriteRune(r)
-	}
-	return sb.String()
+	return b
 }
 
 func sortedKeys(m map[string]Value) []string {

@@ -380,6 +380,39 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestValueStringAllocs pins what rendering costs per kind: toString
+// renders every candidate value of the synthesizer's predicate layers.
+// Null and booleans render without allocating, and any other value that
+// fits the stack buffer in one allocation, its string.
+func TestValueStringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cases := []struct {
+		v    Value
+		want float64
+	}{
+		{Null, 0},
+		{Bool(true), 0},
+		{Bool(false), 0},
+		{Int(300), 1},
+		{Int(-1982025281), 1},
+		{Float(481310.452), 1},
+		{Float(3), 1},
+		{Str("q11cZH6h"), 1},
+		{Str("a'b"), 1},
+		{List(Int(1), Str("x")), 1},
+		{Map(map[string]Value{"k": Int(1)}), 2}, // the sorted key list, and the string
+		{Node(5), 1},
+		{Rel(6), 1},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, func() { _ = c.v.String() }); got != c.want {
+			t.Errorf("String(%s) allocates %.0f times, want %.0f", c.v, got, c.want)
+		}
+	}
+}
+
 func TestKeyMatchesEquivalence(t *testing.T) {
 	vals := []Value{
 		Null, Bool(true), Bool(false), Int(1), Int(2), Float(1), Float(1.5),
