@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/engine"
@@ -48,6 +47,9 @@ type Tracker struct {
 	varNames   []string
 	constNames []string
 	projNames  []string
+	// rows is Project's set of the projected rows, which merges
+	// equivalent ones.
+	rows value.RowSet
 	// ectx is the scratch eval.Ctx reused across every expression the
 	// tracker evaluates (the same pattern as Engine.evalCtx — evaluation
 	// never retains the pointer, and a tracker is single-threaded).
@@ -289,13 +291,12 @@ type ProjItem struct {
 }
 
 // Project models WITH/RETURN: evaluate the items per row, then merge
-// identical rows (multiplicity 1 each under DISTINCT, summed otherwise).
-// Rows are identical when their value keys (value.AppendKey) are; a
-// single row has nothing to merge with and is not keyed.
+// equivalent rows (multiplicity 1 each under DISTINCT, summed
+// otherwise), keeping each first occurrence. A single row has nothing
+// to merge with and skips the row set.
 func (t *Tracker) Project(items []ProjItem, distinct bool) error {
 	out, mult := t.spare[:0], t.spareMult[:0]
-	var keys strings.Builder
-	var spans [][2]int // spans[k] is output row k's key in keys
+	t.rows.Reset(len(items))
 	for i, m := range t.mult {
 		start := len(out)
 		for _, it := range items {
@@ -309,25 +310,13 @@ func (t *Tracker) Project(items []ProjItem, distinct bool) error {
 			m = 1
 		}
 		if len(t.mult) > 1 {
-			keyStart := keys.Len()
-			for _, v := range out[start:] {
-				v.AppendKey(&keys)
-				keys.WriteByte('|')
-			}
-			all := keys.String()
-			key := all[keyStart:]
-			k := 0
-			for k < len(spans) && all[spans[k][0]:spans[k][1]] != key {
-				k++
-			}
-			if k < len(spans) {
+			if k, added := t.rows.Add(out[start:]); !added {
 				if !distinct {
 					mult[k] += m
 				}
 				out = out[:start]
 				continue
 			}
-			spans = append(spans, [2]int{keyStart, keys.Len()})
 		}
 		mult = append(mult, m)
 	}

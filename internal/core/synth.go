@@ -260,7 +260,7 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 			q.All = append(q.All, all)
 			expected.Rows = append(expected.Rows, s2.Expected.Rows...)
 			if !all {
-				expected = dedupeResult(expected)
+				expected = s.dedupeResult(expected)
 			}
 		}
 	}
@@ -280,22 +280,19 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 	}, nil
 }
 
-func dedupeResult(r *engine.Result) *engine.Result {
-	seen := map[string]bool{}
-	out := &engine.Result{Columns: r.Columns}
+// dedupeResult drops the rows of r equivalent to an earlier row, in
+// place, as UNION does: r is the query's own expected result. It uses
+// the tracker's row set, idle once the expected result is built.
+func (s *Synthesizer) dedupeResult(r *engine.Result) *engine.Result {
+	s.tracker.rows.Reset(len(r.Columns))
+	kept := r.Rows[:0]
 	for _, row := range r.Rows {
-		var kb strings.Builder
-		for _, v := range row {
-			v.AppendKey(&kb)
-			kb.WriteByte('|')
-		}
-		key := kb.String()
-		if !seen[key] {
-			seen[key] = true
-			out.Rows = append(out.Rows, row)
+		if _, added := s.tracker.rows.Add(row); added {
+			kept = append(kept, row)
 		}
 	}
-	return out
+	r.Rows = kept
+	return r
 }
 
 // callPrologue emits `CALL db.labels() YIELD label WITH DISTINCT true AS

@@ -659,7 +659,8 @@ func flip(d ast.Direction) ast.Direction {
 
 func (b *builder) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
 	st := &carve(&b.slab.unwinds, 1)[0]
-	st.list = b.compile(sc, c.Expr)
+	b.cmp.Vars = sc
+	st.list = b.cmp.CompileTransient(c.Expr)
 	st.slot = b.next()
 	// The alias shadows any previous binding, as the row write did.
 	return st, b.with(sc, c.Alias, st.slot)

@@ -109,10 +109,12 @@ type Engine struct {
 	// rate-limits how often the hot loops poll it.
 	ctx        context.Context
 	cancelTick uint
-	// exec is the in-flight execution's rand()/timestamp() state; execSeq
-	// counts executions so each derives an independent stream.
-	exec    *functions.ExecState
-	execSeq int64
+	// exec is the in-flight execution's rand()/timestamp() state, which
+	// points at execState, reset per execution; execSeq counts executions
+	// so each derives an independent stream.
+	exec      *functions.ExecState
+	execState functions.ExecState
+	execSeq   int64
 	// ectx is the scratch eval.Ctx reused across every row of an
 	// execution; evalCtx refreshes its fields instead of allocating a new
 	// context per evaluated expression. Evaluation never retains the
@@ -122,6 +124,12 @@ type Engine struct {
 	// pstate is the compiled-plan executor's reusable scratch (frame
 	// arena, match frame, uniqueness stack); see plan.go.
 	pstate planState
+	// rows is the row set of DISTINCT, of grouping and of UNION, on both
+	// execution paths; aggRows holds the (group, call, value) triples of
+	// DISTINCT aggregates. Each use resets its set first; no two uses of
+	// one set overlap, since a projection groups before it applies
+	// DISTINCT and UNION dedupes after its parts have run.
+	rows, aggRows value.RowSet
 	// adjExpansions counts relationship expansions served by the
 	// adjacency index (for tests asserting the index path actually ran).
 	adjExpansions int
@@ -248,7 +256,10 @@ func (e *Engine) beginExec(ctx context.Context, params map[string]value.Value) {
 	e.execSeq++
 	e.params = params
 	e.ctx = ctx
-	e.exec = functions.NewExecState(functions.DeriveSeed(seed, e.execSeq))
+	e.execState.Reset(functions.DeriveSeed(seed, e.execSeq))
+	e.exec = &e.execState
+	// A panic (a simulated crash) can leave lists on the value stack.
+	e.ectx.ResetStack()
 }
 
 // endExec drops the per-execution state so nothing outlives the call.
@@ -311,7 +322,7 @@ func (e *Engine) ExecuteAST(q *ast.Query) (*Result, error) {
 		}
 		out.Rows = append(out.Rows, r.Rows...)
 		if !q.All[i-1] {
-			out = distinctResult(out)
+			out = e.distinctResult(out)
 		}
 	}
 	return out, nil
@@ -329,17 +340,19 @@ func sameColumns(a, b *Result) error {
 	return nil
 }
 
-func distinctResult(r *Result) *Result {
-	seen := map[string]bool{}
-	out := &Result{Columns: r.Columns}
-	for i, rw := range r.Rows {
-		k := r.rowKey(i)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, rw)
+// distinctResult drops the rows of r equivalent to an earlier row, in
+// place: r is the execution's own result.
+func (e *Engine) distinctResult(r *Result) *Result {
+	set := &e.rows
+	set.Reset(len(r.Columns))
+	kept := r.Rows[:0]
+	for _, rw := range r.Rows {
+		if _, added := set.Add(rw); added {
+			kept = append(kept, rw)
 		}
 	}
-	return out
+	r.Rows = kept
+	return r
 }
 
 func (e *Engine) executeSingle(s *ast.SingleQuery) (*Result, error) {

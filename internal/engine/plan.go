@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"gqs/internal/cypher/ast"
@@ -124,6 +124,17 @@ type planState struct {
 	// them past the execution.
 	rowBufs [][]frame
 	rowSeq  int
+	// key is the grouping key of the row being aggregated; firsts and
+	// accs are each group's first row and accumulators (st.calls' many
+	// per group), by group number.
+	key    []value.Value
+	firsts []frame
+	accs   []functions.Aggregator
+	// sortKeys, perm and reorder are ORDER BY's keys (one row of sort
+	// keys per input row), its permutation and its reordering buffer.
+	sortKeys []value.Value
+	perm     []int32
+	reorder  []frame
 }
 
 func (ps *planState) ensure(w int) frame {
@@ -152,6 +163,17 @@ func (ps *planState) keepRowBuf(k int, b []frame) {
 		b = nil
 	}
 	ps.rowBufs[k] = b
+}
+
+// keep returns a per-execution scratch slice emptied for the next
+// execution, or nil when it grew past arenaChunkSlots, as keepRowBuf
+// bounds the row buffers; it drops the references s holds either way.
+func keep[T any](s []T) []T {
+	if cap(s) > arenaChunkSlots {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // planCtx refreshes the engine's scratch eval context for compiled
@@ -192,7 +214,7 @@ func (e *Engine) runPlan(p *queryPlan) (*Result, error) {
 		}
 		out.Rows = append(out.Rows, r.Rows...)
 		if !p.all[i-1] {
-			out = distinctResult(out)
+			out = e.distinctResult(out)
 		}
 	}
 	return out, nil
@@ -919,22 +941,25 @@ func (st *cUnwind) run(e *Engine, in []frame) ([]frame, *Result, error) {
 			return nil, nil, err
 		}
 		ctx.Frame = r
+		// The list is transient: its elements are copied into the new
+		// frames before the stack is released.
+		mark := ctx.StackMark()
 		v, err := st.list.Eval(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch v.Kind() {
-		case value.KindNull:
-			// no rows
-		case value.KindList:
+		switch {
+		case err != nil:
+		case v.Kind() == value.KindList:
 			for _, el := range v.AsList() {
 				nf := ps.arena.alloc(len(r))
 				copy(nf, r)
 				nf[st.slot] = el
 				out = append(out, nf)
 			}
-		default:
-			return nil, nil, fmt.Errorf("type error: UNWIND expects a list, got %s", v.Kind())
+		case v.Kind() != value.KindNull: // null unwinds to no rows
+			err = fmt.Errorf("type error: UNWIND expects a list, got %s", v.Kind())
+		}
+		ctx.Release(mark)
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	ps.keepRowBuf(bufK, out)
@@ -1085,10 +1110,10 @@ func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		}
 	}
 	if st.distinct {
-		rows = st.distinctFrames(rows)
+		rows = st.distinctFrames(&e.rows, rows)
 	}
 	if len(st.sorts) > 0 {
-		if err := st.orderBy(ctx, rows); err != nil {
+		if err := st.orderBy(&e.pstate, ctx, rows); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -1162,31 +1187,36 @@ func (st *cProjection) filter(ctx *eval.Ctx, rows []frame) ([]frame, error) {
 	return out, nil
 }
 
-func (st *cProjection) distinctFrames(rows []frame) []frame {
-	seen := make(map[string]bool, len(rows))
-	var key []byte
+// itemRow returns the projected values of a frame. Item slots are
+// consecutive: projectionStage assigns them in one run.
+func (st *cProjection) itemRow(r frame) []value.Value {
+	lo := int(st.items[0].slot)
+	return r[lo : lo+len(st.items)]
+}
+
+func (st *cProjection) distinctFrames(set *value.RowSet, rows []frame) []frame {
+	set.Reset(len(st.items))
 	out := rows[:0]
 	for _, r := range rows {
-		key = key[:0]
-		for i := range st.items {
-			key = append(key, r[st.items[i].slot].Key()...)
-			key = append(key, '|')
-		}
-		if !seen[string(key)] {
-			seen[string(key)] = true
+		if _, added := set.Add(st.itemRow(r)); added {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func (st *cProjection) orderBy(ctx *eval.Ctx, rows []frame) error {
+// orderBy sorts rows stably by the sort keys, evaluated once per row,
+// with the keys, the permutation and the reordering in planState's
+// scratch.
+func (st *cProjection) orderBy(ps *planState, ctx *eval.Ctx, rows []frame) error {
 	n := len(rows)
 	if n == 0 {
 		return nil
 	}
 	ns := len(st.sorts)
-	keys := make([]value.Value, n*ns)
+	keys := slices.Grow(ps.sortKeys[:0], n*ns)[:n*ns]
+	perm := slices.Grow(ps.perm[:0], n)[:n]
+	defer func() { ps.sortKeys, ps.perm = keep(keys), keep(perm) }()
 	for i, r := range rows {
 		ctx.Frame = r
 		for j := range st.sorts {
@@ -1196,29 +1226,25 @@ func (st *cProjection) orderBy(ctx *eval.Ctx, rows []frame) error {
 			}
 			keys[i*ns+j] = v
 		}
+		perm[i] = int32(i)
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]*ns:], keys[perm[b]*ns:]
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		ka, kb := keys[int(a)*ns:], keys[int(b)*ns:]
 		for j := range st.sorts {
-			c := value.OrderCompare(ka[j], kb[j])
-			if c != 0 {
+			if c := value.OrderCompare(ka[j], kb[j]); c != 0 {
 				if st.sorts[j].desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	tmp := make([]frame, n)
-	copy(tmp, rows)
+	tmp := append(ps.reorder[:0], rows...)
 	for i, p := range perm {
 		rows[i] = tmp[p]
 	}
+	ps.reorder = keep(tmp)
 	return nil
 }
 
@@ -1284,48 +1310,44 @@ func (st *cProjection) buildResult(rows []frame) *Result {
 	return res
 }
 
-// aggGroupRT is one group's runtime state.
-type aggGroupRT struct {
-	keys     []value.Value
-	first    frame
-	accs     []functions.Aggregator
-	distinct []map[string]bool
-}
-
 // aggregate mirrors Engine.aggregate over frames: grouping keys are the
 // non-aggregating items (evaluated once per row, stored — re-evaluating
 // at finalization would double any rand() draws), accumulators run per
 // group, and finalization publishes each call's result in its slot
 // before evaluating the aggregating items against the group's first row.
+// Groups are numbered in first-occurrence order by the engine's row set,
+// which also holds their keys; DISTINCT aggregates dedupe (group, call,
+// value) triples in a second set.
 func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame, error) {
-	groups := make(map[string]*aggGroupRT)
-	var order []*aggGroupRT
-	var keyBuf []byte
-	keyScratch := make([]value.Value, len(st.groupItems))
+	ps := &e.pstate
+	set, seen := &e.rows, &e.aggRows
+	set.Reset(len(st.groupItems))
+	seen.Reset(3)
+	nc := len(st.calls)
+	key := slices.Grow(ps.key[:0], len(st.groupItems))[:len(st.groupItems)]
+	firsts, accs := ps.firsts[:0], ps.accs[:0]
+	defer func() {
+		ps.key, ps.firsts, ps.accs = keep(key), keep(firsts), keep(accs)
+	}()
 	for _, r := range in {
 		if err := e.checkCancel(); err != nil {
 			return nil, err
 		}
 		ctx.Frame = r
-		keyBuf = keyBuf[:0]
 		for gi, idx := range st.groupItems {
 			v, err := st.items[idx].fn.Eval(ctx)
 			if err != nil {
 				return nil, err
 			}
-			keyScratch[gi] = v
-			keyBuf = append(keyBuf, v.Key()...)
-			keyBuf = append(keyBuf, '|')
+			key[gi] = v
 		}
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			g = &aggGroupRT{first: r, keys: append([]value.Value(nil), keyScratch...)}
-			g.accs = make([]functions.Aggregator, len(st.calls))
-			g.distinct = make([]map[string]bool, len(st.calls))
+		g, added := set.Add(key)
+		if added {
+			firsts = append(firsts, r)
 			for ci := range st.calls {
 				c := &st.calls[ci]
 				if c.star {
-					g.accs[ci] = functions.CountStar()
+					accs = append(accs, functions.CountStar())
 					continue
 				}
 				var param value.Value
@@ -1341,13 +1363,8 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 				} else if c.argCount != 1 {
 					return nil, fmt.Errorf("%s requires one argument", c.spec.Name)
 				}
-				g.accs[ci] = c.spec.New(param)
-				if c.distinct {
-					g.distinct[ci] = map[string]bool{}
-				}
+				accs = append(accs, c.spec.New(param))
 			}
-			groups[string(keyBuf)] = g
-			order = append(order, g)
 		}
 		for ci := range st.calls {
 			c := &st.calls[ci]
@@ -1361,27 +1378,25 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 					return nil, err
 				}
 			}
-			if g.distinct[ci] != nil {
-				k := v.Key()
-				if g.distinct[ci][k] {
+			if c.distinct && !c.star {
+				if _, first := seen.Add([]value.Value{value.Int(int64(g)), value.Int(int64(ci)), v}); !first {
 					continue
 				}
-				g.distinct[ci][k] = true
 			}
-			if err := g.accs[ci].Add(v); err != nil {
+			if err := accs[g*nc+ci].Add(v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	out := make([]frame, 0, len(order))
-	for _, g := range order {
+	bufK, out := ps.nextRowBuf()
+	for g, first := range firsts {
 		for ci := range st.calls {
-			g.first[st.calls[ci].slot] = g.accs[ci].Result()
+			first[st.calls[ci].slot] = accs[g*nc+ci].Result()
 		}
 		for gi, idx := range st.groupItems {
-			g.first[st.items[idx].slot] = g.keys[gi]
+			first[st.items[idx].slot] = set.Row(g)[gi]
 		}
-		ctx.Frame = g.first
+		ctx.Frame = first
 		for i := range st.items {
 			it := &st.items[i]
 			if !it.agg {
@@ -1391,9 +1406,10 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 			if err != nil {
 				return nil, err
 			}
-			g.first[it.slot] = v
+			first[it.slot] = v
 		}
-		out = append(out, g.first)
+		out = append(out, first)
 	}
+	ps.keepRowBuf(bufK, out)
 	return out, nil
 }

@@ -110,6 +110,25 @@ var planDiffQueries = []string{
 	"MATCH (a {id: b.id - 4})<-[r]-(b:L11) RETURN a.id, b.id ORDER BY a.id, b.id",
 	"MATCH (a)-[r]->(b:L11 {id: a.id}) RETURN count(*)",
 	"MATCH (x:L0) MATCH (a)-[r]->(b:L11 {id: x.id + 3}) RETURN a.id, b.id ORDER BY a.id",
+	// Lists built on the value stack for a consumer that drops them
+	// (comparisons, IN, size, reverse, indexing, comprehension and
+	// quantifier inputs, UNWIND), beside the positions that keep heap
+	// lists: a list nested in a stacked one and returned by indexing,
+	// views returned by tail and slicing, projection items, and errors
+	// raised while a stacked list is half built.
+	"MATCH (n) RETURN [[n.k], 1][0] AS v, n.id ORDER BY n.id",
+	"MATCH (n) WHERE [n.id, 1] <> [0, 0] AND n.id IN [n.id, 1] RETURN tail([n.id, 1]) AS t, [n.id, 1][0..1] AS s ORDER BY n.id",
+	"MATCH (n) WHERE [x IN [n.id, 2] | [x]] <> [[0], [2]] RETURN [x IN [n.id, 2] | [x]] AS xs ORDER BY n.id",
+	"MATCH (n) WHERE any(x IN [n.id] WHERE x > 0) RETURN n.id ORDER BY n.id",
+	"MATCH (n) UNWIND [n.id, n.k] AS u RETURN n.id, u ORDER BY n.id, u",
+	"MATCH (n) WHERE size([n.id, 1]) = 2 RETURN count(*)",
+	"MATCH (n) WHERE [n.id, 1 / 0] = [1, 2] RETURN n.id",
+	"MATCH (n) WHERE n.id < 3 OR [n.id, 1 / (n.id - 3)] = [1, 2] RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE reverse([x IN [n.id, 2] | x * 2]) = [4, 2] OR [x IN [n.id, 2] | x][1] = n.id RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE size([x IN [n.id, 2] WHERE x IN [n.id] | [x, n.id]]) = 1 AND [[x IN [n.id] | x], n.id] <> [[0], 0] RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE all(x IN [y IN [n.id, 1] | y + 1] WHERE x > 1) RETURN n.id, [x IN [n.id, 0] | x] AS xs ORDER BY n.id",
+	"MATCH (n) WHERE [x IN [n.id, 0] | 1 / x] = [1] RETURN n.id",
+	"MATCH (n) RETURN size([n.id, n.k]) AS s, reverse([n.id, 2]) AS r, [n.id, 2] = [1, 2] AS e ORDER BY n.id",
 }
 
 // runPlanDiffCorpus executes every query on planned and interpreted

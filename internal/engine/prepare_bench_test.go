@@ -25,8 +25,9 @@ var largeGraphShapes = []struct{ name, text string }{
 
 // synthCorpus synthesizes n queries at a fixed seed, in the shape the
 // campaign runner prepares them: the synthesizer's own tree plus its
-// printed text.
-func synthCorpus(tb testing.TB, seed int64, n int) (qs []*ast.Query, texts []string) {
+// printed text. It also returns the graph they were synthesized on,
+// sealed, with its schema.
+func synthCorpus(tb testing.TB, seed int64, n int) (qs []*ast.Query, texts []string, snap *graph.Snapshot, schema *graph.Schema) {
 	tb.Helper()
 	r := rand.New(rand.NewSource(seed))
 	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 12, MaxRels: 40})
@@ -41,7 +42,7 @@ func synthCorpus(tb testing.TB, seed int64, n int) (qs []*ast.Query, texts []str
 	if len(qs) < n {
 		tb.Fatalf("synthesized only %d of %d queries", len(qs), n)
 	}
-	return qs, texts
+	return qs, texts, g.Seal(), schema
 }
 
 // BenchmarkPrepare measures the per-query preparation cost: Prepare
@@ -60,7 +61,7 @@ func BenchmarkPrepare(b *testing.B) {
 			}
 		})
 	}
-	qs, texts := synthCorpus(b, 11, 64)
+	qs, texts, _, _ := synthCorpus(b, 11, 64)
 	b.Run("synthesized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -104,7 +105,7 @@ func TestPrepareAllocs(t *testing.T) {
 			t.Errorf("%s: Prepare allocates %.0f times, want at most %.0f", s.name, got, prepareAllocs[s.name])
 		}
 	}
-	qs, texts := synthCorpus(t, 11, 64)
+	qs, texts, _, _ := synthCorpus(t, 11, 64)
 	got := testing.AllocsPerRun(20, func() {
 		for k := range qs {
 			engine.PrepareAST(qs[k], texts[k])

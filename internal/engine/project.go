@@ -144,7 +144,7 @@ func (e *Engine) project(p *ast.Projection, in []row, requireAlias bool) ([]row,
 	}
 
 	if p.Distinct {
-		projected, orderEnv = distinctRows(items, projected)
+		projected, orderEnv = e.distinctRows(items, projected)
 	}
 	if len(p.OrderBy) > 0 {
 		if err := e.orderBy(p.OrderBy, projected, orderEnv); err != nil {
@@ -158,16 +158,16 @@ func (e *Engine) project(p *ast.Projection, in []row, requireAlias bool) ([]row,
 	return projected, cols, nil
 }
 
-func distinctRows(items []projectionItem, rows []row) ([]row, []row) {
-	seen := map[string]bool{}
+func (e *Engine) distinctRows(items []projectionItem, rows []row) ([]row, []row) {
+	set := &e.rows
+	set.Reset(len(items))
+	key := make([]value.Value, len(items))
 	var out []row
 	for _, r := range rows {
-		k := ""
-		for _, it := range items {
-			k += r[it.name].Key() + "|"
+		for i, it := range items {
+			key[i] = r[it.name]
 		}
-		if !seen[k] {
-			seen[k] = true
+		if _, added := set.Add(key); added {
 			out = append(out, r)
 		}
 	}
@@ -263,7 +263,6 @@ type aggCall struct {
 func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 	// Collect the aggregate calls per item.
 	var calls []aggCall
-	callIdx := map[*ast.FuncCall]int{}
 	for _, it := range items {
 		ast.WalkExprs(it.expr, func(x ast.Expr) bool {
 			f, ok := x.(*ast.FuncCall)
@@ -271,12 +270,10 @@ func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 				return true
 			}
 			if f.Star {
-				callIdx[f] = len(calls)
 				calls = append(calls, aggCall{call: f, star: true})
 				return false
 			}
 			if spec := functions.LookupAgg(f.Name); spec != nil {
-				callIdx[f] = len(calls)
 				calls = append(calls, aggCall{call: f, spec: spec})
 				return false // aggregates do not nest
 			}
@@ -284,19 +281,27 @@ func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 		})
 	}
 
+	// Groups are numbered in first-occurrence order by the engine's row
+	// set, which holds their keys (the grouping items' values, in item
+	// order); DISTINCT aggregates dedupe (group, call, value) triples.
 	type group struct {
-		keyVals  map[string]value.Value // grouping item name -> value
 		firstRow row
 		accs     []functions.Aggregator
-		distinct []map[string]bool
 	}
-	groups := map[string]*group{}
-	var order []string
+	set, seen := &e.rows, &e.aggRows
+	var groups []group
+	var keyIdx []int // item index of each grouping key
+	for i, it := range items {
+		if !it.agg {
+			keyIdx = append(keyIdx, i)
+		}
+	}
+	set.Reset(len(keyIdx))
+	seen.Reset(3)
+	key := make([]value.Value, len(keyIdx))
 
-	newGroup := func(r row, keyVals map[string]value.Value) (*group, error) {
-		g := &group{keyVals: keyVals, firstRow: r}
-		g.accs = make([]functions.Aggregator, len(calls))
-		g.distinct = make([]map[string]bool, len(calls))
+	newGroup := func(r row) error {
+		g := group{firstRow: r, accs: make([]functions.Aggregator, len(calls))}
 		for i, c := range calls {
 			if c.star {
 				g.accs[i] = functions.CountStar()
@@ -305,51 +310,40 @@ func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 			var param value.Value
 			if c.spec.HasParam {
 				if len(c.call.Args) != 2 {
-					return nil, fmt.Errorf("%s requires two arguments", c.spec.Name)
+					return fmt.Errorf("%s requires two arguments", c.spec.Name)
 				}
 				p, err := e.evalIn(r, c.call.Args[1])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				param = p
 			} else if len(c.call.Args) != 1 {
-				return nil, fmt.Errorf("%s requires one argument", c.spec.Name)
+				return fmt.Errorf("%s requires one argument", c.spec.Name)
 			}
 			g.accs[i] = c.spec.New(param)
-			if c.call.Distinct {
-				g.distinct[i] = map[string]bool{}
-			}
 		}
-		return g, nil
+		groups = append(groups, g)
+		return nil
 	}
 
 	for _, r := range in {
 		if err := e.checkCancel(); err != nil {
 			return nil, err
 		}
-		keyVals := map[string]value.Value{}
-		keyStr := ""
-		for _, it := range items {
-			if it.agg {
-				continue
-			}
-			v, err := e.evalIn(r, it.expr)
+		for k, i := range keyIdx {
+			v, err := e.evalIn(r, items[i].expr)
 			if err != nil {
 				return nil, err
 			}
-			keyVals[it.name] = v
-			keyStr += v.Key() + "|"
+			key[k] = v
 		}
-		g, ok := groups[keyStr]
-		if !ok {
-			var err error
-			g, err = newGroup(r, keyVals)
-			if err != nil {
+		gi, added := set.Add(key)
+		if added {
+			if err := newGroup(r); err != nil {
 				return nil, err
 			}
-			groups[keyStr] = g
-			order = append(order, keyStr)
 		}
+		g := &groups[gi]
 		for i, c := range calls {
 			var v value.Value
 			if c.star {
@@ -361,12 +355,10 @@ func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 					return nil, err
 				}
 			}
-			if g.distinct[i] != nil {
-				k := v.Key()
-				if g.distinct[i][k] {
+			if c.call.Distinct && !c.star {
+				if _, first := seen.Add([]value.Value{value.Int(int64(gi)), value.Int(int64(i)), v}); !first {
 					continue
 				}
-				g.distinct[i][k] = true
 			}
 			if err := g.accs[i].Add(v); err != nil {
 				return nil, err
@@ -377,25 +369,25 @@ func (e *Engine) aggregate(items []projectionItem, in []row) ([]row, error) {
 	// Aggregation over zero rows with no grouping keys still yields one
 	// row (count(*) over an empty match is 0).
 	if len(in) == 0 && allAggregated(items) {
-		g, err := newGroup(row{}, map[string]value.Value{})
-		if err != nil {
+		if err := newGroup(row{}); err != nil {
 			return nil, err
 		}
-		groups[""] = g
-		order = append(order, "")
 	}
 
 	var out []row
-	for _, k := range order {
-		g := groups[k]
+	for gi := range groups {
+		g := &groups[gi]
 		aggVals := map[*ast.FuncCall]value.Value{}
 		for i, c := range calls {
 			aggVals[c.call] = g.accs[i].Result()
 		}
+		keys := set.Row(gi)
 		nr := make(row, len(items))
+		for k, i := range keyIdx {
+			nr[items[i].name] = keys[k]
+		}
 		for _, it := range items {
 			if !it.agg {
-				nr[it.name] = g.keyVals[it.name]
 				continue
 			}
 			final := substituteAggs(it.expr, aggVals)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +233,101 @@ func TestUnionAllCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomResult draws a result of up to n rows and w columns over a
+// small pool of cells, so rows repeat, and Int(1)/Float(1.0) and other
+// equivalent-but-distinct cells mix.
+func randomResult(r *rand.Rand, n, w int) *Result {
+	pool := []value.Value{
+		value.Int(1), value.Float(1), value.Int(2), value.Float(2.5), value.Null,
+		value.Str("a"), value.List(value.Int(1)), value.List(value.Float(1)),
+		value.Float(math.NaN()), value.Float(math.Copysign(0, -1)), value.Int(0),
+	}
+	res := &Result{Columns: make([]string, w)}
+	for j := range res.Columns {
+		res.Columns[j] = string(rune('a' + j))
+	}
+	for i := r.Intn(n + 1); i > 0; i-- {
+		row := make([]value.Value, w)
+		for j := range row {
+			row[j] = pool[r.Intn(len(pool))]
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// mutateResult returns a variant of res: its rows permuted, and
+// possibly one row duplicated, dropped, or one cell replaced by an
+// equivalent or a different value.
+func mutateResult(r *rand.Rand, res *Result) *Result {
+	out := &Result{Columns: res.Columns, Rows: slices.Clone(res.Rows)}
+	r.Shuffle(len(out.Rows), func(i, j int) { out.Rows[i], out.Rows[j] = out.Rows[j], out.Rows[i] })
+	if len(out.Rows) == 0 {
+		return out
+	}
+	k := r.Intn(len(out.Rows))
+	switch r.Intn(5) {
+	case 0:
+		out.Rows = append(out.Rows, out.Rows[k])
+	case 1:
+		out.Rows = slices.Delete(out.Rows, k, k+1)
+	case 2, 3:
+		row := slices.Clone(out.Rows[k])
+		j := r.Intn(len(row))
+		switch row[j].Kind() {
+		case value.KindInt:
+			row[j] = value.Float(float64(row[j].AsInt()))
+		case value.KindFloat:
+			if f := row[j].AsFloat(); f == math.Trunc(f) {
+				row[j] = value.Int(int64(f))
+			} else {
+				row[j] = value.Str("b")
+			}
+		default:
+			row[j] = value.Int(2)
+		}
+		out.Rows[k] = row
+	}
+	return out
+}
+
+// TestQuickEqualMatchesCanonical checks that Result.Equal, which hashes
+// rows, answers exactly as comparing Canonical forms does, on results
+// with permuted and duplicated rows and with int and float cells of one
+// value — both below and above the row count Equal compares on the
+// stack.
+func TestQuickEqualMatchesCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	equal := 0
+	for trial := 0; trial < 4000; trial++ {
+		n := 6
+		if trial%4 == 0 {
+			n = 40
+		}
+		a := randomResult(r, n, 1+r.Intn(3))
+		b := mutateResult(r, a)
+		if trial%7 == 0 {
+			b = randomResult(r, n, len(a.Columns))
+		}
+		want := slices.Equal(a.Canonical(), b.Canonical())
+		if got := a.Equal(b); got != want {
+			t.Fatalf("trial %d: Equal = %v, Canonical comparison %v\na:\n%s\nb:\n%s", trial, got, want, a, b)
+		}
+		if got := b.Equal(a); got != want {
+			t.Fatalf("trial %d: Equal is not symmetric\na:\n%s\nb:\n%s", trial, a, b)
+		}
+		if want {
+			equal++
+		}
+	}
+	if equal < 500 {
+		t.Fatalf("only %d of 4000 pairs were equal: the property is nearly vacuous", equal)
+	}
+	other := &Result{Columns: []string{"x"}}
+	if (&Result{Columns: []string{"a"}}).Equal(other) {
+		t.Fatal("results with different columns must differ")
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,29 +30,38 @@ func (r *Result) RowMap(i int) map[string]value.Value {
 	return m
 }
 
-// rowKey returns a canonical encoding of one row.
-func (r *Result) rowKey(i int) string {
-	var sb strings.Builder
-	for _, v := range r.Rows[i] {
-		v.AppendKey(&sb)
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
-// Canonical returns the multiset of row keys, sorted. Two results with the
-// same columns are semantically equal iff their canonical forms are equal.
+// Canonical returns the multiset of row keys, sorted: each row's
+// columns' Key encodings, each followed by '|'. Two results with the
+// same columns are semantically equal iff their canonical forms are
+// equal. The keys are slices of one string, sized by KeyLen before any
+// is written.
 func (r *Result) Canonical() []string {
 	keys := make([]string, r.Len())
-	for i := range r.Rows {
-		keys[i] = r.rowKey(i)
+	n := 0
+	for _, row := range r.Rows {
+		for _, v := range row {
+			n += v.KeyLen() + 1
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, row := range r.Rows {
+		start := sb.Len()
+		for _, v := range row {
+			v.AppendKey(&sb)
+			sb.WriteByte('|')
+		}
+		keys[i] = sb.String()[start:]
 	}
 	sort.Strings(keys)
 	return keys
 }
 
 // Equal reports whether two results have the same columns and the same
-// multiset of rows (order-insensitive, using Cypher equivalence).
+// multiset of rows (order-insensitive, using Cypher equivalence): the
+// answer comparing Canonical forms gives. Each side's row hashes are
+// sorted, and the rows of each run of equal hashes are matched by
+// EquivalentRows. Up to equalStackRows rows a side it allocates nothing.
 func (r *Result) Equal(o *Result) bool {
 	if r.Len() != o.Len() || len(r.Columns) != len(o.Columns) {
 		return false
@@ -60,13 +71,80 @@ func (r *Result) Equal(o *Result) bool {
 			return false
 		}
 	}
-	a, b := r.Canonical(), o.Canonical()
+	n := r.Len()
+	var buf [2 * equalStackRows]rowHash
+	var hs []rowHash
+	if n <= equalStackRows {
+		hs = buf[:2*n]
+	} else {
+		hs = make([]rowHash, 2*n)
+	}
+	a, b := hashRows(hs[:n], r.Rows), hashRows(hs[n:], o.Rows)
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].h != b[i].h {
 			return false
 		}
 	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && a[j].h == a[i].h {
+			j++
+		}
+		if !matchRun(r.Rows, o.Rows, a[i:j], b[i:j]) {
+			return false
+		}
+		i = j
+	}
 	return true
+}
+
+// equalStackRows is the most rows a side Equal compares without
+// allocating.
+const equalStackRows = 16
+
+// rowHash is a row's hash and its index in its result.
+type rowHash struct {
+	h uint64
+	i int
+}
+
+// hashRows fills hs with the rows' hashes, sorted.
+func hashRows(hs []rowHash, rows [][]value.Value) []rowHash {
+	for i, row := range rows {
+		hs[i] = rowHash{value.HashRow(row), i}
+	}
+	slices.SortFunc(hs, func(x, y rowHash) int { return cmp.Compare(x.h, y.h) })
+	return hs
+}
+
+// matchRun reports whether two runs of rows with one hash hold the same
+// multiset under equivalence. It takes the first row of a's run, moves
+// the rows equivalent to it to the front of both runs, compares the
+// counts and goes on with the rest, so a run of duplicates costs one
+// pass.
+func matchRun(ra, rb [][]value.Value, a, b []rowHash) bool {
+	for len(a) > 0 {
+		p := ra[a[0].i]
+		na, nb := partitionEquivalent(ra, a, p), partitionEquivalent(rb, b, p)
+		if na != nb {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return true
+}
+
+// partitionEquivalent moves the entries of run whose rows are
+// equivalent to p to its front and returns how many there are.
+func partitionEquivalent(rows [][]value.Value, run []rowHash, p []value.Value) int {
+	k := 0
+	for j := range run {
+		if value.EquivalentRows(rows[run[j].i], p) {
+			run[k], run[j] = run[j], run[k]
+			k++
+		}
+	}
+	return k
 }
 
 // String renders the result as a compact table for debugging.

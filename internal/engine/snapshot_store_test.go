@@ -146,3 +146,60 @@ func TestSnapshotSharedAcrossConcurrentEngines(t *testing.T) {
 			before, after)
 	}
 }
+
+// TestResetSnapshotAcrossSnapshots resets one engine back and forth
+// between two sealed graphs, writing after every reset, and compares it
+// after each reset and each write with a fresh engine loaded from the
+// same snapshot: rebasing the store's overlay onto another snapshot must
+// keep nothing of the other snapshot, of the writes, or of the index
+// deltas.
+func TestResetSnapshotAcrossSnapshots(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	var snaps [2]*graph.Snapshot
+	var schemas [2]*graph.Schema
+	for i := range snaps {
+		g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 25})
+		snaps[i], schemas[i] = g.Seal(), schema
+	}
+	l0 := schemas[0].Labels[0]
+	writes := []string{
+		"MATCH (n) SET n.rebase_w = 1",
+		fmt.Sprintf("CREATE (:%s {rebase_w: 2})-[:REBASE]->(:Other)", l0),
+		"MATCH (n) WHERE n.id % 3 = 0 DETACH DELETE n",
+	}
+	reads := []string{
+		"MATCH (n) RETURN n.id, n.rebase_w ORDER BY n.id",
+		fmt.Sprintf("MATCH (n:%s) RETURN count(*)", l0),
+		"MATCH (a)-[r]->(b) RETURN count(r)",
+	}
+	same := func(what string, e, fresh *Engine) {
+		t.Helper()
+		if d1, d2 := dumpGraph(e.Store().Graph()), dumpGraph(fresh.Store().Graph()); d1 != d2 {
+			t.Fatalf("%s: graph state diverged\nreset:\n%s\nfresh:\n%s", what, d1, d2)
+		}
+		for _, q := range reads {
+			got, err1 := e.Execute(q)
+			want, err2 := fresh.Execute(q)
+			if err1 != nil || err2 != nil || !IdenticalRows(got.Rows, want.Rows) {
+				t.Fatalf("%s: %q: reset engine %v (%v), fresh %v (%v)", what, q, got, err1, want, err2)
+			}
+		}
+	}
+	e := NewReference()
+	for round := 0; round < 6; round++ {
+		i := round % 2
+		e.LoadSnapshot(snaps[i], schemas[i])
+		fresh := NewReference()
+		fresh.LoadSnapshot(snaps[i], schemas[i])
+		same(fmt.Sprintf("round %d reset", round), e, fresh)
+		for wi, w := range writes[:1+round%len(writes)] {
+			if _, err := e.Execute(w); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Execute(w); err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("round %d write %d", round, wi), e, fresh)
+		}
+	}
+}

@@ -89,8 +89,11 @@ func (s *Store) Reset(g *graph.Graph, schema *graph.Schema) {
 // copy-on-write fast path. Loading the snapshot the store already holds
 // drops the overlay and the index deltas (O(overlay), and a clean store
 // returns immediately with no work at all); loading a different snapshot
-// swaps in an O(1) overlay graph plus the snapshot's cached index, which
-// is built once and shared by every store on the same snapshot+schema.
+// rebases the store's overlay graph onto it (O(overlay) again, and no
+// allocation) and takes the snapshot's cached index, which is built once
+// and shared by every store on the same snapshot+schema. Rebasing in
+// place is safe because nothing outside the store keeps its graph: the
+// engine reads it through Graph() per execution and per expression.
 func (s *Store) ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) {
 	if s.snap == snap && s.schema == schema {
 		if !s.dirty {
@@ -101,7 +104,9 @@ func (s *Store) ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) {
 		s.clearDeltas()
 		return
 	}
-	s.g = graph.FromSnapshot(snap)
+	if !s.g.Rebase(snap) {
+		s.g = graph.FromSnapshot(snap)
+	}
 	s.snap, s.src = snap, nil
 	s.dirty = false
 	s.schema = schema

@@ -296,23 +296,7 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 	case *ast.FuncCall:
 		return c.lowerCall(e, fold)
 	case *ast.ListLit:
-		base, konst := c.push(e.Elems)
-		if fold && konst {
-			c.ops = c.ops[:base]
-			return Operand{}
-		}
-		elems := c.pop(base, e.Elems)
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			out := make([]value.Value, len(elems))
-			for i, el := range elems {
-				v, err := el.Eval(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				out[i] = v
-			}
-			return value.ListOf(out), nil
-		})
+		return c.lowerList(e, fold, false)
 	case *ast.MapLit:
 		base, konst := c.push(e.Vals)
 		if fold && konst {
@@ -332,28 +316,33 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 			return value.Map(out), nil
 		})
 	case *ast.IndexExpr:
-		s, i := c.lower(e.Subject, true), c.lower(e.Index, true)
+		s, i := c.transient(e.Subject, true), c.lower(e.Index, true)
 		if fold && s.kind == opPending && i.kind == opPending {
 			return Operand{}
 		}
 		sub, idx := c.fin(e.Subject, s), c.fin(e.Index, i)
 		return fnOperand(func(ctx *Ctx) (value.Value, error) {
+			mark := len(ctx.stack)
 			s, err := sub.Eval(ctx)
 			if err != nil {
+				ctx.Release(mark)
 				return value.Null, err
 			}
 			i, err := idx.Eval(ctx)
 			if err != nil {
+				ctx.Release(mark)
 				return value.Null, err
 			}
-			return value.Index(s, i)
+			v, err := value.Index(s, i)
+			ctx.Release(mark)
+			return v, err
 		})
 	case *ast.SliceExpr:
 		return c.lowerSlice(e, fold)
 	case *ast.CaseExpr:
 		return fnOperand(c.compileCase(e))
 	case *ast.ListComprehension:
-		return fnOperand(c.compileComprehension(e))
+		return fnOperand(c.compileComprehension(e, false))
 	case *ast.Quantifier:
 		return fnOperand(c.compileQuantifier(e))
 	default:
@@ -361,6 +350,68 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 		// error, raised only if the expression is evaluated.
 		return fnOperand(errFn(fmt.Errorf("cannot evaluate %T", e)))
 	}
+}
+
+// CompileTransient is Compile for an operand whose list value the
+// caller drops before it returns, as UNWIND does once it has copied the
+// elements into rows: a list literal or comprehension there is built on
+// the context's value stack. The caller takes Ctx.StackMark before each
+// evaluation and Releases the mark when done, on error paths too.
+func (c *Compiler) CompileTransient(e ast.Expr) Operand { return c.fin(e, c.transient(e, true)) }
+
+// transient is lower for an operand its consumer drops before it
+// returns: a comparison's or IN's operands, the argument of size or
+// reverse, the subject of indexing, and the input of a comprehension or
+// a quantifier. A list literal or comprehension there is built on the
+// value stack, and the consumer releases the stack to its height at entry
+// when it returns. Only the operand itself is stacked: a list nested in
+// it stays on the heap, so an element of a stacked list (which indexing
+// returns) never points into the stack. (A spliced node is an aggregate
+// call, never a list, so lower's splice check is not needed first.)
+func (c *Compiler) transient(e ast.Expr, fold bool) Operand {
+	switch e := e.(type) {
+	case *ast.ListLit:
+		return c.lowerList(e, fold, true)
+	case *ast.ListComprehension:
+		return fnOperand(c.compileComprehension(e, true))
+	}
+	return c.lower(e, fold)
+}
+
+// lowerList lowers a list literal, on the heap or, when stacked, on the
+// value stack: its elements are pushed there and the list is a view of
+// them.
+func (c *Compiler) lowerList(e *ast.ListLit, fold, stacked bool) Operand {
+	base, konst := c.push(e.Elems)
+	if fold && konst {
+		c.ops = c.ops[:base]
+		return Operand{}
+	}
+	elems := c.pop(base, e.Elems)
+	if stacked {
+		return fnOperand(func(ctx *Ctx) (value.Value, error) {
+			base := len(ctx.stack)
+			for _, el := range elems {
+				v, err := el.Eval(ctx)
+				if err != nil {
+					return value.Null, err
+				}
+				ctx.stack = append(ctx.stack, v)
+			}
+			return value.ListOf(ctx.stack[base:]), nil
+		})
+	}
+	return fnOperand(func(ctx *Ctx) (value.Value, error) {
+		out := make([]value.Value, len(elems))
+		for i, el := range elems {
+			v, err := el.Eval(ctx)
+			if err != nil {
+				return value.Null, err
+			}
+			out[i] = v
+		}
+		return value.ListOf(out), nil
+	})
 }
 
 // push lowers expressions onto the operand stack, reporting where they
@@ -459,24 +510,21 @@ func (c *Compiler) lowerBinary(e *ast.Binary, fold bool) Operand {
 		}
 		return fnOperand(predValue(p))
 	}
+	if cmp := comparison(e.Op); cmp != nil {
+		l, r, konst := c.comparands(e, fold)
+		if konst {
+			return Operand{}
+		}
+		return fnOperand(func(ctx *Ctx) (value.Value, error) {
+			t, err := compare(ctx, cmp, l, r)
+			return t.Value(), err
+		})
+	}
 	lo, ro := c.lower(e.L, true), c.lower(e.R, true)
 	if fold && lo.kind == opPending && ro.kind == opPending {
 		return Operand{}
 	}
 	l, r := c.fin(e.L, lo), c.fin(e.R, ro)
-	if cmp := comparison(e.Op); cmp != nil {
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			lv, err := l.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			rv, err := r.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			return cmp(lv, rv).Value(), nil
-		})
-	}
 	bin := arithmetic(e.Op)
 	return fnOperand(func(ctx *Ctx) (value.Value, error) {
 		lv, err := l.Eval(ctx)
@@ -489,6 +537,35 @@ func (c *Compiler) lowerBinary(e *ast.Binary, fold bool) Operand {
 		}
 		return bin(lv, rv)
 	})
+}
+
+// comparands lowers the operands of a comparison or IN, which are
+// transient, reporting a constant comparison, when fold is set, as konst.
+func (c *Compiler) comparands(e *ast.Binary, fold bool) (l, r Operand, konst bool) {
+	lo, ro := c.transient(e.L, true), c.transient(e.R, true)
+	if fold && lo.kind == opPending && ro.kind == opPending {
+		return Operand{}, Operand{}, true
+	}
+	return c.fin(e.L, lo), c.fin(e.R, ro), false
+}
+
+// compare evaluates a comparison's operands and compares them, releasing
+// the lists they built on the value stack.
+func compare(ctx *Ctx, cmp func(l, r value.Value) value.Tri, l, r Operand) (value.Tri, error) {
+	mark := len(ctx.stack)
+	lv, err := l.Eval(ctx)
+	if err != nil {
+		ctx.Release(mark)
+		return value.TriUnknown, err
+	}
+	rv, err := r.Eval(ctx)
+	if err != nil {
+		ctx.Release(mark)
+		return value.TriUnknown, err
+	}
+	t := cmp(lv, rv)
+	ctx.Release(mark)
+	return t, nil
 }
 
 func (c *Compiler) lowerUnary(e *ast.Unary, fold bool) Operand {
@@ -542,6 +619,15 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 		c.refArgs(e.Args)
 		return fnOperand(errFn(err))
 	}
+	if len(e.Args) == 1 && (f.Name == "size" || f.Name == "reverse") {
+		// Their argument is transient: size reads a length and reverse
+		// copies.
+		a := c.transient(e.Args[0], true)
+		if fold && a.kind == opPending {
+			return Operand{}
+		}
+		return c.call1(f, c.fin(e.Args[0], a))
+	}
 	base, konst := c.push(e.Args)
 	if fold && konst && !e.Star && !f.Nondeterministic {
 		c.ops = c.ops[:base]
@@ -550,15 +636,7 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 	if len(e.Args) == 1 {
 		arg := c.fin(e.Args[0], c.ops[base])
 		c.ops = c.ops[:base]
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			v, err := arg.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			base := len(ctx.argScratch)
-			ctx.argScratch = append(ctx.argScratch, v)
-			return invoke(ctx, f, base)
-		})
+		return c.call1(f, arg)
 	}
 	args := c.pop(base, e.Args)
 	return fnOperand(func(ctx *Ctx) (value.Value, error) {
@@ -572,6 +650,24 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 			ctx.argScratch = append(ctx.argScratch, v)
 		}
 		return invoke(ctx, f, base)
+	})
+}
+
+// call1 is the call of f on one argument. It releases the value stack
+// after the call, for the transient argument of size and reverse.
+func (c *Compiler) call1(f *functions.Func, arg Operand) Operand {
+	return fnOperand(func(ctx *Ctx) (value.Value, error) {
+		mark := len(ctx.stack)
+		v, err := arg.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.Null, err
+		}
+		base := len(ctx.argScratch)
+		ctx.argScratch = append(ctx.argScratch, v)
+		res, err := invoke(ctx, f, base)
+		ctx.Release(mark)
+		return res, err
 	})
 }
 
@@ -674,22 +770,11 @@ func (c *Compiler) lowerPred(e ast.Expr, fold bool) (CompiledPred, bool) {
 			}, false
 		}
 		if cmp := comparison(e.Op); cmp != nil {
-			lo, ro := c.lower(e.L, true), c.lower(e.R, true)
-			if fold && lo.kind == opPending && ro.kind == opPending {
+			l, r, konst := c.comparands(e, fold)
+			if konst {
 				return nil, true
 			}
-			l, r := c.fin(e.L, lo), c.fin(e.R, ro)
-			return func(ctx *Ctx) (value.Tri, error) {
-				lv, err := l.Eval(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				rv, err := r.Eval(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				return cmp(lv, rv), nil
-			}, false
+			return func(ctx *Ctx) (value.Tri, error) { return compare(ctx, cmp, l, r) }, false
 		}
 	case *ast.Unary:
 		switch e.Op {
@@ -810,8 +895,12 @@ func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
 	}
 }
 
-func (c *Compiler) compileComprehension(e *ast.ListComprehension) Compiled {
-	list := c.operand(e.List)
+// compileComprehension compiles a list comprehension, whose input is
+// transient. Its output is built on the heap, or, when stacked, on the
+// value stack: pushed above the input as it is mapped, then moved down
+// over the released input.
+func (c *Compiler) compileComprehension(e *ast.ListComprehension, stacked bool) Compiled {
+	list := c.fin(e.List, c.transient(e.List, true))
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
 	var where CompiledPred
@@ -826,6 +915,9 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension) Compiled {
 	}
 	c.locals = c.locals[:len(c.locals)-1]
 	return func(ctx *Ctx) (value.Value, error) {
+		mark := len(ctx.stack)
+		end := mark // the stack's height on return, above a stacked output
+		defer func() { ctx.Release(end) }()
 		lv, err := list.Eval(ctx)
 		if err != nil {
 			return value.Null, err
@@ -837,7 +929,11 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension) Compiled {
 			return value.Null, fmt.Errorf("type error: list comprehension over %s", lv.Kind())
 		}
 		els := lv.AsList()
-		out := make([]value.Value, 0, len(els))
+		var out []value.Value
+		if !stacked {
+			out = make([]value.Value, 0, len(els))
+		}
+		top := len(ctx.stack)
 		old := ctx.Frame[slot]
 		for _, el := range els {
 			ctx.Frame[slot] = el
@@ -855,22 +951,34 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension) Compiled {
 					ctx.Frame[slot] = old
 					return value.Null, err
 				}
-				out = append(out, m)
+				if stacked {
+					ctx.stack = append(ctx.stack, m)
+				} else {
+					out = append(out, m)
+				}
 			}
 		}
 		ctx.Frame[slot] = old
+		if stacked {
+			end = mark + copy(ctx.stack[mark:], ctx.stack[top:])
+			return value.ListOf(ctx.stack[mark:end]), nil
+		}
 		return value.ListOf(out), nil
 	}
 }
 
+// compileQuantifier compiles any/all/none/single, whose input is
+// transient.
 func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
-	list := c.operand(e.List)
+	list := c.fin(e.List, c.transient(e.List, true))
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
 	pred := c.predicate(e.Pred)
 	c.locals = c.locals[:len(c.locals)-1]
 	kind := e.Kind
 	return func(ctx *Ctx) (value.Value, error) {
+		mark := len(ctx.stack)
+		defer ctx.Release(mark)
 		lv, err := list.Eval(ctx)
 		if err != nil {
 			return value.Null, err

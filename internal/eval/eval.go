@@ -38,6 +38,34 @@ type Ctx struct {
 	// gctx is the cached functions.GraphContext adapter: passing &gctx
 	// avoids re-boxing a GraphCtx into an interface on every call.
 	gctx GraphCtx
+	// stack holds the elements of the lists compiled expressions build
+	// for a consumer that drops them before it returns (see
+	// Compiler.CompileTransient). Such a list is a view of the stack; its
+	// consumer truncates the stack back to the height it found, so the
+	// next list reuses the storage.
+	stack []value.Value
+}
+
+// stackMaxRetain bounds the values ResetStack keeps of the value stack's
+// storage.
+const stackMaxRetain = 4096
+
+// StackMark returns the height of the value stack, for Release.
+func (c *Ctx) StackMark() int { return len(c.stack) }
+
+// Release truncates the value stack to a height StackMark returned,
+// dropping the lists built on it since.
+func (c *Ctx) Release(mark int) { c.stack = c.stack[:mark] }
+
+// ResetStack empties the value stack, dropping the references its
+// storage holds and keeping at most stackMaxRetain values of it. An
+// execution calls it first: a panic mid-expression skips the releases.
+func (c *Ctx) ResetStack() {
+	if cap(c.stack) > stackMaxRetain {
+		c.stack = nil
+	}
+	clear(c.stack[:cap(c.stack)])
+	c.stack = c.stack[:0]
 }
 
 // GraphCtx adapts a graph.Graph (plus optional execution state) to the

@@ -30,6 +30,10 @@ func NewExecState(seed int64) *ExecState {
 	return &ExecState{seed: seed}
 }
 
+// Reset returns s to the state NewExecState(seed) creates, so an owner
+// running one execution at a time can reuse one ExecState.
+func (s *ExecState) Reset(seed int64) { *s = ExecState{seed: seed} }
+
 // Rand returns the next rand() draw.
 func (s *ExecState) Rand() float64 {
 	if s == nil {

@@ -146,9 +146,11 @@ func TestSimLiveHangCooperates(t *testing.T) {
 	if err := mg.Reset(g, schema); err != nil {
 		t.Fatal(err)
 	}
+	// Start the clock before the deadline's: set-up between the two
+	// would otherwise measure less than the timeout.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := mg.ExecuteCtx(ctx, `WITH replace('a', '', 'b') AS a0 RETURN a0`)
 	elapsed := time.Since(start)
 	if elapsed < 25*time.Millisecond {

@@ -147,6 +147,18 @@ func (g *Graph) ResetToBase() bool {
 	return true
 }
 
+// Rebase discards every overlay entry and makes the graph an empty
+// overlay over s, as FromSnapshot(s) would return, reusing its overlay
+// maps. Returns false (and does nothing) when the graph has no base: a
+// plain graph's maps hold its data, not an overlay.
+func (g *Graph) Rebase(s *Snapshot) bool {
+	if g.base == nil {
+		return false
+	}
+	g.base = s
+	return g.ResetToBase()
+}
+
 // Base returns the snapshot this graph overlays, or nil for a plain
 // graph.
 func (g *Graph) Base() *Snapshot { return g.base }

@@ -363,7 +363,65 @@ func (v Value) AppendKey(sb *strings.Builder) {
 	v.writeKey(sb)
 }
 
+// KeyLen returns an upper bound of len(v.Key()), exact for every value
+// without a non-integral float in it, so a caller writing many keys into
+// one builder can size it with one Grow.
+func (v Value) KeyLen() int {
+	switch v.kind {
+	case KindNull:
+		return 1
+	case KindBool:
+		return 2
+	case KindInt, KindNode, KindRel:
+		return 1 + decLen(v.i)
+	case KindFloat:
+		f := v.fv()
+		if math.IsNaN(f) {
+			return 4
+		}
+		if i, ok := exactInt(f); ok {
+			return 1 + decLen(i)
+		}
+		return 1 + len("-1.2345678901234567e-308")
+	case KindString:
+		n := int(v.i)
+		return 2 + decLen(int64(n)) + n
+	case KindList:
+		n := 2
+		for _, e := range v.lv() {
+			n += e.KeyLen() + 1
+		}
+		return n
+	case KindMap:
+		n := 2
+		for k, e := range v.mv() {
+			n += len(k) + e.KeyLen() + 2
+		}
+		return n
+	}
+	return 0
+}
+
+// decLen returns the length of the decimal rendering of i.
+func decLen(i int64) int {
+	n := 1
+	if i < 0 {
+		n++
+		if i == math.MinInt64 {
+			return 20
+		}
+		i = -i
+	}
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
+
 func (v Value) writeKey(sb *strings.Builder) {
+	// Numbers are rendered into num, not through strconv's Format
+	// functions, which allocate a string per number.
+	var num [32]byte
 	switch v.kind {
 	case KindNull:
 		sb.WriteByte('_')
@@ -377,7 +435,7 @@ func (v Value) writeKey(sb *strings.Builder) {
 		// Integers and exactly-integral floats are equivalent; both encode
 		// as the decimal integer.
 		sb.WriteByte('n')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.Write(strconv.AppendInt(num[:0], v.i, 10))
 	case KindFloat:
 		sb.WriteByte('n')
 		f := v.fv()
@@ -386,23 +444,23 @@ func (v Value) writeKey(sb *strings.Builder) {
 			sb.WriteString("NaN")
 		default:
 			if i, ok := exactInt(f); ok {
-				sb.WriteString(strconv.FormatInt(i, 10))
+				sb.Write(strconv.AppendInt(num[:0], i, 10))
 			} else {
-				sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+				sb.Write(strconv.AppendFloat(num[:0], f, 'g', -1, 64))
 			}
 		}
 	case KindString:
 		sb.WriteByte('s')
 		s := v.sv()
-		sb.WriteString(strconv.Itoa(len(s)))
+		sb.Write(strconv.AppendInt(num[:0], int64(len(s)), 10))
 		sb.WriteByte(':')
 		sb.WriteString(s)
 	case KindNode:
 		sb.WriteByte('N')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.Write(strconv.AppendInt(num[:0], v.i, 10))
 	case KindRel:
 		sb.WriteByte('R')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.Write(strconv.AppendInt(num[:0], v.i, 10))
 	case KindList:
 		sb.WriteByte('[')
 		for _, e := range v.lv() {
