@@ -49,13 +49,18 @@ bench:
 #     interpreted engine under every dialect;
 #   - FuzzAdjIndex: on a generated sealed graph, after a subset of the
 #     overlay writes, a read at a MaxMatchSteps of 1-400 gives the same
-#     rows, or the same error, with and without the adjacency index.
+#     rows, or the same error, with and without the adjacency index;
+#   - FuzzCampaign: a campaign of any seed, GDB subset, small graph
+#     bounds, 1-3 workers, batch 1-4 and flaky rate up to 20% gives the
+#     bug report and per-GDB stats of its 1-worker, batch-1 run, and so
+#     does a run killed at a journal flush or a journal byte budget once
+#     it is resumed.
 # The journal targets are seeded from real journals of a few KB, and
 # minimizing a new input of that size takes quadratically many runs, so
 # their minimization is capped at 1s to leave the 10s for fuzzing; a
-# FuzzPlanVsInterp input runs ten engines and a FuzzAdjIndex input
-# builds a graph and runs up to seven queries on two engines, so their
-# caps are 1s too.
+# FuzzPlanVsInterp input runs ten engines, a FuzzAdjIndex input builds a
+# graph and runs up to seven queries on two engines, and a FuzzCampaign
+# input runs two to three campaigns, so their caps are 1s too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
@@ -64,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLogsDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanVsInterp$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaign$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 
 # Planned-vs-interpreted differential under the race detector: every
 # query of a fixed-seed synthesized corpus (plus a curated construct
