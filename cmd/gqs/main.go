@@ -72,7 +72,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&cfg.Robust.Retries, "retries", 2, "retries for transient connector errors (-1 disables them; 0 is refused)")
 	fs.Float64Var(&cfg.FlakyRate, "flaky", 0, "inject transient connector errors at this rate (0..1) to exercise the retry machinery")
 	fs.BoolVar(&cfg.Live, "live", false, "manifest injected faults live: hangs block until the deadline, crashes panic in the connector")
-	fs.BoolVar(&cfg.NoPlan, "no-plan", false, "execute prepared queries on the interpreter instead of compiled plans (differential debugging; the bug set is identical either way)")
 	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size; the reported bug set is identical for every value at the same seed (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.Batch, "batch", 0, "iterations per work unit (0 = automatic, ~4 units per worker); the reported bug set is identical for every value")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal completed work units to this file for crash-safe resume")
@@ -173,7 +172,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var ck *core.Checkpointer
 	if o.checkpoint != "" {
 		// The journal is bound to experiments.CampaignFingerprint: the
-		// output options (-v, -reports, -no-plan) are not part of it.
+		// output options (-v, -reports) are not part of it.
 		ck, err = core.OpenCheckpoint(core.CheckpointConfig{
 			Path: o.checkpoint, Every: o.ckEvery, Resume: o.resume,
 		}, experiments.CampaignFingerprint(o.cfg))

@@ -230,9 +230,7 @@ func sameDirs(t *testing.T, want, got string) {
 // the command printed and wrote before it ran on the experiments
 // campaign (the throughput lines and the summary lines' seconds aside).
 // The -v golden was written at one worker; at two, only its header
-// differs. The kuzu golden serves with and without -no-plan, so a whole
-// campaign on compiled plans is compared with one on the prepared
-// interpreter path.
+// differs.
 func TestGoldenOutput(t *testing.T) {
 	reports := t.TempDir()
 	for _, tc := range []struct {
@@ -245,8 +243,7 @@ func TestGoldenOutput(t *testing.T) {
 		{golden: "falkordb-v.txt.gz", args: []string{"-gdb", "falkordb", "-iterations", "30", "-v", "-workers", "1"}},
 		{golden: "falkordb-v.txt.gz", args: []string{"-gdb", "falkordb", "-iterations", "30", "-v", "-workers", "2"},
 			header: "=== testing falkordb (seed 1, 30 iterations, 2 workers, batch 3) ==="},
-		{golden: "kuzu-no-plan.txt", args: []string{"-gdb", "kuzu", "-iterations", "20", "-no-plan", "-workers", "2"}},
-		{golden: "kuzu-no-plan.txt", args: []string{"-gdb", "kuzu", "-iterations", "20", "-workers", "2"}},
+		{golden: "kuzu.txt", args: []string{"-gdb", "kuzu", "-iterations", "20", "-workers", "2"}},
 		{golden: "reference.txt", args: []string{"-gdb", "reference", "-iterations", "10", "-workers", "2"}},
 		{golden: "falkordb-live.txt", args: []string{"-gdb", "falkordb", "-iterations", "4", "-live", "-flaky", "0.1", "-timeout", "50ms", "-workers", "2"}},
 		{golden: "memgraph-reports.txt", args: []string{"-gdb", "memgraph", "-iterations", "20", "-workers", "2", "-reports", reports}},

@@ -76,18 +76,11 @@ func Prepare(text string) (*PreparedQuery, error) { return engine.Prepare(text) 
 // ExecutePrepared runs a prepared query, sharing its AST with any other
 // in-flight executions of the same PreparedQuery on other databases.
 // Queries covered by the plan compiler execute their compiled physical
-// plan (slot frames, pushed-down predicates — see SetPlanExecution);
-// everything else runs on the AST interpreter with identical behaviour.
+// plan (slot frames, pushed-down predicates); everything else, writes
+// included, runs on the AST interpreter. The two give identical results,
+// which the repository's plan ≡ interpreter differentials check.
 func (db *DB) ExecutePrepared(pq *PreparedQuery) (*Result, error) {
 	return db.eng.ExecutePrepared(context.Background(), pq)
-}
-
-// SetPlanExecution toggles compiled-plan execution of prepared queries
-// (on by default). Plans and the interpreter are behaviour-identical by
-// contract; turning plans off exists for differential debugging, like
-// the gqs command's -no-plan flag.
-func (db *DB) SetPlanExecution(enabled bool) {
-	db.eng.SetPlanExecution(enabled)
 }
 
 // PreparedTarget is the optional prepared-execution extension of Target:

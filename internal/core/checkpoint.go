@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,6 +223,9 @@ func (c *Checkpointer) Completed(target string, shard int) (UnitRecord, bool) {
 // take is Completed for the executor: it hands the restored unit over
 // once and drops it, so restored payloads do not outlive their merge.
 func (c *Checkpointer) take(target string, shard int) (UnitRecord, bool) {
+	if c == nil {
+		return UnitRecord{}, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := unitKey{target, shard}
@@ -343,7 +345,7 @@ func (c *Checkpointer) Close() error {
 
 // DurableHooks lets an embedder attach per-unit state to the checkpoint
 // records RunCheckpointedParallel writes, and observe the units restored
-// on resume. Both are optional.
+// on resume. Both are optional, and neither runs without a checkpointer.
 type DurableHooks struct {
 	// Payload renders the embedder's state for a just-completed unit
 	// covering shards [start, start+count); it runs on the goroutine
@@ -353,41 +355,4 @@ type DurableHooks struct {
 	// (single-goroutine) feed loop in ascending unit order, before the
 	// unit's shards would have been enqueued.
 	Restore func(u UnitRecord)
-}
-
-// RunCheckpointedParallel is RunParallelCtx with checkpointing: restored
-// work units are skipped (their recorded stats merge as if they had run)
-// and every completed unit is recorded. A recorded unit whose range no
-// longer matches the executor's batching is ignored rather than half-
-// restored (the fingerprint pins the batch, so this only guards against
-// hand-edited journals). With a nil checkpointer it is exactly
-// RunParallelCtx. The caller's own UnitDone hook, if any, runs after the
-// unit is recorded.
-func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name string,
-	factory TargetFactory, observe func(int, Target, *TestCase),
-	ck *Checkpointer, hooks DurableHooks) *ParallelStats {
-	if ck != nil {
-		userDone := cfg.UnitDone
-		cfg.SkipUnit = func(start, count int) (Stats, bool) {
-			u, ok := ck.take(name, start)
-			if !ok || u.UnitCount() != count {
-				return Stats{}, false
-			}
-			if hooks.Restore != nil {
-				hooks.Restore(u)
-			}
-			return u.Stats, true
-		}
-		cfg.UnitDone = func(start, count int, s Stats) {
-			u := UnitRecord{Target: name, Shard: start, Count: count, Queries: s.Queries, Stats: s}
-			if hooks.Payload != nil {
-				u.Payload = hooks.Payload(name, start, count)
-			}
-			ck.Record(u)
-			if userDone != nil {
-				userDone(start, count, s)
-			}
-		}
-	}
-	return RunParallelCtx(ctx, cfg, factory, observe)
 }

@@ -177,10 +177,14 @@ type Runner struct {
 	curSchema *graph.Schema
 	// share, when set, dedups the per-iteration seal across executor
 	// passes (see SnapshotShare); shareShard is the logical shard slot
-	// the next iteration resolves against.
+	// the next iteration resolves against. startShard sets both.
 	share      *SnapshotShare
 	shareShard int
 }
+
+// jitterSalt separates the backoff-jitter stream from the graph and
+// synthesis stream of the same seed.
+const jitterSalt = 0x6a77_3b2c_9d1e_5f48
 
 // NewRunner creates a runner for the target.
 func NewRunner(target Target, cfg RunnerConfig) *Runner {
@@ -191,16 +195,13 @@ func NewRunner(target Target, cfg RunnerConfig) *Runner {
 		cfg.QueriesPerGT = 1
 	}
 	rn := &Runner{
-		cfg:    cfg,
-		target: target,
-		ctx:    context.Background(),
-		r:      rand.New(rand.NewSource(cfg.Seed)),
-		rb:     cfg.Robust.withDefaults(),
-		jr:     rand.New(rand.NewSource(cfg.Seed ^ 0x6a77_3b2c_9d1e_5f48)),
+		cfg: cfg,
+		ctx: context.Background(),
+		r:   rand.New(rand.NewSource(cfg.Seed)),
+		rb:  cfg.Robust.withDefaults(),
+		jr:  rand.New(rand.NewSource(cfg.Seed ^ jitterSalt)),
 	}
-	if ca, ok := target.(CancelAwareTarget); ok {
-		rn.cancelAware = ca.CancelAware()
-	}
+	rn.startShard(target, cfg.Seed, nil, 0)
 	return rn
 }
 
@@ -218,16 +219,23 @@ func NewRunnerCtx(ctx context.Context, target Target, cfg RunnerConfig) *Runner 
 	return rn
 }
 
-// Reseed rewinds the runner to the state NewRunner would build for the
-// given seed, reusing its allocations (RNG sources, config, the
-// target's extension bindings). The sharded executor calls it between
-// logical shards so one worker-lifetime Runner replaces a fresh
-// construction per shard; after Reseed(s) the runner behaves
-// byte-identically to NewRunnerCtx(ctx, target, cfg-with-Seed-s).
-func (rn *Runner) Reseed(seed int64) {
+// startShard binds the runner to target and rewinds it to the state
+// NewRunner builds for seed, reusing its allocations (RNG sources,
+// config); it also installs the campaign-wide snapshot share and the
+// logical shard slot the next iteration publishes to or resolves from
+// (a nil share seals privately). The executor calls it before every
+// shard, so one runner serves a worker for its lifetime: afterwards the
+// runner behaves byte-identically to NewRunnerCtx(ctx, target,
+// cfg-with-Seed-seed) with the share installed.
+func (rn *Runner) startShard(target Target, seed int64, share *SnapshotShare, shard int) {
+	rn.target = target
+	rn.cancelAware = false
+	if ca, ok := target.(CancelAwareTarget); ok {
+		rn.cancelAware = ca.CancelAware()
+	}
 	rn.cfg.Seed = seed
 	rn.r.Seed(seed)
-	rn.jr.Seed(seed ^ 0x6a77_3b2c_9d1e_5f48)
+	rn.jr.Seed(seed ^ jitterSalt)
 	rn.seq = 0
 	rn.stats = Stats{}
 	rn.consecFails = 0
@@ -235,14 +243,7 @@ func (rn *Runner) Reseed(seed int64) {
 	rn.abandonGraph = false
 	rn.needRecover = false
 	rn.curSnap, rn.curSchema = nil, nil
-}
-
-// SetShare installs the campaign-wide snapshot share and the logical
-// shard slot the next iteration publishes to / resolves from. A nil
-// share restores the private per-iteration seal.
-func (rn *Runner) SetShare(share *SnapshotShare, shard int) {
-	rn.share = share
-	rn.shareShard = shard
+	rn.share, rn.shareShard = share, shard
 }
 
 // Breaker reports the circuit-breaker state: whether it is open and the

@@ -46,11 +46,13 @@ type TargetFactory func(shard int) (Target, error)
 // ShardSeeder is the optional connector-reuse extension of Target: a
 // connector that can re-derive all its per-shard deterministic state
 // (engine seed and execution counter, flaky-injection stream) for a new
-// shard index. A worker reuses one such connector — and one Runner on
-// top of it, reseeded per shard — across every shard it drains,
-// skipping the per-shard engine and fault-catalog construction, under
-// the contract that after SeedShard(i) the target behaves
-// byte-identically to a freshly built factory(i) instance.
+// shard index. A worker builds one such connector and reuses it across
+// every shard it drains, calling SeedShard before each one, the first
+// included; this skips the per-shard engine and fault-catalog
+// construction, under the contract that after SeedShard(i) the target
+// behaves byte-identically to a freshly built factory(i) instance.
+// Every campaign connector is one. A worker builds any other connector
+// for its shard and closes it after that shard.
 type ShardSeeder interface {
 	SeedShard(shard int)
 }
@@ -82,19 +84,11 @@ type ParallelConfig struct {
 	// published triple, so the seal and the per-schema index build happen
 	// once per shard instead of once per shard per target.
 	Share *SnapshotShare
-	// SkipUnit, when set, lets a resumed campaign skip already-completed
-	// work units: return the unit's recorded stats (the sum over its
-	// shards) and true to account for it without running it. Called once
-	// per unit from the feed loop (a single goroutine), in ascending
-	// start order, before anything is enqueued. Units are identified by
-	// their (start, count) range, which is stable for a fixed
-	// (Iterations, Batch) pair — the checkpoint fingerprint pins both.
-	SkipUnit func(start, count int) (Stats, bool)
 	// UnitDone observes each work unit that ran to completion, called
-	// from the worker goroutine that ran it immediately afterwards with
-	// the summed stats of its shards. It is not called for units skipped
-	// via SkipUnit, for units still in flight when the context is
-	// canceled — cancellation is monotonic, so a UnitDone call guarantees
+	// from the worker goroutine that ran it immediately afterwards (and
+	// after the checkpointer recorded it) with the summed stats of its
+	// shards. It is not called for units restored from the checkpointer,
+	// for units still in flight when the context is canceled — cancellation is monotonic, so a UnitDone call guarantees
 	// the unit's full, uninterrupted stats — nor for units in which any
 	// shard's target factory failed: a factory error is transient
 	// infrastructure trouble, and recording the unit as complete would
@@ -160,58 +154,64 @@ func (s *Stats) Add(o Stats) {
 	s.Robust.Add(o.Robust)
 }
 
-// RunParallel executes cfg.Iterations logical shards across a worker
-// pool and merges the results. observe (optional) sees every test case
-// together with its shard index and that shard's target (for fault
-// attribution): calls for one shard are sequential, but calls for
-// different shards arrive concurrently from different goroutines —
-// observers touching shared state must synchronize.
+// RunParallel is RunCheckpointedParallel as a plain run: no context to
+// cancel it, no checkpointer and no hooks.
+func RunParallel(cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
+	return RunCheckpointedParallel(context.Background(), cfg, "", factory, observe, nil, DurableHooks{})
+}
+
+// RunCheckpointedParallel is the campaign executor: it runs
+// cfg.Iterations logical shards across a worker pool and merges the
+// results. observe (optional) sees every test case together with its
+// shard index and that shard's target (for fault attribution): calls for
+// one shard are sequential, but calls for different shards arrive
+// concurrently from different goroutines — observers touching shared
+// state must synchronize.
 //
 // A factory error costs one failed iteration (recorded in the merged
 // Stats.Robust), never the campaign — the same degraded-not-dead
 // contract the Runner keeps for a target that will not come up.
-func RunParallel(cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
-	return RunParallelCtx(context.Background(), cfg, factory, observe)
-}
-
-// RunParallelCtx is RunParallel under a cancelable context: once ctx is
-// done the feed loop stops enqueueing units, idle workers drain the
-// queue without running, and in-flight shards stop between queries. A
-// canceled run still returns merged stats for whatever completed; the
-// checkpoint layer's UnitDone hook sees exactly the units that ran to
-// completion before cancellation.
-func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFactory, observe func(shard int, target Target, tc *TestCase)) *ParallelStats {
+//
+// Once ctx is done the feed loop stops enqueueing units, idle workers
+// drain the queue without running, and in-flight shards stop between
+// queries. A canceled run still returns merged stats for whatever
+// completed.
+//
+// ck (nil ⇒ a plain run) journals the campaign's units under the target
+// name. A unit the checkpointer restored from an earlier run is not run:
+// the feed loop hands it to hooks.Restore, in ascending unit order and
+// before any unit is enqueued, and its recorded stats merge as if it had
+// run. A recorded unit whose range no longer matches the batching is
+// ignored rather than half-restored (the fingerprint pins the batch, so
+// this only guards against hand-edited journals). Every unit that runs
+// to completion is recorded, with hooks.Payload's state, before
+// cfg.UnitDone sees it.
+func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name string,
+	factory TargetFactory, observe func(shard int, target Target, tc *TestCase),
+	ck *Checkpointer, hooks DurableHooks) *ParallelStats {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	n := cfg.Iterations
-	if n < 0 {
-		n = 0
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
+	n := max(cfg.Iterations, 0)
+	batch := max(cfg.Batch, 1)
 	perShard := make([]Stats, n)
-	// Resume pass: already-completed units get their recorded stats and
-	// never reach the queue. The feed loop below only sees the rest.
-	// A restored unit's summed stats land in its start slot; the merged
+	// Resume pass: restored units get their recorded stats and never
+	// reach the queue. The feed loop below only sees the rest. A
+	// restored unit's summed stats land in its start slot; the merged
 	// totals are identical to per-shard placement.
 	pending := make([]workUnit, 0, (n+batch-1)/batch)
 	restored := 0
 	for us := 0; us < n; us += batch {
-		count := batch
-		if us+count > n {
-			count = n - us
-		}
-		if cfg.SkipUnit != nil {
-			if s, ok := cfg.SkipUnit(us, count); ok {
-				s.Robust.RestoredIterations += count
-				perShard[us] = s
-				restored += count
-				continue
+		count := min(batch, n-us)
+		if u, ok := ck.take(name, us); ok && u.UnitCount() == count {
+			if hooks.Restore != nil {
+				hooks.Restore(u)
 			}
+			u.Stats.Robust.RestoredIterations += count
+			perShard[us] = u.Stats
+			restored += count
+			continue
 		}
 		pending = append(pending, workUnit{start: us, count: count})
 	}
@@ -219,9 +219,7 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers = min(workers, len(pending))
 	var ran, ranQueries, ranElapsed atomic.Int64
 	jobs := make(chan workUnit)
 	var wg sync.WaitGroup
@@ -229,43 +227,41 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A connector that supports per-shard reseeding is built once
-			// and reused — together with one Runner on top of it — for
-			// every shard this worker drains; others are built and closed
-			// per shard as before. Reuse changes which instance runs a
-			// shard, never what the shard computes: the shard's RNG
-			// streams derive from (campaign seed, shard) alone.
+			// One runner serves the worker for its lifetime: before each
+			// shard it is bound to the shard's connector and reseeded.
+			// A ShardSeeder connector is built once and reseeded per
+			// shard too; any other is built for its shard and closed
+			// after it. Reuse changes which instance runs a shard, never
+			// what the shard computes: the shard's RNG streams derive
+			// from (campaign seed, shard) alone.
+			rn := NewRunnerCtx(ctx, nil, cfg.Runner)
 			var reused Target
-			var rn *Runner
 			defer closeTarget(&reused)
 			runShard := func(shard int) bool {
-				if reused != nil {
-					reused.(ShardSeeder).SeedShard(shard)
-					rn.Reseed(ShardSeed(cfg.Runner.Seed, shard))
-					rn.SetShare(cfg.Share, shard)
-					perShard[shard] = runIterationOn(rn, shard, reused, observe)
-					return true
+				target := reused
+				if target == nil {
+					t, err := factory(shard)
+					if err != nil {
+						var s Stats
+						s.Robust.FailedIterations++
+						perShard[shard] = s
+						return false
+					}
+					target = t
 				}
-				target, err := factory(shard)
-				if err != nil {
-					var s Stats
-					s.Robust.FailedIterations++
-					perShard[shard] = s
-					return false
-				}
-				if _, ok := target.(ShardSeeder); ok {
-					// The factory seeds the instance for its shard index,
-					// so the first shard needs no SeedShard/Reseed call.
+				if s, ok := target.(ShardSeeder); ok {
+					s.SeedShard(shard)
 					reused = target
-					rcfg := cfg.Runner
-					rcfg.Seed = ShardSeed(cfg.Runner.Seed, shard)
-					rn = NewRunnerCtx(ctx, reused, rcfg)
-					rn.SetShare(cfg.Share, shard)
-					perShard[shard] = runIterationOn(rn, shard, reused, observe)
-					return true
+				} else {
+					defer closeTarget(&target)
 				}
-				perShard[shard] = runShardOn(ctx, cfg, shard, target, observe)
-				closeTarget(&target)
+				rn.startShard(target, ShardSeed(cfg.Runner.Seed, shard), cfg.Share, shard)
+				var report func(*TestCase)
+				if observe != nil {
+					report = func(tc *TestCase) { observe(shard, target, tc) }
+				}
+				rn.RunIteration(report)
+				perShard[shard] = rn.Stats()
 				return true
 			}
 			for u := range jobs {
@@ -292,11 +288,21 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, factory TargetFacto
 				// Cancellation is monotonic: a nil ctx.Err() here proves
 				// the whole unit ran uninterrupted, so recording it as
 				// complete is safe even though the check races the cancel.
-				if complete && ctx.Err() == nil && cfg.UnitDone != nil {
-					var sum Stats
-					for shard := u.start; shard < u.start+u.count; shard++ {
-						sum.Add(perShard[shard])
+				if !complete || ctx.Err() != nil {
+					continue
+				}
+				var sum Stats
+				for shard := u.start; shard < u.start+u.count; shard++ {
+					sum.Add(perShard[shard])
+				}
+				if ck != nil {
+					rec := UnitRecord{Target: name, Shard: u.start, Count: u.count, Queries: sum.Queries, Stats: sum}
+					if hooks.Payload != nil {
+						rec.Payload = hooks.Payload(name, u.start, u.count)
 					}
+					ck.Record(rec)
+				}
+				if cfg.UnitDone != nil {
 					cfg.UnitDone(u.start, u.count, sum)
 				}
 			}
@@ -338,27 +344,4 @@ func closeTarget(t *Target) {
 	if c, ok := (*t).(interface{ Close() error }); ok {
 		c.Close()
 	}
-}
-
-// runIterationOn executes one logical shard on an already-seeded runner:
-// one workflow iteration, stats read back from the (freshly reseeded)
-// runner.
-func runIterationOn(rn *Runner, shard int, target Target, observe func(int, Target, *TestCase)) Stats {
-	var report func(*TestCase)
-	if observe != nil {
-		report = func(tc *TestCase) { observe(shard, target, tc) }
-	}
-	rn.RunIteration(report)
-	return rn.Stats()
-}
-
-// runShardOn executes one logical shard on an already-built connector
-// that does not support reuse: fresh shard seed, fresh runner, one
-// workflow iteration.
-func runShardOn(ctx context.Context, cfg ParallelConfig, shard int, target Target, observe func(int, Target, *TestCase)) Stats {
-	rcfg := cfg.Runner
-	rcfg.Seed = ShardSeed(cfg.Runner.Seed, shard)
-	rn := NewRunnerCtx(ctx, target, rcfg)
-	rn.SetShare(cfg.Share, shard)
-	return runIterationOn(rn, shard, target, observe)
 }

@@ -68,19 +68,14 @@ type Options struct {
 	Limits  Limits
 	// DisablePlanner turns off the optimization passes (index-scan
 	// selection, traversal-start selection, predicate pushdown); used by
-	// the ablation benchmarks.
+	// the ablation benchmarks. Compiled plans bake the passes in, so it
+	// also runs prepared queries on the interpreter.
 	DisablePlanner bool
 	// ReverseScan makes node scans run in descending ID order: a cheap
 	// stand-in for "a different query plan", so two engines produce
 	// rows in different orders (one of the differential-tester
 	// false-positive sources of §5.4.3).
 	ReverseScan bool
-	// DisablePlan turns off compiled-plan execution of prepared queries,
-	// forcing the tree-walking interpreter: the `-no-plan` differential-
-	// debugging escape hatch. Distinct from DisablePlanner, which keeps
-	// plan execution but is an optimization-pass ablation (and also
-	// forces the interpreter, since compiled plans bake the passes in).
-	DisablePlan bool
 	// DisableAdjIndex turns off index-backed relationship expansion (and
 	// the index-backed mid-chain label check) on snapshot-loaded graphs,
 	// forcing the adjacency-list scan path everywhere: the second leg of
@@ -265,13 +260,8 @@ func (e *Engine) beginExec(ctx context.Context, params map[string]value.Value) {
 // endExec drops the per-execution state so nothing outlives the call.
 func (e *Engine) endExec() { e.params = nil; e.ctx = nil; e.exec = nil }
 
-// SetPlanExecution toggles compiled-plan execution of prepared queries
-// (see Options.DisablePlan). Plan execution is behaviour-preserving, so
-// this only matters for differential debugging and benchmarks.
-func (e *Engine) SetPlanExecution(enabled bool) { e.opts.DisablePlan = !enabled }
-
 // SetAdjIndex toggles index-backed match expansion on snapshot-loaded
-// graphs (see Options.DisableAdjIndex). Like plan execution it is
+// graphs (see Options.DisableAdjIndex). Indexed expansion is
 // behaviour-preserving, so flipping it mid-life is always safe.
 func (e *Engine) SetAdjIndex(enabled bool) { e.opts.DisableAdjIndex = !enabled }
 

@@ -135,31 +135,3 @@ func TestFrameArena(t *testing.T) {
 		t.Errorf("reset retained %d chunks, cap %d", len(a.chunks), arenaMaxRetain)
 	}
 }
-
-// TestPlanToggle pins the -no-plan escape hatch: the same engine must
-// switch between plan execution and the interpreter without behavioral
-// difference.
-func TestPlanToggle(t *testing.T) {
-	e := NewReference()
-	if _, err := e.Execute(`CREATE (:A {n: 1})-[:T]->(:B {n: 2})`); err != nil {
-		t.Fatal(err)
-	}
-	pq, err := Prepare(`MATCH (a)-[:T]->(b) RETURN a.n, b.n`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	withPlan, err := e.ExecutePrepared(ctx, pq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetPlanExecution(false)
-	without, err := e.ExecutePrepared(ctx, pq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetPlanExecution(true)
-	if !withPlan.Equal(without) {
-		t.Errorf("plan toggle changed results: %v vs %v", withPlan.Rows, without.Rows)
-	}
-}

@@ -131,17 +131,16 @@ var planDiffQueries = []string{
 	"MATCH (n) RETURN size([n.id, n.k]) AS s, reverse([n.id, 2]) AS r, [n.id, 2] = [1, 2] AS e ORDER BY n.id",
 }
 
-// runPlanDiffCorpus executes every query on planned and interpreted
-// engines built from the same options and seed, and fails the test on
-// the first observable difference. Returns how many queries actually
-// took the plan path, so callers can assert the differential is not
-// vacuous.
+// runPlanDiffCorpus executes every query on two engines built from the
+// same options and seed, one through ExecutePrepared (the compiled plan,
+// where the query has one) and one through ExecuteASTCtx (the
+// interpreter), and fails the test on the first observable difference.
+// Returns how many queries actually took the plan path, so callers can
+// assert the differential is not vacuous.
 func runPlanDiffCorpus(t *testing.T, opts engine.Options, g *graph.Graph, schema *graph.Schema, texts []string) int {
 	t.Helper()
 	planned := engine.New(opts)
-	iopts := opts
-	iopts.DisablePlan = true
-	interp := engine.New(iopts)
+	interp := engine.New(opts)
 	planned.LoadGraph(g, schema)
 	interp.LoadGraph(g, schema)
 
@@ -156,7 +155,7 @@ func runPlanDiffCorpus(t *testing.T, opts engine.Options, g *graph.Graph, schema
 			coverage++
 		}
 		pres, perr := planned.ExecutePrepared(ctx, pq)
-		ires, ierr := interp.ExecutePrepared(ctx, pq)
+		ires, ierr := interp.ExecuteASTCtx(ctx, pq.AST)
 		if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
 			t.Fatalf("%s: %q: planned err %v, interpreted err %v", opts.Dialect.Name, text, perr, ierr)
 		}
@@ -233,7 +232,7 @@ func TestPlanDiffConcurrent(t *testing.T) {
 		return fmt.Sprint(res.Columns, res.Rows)
 	}
 	ctx := context.Background()
-	interp := engine.New(engine.Options{Dialect: engine.Reference, Seed: 5, DisablePlan: true})
+	interp := engine.New(engine.Options{Dialect: engine.Reference, Seed: 5})
 	interp.LoadGraph(g, schema)
 	var texts, want []string
 	var shared []*engine.PreparedQuery
@@ -244,7 +243,7 @@ func TestPlanDiffConcurrent(t *testing.T) {
 		}
 		if pq.Planned() { // a write would change the graph under the others
 			texts, shared = append(texts, q), append(shared, pq)
-			want = append(want, outcome(interp.ExecutePrepared(ctx, pq)))
+			want = append(want, outcome(interp.ExecuteASTCtx(ctx, pq.AST)))
 		}
 	}
 	var wg sync.WaitGroup

@@ -15,8 +15,8 @@ import (
 // runner prepares each synthesized query once, and every connector
 // executing it reuses the same AST, feature vector and compiled plan
 // instead of re-lexing, re-parsing, and re-analyzing the text. A query
-// without a plan (writes), and every query on an engine with DisablePlan
-// or DisablePlanner, runs on the interpreter, which analyzes each clause
+// without a plan (writes), and every query on an engine with
+// DisablePlanner, runs on the interpreter, which analyzes each clause
 // live, as the text path does.
 //
 // Invariants:
@@ -80,9 +80,11 @@ func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 // concurrent executions. Equivalent to ExecuteCtx(ctx, pq.Text) minus the
 // parse. Queries that compiled to a physical plan execute it directly
 // (identical behaviour, no per-row map allocation or AST walking) unless
-// the engine opts out via DisablePlan or DisablePlanner.
+// the engine runs with DisablePlanner. Everything else runs on the
+// interpreter, ExecuteASTCtx, which the plan ≡ interpreter differentials
+// call directly.
 func (e *Engine) ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error) {
-	if pq.Planned() && !e.opts.DisablePlan && !e.opts.DisablePlanner {
+	if pq.Planned() && !e.opts.DisablePlanner {
 		e.beginExec(ctx, nil)
 		defer e.endExec()
 		return e.runPlan(&pq.plan)

@@ -95,10 +95,6 @@ type CampaignConfig struct {
 	// QueriesPerGraph is the number of ground truths drawn per generated
 	// graph; 0 selects 6.
 	QueriesPerGraph int
-	// NoPlan executes prepared queries on the interpreter instead of
-	// compiled plans (differential debugging; the findings are identical
-	// either way).
-	NoPlan bool
 	// Reports renders the reproducible bug report of each shard's first
 	// detection of each bug into Detection.Report and the journal
 	// payload, so a resumed campaign can still hand it out.

@@ -29,8 +29,8 @@ const (
 // subset of the four GDBs (bit i of gdbs is gdb.All()[i]; 0 means all),
 // graph bounds of at most 13 nodes and 60 relationships, 1-3 workers, a
 // batch of 1-4, a flaky rate of 0-20% and an optional kill: cancel at
-// the killAt-th journal flush (counted modulo the campaign's units) with
-// the journal tail torn on top, or kill the journal file itself once it
+// the killAt-th journal flush (brought into the campaign's unit count)
+// with the journal tail torn on top, or kill the journal file itself once it
 // holds killAt bytes (at least 16). Live faults are left out: their
 // outcomes depend on the wall clock.
 //
@@ -71,16 +71,16 @@ func FuzzCampaign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, iterations, gdbs, maxNodes, maxRels, workers, batch, flakyPct, kill uint8, killAt uint16) {
 		cfg := DefaultCampaignConfig()
 		cfg.Seed = seed
-		cfg.Iterations = decode(iterations, 1, 6)
+		cfg.Iterations = decode(int(iterations), 1, 6)
 		cfg.GDBs = gdbSubset(gdbs)
-		cfg.Graph = graph.GenConfig{MaxNodes: decode(maxNodes, 1, 13), MaxRels: decode(maxRels, 1, 60)}
-		cfg.FlakyRate = float64(decode(flakyPct, 0, 20)) / 100
+		cfg.Graph = graph.GenConfig{MaxNodes: decode(int(maxNodes), 1, 13), MaxRels: decode(int(maxRels), 1, 60)}
+		cfg.FlakyRate = float64(decode(int(flakyPct), 0, 20)) / 100
 		ref := cfg
 		ref.Workers, ref.Batch = 1, 1
 		wantReport, wantLegs := campaignOutcome(RunGQSCampaign(ref))
 
-		cfg.Workers = decode(workers, 1, 3)
-		cfg.Batch = decode(batch, 1, 4)
+		cfg.Workers = decode(int(workers), 1, 3)
+		cfg.Batch = decode(int(batch), 1, 4)
 		check := func(what string, c *Campaign) {
 			t.Helper()
 			report, legs := campaignOutcome(c)
@@ -98,7 +98,7 @@ func FuzzCampaign(f *testing.F) {
 		case flushKill:
 			path := filepath.Join(t.TempDir(), "campaign.journal")
 			units := len(cfg.GDBs) * ((cfg.Iterations + cfg.Batch - 1) / cfg.Batch)
-			at := 1 + int64(killAt)%int64(units)
+			at := int64(decode(int(killAt), 1, units))
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var flushes atomic.Int64 // OnFlush runs on every worker
@@ -138,13 +138,13 @@ func FuzzCampaign(f *testing.F) {
 	})
 }
 
-// decode maps a fuzzed byte into [lo, hi], keeping values already in
+// decode maps a fuzzed value into [lo, hi], keeping values already in
 // range, so a seed states its setting as is.
-func decode(v uint8, lo, hi int) int {
-	if n := int(v); n >= lo && n <= hi {
-		return n
+func decode(v, lo, hi int) int {
+	if v >= lo && v <= hi {
+		return v
 	}
-	return lo + int(v)%(hi-lo+1)
+	return lo + v%(hi-lo+1)
 }
 
 // gdbSubset names the GDBs whose bits are set in mask, in gdb.All()

@@ -25,11 +25,9 @@ import (
 // CampaignFingerprint renders everything that determines a campaign's
 // outcome; see core.CampaignFingerprint for the refusal contract. The
 // target label lists the campaign's GDBs and their modes (Live,
-// FlakyRate). NoPlan and Reports are left out: compiled plans and the
-// interpreter are behaviour-identical by contract (the plandiff gate
-// enforces it), and reports change what is printed, not what is found,
-// so a campaign checkpointed under one setting may resume under the
-// other.
+// FlakyRate). Reports is left out: reports change what is printed, not
+// what is found, so a campaign checkpointed under one setting may resume
+// under the other.
 func CampaignFingerprint(cfg CampaignConfig) string {
 	targets := strings.Join(cfg.gdbs(), ",")
 	if cfg.Live {

@@ -177,7 +177,6 @@ func (r *campaignRun) leg(ctx context.Context, name string) {
 		Live:      cfg.Live,
 		FlakyRate: cfg.FlakyRate,
 		Seed:      cfg.Seed,
-		NoPlan:    cfg.NoPlan,
 	})
 	factory := func(shard int) (core.Target, error) {
 		conn, err := connect(shard)

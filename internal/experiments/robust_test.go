@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqs/internal/core"
+	"gqs/internal/engine"
 	"gqs/internal/faults"
 	"gqs/internal/gdb"
 )
@@ -86,40 +88,97 @@ func (watchdogOnly) CancelAware() bool { return false }
 
 func (w watchdogOnly) SeedShard(shard int) { w.Connector.(core.ShardSeeder).SeedShard(shard) }
 
-// TestInlineMatchesWatchdogCampaign: running cancel-aware connectors'
-// queries on the runner's goroutine changes only where each call runs.
-// The same fixed-seed campaign through the watchdog gives the
-// byte-identical canonical bug report and the same per-GDB Stats,
-// Robust included, with the default simulated faults and with live
-// faults behind a flaky connection under a short deadline.
+// interpreterOnly hands its connector a copy of each prepared query
+// without the compiled plan, so the whole simulated GDB, fault selection
+// and manifestation included, runs on the interpreter. It counts the
+// queries that had a plan, so the differential cannot be vacuous.
+// SeedShard is forwarded, as watchdogOnly does.
+type interpreterOnly struct {
+	gdb.Connector
+	planned *atomic.Int64
+}
+
+func (c interpreterOnly) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
+	if pq.Planned() {
+		c.planned.Add(1)
+	}
+	return c.Connector.ExecutePrepared(ctx, &engine.PreparedQuery{Text: pq.Text, AST: pq.AST, Features: pq.Features})
+}
+
+func (c interpreterOnly) SeedShard(shard int) { c.Connector.(core.ShardSeeder).SeedShard(shard) }
+
+// freshPerShard hides SeedShard, so the executor builds a connector for
+// every shard and closes it after the shard, as it does for the targets
+// of gqs.NewShardedTester.
+type freshPerShard struct{ gdb.Connector }
+
+// TestInlineMatchesWatchdogCampaign compares one fixed-seed campaign run
+// on each connector variant with the plain campaign. Each variant
+// changes only how its queries run: on a watchdog goroutine instead of
+// the runner's own (watchdogOnly), on the interpreter instead of the
+// compiled plans (interpreterOnly), or on a connector built and closed
+// per shard instead of one reseeded per worker (freshPerShard). Each
+// must give the byte-identical canonical bug report and the same per-GDB
+// Stats, Robust included, with the default simulated faults. The
+// watchdog variant must also match with live faults behind a flaky
+// connection. The live scenario's deadline is 200 ms: under -race, with
+// a full `go test -race ./...` running beside it, no query that did not
+// hang took longer than 17 ms, so a slow query cannot pass for a hang.
 func TestInlineMatchesWatchdogCampaign(t *testing.T) {
 	plain := DefaultCampaignConfig()
 	plain.Iterations = 10
 	live := plain
+	live.Iterations = 2
 	live.Live = true
 	live.FlakyRate = 0.12
-	live.Robust = core.RobustnessConfig{Timeout: 40 * time.Millisecond}
-	for name, cfg := range map[string]CampaignConfig{"default-faults": plain, "live-flaky": live} {
-		t.Run(name, func(t *testing.T) {
-			inline := runCampaign(context.Background(), cfg, nil, nil, nil)
-			watchdog := runCampaign(context.Background(), cfg, nil, nil,
-				func(c gdb.Connector) core.Target { return watchdogOnly{c} })
-			if a, b := watchdog.CanonicalBugReport(), inline.CanonicalBugReport(); a != b {
-				t.Fatalf("bug reports diverge:\nwatchdog:\n%s\ninline:\n%s", a, b)
+	live.Robust = core.RobustnessConfig{Timeout: 200 * time.Millisecond}
+	var planned atomic.Int64
+	type variant struct {
+		name string
+		wrap func(gdb.Connector) core.Target
+	}
+	watchdog := variant{"watchdog", func(c gdb.Connector) core.Target { return watchdogOnly{c} }}
+	for _, sc := range []struct {
+		name     string
+		cfg      CampaignConfig
+		variants []variant
+	}{
+		{"default-faults", plain, []variant{
+			watchdog,
+			{"interpreter", func(c gdb.Connector) core.Target { return interpreterOnly{c, &planned} }},
+			{"fresh-per-shard", func(c gdb.Connector) core.Target { return freshPerShard{c} }},
+		}},
+		{"live-flaky", live, []variant{watchdog}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			want := runCampaign(context.Background(), sc.cfg, nil, nil, nil)
+			if len(want.legs) != len(gdb.All()) {
+				t.Fatalf("plain campaign ran %d legs, want %d", len(want.legs), len(gdb.All()))
 			}
-			if len(inline.legs) != len(gdb.All()) || len(watchdog.legs) != len(inline.legs) {
-				t.Fatalf("legs: watchdog %d, inline %d, want %d", len(watchdog.legs), len(inline.legs), len(gdb.All()))
+			if sc.cfg.Live && (want.Robust.Timeouts == 0 || want.Robust.PanicsRecovered == 0 || want.Robust.Retries == 0) {
+				t.Errorf("live scenario too tame to compare the paths: %+v", want.Robust)
 			}
-			for i := range inline.legs {
-				a, b := watchdog.legs[i], inline.legs[i]
-				a.Elapsed, b.Elapsed = 0, 0
-				if a != b {
-					t.Errorf("%s stats diverge:\nwatchdog %+v\ninline   %+v", gdb.All()[i].Name(), a, b)
-				}
-			}
-			if cfg.Live && (inline.Robust.Timeouts == 0 || inline.Robust.PanicsRecovered == 0 || inline.Robust.Retries == 0) {
-				t.Errorf("live scenario too tame to compare the paths: %+v", inline.Robust)
+			for _, v := range sc.variants {
+				t.Run(v.name, func(t *testing.T) {
+					got := runCampaign(context.Background(), sc.cfg, nil, nil, v.wrap)
+					if a, b := got.CanonicalBugReport(), want.CanonicalBugReport(); a != b {
+						t.Fatalf("bug reports diverge:\n%s:\n%s\nplain:\n%s", v.name, a, b)
+					}
+					if len(got.legs) != len(want.legs) {
+						t.Fatalf("legs: %s %d, plain %d", v.name, len(got.legs), len(want.legs))
+					}
+					for i := range want.legs {
+						a, b := got.legs[i], want.legs[i]
+						a.Elapsed, b.Elapsed = 0, 0
+						if a != b {
+							t.Errorf("%s stats diverge:\n%s %+v\nplain %+v", gdb.All()[i].Name(), v.name, a, b)
+						}
+					}
+				})
 			}
 		})
+	}
+	if planned.Load() == 0 {
+		t.Error("no query of the interpreter campaign had a compiled plan: the differential is vacuous")
 	}
 }

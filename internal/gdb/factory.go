@@ -19,10 +19,6 @@ type FactoryConfig struct {
 	// own stream from (Seed, shard), so the injected-failure sequence of
 	// shard i is the same no matter how many workers run the campaign.
 	Seed int64
-	// NoPlan forces every instance onto the interpreter for prepared
-	// queries (the `gqs -no-plan` escape hatch); behaviour-identical to
-	// plan execution by contract, kept for differential debugging.
-	NoPlan bool
 }
 
 // reusable is the connector NewFactory returns: the simulacrum
@@ -65,7 +61,6 @@ func NewFactory(cfg FactoryConfig) func(shard int) (Connector, error) {
 			return nil, err
 		}
 		sim.SetLiveFaults(cfg.Live)
-		sim.SetPlanExecution(!cfg.NoPlan)
 		c := &reusable{Connector: sim, sim: sim, seed: cfg.Seed}
 		if cfg.FlakyRate > 0 {
 			c.flaky = NewFlaky(sim, FlakyConfig{

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"gqs/internal/engine"
 	"gqs/internal/faults"
@@ -55,15 +54,11 @@ type FlakyConfig struct {
 	// ResetErrorRate is the probability a Reset call fails transiently;
 	// it exercises the runner's restart-with-backoff path. Zero disables.
 	ResetErrorRate float64
-	// Latency is added to every call that reaches the wrapped connector,
-	// canceled early if the context expires first.
-	Latency time.Duration
 }
 
 // Flaky wraps a Connector with deterministic, seeded transient-fault
 // injection: some calls fail with a TransientError before reaching the
-// wrapped connector, and surviving calls are delayed by Latency. It
-// models the flaky network between a long-running fuzzing campaign and
+// wrapped connector. It models the flaky network between a long-running fuzzing campaign and
 // its database server, so the harness's retry/backoff machinery can be
 // tested without one.
 type Flaky struct {
@@ -89,8 +84,8 @@ func (f *Flaky) RelUniqueness() bool { return f.inner.RelUniqueness() }
 // ProvidesDBLabels implements Connector.
 func (f *Flaky) ProvidesDBLabels() bool { return f.inner.ProvidesDBLabels() }
 
-// CancelAware implements Connector: the injector's own latency waits on
-// the context, so the wrapper cancels as promptly as its inner connector.
+// CancelAware implements Connector: the injector never waits, so the
+// wrapper cancels as promptly as its inner connector.
 func (f *Flaky) CancelAware() bool { return f.inner.CancelAware() }
 
 // Close implements Connector.
@@ -138,24 +133,14 @@ func (f *Flaky) reseed(seed int64) {
 }
 
 // inject decides whether this call fails before reaching the inner
-// connector (the connection dropped in flight) and otherwise applies the
-// configured latency; both paths keep the inner engine's state
-// independent of the injection.
-func (f *Flaky) inject(ctx context.Context) error {
+// connector (the connection dropped in flight), keeping the inner
+// engine's state independent of the injection.
+func (f *Flaky) inject() error {
 	if f.cfg.ErrorRate > 0 && f.r.Float64() < f.cfg.ErrorRate {
 		f.dropped = true
 		return &TransientError{Reason: f.nextReason()}
 	}
 	f.dropped = false
-	if f.cfg.Latency > 0 {
-		t := time.NewTimer(f.cfg.Latency)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return engine.ErrCanceled
-		}
-	}
 	return nil
 }
 
@@ -167,7 +152,7 @@ func (f *Flaky) Execute(query string) (*engine.Result, error) {
 // ExecuteCtx implements Connector: the injected failure happens before
 // the inner connector sees the query.
 func (f *Flaky) ExecuteCtx(ctx context.Context, query string) (*engine.Result, error) {
-	if err := f.inject(ctx); err != nil {
+	if err := f.inject(); err != nil {
 		return nil, err
 	}
 	return f.inner.ExecuteCtx(ctx, query)
@@ -177,7 +162,7 @@ func (f *Flaky) ExecuteCtx(ctx context.Context, query string) (*engine.Result, e
 // ExecuteCtx: one RNG draw per call, so a campaign sees the identical
 // injected-failure sequence whichever execution path the runner takes.
 func (f *Flaky) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
-	if err := f.inject(ctx); err != nil {
+	if err := f.inject(); err != nil {
 		return nil, err
 	}
 	return f.inner.ExecutePrepared(ctx, pq)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gqs/internal/engine"
 	"gqs/internal/graph"
 )
 
@@ -119,21 +118,6 @@ func TestFlakyResetInjection(t *testing.T) {
 	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 4, MaxRels: 4})
 	if err := fl.Reset(g, schema); !IsTransient(err) {
 		t.Fatalf("reset err = %v, want transient", err)
-	}
-}
-
-// TestFlakyLatencyCancel: injected latency respects the context.
-func TestFlakyLatencyCancel(t *testing.T) {
-	fl := flakyOverReference(t, FlakyConfig{Seed: 6, Latency: time.Hour})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := fl.ExecuteCtx(ctx, `RETURN 1 AS x`)
-	if !errors.Is(err, engine.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if time.Since(start) > 30*time.Second {
-		t.Error("latency ignored the context")
 	}
 }
 

@@ -238,15 +238,6 @@ func (s *Sim) SetLiveFaults(live bool) *Sim {
 	return s
 }
 
-// SetPlanExecution toggles the compiled-plan execution path for prepared
-// queries (see engine.Options.DisablePlan). Plans and the interpreter are
-// behaviour-identical by contract; disabling plans exists for
-// differential debugging (`gqs -no-plan`).
-func (s *Sim) SetPlanExecution(enabled bool) *Sim {
-	s.eng.SetPlanExecution(enabled)
-	return s
-}
-
 // Execute implements Connector: parse, measure, run, then pass the result
 // through the fault catalog.
 func (s *Sim) Execute(query string) (*engine.Result, error) {

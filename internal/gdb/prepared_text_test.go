@@ -43,8 +43,9 @@ func TestPreparedFeaturesMatchText(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rn := core.NewRunner(target, cfg)
-			rn.Reseed(core.ShardSeed(cfg.Seed, shard))
+			rcfg := cfg
+			rcfg.Seed = core.ShardSeed(cfg.Seed, shard)
+			rn := core.NewRunner(target, rcfg)
 			rn.RunIteration(func(tc *core.TestCase) {
 				if tc.Query == "" {
 					return // synthesis failed: nothing was prepared
