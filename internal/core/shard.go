@@ -88,8 +88,9 @@ type ParallelConfig struct {
 	// from the worker goroutine that ran it immediately afterwards (and
 	// after the checkpointer recorded it) with the summed stats of its
 	// shards. It is not called for units restored from the checkpointer,
-	// for units still in flight when the context is canceled — cancellation is monotonic, so a UnitDone call guarantees
-	// the unit's full, uninterrupted stats — nor for units in which any
+	// for units still in flight when the context is canceled —
+	// cancellation is monotonic, so a UnitDone call guarantees the
+	// unit's full, uninterrupted stats — nor for units in which any
 	// shard's target factory failed: a factory error is transient
 	// infrastructure trouble, and recording the unit as complete would
 	// make a resumed campaign skip (never retry) the failed shard.
@@ -193,8 +194,14 @@ func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name strin
 		ctx = context.Background()
 	}
 	start := time.Now()
-	n := max(cfg.Iterations, 0)
-	batch := max(cfg.Batch, 1)
+	n := cfg.Iterations
+	if n < 0 {
+		n = 0
+	}
+	batch := cfg.Batch
+	if batch <= 0 {
+		batch = 1
+	}
 	perShard := make([]Stats, n)
 	// Resume pass: restored units get their recorded stats and never
 	// reach the queue. The feed loop below only sees the rest. A
@@ -219,7 +226,9 @@ func RunCheckpointedParallel(ctx context.Context, cfg ParallelConfig, name strin
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(pending))
+	if workers > len(pending) {
+		workers = len(pending)
+	}
 	var ran, ranQueries, ranElapsed atomic.Int64
 	jobs := make(chan workUnit)
 	var wg sync.WaitGroup

@@ -80,9 +80,9 @@ type CampaignConfig struct {
 	FlakyRate float64
 	// Robust bounds the runner's resilience layer (zero ⇒ defaults).
 	Robust core.RobustnessConfig
-	// Workers is the sharded executor's worker-pool size (core.RunParallel);
-	// 0 selects GOMAXPROCS. The merged bug set is identical for every
-	// worker count at the same seed.
+	// Workers is the sharded executor's worker-pool size; 0 selects
+	// GOMAXPROCS. The merged bug set is identical for every worker count
+	// at the same seed.
 	Workers int
 	// Batch is the sharded executor's work-unit size: each unit a worker
 	// drains is Batch contiguous logical iterations. 0 selects an

@@ -15,9 +15,9 @@ import (
 
 // This file is the campaign pipeline every front-end runs on — the paper
 // tables, the benchmark's checks and the gqs command: one leg per GDB,
-// each fanning the campaign's iterations across core.RunParallel, and a
-// streaming merge of the per-shard detections into a canonical,
-// order-independent report.
+// each fanning the campaign's iterations across the executor
+// (core.RunCheckpointedParallel), and a streaming merge of the per-shard
+// detections into a canonical, order-independent report.
 //
 // The merge is the half of the determinism contract that lives above the
 // executor. Work units complete in wall-clock order, which varies run to
@@ -187,7 +187,7 @@ func (r *campaignRun) leg(ctx context.Context, name string) {
 	}
 
 	// Shard slots are disjoint and observer calls per shard are
-	// sequential, so the logs need no locking (see RunParallel's
+	// sequential, so the logs need no locking (see the executor's
 	// observer contract). The checkpoint hooks obey the same slotting:
 	// Payload runs on the worker that just finished the unit, Restore on
 	// the single-threaded feed loop before any worker starts.
