@@ -91,12 +91,13 @@ func FuzzCampaign(f *testing.F) {
 				t.Fatalf("%s: leg stats diverge from the 1-worker batch-1 run:\ngot:  %+v\nwant: %+v", what, legs, wantLegs)
 			}
 		}
-		switch kill % 3 {
-		case noKill:
+		if kill%3 == noKill {
 			check(fmt.Sprintf("%d workers, batch %d", cfg.Workers, cfg.Batch), RunGQSCampaign(cfg))
 			return
-		case flushKill:
-			path := filepath.Join(t.TempDir(), "campaign.journal")
+		}
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		var killed string
+		if kill%3 == flushKill {
 			units := len(cfg.GDBs) * ((cfg.Iterations + cfg.Batch - 1) / cfg.Batch)
 			at := int64(decode(int(killAt), 1, units))
 			ctx, cancel := context.WithCancel(context.Background())
@@ -115,11 +116,8 @@ func FuzzCampaign(f *testing.F) {
 			}
 			file.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xba, 0xad}) //nolint:errcheck
 			file.Close()
-			re := openCheckpoint(t, cfg, core.CheckpointConfig{Path: path, Every: 1, Resume: true})
-			defer re.Close()
-			check(fmt.Sprintf("resumed after flush %d", at), RunGQSCampaignDurable(context.Background(), cfg, re))
-		case journalCut:
-			path := filepath.Join(t.TempDir(), "campaign.journal")
+			killed = fmt.Sprintf("flush %d", at)
+		} else {
 			budget := max(int64(killAt), 16)
 			ck := openCheckpoint(t, cfg, core.CheckpointConfig{Path: path, Every: 1, Journal: journal.Options{
 				OpenFile: func(p string) (journal.File, error) {
@@ -129,12 +127,13 @@ func FuzzCampaign(f *testing.F) {
 					}
 					return journal.NewFaultFile(file, journal.FaultConfig{KillAfterBytes: budget}), nil
 				}}})
-			check(fmt.Sprintf("journal killed at %d bytes", budget), RunGQSCampaignDurable(context.Background(), cfg, ck))
+			killed = fmt.Sprintf("a journal killed at %d bytes", budget)
+			check(killed, RunGQSCampaignDurable(context.Background(), cfg, ck))
 			ck.Close()
-			re := openCheckpoint(t, cfg, core.CheckpointConfig{Path: path, Every: 1, Resume: true})
-			defer re.Close()
-			check(fmt.Sprintf("resumed after a journal killed at %d bytes", budget), RunGQSCampaignDurable(context.Background(), cfg, re))
 		}
+		re := openCheckpoint(t, cfg, core.CheckpointConfig{Path: path, Every: 1, Resume: true})
+		defer re.Close()
+		check("resumed after "+killed, RunGQSCampaignDurable(context.Background(), cfg, re))
 	})
 }
 

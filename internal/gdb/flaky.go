@@ -58,9 +58,9 @@ type FlakyConfig struct {
 
 // Flaky wraps a Connector with deterministic, seeded transient-fault
 // injection: some calls fail with a TransientError before reaching the
-// wrapped connector. It models the flaky network between a long-running fuzzing campaign and
-// its database server, so the harness's retry/backoff machinery can be
-// tested without one.
+// wrapped connector. It models the flaky network between a long-running
+// fuzzing campaign and its database server, so the harness's
+// retry/backoff machinery can be tested without one.
 type Flaky struct {
 	inner Connector
 	cfg   FlakyConfig
