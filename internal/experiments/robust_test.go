@@ -134,10 +134,11 @@ func TestInlineMatchesWatchdogCampaign(t *testing.T) {
 	live.Robust = core.RobustnessConfig{Timeout: 200 * time.Millisecond}
 	var planned atomic.Int64
 	type variant struct {
-		name string
-		wrap func(gdb.Connector) core.Target
+		name  string
+		wrap  func(gdb.Connector) core.Target
+		check func(t *testing.T) // optional, after the comparison
 	}
-	watchdog := variant{"watchdog", func(c gdb.Connector) core.Target { return watchdogOnly{c} }}
+	watchdog := variant{name: "watchdog", wrap: func(c gdb.Connector) core.Target { return watchdogOnly{c} }}
 	for _, sc := range []struct {
 		name     string
 		cfg      CampaignConfig
@@ -145,8 +146,13 @@ func TestInlineMatchesWatchdogCampaign(t *testing.T) {
 	}{
 		{"default-faults", plain, []variant{
 			watchdog,
-			{"interpreter", func(c gdb.Connector) core.Target { return interpreterOnly{c, &planned} }},
-			{"fresh-per-shard", func(c gdb.Connector) core.Target { return freshPerShard{c} }},
+			{name: "interpreter", wrap: func(c gdb.Connector) core.Target { return interpreterOnly{c, &planned} },
+				check: func(t *testing.T) {
+					if planned.Load() == 0 {
+						t.Error("no query had a compiled plan to strip: the differential is vacuous")
+					}
+				}},
+			{name: "fresh-per-shard", wrap: func(c gdb.Connector) core.Target { return freshPerShard{c} }},
 		}},
 		{"live-flaky", live, []variant{watchdog}},
 	} {
@@ -174,11 +180,11 @@ func TestInlineMatchesWatchdogCampaign(t *testing.T) {
 							t.Errorf("%s stats diverge:\n%s %+v\nplain %+v", gdb.All()[i].Name(), v.name, a, b)
 						}
 					}
+					if v.check != nil {
+						v.check(t)
+					}
 				})
 			}
 		})
-	}
-	if planned.Load() == 0 {
-		t.Error("no query of the interpreter campaign had a compiled plan: the differential is vacuous")
 	}
 }
