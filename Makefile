@@ -61,6 +61,10 @@ bench:
 # FuzzPlanVsInterp input runs ten engines, a FuzzAdjIndex input builds a
 # graph and runs up to seven queries on two engines, and a FuzzCampaign
 # input runs two to three campaigns, so their caps are 1s too.
+# A FuzzCampaign input takes about 0.15s, and Go re-runs a target's whole
+# local cache before it fuzzes, so from the second run on the cache
+# would eat the 10s; its cache is removed first, and the committed seeds
+# still run first, as on a fresh cache.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/cypher/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroundTruth$$' -fuzztime 10s ./internal/core/
@@ -69,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardLogsDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanVsInterp$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
+	rm -rf "$$($(GO) env GOCACHE)/fuzz/gqs/internal/experiments/FuzzCampaign"
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaign$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 
 # Planned-vs-interpreted differential under the race detector: every

@@ -40,17 +40,32 @@ var ErrFingerprintMismatch = errors.New("checkpoint: campaign fingerprint mismat
 // batch is part of the fingerprint because it fixes the work-unit
 // ranges the journal records: resuming a batch=4 journal under batch=1
 // would misalign every unit. (The batch never affects what a shard
-// computes — only how completion is bucketed for durability.) The
-// string still carries "mode=sharded", from when a second executor
-// existed, so journals written before its removal keep resuming.
+// computes — only how completion is bucketed for durability.)
+//
+// The format is explicit, field by field. It spells what formatting the
+// configurations with %+v once gave, so older journals keep resuming:
+// "mode=sharded" dates from a second executor, the graph vocabulary
+// sizes (now constants of package graph) print as the zeros every
+// campaign configuration carried, and the synthesis constants print
+// their values. A new RunnerConfig field must be printed here; one that
+// is off by default only when set, so that existing journals resume.
 func CampaignFingerprint(targets, catalog string, workers, batch, iterations int, rcfg RunnerConfig) string {
 	if batch <= 0 {
 		batch = 1
 	}
-	return fmt.Sprintf(
-		"gqs-checkpoint-v%d mode=sharded targets=%s catalog=%s workers=%d batch=%d iterations=%d seed=%d graph=%+v synth=%+v qpg=%d qpgt=%d robust=%+v",
-		checkpointVersion, targets, catalog, workers, batch, iterations,
-		rcfg.Seed, rcfg.Graph, rcfg.Synth, rcfg.QueriesPerGraph, rcfg.QueriesPerGT, rcfg.Robust)
+	g, s, rb := rcfg.Graph, rcfg.Synth, rcfg.Robust
+	return fmt.Sprintf("gqs-checkpoint-v%d mode=sharded targets=%s catalog=%s workers=%d batch=%d iterations=%d seed=%d"+
+		" graph={MaxNodes:%d MaxRels:%d NumLabels:0 NumRelTypes:0 NumProps:0 MaxLabelsPerNode:0 MaxPropsPerElem:0 SelfLoopPercent:%d Scale:%d}"+
+		" synth={MaxSteps:%d Plan:{MaxResultSet:%d MaxExtraElems:%d MaxAliases:%d MaxLists:%d} ExprDepth:%d"+
+		" RelUniqueness:%t ProvidesDBLabels:%t OptionalMatchPct:%d UnionPct:%d CallPct:%d TruePredPct:%d"+
+		" DisableMutation:%t DisableComplexExprs:%t} qpg=%d qpgt=%d robust={Timeout:%v Grace:%v Retries:%d"+
+		" RetryBackoff:%v RestartAttempts:%d RestartBackoff:%v RestartBackoffMax:%v BreakerThreshold:%d}",
+		checkpointVersion, targets, catalog, workers, batch, iterations, rcfg.Seed,
+		g.MaxNodes, g.MaxRels, g.SelfLoopPercent, g.Scale,
+		s.MaxSteps, s.Plan.MaxResultSet, maxExtraElems, maxAliases, maxLists, exprDepth,
+		s.RelUniqueness, s.ProvidesDBLabels, optionalMatchPct, unionPct, callPct, truePredPct,
+		s.DisableMutation, s.DisableComplexExprs, rcfg.QueriesPerGraph, rcfg.QueriesPerGT, rb.Timeout, rb.Grace, rb.Retries,
+		rb.RetryBackoff, rb.RestartAttempts, rb.RestartBackoff, rb.RestartBackoffMax, rb.BreakerThreshold)
 }
 
 // UnitRecord is one completed work unit: a contiguous range of Count

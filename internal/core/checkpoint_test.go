@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,6 +223,40 @@ func TestCampaignFingerprintSensitivity(t *testing.T) {
 			t.Errorf("fingerprint insensitive to %s", name)
 		}
 	}
+}
+
+// TestCampaignFingerprintCoversRunnerConfig: changing any leaf field of a
+// RunnerConfig — graph, synthesis and plan settings, query counts,
+// robustness bounds — changes the fingerprint. A field added to the
+// configuration but left out of the format fails here, instead of
+// letting a journal resume under a different setting.
+func TestCampaignFingerprintCoversRunnerConfig(t *testing.T) {
+	cfg := DefaultRunnerConfig()
+	base := CampaignFingerprint("reference", "cat", 1, 1, 10, cfg)
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: no change defined for a %s field", path, v.Kind())
+		}
+		if CampaignFingerprint("reference", "cat", 1, 1, 10, cfg) == base {
+			t.Errorf("fingerprint insensitive to %s", path)
+		}
+		v.Set(old)
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "RunnerConfig")
 }
 
 // TestCheckpointedParallelResume: a sharded campaign canceled after some

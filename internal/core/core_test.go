@@ -33,7 +33,7 @@ func TestBuildPlanConstraints(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 20})
 	gt := SelectGroundTruth(r, g, 4)
-	p := BuildPlan(r, g, gt, DefaultPlanConfig())
+	p := BuildPlan(r, g, gt)
 
 	// Every ground-truth entry has an access op and its element has an
 	// add and a remove.
@@ -75,7 +75,7 @@ func TestScheduleRespectsConstraints(t *testing.T) {
 	g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
 	for trial := 0; trial < 100; trial++ {
 		gt := SelectGroundTruth(r, g, 5)
-		p := BuildPlan(r, g, gt, DefaultPlanConfig())
+		p := BuildPlan(r, g, gt)
 		steps := Schedule(r, p, 9)
 
 		pos := map[*Operation]int{}
@@ -116,7 +116,7 @@ func TestScheduleVarsTracking(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	g, _ := graph.Generate(r, graph.GenConfig{MaxNodes: 8, MaxRels: 20})
 	gt := SelectGroundTruth(r, g, 3)
-	p := BuildPlan(r, g, gt, DefaultPlanConfig())
+	p := BuildPlan(r, g, gt)
 	steps := Schedule(r, p, 9)
 	// VarsBefore of step i+1 equals VarsAfter of step i.
 	for i := 1; i < len(steps); i++ {
@@ -240,7 +240,7 @@ func TestUniquifyGuarantee(t *testing.T) {
 		syn := NewSynthesizer(r, g, schema, DefaultConfig())
 		gt := SelectGroundTruth(r, g, 3)
 		syn.reset()
-		syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt, DefaultPlanConfig())
+		syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt)
 		var required []elemRef
 		for _, o := range syn.plan.Ops {
 			if o.Kind == OpAddElem {

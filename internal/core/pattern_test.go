@@ -186,7 +186,7 @@ func TestEncodeChainsBindings(t *testing.T) {
 	syn := NewSynthesizer(r, g, schema, DefaultConfig())
 	gt := SelectGroundTruth(r, g, 2)
 	syn.reset()
-	syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt, DefaultPlanConfig())
+	syn.plan.build(r, g.NodeIDs(), g.RelIDs(), gt)
 	var required []elemRef
 	for _, o := range syn.plan.Ops {
 		if o.Kind == OpAddElem {

@@ -80,16 +80,20 @@ func (p *Plan) nextAlias() string {
 
 // PlanConfig bounds the plan size.
 type PlanConfig struct {
-	MaxResultSet  int // maximum ground-truth entries (paper: 6)
-	MaxExtraElems int // supplementary elements
-	MaxAliases    int // supplementary aliases
-	MaxLists      int // supplementary list expansions
+	MaxResultSet int // maximum ground-truth entries (paper: 6)
 }
 
 // DefaultPlanConfig mirrors the paper's setup (§5.1).
 func DefaultPlanConfig() PlanConfig {
-	return PlanConfig{MaxResultSet: 6, MaxExtraElems: 7, MaxAliases: 2, MaxLists: 2}
+	return PlanConfig{MaxResultSet: 6}
 }
+
+// The bounds on a plan's supplementary operations (§5.1).
+const (
+	maxExtraElems = 7 // supplementary elements
+	maxAliases    = 2 // supplementary aliases
+	maxLists      = 2 // supplementary list expansions
+)
 
 // gtEnumLimit bounds the full property enumeration below: above it
 // (bulk-generated graphs) SelectGroundTruth switches to element
@@ -272,19 +276,19 @@ func selectGroundTruthSampled(r *rand.Rand, g *graph.Graph, maxEntries int) *Gro
 // BuildPlan turns a ground truth into the operation DAG of §3.2–3.3:
 // essential operations for each expected property (E+ ≺ (E,p)+ ⪯ E-) and
 // random supplementary operations, each with its paired removal.
-func BuildPlan(r *rand.Rand, g *graph.Graph, gt *GroundTruth, cfg PlanConfig) *Plan {
+func BuildPlan(r *rand.Rand, g *graph.Graph, gt *GroundTruth) *Plan {
 	p := &Plan{}
-	p.build(r, g.NodeIDs(), g.RelIDs(), gt, cfg)
+	p.build(r, g.NodeIDs(), g.RelIDs(), gt)
 	return p
 }
 
 // build is BuildPlan into p, reusing p's storage, over the graph's
 // ascending node and relationship ID lists.
-func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth, cfg PlanConfig) {
+func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth) {
 	// Every loop below adds at most this many operations: three per
 	// entry, two per extra element, and four (the item and an anchor
 	// element) per alias or list.
-	bound := 3*len(gt.Entries) + 2*max(cfg.MaxExtraElems, 0) + 4*max(cfg.MaxAliases, 0) + 4*max(cfg.MaxLists, 0)
+	bound := 3*len(gt.Entries) + 2*maxExtraElems + 4*maxAliases + 4*maxLists
 	if cap(p.opBuf) < bound {
 		p.opBuf = make([]Operation, 0, bound)
 	}
@@ -311,7 +315,7 @@ func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth, 
 	// on each iteration; the draw schedule depends on it.
 
 	// Extra elements.
-	for i := 0; i < r.Intn(cfg.MaxExtraElems+1); i++ {
+	for i := 0; i < r.Intn(maxExtraElems+1); i++ {
 		ref, ok := randomRef(r, nodeIDs, relIDs)
 		if !ok {
 			break
@@ -326,7 +330,7 @@ func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth, 
 	// Supplementary aliases. Most are anchored on an element that must be
 	// in scope when the alias is created (N+ ≺ a+ ⪯ N-, a+ ≺ a-); some
 	// are pure expressions with no anchor.
-	for i := 0; i < r.Intn(cfg.MaxAliases+1); i++ {
+	for i := 0; i < r.Intn(maxAliases+1); i++ {
 		alias := p.nextAlias()
 		aAdd := p.newOp(Operation{Kind: OpAddAlias, Var: alias, Element: -1})
 		aRem := p.newOp(Operation{Kind: OpRemoveAlias, Var: alias})
@@ -346,7 +350,7 @@ func (p *Plan) build(r *rand.Rand, nodeIDs, relIDs []graph.ID, gt *GroundTruth, 
 	// their element; unanchored ones are constant lists, which lets the
 	// scheduler place the UNWIND before the first MATCH — the Figure 17
 	// query shape.
-	for i := 0; i < r.Intn(cfg.MaxLists+1); i++ {
+	for i := 0; i < r.Intn(maxLists+1); i++ {
 		alias := p.nextAlias()
 		lAdd := p.newOp(Operation{Kind: OpExpandList, Var: alias, Element: -1})
 		lRem := p.newOp(Operation{Kind: OpTruncList, Var: alias})

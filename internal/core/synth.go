@@ -16,20 +16,14 @@ import (
 // experimental setup (§5.1): up to 9 synthesis steps and an expected
 // result set of at most 6 properties.
 type Config struct {
-	MaxSteps  int
-	Plan      PlanConfig
-	ExprDepth int // nesting depth bound for §3.5 expressions
+	MaxSteps int
+	Plan     PlanConfig
 
 	// Target-dialect awareness (§4, "Handling GDB-specific Cypher
 	// Variations"): without relationship uniqueness GQS appends pairwise
 	// `<>` predicates; with db.labels() it may prepend a CALL prologue.
 	RelUniqueness    bool
 	ProvidesDBLabels bool
-
-	OptionalMatchPct int // % of MATCH steps synthesized as OPTIONAL MATCH
-	UnionPct         int // % of queries extended with a UNION branch
-	CallPct          int // % of queries prefixed with a CALL prologue
-	TruePredPct      int // % chance of each extra dependency predicate
 
 	// Ablations (§4 of DESIGN.md).
 	DisableMutation     bool // no pattern mutation against history
@@ -41,15 +35,20 @@ func DefaultConfig() Config {
 	return Config{
 		MaxSteps:         9,
 		Plan:             DefaultPlanConfig(),
-		ExprDepth:        4,
 		RelUniqueness:    true,
 		ProvidesDBLabels: true,
-		OptionalMatchPct: 25,
-		UnionPct:         10,
-		CallPct:          10,
-		TruePredPct:      60,
 	}
 }
+
+// The synthesis bounds and percentages of the paper's setup (§5.1), the
+// same for every query.
+const (
+	exprDepth        = 4  // nesting depth bound for §3.5 expressions
+	optionalMatchPct = 25 // % of MATCH steps synthesized as OPTIONAL MATCH
+	unionPct         = 10 // % of queries extended with a UNION branch
+	callPct          = 10 // % of queries prefixed with a CALL prologue
+	truePredPct      = 60 // % chance of each extra dependency predicate
+)
 
 // Synthesized is one synthesized test case: the query, its text, and the
 // expected result established before synthesis (the ground truth plus the
@@ -221,11 +220,11 @@ func (s *Synthesizer) reset() {
 
 func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized, error) {
 	s.reset()
-	s.plan.build(s.r, s.nodeIDs, s.relIDs, gt, s.cfg.Plan)
+	s.plan.build(s.r, s.nodeIDs, s.relIDs, gt)
 	steps := Schedule(s.r, &s.plan, s.cfg.MaxSteps)
 
 	var clauses []ast.Clause
-	if s.cfg.ProvidesDBLabels && s.pct(s.cfg.CallPct) {
+	if s.cfg.ProvidesDBLabels && s.pct(callPct) {
 		clauses = append(clauses, s.callPrologue()...)
 	}
 	for i, step := range steps {
@@ -249,7 +248,7 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 	q := &ast.Query{Parts: []*ast.SingleQuery{{Clauses: clauses}}}
 	expected := s.tracker.Result(gt.ExpectedColumns())
 
-	if allowUnion && s.pct(s.cfg.UnionPct) {
+	if allowUnion && s.pct(unionPct) {
 		if s.union == nil {
 			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
 		}
@@ -342,7 +341,7 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 			access, id, _ := s.pinAccess(p)
 			preds = append(preds, s.nodes.bin(ast.OpEq, access, s.nodes.lit(id)))
 		} else {
-			preds = append(preds, s.pinPredicate(p, s.cfg.ExprDepth))
+			preds = append(preds, s.pinPredicate(p, exprDepth))
 		}
 	}
 	if !s.cfg.RelUniqueness {
@@ -364,8 +363,8 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 		s.bindScope(cv.name, cv.ref)
 	}
 
-	for s.pct(s.cfg.TruePredPct) {
-		preds = append(preds, s.truePredicate(s.cfg.ExprDepth))
+	for s.pct(truePredPct) {
+		preds = append(preds, s.truePredicate(exprDepth))
 		if len(preds) > 8 {
 			break
 		}
@@ -377,7 +376,7 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 		parts[i] = ec.part
 	}
 	return &ast.MatchClause{
-		Optional: s.pct(s.cfg.OptionalMatchPct),
+		Optional: s.pct(optionalMatchPct),
 		Patterns: parts,
 		Where:    s.nodes.and(preds),
 	}, nil
@@ -424,7 +423,7 @@ func (s *Synthesizer) synthUnwind(step *Step) (ast.Clause, error) {
 	}
 	items := s.nodes.args(size)
 	for i := range items {
-		items[i] = s.randomScalarExpr(s.cfg.ExprDepth / 2)
+		items[i] = s.randomScalarExpr(exprDepth / 2)
 	}
 	// Anchor the first item on the operation's element when its variable
 	// is in scope, building a cross-step dependency.
@@ -481,7 +480,7 @@ func (s *Synthesizer) itemExpr(o *Operation, v string) (ast.Expr, error) {
 	if e := s.entityAliasExpr(o); e != nil {
 		return e, nil
 	}
-	return s.randomScalarExpr(s.cfg.ExprDepth / 2), nil
+	return s.randomScalarExpr(exprDepth / 2), nil
 }
 
 // synthProjection concretizes a WITH or (when last) the final RETURN.
@@ -568,7 +567,7 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	}
 	w := &ast.WithClause{Projection: proj}
 	if s.pct(30) {
-		pred := s.truePredicate(s.cfg.ExprDepth / 2)
+		pred := s.truePredicate(exprDepth / 2)
 		w.Where = pred
 		if err := s.tracker.Filter(pred); err != nil {
 			return nil, err

@@ -67,8 +67,8 @@ func Prepare(text string) (*PreparedQuery, error) {
 // PrepareAST prepares an already-parsed (or synthesizer-built) query,
 // skipping the parse entirely: the synthesizer prints text from the AST
 // it constructs, so re-parsing that text would only rebuild the same
-// tree. text must be the rendering of q (it keys the feature hash and
-// compatibility paths). The AST is treated as immutable from here on,
+// tree. text must be the rendering of q: targets that take only text
+// execute it in q's place. The AST is treated as immutable from here on,
 // exactly as if the parser had returned it.
 func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 	pq := &PreparedQuery{Text: text, AST: q, Features: metrics.AnalyzeAST(q)}

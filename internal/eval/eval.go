@@ -54,8 +54,21 @@ const stackMaxRetain = 4096
 func (c *Ctx) StackMark() int { return len(c.stack) }
 
 // Release truncates the value stack to a height StackMark returned,
-// dropping the lists built on it since.
-func (c *Ctx) Release(mark int) { c.stack = c.stack[:mark] }
+// dropping the lists built on it since. Race builds also poison the
+// freed slots (poisonReleased).
+func (c *Ctx) Release(mark int) {
+	if poisonReleased {
+		for i := mark; i < len(c.stack); i++ {
+			c.stack[i] = releasedSlot
+		}
+	}
+	c.stack = c.stack[:mark]
+}
+
+// releasedSlot is what a race build writes into a released slot: a
+// string no query builds, so a result read through an escaped view
+// differs from the interpreter's.
+var releasedSlot = value.Str("\x00released value-stack slot")
 
 // ResetStack empties the value stack, dropping the references its
 // storage holds and keeping at most stackMaxRetain values of it. An

@@ -220,3 +220,21 @@ func TestGraphCtxMissingEntities(t *testing.T) {
 		t.Error("missing rel must report !ok")
 	}
 }
+
+// TestReleasePoisonsUnderRace: a race build's Release overwrites the
+// value-stack slots it frees, so a view that outlives its consumer reads
+// releasedSlot; a normal build only truncates.
+func TestReleasePoisonsUnderRace(t *testing.T) {
+	var ctx Ctx
+	mark := ctx.StackMark()
+	ctx.stack = append(ctx.stack, value.Int(1), value.Int(2))
+	view := ctx.stack[mark:]
+	ctx.Release(mark)
+	want := []value.Value{value.Int(1), value.Int(2)}
+	if poisonReleased {
+		want = []value.Value{releasedSlot, releasedSlot}
+	}
+	if view[0] != want[0] || view[1] != want[1] {
+		t.Errorf("released slots hold %v, want %v (poisonReleased %t)", view, want, poisonReleased)
+	}
+}

@@ -194,6 +194,23 @@ func TestResumeRefusesChangedConfig(t *testing.T) {
 	}
 }
 
+// TestCampaignFingerprintFormat pins the default campaign's fingerprint
+// byte for byte: a journal resumes only under an equal string, so a
+// format change here refuses every journal written before it. The
+// catalog digest changes with the fault catalog, as it should.
+func TestCampaignFingerprintFormat(t *testing.T) {
+	const want = "gqs-checkpoint-v1 mode=sharded targets=neo4j,memgraph,kuzu,falkordb catalog=c3137471899b3d0f" +
+		" workers=0 batch=1 iterations=60 seed=1" +
+		" graph={MaxNodes:13 MaxRels:60 NumLabels:0 NumRelTypes:0 NumProps:0 MaxLabelsPerNode:0 MaxPropsPerElem:0 SelfLoopPercent:0 Scale:0}" +
+		" synth={MaxSteps:9 Plan:{MaxResultSet:6 MaxExtraElems:7 MaxAliases:2 MaxLists:2} ExprDepth:4" +
+		" RelUniqueness:true ProvidesDBLabels:true OptionalMatchPct:25 UnionPct:10 CallPct:10 TruePredPct:60" +
+		" DisableMutation:false DisableComplexExprs:false} qpg=6 qpgt=2" +
+		" robust={Timeout:0s Grace:0s Retries:0 RetryBackoff:0s RestartAttempts:0 RestartBackoff:0s RestartBackoffMax:0s BreakerThreshold:0}"
+	if got := CampaignFingerprint(DefaultCampaignConfig()); got != want {
+		t.Errorf("fingerprint changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDurableCampaignCountsUndecodablePayloads: a restored unit whose
 // payload does not decode is counted, not merged silently as empty. Its
 // tallies still come from the journal, so the campaign totals stay

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 
 	"gqs/internal/value"
@@ -48,16 +47,7 @@ func generateBulk(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		nRels = bulkRelFactor * nNodes
 	}
 
-	s := &Schema{Props: make(map[string]PropType, cfg.NumProps)}
-	for i := 0; i < cfg.NumLabels; i++ {
-		s.Labels = append(s.Labels, fmt.Sprintf("L%d", i))
-	}
-	for i := 0; i < cfg.NumRelTypes; i++ {
-		s.RelTypes = append(s.RelTypes, fmt.Sprintf("T%d", i))
-	}
-	for i := 0; i < cfg.NumProps; i++ {
-		s.Props[fmt.Sprintf("k%d", i)] = PropType(i % 5)
-	}
+	s := newSchema()
 	// One declared index per label over k0. Every node carries k0 = id,
 	// so any node is reachable through a selective probe — the bench's
 	// anchored per-hop queries rely on this.

@@ -73,14 +73,9 @@ func (s *Schema) PropNames() []string {
 // paper's experimental setup (§5.1): graphs of at most 13 nodes and 500
 // relationships.
 type GenConfig struct {
-	MaxNodes         int // upper bound on nodes; at least 2 are generated
-	MaxRels          int // upper bound on relationships
-	NumLabels        int // size of the label vocabulary (L0..Ln-1)
-	NumRelTypes      int // size of the type vocabulary (T0..Tn-1)
-	NumProps         int // size of the property-name vocabulary (k0..kn-1)
-	MaxLabelsPerNode int
-	MaxPropsPerElem  int
-	SelfLoopPercent  int // percentage of relationships allowed to be self-loops
+	MaxNodes        int // upper bound on nodes; at least 2 are generated
+	MaxRels         int // upper bound on relationships
+	SelfLoopPercent int // percentage of relationships allowed to be self-loops
 	// Scale, when positive, switches Generate to the bulk generator
 	// (see bulk.go): a power-law-degree graph of exactly Scale nodes
 	// built in batch, sized for the large-graph workloads. Zero keeps
@@ -90,17 +85,20 @@ type GenConfig struct {
 
 // DefaultGenConfig returns the paper's configuration.
 func DefaultGenConfig() GenConfig {
-	return GenConfig{
-		MaxNodes:         13,
-		MaxRels:          500,
-		NumLabels:        13,
-		NumRelTypes:      11,
-		NumProps:         100,
-		MaxLabelsPerNode: 3,
-		MaxPropsPerElem:  6,
-		SelfLoopPercent:  5,
-	}
+	return GenConfig{MaxNodes: 13, MaxRels: 500, SelfLoopPercent: 5}
 }
+
+// The vocabulary and element bounds of the paper's setup (§5.1), the
+// same for every generated graph: labels L0..L12, relationship types
+// T0..T10 and property names k0..k99; a node carries one to three
+// labels, an element up to six properties.
+const (
+	numLabels        = 13
+	numRelTypes      = 11
+	numProps         = 100
+	maxLabelsPerNode = 3
+	maxPropsPerElem  = 6
+)
 
 func (c GenConfig) withDefaults() GenConfig {
 	d := DefaultGenConfig()
@@ -112,22 +110,23 @@ func (c GenConfig) withDefaults() GenConfig {
 	if c.MaxRels <= 0 {
 		c.MaxRels = d.MaxRels
 	}
-	if c.NumLabels <= 0 {
-		c.NumLabels = d.NumLabels
-	}
-	if c.NumRelTypes <= 0 {
-		c.NumRelTypes = d.NumRelTypes
-	}
-	if c.NumProps <= 0 {
-		c.NumProps = d.NumProps
-	}
-	if c.MaxLabelsPerNode <= 0 {
-		c.MaxLabelsPerNode = d.MaxLabelsPerNode
-	}
-	if c.MaxPropsPerElem <= 0 {
-		c.MaxPropsPerElem = d.MaxPropsPerElem
-	}
 	return c
+}
+
+// newSchema returns the fixed vocabulary every generator draws from;
+// property kN has type N mod 5.
+func newSchema() *Schema {
+	s := &Schema{Props: make(map[string]PropType, numProps)}
+	for i := 0; i < numLabels; i++ {
+		s.Labels = append(s.Labels, fmt.Sprintf("L%d", i))
+	}
+	for i := 0; i < numRelTypes; i++ {
+		s.RelTypes = append(s.RelTypes, fmt.Sprintf("T%d", i))
+	}
+	for i := 0; i < numProps; i++ {
+		s.Props[fmt.Sprintf("k%d", i)] = PropType(i % 5)
+	}
+	return s
 }
 
 // Generate produces a random labeled property graph and its schema,
@@ -141,23 +140,13 @@ func Generate(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		return generateBulk(r, cfg)
 	}
 	cfg = cfg.withDefaults()
-	s := &Schema{Props: make(map[string]PropType, cfg.NumProps)}
-	for i := 0; i < cfg.NumLabels; i++ {
-		s.Labels = append(s.Labels, fmt.Sprintf("L%d", i))
-	}
-	for i := 0; i < cfg.NumRelTypes; i++ {
-		s.RelTypes = append(s.RelTypes, fmt.Sprintf("T%d", i))
-	}
-	for i := 0; i < cfg.NumProps; i++ {
-		s.Props[fmt.Sprintf("k%d", i)] = PropType(i % 5)
-	}
-
+	s := newSchema()
 	g := New()
 	nNodes := 2 + r.Intn(cfg.MaxNodes-1)
 	for i := 0; i < nNodes; i++ {
-		labels := pickDistinct(r, s.Labels, 1+r.Intn(cfg.MaxLabelsPerNode))
+		labels := pickDistinct(r, s.Labels, 1+r.Intn(maxLabelsPerNode))
 		n := g.NewNode(labels...)
-		fillProps(r, s, n.Props, cfg.MaxPropsPerElem)
+		fillProps(r, s, n.Props, maxPropsPerElem)
 	}
 	ids := g.NodeIDs()
 	nRels := 1 + r.Intn(cfg.MaxRels)
@@ -172,7 +161,7 @@ func Generate(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 		if err != nil {
 			panic("graph: generated relationship between missing nodes: " + err.Error())
 		}
-		fillProps(r, s, rel.Props, cfg.MaxPropsPerElem)
+		fillProps(r, s, rel.Props, maxPropsPerElem)
 	}
 
 	// Index a handful of label+property combinations, as the paper's
@@ -181,7 +170,7 @@ func Generate(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	for i := 0; i < nIdx; i++ {
 		s.Indexes = append(s.Indexes, IndexSpec{
 			Label:    s.Labels[r.Intn(len(s.Labels))],
-			Property: fmt.Sprintf("k%d", r.Intn(cfg.NumProps)),
+			Property: fmt.Sprintf("k%d", r.Intn(numProps)),
 		})
 	}
 	return g, s

@@ -192,9 +192,9 @@ func checkPropType(t *testing.T, s *Schema, name string, v value.Value) {
 }
 
 func TestSchemaPropNames(t *testing.T) {
-	_, s := Generate(rand.New(rand.NewSource(3)), GenConfig{NumProps: 7})
+	_, s := Generate(rand.New(rand.NewSource(3)), GenConfig{})
 	names := s.PropNames()
-	if len(names) != 7 || names[0] != "k0" || names[6] != "k6" {
+	if len(names) != 100 || names[0] != "k0" || names[99] != "k99" {
 		t.Errorf("PropNames = %v", names)
 	}
 }
