@@ -86,9 +86,11 @@ func (db *DB) ExecutePrepared(pq *PreparedQuery) (*Result, error) {
 // PreparedTarget is the optional prepared-execution extension of Target:
 // connectors that implement it are handed each synthesized query parsed
 // and analyzed once (one parse per oracle check instead of one per call),
-// with transient-error retries reusing the same PreparedQuery. The
-// bundled simulated GDBs implement it; text-only targets get the query
-// text through ExecuteCtx.
+// with transient-error retries reusing the same PreparedQuery. The query
+// handed to ExecutePrepared is valid for that call and its retries: the
+// tester reuses its memory for the next query, so a target must not keep
+// it. The bundled simulated GDBs implement it; text-only targets get the
+// query text through ExecuteCtx.
 type PreparedTarget interface {
 	Target
 	ExecutePrepared(ctx context.Context, pq *PreparedQuery) (*Result, error)

@@ -240,8 +240,11 @@ func (rn *Runner) executeGuarded(pq *engine.PreparedQuery) execOutcome {
 
 // wedged is the outcome of a call that ignored cancellation past the
 // grace window: a timeout whose result, if any, is discarded, and
-// whose target is restarted.
+// whose target is restarted. A call the watchdog abandoned may still be
+// running the query's plan, so the runner leaves it the scratch the plan
+// lives in and prepares the next query into a new one.
 func (rn *Runner) wedged() execOutcome {
+	rn.scratch = new(engine.Scratch)
 	return execOutcome{
 		timedOut: true,
 		wedged:   true,

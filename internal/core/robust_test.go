@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -571,5 +572,98 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	}
 	if st.Robust.Restarts != base.Restarts+1 {
 		t.Errorf("Restarts = %d, want %d (exactly the closing probe)", st.Robust.Restarts, base.Restarts+1)
+	}
+}
+
+// wedgingTarget is the reference connector, except that its k-th call
+// wedges: it ignores cancellation and keeps running the query's plan on
+// an engine of its own until release is closed, checking that every run
+// gives the first run's outcome.
+type wedgingTarget struct {
+	*gdb.Sim
+	k, calls    int
+	release     chan struct{}
+	snap        *graph.Snapshot
+	schema      *graph.Schema
+	runs        atomic.Int64
+	mu          sync.Mutex
+	wedgedQuery string
+	changed     string
+}
+
+// CancelAware hides the connector's answer: the runner must call the
+// target through the watchdog, which abandons the wedged call.
+func (w *wedgingTarget) CancelAware() bool { return false }
+
+func (w *wedgingTarget) ResetSnapshot(snap *graph.Snapshot, schema *graph.Schema) error {
+	w.snap, w.schema = snap, schema
+	return w.Sim.ResetSnapshot(snap, schema)
+}
+
+func (w *wedgingTarget) ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error) {
+	if w.calls++; w.calls != w.k || !pq.Planned() {
+		if w.calls == w.k {
+			w.k++ // wedge on the next planned query instead
+		}
+		return w.Sim.ExecutePrepared(ctx, pq)
+	}
+	e := engine.NewReference()
+	e.LoadSnapshot(w.snap, w.schema)
+	outcome := func() string {
+		res, err := e.ExecutePrepared(context.Background(), pq)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(res.Columns, res.Rows)
+	}
+	first := outcome()
+	w.mu.Lock()
+	w.wedgedQuery = pq.Text
+	w.mu.Unlock()
+	for {
+		select {
+		case <-w.release:
+			return nil, errors.New("too late")
+		default:
+		}
+		w.runs.Add(1)
+		if got := outcome(); got != first {
+			w.mu.Lock()
+			w.changed = fmt.Sprintf("first run %s, later run %s", first, got)
+			w.mu.Unlock()
+		}
+	}
+}
+
+// TestWedgedCallKeepsItsPlan: the watchdog abandons a call that ignores
+// cancellation while the call's goroutine goes on running the query's
+// plan, and the runner prepares and runs the next queries meanwhile. It
+// must prepare them into new memory: reusing the scratch the running
+// plan lives in is a data race (which -race reports) and changes what
+// the abandoned call computes.
+func TestWedgedCallKeepsItsPlan(t *testing.T) {
+	w := &wedgingTarget{Sim: gdb.NewReference(), k: 2, release: make(chan struct{})}
+	cfg := tinyRunnerConfig()
+	cfg.Robust.Timeout = 10 * time.Millisecond
+	cfg.Robust.Grace = 10 * time.Millisecond
+	cfg.QueriesPerGraph = 6
+	rn := NewRunner(w, cfg)
+	var queries []string
+	rn.Run(2, func(tc *TestCase) { queries = append(queries, tc.Query) })
+	close(w.release)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.wedgedQuery == "" {
+		t.Fatalf("no planned query wedged among %d", len(queries))
+	}
+	if w.changed != "" {
+		t.Errorf("the abandoned call's plan changed under it: %s", w.changed)
+	}
+	st := rn.Stats()
+	if st.Robust.Timeouts != 1 || st.Robust.Restarts != 1 {
+		t.Errorf("want one wedged timeout and one restart: %+v", st.Robust)
+	}
+	if after := len(queries) - w.k; after < 4 || w.runs.Load() < 2 {
+		t.Errorf("%d queries ran after the wedge, the abandoned call ran its plan %d times", after, w.runs.Load())
 	}
 }

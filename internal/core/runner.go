@@ -19,8 +19,9 @@ import (
 // read-only workloads. It prepares each synthesized query exactly once
 // (one feature analysis, one plan compilation) and hands every
 // execution, transient-error retries included, the same immutable
-// PreparedQuery. Text-only targets are adapted once, at the public gqs
-// API.
+// PreparedQuery. The query is compiled into memory the runner reuses for
+// the next one (engine.Scratch). Text-only targets are adapted once, at
+// the public gqs API.
 type Target interface {
 	Name() string
 	RelUniqueness() bool
@@ -32,7 +33,10 @@ type Target interface {
 	// cancels at the per-query deadline. Implementations should abort
 	// promptly once the context is canceled (returning
 	// engine.ErrCanceled or the in-flight fault's error) and must treat
-	// the PreparedQuery as read-only. Each call runs in a watchdog
+	// the PreparedQuery as read-only. The query is valid for this call
+	// and its retries only: the runner reuses its memory for the next
+	// query, so an implementation must not keep it, though it may keep
+	// the Result and the Features. Each call runs in a watchdog
 	// goroutine; one that ignores cancellation past the grace window is
 	// abandoned and the target is restarted. A target that declares
 	// prompt cancellation (CancelAwareTarget) is instead called on the
@@ -180,6 +184,10 @@ type Runner struct {
 	// the next iteration resolves against. startShard sets both.
 	share      *SnapshotShare
 	shareShard int
+	// scratch is the memory each query is prepared into, reused by the
+	// next (see engine.Scratch). A call the watchdog abandons may still
+	// be running the last query's plan, so wedged replaces the scratch.
+	scratch *engine.Scratch
 }
 
 // jitterSalt separates the backoff-jitter stream from the graph and
@@ -195,11 +203,12 @@ func NewRunner(target Target, cfg RunnerConfig) *Runner {
 		cfg.QueriesPerGT = 1
 	}
 	rn := &Runner{
-		cfg: cfg,
-		ctx: context.Background(),
-		r:   rand.New(rand.NewSource(cfg.Seed)),
-		rb:  cfg.Robust.withDefaults(),
-		jr:  rand.New(rand.NewSource(cfg.Seed ^ jitterSalt)),
+		cfg:     cfg,
+		ctx:     context.Background(),
+		r:       rand.New(rand.NewSource(cfg.Seed)),
+		rb:      cfg.Robust.withDefaults(),
+		jr:      rand.New(rand.NewSource(cfg.Seed ^ jitterSalt)),
+		scratch: new(engine.Scratch),
 	}
 	rn.startShard(target, cfg.Seed, nil, 0)
 	return rn
@@ -360,8 +369,10 @@ func (rn *Runner) runOne(syn *Synthesizer, gt *GroundTruth) *TestCase {
 	// by every attempt below and every downstream consumer (fault
 	// triggers on the target, feature aggregation in the observers). The
 	// synthesizer built the AST and printed sq.Text from it, so the
-	// prepared query takes that AST over directly — no parse at all.
-	pq := engine.PrepareAST(sq.Query, sq.Text)
+	// prepared query takes that AST over directly — no parse at all. The
+	// plan lives in the scratch until the next query; the Features are
+	// the heap's, so observers may keep them.
+	pq := rn.scratch.PrepareAST(sq.Query, sq.Text)
 	tc.Features = pq.Features
 
 	// Execute through the watchdog, retrying transient connector errors

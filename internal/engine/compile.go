@@ -67,6 +67,8 @@ type builder struct {
 	pos     []int
 	rank    []int
 	splices []eval.Splice
+	// names are the variables in scope as sizeSlabs follows them.
+	names []string
 }
 
 var builders = sync.Pool{New: func() any { return new(builder) }}
@@ -104,27 +106,30 @@ func (b *builder) compile(sc scope, e ast.Expr) eval.Operand {
 	return b.cmp.Compile(e)
 }
 
-// compilePred lowers the predicate e with the variables of sc in scope.
-func (b *builder) compilePred(sc scope, e ast.Expr) eval.CompiledPred {
-	b.cmp.Vars = sc
-	return b.cmp.CompilePred(e)
-}
-
 // planSlab holds the plan structures of one query, each kind in one
-// allocation, which the lowering carves up in order.
+// allocation, which the lowering carves up in order: its part plans (a
+// UNION's), stages, clauses, pattern elements, predicates and
+// projection parts, and the expression compiler's records and operand
+// lists.
 type planSlab struct {
-	stages  []planStage
-	matches []cMatch
-	projs   []cProjection
-	unwinds []cUnwind
-	parts   []cPart
-	nodes   []cNode
-	rels    []cRel
-	props   []cProp
-	preds   []eval.CompiledPred
-	ints    []int
-	items   []cProjItem
-	sorts   []cSort
+	plans    []partPlan
+	stages   []planStage
+	matches  []cMatch
+	projs    []cProjection
+	unwinds  []cUnwind
+	calls    []cCall
+	parts    []cPart
+	nodes    []cNode
+	rels     []cRel
+	props    []cProp
+	preds    []eval.Operand
+	sched    []*eval.Operand
+	ints     []int
+	items    []cProjItem
+	aggs     []cAggCall
+	sorts    []cSort
+	records  []eval.Record
+	operands []eval.Operand
 }
 
 // carve cuts the next n elements off a slab.
@@ -137,95 +142,219 @@ func carve[T any](s *[]T, n int) []T {
 	return out
 }
 
-// size allocates the slabs for q: exactly what lowering every part
-// carves.
-func (s *planSlab) size(q *ast.Query) {
-	var n struct {
-		stages, matches, projs, unwinds, parts, nodes, rels int
-		props, conj, items, sorts                           int
+// slabSize is the length of each slab of a planSlab.
+type slabSize struct {
+	plans, stages, matches, projs, unwinds, calls, parts, nodes, rels int
+	props, preds, sched, ints, items, aggs, sorts, records, operands  int
+}
+
+// sizeSlabs counts what lowering every part of q carves: exactly, apart
+// from the compiler's records and operands, which are bounded by
+// eval.Footprint. It follows the names in scope, in b.names, to tell the
+// pattern parts that may run reversed.
+func (b *builder) sizeSlabs(q *ast.Query) slabSize {
+	var n slabSize
+	conj := 0
+	bound := func(name string) bool {
+		for _, x := range b.names {
+			if (eval.Var{Name: x}).Named(name) {
+				return true
+			}
+		}
+		return false
 	}
-	projection := func(p *ast.Projection) {
+	bind := func(name string) {
+		if name != "" && !bound(name) {
+			b.names = append(b.names, name)
+		}
+	}
+	expr := func(e ast.Expr) {
+		r, o := eval.Footprint(e)
+		n.records += r
+		n.operands += o
+	}
+	props := func(m *ast.MapLit) {
+		if m != nil {
+			n.props += len(m.Vals)
+			for _, v := range m.Vals {
+				expr(v)
+			}
+		}
+	}
+	projection := func(p *ast.Projection, cond ast.Expr) {
 		n.projs++
 		n.items += len(p.Items)
 		n.sorts += len(p.OrderBy)
+		aggs, groups := 0, 0
+		for _, it := range p.Items {
+			expr(it.Expr)
+			k := aggregateCalls(it.Expr)
+			if k == 0 {
+				groups++
+			}
+			aggs += k
+		}
+		if aggs > 0 {
+			n.aggs += aggs
+			n.ints += groups
+		}
+		for _, si := range p.OrderBy {
+			expr(si.Expr)
+		}
+		expr(p.Skip)
+		expr(p.Limit)
+		expr(cond)
+	}
+	if len(q.Parts) > 1 {
+		n.plans = len(q.Parts)
 	}
 	for _, sq := range q.Parts {
 		n.stages += len(sq.Clauses)
+		b.names = b.names[:0]
 		for _, c := range sq.Clauses {
 			switch c := c.(type) {
 			case *ast.MatchClause:
 				n.matches++
 				n.parts += len(c.Patterns)
-				n.conj += conjuncts(c.Where)
+				if c.Where != nil {
+					b.conj = splitWhereExprs(b.conj[:0], c.Where)
+					conj += len(b.conj)
+					for _, cj := range b.conj {
+						expr(cj)
+					}
+				}
 				for _, p := range c.Patterns {
 					n.nodes += len(p.Nodes)
 					n.rels += len(p.Rels)
-					for _, np := range p.Nodes {
-						if np.Props != nil {
-							n.props += len(np.Props.Vals)
-						}
+					first, last := p.Nodes[0].Variable, p.Nodes[len(p.Nodes)-1].Variable
+					if mayReverse(p, first != "" && bound(first), last != "" && bound(last)) {
+						n.nodes += len(p.Nodes) // its reversed chain
+						n.rels += len(p.Rels)
 					}
-					for _, rp := range p.Rels {
-						if rp.Props != nil {
-							n.props += len(rp.Props.Vals)
+					for i, np := range p.Nodes {
+						props(np.Props)
+						bind(np.Variable)
+						if i < len(p.Rels) {
+							props(p.Rels[i].Props)
+							bind(p.Rels[i].Variable)
 						}
 					}
 				}
 			case *ast.WithClause:
-				projection(&c.Projection)
+				b.names = b.names[:0]
+				for _, it := range c.Items {
+					if it.Alias != "" {
+						bind(it.Alias)
+					} else if v, ok := it.Expr.(*ast.Variable); ok {
+						bind(v.Name)
+					}
+				}
+				projection(&c.Projection, c.Where)
 			case *ast.ReturnClause:
-				projection(&c.Projection)
+				projection(&c.Projection, nil)
 			case *ast.UnwindClause:
 				n.unwinds++
+				expr(c.Expr)
+				bind(c.Alias)
+			case *ast.CallClause:
+				n.calls++
+				if col, ok := callColumn(c); ok {
+					bind(col)
+				}
 			}
 		}
 	}
-	*s = planSlab{
-		stages:  make([]planStage, n.stages),
-		matches: make([]cMatch, n.matches),
-		projs:   make([]cProjection, n.projs),
-		unwinds: make([]cUnwind, n.unwinds),
-		parts:   make([]cPart, n.parts),
-		nodes:   make([]cNode, n.nodes),
-		rels:    make([]cRel, n.rels),
-		props:   make([]cProp, n.props),
-		// Each conjunct in clause order, then each in the list of the
-		// one place the schedule runs it.
-		preds: make([]eval.CompiledPred, 2*n.conj),
-		ints:  make([]int, n.conj),
-		items: make([]cProjItem, n.items),
-		sorts: make([]cSort, n.sorts),
+	// Each conjunct in clause order; a pointer to each in the list of the
+	// one place the schedule runs it, then room for the reversed chains'
+	// schedules; and each conjunct's last variable in reversed chains.
+	n.preds, n.sched = conj, 2*conj
+	n.ints += conj
+	return n
+}
+
+// take returns slabs of the sizes n: fresh ones, or, with mem, mem's
+// storage. The storage is cleared of what the last query carved from it
+// first, and grown if it is too small.
+func (mem *planSlab) take(n slabSize) planSlab {
+	var fresh planSlab
+	if mem == nil {
+		mem = &fresh
+	}
+	return planSlab{
+		plans:    reuse(&mem.plans, n.plans),
+		stages:   reuse(&mem.stages, n.stages),
+		matches:  reuse(&mem.matches, n.matches),
+		projs:    reuse(&mem.projs, n.projs),
+		unwinds:  reuse(&mem.unwinds, n.unwinds),
+		calls:    reuse(&mem.calls, n.calls),
+		parts:    reuse(&mem.parts, n.parts),
+		nodes:    reuse(&mem.nodes, n.nodes),
+		rels:     reuse(&mem.rels, n.rels),
+		props:    reuse(&mem.props, n.props),
+		preds:    reuse(&mem.preds, n.preds),
+		sched:    reuse(&mem.sched, n.sched),
+		ints:     reuse(&mem.ints, n.ints),
+		items:    reuse(&mem.items, n.items),
+		aggs:     reuse(&mem.aggs, n.aggs),
+		sorts:    reuse(&mem.sorts, n.sorts),
+		records:  reuse(&mem.records, n.records),
+		operands: reuse(&mem.operands, n.operands),
 	}
 }
 
-// conjuncts counts the top-level AND operands of a WHERE predicate.
-func conjuncts(e ast.Expr) int {
-	if e == nil {
-		return 0
+// reuse returns n elements of *mem, nil for none. It first clears what
+// the last query used, *mem's length, so that nothing of it stays
+// reachable; past its length the storage is zero already. Storage too
+// small is replaced, with room to grow when it is reused.
+func reuse[T any](mem *[]T, n int) []T {
+	clear(*mem)
+	if cap(*mem) < n {
+		*mem = make([]T, n, max(n, 2*cap(*mem)))
 	}
-	if b, ok := e.(*ast.Binary); ok && b.Op == ast.OpAnd {
-		return conjuncts(b.L) + conjuncts(b.R)
+	*mem = (*mem)[:n]
+	if n == 0 {
+		return nil
 	}
-	return 1
+	return *mem
+}
+
+// aggregateCalls counts the aggregate calls of a projection item as
+// builder.aggregation collects them.
+func aggregateCalls(e ast.Expr) int {
+	n := 0
+	ast.WalkExprs(e, func(x ast.Expr) bool {
+		f, ok := x.(*ast.FuncCall)
+		if ok && (f.Star || functions.LookupAgg(f.Name) != nil) {
+			n++
+			return false
+		}
+		return true
+	})
+	return n
 }
 
 // compileQueryPlan lowers a query into qp, or leaves qp the zero plan
-// when any part uses a construct the plan executor does not cover.
-func compileQueryPlan(qp *queryPlan, q *ast.Query) {
+// when any part uses a construct the plan executor does not cover. The
+// plan is carved from fresh slabs, or, with mem, from mem's storage (see
+// Scratch).
+func compileQueryPlan(qp *queryPlan, q *ast.Query, mem *planSlab) {
 	for _, part := range q.Parts {
 		if !plannable(part) {
+			if mem != nil {
+				mem.take(slabSize{}) // nothing of the last query stays reachable
+			}
 			return
 		}
 	}
 	b := builders.Get().(*builder)
 	defer b.release()
-	b.slab.size(q)
-	var parts []partPlan
-	if len(q.Parts) <= len(qp.part1) {
-		parts = qp.part1[:len(q.Parts)]
-	} else {
-		parts = make([]partPlan, len(q.Parts))
+	b.slab = mem.take(b.sizeSlabs(q))
+	b.cmp.Records, b.cmp.Operands = b.slab.records, b.slab.operands
+	parts := qp.part1[:]
+	if len(q.Parts) > len(parts) {
+		parts = carve(&b.slab.plans, len(q.Parts))
 	}
+	parts = parts[:len(q.Parts)]
 	for i, part := range q.Parts {
 		if err := b.part(&parts[i], part); err != nil {
 			return
@@ -243,6 +372,7 @@ func (b *builder) release() {
 	b.cmp.Reset()
 	clear(b.conj[:cap(b.conj)])
 	clear(b.splices[:cap(b.splices)])
+	clear(b.names[:cap(b.names)])
 	b.vars = b.vars[:0]
 	builders.Put(b)
 }
@@ -344,7 +474,7 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 
 	// Conjunct predicates are compiled against the full post-clause
 	// scope: a conjunct referencing a variable that never binds becomes a
-	// closure raising the unknown-variable error when evaluated, exactly
+	// record raising the unknown-variable error when evaluated, exactly
 	// as the interpreter's conservative final pass surfaces it. Compiling
 	// a conjunct records the scope positions of its variables, from which
 	// both chain orientations schedule it.
@@ -353,11 +483,11 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 		b.conj = splitWhereExprs(b.conj, c.Where)
 	}
 	st.preds = carve(&b.slab.preds, len(b.conj))
-	sched := carve(&b.slab.preds, len(b.conj))[:0]
+	sched := carve(&b.slab.sched, len(b.conj))[:0]
 	st.revLast = carve(&b.slab.ints, len(b.conj))
 	for i, cj := range b.conj {
 		b.cmp.Refs = b.cmp.Refs[:0]
-		st.preds[i] = b.compilePred(out, cj)
+		st.preds[i] = b.compile(out, cj)
 		last := -1
 		for _, r := range b.cmp.Refs {
 			if r < 0 {
@@ -376,15 +506,21 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 
 	// Lower each pattern part in its forward orientation. The reverse —
 	// used only when the executing store makes the last endpoint strictly
-	// cheaper — is built on demand (cPart.reverse) from the forward chain.
+	// cheaper — is built on demand (cPart.reverse) from the forward chain,
+	// in elements and schedule room reserved here.
 	st.parts = carve(&b.slab.parts, len(c.Patterns))
 	lo := len(sc) // out[:lo] is bound when a part starts
 	for pi, p := range c.Patterns {
 		cp := &st.parts[pi]
 		cp.m, cp.lo, cp.slotLo = st, lo, st.optLo+lo-len(sc)
+		// The scope positions of the part's first and last nodes, or -1.
+		k := len(p.Nodes) + len(p.Rels)
+		first, last := pos[0], pos[k-1]
 		hi, dependent := b.chain(&cp.fwd, p, out, lo, pos, st.preds, &sched)
-		pos = pos[len(p.Nodes)+len(p.Rels):]
-		if cp.reversible() {
+		pos = pos[k:]
+		if mayReverse(p, first >= 0 && first < lo, last >= 0 && last < lo) {
+			cp.rev.nodes, cp.rev.rels = carve(&b.slab.nodes, len(p.Nodes)), carve(&b.slab.rels, len(p.Rels))
+			cp.revConj = carve(&b.slab.sched, cp.fwd.conjuncts())[:0]
 			b.reverseLast(cp, st.revLast, hi)
 			if dependent {
 				cp.rprops = b.reverseProps(p, out, lo)
@@ -395,14 +531,25 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 	return st, out
 }
 
+// mayReverse reports whether part p may run reversed, given whether its
+// first and last nodes' variables are bound before the part. The
+// executor reverses a part when its last node costs strictly less to
+// start from than its first (cPart.cost): a bound node costs nothing,
+// and an unbound node without labels costs every node, no less than
+// any start. So the part needs two ends, a first node not bound, and a
+// last node bound or labeled.
+func mayReverse(p *ast.PatternPart, firstBound, lastBound bool) bool {
+	return len(p.Nodes) >= 2 && !firstBound && (lastBound || len(p.Nodes[len(p.Nodes)-1].Labels) > 0)
+}
+
 // schedule appends to sched, in conjunct order, the conjuncts whose
 // last-variable position lies in [from, to), and returns them. sched
 // has room for every conjunct of the clause, each scheduled once.
-func schedule(sched *[]eval.CompiledPred, preds []eval.CompiledPred, last []int, from, to int) []eval.CompiledPred {
+func schedule(sched *[]*eval.Operand, preds []eval.Operand, last []int, from, to int) []*eval.Operand {
 	start := len(*sched)
 	for i, l := range last {
 		if from <= l && l < to {
-			*sched = append(*sched, preds[i])
+			*sched = append(*sched, &preds[i])
 		}
 	}
 	if len(*sched) == start {
@@ -435,7 +582,7 @@ func (b *builder) bindNew(out scope, name string) scope {
 // element binding it, in conjunct order. chain also reports whether a
 // property map names a variable of the part, or one not in scope yet:
 // such maps must be compiled anew for the reversed chain.
-func (b *builder) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, pos []int, preds []eval.CompiledPred, sched *[]eval.CompiledPred) (int, bool) {
+func (b *builder) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, pos []int, preds []eval.Operand, sched *[]*eval.Operand) (int, bool) {
 	k := lo // out[:k] is bound
 	// bind marks the next element's variable bound and reports its slot
 	// and whether it was bound already.
@@ -572,26 +719,16 @@ func (b *builder) reverseProps(p *ast.PatternPart, out scope, lo int) []cProps {
 }
 
 // buildReverse lowers part p in reverse orientation from its forward
-// chain: the elements mirrored, relationship directions flipped, and
-// each variable's boundness and each conjunct's attachment recomputed
-// for the reversed binding order (revLast). Labels, types, slots and —
-// unless the part's maps name its own variables (rprops) — the compiled
+// chain, into the elements and schedule room reserved for it: the
+// elements mirrored, relationship directions flipped, and each
+// variable's boundness and each conjunct's attachment recomputed for the
+// reversed binding order (revLast). Labels, types, slots and — unless
+// the part's maps name its own variables (rprops) — the compiled
 // property maps are the forward chain's.
-func (st *cMatch) buildReverse(p *cPart) *cChain {
-	fwd := &p.fwd
+func (st *cMatch) buildReverse(p *cPart) {
+	fwd, rev := &p.fwd, &p.rev
 	m := len(fwd.rels)
-	rev := &cChain{nodes: make([]cNode, m+1), rels: make([]cRel, m)}
-	n := 0
-	for i := range fwd.nodes {
-		n += len(fwd.nodes[i].conj)
-	}
-	for i := range fwd.rels {
-		n += len(fwd.rels[i].conj)
-	}
-	var sched []eval.CompiledPred
-	if n > 0 {
-		sched = make([]eval.CompiledPred, 0, n)
-	}
+	sched := p.revConj
 	k := p.lo // positions [0, k) are bound
 	// bind reports whether the variable in slot is bound before its
 	// element: it was bound before the part, or an earlier element of
@@ -632,7 +769,18 @@ func (st *cMatch) buildReverse(p *cPart) *cChain {
 			rr.conj = schedule(&sched, st.preds, st.revLast, from, k)
 		}
 	}
-	return rev
+}
+
+// conjuncts counts the conjuncts the chain schedules.
+func (ch *cChain) conjuncts() int {
+	n := 0
+	for i := range ch.nodes {
+		n += len(ch.nodes[i].conj)
+	}
+	for i := range ch.rels {
+		n += len(ch.rels[i].conj)
+	}
+	return n
 }
 
 // props returns the compiled property map of forward element i (nodes
@@ -668,7 +816,10 @@ func (b *builder) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
 
 // --- CALL ----------------------------------------------------------
 
-func (b *builder) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, scope, error) {
+// callColumn returns the column a CALL binds, or false for a procedure
+// or a YIELD the plan executor does not run (the interpreter raises the
+// error).
+func callColumn(c *ast.CallClause) (string, bool) {
 	var col string
 	switch c.Procedure {
 	case "db.labels":
@@ -678,16 +829,29 @@ func (b *builder) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, sco
 	case "db.propertyKeys":
 		col = "propertyKey"
 	default:
-		return nil, nil, errUnsupportedPlan // interpreter raises the error
+		return "", false
 	}
-	if len(c.Yield) > 1 {
+	switch len(c.Yield) {
+	case 0:
+		return col, true
+	case 1:
+		return c.Yield[0], true
+	}
+	return "", false
+}
+
+func (b *builder) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, scope, error) {
+	col, ok := callColumn(c)
+	if !ok {
 		return nil, nil, errUnsupportedPlan
 	}
-	if len(c.Yield) == 1 {
-		col = c.Yield[0]
-	}
 	slot := b.next()
-	return &cCall{proc: c.Procedure, col: col, slot: slot, last: last}, b.with(sc, col, slot), nil
+	st := &carve(&b.slab.calls, 1)[0]
+	*st = cCall{proc: c.Procedure, slot: slot, last: last}
+	if last {
+		st.cols = []string{col}
+	}
+	return st, b.with(sc, col, slot), nil
 }
 
 // --- WITH / RETURN -------------------------------------------------
@@ -726,6 +890,14 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 		out = append(out, eval.Var{Name: name, Slot: slot})
 	}
 
+	if isReturn {
+		// The result's columns, on the heap: a Result outlives the plan
+		// memory a Scratch reuses.
+		st.cols = make([]string, len(st.items))
+		for i := range st.items {
+			st.cols[i] = st.items[i].name
+		}
+	}
 	if st.hasAgg {
 		b.aggregation(st, p, sc)
 	} else {
@@ -764,7 +936,7 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 
 	// A WITH's WHERE sees only the projected row.
 	if where != nil {
-		st.where = b.compilePred(out, where)
+		st.where = b.compile(out, where)
 	}
 	return st, out, nil
 }
@@ -774,6 +946,19 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 // compiles the item expressions with those slots spliced in place of the
 // calls.
 func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
+	// The calls fill the aggregate slab's front, which size counted them
+	// into, and the grouping items a run of ints.
+	st.calls = b.slab.aggs[:0]
+	defer func() {
+		st.calls = carve(&b.slab.aggs, len(st.calls))
+	}()
+	groups := 0
+	for i := range st.items {
+		if !st.items[i].agg {
+			groups++
+		}
+	}
+	st.groupItems = carve(&b.slab.ints, groups)[:0]
 	for _, it := range p.Items {
 		ast.WalkExprs(it.Expr, func(x ast.Expr) bool {
 			f, ok := x.(*ast.FuncCall)

@@ -258,7 +258,13 @@ func (e *Engine) beginExec(ctx context.Context, params map[string]value.Value) {
 }
 
 // endExec drops the per-execution state so nothing outlives the call.
-func (e *Engine) endExec() { e.params = nil; e.ctx = nil; e.exec = nil }
+// It releases the value stack too: every list built there is dropped
+// by its consumer, so a view of one that a result kept reads the
+// poisoned slots of a race build (eval.Ctx.Release).
+func (e *Engine) endExec() {
+	e.params, e.ctx, e.exec = nil, nil, nil
+	e.ectx.Release(0)
+}
 
 // SetAdjIndex toggles index-backed match expansion on snapshot-loaded
 // graphs (see Options.DisableAdjIndex). Indexed expansion is

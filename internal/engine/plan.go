@@ -27,7 +27,8 @@ import (
 // plan execution is byte-for-byte behaviour-preserving (DESIGN.md §12).
 // What it removes is per-row overhead: rows are slot-addressed frames
 // ([]value.Value) allocated from a bump arena instead of maps, and every
-// expression is a compiled closure instead of an AST walk.
+// expression is a compiled operand (eval.Operand: a constant, a slot, a
+// property, or a record evaluated by a switch) instead of an AST walk.
 
 // frame is a slot-addressed row. Slot assignment is per query part; the
 // zero Value is null, and a slot is only ever read after the compile-time
@@ -177,7 +178,7 @@ func keep[T any](s []T) []T {
 }
 
 // planCtx refreshes the engine's scratch eval context for compiled
-// evaluation: Env is unused on this path (compiled closures read
+// evaluation: Env is unused on this path (compiled operands read
 // Frame[slot]), and stages rebind Frame per row.
 func (e *Engine) planCtx(f frame) *eval.Ctx {
 	e.ectx.Graph = e.store.Graph()
@@ -288,7 +289,7 @@ type cNode struct {
 	bound  bool
 	labels []string
 	props  cProps
-	conj   []eval.CompiledPred
+	conj   []*eval.Operand
 }
 
 // cRel is one pattern relationship of a chain.
@@ -298,7 +299,7 @@ type cRel struct {
 	types []string
 	dir   ast.Direction
 	props cProps
-	conj  []eval.CompiledPred
+	conj  []*eval.Operand
 }
 
 // cChain is one pattern part lowered to a node/relationship expansion
@@ -313,12 +314,14 @@ type cChain struct {
 // most executions never reverse — the executor picks fwd or rev once per
 // execution from the cost estimates, mirroring matcher.orient (whose
 // per-row choice is constant across rows: boundness is static and the
-// store does not change during a read-only execution). revOnce makes the
-// lazy build safe across concurrent executions of the shared plan; after
-// it fires the chain is immutable like everything else here. The part
-// binds the clause scope's positions from lo on, in slots from slotLo
-// on; rprops are its property maps compiled for the reverse, when they
-// name its own variables.
+// store does not change during a read-only execution). The compiler
+// reserves the reverse's elements in rev and its schedule's room in
+// revConj, so the build allocates nothing. revOnce makes the lazy build
+// safe across concurrent executions of the shared plan; after it fires
+// the chain is immutable like everything else here. The part binds the
+// clause scope's positions from lo on, in slots from slotLo on; rprops
+// are its property maps compiled for the reverse, when they name its own
+// variables.
 type cPart struct {
 	fwd     cChain
 	m       *cMatch
@@ -326,16 +329,18 @@ type cPart struct {
 	slotLo  int
 	rprops  []cProps
 	revOnce sync.Once
-	rev     *cChain
+	rev     cChain
+	revConj []*eval.Operand
 }
 
-// reversible reports whether the part has two ends to start from.
-func (p *cPart) reversible() bool { return len(p.fwd.nodes) >= 2 }
+// reversible reports whether the part may run reversed, and so has its
+// reversed chain's memory reserved (see mayReverse).
+func (p *cPart) reversible() bool { return p.rev.nodes != nil }
 
 // reverse returns the reversed chain, building it on first use.
 func (p *cPart) reverse() *cChain {
-	p.revOnce.Do(func() { p.rev = p.m.buildReverse(p) })
-	return p.rev
+	p.revOnce.Do(func() { p.m.buildReverse(p) })
+	return &p.rev
 }
 
 // cMatch is a compiled MATCH / OPTIONAL MATCH clause. entry holds the
@@ -348,12 +353,12 @@ func (p *cPart) reverse() *cChain {
 // what a part's reverse build needs.
 type cMatch struct {
 	optional     bool
-	entry        []eval.CompiledPred
-	final        []eval.CompiledPred
+	entry        []*eval.Operand
+	final        []*eval.Operand
 	parts        []cPart
 	optLo, optHi int
 
-	preds   []eval.CompiledPred
+	preds   []eval.Operand
 	revLast []int
 }
 
@@ -430,7 +435,7 @@ func (st *cMatch) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		pm.matched = false
 		ok := true
 		for _, p := range st.entry {
-			t, err := p(pm.ctx)
+			t, err := p.Test(pm.ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -469,7 +474,7 @@ func (pm *planMatcher) step() error {
 func (pm *planMatcher) part(pi int) error {
 	if pi == len(pm.m.parts) {
 		for _, p := range pm.m.final {
-			t, err := p(pm.ctx)
+			t, err := p.Test(pm.ctx)
 			if err != nil {
 				return err
 			}
@@ -534,7 +539,8 @@ func (pm *planMatcher) node0(ch *cChain, pi int) error {
 func (pm *planMatcher) scan(n *cNode) ([]graph.ID, bool) {
 	st := pm.e.store
 	for _, l := range n.labels {
-		for _, p := range n.props {
+		for i := range n.props {
+			p := &n.props[i]
 			if !st.HasIndex(l, p.key) {
 				continue
 			}
@@ -572,7 +578,7 @@ func (pm *planMatcher) bindNode0(ch *cChain, pi int, id graph.ID) error {
 		pm.f[n.slot] = value.Node(id)
 	}
 	for _, p := range n.conj {
-		t, err := p(pm.ctx)
+		t, err := p.Test(pm.ctx)
 		if err != nil {
 			return err
 		}
@@ -613,7 +619,8 @@ func (pm *planMatcher) checkNode(n *cNode, id graph.ID) (bool, error) {
 }
 
 func (pm *planMatcher) checkProps(ps cProps, props map[string]value.Value) (bool, error) {
-	for _, p := range ps {
+	for i := range ps {
+		p := &ps[i]
 		want, err := p.val.Eval(pm.ctx)
 		if err != nil {
 			return false, err
@@ -883,7 +890,7 @@ func mergeAdjEntries(a, b []graph.AdjEntry) []graph.AdjEntry {
 
 func (pm *planMatcher) relTail(ch *cChain, i, pi int, other graph.ID) error {
 	for _, p := range ch.rels[i].conj {
-		t, err := p(pm.ctx)
+		t, err := p.Test(pm.ctx)
 		if err != nil {
 			return err
 		}
@@ -911,7 +918,7 @@ func (pm *planMatcher) nodeAt(ch *cChain, i, pi int, id graph.ID) error {
 		pm.f[n.slot] = value.Node(id)
 	}
 	for _, p := range n.conj {
-		t, err := p(pm.ctx)
+		t, err := p.Test(pm.ctx)
 		if err != nil {
 			return err
 		}
@@ -970,9 +977,9 @@ func (st *cUnwind) run(e *Engine, in []frame) ([]frame, *Result, error) {
 
 type cCall struct {
 	proc string
-	col  string
 	slot int
 	last bool
+	cols []string // the result's one column, when last
 }
 
 func (st *cCall) run(e *Engine, in []frame) ([]frame, *Result, error) {
@@ -1018,7 +1025,7 @@ func (st *cCall) run(e *Engine, in []frame) ([]frame, *Result, error) {
 	}
 	ps.keepRowBuf(bufK, out)
 	if st.last {
-		res := &Result{Columns: []string{st.col}}
+		res := &Result{Columns: st.cols}
 		for _, r := range out {
 			res.Rows = append(res.Rows, []value.Value{r[st.slot]})
 		}
@@ -1071,9 +1078,10 @@ type cProjection struct {
 	distinct   bool
 	isReturn   bool
 	sorts      []cSort
-	skip       eval.Operand      // zero without SKIP
-	limit      eval.Operand      // zero without LIMIT
-	where      eval.CompiledPred // WITH ... WHERE only
+	skip       eval.Operand // zero without SKIP
+	limit      eval.Operand // zero without LIMIT
+	where      eval.Operand // WITH ... WHERE only
+	cols       []string     // RETURN's result columns, never in a Scratch
 
 	requireAlias bool
 	proj         *ast.Projection
@@ -1127,7 +1135,7 @@ func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		// limit sees the pre-projection count), so pass `in` through.
 		return in, st.buildResult(rows), nil
 	}
-	if st.where != nil {
+	if !st.where.IsZero() {
 		rows, err = st.filter(ctx, rows)
 		if err != nil {
 			return nil, nil, err
@@ -1163,7 +1171,7 @@ func (st *cProjection) runInterp(e *Engine) ([]frame, *Result, error) {
 		}
 		out = append(out, nf)
 	}
-	if st.where != nil {
+	if !st.where.IsZero() {
 		out, err = st.filter(e.planCtx(nil), out)
 		if err != nil {
 			return nil, nil, err
@@ -1176,7 +1184,7 @@ func (st *cProjection) filter(ctx *eval.Ctx, rows []frame) ([]frame, error) {
 	out := rows[:0]
 	for _, r := range rows {
 		ctx.Frame = r
-		t, err := st.where(ctx)
+		t, err := st.where.Test(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -1290,10 +1298,7 @@ func nonNegIntC(ctx *eval.Ctx, x eval.Operand, what string) (int64, error) {
 }
 
 func (st *cProjection) buildResult(rows []frame) *Result {
-	res := &Result{Columns: make([]string, len(st.items))}
-	for i := range st.items {
-		res.Columns[i] = st.items[i].name
-	}
+	res := &Result{Columns: st.cols}
 	if len(rows) == 0 {
 		return res
 	}

@@ -57,6 +57,9 @@ var planDiffQueries = []string{
 	"CALL db.labels()",
 	"CALL db.labels() YIELD label RETURN label ORDER BY label",
 	"CALL db.relationshipTypes()",
+	// A chain whose last node a CALL's unyielded column binds: a bound
+	// last node can start the reversed chain.
+	"CALL db.labels() MATCH (a)-[r]->(label) RETURN count(*)",
 	"MATCH (n) RETURN rand() < 2, n.name ORDER BY n.name",
 	"RETURN timestamp() >= 0",
 	"MATCH (a), (b) WHERE id(a) < id(b) RETURN count(*)",
@@ -129,22 +132,39 @@ var planDiffQueries = []string{
 	"MATCH (n) WHERE all(x IN [y IN [n.id, 1] | y + 1] WHERE x > 1) RETURN n.id, [x IN [n.id, 0] | x] AS xs ORDER BY n.id",
 	"MATCH (n) WHERE [x IN [n.id, 0] | 1 / x] = [1] RETURN n.id",
 	"MATCH (n) RETURN size([n.id, n.k]) AS s, reverse([n.id, 2]) AS r, [n.id, 2] = [1, 2] AS e ORDER BY n.id",
+	// reverse of a list built on the value stack where its consumer
+	// drops it (comparison and IN operands, size's argument, reverse's
+	// own, an indexing subject), beside the heap copy a projection item
+	// keeps, and the strings, nulls and errors reverse passes to the
+	// function.
+	"MATCH (n) WHERE reverse([n.id, 1]) = [1, n.id] RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE n.id IN reverse([n.k, 2, n.id]) AND size(reverse([n.id, n.k, 1])) = 3 RETURN n.id ORDER BY n.id",
+	"MATCH (n) RETURN reverse(reverse([n.id, 2]))[0] AS v, n.id ORDER BY n.id",
+	"MATCH (n) RETURN reverse([n.id, 1]) AS r, n.id ORDER BY n.id",
+	"MATCH (n) WHERE reverse(toString(n.id)) <> 'x' AND reverse(n.missing) IS NULL RETURN n.id ORDER BY n.id",
+	"MATCH (n) WHERE reverse(n.id) = [1] RETURN n.id",
 }
 
-// runPlanDiffCorpus executes every query on two engines built from the
-// same options and seed, one through ExecutePrepared (the compiled plan,
-// where the query has one) and one through ExecuteASTCtx (the
-// interpreter), and fails the test on the first observable difference.
-// Returns how many queries actually took the plan path, so callers can
-// assert the differential is not vacuous.
+// runPlanDiffCorpus executes every query on three engines built from the
+// same options and seed: one through ExecutePrepared on a fresh compile
+// (the compiled plan, where the query has one), one through
+// ExecutePrepared on the query compiled into a Scratch shared by the
+// whole corpus, right after the query before it, as the campaign runner
+// compiles, and one through ExecuteASTCtx (the interpreter). It fails the
+// test on the first observable difference. Returns how many queries
+// actually took the plan path, so callers can assert the differential is
+// not vacuous.
 func runPlanDiffCorpus(t *testing.T, opts engine.Options, g *graph.Graph, schema *graph.Schema, texts []string) int {
 	t.Helper()
 	planned := engine.New(opts)
+	scratched := engine.New(opts)
 	interp := engine.New(opts)
 	planned.LoadGraph(g, schema)
+	scratched.LoadGraph(g, schema)
 	interp.LoadGraph(g, schema)
 
 	ctx := context.Background()
+	var scratch engine.Scratch
 	coverage := 0
 	for _, text := range texts {
 		pq, err := engine.Prepare(text)
@@ -154,21 +174,30 @@ func runPlanDiffCorpus(t *testing.T, opts engine.Options, g *graph.Graph, schema
 		if pq.Planned() {
 			coverage++
 		}
-		pres, perr := planned.ExecutePrepared(ctx, pq)
 		ires, ierr := interp.ExecuteASTCtx(ctx, pq.AST)
-		if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
-			t.Fatalf("%s: %q: planned err %v, interpreted err %v", opts.Dialect.Name, text, perr, ierr)
-		}
-		if perr != nil {
-			continue
-		}
-		if !slices.Equal(pres.Columns, ires.Columns) {
-			t.Fatalf("%s: %q: planned columns %v, interpreted columns %v",
-				opts.Dialect.Name, text, pres.Columns, ires.Columns)
-		}
-		if !engine.IdenticalRows(pres.Rows, ires.Rows) {
-			t.Fatalf("%s: %q:\nplanned rows:     %v\ninterpreted rows: %v",
-				opts.Dialect.Name, text, pres.Rows, ires.Rows)
+		for _, run := range []struct {
+			name string
+			e    *engine.Engine
+			pq   *engine.PreparedQuery
+		}{
+			{"planned", planned, pq},
+			{"scratch-planned", scratched, scratch.PrepareAST(pq.AST, text)},
+		} {
+			pres, perr := run.e.ExecutePrepared(ctx, run.pq)
+			if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
+				t.Fatalf("%s: %q: %s err %v, interpreted err %v", opts.Dialect.Name, text, run.name, perr, ierr)
+			}
+			if perr != nil {
+				continue
+			}
+			if !slices.Equal(pres.Columns, ires.Columns) {
+				t.Fatalf("%s: %q: %s columns %v, interpreted columns %v",
+					opts.Dialect.Name, text, run.name, pres.Columns, ires.Columns)
+			}
+			if !engine.IdenticalRows(pres.Rows, ires.Rows) {
+				t.Fatalf("%s: %q:\n%s rows: %v\ninterpreted rows: %v",
+					opts.Dialect.Name, text, run.name, pres.Rows, ires.Rows)
+			}
 		}
 	}
 	return coverage

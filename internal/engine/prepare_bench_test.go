@@ -8,6 +8,7 @@ import (
 	"gqs/internal/cypher/ast"
 	"gqs/internal/engine"
 	"gqs/internal/graph"
+	"gqs/internal/metrics"
 )
 
 // largeGraphShapes are the five operation shapes of the benchmark's
@@ -47,7 +48,8 @@ func synthCorpus(tb testing.TB, seed int64, n int) (qs []*ast.Query, texts []str
 
 // BenchmarkPrepare measures the per-query preparation cost: Prepare
 // (lex, parse, analyze, compile) on the five large-graph shapes, and
-// PrepareAST (analyze, compile) on a fixed-seed synthesized corpus. A
+// PrepareAST (analyze, compile) on a fixed-seed synthesized corpus, into
+// fresh heap plans and into one reused Scratch, as the runner does. A
 // diagnostic for `make bench-go`; the end-to-end evidence is the
 // large-graph and campaign workloads of `make bench`.
 func BenchmarkPrepare(b *testing.B) {
@@ -69,23 +71,54 @@ func BenchmarkPrepare(b *testing.B) {
 			engine.PrepareAST(qs[k], texts[k])
 		}
 	})
+	b.Run("scratch", func(b *testing.B) {
+		var s engine.Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(qs)
+			s.PrepareAST(qs[k], texts[k])
+		}
+	})
 }
 
 // prepareAllocs is the most engine.Prepare may allocate on each of the
 // large-graph shapes: lexing, parsing, feature analysis and plan
-// compilation together.
+// compilation together. A planned shape's result columns are built here,
+// once per plan, where every execution built them before (30, 30, 31, 30
+// for the planned shapes then): a large-graph operation, one Prepare and
+// one execution, allocates as much as it did.
 var prepareAllocs = map[string]float64{
-	"hop1":  30,
-	"hop2":  30,
-	"hop3":  31,
-	"hub":   30,
+	"hop1":  31,
+	"hop2":  31,
+	"hop3":  32,
+	"hub":   31,
 	"write": 26,
 }
 
 // synthPrepareAllocs is the most PrepareAST may allocate per query, on
 // average, over BenchmarkPrepare's synthesized corpus: feature analysis
-// and plan compilation, the constants folding makes included.
-const synthPrepareAllocs = 74
+// and plan compilation, the constants folding makes included (74 while
+// expressions compiled to closures; 33.6 measured since).
+const synthPrepareAllocs = 34
+
+// scratchPrepareAllocs is the most Scratch.PrepareAST may allocate per
+// query, on average, over the same corpus once the scratch has grown
+// (18.9 measured): the Features, each RETURN's result columns, the
+// constants folding makes and the closures of CASE, comprehensions,
+// quantifiers and slices. The plan, its records and its reversed
+// chains cost nothing.
+const scratchPrepareAllocs = 19
+
+// scratchShapes are queries with records of every common kind, chains
+// the planner may reverse, WHERE conjuncts, aggregation, UNWIND and
+// ORDER BY, but no constant to fold, no closure and no unaliased RETURN
+// item: prepared into a grown Scratch, each allocates what its feature
+// analysis does and its result columns, and nothing else.
+var scratchShapes = []string{
+	"MATCH (a)-[r]->(b:L11) WHERE a.id > 1 AND b.id > 1 AND r.id >= 0 AND a.id <> b.id RETURN a.id AS x, b.id AS y ORDER BY x, y",
+	"MATCH (n) WHERE n.id IN [n.k, 2] AND size(reverse([n.id, n.k])) = 2 WITH n, n.k + 1 AS k WHERE k > 1 RETURN n.id AS id, count(*) AS c ORDER BY id",
+	"MATCH (a:L0)-[r:T1]->(b)<-[s]-(c) WHERE NOT (a.k IS NULL) OR b.k - c.k < 3 XOR r.id = s.id UNWIND [a.id, c.id] AS u RETURN u AS u, collect(b.id)[0] AS f",
+}
 
 // TestPrepareAllocs keeps the preparation path allocation-light: a
 // query is prepared for every execution, so an allocation added here is
@@ -113,5 +146,25 @@ func TestPrepareAllocs(t *testing.T) {
 	}) / float64(len(qs))
 	if got > synthPrepareAllocs {
 		t.Errorf("synthesized: PrepareAST allocates %.1f times per query, want at most %d", got, synthPrepareAllocs)
+	}
+
+	var s engine.Scratch
+	got = testing.AllocsPerRun(20, func() {
+		for k := range qs {
+			s.PrepareAST(qs[k], texts[k])
+		}
+	}) / float64(len(qs))
+	if got > scratchPrepareAllocs {
+		t.Errorf("synthesized: Scratch.PrepareAST allocates %.1f times per query, want at most %d", got, scratchPrepareAllocs)
+	}
+	for _, text := range scratchShapes {
+		pq, err := engine.Prepare(text)
+		if err != nil || !pq.Planned() {
+			t.Fatalf("%q: prepare: %v (planned %v)", text, err, err == nil && pq.Planned())
+		}
+		features := testing.AllocsPerRun(20, func() { metrics.AnalyzeAST(pq.AST) })
+		if got := testing.AllocsPerRun(20, func() { s.PrepareAST(pq.AST, text) }); got != features+1 {
+			t.Errorf("%q: Scratch.PrepareAST allocates %.0f times, want %.0f for its Features and 1 for its columns", text, got, features+1)
+		}
 	}
 }

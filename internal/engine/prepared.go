@@ -31,6 +31,8 @@ import (
 //   - All per-execution state (variable environments, the rand()/
 //     timestamp() stream of functions.ExecState, cancellation) lives in
 //     the executing engine, never in the PreparedQuery.
+//   - A query from Prepare or PrepareAST stays valid for ever; one from
+//     Scratch.PrepareAST only until the scratch prepares the next.
 type PreparedQuery struct {
 	// Text is the original query text; compatibility paths and reports
 	// that need a string form use it without re-rendering the AST.
@@ -41,7 +43,7 @@ type PreparedQuery struct {
 	// fault triggers and the Table 5 metrics. Treat as read-only.
 	Features *metrics.Features
 	// plan is the compiled physical plan (slot frames, pushed-down
-	// conjuncts, compiled expressions; see plan.go), or the zero plan
+	// conjuncts, expression records; see plan.go), or the zero plan
 	// when the query uses a construct the plan executor does not cover
 	// and execution stays on the interpreter. Immutable and shared
 	// exactly like the AST: everything dialect- or store-dependent is
@@ -72,7 +74,40 @@ func Prepare(text string) (*PreparedQuery, error) {
 // exactly as if the parser had returned it.
 func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 	pq := &PreparedQuery{Text: text, AST: q, Features: metrics.AnalyzeAST(q)}
-	compileQueryPlan(&pq.plan, q)
+	compileQueryPlan(&pq.plan, q, nil)
+	return pq
+}
+
+// Scratch is memory that queries are prepared into one after another,
+// each reusing what the last one used: a campaign runner drops each
+// query after its last attempt, so once the scratch has grown a query's
+// plan costs no allocation. The zero value is ready to use; a Scratch
+// prepares one query at a time.
+//
+// A PreparedQuery from Scratch.PrepareAST is valid only until the next
+// PrepareAST on the same Scratch, which rewrites its plan's memory. That
+// call first clears everything the last query used, so the scratch keeps
+// no AST alive past it, and zeroes the last query's plan: a caller that
+// kept the query after all runs it on the interpreter instead of reading
+// rewritten memory. Its Features and the results of its executions are
+// on the heap and stay valid. A caller that cannot be sure no execution
+// of the query is still running — one abandoned past its deadline — must
+// drop the Scratch and start a new one.
+type Scratch struct {
+	mem planSlab
+	// pqs alternate: one holds the query being prepared, the other the
+	// query before it, with its plan zeroed.
+	pqs [2]PreparedQuery
+	cur int
+}
+
+// PrepareAST is the package's PrepareAST into the scratch's memory.
+func (s *Scratch) PrepareAST(q *ast.Query, text string) *PreparedQuery {
+	s.pqs[s.cur].plan = queryPlan{}
+	s.cur ^= 1
+	pq := &s.pqs[s.cur]
+	*pq = PreparedQuery{Text: text, AST: q, Features: metrics.AnalyzeAST(q)}
+	compileQueryPlan(&pq.plan, q, &s.mem)
 	return pq
 }
 

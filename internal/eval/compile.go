@@ -8,20 +8,17 @@ import (
 	"gqs/internal/value"
 )
 
-// Compiled is a compiled expression: a closure tree produced once at
-// Prepare time and evaluated many times against slot-addressed frames
-// (Ctx.Frame). Evaluation order, error identity, and error timing are
-// byte-for-byte those of the tree-walking Eval — the compiler only
-// removes per-evaluation dispatch, map lookups, and re-resolution of
-// functions, operators, and variables. That equivalence is what lets the
-// engine share one compiled plan across every oracle target without
-// perturbing the canonical bug set (DESIGN.md §12).
+// Compiled is a compiled expression in closure form. Only the constructs
+// that loop or choose among their operands compile to a closure — CASE,
+// list comprehensions, quantifiers and slices — and a Record of kind
+// recFn holds it; every other construct compiles to a record. Evaluation
+// order, error identity, and error timing are byte-for-byte those of the
+// tree-walking Eval — the compiler only removes per-evaluation dispatch,
+// map lookups, and re-resolution of functions, operators, and variables.
+// That equivalence is what lets the engine share one compiled plan across
+// every oracle target without perturbing the canonical bug set
+// (DESIGN.md §12).
 type Compiled func(*Ctx) (value.Value, error)
-
-// CompiledPred is a compiled predicate: the three-valued result
-// EvalPredicate gives for the same expression, its type error for a
-// non-boolean value included.
-type CompiledPred func(*Ctx) (value.Tri, error)
 
 // Var is a variable in scope and the frame slot that holds it.
 type Var struct {
@@ -47,14 +44,15 @@ type Splice struct {
 
 // Operand is a compiled expression that an operator evaluates in place:
 // a folded constant, a frame slot, a property of the value in a frame
-// slot, or a closure for anything else. Leaves — most operands of a
-// synthesized predicate — therefore cost their operator no closure call
-// and the compiler no closure allocation.
+// slot, or a Record for anything else. Leaves — most operands of a
+// synthesized predicate — therefore cost no record. Eval gives the
+// operand's value; Test gives its three-valued truth, as a predicate, so
+// a predicate is an operand too.
 type Operand struct {
 	kind opKind
 	slot int32       // the frame slot of an opSlot or opProp
 	v    value.Value // the value of an opConst, the key of an opProp
-	fn   Compiled    // the closure of an opFn
+	rec  *Record     // the record of an opRec
 }
 
 type opKind uint8
@@ -66,12 +64,11 @@ const (
 	opConst
 	opSlot
 	opProp
-	opFn
+	opRec
 )
 
-// Eval evaluates the operand. The receiver is a value so that a closure
-// holding operands keeps them inside its own allocation.
-func (o Operand) Eval(ctx *Ctx) (value.Value, error) {
+// Eval evaluates the operand.
+func (o *Operand) Eval(ctx *Ctx) (value.Value, error) {
 	switch o.kind {
 	case opConst:
 		return o.v, nil
@@ -80,7 +77,33 @@ func (o Operand) Eval(ctx *Ctx) (value.Value, error) {
 	case opProp:
 		return property(ctx, ctx.Frame[o.slot], o.v.AsString())
 	}
-	return o.fn(ctx)
+	return o.rec.eval(ctx)
+}
+
+// Test evaluates the operand as a predicate: the three-valued result
+// EvalPredicate gives for the same expression, its type error for a
+// non-boolean value included. Comparisons, logical operators and IS
+// [NOT] NULL yield their truth value directly; anything else is
+// evaluated and coerced, a folded constant too, so a constant predicate
+// that is not a truth value fails only if evaluated.
+func (o *Operand) Test(ctx *Ctx) (value.Tri, error) {
+	if o.kind == opRec {
+		return o.rec.test(ctx)
+	}
+	v, err := o.Eval(ctx)
+	if err != nil {
+		return value.TriUnknown, err
+	}
+	return truth(v)
+}
+
+// truth coerces a predicate's value as EvalPredicate does.
+func truth(v value.Value) (value.Tri, error) {
+	t, ok := v.Truth()
+	if !ok {
+		return value.TriUnknown, notBoolean(v.Kind())
+	}
+	return t, nil
 }
 
 // SlotOperand returns the operand that reads one frame slot.
@@ -90,15 +113,66 @@ func SlotOperand(slot int) Operand { return Operand{kind: opSlot, slot: int32(sl
 // expression.
 func (o Operand) IsZero() bool { return o.kind == opPending }
 
-func fnOperand(fn Compiled) Operand { return Operand{kind: opFn, fn: fn} }
+// Record is one compiled composite expression node: an operator, a
+// function call, a list or map literal, an indexing, a property of a
+// computed value, a parameter, an error raised when evaluated, or the
+// closure of a construct that loops. Eval and Test dispatch on its kind.
+// A record is written once, by the Compiler, and only read from then
+// on, so one compiled plan may run on several engines at once.
+type Record struct {
+	kind recKind
+	op   int32 // the ast.BinOp of recCmp and recArith, the ast.UnOp of recUnary
+	// l and r are the operands of a binary or unary node, the subject and
+	// index of an indexing, and the argument of a one-argument call; r is
+	// the name of a property or parameter, as a constant (see named).
+	l, r Operand
+	// args are the elements of a list, the values of a map, and the
+	// arguments of a call with several.
+	args []Operand
+	// aux is the *functions.Func of a call, the error of recErr, the
+	// *ast.MapLit of recMap (its keys) and the Compiled closure of recFn.
+	aux any
+}
 
-// Compiler lowers AST expressions to operands and predicates. One
-// Compiler may compile any number of expressions, and its exported
-// fields may change between them; it keeps only scratch state of its
-// own. The caller owns slot assignment and sizes its frames to the
-// final NextSlot.
+// named returns the operand that keeps a property's or parameter's name
+// in a record.
+func named(name string) Operand { return Operand{kind: opConst, v: value.Str(name)} }
+
+// name returns the name of a property or parameter record.
+func (r *Record) name() string { return r.r.v.AsString() }
+
+type recKind uint8
+
+const (
+	recCmp recKind = iota // comparison or IN; operands transient
+	recAnd
+	recOr
+	recXor
+	recNot
+	recIsNull
+	recIsNotNull
+	recArith // arithmetic, regex, or an unknown binary operator
+	recNeg
+	recUnary // an unknown unary operator
+	recProp
+	recParam
+	recErr
+	recList
+	recStackList // a list built on the value stack
+	recMap
+	recIndex        // subject transient
+	recCall1        // one argument; releases what the argument stacked
+	recStackReverse // reverse, of a list on the value stack
+	recCall
+	recFn
+)
+
+// Compiler lowers AST expressions to operands. One Compiler may compile
+// any number of expressions, and its exported fields may change between
+// them; it keeps only scratch state of its own. The caller owns slot
+// assignment and sizes its frames to the final NextSlot.
 //
-// A variable neither bound locally nor in scope compiles to a closure
+// A variable neither bound locally nor in scope compiles to a record
 // that returns UnknownVariableError at evaluation time — not a compile
 // error — because the interpreter, too, only raises the error if the
 // expression is actually evaluated (a query producing zero rows never
@@ -123,6 +197,13 @@ type Compiler struct {
 	// the variable in Vars, or -1 for a name out of scope. The caller
 	// truncates it; the engine schedules WHERE conjuncts from it.
 	Refs []int
+	// Records and Operands are the memory the compiler carves records
+	// and the operand lists of records from, front first. The caller
+	// sizes them with Footprint; a compile that needs more (an erroring
+	// constant compiled node by node, an aggregate in scalar position)
+	// allocates it.
+	Records  []Record
+	Operands []Operand
 
 	// locals is the stack of expression-local binders currently in
 	// scope, innermost last; it shadows Vars.
@@ -137,20 +218,14 @@ type Compiler struct {
 }
 
 // Reset readies the compiler for expressions of another query: no
-// variables in scope, slot 0 next, no splices. Its scratch keeps nothing
-// of the last query alive.
+// variables in scope, slot 0 next, no splices, no memory to carve. Its
+// scratch keeps nothing of the last query alive.
 func (c *Compiler) Reset() {
 	c.Vars, c.Splices, c.NextSlot = nil, nil, 0
+	c.Records, c.Operands = nil, nil
 	clear(c.locals[:cap(c.locals)])
 	clear(c.ops[:cap(c.ops)])
 	clear(c.fctx.argScratch[:cap(c.fctx.argScratch)])
-}
-
-// triPreds are the predicates a constant truth value folds to.
-var triPreds = [...]CompiledPred{
-	value.TriFalse:   func(*Ctx) (value.Tri, error) { return value.TriFalse, nil },
-	value.TriTrue:    func(*Ctx) (value.Tri, error) { return value.TriTrue, nil },
-	value.TriUnknown: func(*Ctx) (value.Tri, error) { return value.TriUnknown, nil },
 }
 
 type localBinding struct {
@@ -158,20 +233,45 @@ type localBinding struct {
 	slot int
 }
 
-// Compile lowers the expression to an operand, which costs no closure
+// Compile lowers the expression to an operand, which costs no record
 // when the expression is a constant, a variable or a property of a
 // variable. Every expression compiles: semantic errors, and node types
-// the compiler does not know, become closures that fail at evaluation
-// time (and only if evaluated), exactly as the interpreter fails.
+// the compiler does not know, become records that fail at evaluation
+// time (and only if evaluated), exactly as the interpreter fails. A
+// predicate compiles the same way and is evaluated with Test.
 func (c *Compiler) Compile(e ast.Expr) Operand { return c.operand(e) }
 
-// CompilePred lowers the expression to a predicate, mirroring
-// EvalPredicate's coercion and its exact type-error message.
-func (c *Compiler) CompilePred(e ast.Expr) CompiledPred { return c.predicate(e) }
-
-func errFn(err error) Compiled {
-	return func(*Ctx) (value.Value, error) { return value.Null, err }
+// rec carves a record from Records and returns the operand holding it.
+func (c *Compiler) rec(r Record) Operand {
+	if len(c.Records) == 0 {
+		c.Records = make([]Record, 8)
+	}
+	p := &c.Records[0]
+	c.Records = c.Records[1:]
+	*p = r
+	return Operand{kind: opRec, rec: p}
 }
+
+// operands carves n operands from Operands.
+func (c *Compiler) operands(n int) []Operand {
+	if n == 0 {
+		return nil
+	}
+	if len(c.Operands) < n {
+		c.Operands = make([]Operand, max(n, 16))
+	}
+	out := c.Operands[:n:n]
+	c.Operands = c.Operands[n:]
+	return out
+}
+
+func (c *Compiler) errOperand(err error) Operand { return c.rec(Record{kind: recErr, aux: err}) }
+
+// closure returns the operand of a construct compiled to a closure. The
+// closures keep their operands in lists carved from Operands: a captured
+// variable whose method takes its address would cost an allocation of
+// its own.
+func (c *Compiler) closure(fn Compiled) Operand { return c.rec(Record{kind: recFn, aux: fn}) }
 
 func (c *Compiler) temp() int {
 	s := c.NextSlot
@@ -217,11 +317,12 @@ func (c *Compiler) fin(e ast.Expr, o Operand) Operand {
 }
 
 // folded is the one constant fold: a maximal constant subtree becomes
-// its value by one Eval of the AST, without a closure per node. No
+// its value by one Eval of the AST, without a record per node. No
 // spliced node hides in such a subtree, since aggregate and star calls
 // are never constant. Bare literals skip the Eval walk. A subtree whose
 // Eval errors is compiled node by node, so the error surfaces at
 // evaluation time (and only if evaluated), as the interpreter's would.
+// In predicate position the constant is coerced when evaluated (Test).
 func (c *Compiler) folded(e ast.Expr) Operand {
 	if v, err := c.constValue(e); err == nil {
 		return Operand{kind: opConst, v: v}
@@ -263,32 +364,19 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 		if slot, ok := c.resolveVar(e.Name); ok {
 			return SlotOperand(slot)
 		}
-		return fnOperand(errFn(&UnknownVariableError{Name: e.Name}))
+		return c.errOperand(&UnknownVariableError{Name: e.Name})
 	case *ast.Parameter:
-		name := e.Name
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			v, ok := ctx.Params[name]
-			if !ok {
-				return value.Null, fmt.Errorf("parameter $%s is not bound", name)
-			}
-			return v, nil
-		})
+		return c.rec(Record{kind: recParam, r: named(e.Name)})
 	case *ast.PropAccess:
 		s := c.lower(e.Subject, true)
 		if fold && s.kind == opPending {
 			return Operand{}
 		}
-		sub, name := c.fin(e.Subject, s), e.Name
+		sub := c.fin(e.Subject, s)
 		if sub.kind == opSlot {
-			return Operand{kind: opProp, slot: sub.slot, v: value.Str(name)}
+			return Operand{kind: opProp, slot: sub.slot, v: value.Str(e.Name)}
 		}
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			v, err := sub.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			return property(ctx, v, name)
-		})
+		return c.rec(Record{kind: recProp, l: sub, r: named(e.Name)})
 	case *ast.Binary:
 		return c.lowerBinary(e, fold)
 	case *ast.Unary:
@@ -303,77 +391,60 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 			c.ops = c.ops[:base]
 			return Operand{}
 		}
-		keys, vals := e.Keys, c.pop(base, e.Vals)
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			out := make(map[string]value.Value, len(keys))
-			for i, k := range keys {
-				v, err := vals[i].Eval(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				out[k] = v
-			}
-			return value.Map(out), nil
-		})
+		return c.rec(Record{kind: recMap, args: c.pop(base, e.Vals), aux: e})
 	case *ast.IndexExpr:
 		s, i := c.transient(e.Subject, true), c.lower(e.Index, true)
 		if fold && s.kind == opPending && i.kind == opPending {
 			return Operand{}
 		}
-		sub, idx := c.fin(e.Subject, s), c.fin(e.Index, i)
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			mark := len(ctx.stack)
-			s, err := sub.Eval(ctx)
-			if err != nil {
-				ctx.Release(mark)
-				return value.Null, err
-			}
-			i, err := idx.Eval(ctx)
-			if err != nil {
-				ctx.Release(mark)
-				return value.Null, err
-			}
-			v, err := value.Index(s, i)
-			ctx.Release(mark)
-			return v, err
-		})
+		return c.rec(Record{kind: recIndex, l: c.fin(e.Subject, s), r: c.fin(e.Index, i)})
 	case *ast.SliceExpr:
 		return c.lowerSlice(e, fold)
 	case *ast.CaseExpr:
-		return fnOperand(c.compileCase(e))
+		return c.closure(c.compileCase(e))
 	case *ast.ListComprehension:
-		return fnOperand(c.compileComprehension(e, false))
+		return c.closure(c.compileComprehension(e, false))
 	case *ast.Quantifier:
-		return fnOperand(c.compileQuantifier(e))
+		return c.closure(c.compileQuantifier(e))
 	default:
 		// Mirror the interpreter: an unknown node type is a runtime
 		// error, raised only if the expression is evaluated.
-		return fnOperand(errFn(fmt.Errorf("cannot evaluate %T", e)))
+		return c.errOperand(fmt.Errorf("cannot evaluate %T", e))
 	}
 }
 
 // CompileTransient is Compile for an operand whose list value the
 // caller drops before it returns, as UNWIND does once it has copied the
-// elements into rows: a list literal or comprehension there is built on
-// the context's value stack. The caller takes Ctx.StackMark before each
-// evaluation and Releases the mark when done, on error paths too.
+// elements into rows: a list literal, comprehension or reverse there is
+// built on the context's value stack. The caller takes Ctx.StackMark
+// before each evaluation and Releases the mark when done, on error paths
+// too.
 func (c *Compiler) CompileTransient(e ast.Expr) Operand { return c.fin(e, c.transient(e, true)) }
 
 // transient is lower for an operand its consumer drops before it
 // returns: a comparison's or IN's operands, the argument of size or
 // reverse, the subject of indexing, and the input of a comprehension or
-// a quantifier. A list literal or comprehension there is built on the
-// value stack, and the consumer releases the stack to its height at entry
-// when it returns. Only the operand itself is stacked: a list nested in
-// it stays on the heap, so an element of a stacked list (which indexing
-// returns) never points into the stack. (A spliced node is an aggregate
-// call, never a list, so lower's splice check is not needed first.)
+// a quantifier. A list literal, comprehension or reverse of a list there
+// is built on the value stack, and the consumer releases the stack to
+// its height at entry when it returns. Only the operand itself is
+// stacked: a list nested in it stays on the heap, so an element of a
+// stacked list (which indexing returns) never points into the stack. (A
+// spliced node is an aggregate call, never a list or reverse, so lower's
+// splice check is not needed first.)
 func (c *Compiler) transient(e ast.Expr, fold bool) Operand {
 	switch e := e.(type) {
 	case *ast.ListLit:
 		return c.lowerList(e, fold, true)
 	case *ast.ListComprehension:
-		return fnOperand(c.compileComprehension(e, true))
+		return c.closure(c.compileComprehension(e, true))
+	case *ast.FuncCall:
+		if f, err := scalarFunc(e.Name); err == nil && f.Name == "reverse" && len(e.Args) == 1 {
+			a := c.transient(e.Args[0], true)
+			if fold && a.kind == opPending {
+				return Operand{}
+			}
+			return c.rec(Record{kind: recStackReverse, l: c.fin(e.Args[0], a), aux: f})
+		}
 	}
 	return c.lower(e, fold)
 }
@@ -387,31 +458,11 @@ func (c *Compiler) lowerList(e *ast.ListLit, fold, stacked bool) Operand {
 		c.ops = c.ops[:base]
 		return Operand{}
 	}
-	elems := c.pop(base, e.Elems)
+	kind := recList
 	if stacked {
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			base := len(ctx.stack)
-			for _, el := range elems {
-				v, err := el.Eval(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				ctx.stack = append(ctx.stack, v)
-			}
-			return value.ListOf(ctx.stack[base:]), nil
-		})
+		kind = recStackList
 	}
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		out := make([]value.Value, len(elems))
-		for i, el := range elems {
-			v, err := el.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			out[i] = v
-		}
-		return value.ListOf(out), nil
-	})
+	return c.rec(Record{kind: kind, args: c.pop(base, e.Elems)})
 }
 
 // push lowers expressions onto the operand stack, reporting where they
@@ -427,9 +478,10 @@ func (c *Compiler) push(es []ast.Expr) (base int, konst bool) {
 }
 
 // pop takes the operands of es off the stack from base, folding the
-// pending ones. Folding may push and pop above them, never below.
+// pending ones, into operands carved from Operands. Folding may push and
+// pop above them, never below.
 func (c *Compiler) pop(base int, es []ast.Expr) []Operand {
-	out := make([]Operand, len(es))
+	out := c.operands(len(es))
 	for i, x := range es {
 		out[i] = c.fin(x, c.ops[base+i])
 	}
@@ -437,176 +489,110 @@ func (c *Compiler) pop(base int, es []ast.Expr) []Operand {
 	return out
 }
 
-// comparison returns the three-valued comparison of a comparison
-// operator, or nil.
-func comparison(op ast.BinOp) func(l, r value.Value) value.Tri {
+// isComparison reports whether op is a comparison or IN, whose result is
+// three-valued and whose operands are transient.
+func isComparison(op ast.BinOp) bool {
+	switch op {
+	case ast.OpEq, ast.OpNeq, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
+		ast.OpStartsWith, ast.OpEndsWith, ast.OpContains, ast.OpIn:
+		return true
+	}
+	return false
+}
+
+// compare is the three-valued comparison of a comparison operator.
+func compare(op ast.BinOp, l, r value.Value) value.Tri {
 	switch op {
 	case ast.OpEq:
-		return value.Equal
+		return value.Equal(l, r)
 	case ast.OpNeq:
-		return value.NotEqual
+		return value.NotEqual(l, r)
 	case ast.OpLt:
-		return value.Less
+		return value.Less(l, r)
 	case ast.OpLe:
-		return value.LessEq
+		return value.LessEq(l, r)
 	case ast.OpGt:
-		return value.Greater
+		return value.Greater(l, r)
 	case ast.OpGe:
-		return value.GreaterEq
+		return value.GreaterEq(l, r)
 	case ast.OpStartsWith:
-		return value.StartsWith
+		return value.StartsWith(l, r)
 	case ast.OpEndsWith:
-		return value.EndsWith
+		return value.EndsWith(l, r)
 	case ast.OpContains:
-		return value.Contains
-	case ast.OpIn:
-		return value.In
+		return value.Contains(l, r)
 	}
-	return nil
+	return value.In(l, r)
 }
 
-// logical returns the three-valued combination of a logical operator,
-// or nil.
-func logical(op ast.BinOp) func(l, r value.Tri) value.Tri {
-	switch op {
-	case ast.OpAnd:
-		return value.Tri.And
-	case ast.OpOr:
-		return value.Tri.Or
-	case ast.OpXor:
-		return value.Tri.Xor
-	}
-	return nil
-}
-
-// arithmetic returns the value function of any other binary operator.
-func arithmetic(op ast.BinOp) func(l, r value.Value) (value.Value, error) {
+// arithmetic applies any binary operator that is neither logical nor a
+// comparison.
+func arithmetic(op ast.BinOp, l, r value.Value) (value.Value, error) {
 	switch op {
 	case ast.OpAdd:
-		return value.Add
+		return value.Add(l, r)
 	case ast.OpSub:
-		return value.Sub
+		return value.Sub(l, r)
 	case ast.OpMul:
-		return value.Mul
+		return value.Mul(l, r)
 	case ast.OpDiv:
-		return value.Div
+		return value.Div(l, r)
 	case ast.OpMod:
-		return value.Mod
+		return value.Mod(l, r)
 	case ast.OpPow:
-		return value.Pow
+		return value.Pow(l, r)
 	case ast.OpRegex:
-		return evalRegex
+		return evalRegex(l, r)
 	}
-	return func(l, r value.Value) (value.Value, error) {
-		return value.Null, fmt.Errorf("unknown binary operator %v", op)
-	}
+	return value.Null, fmt.Errorf("unknown binary operator %v", op)
 }
 
 func (c *Compiler) lowerBinary(e *ast.Binary, fold bool) Operand {
-	if logical(e.Op) != nil {
-		p, konst := c.lowerPred(e, fold)
-		if konst {
-			return Operand{}
-		}
-		return fnOperand(predValue(p))
+	var kind recKind
+	var lo, ro Operand
+	switch {
+	case e.Op == ast.OpAnd:
+		kind = recAnd
+	case e.Op == ast.OpOr:
+		kind = recOr
+	case e.Op == ast.OpXor:
+		kind = recXor
+	case isComparison(e.Op):
+		kind = recCmp
+	default:
+		kind = recArith
 	}
-	if cmp := comparison(e.Op); cmp != nil {
-		l, r, konst := c.comparands(e, fold)
-		if konst {
-			return Operand{}
-		}
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			t, err := compare(ctx, cmp, l, r)
-			return t.Value(), err
-		})
+	if kind == recCmp {
+		lo, ro = c.transient(e.L, true), c.transient(e.R, true)
+	} else {
+		lo, ro = c.lower(e.L, true), c.lower(e.R, true)
 	}
-	lo, ro := c.lower(e.L, true), c.lower(e.R, true)
 	if fold && lo.kind == opPending && ro.kind == opPending {
 		return Operand{}
 	}
-	l, r := c.fin(e.L, lo), c.fin(e.R, ro)
-	bin := arithmetic(e.Op)
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		lv, err := l.Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		rv, err := r.Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		return bin(lv, rv)
-	})
-}
-
-// comparands lowers the operands of a comparison or IN, which are
-// transient, reporting a constant comparison, when fold is set, as konst.
-func (c *Compiler) comparands(e *ast.Binary, fold bool) (l, r Operand, konst bool) {
-	lo, ro := c.transient(e.L, true), c.transient(e.R, true)
-	if fold && lo.kind == opPending && ro.kind == opPending {
-		return Operand{}, Operand{}, true
-	}
-	return c.fin(e.L, lo), c.fin(e.R, ro), false
-}
-
-// compare evaluates a comparison's operands and compares them, releasing
-// the lists they built on the value stack.
-func compare(ctx *Ctx, cmp func(l, r value.Value) value.Tri, l, r Operand) (value.Tri, error) {
-	mark := len(ctx.stack)
-	lv, err := l.Eval(ctx)
-	if err != nil {
-		ctx.Release(mark)
-		return value.TriUnknown, err
-	}
-	rv, err := r.Eval(ctx)
-	if err != nil {
-		ctx.Release(mark)
-		return value.TriUnknown, err
-	}
-	t := cmp(lv, rv)
-	ctx.Release(mark)
-	return t, nil
+	l := c.fin(e.L, lo)
+	return c.rec(Record{kind: kind, op: int32(e.Op), l: l, r: c.fin(e.R, ro)})
 }
 
 func (c *Compiler) lowerUnary(e *ast.Unary, fold bool) Operand {
+	var kind recKind
 	switch e.Op {
 	case ast.OpNot:
-		p, konst := c.lowerPred(e, fold)
-		if konst {
-			return Operand{}
-		}
-		return fnOperand(predValue(p))
-	case ast.OpNeg, ast.OpIsNull, ast.OpIsNotNull:
-		o := c.lower(e.X, true)
-		if fold && o.kind == opPending {
-			return Operand{}
-		}
-		x := c.fin(e.X, o)
-		if e.Op == ast.OpNeg {
-			return fnOperand(func(ctx *Ctx) (value.Value, error) {
-				v, err := x.Eval(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.Neg(v)
-			})
-		}
-		not := e.Op == ast.OpIsNotNull
-		return fnOperand(func(ctx *Ctx) (value.Value, error) {
-			v, err := x.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			return value.Bool(v.IsNull() != not), nil
-		})
+		kind = recNot
+	case ast.OpNeg:
+		kind = recNeg
+	case ast.OpIsNull:
+		kind = recIsNull
+	case ast.OpIsNotNull:
+		kind = recIsNotNull
+	default:
+		return c.rec(Record{kind: recUnary, op: int32(e.Op), l: c.operand(e.X)})
 	}
-	x, op := c.operand(e.X), e.Op
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		if _, err := x.Eval(ctx); err != nil {
-			return value.Null, err
-		}
-		return value.Null, fmt.Errorf("unknown unary operator %v", op)
-	})
+	o := c.lower(e.X, true)
+	if fold && o.kind == opPending {
+		return Operand{}
+	}
+	return c.rec(Record{kind: kind, l: c.fin(e.X, o)})
 }
 
 // lowerCall resolves the function once. Aggregates in scalar position
@@ -617,7 +603,7 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 	f, err := scalarFunc(e.Name)
 	if err != nil {
 		c.refArgs(e.Args)
-		return fnOperand(errFn(err))
+		return c.errOperand(err)
 	}
 	if len(e.Args) == 1 && (f.Name == "size" || f.Name == "reverse") {
 		// Their argument is transient: size reads a length and reverse
@@ -626,7 +612,7 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 		if fold && a.kind == opPending {
 			return Operand{}
 		}
-		return c.call1(f, c.fin(e.Args[0], a))
+		return c.rec(Record{kind: recCall1, l: c.fin(e.Args[0], a), aux: f})
 	}
 	base, konst := c.push(e.Args)
 	if fold && konst && !e.Star && !f.Nondeterministic {
@@ -636,39 +622,9 @@ func (c *Compiler) lowerCall(e *ast.FuncCall, fold bool) Operand {
 	if len(e.Args) == 1 {
 		arg := c.fin(e.Args[0], c.ops[base])
 		c.ops = c.ops[:base]
-		return c.call1(f, arg)
+		return c.rec(Record{kind: recCall1, l: arg, aux: f})
 	}
-	args := c.pop(base, e.Args)
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		base := len(ctx.argScratch)
-		for _, a := range args {
-			v, err := a.Eval(ctx)
-			if err != nil {
-				ctx.argScratch = ctx.argScratch[:base]
-				return value.Null, err
-			}
-			ctx.argScratch = append(ctx.argScratch, v)
-		}
-		return invoke(ctx, f, base)
-	})
-}
-
-// call1 is the call of f on one argument. It releases the value stack
-// after the call, for the transient argument of size and reverse.
-func (c *Compiler) call1(f *functions.Func, arg Operand) Operand {
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		mark := len(ctx.stack)
-		v, err := arg.Eval(ctx)
-		if err != nil {
-			ctx.Release(mark)
-			return value.Null, err
-		}
-		base := len(ctx.argScratch)
-		ctx.argScratch = append(ctx.argScratch, v)
-		res, err := invoke(ctx, f, base)
-		ctx.Release(mark)
-		return res, err
-	})
+	return c.rec(Record{kind: recCall, args: c.pop(base, e.Args), aux: f})
 }
 
 // invoke calls f on the arguments from base of the argument stack and
@@ -678,6 +634,198 @@ func invoke(ctx *Ctx, f *functions.Func, base int) (value.Value, error) {
 	res, err := functions.Invoke(f, &ctx.gctx, ctx.argScratch[base:])
 	ctx.argScratch = ctx.argScratch[:base]
 	return res, err
+}
+
+// eval evaluates the record as a value.
+func (r *Record) eval(ctx *Ctx) (value.Value, error) {
+	switch r.kind {
+	case recCmp, recAnd, recOr, recXor, recNot, recIsNull, recIsNotNull:
+		// The logical operators' results as evalBinary and evalUnary
+		// return them.
+		t, err := r.test(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		return t.Value(), nil
+	case recArith:
+		lv, err := r.l.Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		rv, err := r.r.Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		return arithmetic(ast.BinOp(r.op), lv, rv)
+	case recNeg:
+		v, err := r.l.Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		return value.Neg(v)
+	case recUnary:
+		if _, err := r.l.Eval(ctx); err != nil {
+			return value.Null, err
+		}
+		return value.Null, fmt.Errorf("unknown unary operator %v", ast.UnOp(r.op))
+	case recProp:
+		v, err := r.l.Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		return property(ctx, v, r.name())
+	case recParam:
+		v, ok := ctx.Params[r.name()]
+		if !ok {
+			return value.Null, fmt.Errorf("parameter $%s is not bound", r.name())
+		}
+		return v, nil
+	case recErr:
+		return value.Null, r.aux.(error)
+	case recList:
+		out := make([]value.Value, len(r.args))
+		for i := range r.args {
+			v, err := r.args[i].Eval(ctx)
+			if err != nil {
+				return value.Null, err
+			}
+			out[i] = v
+		}
+		return value.ListOf(out), nil
+	case recStackList:
+		base := len(ctx.stack)
+		for i := range r.args {
+			v, err := r.args[i].Eval(ctx)
+			if err != nil {
+				return value.Null, err
+			}
+			ctx.stack = append(ctx.stack, v)
+		}
+		return value.ListOf(ctx.stack[base:]), nil
+	case recMap:
+		keys := r.aux.(*ast.MapLit).Keys
+		out := make(map[string]value.Value, len(keys))
+		for i, k := range keys {
+			v, err := r.args[i].Eval(ctx)
+			if err != nil {
+				return value.Null, err
+			}
+			out[k] = v
+		}
+		return value.Map(out), nil
+	case recIndex:
+		mark := len(ctx.stack)
+		s, err := r.l.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.Null, err
+		}
+		i, err := r.r.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.Null, err
+		}
+		v, err := value.Index(s, i)
+		ctx.Release(mark)
+		return v, err
+	case recCall1, recStackReverse:
+		mark := len(ctx.stack)
+		v, err := r.l.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.Null, err
+		}
+		if r.kind == recStackReverse && v.Kind() == value.KindList {
+			return reverseStacked(ctx, mark, v.AsList()), nil
+		}
+		base := len(ctx.argScratch)
+		ctx.argScratch = append(ctx.argScratch, v)
+		res, err := invoke(ctx, r.aux.(*functions.Func), base)
+		ctx.Release(mark)
+		return res, err
+	case recCall:
+		base := len(ctx.argScratch)
+		for i := range r.args {
+			v, err := r.args[i].Eval(ctx)
+			if err != nil {
+				ctx.argScratch = ctx.argScratch[:base]
+				return value.Null, err
+			}
+			ctx.argScratch = append(ctx.argScratch, v)
+		}
+		return invoke(ctx, r.aux.(*functions.Func), base)
+	}
+	return r.aux.(Compiled)(ctx)
+}
+
+// reverseStacked is reverse of the list l for a transient consumer: the
+// elements are pushed above l in reverse order and moved down to mark,
+// over l if l is stacked there, and the list is a view of them. The
+// values are those reverse's heap copy would hold.
+func reverseStacked(ctx *Ctx, mark int, l []value.Value) value.Value {
+	top := len(ctx.stack)
+	for i := len(l) - 1; i >= 0; i-- {
+		ctx.stack = append(ctx.stack, l[i])
+	}
+	end := mark + copy(ctx.stack[mark:], ctx.stack[top:])
+	ctx.Release(end)
+	return value.ListOf(ctx.stack[mark:end])
+}
+
+// test evaluates the record as a predicate (see Operand.Test).
+func (r *Record) test(ctx *Ctx) (value.Tri, error) {
+	switch r.kind {
+	case recCmp:
+		// The operands are transient: release the lists they built on
+		// the value stack.
+		mark := len(ctx.stack)
+		lv, err := r.l.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.TriUnknown, err
+		}
+		rv, err := r.r.Eval(ctx)
+		if err != nil {
+			ctx.Release(mark)
+			return value.TriUnknown, err
+		}
+		t := compare(ast.BinOp(r.op), lv, rv)
+		ctx.Release(mark)
+		return t, nil
+	case recAnd, recOr, recXor:
+		lt, err := r.l.Test(ctx)
+		if err != nil {
+			return value.TriUnknown, err
+		}
+		rt, err := r.r.Test(ctx)
+		if err != nil {
+			return value.TriUnknown, err
+		}
+		switch r.kind {
+		case recAnd:
+			return lt.And(rt), nil
+		case recOr:
+			return lt.Or(rt), nil
+		}
+		return lt.Xor(rt), nil
+	case recNot:
+		t, err := r.l.Test(ctx)
+		if err != nil {
+			return value.TriUnknown, err
+		}
+		return t.Not(), nil
+	case recIsNull, recIsNotNull:
+		v, err := r.l.Eval(ctx)
+		if err != nil {
+			return value.TriUnknown, err
+		}
+		return value.TriOf(v.IsNull() != (r.kind == recIsNotNull)), nil
+	}
+	v, err := r.eval(ctx)
+	if err != nil {
+		return value.TriUnknown, err
+	}
+	return truth(v)
 }
 
 func (c *Compiler) lowerSlice(e *ast.SliceExpr, fold bool) Operand {
@@ -694,17 +842,18 @@ func (c *Compiler) lowerSlice(e *ast.SliceExpr, fold bool) Operand {
 	if fold && konst {
 		return Operand{}
 	}
-	sub, from, to := c.fin(e.Subject, so), c.fin(e.From, bounds[0]), c.fin(e.To, bounds[1])
-	return fnOperand(func(ctx *Ctx) (value.Value, error) {
-		s, err := sub.Eval(ctx)
+	ops := c.operands(3) // the subject and the two bounds
+	ops[0], ops[1], ops[2] = c.fin(e.Subject, so), c.fin(e.From, bounds[0]), c.fin(e.To, bounds[1])
+	return c.closure(func(ctx *Ctx) (value.Value, error) {
+		s, err := ops[0].Eval(ctx)
 		if err != nil {
 			return value.Null, err
 		}
-		fromV, err := from.Eval(ctx)
+		fromV, err := ops[1].Eval(ctx)
 		if err != nil {
 			return value.Null, err
 		}
-		toV, err := to.Eval(ctx)
+		toV, err := ops[2].Eval(ctx)
 		if err != nil {
 			return value.Null, err
 		}
@@ -712,158 +861,25 @@ func (c *Compiler) lowerSlice(e *ast.SliceExpr, fold bool) Operand {
 	})
 }
 
-// predicate lowers e in predicate position, folding it if constant.
-func (c *Compiler) predicate(e ast.Expr) CompiledPred {
-	if p, konst := c.lowerPred(e, true); !konst {
-		return p
-	}
-	return c.foldedPred(e)
-}
-
-// foldedPred is folded in predicate position: a constant truth value
-// becomes one of three shared closures, and any other constant a closure
-// raising EvalPredicate's type error when evaluated.
-func (c *Compiler) foldedPred(e ast.Expr) CompiledPred {
-	v, err := c.constValue(e)
-	if err != nil {
-		p, _ := c.lowerPred(e, false)
-		return p
-	}
-	t, ok := v.Truth()
-	if !ok {
-		kind := v.Kind()
-		return func(*Ctx) (value.Tri, error) { return value.TriUnknown, notBoolean(kind) }
-	}
-	return triPreds[t]
-}
-
-// lowerPred is lower in predicate position. A comparison yields its
-// three-valued result directly, and logical operators combine their
-// operands' predicates, so neither converts through a Value. Any other
-// expression is lowered as a value and coerced as EvalPredicate does.
-// It reports a constant e, when fold is set, by returning no predicate.
-func (c *Compiler) lowerPred(e ast.Expr, fold bool) (CompiledPred, bool) {
-	switch e := e.(type) {
-	case *ast.Binary:
-		if combine := logical(e.Op); combine != nil {
-			lp, lk := c.lowerPred(e.L, true)
-			rp, rk := c.lowerPred(e.R, true)
-			if fold && lk && rk {
-				return nil, true
-			}
-			if lk {
-				lp = c.foldedPred(e.L)
-			}
-			if rk {
-				rp = c.foldedPred(e.R)
-			}
-			return func(ctx *Ctx) (value.Tri, error) {
-				lt, err := lp(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				rt, err := rp(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				return combine(lt, rt), nil
-			}, false
-		}
-		if cmp := comparison(e.Op); cmp != nil {
-			l, r, konst := c.comparands(e, fold)
-			if konst {
-				return nil, true
-			}
-			return func(ctx *Ctx) (value.Tri, error) { return compare(ctx, cmp, l, r) }, false
-		}
-	case *ast.Unary:
-		switch e.Op {
-		case ast.OpNot:
-			xp, konst := c.lowerPred(e.X, true)
-			if fold && konst {
-				return nil, true
-			}
-			if konst {
-				xp = c.foldedPred(e.X)
-			}
-			return func(ctx *Ctx) (value.Tri, error) {
-				t, err := xp(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				return t.Not(), nil
-			}, false
-		case ast.OpIsNull, ast.OpIsNotNull:
-			o := c.lower(e.X, true)
-			if fold && o.kind == opPending {
-				return nil, true
-			}
-			x, not := c.fin(e.X, o), e.Op == ast.OpIsNotNull
-			return func(ctx *Ctx) (value.Tri, error) {
-				v, err := x.Eval(ctx)
-				if err != nil {
-					return value.TriUnknown, err
-				}
-				return value.TriOf(v.IsNull() != not), nil
-			}, false
-		}
-	}
-	o := c.lower(e, fold)
-	if o.kind == opPending {
-		return nil, true
-	}
-	return func(ctx *Ctx) (value.Tri, error) {
-		v, err := o.Eval(ctx)
-		if err != nil {
-			return value.TriUnknown, err
-		}
-		t, ok := v.Truth()
-		if !ok {
-			return value.TriUnknown, notBoolean(v.Kind())
-		}
-		return t, nil
-	}, false
-}
-
-// predValue converts a predicate back to a value, as evalBinary and
-// evalUnary return the logical operators' results.
-func predValue(p CompiledPred) Compiled {
-	return func(ctx *Ctx) (value.Value, error) {
-		t, err := p(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		return t.Value(), nil
-	}
-}
-
 func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
+	// ops holds the test, the ELSE value, the WHEN values and the THEN
+	// values.
+	n := len(e.Whens)
+	ops := c.operands(2 + 2*n)
+	test, els, whens, thens := &ops[0], &ops[1], ops[2:2+n], ops[2+n:]
 	hasTest := e.Test != nil
-	var test Operand
 	if hasTest {
-		test = c.operand(e.Test)
+		*test = c.operand(e.Test)
 	}
 	// A CASE with a test compares it with each WHEN value; one without
-	// evaluates each WHEN as a predicate.
-	var whens []Operand
-	var whenPreds []CompiledPred
-	if hasTest {
-		whens = make([]Operand, len(e.Whens))
-	} else {
-		whenPreds = make([]CompiledPred, len(e.Whens))
-	}
-	thens := make([]Operand, len(e.Whens))
+	// tests each WHEN as a predicate.
 	for i, w := range e.Whens {
-		if hasTest {
-			whens[i] = c.operand(w)
-		} else {
-			whenPreds[i] = c.predicate(w)
-		}
+		whens[i] = c.operand(w)
 		thens[i] = c.operand(e.Thens[i])
 	}
-	els := Operand{kind: opConst} // null
+	*els = Operand{kind: opConst} // null
 	if e.Else != nil {
-		els = c.operand(e.Else)
+		*els = c.operand(e.Else)
 	}
 	return func(ctx *Ctx) (value.Value, error) {
 		if hasTest {
@@ -871,8 +887,8 @@ func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
 			if err != nil {
 				return value.Null, err
 			}
-			for i, w := range whens {
-				wv, err := w.Eval(ctx)
+			for i := range whens {
+				wv, err := whens[i].Eval(ctx)
 				if err != nil {
 					return value.Null, err
 				}
@@ -881,8 +897,8 @@ func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
 				}
 			}
 		} else {
-			for i, w := range whenPreds {
-				t, err := w(ctx)
+			for i := range whens {
+				t, err := whens[i].Test(ctx)
 				if err != nil {
 					return value.Null, err
 				}
@@ -900,18 +916,19 @@ func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
 // value stack: pushed above the input as it is mapped, then moved down
 // over the released input.
 func (c *Compiler) compileComprehension(e *ast.ListComprehension, stacked bool) Compiled {
-	list := c.fin(e.List, c.transient(e.List, true))
+	ops := c.operands(3)
+	list, where, mapped := &ops[0], &ops[1], &ops[2]
+	*list = c.fin(e.List, c.transient(e.List, true))
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
-	var where CompiledPred
 	if e.Where != nil {
-		where = c.predicate(e.Where)
+		*where = c.operand(e.Where)
 	}
 	// Without a map expression an element maps to itself: the binder's
 	// slot.
-	mapped := SlotOperand(slot)
+	*mapped = SlotOperand(slot)
 	if e.Map != nil {
-		mapped = c.operand(e.Map)
+		*mapped = c.operand(e.Map)
 	}
 	c.locals = c.locals[:len(c.locals)-1]
 	return func(ctx *Ctx) (value.Value, error) {
@@ -938,8 +955,8 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension, stacked bool) 
 		for _, el := range els {
 			ctx.Frame[slot] = el
 			keep := value.TriTrue
-			if where != nil {
-				keep, err = where(ctx)
+			if !where.IsZero() {
+				keep, err = where.Test(ctx)
 				if err != nil {
 					ctx.Frame[slot] = old
 					return value.Null, err
@@ -970,10 +987,12 @@ func (c *Compiler) compileComprehension(e *ast.ListComprehension, stacked bool) 
 // compileQuantifier compiles any/all/none/single, whose input is
 // transient.
 func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
-	list := c.fin(e.List, c.transient(e.List, true))
+	ops := c.operands(2)
+	list, pred := &ops[0], &ops[1]
+	*list = c.fin(e.List, c.transient(e.List, true))
 	slot := c.temp()
 	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
-	pred := c.predicate(e.Pred)
+	*pred = c.operand(e.Pred)
 	c.locals = c.locals[:len(c.locals)-1]
 	kind := e.Kind
 	return func(ctx *Ctx) (value.Value, error) {
@@ -993,7 +1012,7 @@ func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
 		old := ctx.Frame[slot]
 		for _, el := range lv.AsList() {
 			ctx.Frame[slot] = el
-			t, err := pred(ctx)
+			t, err := pred.Test(ctx)
 			if err != nil {
 				ctx.Frame[slot] = old
 				return value.Null, err
@@ -1010,4 +1029,91 @@ func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
 		ctx.Frame[slot] = old
 		return quantified(kind, trues, falses, unknowns), nil
 	}
+}
+
+// Footprint returns how many records, and how many operands of operand
+// lists, compiling e carves at most: what a caller sizes
+// Compiler.Records and Compiler.Operands by. Constant subtrees fold to
+// nothing, and aggregate and star calls (spliced by a projection) take
+// nothing of their own, so an expression of variables, properties of
+// variables, literals and aggregates of those needs none.
+func Footprint(e ast.Expr) (records, operands int) {
+	var n footprint
+	n.walk(e)
+	return n.records, n.operands
+}
+
+type footprint struct{ records, operands int }
+
+// walk adds e's records and operands and reports whether e is constant,
+// as lower decides it.
+func (n *footprint) walk(e ast.Expr) bool {
+	var konst bool
+	switch e := e.(type) {
+	case nil, *ast.Literal:
+		return true
+	case *ast.Variable:
+		return false
+	case *ast.PropAccess:
+		konst = n.walk(e.Subject)
+		if _, ok := e.Subject.(*ast.Variable); ok || konst {
+			return konst
+		}
+	case *ast.Binary:
+		konst = n.all(e.L, e.R)
+	case *ast.Unary:
+		konst = n.walk(e.X)
+	case *ast.FuncCall:
+		konst = n.all(e.Args...)
+		// No name is both a scalar function and an aggregate.
+		f := functions.Lookup(e.Name)
+		if e.Star || f == nil && functions.IsAggregate(e.Name) {
+			return false
+		}
+		// An unknown function compiles to an error.
+		konst = konst && f != nil && !f.Nondeterministic
+		if len(e.Args) > 1 && !konst {
+			n.operands += len(e.Args)
+		}
+	case *ast.ListLit:
+		if konst = n.all(e.Elems...); !konst {
+			n.operands += len(e.Elems)
+		}
+	case *ast.MapLit:
+		if konst = n.all(e.Vals...); !konst {
+			n.operands += len(e.Vals)
+		}
+	case *ast.IndexExpr:
+		konst = n.all(e.Subject, e.Index)
+	case *ast.SliceExpr:
+		if konst = n.all(e.Subject, e.From, e.To); !konst {
+			n.operands += 3
+		}
+	case *ast.CaseExpr:
+		n.all(e.Test, e.Else)
+		n.all(e.Whens...)
+		n.all(e.Thens...)
+		n.operands += 2 + 2*len(e.Whens)
+	case *ast.ListComprehension:
+		n.all(e.List, e.Where, e.Map)
+		n.operands += 3
+	case *ast.Quantifier:
+		n.all(e.List, e.Pred)
+		n.operands += 2
+	}
+	if !konst {
+		n.records++
+	}
+	return konst
+}
+
+// all walks es, nils included, and reports whether all are constant.
+func (n *footprint) all(es ...ast.Expr) bool {
+	konst := true
+	for _, x := range es {
+		if !n.walk(x) {
+			konst = false
+		}
+	}
+	return konst
 }

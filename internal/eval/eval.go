@@ -23,7 +23,7 @@ type Ctx struct {
 	Env    map[string]value.Value
 	Params map[string]value.Value
 	// Frame is the slot-addressed environment used by compiled
-	// expressions (see Compile): closures produced by a Compiler read
+	// expressions (see Compile): operands produced by a Compiler read
 	// variables as Frame[slot] instead of Env[name]. Tree-walking Eval
 	// never touches it, so the two evaluation modes coexist on one Ctx.
 	Frame []value.Value

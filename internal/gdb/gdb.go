@@ -40,8 +40,10 @@ type Connector interface {
 	// prepared execution path that removes the per-target parse tax. The
 	// PreparedQuery is shared: implementations must treat its AST and
 	// Features as read-only, and may run it concurrently with other
-	// connectors executing the same value. Behaviour is otherwise
-	// identical to ExecuteCtx(ctx, pq.Text).
+	// connectors executing the same value. It is valid for this call and
+	// the caller's retries of it: the campaign runner reuses its memory
+	// for the next query, so an implementation must not keep it.
+	// Behaviour is otherwise identical to ExecuteCtx(ctx, pq.Text).
 	ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error)
 	// RelUniqueness reports whether the dialect enforces relationship
 	// uniqueness (§4: FalkorDB and Kùzu deviate).

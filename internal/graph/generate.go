@@ -48,7 +48,9 @@ type IndexSpec struct {
 }
 
 // Schema records the label, relationship-type, and property vocabularies
-// of a generated graph.
+// of a generated graph. The generators share one vocabulary among every
+// graph they make: Labels, RelTypes and Props are read-only. Indexes is
+// each schema's own.
 type Schema struct {
 	Labels   []string
 	RelTypes []string
@@ -56,11 +58,11 @@ type Schema struct {
 	Indexes  []IndexSpec
 }
 
-// PropNames returns the property names in a deterministic order.
+// PropNames returns the generated property names the schema declares,
+// k0, k1, … in order.
 func (s *Schema) PropNames() []string {
 	names := make([]string, 0, len(s.Props))
-	for i := 0; ; i++ {
-		n := fmt.Sprintf("k%d", i)
+	for _, n := range vocab.propNames {
 		if _, ok := s.Props[n]; !ok {
 			break
 		}
@@ -113,20 +115,32 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
-// newSchema returns the fixed vocabulary every generator draws from;
-// property kN has type N mod 5.
+// vocab is the fixed vocabulary every generator draws from, built once:
+// labels L0…, relationship types T0…, property names k0…, and each
+// property name's type, N mod 5 for kN.
+var vocab = func() (v struct {
+	labels, relTypes, propNames []string
+	props                       map[string]PropType
+}) {
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	v.labels, v.relTypes, v.propNames = names("L", numLabels), names("T", numRelTypes), names("k", numProps)
+	v.props = make(map[string]PropType, numProps)
+	for i, n := range v.propNames {
+		v.props[n] = PropType(i % 5)
+	}
+	return v
+}()
+
+// newSchema returns a schema over the shared vocabulary, without
+// indexes.
 func newSchema() *Schema {
-	s := &Schema{Props: make(map[string]PropType, numProps)}
-	for i := 0; i < numLabels; i++ {
-		s.Labels = append(s.Labels, fmt.Sprintf("L%d", i))
-	}
-	for i := 0; i < numRelTypes; i++ {
-		s.RelTypes = append(s.RelTypes, fmt.Sprintf("T%d", i))
-	}
-	for i := 0; i < numProps; i++ {
-		s.Props[fmt.Sprintf("k%d", i)] = PropType(i % 5)
-	}
-	return s
+	return &Schema{Labels: vocab.labels, RelTypes: vocab.relTypes, Props: vocab.props}
 }
 
 // Generate produces a random labeled property graph and its schema,
@@ -170,7 +184,7 @@ func Generate(r *rand.Rand, cfg GenConfig) (*Graph, *Schema) {
 	for i := 0; i < nIdx; i++ {
 		s.Indexes = append(s.Indexes, IndexSpec{
 			Label:    s.Labels[r.Intn(len(s.Labels))],
-			Property: fmt.Sprintf("k%d", r.Intn(numProps)),
+			Property: vocab.propNames[r.Intn(numProps)],
 		})
 	}
 	return g, s
@@ -200,7 +214,7 @@ func pickDistinct(r *rand.Rand, pool []string, n int) []string {
 func fillProps(r *rand.Rand, s *Schema, props map[string]value.Value, maxProps int) {
 	n := 1 + r.Intn(maxProps)
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("k%d", r.Intn(len(s.Props)))
+		name := vocab.propNames[r.Intn(len(s.Props))]
 		props[name] = RandomPropValue(r, s.Props[name])
 	}
 }
