@@ -122,7 +122,7 @@ type planSlab struct {
 	nodes    []cNode
 	rels     []cRel
 	props    []cProp
-	preds    []eval.Operand
+	preds    []eval.Operand // WHERE conjuncts and zero-row group operands
 	sched    []*eval.Operand
 	ints     []int
 	items    []cProjItem
@@ -188,7 +188,7 @@ func (b *builder) sizeSlabs(q *ast.Query) slabSize {
 		aggs, groups := 0, 0
 		for _, it := range p.Items {
 			expr(it.Expr)
-			k := aggregateCalls(it.Expr)
+			k, _ := aggregateCalls(it.Expr)
 			if k == 0 {
 				groups++
 			}
@@ -197,6 +197,16 @@ func (b *builder) sizeSlabs(q *ast.Query) slabSize {
 		if aggs > 0 {
 			n.aggs += aggs
 			n.ints += groups
+		}
+		if groups == 0 {
+			// The zero-row group's operands compile an item once more; its
+			// footprint bounds them.
+			for _, it := range p.Items {
+				if _, zero := aggregateCalls(it.Expr); zero > 0 {
+					n.preds += zero
+					expr(it.Expr)
+				}
+			}
 		}
 		for _, si := range p.OrderBy {
 			expr(si.Expr)
@@ -267,7 +277,7 @@ func (b *builder) sizeSlabs(q *ast.Query) slabSize {
 	// Each conjunct in clause order; a pointer to each in the list of the
 	// one place the schedule runs it, then room for the reversed chains'
 	// schedules; and each conjunct's last variable in reversed chains.
-	n.preds, n.sched = conj, 2*conj
+	n.preds, n.sched = n.preds+conj, 2*conj
 	n.ints += conj
 	return n
 }
@@ -318,19 +328,32 @@ func reuse[T any](mem *[]T, n int) []T {
 	return *mem
 }
 
+// aggregateCall reports whether e is an aggregate call: a star call,
+// which both engines run as count(*), or a call of an aggregate function.
+func aggregateCall(e ast.Expr) (*ast.FuncCall, bool) {
+	f, ok := e.(*ast.FuncCall)
+	return f, ok && (f.Star || functions.LookupAgg(f.Name) != nil)
+}
+
 // aggregateCalls counts the aggregate calls of a projection item as
-// builder.aggregation collects them.
-func aggregateCalls(e ast.Expr) int {
-	n := 0
+// builder.aggregation collects them, and the operands the zero-row group
+// of a projection without grouping items compiles for the item: one per
+// parameter, and one for the item itself unless it is one call.
+func aggregateCalls(e ast.Expr) (calls, zero int) {
 	ast.WalkExprs(e, func(x ast.Expr) bool {
-		f, ok := x.(*ast.FuncCall)
-		if ok && (f.Star || functions.LookupAgg(f.Name) != nil) {
-			n++
-			return false
+		f, ok := aggregateCall(x)
+		if ok {
+			calls++
+			if !f.Star && len(f.Args) == 2 && functions.LookupAgg(f.Name).HasParam {
+				zero++ // its parameter
+			}
 		}
-		return true
+		return !ok // aggregates do not nest
 	})
-	return n
+	if _, one := aggregateCall(e); calls > 0 && !one {
+		zero++
+	}
+	return calls, zero
 }
 
 // compileQueryPlan lowers a query into qp, or leaves qp the zero plan
@@ -424,8 +447,8 @@ func (b *builder) part(pp *partPlan, sq *ast.SingleQuery) error {
 		pp.stages[i] = st
 	}
 	pp.width = b.cmp.NextSlot
-	// Projections need the final width for their interpreter cold path
-	// and the SKIP/LIMIT scratch frame; it is only known now.
+	// Projections need the final width for the SKIP/LIMIT scratch frame
+	// and the frame of the zero-row group; it is only known now.
 	for _, st := range pp.stages {
 		if p, ok := st.(*cProjection); ok {
 			p.width = pp.width
@@ -864,7 +887,6 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 	}
 	st := &carve(&b.slab.projs, 1)[0]
 	st.distinct, st.isReturn = p.Distinct, isReturn
-	st.proj, st.requireAlias = p, requireAlias
 	st.items = carve(&b.slab.items, len(p.Items))
 	// out is the projected scope: the next stage's after a WITH, and
 	// part of ORDER BY's.
@@ -944,89 +966,75 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 // aggregation collects the aggregate calls of every item in item order
 // (as Engine.aggregate walks them), assigns each a result slot, and
 // compiles the item expressions with those slots spliced in place of the
-// calls.
+// calls. An item that is one call takes the call's result in its own
+// slot and compiles nothing.
+//
+// Over no rows, an aggregation without grouping items yields one group
+// whose parameters and items the interpreter evaluates in an empty
+// scope. Such a projection compiles them once more, against no
+// variables, into st.zero: each parameter in call order, then each item
+// that is not one call in item order.
 func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
 	// The calls fill the aggregate slab's front, which size counted them
-	// into, and the grouping items a run of ints.
+	// into, and the zero-row group's operands the predicate slab's; the
+	// grouping items take a run of ints.
 	st.calls = b.slab.aggs[:0]
-	defer func() {
-		st.calls = carve(&b.slab.aggs, len(st.calls))
-	}()
 	groups := 0
-	for i := range st.items {
+	for i, it := range p.Items {
 		if !st.items[i].agg {
 			groups++
 		}
-	}
-	st.groupItems = carve(&b.slab.ints, groups)[:0]
-	for _, it := range p.Items {
 		ast.WalkExprs(it.Expr, func(x ast.Expr) bool {
-			f, ok := x.(*ast.FuncCall)
+			f, ok := aggregateCall(x)
 			if !ok {
 				return true
 			}
-			if f.Star {
-				st.calls = append(st.calls, cAggCall{
-					call:     f,
-					star:     true,
-					distinct: f.Distinct,
-					argCount: len(f.Args),
-					slot:     b.next(),
-				})
-				return false
+			c := cAggCall{call: f, star: f.Star, slot: int(st.items[i].slot)}
+			if x != it.Expr {
+				c.slot = b.next()
 			}
-			spec := functions.LookupAgg(f.Name)
-			if spec == nil {
-				return true
-			}
-			c := cAggCall{
-				call:     f,
-				spec:     spec,
-				distinct: f.Distinct,
-				argCount: len(f.Args),
-				slot:     b.next(),
-			}
-			if len(f.Args) >= 1 {
-				c.arg = b.compile(sc, f.Args[0])
-			}
-			if spec.HasParam && len(f.Args) == 2 {
-				c.param = b.compile(sc, f.Args[1])
+			if !f.Star {
+				c.spec = functions.LookupAgg(f.Name)
+				if len(f.Args) >= 1 {
+					c.arg = b.compile(sc, f.Args[0])
+				}
+				if c.spec.HasParam && len(f.Args) == 2 {
+					c.param = b.compile(sc, f.Args[1])
+				}
 			}
 			st.calls = append(st.calls, c)
 			return false // aggregates do not nest
 		})
 	}
+	st.calls = carve(&b.slab.aggs, len(st.calls))
+	st.groupItems = carve(&b.slab.ints, groups)[:0]
+	st.zero = b.slab.preds[:0]
+	for i := range st.calls {
+		if c := &st.calls[i]; groups == 0 && !c.param.IsZero() {
+			st.zero = append(st.zero, b.compile(nil, c.call.Args[1]))
+		}
+	}
 	// Item expressions: grouping items evaluate per input row; aggregated
-	// items evaluate at finalization with each call reading its slot. An
-	// item that is one aggregate call is just that read; any other is
+	// items evaluate at finalization with each call reading its slot,
 	// compiled with every call spliced in (a call node that occurs twice
 	// reads the slot of its last occurrence).
-	defer func() { b.cmp.Splices = nil }()
+	b.splices = b.splices[:0]
+	for _, c := range st.calls {
+		b.splices = append(b.splices, eval.Splice{Expr: c.call, Slot: c.slot})
+	}
+	b.cmp.Splices = b.splices
 	for i, it := range p.Items {
 		if !st.items[i].agg {
 			st.groupItems = append(st.groupItems, i)
 		}
-		if slot, ok := st.callSlot(it.Expr); ok {
-			st.items[i].fn = eval.SlotOperand(slot)
+		if _, one := aggregateCall(it.Expr); one {
 			continue
 		}
-		if b.cmp.Splices == nil {
-			b.splices = b.splices[:0]
-			for _, c := range st.calls {
-				b.splices = append(b.splices, eval.Splice{Expr: c.call, Slot: c.slot})
-			}
-			b.cmp.Splices = b.splices
-		}
 		st.items[i].fn = b.compile(sc, it.Expr)
-	}
-}
-
-// callSlot returns the result slot of the aggregate call e, if e is one.
-func (st *cProjection) callSlot(e ast.Expr) (int, bool) {
-	for k := len(st.calls) - 1; k >= 0; k-- {
-		if ast.Expr(st.calls[k].call) == e {
-			return st.calls[k].slot, true
+		if groups == 0 {
+			st.zero = append(st.zero, b.compile(nil, it.Expr))
 		}
 	}
-	return 0, false
+	b.cmp.Splices = nil
+	st.zero = carve(&b.slab.preds, len(st.zero))
 }

@@ -68,9 +68,15 @@ func execAllocsGraph(n int) *graph.Snapshot {
 // lists of projection items.
 const synthExecAllocs = 25
 
+// zeroRowCountAllocs is the most a planned count over no rows may
+// allocate per execution, reset included: the shape of every
+// large-graph hop whose probe or expansion finds nothing (14 while the
+// interpreter ran such a projection).
+const zeroRowCountAllocs = 4
+
 // TestExecuteAllocs keeps execution free of per-row allocations: the
-// shapes allocate as much over 200 rows as over 2, and the synthesized
-// corpus stays within its per-query bound.
+// shapes allocate as much over 200 rows as over 2, and a count over no
+// rows and the synthesized corpus stay within their bounds.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -96,8 +102,22 @@ func TestExecuteAllocs(t *testing.T) {
 		}
 	}
 
-	pqs, snap, schema := preparedCorpus(t)
+	zero, err := engine.Prepare("MATCH (n:L {k: 7})-[:T]->(m) RETURN count(*)")
+	if err != nil || !zero.Planned() {
+		t.Fatalf("zero-row count: prepare: %v (planned %v)", err, err == nil && zero.Planned())
+	}
 	e := engine.NewReference()
+	if got := testing.AllocsPerRun(50, func() {
+		e.LoadSnapshot(small, nil)
+		res, err := e.ExecutePrepared(ctx, zero)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("zero-row count: %v, %v", res, err)
+		}
+	}); got > zeroRowCountAllocs {
+		t.Errorf("zero-row count: execution allocates %.0f times, want at most %d", got, zeroRowCountAllocs)
+	}
+
+	pqs, snap, schema := preparedCorpus(t)
 	got := testing.AllocsPerRun(20, func() {
 		for _, pq := range pqs {
 			e.LoadSnapshot(snap, schema)

@@ -1038,7 +1038,8 @@ func (st *cCall) run(e *Engine, in []frame) ([]frame, *Result, error) {
 
 // cProjItem is one compiled projection item: the output column's slot
 // and its compiled expression (for aggregating items, compiled with the
-// per-group aggregate results spliced in).
+// per-group aggregate results spliced in; zero for an item that is one
+// aggregate call, whose result the call publishes in the item's slot).
 type cProjItem struct {
 	name string
 	slot int32
@@ -1050,14 +1051,12 @@ type cProjItem struct {
 // accumulator spec, the compiled argument/parameter expressions, and the
 // slot its per-group result is published in for the item expressions.
 type cAggCall struct {
-	call     *ast.FuncCall
-	spec     *functions.AggSpec
-	star     bool
-	distinct bool
-	argCount int
-	arg      eval.Operand // zero for star calls
-	param    eval.Operand // set only for HasParam calls with 2 args
-	slot     int
+	call  *ast.FuncCall
+	spec  *functions.AggSpec
+	star  bool
+	arg   eval.Operand // zero for star calls
+	param eval.Operand // set only for HasParam calls with 2 args
+	slot  int
 }
 
 type cSort struct {
@@ -1065,15 +1064,17 @@ type cSort struct {
 	desc bool
 }
 
-// cProjection is a compiled WITH or RETURN clause. The interpreter
-// fallback fields (proj, requireAlias) serve the one cold path the
-// compiled form cannot reproduce: grouped aggregation over zero input
-// rows, whose finalization evaluates expressions in an EMPTY environment
-// (unknown-variable errors included), which slot reads cannot mimic.
+// cProjection is a compiled WITH or RETURN clause. An aggregation
+// without grouping items yields one group even over no input rows, as
+// the interpreter's does, and evaluates that group's parameters and
+// items in an empty scope, where an input variable is an unknown one:
+// zero holds its operands, compiled against no variables (see
+// builder.aggregation).
 type cProjection struct {
 	items      []cProjItem
 	groupItems []int // indices into items of the non-aggregating items
 	calls      []cAggCall
+	zero       []eval.Operand
 	hasAgg     bool
 	distinct   bool
 	isReturn   bool
@@ -1082,16 +1083,10 @@ type cProjection struct {
 	limit      eval.Operand // zero without LIMIT
 	where      eval.Operand // WITH ... WHERE only
 	cols       []string     // RETURN's result columns, never in a Scratch
-
-	requireAlias bool
-	proj         *ast.Projection
-	width        int // part frame width, set by builder.part
+	width      int          // part frame width, set by builder.part
 }
 
 func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
-	if st.hasAgg && len(in) == 0 {
-		return st.runInterp(e)
-	}
 	ctx := e.planCtx(nil)
 	rows := in
 	if st.hasAgg {
@@ -1142,42 +1137,6 @@ func (st *cProjection) run(e *Engine, in []frame) ([]frame, *Result, error) {
 		}
 	}
 	return rows, nil, nil
-}
-
-// runInterp is the zero-row aggregation cold path: delegate the whole
-// projection to the interpreter and convert its map rows back to frames.
-func (st *cProjection) runInterp(e *Engine) ([]frame, *Result, error) {
-	rows, cols, err := e.project(st.proj, nil, st.requireAlias)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st.isReturn {
-		res := &Result{Columns: cols}
-		for _, r := range rows {
-			vals := make([]value.Value, len(cols))
-			for i, col := range cols {
-				vals[i] = r[col]
-			}
-			res.Rows = append(res.Rows, vals)
-		}
-		return nil, res, nil
-	}
-	ps := &e.pstate
-	out := make([]frame, 0, len(rows))
-	for _, r := range rows {
-		nf := ps.arena.alloc(st.width)
-		for i := range st.items {
-			nf[st.items[i].slot] = r[st.items[i].name]
-		}
-		out = append(out, nf)
-	}
-	if !st.where.IsZero() {
-		out, err = st.filter(e.planCtx(nil), out)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, nil, nil
 }
 
 func (st *cProjection) filter(ctx *eval.Ctx, rows []frame) ([]frame, error) {
@@ -1322,7 +1281,9 @@ func (st *cProjection) buildResult(rows []frame) *Result {
 // before evaluating the aggregating items against the group's first row.
 // Groups are numbered in first-occurrence order by the engine's row set,
 // which also holds their keys; DISTINCT aggregates dedupe (group, call,
-// value) triples in a second set.
+// value) triples in a second set. Over no rows, a projection without
+// grouping items finalizes one group on a frame of its own, through its
+// zero operands.
 func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame, error) {
 	ps := &e.pstate
 	set, seen := &e.rows, &e.aggRows
@@ -1334,6 +1295,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 	defer func() {
 		ps.key, ps.firsts, ps.accs = keep(key), keep(firsts), keep(accs)
 	}()
+	var err error
 	for _, r := range in {
 		if err := e.checkCancel(); err != nil {
 			return nil, err
@@ -1349,26 +1311,8 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 		g, added := set.Add(key)
 		if added {
 			firsts = append(firsts, r)
-			for ci := range st.calls {
-				c := &st.calls[ci]
-				if c.star {
-					accs = append(accs, functions.CountStar())
-					continue
-				}
-				var param value.Value
-				if c.spec.HasParam {
-					if c.argCount != 2 {
-						return nil, fmt.Errorf("%s requires two arguments", c.spec.Name)
-					}
-					p, err := c.param.Eval(ctx)
-					if err != nil {
-						return nil, err
-					}
-					param = p
-				} else if c.argCount != 1 {
-					return nil, fmt.Errorf("%s requires one argument", c.spec.Name)
-				}
-				accs = append(accs, c.spec.New(param))
+			if accs, _, err = st.newGroup(ctx, accs, nil); err != nil {
+				return nil, err
 			}
 		}
 		for ci := range st.calls {
@@ -1383,7 +1327,7 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 					return nil, err
 				}
 			}
-			if c.distinct && !c.star {
+			if !c.star && c.call.Distinct {
 				if _, first := seen.Add([]value.Value{value.Int(int64(g)), value.Int(int64(ci)), v}); !first {
 					continue
 				}
@@ -1391,6 +1335,15 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 			if err := accs[g*nc+ci].Add(v); err != nil {
 				return nil, err
 			}
+		}
+	}
+	var items []eval.Operand // the zero-row group's item operands
+	if len(in) == 0 && len(st.groupItems) == 0 {
+		first := ps.arena.alloc(st.width)
+		firsts = append(firsts, first)
+		ctx.Frame = first
+		if accs, items, err = st.newGroup(ctx, accs, st.zero); err != nil {
+			return nil, err
 		}
 	}
 	bufK, out := ps.nextRowBuf()
@@ -1404,10 +1357,14 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 		ctx.Frame = first
 		for i := range st.items {
 			it := &st.items[i]
-			if !it.agg {
-				continue
+			if !it.agg || it.fn.IsZero() {
+				continue // its slot holds its value
 			}
-			v, err := it.fn.Eval(ctx)
+			fn := &it.fn
+			if len(in) == 0 {
+				fn, items = &items[0], items[1:]
+			}
+			v, err := fn.Eval(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -1417,4 +1374,37 @@ func (st *cProjection) aggregate(e *Engine, ctx *eval.Ctx, in []frame) ([]frame,
 	}
 	ps.keepRowBuf(bufK, out)
 	return out, nil
+}
+
+// newGroup appends a new group's accumulators to accs, with
+// Engine.aggregate's arity checks, and evaluates each call's parameter
+// in ctx: the call's own operand, on the group's first row, or, with
+// zero, the next of zero, whose rest it returns.
+func (st *cProjection) newGroup(ctx *eval.Ctx, accs []functions.Aggregator, zero []eval.Operand) ([]functions.Aggregator, []eval.Operand, error) {
+	for ci := range st.calls {
+		c := &st.calls[ci]
+		if c.star {
+			accs = append(accs, functions.CountStar())
+			continue
+		}
+		var param value.Value
+		if c.spec.HasParam {
+			if len(c.call.Args) != 2 {
+				return nil, nil, fmt.Errorf("%s requires two arguments", c.spec.Name)
+			}
+			p := &c.param
+			if zero != nil {
+				p, zero = &zero[0], zero[1:]
+			}
+			v, err := p.Eval(ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			param = v
+		} else if len(c.call.Args) != 1 {
+			return nil, nil, fmt.Errorf("%s requires one argument", c.spec.Name)
+		}
+		accs = append(accs, c.spec.New(param))
+	}
+	return accs, zero, nil
 }

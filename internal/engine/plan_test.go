@@ -141,11 +141,13 @@ func TestFrameArena(t *testing.T) {
 
 // TestPlanSlabSizing composes random queries from MATCH parts (named,
 // reused, anonymous and labeled nodes), WITH, UNWIND and CALL with and
-// without YIELD, and prepares each into heap plans and into one shared
-// Scratch. The slab sizes come from a pass over the AST before the
-// lowering, and carving more than that pass foresaw panics, so every
-// rule deciding what is carved — the names in scope above all, which
-// decide the reversed chains reserved — must agree between the two.
+// without YIELD, and a RETURN of aggregates alone, beside a grouping
+// item, beside a variable or with a parameter, and prepares each into
+// heap plans and into one shared Scratch. The slab sizes come from a
+// pass over the AST before the lowering, and carving more than that pass
+// foresaw panics, so every rule deciding what is carved — the names in
+// scope, which decide the reversed chains reserved, and the zero-row
+// group's operands — must agree between the two.
 func TestPlanSlabSizing(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
@@ -175,7 +177,8 @@ func TestPlanSlabSizing(t *testing.T) {
 				clauses = append(clauses, pick("CALL db.labels()", "CALL db.labels() YIELD label", "CALL db.propertyKeys() YIELD x"))
 			}
 		}
-		q := strings.Join(clauses, " ") + " RETURN count(*) AS n"
+		q := strings.Join(clauses, " ") + " RETURN " + pick("count(*) AS n", "a AS x, count(*) AS n",
+			"count(*) + a.id AS n", "percentileDisc(a.id, a.k) AS p, [x IN [a] | x][count(*)] AS n")
 		func() {
 			defer func() {
 				if p := recover(); p != nil {

@@ -143,6 +143,32 @@ var planDiffQueries = []string{
 	"MATCH (n) RETURN reverse([n.id, 1]) AS r, n.id ORDER BY n.id",
 	"MATCH (n) WHERE reverse(toString(n.id)) <> 'x' AND reverse(n.missing) IS NULL RETURN n.id ORDER BY n.id",
 	"MATCH (n) WHERE reverse(n.id) = [1] RETURN n.id",
+	// Aggregation over no rows: one group without grouping items, its
+	// parameters and items evaluated in an empty scope (an input
+	// variable there is unknown: in an item, in a parameter, inside a
+	// CASE), arity checked at the group, and no group with grouping
+	// items; then DISTINCT, ORDER BY, SKIP, LIMIT and WITH's WHERE on
+	// the one row.
+	"MATCH (n:Absent) RETURN count(*)",
+	"MATCH (n:Absent) RETURN count(*) + n.id AS c",
+	"MATCH (n:Absent) RETURN percentileDisc(n.id, n.id) AS p",
+	"MATCH (n:Absent) RETURN count(n, n)",
+	"MATCH (n:Absent) RETURN CASE count(*) WHEN 0 THEN n.id ELSE 1 END AS s",
+	"MATCH (n:Absent) RETURN [1, 2, 3][count(*)..2] AS sl",
+	"MATCH (n:Absent) RETURN sum(n.id) AS s, avg(n.id) AS a, min(n.id) AS mn, max(n.id) AS mx, collect(DISTINCT n.id) AS d",
+	"MATCH (n:Absent) WITH count(*) AS c WHERE c = 0 RETURN c, rand() < 2 AS r",
+	"MATCH (n:Absent) RETURN DISTINCT count(*) AS c ORDER BY c SKIP 0 LIMIT 1",
+	"MATCH (n:Absent) RETURN count(*) AS c LIMIT -1",
+	"MATCH (n:Absent) RETURN n.name AS k, count(*) AS c",
+	"OPTIONAL MATCH (n:Absent) RETURN count(n) AS c, count(*) AS s",
+	"UNWIND [] AS x RETURN count(x) + x AS c",
+	"MATCH (n:Absent) RETURN percentileDisc(1, rand()) AS p, rand() + count(*) < 2 AS r",
+	// No aggregate inside a comprehension or quantifier is substituted:
+	// it fails as in scalar position.
+	"MATCH (n) RETURN [x IN [1] | count(*)] AS c",
+	"MATCH (n:Absent) RETURN any(x IN [count(*)] WHERE x = 0) AS c",
+	// A slice, single, none and a CASE with a test, on every row.
+	"MATCH (n) RETURN [n.id, 1, 2, 3][1..n.id] AS sl, single(x IN [n.id, 1] WHERE x = 1) AS one, none(x IN [n.id, 2] WHERE x > 3) AS no, CASE n.id WHEN 1 THEN 'a' WHEN 2 THEN n.k ELSE n.id END AS c ORDER BY n.id",
 }
 
 // runPlanDiffCorpus executes every query on three engines built from the

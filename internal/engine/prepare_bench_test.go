@@ -98,26 +98,29 @@ var prepareAllocs = map[string]float64{
 // synthPrepareAllocs is the most PrepareAST may allocate per query, on
 // average, over BenchmarkPrepare's synthesized corpus: feature analysis
 // and plan compilation, the constants folding makes included (74 while
-// expressions compiled to closures; 33.6 measured since).
-const synthPrepareAllocs = 34
+// expressions compiled to closures, 33.6 while the loops among them
+// did; 32.5 measured since).
+const synthPrepareAllocs = 33
 
 // scratchPrepareAllocs is the most Scratch.PrepareAST may allocate per
 // query, on average, over the same corpus once the scratch has grown
-// (18.9 measured): the Features, each RETURN's result columns, the
-// constants folding makes and the closures of CASE, comprehensions,
-// quantifiers and slices. The plan, its records and its reversed
-// chains cost nothing.
-const scratchPrepareAllocs = 19
+// (18.9 while CASE, comprehensions, quantifiers and slices compiled to
+// closures; 17.8 measured since): the Features, each RETURN's result
+// columns and the constants folding makes. The plan, its records and
+// its reversed chains cost nothing.
+const scratchPrepareAllocs = 18
 
-// scratchShapes are queries with records of every common kind, chains
-// the planner may reverse, WHERE conjuncts, aggregation, UNWIND and
-// ORDER BY, but no constant to fold, no closure and no unaliased RETURN
-// item: prepared into a grown Scratch, each allocates what its feature
-// analysis does and its result columns, and nothing else.
+// scratchShapes are queries with records of every kind, chains the
+// planner may reverse, WHERE conjuncts, aggregation, UNWIND and ORDER
+// BY, but no constant to fold and no unaliased RETURN item: prepared
+// into a grown Scratch, each allocates what its feature analysis does
+// and its result columns, and nothing else.
 var scratchShapes = []string{
 	"MATCH (a)-[r]->(b:L11) WHERE a.id > 1 AND b.id > 1 AND r.id >= 0 AND a.id <> b.id RETURN a.id AS x, b.id AS y ORDER BY x, y",
 	"MATCH (n) WHERE n.id IN [n.k, 2] AND size(reverse([n.id, n.k])) = 2 WITH n, n.k + 1 AS k WHERE k > 1 RETURN n.id AS id, count(*) AS c ORDER BY id",
 	"MATCH (a:L0)-[r:T1]->(b)<-[s]-(c) WHERE NOT (a.k IS NULL) OR b.k - c.k < 3 XOR r.id = s.id UNWIND [a.id, c.id] AS u RETURN u AS u, collect(b.id)[0] AS f",
+	"MATCH (n) WHERE any(x IN [n.id, n.k] WHERE x > 1) AND none(x IN [n.k] WHERE x = n.id) RETURN CASE n.k WHEN 0 THEN n.id ELSE n.k END AS c, CASE WHEN n.id > 1 THEN n.k END AS d ORDER BY c",
+	"MATCH (n) UNWIND [x IN [n.id, n.k] WHERE x > 0 | x + 1] AS u RETURN [y IN [n.id, u] | y * 2] AS l, [n.id, n.k, u][n.k..u] AS s",
 }
 
 // TestPrepareAllocs keeps the preparation path allocation-light: a

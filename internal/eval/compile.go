@@ -8,18 +8,6 @@ import (
 	"gqs/internal/value"
 )
 
-// Compiled is a compiled expression in closure form. Only the constructs
-// that loop or choose among their operands compile to a closure — CASE,
-// list comprehensions, quantifiers and slices — and a Record of kind
-// recFn holds it; every other construct compiles to a record. Evaluation
-// order, error identity, and error timing are byte-for-byte those of the
-// tree-walking Eval — the compiler only removes per-evaluation dispatch,
-// map lookups, and re-resolution of functions, operators, and variables.
-// That equivalence is what lets the engine share one compiled plan across
-// every oracle target without perturbing the canonical bug set
-// (DESIGN.md §12).
-type Compiled func(*Ctx) (value.Value, error)
-
 // Var is a variable in scope and the frame slot that holds it.
 type Var struct {
 	Name string
@@ -106,31 +94,38 @@ func truth(v value.Value) (value.Tri, error) {
 	return t, nil
 }
 
-// SlotOperand returns the operand that reads one frame slot.
-func SlotOperand(slot int) Operand { return Operand{kind: opSlot, slot: int32(slot)} }
-
 // IsZero reports whether o is the zero Operand, which stands for no
 // expression.
 func (o Operand) IsZero() bool { return o.kind == opPending }
 
 // Record is one compiled composite expression node: an operator, a
-// function call, a list or map literal, an indexing, a property of a
-// computed value, a parameter, an error raised when evaluated, or the
-// closure of a construct that loops. Eval and Test dispatch on its kind.
-// A record is written once, by the Compiler, and only read from then
-// on, so one compiled plan may run on several engines at once.
+// function call, a list or map literal, an indexing or a slice, a
+// property of a computed value, a parameter, a CASE, a list
+// comprehension, a quantifier, or an error raised when evaluated. Eval
+// and Test switch on its kind, with evaluation order, error identity and
+// error timing those of the tree-walking Eval (DESIGN.md §12). A record
+// is written once, by the Compiler, and only read from then on, so one
+// compiled plan may run on several engines at once.
 type Record struct {
 	kind recKind
-	op   int32 // the ast.BinOp of recCmp and recArith, the ast.UnOp of recUnary
+	// op is the ast.BinOp of recCmp and recArith, the ast.UnOp of
+	// recUnary, and the frame slot of a comprehension's or quantifier's
+	// variable.
+	op int32
 	// l and r are the operands of a binary or unary node, the subject and
 	// index of an indexing, and the argument of a one-argument call; r is
-	// the name of a property or parameter, as a constant (see named).
+	// the name of a property or parameter, as a constant (see named). A
+	// slice's l is its subject; a CASE's l is its test (zero without one)
+	// and r its ELSE value; a comprehension's or quantifier's l is its
+	// input, and r its mapped value or its predicate.
 	l, r Operand
-	// args are the elements of a list, the values of a map, and the
-	// arguments of a call with several.
+	// args are the elements of a list, the values of a map, the arguments
+	// of a call with several, a slice's two bounds, a CASE's WHEN operands
+	// followed by its THEN operands, and a comprehension's WHERE, if it
+	// has one.
 	args []Operand
-	// aux is the *functions.Func of a call, the error of recErr, the
-	// *ast.MapLit of recMap (its keys) and the Compiled closure of recFn.
+	// aux is the *functions.Func of a call, the error of recErr and the
+	// *ast.MapLit of recMap (its keys).
 	aux any
 }
 
@@ -164,7 +159,15 @@ const (
 	recCall1        // one argument; releases what the argument stacked
 	recStackReverse // reverse, of a list on the value stack
 	recCall
-	recFn
+	recSlice
+	recCase
+	recComp      // list comprehension; input transient
+	recStackComp // a list comprehension built on the value stack
+	// The quantifiers, in ast.QuantKind order; input transient.
+	recAll
+	recAny
+	recNone
+	recSingle
 )
 
 // Compiler lowers AST expressions to operands. One Compiler may compile
@@ -190,7 +193,8 @@ type Compiler struct {
 	NextSlot int
 	// Splices are checked before any other handling: a spliced node
 	// compiles to a read of its slot (the last splice of a node wins),
-	// and its children are not compiled.
+	// and its children are not compiled. No node inside a comprehension
+	// or quantifier is spliced.
 	Splices []Splice
 	// Refs gains, for every free-variable reference in what is compiled
 	// (arguments the compiler leaves uncompiled included), the index of
@@ -200,8 +204,8 @@ type Compiler struct {
 	// Records and Operands are the memory the compiler carves records
 	// and the operand lists of records from, front first. The caller
 	// sizes them with Footprint; a compile that needs more (an erroring
-	// constant compiled node by node, an aggregate in scalar position)
-	// allocates it.
+	// constant compiled node by node, an aggregate in scalar position, a
+	// variable out of scope) allocates it.
 	Records  []Record
 	Operands []Operand
 
@@ -266,18 +270,6 @@ func (c *Compiler) operands(n int) []Operand {
 }
 
 func (c *Compiler) errOperand(err error) Operand { return c.rec(Record{kind: recErr, aux: err}) }
-
-// closure returns the operand of a construct compiled to a closure. The
-// closures keep their operands in lists carved from Operands: a captured
-// variable whose method takes its address would cost an allocation of
-// its own.
-func (c *Compiler) closure(fn Compiled) Operand { return c.rec(Record{kind: recFn, aux: fn}) }
-
-func (c *Compiler) temp() int {
-	s := c.NextSlot
-	c.NextSlot++
-	return s
-}
 
 // resolveVar returns the slot of a variable and records the reference
 // in Refs unless a local binder holds it.
@@ -351,7 +343,7 @@ func (c *Compiler) constValue(e ast.Expr) (value.Value, error) {
 func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 	for i := len(c.Splices) - 1; i >= 0; i-- {
 		if c.Splices[i].Expr == e {
-			return SlotOperand(c.Splices[i].Slot)
+			return Operand{kind: opSlot, slot: int32(c.Splices[i].Slot)}
 		}
 	}
 	switch e := e.(type) {
@@ -362,7 +354,7 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 		return Operand{kind: opConst, v: e.Val}
 	case *ast.Variable:
 		if slot, ok := c.resolveVar(e.Name); ok {
-			return SlotOperand(slot)
+			return Operand{kind: opSlot, slot: int32(slot)}
 		}
 		return c.errOperand(&UnknownVariableError{Name: e.Name})
 	case *ast.Parameter:
@@ -401,11 +393,11 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 	case *ast.SliceExpr:
 		return c.lowerSlice(e, fold)
 	case *ast.CaseExpr:
-		return c.closure(c.compileCase(e))
+		return c.lowerCase(e)
 	case *ast.ListComprehension:
-		return c.closure(c.compileComprehension(e, false))
+		return c.lowerLoop(recComp, e.List, e.Var, e.Where, e.Map)
 	case *ast.Quantifier:
-		return c.closure(c.compileQuantifier(e))
+		return c.lowerLoop(recAll+recKind(e.Kind), e.List, e.Var, nil, e.Pred)
 	default:
 		// Mirror the interpreter: an unknown node type is a runtime
 		// error, raised only if the expression is evaluated.
@@ -436,7 +428,7 @@ func (c *Compiler) transient(e ast.Expr, fold bool) Operand {
 	case *ast.ListLit:
 		return c.lowerList(e, fold, true)
 	case *ast.ListComprehension:
-		return c.closure(c.compileComprehension(e, true))
+		return c.lowerLoop(recStackComp, e.List, e.Var, e.Where, e.Map)
 	case *ast.FuncCall:
 		if f, err := scalarFunc(e.Name); err == nil && f.Name == "reverse" && len(e.Args) == 1 {
 			a := c.transient(e.Args[0], true)
@@ -743,7 +735,27 @@ func (r *Record) eval(ctx *Ctx) (value.Value, error) {
 		res, err := invoke(ctx, r.aux.(*functions.Func), base)
 		ctx.Release(mark)
 		return res, err
-	case recCall:
+	case recSlice:
+		s, err := r.l.Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		from, err := r.args[0].Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		to, err := r.args[1].Eval(ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		return value.Slice(s, from, to)
+	case recCase:
+		return r.evalCase(ctx)
+	case recComp, recStackComp:
+		return r.comprehend(ctx)
+	case recAll, recAny, recNone, recSingle:
+		return r.quantify(ctx)
+	default: // recCall
 		base := len(ctx.argScratch)
 		for i := range r.args {
 			v, err := r.args[i].Eval(ctx)
@@ -755,7 +767,133 @@ func (r *Record) eval(ctx *Ctx) (value.Value, error) {
 		}
 		return invoke(ctx, r.aux.(*functions.Func), base)
 	}
-	return r.aux.(Compiled)(ctx)
+}
+
+// evalCase evaluates a CASE: with a test, it compares the test with each
+// WHEN value, and without, it tests each WHEN as a predicate.
+func (r *Record) evalCase(ctx *Ctx) (value.Value, error) {
+	n := len(r.args) / 2
+	var t value.Value
+	var err error
+	if !r.l.IsZero() {
+		if t, err = r.l.Eval(ctx); err != nil {
+			return value.Null, err
+		}
+	}
+	for i := range n {
+		var hit value.Tri
+		if r.l.IsZero() {
+			hit, err = r.args[i].Test(ctx)
+		} else {
+			var w value.Value
+			if w, err = r.args[i].Eval(ctx); err == nil {
+				hit = value.Equal(t, w)
+			}
+		}
+		if err != nil {
+			return value.Null, err
+		}
+		if hit == value.TriTrue {
+			return r.args[n+i].Eval(ctx)
+		}
+	}
+	return r.r.Eval(ctx)
+}
+
+// comprehend evaluates a list comprehension over its transient input.
+// Its output is built on the heap, or, for recStackComp, on the value
+// stack: pushed above the input as it is mapped, then moved down over
+// the released input. The variable's slot is restored on every return.
+func (r *Record) comprehend(ctx *Ctx) (value.Value, error) {
+	mark := len(ctx.stack)
+	lv, err := r.l.Eval(ctx)
+	if err != nil || lv.IsNull() {
+		ctx.Release(mark)
+		return value.Null, err
+	}
+	if lv.Kind() != value.KindList {
+		ctx.Release(mark)
+		return value.Null, fmt.Errorf("type error: list comprehension over %s", lv.Kind())
+	}
+	els := lv.AsList()
+	stacked := r.kind == recStackComp
+	var out []value.Value
+	if !stacked {
+		out = make([]value.Value, 0, len(els))
+	}
+	top := len(ctx.stack)
+	old := ctx.Frame[r.op]
+	for _, el := range els {
+		ctx.Frame[r.op] = el
+		keep := value.TriTrue
+		if r.args != nil {
+			if keep, err = r.args[0].Test(ctx); err != nil {
+				break
+			}
+		}
+		if keep != value.TriTrue {
+			continue
+		}
+		var m value.Value
+		if m, err = r.r.Eval(ctx); err != nil {
+			break
+		}
+		if stacked {
+			ctx.stack = append(ctx.stack, m)
+		} else {
+			out = append(out, m)
+		}
+	}
+	ctx.Frame[r.op] = old
+	end := mark
+	if stacked && err == nil {
+		end += copy(ctx.stack[mark:], ctx.stack[top:])
+		out = ctx.stack[mark:end]
+	}
+	ctx.Release(end)
+	if err != nil {
+		return value.Null, err
+	}
+	return value.ListOf(out), nil
+}
+
+// quantify evaluates any, all, none or single over its transient input.
+// The variable's slot is restored on every return.
+func (r *Record) quantify(ctx *Ctx) (value.Value, error) {
+	kind := ast.QuantKind(r.kind - recAll)
+	mark := len(ctx.stack)
+	lv, err := r.l.Eval(ctx)
+	if err != nil || lv.IsNull() {
+		ctx.Release(mark)
+		return value.Null, err
+	}
+	if lv.Kind() != value.KindList {
+		ctx.Release(mark)
+		return value.Null, fmt.Errorf("type error: %s() over %s", kind, lv.Kind())
+	}
+	trues, falses, unknowns := 0, 0, 0
+	old := ctx.Frame[r.op]
+	for _, el := range lv.AsList() {
+		ctx.Frame[r.op] = el
+		var t value.Tri
+		if t, err = r.r.Test(ctx); err != nil {
+			break
+		}
+		switch t {
+		case value.TriTrue:
+			trues++
+		case value.TriFalse:
+			falses++
+		default:
+			unknowns++
+		}
+	}
+	ctx.Frame[r.op] = old
+	ctx.Release(mark)
+	if err != nil {
+		return value.Null, err
+	}
+	return quantified(kind, trues, falses, unknowns), nil
 }
 
 // reverseStacked is reverse of the list l for a transient consumer: the
@@ -842,193 +980,52 @@ func (c *Compiler) lowerSlice(e *ast.SliceExpr, fold bool) Operand {
 	if fold && konst {
 		return Operand{}
 	}
-	ops := c.operands(3) // the subject and the two bounds
-	ops[0], ops[1], ops[2] = c.fin(e.Subject, so), c.fin(e.From, bounds[0]), c.fin(e.To, bounds[1])
-	return c.closure(func(ctx *Ctx) (value.Value, error) {
-		s, err := ops[0].Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		fromV, err := ops[1].Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		toV, err := ops[2].Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Slice(s, fromV, toV)
-	})
+	r := Record{kind: recSlice, l: c.fin(e.Subject, so), args: c.operands(2)}
+	r.args[0], r.args[1] = c.fin(e.From, bounds[0]), c.fin(e.To, bounds[1])
+	return c.rec(r)
 }
 
-func (c *Compiler) compileCase(e *ast.CaseExpr) Compiled {
-	// ops holds the test, the ELSE value, the WHEN values and the THEN
-	// values.
+func (c *Compiler) lowerCase(e *ast.CaseExpr) Operand {
+	// Without ELSE the value is null.
 	n := len(e.Whens)
-	ops := c.operands(2 + 2*n)
-	test, els, whens, thens := &ops[0], &ops[1], ops[2:2+n], ops[2+n:]
-	hasTest := e.Test != nil
-	if hasTest {
-		*test = c.operand(e.Test)
+	r := Record{kind: recCase, r: Operand{kind: opConst}, args: c.operands(2 * n)}
+	if e.Test != nil {
+		r.l = c.operand(e.Test)
 	}
-	// A CASE with a test compares it with each WHEN value; one without
-	// tests each WHEN as a predicate.
 	for i, w := range e.Whens {
-		whens[i] = c.operand(w)
-		thens[i] = c.operand(e.Thens[i])
+		r.args[i] = c.operand(w)
+		r.args[n+i] = c.operand(e.Thens[i])
 	}
-	*els = Operand{kind: opConst} // null
 	if e.Else != nil {
-		*els = c.operand(e.Else)
+		r.r = c.operand(e.Else)
 	}
-	return func(ctx *Ctx) (value.Value, error) {
-		if hasTest {
-			t, err := test.Eval(ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			for i := range whens {
-				wv, err := whens[i].Eval(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				if value.Equal(t, wv) == value.TriTrue {
-					return thens[i].Eval(ctx)
-				}
-			}
-		} else {
-			for i := range whens {
-				t, err := whens[i].Test(ctx)
-				if err != nil {
-					return value.Null, err
-				}
-				if t == value.TriTrue {
-					return thens[i].Eval(ctx)
-				}
-			}
-		}
-		return els.Eval(ctx)
-	}
+	return c.rec(r)
 }
 
-// compileComprehension compiles a list comprehension, whose input is
-// transient. Its output is built on the heap, or, when stacked, on the
-// value stack: pushed above the input as it is mapped, then moved down
-// over the released input.
-func (c *Compiler) compileComprehension(e *ast.ListComprehension, stacked bool) Compiled {
-	ops := c.operands(3)
-	list, where, mapped := &ops[0], &ops[1], &ops[2]
-	*list = c.fin(e.List, c.transient(e.List, true))
-	slot := c.temp()
-	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
-	if e.Where != nil {
-		*where = c.operand(e.Where)
+// lowerLoop lowers a list comprehension (kind recComp or recStackComp)
+// or a quantifier: its input, which is transient, then, with its
+// variable bound to a new slot, a comprehension's WHERE and the mapped
+// value or predicate. Nothing inside is spliced: the interpreter
+// substitutes no aggregate result there, so an aggregate call inside
+// fails as one in scalar position does.
+func (c *Compiler) lowerLoop(kind recKind, list ast.Expr, name string, where, body ast.Expr) Operand {
+	splices := c.Splices
+	c.Splices = nil
+	r := Record{kind: kind, op: int32(c.NextSlot), l: c.fin(list, c.transient(list, true))}
+	c.locals = append(c.locals, localBinding{name: name, slot: int(r.op)})
+	c.NextSlot++
+	if where != nil {
+		r.args = c.operands(1)
+		r.args[0] = c.operand(where)
 	}
-	// Without a map expression an element maps to itself: the binder's
-	// slot.
-	*mapped = SlotOperand(slot)
-	if e.Map != nil {
-		*mapped = c.operand(e.Map)
+	// A comprehension without a map expression maps an element to itself.
+	r.r = Operand{kind: opSlot, slot: r.op}
+	if body != nil {
+		r.r = c.operand(body)
 	}
 	c.locals = c.locals[:len(c.locals)-1]
-	return func(ctx *Ctx) (value.Value, error) {
-		mark := len(ctx.stack)
-		end := mark // the stack's height on return, above a stacked output
-		defer func() { ctx.Release(end) }()
-		lv, err := list.Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		if lv.IsNull() {
-			return value.Null, nil
-		}
-		if lv.Kind() != value.KindList {
-			return value.Null, fmt.Errorf("type error: list comprehension over %s", lv.Kind())
-		}
-		els := lv.AsList()
-		var out []value.Value
-		if !stacked {
-			out = make([]value.Value, 0, len(els))
-		}
-		top := len(ctx.stack)
-		old := ctx.Frame[slot]
-		for _, el := range els {
-			ctx.Frame[slot] = el
-			keep := value.TriTrue
-			if !where.IsZero() {
-				keep, err = where.Test(ctx)
-				if err != nil {
-					ctx.Frame[slot] = old
-					return value.Null, err
-				}
-			}
-			if keep == value.TriTrue {
-				m, err := mapped.Eval(ctx)
-				if err != nil {
-					ctx.Frame[slot] = old
-					return value.Null, err
-				}
-				if stacked {
-					ctx.stack = append(ctx.stack, m)
-				} else {
-					out = append(out, m)
-				}
-			}
-		}
-		ctx.Frame[slot] = old
-		if stacked {
-			end = mark + copy(ctx.stack[mark:], ctx.stack[top:])
-			return value.ListOf(ctx.stack[mark:end]), nil
-		}
-		return value.ListOf(out), nil
-	}
-}
-
-// compileQuantifier compiles any/all/none/single, whose input is
-// transient.
-func (c *Compiler) compileQuantifier(e *ast.Quantifier) Compiled {
-	ops := c.operands(2)
-	list, pred := &ops[0], &ops[1]
-	*list = c.fin(e.List, c.transient(e.List, true))
-	slot := c.temp()
-	c.locals = append(c.locals, localBinding{name: e.Var, slot: slot})
-	*pred = c.operand(e.Pred)
-	c.locals = c.locals[:len(c.locals)-1]
-	kind := e.Kind
-	return func(ctx *Ctx) (value.Value, error) {
-		mark := len(ctx.stack)
-		defer ctx.Release(mark)
-		lv, err := list.Eval(ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		if lv.IsNull() {
-			return value.Null, nil
-		}
-		if lv.Kind() != value.KindList {
-			return value.Null, fmt.Errorf("type error: %s() over %s", kind, lv.Kind())
-		}
-		trues, falses, unknowns := 0, 0, 0
-		old := ctx.Frame[slot]
-		for _, el := range lv.AsList() {
-			ctx.Frame[slot] = el
-			t, err := pred.Test(ctx)
-			if err != nil {
-				ctx.Frame[slot] = old
-				return value.Null, err
-			}
-			switch t {
-			case value.TriTrue:
-				trues++
-			case value.TriFalse:
-				falses++
-			default:
-				unknowns++
-			}
-		}
-		ctx.Frame[slot] = old
-		return quantified(kind, trues, falses, unknowns), nil
-	}
+	c.Splices = splices
+	return c.rec(r)
 }
 
 // Footprint returns how many records, and how many operands of operand
@@ -1087,19 +1084,20 @@ func (n *footprint) walk(e ast.Expr) bool {
 		konst = n.all(e.Subject, e.Index)
 	case *ast.SliceExpr:
 		if konst = n.all(e.Subject, e.From, e.To); !konst {
-			n.operands += 3
+			n.operands += 2
 		}
 	case *ast.CaseExpr:
 		n.all(e.Test, e.Else)
 		n.all(e.Whens...)
 		n.all(e.Thens...)
-		n.operands += 2 + 2*len(e.Whens)
+		n.operands += 2 * len(e.Whens)
 	case *ast.ListComprehension:
 		n.all(e.List, e.Where, e.Map)
-		n.operands += 3
+		if e.Where != nil {
+			n.operands++
+		}
 	case *ast.Quantifier:
 		n.all(e.List, e.Pred)
-		n.operands += 2
 	}
 	if !konst {
 		n.records++
