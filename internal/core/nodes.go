@@ -8,11 +8,14 @@ import (
 // astArena hands out the AST nodes of synthesized queries from
 // ast.Chunk arenas, as the parser does for the tree of one parse, so
 // that the hundreds of small nodes and lists of a query cost a few
-// allocations instead of one each. A chunk lives as long as any node in
-// it, and the garbage collector then scans all of it, so queries that
-// share chunks keep each other's trees alive; the Synthesizer starts a
-// fresh arena every arenaQueries queries to bound that. Nodes of
-// candidate expressions the synthesizer discards stay in their chunk
+// allocations instead of one each: its clauses and the query itself as
+// well as its expressions and patterns. A chunk lives as long as any
+// node in it, and the garbage collector then scans all of it, so queries
+// that share chunks keep each other's trees alive; the Synthesizer
+// starts a fresh arena for every graph, and every arenaQueries queries
+// on one graph, to bound that. It drops the old arena's chunks, never
+// reuses them: a tree stays valid as long as anything holds it. Nodes
+// of candidate expressions the synthesizer discards stay in their chunk
 // until it dies.
 type astArena struct {
 	bins     ast.Chunk[ast.Binary]
@@ -26,15 +29,23 @@ type astArena struct {
 	parts    ast.Chunk[ast.PatternPart]
 	items    ast.Chunk[ast.ProjectionItem]
 	sorts    ast.Chunk[ast.SortItem]
+	matches  ast.Chunk[ast.MatchClause]
+	withs    ast.Chunk[ast.WithClause]
+	returns  ast.Chunk[ast.ReturnClause]
+	unwinds  ast.Chunk[ast.UnwindClause]
+	singles  ast.Chunk[ast.SingleQuery]
+	queries  ast.Chunk[ast.Query]
 
 	// Slabs the lists of the tree are windows of (see window).
-	exprs    []ast.Expr
-	strs     []string
-	nodePtrs []*ast.NodePattern
-	relPtrs  []*ast.RelPattern
-	partPtrs []*ast.PatternPart
-	itemPtrs []*ast.ProjectionItem
-	sortPtrs []*ast.SortItem
+	exprs      []ast.Expr
+	strs       []string
+	nodePtrs   []*ast.NodePattern
+	relPtrs    []*ast.RelPattern
+	partPtrs   []*ast.PatternPart
+	itemPtrs   []*ast.ProjectionItem
+	sortPtrs   []*ast.SortItem
+	clauses    []ast.Clause
+	singlePtrs []*ast.SingleQuery
 }
 
 func (a *astArena) bin(op ast.BinOp, l, r ast.Expr) *ast.Binary {

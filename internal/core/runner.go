@@ -162,9 +162,19 @@ type Runner struct {
 	// cancelAware runs the target's calls inline under their deadline
 	// instead of in a watchdog goroutine (see CancelAwareTarget).
 	cancelAware bool
-	r           *rand.Rand
-	seq         int
-	stats       Stats
+	// r draws the graph and synthesis stream. Generation draws through
+	// genR instead, over the same source behind gen's draw counter, so
+	// that a later leg can skip a shared graph's draws (see
+	// SnapshotShare) while synthesis pays nothing for the counting.
+	r     *rand.Rand
+	gen   drawCounter
+	genR  *rand.Rand
+	seq   int
+	stats Stats
+	// syn synthesizes every iteration's queries: created for the first
+	// graph and rebound to each later one, so its scratch lives as long
+	// as the runner.
+	syn *Synthesizer
 
 	// Resilience state. jr is a dedicated jitter RNG so backoff draws
 	// never perturb the graph/synthesis stream — same seed, same
@@ -179,9 +189,10 @@ type Runner struct {
 	// every restart resets the target to.
 	curSnap   *graph.Snapshot
 	curSchema *graph.Schema
-	// share, when set, dedups the per-iteration seal across executor
-	// passes (see SnapshotShare); shareShard is the logical shard slot
-	// the next iteration resolves against. startShard sets both.
+	// share, when set, dedups the per-iteration generation and seal
+	// across executor passes (see SnapshotShare); shareShard is the
+	// logical shard slot the next iteration resolves against. startShard
+	// sets both.
 	share      *SnapshotShare
 	shareShard int
 	// scratch is the memory each query is prepared into, reused by the
@@ -205,13 +216,33 @@ func NewRunner(target Target, cfg RunnerConfig) *Runner {
 	rn := &Runner{
 		cfg:     cfg,
 		ctx:     context.Background(),
-		r:       rand.New(rand.NewSource(cfg.Seed)),
 		rb:      cfg.Robust.withDefaults(),
 		jr:      rand.New(rand.NewSource(cfg.Seed ^ jitterSalt)),
 		scratch: new(engine.Scratch),
 	}
+	rn.gen.Source64 = rand.NewSource(cfg.Seed).(rand.Source64)
+	rn.r = rand.New(rn.gen.Source64)
+	rn.genR = rand.New(&rn.gen)
 	rn.startShard(target, cfg.Seed, nil, 0)
 	return rn
+}
+
+// drawCounter counts the draws taken from its source. A rand.Rand over
+// it draws exactly what one over the source itself does: every method
+// the graph generator calls is a function of the source's draws alone.
+type drawCounter struct {
+	rand.Source64
+	n int
+}
+
+func (c *drawCounter) Int63() int64 {
+	c.n++
+	return c.Source64.Int63()
+}
+
+func (c *drawCounter) Uint64() uint64 {
+	c.n++
+	return c.Source64.Uint64()
 }
 
 // NewRunnerCtx creates a runner whose campaign can be canceled: once ctx
@@ -230,12 +261,13 @@ func NewRunnerCtx(ctx context.Context, target Target, cfg RunnerConfig) *Runner 
 
 // startShard binds the runner to target and rewinds it to the state
 // NewRunner builds for seed, reusing its allocations (RNG sources,
-// config); it also installs the campaign-wide snapshot share and the
-// logical shard slot the next iteration publishes to or resolves from
-// (a nil share seals privately). The executor calls it before every
-// shard, so one runner serves a worker for its lifetime: afterwards the
-// runner behaves byte-identically to NewRunnerCtx(ctx, target,
-// cfg-with-Seed-seed) with the share installed.
+// config, synthesizer); it also installs the campaign-wide snapshot
+// share and the logical shard slot the next iteration publishes to or
+// adopts from (a nil share generates and seals privately). The executor
+// calls it before every shard, so one runner serves a worker for its
+// lifetime: afterwards the runner behaves byte-identically to
+// NewRunnerCtx(ctx, target, cfg-with-Seed-seed) with the share
+// installed.
 func (rn *Runner) startShard(target Target, seed int64, share *SnapshotShare, shard int) {
 	rn.target = target
 	rn.cancelAware = false
@@ -277,18 +309,7 @@ func (rn *Runner) RunIteration(report func(*TestCase)) {
 	start := time.Now()
 	defer func() { rn.stats.Elapsed += time.Since(start) }()
 
-	g, schema := graph.Generate(rn.r, rn.cfg.Graph)
-	// One immutable snapshot per iteration: every restart below — and,
-	// campaign-wide, every other target validating the same graph —
-	// shares it instead of copying the graph. Sealing leaves g fully
-	// readable for ground-truth selection and synthesis. With a share
-	// installed, the seal itself (and the snapshot's cached index build)
-	// is dedup'd across the campaign's per-target legs: the generation
-	// draws above still advance this runner's RNG stream, but the
-	// resulting content-identical graph is swapped for the canonical
-	// shared instance.
-	g, schema, rn.curSnap = rn.share.resolve(rn.shareShard, g, schema)
-	rn.curSchema = schema
+	g, schema := rn.generate()
 	rn.abandonGraph = false
 	if !rn.ensureUp() {
 		rn.stats.Robust.FailedIterations++
@@ -301,12 +322,16 @@ func (rn *Runner) RunIteration(report func(*TestCase)) {
 	synthCfg := rn.cfg.Synth.withDefaults()
 	synthCfg.RelUniqueness = rn.target.RelUniqueness()
 	synthCfg.ProvidesDBLabels = rn.target.ProvidesDBLabels()
-	syn := NewSynthesizer(rn.r, g, schema, synthCfg)
+	if rn.syn == nil {
+		rn.syn = NewSynthesizer(rn.r, g, schema, synthCfg)
+	} else {
+		rn.syn.rebind(g, schema, synthCfg)
+	}
 
 	for q := 0; q < rn.cfg.QueriesPerGraph && !rn.abandonGraph && rn.ctx.Err() == nil; q++ {
 		gt := SelectGroundTruth(rn.r, g, rn.cfg.Plan().MaxResultSet)
 		for k := 0; k < rn.cfg.QueriesPerGT && !rn.abandonGraph && rn.ctx.Err() == nil; k++ {
-			tc := rn.runOne(syn, gt)
+			tc := rn.runOne(gt)
 			tc.Graph, tc.Schema = g, schema
 			if report != nil {
 				report(tc)
@@ -327,6 +352,33 @@ func (rn *Runner) RunIteration(report func(*TestCase)) {
 	}
 }
 
+// generate produces the iteration's graph and its sealed snapshot, the
+// state every restart resets the target to. One immutable snapshot per
+// iteration: every restart — and, campaign-wide, every other target
+// validating the same graph — shares it instead of copying the graph.
+// Sealing leaves the graph fully readable for ground-truth selection
+// and synthesis.
+//
+// With a share installed, the graph is generated and sealed once per
+// shard for the whole campaign: a runner that finds the shard already
+// published adopts the shared triple and advances its source by the
+// draws the publisher's generation took, so its stream continues exactly
+// as if it had generated the content-identical graph itself.
+func (rn *Runner) generate() (*graph.Graph, *graph.Schema) {
+	it, ok := rn.share.adopt(rn.shareShard)
+	if ok {
+		for i := 0; i < it.draws; i++ {
+			rn.gen.Source64.Uint64()
+		}
+	} else {
+		rn.gen.n = 0
+		g, schema := graph.Generate(rn.genR, rn.cfg.Graph)
+		it = rn.share.publish(rn.shareShard, g, schema, rn.gen.n)
+	}
+	rn.curSnap, rn.curSchema = it.snap, it.schema
+	return it.g, it.schema
+}
+
 // Plan returns the effective plan configuration.
 func (c RunnerConfig) Plan() PlanConfig {
 	p := c.Synth.Plan
@@ -336,7 +388,7 @@ func (c RunnerConfig) Plan() PlanConfig {
 	return p
 }
 
-func (rn *Runner) runOne(syn *Synthesizer, gt *GroundTruth) *TestCase {
+func (rn *Runner) runOne(gt *GroundTruth) *TestCase {
 	rn.seq++
 	tc := &TestCase{Seq: rn.seq}
 	start := time.Now()
@@ -355,7 +407,7 @@ func (rn *Runner) runOne(syn *Synthesizer, gt *GroundTruth) *TestCase {
 		}
 	}()
 
-	sq, err := syn.Synthesize(gt)
+	sq, err := rn.syn.Synthesize(gt)
 	if err != nil {
 		tc.Err = err
 		tc.Verdict = VerdictSkip

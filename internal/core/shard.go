@@ -75,14 +75,15 @@ type ParallelConfig struct {
 	// Runner configures each shard's runner. Runner.Seed is the campaign
 	// seed; shard i runs with ShardSeed(Runner.Seed, i).
 	Runner RunnerConfig
-	// Share, when set, dedups the per-iteration sealed snapshot (and the
-	// graph + schema it was sealed from) across every executor pass that
-	// runs the same logical shards — e.g. the per-GDB legs of a campaign,
-	// whose shard-i graphs are identical by construction. The first pass
-	// to reach shard i seals and publishes; later passes still burn the
-	// generation draws (the RNG stream must advance) but reuse the
-	// published triple, so the seal and the per-schema index build happen
-	// once per shard instead of once per shard per target.
+	// Share, when set, dedups the per-iteration graph, schema and sealed
+	// snapshot across every executor pass that runs the same logical
+	// shards — e.g. the per-GDB legs of a campaign, whose shard-i graphs
+	// are identical by construction. The first pass to reach shard i
+	// generates, seals and publishes; later passes adopt the published
+	// triple and advance their RNG stream past its generation draws
+	// without generating, so generation, the seal and the per-schema
+	// index build happen once per shard instead of once per shard per
+	// target.
 	Share *SnapshotShare
 	// UnitDone observes each work unit that ran to completion, called
 	// from the worker goroutine that ran it immediately afterwards (and

@@ -61,14 +61,17 @@ type Synthesized struct {
 	GT       *GroundTruth
 }
 
-// Synthesizer builds queries for one generated graph.
+// Synthesizer builds queries over a generated graph. A campaign runner
+// keeps one for its whole life and rebinds it to each iteration's graph,
+// schema and dialect config.
 //
-// Its working state lives in slices reused from query to query: the
-// plan and schedule, the tracker's row table, the clause's variable
-// slots, the pins, and the evaluation scratch of Algorithm 2. None of
-// it carries information from one query to the next — each query
-// resets what it uses — so a Synthesizer emits exactly what a fresh one
-// would for the same draws.
+// Its working state lives in slices reused from query to query and from
+// graph to graph: the plan and schedule, the tracker's row table, the
+// clause's variable slots, the pins, and the evaluation scratch of
+// Algorithm 2. None of it carries information from one query to the
+// next — each query resets what it uses — so a Synthesizer emits exactly
+// what a fresh one over the same graph would for the same draws, however
+// many graphs it was bound to before.
 type Synthesizer struct {
 	r      *rand.Rand
 	g      *graph.Graph
@@ -84,7 +87,8 @@ type Synthesizer struct {
 	// per query.
 	nodeIDs, relIDs []graph.ID
 
-	// union is the synthesizer of UNION branches, created on first use.
+	// union is the synthesizer of UNION branches, created on first use
+	// and rebound with this one.
 	union *Synthesizer
 
 	// Clause scratch: the encoded chains, the clause's variable slots
@@ -122,7 +126,8 @@ type Synthesizer struct {
 	titems  []ProjItem
 
 	// nodes allocates the AST nodes of the queries, and queries counts
-	// them; textHint is the capacity the next query's text starts with.
+	// the queries synthesized into it; textHint is the capacity the next
+	// query's text starts with.
 	nodes    astArena
 	queries  int
 	textHint int
@@ -151,6 +156,19 @@ func (c Config) withDefaults() Config {
 // NewSynthesizer creates a synthesizer over the generated graph.
 func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Config) *Synthesizer {
 	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg.withDefaults()}
+}
+
+// rebind points the synthesizer, and its UNION-branch synthesizer, at
+// another generated graph, its schema and a dialect config, keeping
+// their scratch, and starts their next queries in fresh AST arenas.
+// Afterwards it emits exactly what NewSynthesizer(r, g, schema, cfg)
+// would for the same draws.
+func (s *Synthesizer) rebind(g *graph.Graph, schema *graph.Schema, cfg Config) {
+	s.g, s.schema, s.cfg = g, schema, cfg.withDefaults()
+	s.newArena()
+	if s.union != nil {
+		s.union.rebind(g, schema, s.cfg)
+	}
 }
 
 func (s *Synthesizer) pct(p int) bool { return s.r.Intn(100) < p }
@@ -187,24 +205,19 @@ func (s *Synthesizer) bindScope(name string, ref elemRef) {
 	s.scope = append(s.scope, scopeVar{name: name, ref: ref})
 }
 
-// Synthesize builds a complete test query for the ground truth,
-// implementing step ③ of the GQS workflow.
-func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
-	return s.synthesize(gt, true)
-}
-
-// arenaQueries is the number of queries that share one AST arena: the
-// runner's queries per graph (8 ground truths of 2 queries), so a
-// campaign synthesizer fills one arena. Consecutive queries share
-// chunks, and a chunk keeps every tree with a node in it alive, so a
-// fresh arena per arenaQueries queries bounds what one live query keeps
-// alive, while the trees of an arena stay packed without per-query
-// waste.
+// arenaQueries is the most queries that share one AST arena: the
+// runner's default queries per graph (8 ground truths of 2 queries).
+// Rebinding starts a fresh arena too, so each graph's queries fill
+// arenas of their own. Consecutive queries share chunks, and a chunk
+// keeps every tree with a node in it alive, so a fresh arena per graph
+// and per arenaQueries queries bounds what one live query keeps alive,
+// while the trees of an arena stay packed without per-query waste.
 const arenaQueries = 16
 
 // reset starts a query: it fetches the graph's ID lists, empties the
 // tracker, the pattern history, the scope and the path arena, and starts
-// a fresh AST arena every arenaQueries queries.
+// a fresh AST arena once arenaQueries queries have filled the current
+// one.
 func (s *Synthesizer) reset() {
 	s.nodeIDs, s.relIDs = s.g.NodeIDs(), s.g.RelIDs()
 	s.tracker.reset(s.g)
@@ -212,20 +225,100 @@ func (s *Synthesizer) reset() {
 	s.history = s.history[:0]
 	s.scope = s.scope[:0]
 	s.chains.reset()
-	if s.queries%arenaQueries == 0 {
-		s.nodes = astArena{}
+	if s.queries == arenaQueries {
+		s.newArena()
 	}
 	s.queries++
 }
 
-func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized, error) {
+// newArena drops the AST arena for a fresh one. The scratch that points
+// at the old arena's nodes — the encoded chains and their pattern parts,
+// the predicates, the projection items, the matcher's chains — and the
+// competitor value buffers are cleared over their whole capacity, so
+// that no stale pointer past a slice's length keeps the old arena alive
+// once the caller drops its queries.
+func (s *Synthesizer) newArena() {
+	s.nodes = astArena{}
+	s.queries = 0
+	s.encBuf = clearAll(s.encBuf)
+	s.enc = clearAll(s.enc)
+	s.preds = clearAll(s.preds)
+	s.titems = clearAll(s.titems)
+	s.match.chains = nil
+	s.compVals = clearAll(s.compVals)
+	s.compCur = clearAll(s.compCur)
+	s.compNext = clearAll(s.compNext)
+}
+
+// clearAll zeroes x up to its capacity and returns it emptied.
+func clearAll[T any](x []T) []T {
+	clear(x[:cap(x)])
+	return x[:0]
+}
+
+// Synthesize builds a complete test query for the ground truth,
+// implementing step ③ of the GQS workflow: a single query, sometimes
+// extended with a UNION branch the UNION-branch synthesizer builds for
+// the same ground truth.
+func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
+	part, steps, err := s.single(gt)
+	if err != nil {
+		return nil, err
+	}
+	expected := s.tracker.Result(gt.ExpectedColumns())
+
+	q := s.nodes.queries.Alloc()
+	if s.pct(unionPct) {
+		if s.union == nil {
+			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
+		}
+		if branch, _, err := s.union.single(gt); err == nil {
+			rows := s.union.tracker.Result(gt.ExpectedColumns()).Rows
+			all := s.r.Intn(2) == 0
+			q.Parts = window(&s.nodes.singlePtrs, 2)
+			q.Parts[0], q.Parts[1] = part, branch
+			q.All = []bool{all}
+			expected.Rows = append(expected.Rows, rows...)
+			if !all {
+				expected = s.dedupeResult(expected)
+			}
+		}
+	}
+	if q.Parts == nil {
+		q.Parts = window(&s.nodes.singlePtrs, 1)
+		q.Parts[0] = part
+	}
+
+	// Size the text's builder for the previous query's text plus a
+	// quarter, so most texts are written without regrowing it.
+	var text strings.Builder
+	text.Grow(s.textHint)
+	q.Print(&text)
+	s.textHint = text.Len() + text.Len()/4
+	return &Synthesized{
+		Query:    q,
+		Text:     text.String(),
+		Expected: expected,
+		Steps:    steps,
+		GT:       gt,
+	}, nil
+}
+
+// single synthesizes one single query for the ground truth, leaving its
+// expected rows in the tracker, and returns it with its step count.
+func (s *Synthesizer) single(gt *GroundTruth) (*ast.SingleQuery, int, error) {
 	s.reset()
 	s.plan.build(s.r, s.nodeIDs, s.relIDs, gt)
 	steps := Schedule(s.r, &s.plan, s.cfg.MaxSteps)
 
-	var clauses []ast.Clause
-	if s.cfg.ProvidesDBLabels && s.pct(callPct) {
-		clauses = append(clauses, s.callPrologue()...)
+	prologue := s.cfg.ProvidesDBLabels && s.pct(callPct)
+	n := len(steps)
+	if prologue {
+		n += 2
+	}
+	clauses := window(&s.nodes.clauses, n)[:0]
+	if prologue {
+		clauses = s.appendCallPrologue(clauses)
 	}
 	for i, step := range steps {
 		last := i == len(steps)-1
@@ -240,43 +333,13 @@ func (s *Synthesizer) synthesize(gt *GroundTruth, allowUnion bool) (*Synthesized
 			c, err = s.synthProjection(step, last)
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		clauses = append(clauses, c)
 	}
-
-	q := &ast.Query{Parts: []*ast.SingleQuery{{Clauses: clauses}}}
-	expected := s.tracker.Result(gt.ExpectedColumns())
-
-	if allowUnion && s.pct(unionPct) {
-		if s.union == nil {
-			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
-		}
-		s2, err := s.union.synthesize(gt, false)
-		if err == nil {
-			all := s.r.Intn(2) == 0
-			q.Parts = append(q.Parts, s2.Query.Parts...)
-			q.All = append(q.All, all)
-			expected.Rows = append(expected.Rows, s2.Expected.Rows...)
-			if !all {
-				expected = s.dedupeResult(expected)
-			}
-		}
-	}
-
-	// Size the text's builder for the previous query's text plus a
-	// quarter, so most texts are written without regrowing it.
-	var text strings.Builder
-	text.Grow(s.textHint)
-	q.Print(&text)
-	s.textHint = text.Len() + text.Len()/4
-	return &Synthesized{
-		Query:    q,
-		Text:     text.String(),
-		Expected: expected,
-		Steps:    len(steps),
-		GT:       gt,
-	}, nil
+	part := s.nodes.singles.Alloc()
+	part.Clauses = clauses
+	return part, len(steps), nil
 }
 
 // dedupeResult drops the rows of r equivalent to an earlier row, in
@@ -294,18 +357,18 @@ func (s *Synthesizer) dedupeResult(r *engine.Result) *engine.Result {
 	return r
 }
 
-// callPrologue emits `CALL db.labels() YIELD label WITH DISTINCT true AS
-// tN` — the §4 CALL integration. The DISTINCT projection collapses the
-// label rows back to the single row the rest of the pipeline expects.
-func (s *Synthesizer) callPrologue() []ast.Clause {
+// appendCallPrologue appends `CALL db.labels() YIELD label WITH DISTINCT
+// true AS tN` — the §4 CALL integration. The DISTINCT projection
+// collapses the label rows back to the single row the rest of the
+// pipeline expects.
+func (s *Synthesizer) appendCallPrologue(clauses []ast.Clause) []ast.Clause {
 	tmp := s.plan.nextAlias()
-	return []ast.Clause{
-		&ast.CallClause{Procedure: "db.labels", Yield: []string{"label"}},
-		&ast.WithClause{Projection: ast.Projection{
-			Distinct: true,
-			Items:    []*ast.ProjectionItem{{Expr: ast.Lit(value.True), Alias: tmp}},
-		}},
-	}
+	items := window(&s.nodes.itemPtrs, 1)
+	items[0] = s.nodes.items.Alloc()
+	*items[0] = ast.ProjectionItem{Expr: ast.Lit(value.True), Alias: tmp}
+	w := s.nodes.withs.Alloc()
+	w.Projection = ast.Projection{Distinct: true, Items: items}
+	return append(clauses, &ast.CallClause{Procedure: "db.labels", Yield: []string{"label"}}, w)
 }
 
 // synthMatch concretizes a MATCH step: base patterns for the elements to
@@ -375,11 +438,13 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 	for i, ec := range enc {
 		parts[i] = ec.part
 	}
-	return &ast.MatchClause{
+	m := s.nodes.matches.Alloc()
+	*m = ast.MatchClause{
 		Optional: s.pct(optionalMatchPct),
 		Patterns: parts,
 		Where:    s.nodes.and(preds),
-	}, nil
+	}
+	return m, nil
 }
 
 // appendPairwiseDistinct appends the `e1 <> e2` workaround for dialects
@@ -439,7 +504,9 @@ func (s *Synthesizer) synthUnwind(step *Step) (ast.Clause, error) {
 	if err := s.tracker.Unwind(op.Var, list); err != nil {
 		return nil, err
 	}
-	return &ast.UnwindClause{Expr: list, Alias: op.Var}, nil
+	u := s.nodes.unwinds.Alloc()
+	*u = ast.UnwindClause{Expr: list, Alias: op.Var}
+	return u, nil
 }
 
 // projOp returns the step's operation producing the variable: its last
@@ -563,9 +630,12 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	s.scope = kept
 
 	if last {
-		return &ast.ReturnClause{Projection: proj}, nil
+		r := s.nodes.returns.Alloc()
+		r.Projection = proj
+		return r, nil
 	}
-	w := &ast.WithClause{Projection: proj}
+	w := s.nodes.withs.Alloc()
+	w.Projection = proj
 	if s.pct(30) {
 		pred := s.truePredicate(exprDepth / 2)
 		w.Where = pred

@@ -150,7 +150,8 @@ type slabSize struct {
 
 // sizeSlabs counts what lowering every part of q carves: exactly, apart
 // from the compiler's records and operands, which are bounded by
-// eval.Footprint. It follows the names in scope, in b.names, to tell the
+// eval.Footprint and, in the zero-row group's empty scope, by two records
+// per variable. It follows the names in scope, in b.names, to tell the
 // pattern parts that may run reversed.
 func (b *builder) sizeSlabs(q *ast.Query) slabSize {
 	var n slabSize
@@ -199,12 +200,16 @@ func (b *builder) sizeSlabs(q *ast.Query) slabSize {
 			n.ints += groups
 		}
 		if groups == 0 {
-			// The zero-row group's operands compile an item once more; its
-			// footprint bounds them.
+			// The zero-row group's operands compile an item once more, in
+			// the empty scope. Its footprint bounds them, but for the
+			// variables: Footprint counts none for a variable or a property
+			// of one, read from the frame, while there each compiles to an
+			// unknown variable's record, and a property of it to one more.
 			for _, it := range p.Items {
 				if _, zero := aggregateCalls(it.Expr); zero > 0 {
 					n.preds += zero
 					expr(it.Expr)
+					ast.EachFreeVar(it.Expr, func(string) { n.records += 2 })
 				}
 			}
 		}

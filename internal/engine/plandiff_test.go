@@ -163,6 +163,9 @@ var planDiffQueries = []string{
 	"OPTIONAL MATCH (n:Absent) RETURN count(n) AS c, count(*) AS s",
 	"UNWIND [] AS x RETURN count(x) + x AS c",
 	"MATCH (n:Absent) RETURN percentileDisc(1, rand()) AS p, rand() + count(*) < 2 AS r",
+	// The same group compared by value: its parameters draw rand()
+	// before its items, as the interpreter draws.
+	"MATCH (n:Absent) RETURN percentileDisc(1, rand()) AS p, rand() + count(*) AS r",
 	// No aggregate inside a comprehension or quantifier is substituted:
 	// it fails as in scalar position.
 	"MATCH (n) RETURN [x IN [1] | count(*)] AS c",
@@ -276,7 +279,10 @@ func TestPlanDiffHandwritten(t *testing.T) {
 // several goroutines at once, as the campaign's workers do: each
 // prepares its own plans (the compiler's pooled builders) and also runs
 // one shared set (whose reverse chains are built on first use, racing).
-// Every planned result must equal the interpreter's.
+// Every planned result must equal the interpreter's. Each execution
+// draws rand() from the engine's seed and execution count, so every
+// engine is reseeded before each execution: both sides then draw the
+// same stream, and an entry may compare rand()'s values.
 func TestPlanDiffConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 10, MaxRels: 30})
@@ -298,6 +304,7 @@ func TestPlanDiffConcurrent(t *testing.T) {
 		}
 		if pq.Planned() { // a write would change the graph under the others
 			texts, shared = append(texts, q), append(shared, pq)
+			interp.SetSeed(5)
 			want = append(want, outcome(interp.ExecuteASTCtx(ctx, pq.AST)))
 		}
 	}
@@ -315,6 +322,7 @@ func TestPlanDiffConcurrent(t *testing.T) {
 					return
 				}
 				for _, pq := range []*engine.PreparedQuery{own, shared[i]} {
+					e.SetSeed(5)
 					if got := outcome(e.ExecutePrepared(ctx, pq)); got != want[i] {
 						t.Errorf("%q: planned %s, interpreted %s", q, got, want[i])
 					}

@@ -121,6 +121,8 @@ var scratchShapes = []string{
 	"MATCH (a:L0)-[r:T1]->(b)<-[s]-(c) WHERE NOT (a.k IS NULL) OR b.k - c.k < 3 XOR r.id = s.id UNWIND [a.id, c.id] AS u RETURN u AS u, collect(b.id)[0] AS f",
 	"MATCH (n) WHERE any(x IN [n.id, n.k] WHERE x > 1) AND none(x IN [n.k] WHERE x = n.id) RETURN CASE n.k WHEN 0 THEN n.id ELSE n.k END AS c, CASE WHEN n.id > 1 THEN n.k END AS d ORDER BY c",
 	"MATCH (n) UNWIND [x IN [n.id, n.k] WHERE x > 0 | x + 1] AS u RETURN [y IN [n.id, u] | y * 2] AS l, [n.id, n.k, u][n.k..u] AS s",
+	"MATCH (n) RETURN count(*) + n.id AS c",
+	"MATCH (n) RETURN percentileDisc(n.id, n.k) AS p",
 }
 
 // TestPrepareAllocs keeps the preparation path allocation-light: a

@@ -114,10 +114,11 @@ type Record struct {
 	op int32
 	// l and r are the operands of a binary or unary node, the subject and
 	// index of an indexing, and the argument of a one-argument call; r is
-	// the name of a property or parameter, as a constant (see named). A
-	// slice's l is its subject; a CASE's l is its test (zero without one)
-	// and r its ELSE value; a comprehension's or quantifier's l is its
-	// input, and r its mapped value or its predicate.
+	// the name of a property, a parameter or an unknown variable, as a
+	// constant (see named). A slice's l is its subject; a CASE's l is its
+	// test (zero without one) and r its ELSE value; a comprehension's or
+	// quantifier's l is its input, and r its mapped value or its
+	// predicate.
 	l, r Operand
 	// args are the elements of a list, the values of a map, the arguments
 	// of a call with several, a slice's two bounds, a CASE's WHEN operands
@@ -129,11 +130,12 @@ type Record struct {
 	aux any
 }
 
-// named returns the operand that keeps a property's or parameter's name
-// in a record.
+// named returns the operand that keeps a property's, parameter's or
+// unknown variable's name in a record.
 func named(name string) Operand { return Operand{kind: opConst, v: value.Str(name)} }
 
-// name returns the name of a property or parameter record.
+// name returns the name of a property, parameter or unknown variable
+// record.
 func (r *Record) name() string { return r.r.v.AsString() }
 
 type recKind uint8
@@ -168,6 +170,7 @@ const (
 	recAny
 	recNone
 	recSingle
+	recNoVar // a variable neither bound locally nor in scope; r is its name
 )
 
 // Compiler lowers AST expressions to operands. One Compiler may compile
@@ -179,7 +182,7 @@ const (
 // that returns UnknownVariableError at evaluation time — not a compile
 // error — because the interpreter, too, only raises the error if the
 // expression is actually evaluated (a query producing zero rows never
-// sees it).
+// sees it). The record keeps the name, and the error is built only then.
 //
 // Constness is decided bottom-up, in the one walk that compiles: a
 // constant subtree builds nothing, and its parent folds it only once the
@@ -356,7 +359,7 @@ func (c *Compiler) lower(e ast.Expr, fold bool) Operand {
 		if slot, ok := c.resolveVar(e.Name); ok {
 			return Operand{kind: opSlot, slot: int32(slot)}
 		}
-		return c.errOperand(&UnknownVariableError{Name: e.Name})
+		return c.rec(Record{kind: recNoVar, r: named(e.Name)})
 	case *ast.Parameter:
 		return c.rec(Record{kind: recParam, r: named(e.Name)})
 	case *ast.PropAccess:
@@ -755,6 +758,8 @@ func (r *Record) eval(ctx *Ctx) (value.Value, error) {
 		return r.comprehend(ctx)
 	case recAll, recAny, recNone, recSingle:
 		return r.quantify(ctx)
+	case recNoVar:
+		return value.Null, &UnknownVariableError{Name: r.name()}
 	default: // recCall
 		base := len(ctx.argScratch)
 		for i := range r.args {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"gqs/internal/value"
 )
@@ -36,30 +35,14 @@ func registerAgg(s *AggSpec) {
 	aggOrdered = append(aggOrdered, s)
 }
 
-// LookupAgg returns the aggregation operator with the given name, or nil.
-// The canonical spelling avoids the ToLower allocation.
+// LookupAgg returns the aggregation operator with the given
+// (case-insensitive) name, or nil. The canonical spelling hits the
+// registry directly.
 func LookupAgg(name string) *AggSpec {
 	if s, ok := aggRegistry[name]; ok {
 		return s
 	}
-	// Most misses are scalar functions, looked up for every call the
-	// plan compiler meets: fold ASCII names in a stack buffer rather than
-	// allocate the lower-case copy.
-	var buf [24]byte
-	if len(name) > len(buf) {
-		return aggRegistry[strings.ToLower(name)]
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case 'A' <= c && c <= 'Z':
-			c += 'a' - 'A'
-		case c >= utf8.RuneSelf:
-			return aggRegistry[strings.ToLower(name)]
-		}
-		buf[i] = c
-	}
-	return aggRegistry[string(buf[:len(name)])]
+	return lookupFolded(aggRegistry, name)
 }
 
 // AllAggs returns every aggregation operator.

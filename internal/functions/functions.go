@@ -8,6 +8,7 @@ package functions
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"gqs/internal/value"
 )
@@ -151,13 +152,36 @@ func argErr(name, format string, args ...any) error {
 }
 
 // Lookup returns the scalar function with the given (case-insensitive)
-// name, or nil. The canonical spelling hits the registry directly; only
-// unusual casings pay the ToLower allocation.
+// name, or nil. The canonical spelling hits the registry directly.
 func Lookup(name string) *Func {
 	if f, ok := registry[name]; ok {
 		return f
 	}
-	return registry[strings.ToLower(name)]
+	return lookupFolded(registry, name)
+}
+
+// lookupFolded looks up a name whose canonical spelling missed, in a
+// registry also keyed by lower case. The plan compiler meets such misses
+// on most calls (a scalar function looked up as an aggregate, an
+// aggregate's camel case looked up as a scalar function), so the name is
+// folded to lower case in a stack buffer: only long or non-ASCII names
+// pay the ToLower allocation.
+func lookupFolded[T any](registry map[string]T, name string) T {
+	var buf [24]byte
+	if len(name) > len(buf) {
+		return registry[strings.ToLower(name)]
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case c >= utf8.RuneSelf:
+			return registry[strings.ToLower(name)]
+		}
+		buf[i] = c
+	}
+	return registry[string(buf[:len(name)])]
 }
 
 // All returns every registered scalar function, in registration order.
