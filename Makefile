@@ -80,10 +80,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaign$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
 
 # Planned-vs-interpreted differential under the race detector: every
-# query of a fixed-seed synthesized corpus (plus a curated construct
-# list) must produce byte-identical results — or the identical error —
-# on the compiled-plan path and the tree-walking interpreter, on every
-# dialect configuration.
+# query of a fixed-seed synthesized corpus, a curated construct list and
+# 20,000 random clause compositions must produce byte-identical results
+# — or the identical error — on the compiled-plan path (a fresh plan,
+# and one prepared into a Scratch right after the query before it) and
+# the tree-walking interpreter, on every dialect configuration (three of
+# the five for the compositions).
 plandiff:
 	$(GO) test -race -count=1 -run 'TestPlanDiff' ./internal/engine/
 

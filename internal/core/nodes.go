@@ -36,7 +36,7 @@ type astArena struct {
 	singles  ast.Chunk[ast.SingleQuery]
 	queries  ast.Chunk[ast.Query]
 
-	// Slabs the lists of the tree are windows of (see window).
+	// Slabs the lists of the tree are windows of (see ast.Window).
 	exprs      []ast.Expr
 	strs       []string
 	nodePtrs   []*ast.NodePattern
@@ -78,20 +78,8 @@ func (a *astArena) unary(op ast.UnOp, x ast.Expr) *ast.Unary {
 	return u
 }
 
-// window returns n zeroed elements of the slab, starting a new slab when
-// the current one lacks room. The window is capped at n, so an append to
-// it cannot reach a neighbouring window.
-func window[T any](slab *[]T, n int) []T {
-	if len(*slab)+n > cap(*slab) {
-		*slab = make([]T, 0, ast.NextChunkCap(cap(*slab), n))
-	}
-	start := len(*slab)
-	*slab = (*slab)[:start+n]
-	return (*slab)[start : start+n : start+n]
-}
-
 // args returns a window of n expressions.
-func (a *astArena) args(n int) []ast.Expr { return window(&a.exprs, n) }
+func (a *astArena) args(n int) []ast.Expr { return ast.Window(&a.exprs, n, ast.NextChunkCap) }
 
 // call returns the function call name(args...).
 func (a *astArena) call(name string, args ...ast.Expr) *ast.FuncCall {

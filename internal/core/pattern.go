@@ -653,8 +653,8 @@ func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
 	s.enc = s.enc[:0]
 	for ci, c := range chains {
 		part := a.parts.Alloc()
-		part.Nodes = window(&a.nodePtrs, len(c.Nodes))
-		part.Rels = window(&a.relPtrs, len(c.Steps))
+		part.Nodes = ast.Window(&a.nodePtrs, len(c.Nodes), ast.NextChunkCap)
+		part.Rels = ast.Window(&a.relPtrs, len(c.Steps), ast.NextChunkCap)
 		ns, rs := len(s.nodeSlotBuf), len(s.relSlotBuf)
 		for i, nid := range c.Nodes {
 			slot := s.slotOf(elemRef{id: nid})
@@ -666,7 +666,7 @@ func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
 				// Attach a random non-empty subset of the labels: the
 				// first k of a permutation.
 				k := 1 + s.r.Intn(len(n.Labels))
-				np.Labels = window(&a.strs, k)
+				np.Labels = ast.Window(&a.strs, k, ast.NextChunkCap)
 				var pb [8]int
 				perm := pb[:0]
 				if k > len(pb) {
@@ -686,7 +686,7 @@ func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
 				rp := a.relPats.Alloc()
 				rp.Variable = s.cvars[slot].name
 				if s.r.Intn(2) == 0 {
-					rp.Types = window(&a.strs, 1)
+					rp.Types = ast.Window(&a.strs, 1, ast.NextChunkCap)
 					rp.Types[0] = rel.Type
 				}
 				switch {

@@ -363,10 +363,11 @@ func (t *Tracker) Limit(k int) error {
 	return nil
 }
 
-// Result materializes the expected result over the given output columns.
-// Rows of one symbolic row share their value slice.
+// Result materializes the expected result over the given output columns,
+// which it keeps as the result's Columns. Rows of one symbolic row share
+// their value slice.
 func (t *Tracker) Result(cols []string) *engine.Result {
-	res := &engine.Result{Columns: append([]string(nil), cols...)}
+	res := &engine.Result{Columns: cols}
 	total := t.TotalMult()
 	if total == 0 {
 		return res

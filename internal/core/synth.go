@@ -273,9 +273,9 @@ func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
 			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
 		}
 		if branch, _, err := s.union.single(gt); err == nil {
-			rows := s.union.tracker.Result(gt.ExpectedColumns()).Rows
+			rows := s.union.tracker.Result(expected.Columns).Rows
 			all := s.r.Intn(2) == 0
-			q.Parts = window(&s.nodes.singlePtrs, 2)
+			q.Parts = ast.Window(&s.nodes.singlePtrs, 2, ast.NextChunkCap)
 			q.Parts[0], q.Parts[1] = part, branch
 			q.All = []bool{all}
 			expected.Rows = append(expected.Rows, rows...)
@@ -285,7 +285,7 @@ func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
 		}
 	}
 	if q.Parts == nil {
-		q.Parts = window(&s.nodes.singlePtrs, 1)
+		q.Parts = ast.Window(&s.nodes.singlePtrs, 1, ast.NextChunkCap)
 		q.Parts[0] = part
 	}
 
@@ -316,7 +316,7 @@ func (s *Synthesizer) single(gt *GroundTruth) (*ast.SingleQuery, int, error) {
 	if prologue {
 		n += 2
 	}
-	clauses := window(&s.nodes.clauses, n)[:0]
+	clauses := ast.Window(&s.nodes.clauses, n, ast.NextChunkCap)[:0]
 	if prologue {
 		clauses = s.appendCallPrologue(clauses)
 	}
@@ -363,7 +363,7 @@ func (s *Synthesizer) dedupeResult(r *engine.Result) *engine.Result {
 // pipeline expects.
 func (s *Synthesizer) appendCallPrologue(clauses []ast.Clause) []ast.Clause {
 	tmp := s.plan.nextAlias()
-	items := window(&s.nodes.itemPtrs, 1)
+	items := ast.Window(&s.nodes.itemPtrs, 1, ast.NextChunkCap)
 	items[0] = s.nodes.items.Alloc()
 	*items[0] = ast.ProjectionItem{Expr: ast.Lit(value.True), Alias: tmp}
 	w := s.nodes.withs.Alloc()
@@ -434,7 +434,7 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 	}
 	s.preds = preds
 
-	parts := window(&s.nodes.partPtrs, len(enc))
+	parts := ast.Window(&s.nodes.partPtrs, len(enc), ast.NextChunkCap)
 	for i, ec := range enc {
 		parts[i] = ec.part
 	}
@@ -570,7 +570,7 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	}
 	s.outVars = outVars
 
-	items := window(&s.nodes.itemPtrs, len(outVars))
+	items := ast.Window(&s.nodes.itemPtrs, len(outVars), ast.NextChunkCap)
 	titems := s.titems[:0]
 	for i, v := range outVars {
 		o := constOp
@@ -606,7 +606,7 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 		n := 1 + s.r.Intn(2)
 		var pb [2]int
 		perm := permPrefix(s.r, len(outVars), pb[:min(n, len(outVars))])
-		proj.OrderBy = window(&s.nodes.sortPtrs, len(perm))
+		proj.OrderBy = ast.Window(&s.nodes.sortPtrs, len(perm), ast.NextChunkCap)
 		for k, j := range perm {
 			proj.OrderBy[k] = s.nodes.sorts.Alloc()
 			*proj.OrderBy[k] = ast.SortItem{Expr: ast.Var(outVars[j]), Desc: s.r.Intn(2) == 0}

@@ -101,22 +101,16 @@ func (s *stack[T]) mark() int { return s.n + len(s.spill) }
 // pop closes the list opened at base and returns its elements, or nil if
 // there are none.
 func (s *stack[T]) pop(base int) []T {
-	n := s.mark() - base
-	if n == 0 {
-		return nil
-	}
-	if cap(s.slab)-len(s.slab) < n {
-		s.slab = make([]T, 0, ast.NextChunkCap(cap(s.slab), n))
-	}
-	lo := len(s.slab)
+	out := ast.Window(&s.slab, s.mark()-base, ast.NextChunkCap)
+	k := 0
 	if base < s.n {
-		s.slab = append(s.slab, s.fixed[base:s.n]...)
+		k = copy(out, s.fixed[base:s.n])
 		s.n = base
 	}
 	spilled := max(base-len(s.fixed), 0)
-	s.slab = append(s.slab, s.spill[spilled:]...)
+	copy(out[k:], s.spill[spilled:])
 	s.spill = s.spill[:spilled]
-	return s.slab[lo:len(s.slab):len(s.slab)]
+	return out
 }
 
 func newParser(src string) *parser {

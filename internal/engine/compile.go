@@ -21,14 +21,15 @@ import (
 // hand-written queries and the write tests.
 //
 // Every prepared query is compiled exactly once and most are executed
-// once per target, so compilation is on the per-query path. A plan's
-// structures are carved from per-query slabs, one per kind, sized
-// exactly by a pass over the AST (planSlab); everything that serves only
-// the lowering itself — scopes, WHERE conjuncts and the positions of
-// their variables, the expression compiler — lives in a builder reused
-// from query to query. WHERE conjuncts are scheduled from the scope
-// positions of the variables the expression compiler resolves, recorded
-// once for both chain orientations.
+// once per target, so compilation is on the per-query path. The
+// lowering carves a plan's structures as it goes from chunks, one per
+// kind (planSlab), which never move: a Scratch's, rewound before each
+// query, or the pooled builder's, which heap plans share; everything
+// that serves only the lowering itself — scopes, WHERE conjuncts and the
+// positions of their variables, the expression compiler — lives in a
+// builder reused from query to query. WHERE conjuncts are scheduled from
+// the scope positions of the variables the expression compiler resolves,
+// recorded once for both chain orientations.
 var errUnsupportedPlan = errors.New("plan: unsupported construct")
 
 // scope lists the variables in scope at a clause boundary, each name
@@ -46,11 +47,20 @@ func (s scope) index(name string) int {
 	return -1
 }
 
-// builder is the scratch of lowering one query. Nothing a plan keeps
-// points into it, so builders are pooled and reused from query to query.
+// builder is the scratch of lowering one query, pooled and reused from
+// query to query. What it shares with plans is only heap, the chunks
+// heap plans are carved from: it starts a fresh set every heapPlans
+// plans, because plans that share a chunk keep each other alive.
 type builder struct {
-	cmp  eval.Compiler
-	slab planSlab
+	cmp eval.Compiler
+	// mem is the plan memory of the query being lowered, and grow the
+	// growth of its chunks: a Scratch's, which double, or heap, whose
+	// chunks grow to a bound.
+	mem  *planSlab
+	grow func(prev, n int) int
+	heap planSlab
+	// plans counts the heap plans carved from heap.
+	plans int
 
 	// vars backs the scopes the stages derive.
 	vars []eval.Var
@@ -67,8 +77,10 @@ type builder struct {
 	pos     []int
 	rank    []int
 	splices []eval.Splice
-	// names are the variables in scope as sizeSlabs follows them.
-	names []string
+	// aggs and zero collect a projection's aggregate calls and the
+	// operands of its zero-row group.
+	aggs []cAggCall
+	zero []eval.Operand
 }
 
 var builders = sync.Pool{New: func() any { return new(builder) }}
@@ -106,11 +118,10 @@ func (b *builder) compile(sc scope, e ast.Expr) eval.Operand {
 	return b.cmp.Compile(e)
 }
 
-// planSlab holds the plan structures of one query, each kind in one
-// allocation, which the lowering carves up in order: its part plans (a
-// UNION's), stages, clauses, pattern elements, predicates and
-// projection parts, and the expression compiler's records and operand
-// lists.
+// planSlab holds plan structures, each kind in one chunk, which the
+// lowering carves windows from (ast.Window): its part plans (a UNION's),
+// stages, clauses, pattern elements, predicates and projection parts,
+// and the expression compiler's records and operand lists.
 type planSlab struct {
 	plans    []partPlan
 	stages   []planStage
@@ -132,205 +143,39 @@ type planSlab struct {
 	operands []eval.Operand
 }
 
-// carve cuts the next n elements off a slab.
-func carve[T any](s *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	out := (*s)[:n:n]
-	*s = (*s)[n:]
-	return out
+// heapPlans is the most heap plans that share one set of chunks. A live
+// plan keeps alive every plan it shares a chunk with, and through theirs
+// any other, so the set bounds what one plan keeps; within it the plans
+// stay packed, with one chunk's tail of waste per kind.
+const heapPlans = 64
+
+// rewind readies the chunks for the next query: it clears what the last
+// one carved from them, so that nothing of it stays reachable and every
+// window is zero, and starts them over.
+func (m *planSlab) rewind() {
+	rewind(&m.plans)
+	rewind(&m.stages)
+	rewind(&m.matches)
+	rewind(&m.projs)
+	rewind(&m.unwinds)
+	rewind(&m.calls)
+	rewind(&m.parts)
+	rewind(&m.nodes)
+	rewind(&m.rels)
+	rewind(&m.props)
+	rewind(&m.preds)
+	rewind(&m.sched)
+	rewind(&m.ints)
+	rewind(&m.items)
+	rewind(&m.aggs)
+	rewind(&m.sorts)
+	rewind(&m.records)
+	rewind(&m.operands)
 }
 
-// slabSize is the length of each slab of a planSlab.
-type slabSize struct {
-	plans, stages, matches, projs, unwinds, calls, parts, nodes, rels int
-	props, preds, sched, ints, items, aggs, sorts, records, operands  int
-}
-
-// sizeSlabs counts what lowering every part of q carves: exactly, apart
-// from the compiler's records and operands, which are bounded by
-// eval.Footprint and, in the zero-row group's empty scope, by two records
-// per variable. It follows the names in scope, in b.names, to tell the
-// pattern parts that may run reversed.
-func (b *builder) sizeSlabs(q *ast.Query) slabSize {
-	var n slabSize
-	conj := 0
-	bound := func(name string) bool {
-		for _, x := range b.names {
-			if (eval.Var{Name: x}).Named(name) {
-				return true
-			}
-		}
-		return false
-	}
-	bind := func(name string) {
-		if name != "" && !bound(name) {
-			b.names = append(b.names, name)
-		}
-	}
-	expr := func(e ast.Expr) {
-		r, o := eval.Footprint(e)
-		n.records += r
-		n.operands += o
-	}
-	props := func(m *ast.MapLit) {
-		if m != nil {
-			n.props += len(m.Vals)
-			for _, v := range m.Vals {
-				expr(v)
-			}
-		}
-	}
-	projection := func(p *ast.Projection, cond ast.Expr) {
-		n.projs++
-		n.items += len(p.Items)
-		n.sorts += len(p.OrderBy)
-		aggs, groups := 0, 0
-		for _, it := range p.Items {
-			expr(it.Expr)
-			k, _ := aggregateCalls(it.Expr)
-			if k == 0 {
-				groups++
-			}
-			aggs += k
-		}
-		if aggs > 0 {
-			n.aggs += aggs
-			n.ints += groups
-		}
-		if groups == 0 {
-			// The zero-row group's operands compile an item once more, in
-			// the empty scope. Its footprint bounds them, but for the
-			// variables: Footprint counts none for a variable or a property
-			// of one, read from the frame, while there each compiles to an
-			// unknown variable's record, and a property of it to one more.
-			for _, it := range p.Items {
-				if _, zero := aggregateCalls(it.Expr); zero > 0 {
-					n.preds += zero
-					expr(it.Expr)
-					ast.EachFreeVar(it.Expr, func(string) { n.records += 2 })
-				}
-			}
-		}
-		for _, si := range p.OrderBy {
-			expr(si.Expr)
-		}
-		expr(p.Skip)
-		expr(p.Limit)
-		expr(cond)
-	}
-	if len(q.Parts) > 1 {
-		n.plans = len(q.Parts)
-	}
-	for _, sq := range q.Parts {
-		n.stages += len(sq.Clauses)
-		b.names = b.names[:0]
-		for _, c := range sq.Clauses {
-			switch c := c.(type) {
-			case *ast.MatchClause:
-				n.matches++
-				n.parts += len(c.Patterns)
-				if c.Where != nil {
-					b.conj = splitWhereExprs(b.conj[:0], c.Where)
-					conj += len(b.conj)
-					for _, cj := range b.conj {
-						expr(cj)
-					}
-				}
-				for _, p := range c.Patterns {
-					n.nodes += len(p.Nodes)
-					n.rels += len(p.Rels)
-					first, last := p.Nodes[0].Variable, p.Nodes[len(p.Nodes)-1].Variable
-					if mayReverse(p, first != "" && bound(first), last != "" && bound(last)) {
-						n.nodes += len(p.Nodes) // its reversed chain
-						n.rels += len(p.Rels)
-					}
-					for i, np := range p.Nodes {
-						props(np.Props)
-						bind(np.Variable)
-						if i < len(p.Rels) {
-							props(p.Rels[i].Props)
-							bind(p.Rels[i].Variable)
-						}
-					}
-				}
-			case *ast.WithClause:
-				b.names = b.names[:0]
-				for _, it := range c.Items {
-					if it.Alias != "" {
-						bind(it.Alias)
-					} else if v, ok := it.Expr.(*ast.Variable); ok {
-						bind(v.Name)
-					}
-				}
-				projection(&c.Projection, c.Where)
-			case *ast.ReturnClause:
-				projection(&c.Projection, nil)
-			case *ast.UnwindClause:
-				n.unwinds++
-				expr(c.Expr)
-				bind(c.Alias)
-			case *ast.CallClause:
-				n.calls++
-				if col, ok := callColumn(c); ok {
-					bind(col)
-				}
-			}
-		}
-	}
-	// Each conjunct in clause order; a pointer to each in the list of the
-	// one place the schedule runs it, then room for the reversed chains'
-	// schedules; and each conjunct's last variable in reversed chains.
-	n.preds, n.sched = n.preds+conj, 2*conj
-	n.ints += conj
-	return n
-}
-
-// take returns slabs of the sizes n: fresh ones, or, with mem, mem's
-// storage. The storage is cleared of what the last query carved from it
-// first, and grown if it is too small.
-func (mem *planSlab) take(n slabSize) planSlab {
-	var fresh planSlab
-	if mem == nil {
-		mem = &fresh
-	}
-	return planSlab{
-		plans:    reuse(&mem.plans, n.plans),
-		stages:   reuse(&mem.stages, n.stages),
-		matches:  reuse(&mem.matches, n.matches),
-		projs:    reuse(&mem.projs, n.projs),
-		unwinds:  reuse(&mem.unwinds, n.unwinds),
-		calls:    reuse(&mem.calls, n.calls),
-		parts:    reuse(&mem.parts, n.parts),
-		nodes:    reuse(&mem.nodes, n.nodes),
-		rels:     reuse(&mem.rels, n.rels),
-		props:    reuse(&mem.props, n.props),
-		preds:    reuse(&mem.preds, n.preds),
-		sched:    reuse(&mem.sched, n.sched),
-		ints:     reuse(&mem.ints, n.ints),
-		items:    reuse(&mem.items, n.items),
-		aggs:     reuse(&mem.aggs, n.aggs),
-		sorts:    reuse(&mem.sorts, n.sorts),
-		records:  reuse(&mem.records, n.records),
-		operands: reuse(&mem.operands, n.operands),
-	}
-}
-
-// reuse returns n elements of *mem, nil for none. It first clears what
-// the last query used, *mem's length, so that nothing of it stays
-// reachable; past its length the storage is zero already. Storage too
-// small is replaced, with room to grow when it is reused.
-func reuse[T any](mem *[]T, n int) []T {
-	clear(*mem)
-	if cap(*mem) < n {
-		*mem = make([]T, n, max(n, 2*cap(*mem)))
-	}
-	*mem = (*mem)[:n]
-	if n == 0 {
-		return nil
-	}
-	return *mem
+func rewind[T any](c *[]T) {
+	clear(*c)
+	*c = (*c)[:0]
 }
 
 // aggregateCall reports whether e is an aggregate call: a star call,
@@ -340,47 +185,33 @@ func aggregateCall(e ast.Expr) (*ast.FuncCall, bool) {
 	return f, ok && (f.Star || functions.LookupAgg(f.Name) != nil)
 }
 
-// aggregateCalls counts the aggregate calls of a projection item as
-// builder.aggregation collects them, and the operands the zero-row group
-// of a projection without grouping items compiles for the item: one per
-// parameter, and one for the item itself unless it is one call.
-func aggregateCalls(e ast.Expr) (calls, zero int) {
-	ast.WalkExprs(e, func(x ast.Expr) bool {
-		f, ok := aggregateCall(x)
-		if ok {
-			calls++
-			if !f.Star && len(f.Args) == 2 && functions.LookupAgg(f.Name).HasParam {
-				zero++ // its parameter
-			}
-		}
-		return !ok // aggregates do not nest
-	})
-	if _, one := aggregateCall(e); calls > 0 && !one {
-		zero++
-	}
-	return calls, zero
-}
-
 // compileQueryPlan lowers a query into qp, or leaves qp the zero plan
 // when any part uses a construct the plan executor does not cover. The
-// plan is carved from fresh slabs, or, with mem, from mem's storage (see
-// Scratch).
+// plan is carved from the builder's heap chunks, or, with mem, from
+// mem's, rewound first (see Scratch).
 func compileQueryPlan(qp *queryPlan, q *ast.Query, mem *planSlab) {
+	if mem != nil {
+		mem.rewind()
+	}
 	for _, part := range q.Parts {
 		if !plannable(part) {
-			if mem != nil {
-				mem.take(slabSize{}) // nothing of the last query stays reachable
-			}
 			return
 		}
 	}
 	b := builders.Get().(*builder)
 	defer b.release()
-	b.slab = mem.take(b.sizeSlabs(q))
-	b.cmp.Records, b.cmp.Operands = b.slab.records, b.slab.operands
+	b.mem, b.grow = mem, ast.DoubleChunkCap
+	if mem == nil {
+		if b.plans == heapPlans {
+			b.heap, b.plans = planSlab{}, 0
+		}
+		b.plans++
+		b.mem, b.grow = &b.heap, ast.NextChunkCap
+	}
+	b.cmp.Records, b.cmp.Operands, b.cmp.Grow = &b.mem.records, &b.mem.operands, b.grow
 	parts := qp.part1[:]
 	if len(q.Parts) > len(parts) {
-		parts = carve(&b.slab.plans, len(q.Parts))
+		parts = ast.Window(&b.mem.plans, len(q.Parts), b.grow)
 	}
 	parts = parts[:len(q.Parts)]
 	for i, part := range q.Parts {
@@ -391,16 +222,18 @@ func compileQueryPlan(qp *queryPlan, q *ast.Query, mem *planSlab) {
 	qp.parts, qp.all = parts, q.All
 }
 
-// release resets the builder and returns it to the pool. It drops every
-// reference into the plan and the query's AST (the synthesizer's nodes
-// come from shared chunks, so one stale pointer would keep many queries'
-// trees alive); the scopes keep only variable names.
+// release resets the builder and returns it to the pool. Apart from its
+// heap chunks, it drops every reference into the plan and the query's
+// AST (the synthesizer's nodes come from shared chunks, so one stale
+// pointer would keep many queries' trees alive); the scopes keep only
+// variable names.
 func (b *builder) release() {
-	b.slab = planSlab{}
+	b.mem, b.grow = nil, nil
 	b.cmp.Reset()
 	clear(b.conj[:cap(b.conj)])
 	clear(b.splices[:cap(b.splices)])
-	clear(b.names[:cap(b.names)])
+	clear(b.aggs[:cap(b.aggs)])
+	clear(b.zero[:cap(b.zero)])
 	b.vars = b.vars[:0]
 	builders.Put(b)
 }
@@ -427,7 +260,7 @@ func plannable(sq *ast.SingleQuery) bool {
 func (b *builder) part(pp *partPlan, sq *ast.SingleQuery) error {
 	b.cmp.NextSlot = 0
 	var sc scope
-	pp.stages = carve(&b.slab.stages, len(sq.Clauses))
+	pp.stages = ast.Window(&b.mem.stages, len(sq.Clauses), b.grow)
 	for i, c := range sq.Clauses {
 		last := i == len(sq.Clauses)-1
 		var st planStage
@@ -486,7 +319,7 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 		n += len(p.Nodes) + len(p.Rels)
 	}
 	out := append(b.scope(n), sc...)
-	st := &carve(&b.slab.matches, 1)[0]
+	st := &ast.Window(&b.mem.matches, 1, b.grow)[0]
 	st.optional, st.optLo = c.Optional, b.cmp.NextSlot
 	b.pos = b.pos[:0]
 	for _, p := range c.Patterns {
@@ -510,9 +343,9 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 	if c.Where != nil {
 		b.conj = splitWhereExprs(b.conj, c.Where)
 	}
-	st.preds = carve(&b.slab.preds, len(b.conj))
-	sched := carve(&b.slab.sched, len(b.conj))[:0]
-	st.revLast = carve(&b.slab.ints, len(b.conj))
+	st.preds = ast.Window(&b.mem.preds, len(b.conj), b.grow)
+	sched := ast.Window(&b.mem.sched, len(b.conj), b.grow)[:0]
+	st.revLast = ast.Window(&b.mem.ints, len(b.conj), b.grow)
 	for i, cj := range b.conj {
 		b.cmp.Refs = b.cmp.Refs[:0]
 		st.preds[i] = b.compile(out, cj)
@@ -536,7 +369,7 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 	// used only when the executing store makes the last endpoint strictly
 	// cheaper — is built on demand (cPart.reverse) from the forward chain,
 	// in elements and schedule room reserved here.
-	st.parts = carve(&b.slab.parts, len(c.Patterns))
+	st.parts = ast.Window(&b.mem.parts, len(c.Patterns), b.grow)
 	lo := len(sc) // out[:lo] is bound when a part starts
 	for pi, p := range c.Patterns {
 		cp := &st.parts[pi]
@@ -547,8 +380,8 @@ func (b *builder) matchStage(c *ast.MatchClause, sc scope) (*cMatch, scope) {
 		hi, dependent := b.chain(&cp.fwd, p, out, lo, pos, st.preds, &sched)
 		pos = pos[k:]
 		if mayReverse(p, first >= 0 && first < lo, last >= 0 && last < lo) {
-			cp.rev.nodes, cp.rev.rels = carve(&b.slab.nodes, len(p.Nodes)), carve(&b.slab.rels, len(p.Rels))
-			cp.revConj = carve(&b.slab.sched, cp.fwd.conjuncts())[:0]
+			cp.rev.nodes, cp.rev.rels = ast.Window(&b.mem.nodes, len(p.Nodes), b.grow), ast.Window(&b.mem.rels, len(p.Rels), b.grow)
+			cp.revConj = ast.Window(&b.mem.sched, cp.fwd.conjuncts(), b.grow)[:0]
 			b.reverseLast(cp, st.revLast, hi)
 			if dependent {
 				cp.rprops = b.reverseProps(p, out, lo)
@@ -629,13 +462,13 @@ func (b *builder) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, pos [
 	dependent := false
 	props := func(m *ast.MapLit) cProps {
 		b.cmp.Refs = b.cmp.Refs[:0]
-		ps := b.props(out[:k], m, &b.slab.props)
+		ps := b.props(out[:k], m)
 		for _, r := range b.cmp.Refs {
 			dependent = dependent || r < 0 || r >= lo
 		}
 		return ps
 	}
-	ch.nodes, ch.rels = carve(&b.slab.nodes, len(p.Nodes)), carve(&b.slab.rels, len(p.Rels))
+	ch.nodes, ch.rels = ast.Window(&b.mem.nodes, len(p.Nodes), b.grow), ast.Window(&b.mem.rels, len(p.Rels), b.grow)
 	for i, np := range p.Nodes {
 		cn := &ch.nodes[i]
 		cn.labels = np.Labels
@@ -658,12 +491,12 @@ func (b *builder) chain(ch *cChain, p *ast.PatternPart, out scope, lo int, pos [
 }
 
 // props compiles an inline property map with the variables of sc in
-// scope, into the next elements of slab.
-func (b *builder) props(sc scope, m *ast.MapLit, slab *[]cProp) cProps {
+// scope.
+func (b *builder) props(sc scope, m *ast.MapLit) cProps {
 	if m == nil {
 		return nil
 	}
-	out := cProps(carve(slab, len(m.Vals)))
+	out := cProps(ast.Window(&b.mem.props, len(m.Vals), b.grow))
 	for i, v := range m.Vals {
 		out[i] = cProp{key: m.Keys[i], val: b.compile(sc, v)}
 	}
@@ -726,20 +559,13 @@ func (b *builder) reverseProps(p *ast.PatternPart, out scope, lo int) []cProps {
 			rout = append(rout, out[i])
 		}
 	}
-	compile := func(m *ast.MapLit) cProps {
-		var slab []cProp
-		if m != nil {
-			slab = make([]cProp, len(m.Vals))
-		}
-		return b.props(rout, m, &slab)
-	}
 	ps := make([]cProps, len(p.Nodes)+len(p.Rels))
 	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		ps[i] = compile(p.Nodes[i].Props)
+		ps[i] = b.props(rout, p.Nodes[i].Props)
 		bind(p.Nodes[i].Variable)
 		if i > 0 {
 			rp := p.Rels[i-1]
-			ps[len(p.Nodes)+i-1] = compile(rp.Props)
+			ps[len(p.Nodes)+i-1] = b.props(rout, rp.Props)
 			bind(rp.Variable)
 		}
 	}
@@ -834,7 +660,7 @@ func flip(d ast.Direction) ast.Direction {
 // --- UNWIND --------------------------------------------------------
 
 func (b *builder) unwindStage(c *ast.UnwindClause, sc scope) (*cUnwind, scope) {
-	st := &carve(&b.slab.unwinds, 1)[0]
+	st := &ast.Window(&b.mem.unwinds, 1, b.grow)[0]
 	b.cmp.Vars = sc
 	st.list = b.cmp.CompileTransient(c.Expr)
 	st.slot = b.next()
@@ -874,7 +700,7 @@ func (b *builder) callStage(c *ast.CallClause, sc scope, last bool) (*cCall, sco
 		return nil, nil, errUnsupportedPlan
 	}
 	slot := b.next()
-	st := &carve(&b.slab.calls, 1)[0]
+	st := &ast.Window(&b.mem.calls, 1, b.grow)[0]
 	*st = cCall{proc: c.Procedure, slot: slot, last: last}
 	if last {
 		st.cols = []string{col}
@@ -890,9 +716,9 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 		// an error — both stay on the interpreter.
 		return nil, nil, errUnsupportedPlan
 	}
-	st := &carve(&b.slab.projs, 1)[0]
+	st := &ast.Window(&b.mem.projs, 1, b.grow)[0]
 	st.distinct, st.isReturn = p.Distinct, isReturn
-	st.items = carve(&b.slab.items, len(p.Items))
+	st.items = ast.Window(&b.mem.items, len(p.Items), b.grow)
 	// out is the projected scope: the next stage's after a WITH, and
 	// part of ORDER BY's.
 	out := b.scope(len(p.Items))
@@ -947,7 +773,7 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 			}
 			sortScope = append(sortScope, out...)
 		}
-		st.sorts = carve(&b.slab.sorts, len(p.OrderBy))
+		st.sorts = ast.Window(&b.mem.sorts, len(p.OrderBy), b.grow)
 		for i, s := range p.OrderBy {
 			st.sorts[i] = cSort{key: b.compile(sortScope, s.Expr), desc: s.Desc}
 		}
@@ -980,10 +806,7 @@ func (b *builder) projectionStage(p *ast.Projection, where ast.Expr, sc scope, r
 // variables, into st.zero: each parameter in call order, then each item
 // that is not one call in item order.
 func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
-	// The calls fill the aggregate slab's front, which size counted them
-	// into, and the zero-row group's operands the predicate slab's; the
-	// grouping items take a run of ints.
-	st.calls = b.slab.aggs[:0]
+	b.aggs = b.aggs[:0]
 	groups := 0
 	for i, it := range p.Items {
 		if !st.items[i].agg {
@@ -1007,16 +830,17 @@ func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
 					c.param = b.compile(sc, f.Args[1])
 				}
 			}
-			st.calls = append(st.calls, c)
+			b.aggs = append(b.aggs, c)
 			return false // aggregates do not nest
 		})
 	}
-	st.calls = carve(&b.slab.aggs, len(st.calls))
-	st.groupItems = carve(&b.slab.ints, groups)[:0]
-	st.zero = b.slab.preds[:0]
+	st.calls = ast.Window(&b.mem.aggs, len(b.aggs), b.grow)
+	copy(st.calls, b.aggs)
+	st.groupItems = ast.Window(&b.mem.ints, groups, b.grow)[:0]
+	b.zero = b.zero[:0]
 	for i := range st.calls {
 		if c := &st.calls[i]; groups == 0 && !c.param.IsZero() {
-			st.zero = append(st.zero, b.compile(nil, c.call.Args[1]))
+			b.zero = append(b.zero, b.compile(nil, c.call.Args[1]))
 		}
 	}
 	// Item expressions: grouping items evaluate per input row; aggregated
@@ -1037,9 +861,10 @@ func (b *builder) aggregation(st *cProjection, p *ast.Projection, sc scope) {
 		}
 		st.items[i].fn = b.compile(sc, it.Expr)
 		if groups == 0 {
-			st.zero = append(st.zero, b.compile(nil, it.Expr))
+			b.zero = append(b.zero, b.compile(nil, it.Expr))
 		}
 	}
 	b.cmp.Splices = nil
-	st.zero = carve(&b.slab.preds, len(st.zero))
+	st.zero = ast.Window(&b.mem.preds, len(b.zero), b.grow)
+	copy(st.zero, b.zero)
 }

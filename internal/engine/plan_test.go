@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"gqs/internal/value"
@@ -136,58 +133,5 @@ func TestFrameArena(t *testing.T) {
 	a.reset()
 	if len(a.chunks) > arenaMaxRetain {
 		t.Errorf("reset retained %d chunks, cap %d", len(a.chunks), arenaMaxRetain)
-	}
-}
-
-// TestPlanSlabSizing composes random queries from MATCH parts (named,
-// reused, anonymous and labeled nodes), WITH, UNWIND and CALL with and
-// without YIELD, and a RETURN of aggregates alone, beside a grouping
-// item, beside a variable or with a parameter, and prepares each into
-// heap plans and into one shared Scratch. The slab sizes come from a
-// pass over the AST before the lowering, and carving more than that pass
-// foresaw panics, so every rule deciding what is carved — the names in
-// scope, which decide the reversed chains reserved, and the zero-row
-// group's operands — must agree between the two.
-func TestPlanSlabSizing(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
-	node := func() string {
-		return "(" + pick("a", "b", "c", "label", "x", "r", "") + pick("", ":L0", ":L1") + pick("", "", " {id: 1}") + ")"
-	}
-	var s Scratch
-	for i := 0; i < 20000; i++ {
-		var clauses []string
-		for k := 0; k < 1+r.Intn(4); k++ {
-			switch r.Intn(5) {
-			case 0, 1:
-				var parts []string
-				for p := 0; p < 1+r.Intn(2); p++ {
-					part := node()
-					for h := 0; h < r.Intn(3); h++ {
-						part += fmt.Sprintf(pick("-[%s]->", "<-[%s]-", "-[%s]-"), pick("", "r", "s", "a")) + node()
-					}
-					parts = append(parts, part)
-				}
-				clauses = append(clauses, pick("MATCH ", "OPTIONAL MATCH ")+strings.Join(parts, ", "))
-			case 2:
-				clauses = append(clauses, pick("WITH a, b", "WITH a AS label, b AS c", "WITH 1 AS x"))
-			case 3:
-				clauses = append(clauses, pick("UNWIND [1, 2] AS label", "UNWIND [a] AS c"))
-			default:
-				clauses = append(clauses, pick("CALL db.labels()", "CALL db.labels() YIELD label", "CALL db.propertyKeys() YIELD x"))
-			}
-		}
-		q := strings.Join(clauses, " ") + " RETURN " + pick("count(*) AS n", "a AS x, count(*) AS n",
-			"count(*) + a.id AS n", "percentileDisc(a.id, a.k) AS p, [x IN [a] | x][count(*)] AS n")
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("%q: %v", q, p)
-				}
-			}()
-			if pq, err := Prepare(q); err == nil {
-				s.PrepareAST(pq.AST, q)
-			}
-		}()
 	}
 }

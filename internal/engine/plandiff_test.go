@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -272,6 +273,61 @@ func TestPlanDiffHandwritten(t *testing.T) {
 	for _, opts := range planDiffDialects() {
 		opts.Seed = 5
 		runPlanDiffCorpus(t, opts, g, schema, planDiffQueries)
+	}
+}
+
+// TestPlanDiffComposed runs random clause compositions through the
+// differential: MATCH parts (named, reused, anonymous and labeled
+// nodes), WITH, UNWIND and CALL with and without YIELD, and a RETURN of
+// aggregates alone, beside a grouping item, beside a variable or with a
+// parameter. Each plans, and what the lowering carves for it depends on
+// the names in scope (which decide the reversed chains reserved) and on
+// the zero-row group's operands, so a plan sharing its Scratch with the
+// composition before it must not see what that one left there. The
+// limits are FuzzPlanVsInterp's, which stop a cartesian product early,
+// identically on both paths.
+func TestPlanDiffComposed(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	node := func() string {
+		return "(" + pick("a", "b", "c", "label", "x", "r", "") + pick("", ":L0", ":L1") + pick("", "", " {id: 1}") + ")"
+	}
+	texts := make([]string, 20000)
+	for i := range texts {
+		var clauses []string
+		for k := 0; k < 1+r.Intn(4); k++ {
+			switch r.Intn(5) {
+			case 0, 1:
+				var parts []string
+				for p := 0; p < 1+r.Intn(2); p++ {
+					part := node()
+					for h := 0; h < r.Intn(3); h++ {
+						part += fmt.Sprintf(pick("-[%s]->", "<-[%s]-", "-[%s]-"), pick("", "r", "s", "a")) + node()
+					}
+					parts = append(parts, part)
+				}
+				clauses = append(clauses, pick("MATCH ", "OPTIONAL MATCH ")+strings.Join(parts, ", "))
+			case 2:
+				clauses = append(clauses, pick("WITH a, b", "WITH a AS label, b AS c", "WITH 1 AS x"))
+			case 3:
+				clauses = append(clauses, pick("UNWIND [1, 2] AS label", "UNWIND [a] AS c"))
+			default:
+				clauses = append(clauses, pick("CALL db.labels()", "CALL db.labels() YIELD label", "CALL db.propertyKeys() YIELD x"))
+			}
+		}
+		texts[i] = strings.Join(clauses, " ") + " RETURN " + pick("count(*) AS n", "a AS x, count(*) AS n",
+			"count(*) + a.id AS n", "percentileDisc(a.id, a.k) AS p, [x IN [a] | x][count(*)] AS n")
+	}
+	g, schema := graph.Generate(rand.New(rand.NewSource(5)), graph.GenConfig{MaxNodes: 10, MaxRels: 30})
+	// Three of the five dialects keep `make plandiff`'s -race run short:
+	// the reference one, neo4j's, which provides db.labels, and memgraph's,
+	// which scans in reverse; both keep relationships unique.
+	for _, opts := range planDiffDialects()[:3] {
+		opts.Seed = 5
+		opts.Limits = engine.Limits{MaxRows: 2_000, MaxMatchSteps: 20_000}
+		if cov := runPlanDiffCorpus(t, opts, g, schema, texts); cov != len(texts) {
+			t.Fatalf("%s: %d of %d compositions planned", opts.Dialect.Name, cov, len(texts))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gqs/internal/core"
@@ -84,14 +85,15 @@ func BenchmarkPrepare(b *testing.B) {
 // prepareAllocs is the most engine.Prepare may allocate on each of the
 // large-graph shapes: lexing, parsing, feature analysis and plan
 // compilation together. A planned shape's result columns are built here,
-// once per plan, where every execution built them before (30, 30, 31, 30
-// for the planned shapes then): a large-graph operation, one Prepare and
-// one execution, allocates as much as it did.
+// once per plan, and its plan is carved from chunks heap plans share,
+// which cost a fraction of an allocation each (31, 31, 32, 31 for the
+// planned shapes while each plan took one allocation per kind of plan
+// structure).
 var prepareAllocs = map[string]float64{
-	"hop1":  31,
-	"hop2":  31,
-	"hop3":  32,
-	"hub":   31,
+	"hop1":  22,
+	"hop2":  22,
+	"hop3":  23,
+	"hub":   22,
 	"write": 26,
 }
 
@@ -99,8 +101,9 @@ var prepareAllocs = map[string]float64{
 // average, over BenchmarkPrepare's synthesized corpus: feature analysis
 // and plan compilation, the constants folding makes included (74 while
 // expressions compiled to closures, 33.6 while the loops among them
-// did; 32.5 measured since).
-const synthPrepareAllocs = 33
+// did, 32.5 while each plan took one allocation per kind of plan
+// structure; 22.7 measured since).
+const synthPrepareAllocs = 23
 
 // scratchPrepareAllocs is the most Scratch.PrepareAST may allocate per
 // query, on average, over the same corpus once the scratch has grown
@@ -171,5 +174,33 @@ func TestPrepareAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { s.PrepareAST(pq.AST, text) }); got != features+1 {
 			t.Errorf("%q: Scratch.PrepareAST allocates %.0f times, want %.0f for its Features and 1 for its columns", text, got, features+1)
 		}
+	}
+}
+
+// TestHeapPlanRetention prepares many heap plans and keeps only the
+// first, which must not keep the others alive. Heap plans are carved
+// from chunks they share, and a plan keeps alive every plan it shares a
+// chunk with, and through theirs any other: the pooled builders bound
+// that by starting a fresh set of chunks every few plans.
+func TestHeapPlanRetention(t *testing.T) {
+	qs, texts, _, _ := synthCorpus(t, 11, 64)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second drops what the builder pool held
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	engine.PrepareAST(qs[0], texts[0])
+	before := heap()
+	first := engine.PrepareAST(qs[0], texts[0])
+	for i := 1; i < 3000; i++ {
+		engine.PrepareAST(qs[i%len(qs)], texts[i%len(qs)])
+	}
+	grown := heap() - before
+	runtime.KeepAlive(first)
+	t.Logf("one plan of 3,000 keeps %.2f MB", float64(grown)/(1<<20))
+	if grown >= 1<<20 {
+		t.Errorf("one plan of 3,000 keeps %.2f MB alive, want under 1 MB", float64(grown)/(1<<20))
 	}
 }

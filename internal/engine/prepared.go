@@ -80,19 +80,21 @@ func PrepareAST(q *ast.Query, text string) *PreparedQuery {
 
 // Scratch is memory that queries are prepared into one after another,
 // each reusing what the last one used: a campaign runner drops each
-// query after its last attempt, so once the scratch has grown a query's
-// plan costs no allocation. The zero value is ready to use; a Scratch
-// prepares one query at a time.
+// query after its last attempt. The plan is carved from one chunk per
+// kind of plan structure, rewound before each query; a chunk that runs
+// out is replaced by one twice its size, so once one chunk of each kind
+// holds a whole query, a query's plan costs no allocation. The zero
+// value is ready to use; a Scratch prepares one query at a time.
 //
 // A PreparedQuery from Scratch.PrepareAST is valid only until the next
 // PrepareAST on the same Scratch, which rewrites its plan's memory. That
-// call first clears everything the last query used, so the scratch keeps
-// no AST alive past it, and zeroes the last query's plan: a caller that
-// kept the query after all runs it on the interpreter instead of reading
-// rewritten memory. Its Features and the results of its executions are
-// on the heap and stay valid. A caller that cannot be sure no execution
-// of the query is still running — one abandoned past its deadline — must
-// drop the Scratch and start a new one.
+// call first clears what the last query carved from the chunks, so the
+// scratch keeps no AST alive past it, and zeroes the last query's plan:
+// a caller that kept the query after all runs it on the interpreter
+// instead of reading rewritten memory. Its Features and the results of
+// its executions are on the heap and stay valid. A caller that cannot
+// be sure no execution of the query is still running — one abandoned
+// past its deadline — must drop the Scratch and start a new one.
 type Scratch struct {
 	mem planSlab
 	// pqs alternate: one holds the query being prepared, the other the

@@ -204,13 +204,13 @@ type Compiler struct {
 	// the variable in Vars, or -1 for a name out of scope. The caller
 	// truncates it; the engine schedules WHERE conjuncts from it.
 	Refs []int
-	// Records and Operands are the memory the compiler carves records
-	// and the operand lists of records from, front first. The caller
-	// sizes them with Footprint; a compile that needs more (an erroring
-	// constant compiled node by node, an aggregate in scalar position, a
-	// variable out of scope) allocates it.
-	Records  []Record
-	Operands []Operand
+	// Records and Operands are the chunks the compiler carves records and
+	// the operand lists of records from (ast.Window), and Grow is the
+	// capacity of the chunk that follows a full one. A carved record never
+	// moves. The caller sets all three before compiling.
+	Records  *[]Record
+	Operands *[]Operand
+	Grow     func(prev, n int) int
 
 	// locals is the stack of expression-local binders currently in
 	// scope, innermost last; it shadows Vars.
@@ -225,11 +225,11 @@ type Compiler struct {
 }
 
 // Reset readies the compiler for expressions of another query: no
-// variables in scope, slot 0 next, no splices, no memory to carve. Its
+// variables in scope, slot 0 next, no splices, no chunks to carve. Its
 // scratch keeps nothing of the last query alive.
 func (c *Compiler) Reset() {
 	c.Vars, c.Splices, c.NextSlot = nil, nil, 0
-	c.Records, c.Operands = nil, nil
+	c.Records, c.Operands, c.Grow = nil, nil, nil
 	clear(c.locals[:cap(c.locals)])
 	clear(c.ops[:cap(c.ops)])
 	clear(c.fctx.argScratch[:cap(c.fctx.argScratch)])
@@ -250,27 +250,13 @@ func (c *Compiler) Compile(e ast.Expr) Operand { return c.operand(e) }
 
 // rec carves a record from Records and returns the operand holding it.
 func (c *Compiler) rec(r Record) Operand {
-	if len(c.Records) == 0 {
-		c.Records = make([]Record, 8)
-	}
-	p := &c.Records[0]
-	c.Records = c.Records[1:]
+	p := &ast.Window(c.Records, 1, c.Grow)[0]
 	*p = r
 	return Operand{kind: opRec, rec: p}
 }
 
 // operands carves n operands from Operands.
-func (c *Compiler) operands(n int) []Operand {
-	if n == 0 {
-		return nil
-	}
-	if len(c.Operands) < n {
-		c.Operands = make([]Operand, max(n, 16))
-	}
-	out := c.Operands[:n:n]
-	c.Operands = c.Operands[n:]
-	return out
-}
+func (c *Compiler) operands(n int) []Operand { return ast.Window(c.Operands, n, c.Grow) }
 
 func (c *Compiler) errOperand(err error) Operand { return c.rec(Record{kind: recErr, aux: err}) }
 
@@ -1031,92 +1017,4 @@ func (c *Compiler) lowerLoop(kind recKind, list ast.Expr, name string, where, bo
 	c.locals = c.locals[:len(c.locals)-1]
 	c.Splices = splices
 	return c.rec(r)
-}
-
-// Footprint returns how many records, and how many operands of operand
-// lists, compiling e carves at most: what a caller sizes
-// Compiler.Records and Compiler.Operands by. Constant subtrees fold to
-// nothing, and aggregate and star calls (spliced by a projection) take
-// nothing of their own, so an expression of variables, properties of
-// variables, literals and aggregates of those needs none.
-func Footprint(e ast.Expr) (records, operands int) {
-	var n footprint
-	n.walk(e)
-	return n.records, n.operands
-}
-
-type footprint struct{ records, operands int }
-
-// walk adds e's records and operands and reports whether e is constant,
-// as lower decides it.
-func (n *footprint) walk(e ast.Expr) bool {
-	var konst bool
-	switch e := e.(type) {
-	case nil, *ast.Literal:
-		return true
-	case *ast.Variable:
-		return false
-	case *ast.PropAccess:
-		konst = n.walk(e.Subject)
-		if _, ok := e.Subject.(*ast.Variable); ok || konst {
-			return konst
-		}
-	case *ast.Binary:
-		konst = n.all(e.L, e.R)
-	case *ast.Unary:
-		konst = n.walk(e.X)
-	case *ast.FuncCall:
-		konst = n.all(e.Args...)
-		// No name is both a scalar function and an aggregate.
-		f := functions.Lookup(e.Name)
-		if e.Star || f == nil && functions.IsAggregate(e.Name) {
-			return false
-		}
-		// An unknown function compiles to an error.
-		konst = konst && f != nil && !f.Nondeterministic
-		if len(e.Args) > 1 && !konst {
-			n.operands += len(e.Args)
-		}
-	case *ast.ListLit:
-		if konst = n.all(e.Elems...); !konst {
-			n.operands += len(e.Elems)
-		}
-	case *ast.MapLit:
-		if konst = n.all(e.Vals...); !konst {
-			n.operands += len(e.Vals)
-		}
-	case *ast.IndexExpr:
-		konst = n.all(e.Subject, e.Index)
-	case *ast.SliceExpr:
-		if konst = n.all(e.Subject, e.From, e.To); !konst {
-			n.operands += 2
-		}
-	case *ast.CaseExpr:
-		n.all(e.Test, e.Else)
-		n.all(e.Whens...)
-		n.all(e.Thens...)
-		n.operands += 2 * len(e.Whens)
-	case *ast.ListComprehension:
-		n.all(e.List, e.Where, e.Map)
-		if e.Where != nil {
-			n.operands++
-		}
-	case *ast.Quantifier:
-		n.all(e.List, e.Pred)
-	}
-	if !konst {
-		n.records++
-	}
-	return konst
-}
-
-// all walks es, nils included, and reports whether all are constant.
-func (n *footprint) all(es ...ast.Expr) bool {
-	konst := true
-	for _, x := range es {
-		if !n.walk(x) {
-			konst = false
-		}
-	}
-	return konst
 }
