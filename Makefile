@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt test vet race fuzz bench bench-go bench-test profile verify smoke crashtest plandiff
+.PHONY: build fmt test vet race fuzz bench bench-go bench-test profile allocprofile verify smoke crashtest plandiff
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,17 @@ bench-go:
 # `go tool pprof mem.out`.
 profile:
 	$(GO) run ./cmd/gqs-bench -exp table3 -iterations 100 -cpuprofile cpu.out -memprofile mem.out
+
+# Exact allocation profile of the fixed-seed Table 3 campaign at 30
+# iterations: every allocation is sampled (GODEBUG=memprofilerate=1).
+# gqs-bench is built first, so that the go command itself does not run
+# at that rate, and the run writes alloc.out. For figures per query,
+# divide the profile's totals by the query count the run prints on its
+# last line ("campaign: N queries"), not by a count worked out by hand:
+# `go tool pprof -sample_index=alloc_space -top gqs-bench alloc.out`.
+allocprofile:
+	$(GO) build -o gqs-bench ./cmd/gqs-bench
+	GODEBUG=memprofilerate=1 ./gqs-bench -exp table3 -iterations 30 -memprofile alloc.out
 
 # Kill-and-resume differential under the race detector, repeated: a
 # campaign killed at a checkpoint boundary (journal tail torn on top) at

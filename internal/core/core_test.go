@@ -302,7 +302,7 @@ func TestTracker(t *testing.T) {
 func TestGenValueExpr(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := graph.New()
-	syn := &Synthesizer{r: r, g: g}
+	syn := NewSynthesizer(r, g, nil, DefaultConfig())
 	targets := []valueT{
 		intV(0), intV(-42), intV(1999999999),
 		strV(""), strV("hello world"), strV("q11cZH6h"),

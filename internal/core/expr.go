@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/eval"
@@ -22,12 +23,15 @@ import (
 
 const stringAlphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
+// randString draws a string of n characters of stringAlphabet, built in
+// place: one allocation.
 func randString(r *rand.Rand, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = stringAlphabet[r.Intn(len(stringAlphabet))]
+	var b strings.Builder
+	b.Grow(n)
+	for range n {
+		b.WriteByte(stringAlphabet[r.Intn(len(stringAlphabet))])
 	}
-	return string(b)
+	return b.String()
 }
 
 // genValueExpr returns an expression with no free variables that
@@ -132,7 +136,7 @@ func (s *Synthesizer) genValueExpr(target value.Value, depth int) ast.Expr {
 			// Identity comprehension: [w IN list | w]. The "w" prefix is
 			// reserved for comprehension variables, so no shadowing of
 			// pattern variables or aliases can occur.
-			return identityComprehension(r, out)
+			return s.identityComprehension(out)
 		}
 		return out
 	default:
@@ -211,13 +215,13 @@ var nestTemplates = []exprTemplate{
 		return s.nodes.call("reverse", in)
 	}},
 	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
-		return identityComprehension(s.r, in)
+		return s.identityComprehension(in)
 	}},
 	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
 		return s.nodes.call("size", in)
 	}},
-	{functions.TList, func(_ *Synthesizer, in ast.Expr) ast.Expr {
-		return &ast.IndexExpr{Subject: in, Index: ast.Lit(value.Int(0))}
+	{functions.TList, func(s *Synthesizer, in ast.Expr) ast.Expr {
+		return s.nodes.index(in, ast.Lit(value.Int(0)))
 	}},
 }
 
@@ -234,10 +238,10 @@ var templatesByClass = func() (t [functions.TMap + 1][]exprTemplate) {
 	return
 }()
 
-// wNames are the comprehension variables w0..w99.
-var wNames = func() (t [100]string) {
+// wVars are the comprehension variables w0..w99, which ast.Var interns.
+var wVars = func() (t [100]*ast.Variable) {
 	for i := range t {
-		t[i] = "w" + strconv.Itoa(i)
+		t[i] = ast.Var("w" + strconv.Itoa(i))
 	}
 	return
 }()
@@ -245,9 +249,8 @@ var wNames = func() (t [100]string) {
 // identityComprehension wraps a list in [wN IN list | wN]. The "w"
 // prefix is reserved for comprehension variables, so no shadowing of
 // pattern variables or aliases can occur.
-func identityComprehension(r *rand.Rand, list ast.Expr) ast.Expr {
-	v := wNames[r.Intn(100)]
-	return &ast.ListComprehension{Var: v, List: list, Map: ast.Var(v)}
+func (s *Synthesizer) identityComprehension(list ast.Expr) ast.Expr {
+	return s.nodes.identity(wVars[s.r.Intn(100)], list)
 }
 
 // complexifyAccess implements Algorithm 2: starting from base, an access

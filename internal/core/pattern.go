@@ -652,21 +652,21 @@ func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
 	s.encBuf = s.encBuf[:len(chains)]
 	s.enc = s.enc[:0]
 	for ci, c := range chains {
-		part := a.parts.Alloc()
-		part.Nodes = ast.Window(&a.nodePtrs, len(c.Nodes), ast.NextChunkCap)
-		part.Rels = ast.Window(&a.relPtrs, len(c.Steps), ast.NextChunkCap)
+		part := take(a, &a.parts)
+		part.Nodes = ast.Window(&a.nodePtrs, len(c.Nodes), a.grow)
+		part.Rels = ast.Window(&a.relPtrs, len(c.Steps), a.grow)
 		ns, rs := len(s.nodeSlotBuf), len(s.relSlotBuf)
 		for i, nid := range c.Nodes {
 			slot := s.slotOf(elemRef{id: nid})
 			s.nodeSlotBuf = append(s.nodeSlotBuf, slot)
-			np := a.nodePats.Alloc()
+			np := take(a, &a.nodePats)
 			np.Variable = s.cvars[slot].name
 			n := s.g.Node(nid)
 			if len(n.Labels) > 0 && s.r.Intn(2) == 0 {
 				// Attach a random non-empty subset of the labels: the
 				// first k of a permutation.
 				k := 1 + s.r.Intn(len(n.Labels))
-				np.Labels = ast.Window(&a.strs, k, ast.NextChunkCap)
+				np.Labels = ast.Window(&a.strs, k, a.grow)
 				var pb [8]int
 				perm := pb[:0]
 				if k > len(pb) {
@@ -683,10 +683,10 @@ func (s *Synthesizer) encodeChains(chains []*Path) []*encChain {
 				slot := s.slotOf(elemRef{id: st.Rel, isRel: true})
 				s.relSlotBuf = append(s.relSlotBuf, slot)
 				s.relIDBuf = append(s.relIDBuf, st.Rel)
-				rp := a.relPats.Alloc()
+				rp := take(a, &a.relPats)
 				rp.Variable = s.cvars[slot].name
 				if s.r.Intn(2) == 0 {
-					rp.Types = ast.Window(&a.strs, 1, ast.NextChunkCap)
+					rp.Types = ast.Window(&a.strs, 1, a.grow)
 					rp.Types[0] = rel.Type
 				}
 				switch {

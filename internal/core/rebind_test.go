@@ -9,7 +9,9 @@ import (
 	"unsafe"
 
 	"gqs/internal/cypher/ast"
+	"gqs/internal/gdb"
 	"gqs/internal/graph"
+	"gqs/internal/metrics"
 )
 
 // rebindGraphs is how many graphs the rebinding tests bind one
@@ -27,26 +29,48 @@ func rebindConfig(i int) Config {
 	return cfg
 }
 
+// rebindMode is how rebindRun binds synthesizers to its graphs.
+type rebindMode int
+
+const (
+	// freshPerGraph builds a heap-mode synthesizer (NewSynthesizer) per
+	// graph.
+	freshPerGraph rebindMode = iota
+	// heapRebound rebinds one heap-mode synthesizer to every graph.
+	heapRebound
+	// runnerRebound rebinds one synthesizer in the runner's mode, its
+	// AST arena rewound for every query, to every graph, and in the
+	// middle of graph leaveGraph leaves its trees as a wedged call does.
+	runnerRebound
+)
+
+// leaveGraph is the graph in whose middle runnerRebound leaves its trees.
+const leaveGraph = rebindGraphs / 2
+
 // rebindRun synthesizes the queries of rebindGraphs campaign-sized graphs
-// in the runner's draw order, with one synthesizer rebound to each graph
-// or, unless rebind, a fresh one per graph. It calls visit after every
-// query (sq is nil when synthesis failed).
-func rebindRun(rebind bool, visit func(syn *Synthesizer, graphIdx, q int, sq *Synthesized, err error)) {
+// in the runner's draw order, with synthesizers bound as mode says. It
+// calls visit after every query (sq is nil when synthesis failed); in
+// the runner's mode, the query's tree is valid only until visit returns.
+func rebindRun(mode rebindMode, visit func(syn *Synthesizer, graphIdx, q int, sq *Synthesized, err error)) {
 	r := rand.New(rand.NewSource(3))
 	var syn *Synthesizer
 	for i := 0; i < rebindGraphs; i++ {
 		g, schema := graph.Generate(r, graph.GenConfig{MaxNodes: 13, MaxRels: 60})
 		g.Seal()
 		cfg := rebindConfig(i)
-		if rebind && syn != nil {
+		switch {
+		case syn == nil || mode == freshPerGraph:
+			syn = newSynthesizer(r, g, schema, cfg, mode == runnerRebound)
+		default:
 			syn.rebind(g, schema, cfg)
-		} else {
-			syn = NewSynthesizer(r, g, schema, cfg)
 		}
 		var gt *GroundTruth
 		for q := 0; q < 2*rebindGTs; q++ {
 			if q%2 == 0 {
 				gt = SelectGroundTruth(r, g, cfg.Plan.MaxResultSet)
+			}
+			if mode == runnerRebound && i == leaveGraph && q == rebindGTs {
+				syn.leaveTrees()
 			}
 			sq, err := syn.Synthesize(gt)
 			visit(syn, i, q, sq, err)
@@ -56,30 +80,40 @@ func rebindRun(rebind bool, visit func(syn *Synthesizer, graphIdx, q int, sq *Sy
 
 // TestReboundSynthesizerMatchesFresh: a synthesizer rebound from graph to
 // graph, as the runner keeps one for its life, emits byte for byte what a
-// fresh synthesizer per graph emits for the same draws — the text, the
-// step count and the expected rows of every query, UNION branches
-// included — while the dialect flags change from graph to graph.
+// fresh heap-mode synthesizer per graph emits for the same draws — the
+// text, the step count and the expected rows of every query, UNION
+// branches included — while the dialect flags change from graph to
+// graph. So does one in the runner's mode, whose AST arena is rewound for
+// every query and replaced once mid-stream, and each of its trees still
+// prints to its text when the query is returned.
 func TestReboundSynthesizerMatchesFresh(t *testing.T) {
-	var fresh, rebound []string
+	var fresh, heap, runner []string
 	record := func(out *[]string) func(*Synthesizer, int, int, *Synthesized, error) {
 		return func(_ *Synthesizer, i, q int, sq *Synthesized, err error) {
 			if err != nil {
 				*out = append(*out, fmt.Sprintf("graph %d query %d: error %v", i, q, err))
 				return
 			}
+			if text := sq.Query.String(); text != sq.Text {
+				t.Fatalf("graph %d query %d: the tree prints %s, the text is %s", i, q, text, sq.Text)
+			}
 			*out = append(*out, fmt.Sprintf("graph %d query %d: %s\nsteps %d\n%q",
 				i, q, sq.Text, sq.Steps, sq.Expected.Canonical()))
 		}
 	}
-	rebindRun(false, record(&fresh))
-	rebindRun(true, record(&rebound))
+	rebindRun(freshPerGraph, record(&fresh))
+	rebindRun(heapRebound, record(&heap))
+	rebindRun(runnerRebound, record(&runner))
 	unions := 0
 	for k := range fresh {
 		if strings.Contains(fresh[k], " UNION ") {
 			unions++
 		}
-		if rebound[k] != fresh[k] {
-			t.Fatalf("the rebound synthesizer diverges from a fresh one:\n got  %s\n want %s", rebound[k], fresh[k])
+		if heap[k] != fresh[k] {
+			t.Fatalf("the rebound synthesizer diverges from a fresh one:\n got  %s\n want %s", heap[k], fresh[k])
+		}
+		if runner[k] != fresh[k] {
+			t.Fatalf("the runner's synthesizer diverges from a fresh one:\n got  %s\n want %s", runner[k], fresh[k])
 		}
 	}
 	if unions < 20 {
@@ -87,7 +121,57 @@ func TestReboundSynthesizerMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRebindDropsPreviousArena guards the memory a runner-lifetime
+// TestKeptTestCasesStayValid: a test case outlives its query. The
+// runner's synthesizer and scratch reuse a query's memory for the next
+// one, but what a TestCase holds — the query text, the expected and
+// actual results, the features — must not live there: an observer that
+// keeps every test case of a small campaign on the four simulated GDBs
+// reads each as it was when it was reported.
+func TestKeptTestCasesStayValid(t *testing.T) {
+	render := func(tc *TestCase) string {
+		var expected, actual []string
+		if tc.Expected != nil {
+			expected = tc.Expected.Canonical()
+		}
+		if tc.Actual != nil {
+			actual = tc.Actual.Canonical()
+		}
+		var f metrics.Features
+		if tc.Features != nil {
+			f = *tc.Features
+		}
+		return fmt.Sprintf("%s\nexpected %q\nactual %q\nfeatures %+v", tc.Query, expected, actual, f)
+	}
+	type keptCase struct {
+		tc       *TestCase
+		reported string
+	}
+	var kept []keptCase
+	cfg := DefaultRunnerConfig()
+	cfg.Graph = graph.GenConfig{MaxNodes: 13, MaxRels: 60}
+	for _, target := range gdb.All() {
+		NewRunner(target, cfg).Run(3, func(tc *TestCase) {
+			kept = append(kept, keptCase{tc, render(tc)})
+		})
+	}
+	unions, actuals := 0, 0
+	for _, k := range kept {
+		if got := render(k.tc); got != k.reported {
+			t.Fatalf("test case %d changed after it was reported:\n got  %s\n want %s", k.tc.Seq, got, k.reported)
+		}
+		if strings.Contains(k.tc.Query, " UNION ") {
+			unions++
+		}
+		if k.tc.Actual != nil {
+			actuals++
+		}
+	}
+	if len(kept) != 4*3*cfg.QueriesPerGraph*cfg.QueriesPerGT || unions == 0 || actuals == 0 {
+		t.Fatalf("%d test cases, %d with a UNION branch, %d with a result", len(kept), unions, actuals)
+	}
+}
+
+// TestRebindDropsPreviousArena guards the memory a rebound heap-mode
 // synthesizer holds. A chunk of the AST arena lives as long as anything
 // points into it, so after the first query on a new graph nothing the
 // synthesizer and its UNION-branch synthesizer hold — arena chunks,
@@ -99,7 +183,7 @@ func TestReboundSynthesizerMatchesFresh(t *testing.T) {
 func TestRebindDropsPreviousArena(t *testing.T) {
 	var prev, cur []*Synthesized
 	checked := 0
-	rebindRun(true, func(syn *Synthesizer, i, q int, sq *Synthesized, err error) {
+	rebindRun(heapRebound, func(syn *Synthesizer, i, q int, sq *Synthesized, err error) {
 		if q == 0 && i > 0 {
 			prev, cur = cur, nil
 		}
@@ -124,6 +208,78 @@ func TestRebindDropsPreviousArena(t *testing.T) {
 	if checked != rebindGraphs-1 {
 		t.Fatalf("checked %d graphs, want %d", checked, rebindGraphs-1)
 	}
+}
+
+// TestRewindDropsReplacedChunks guards the memory the runner's
+// synthesizer holds. Its arenas are rewound for every query, and a chunk
+// that runs out is replaced by a larger one, which the nodes already
+// taken from it keep alive for as long as anything holds them. So after
+// each query, nothing the synthesizer and its UNION-branch synthesizer
+// hold — arena chunks, scratch up to its capacity, anything they reach —
+// may point at a node of an earlier query's tree in a chunk that is not
+// current, unless the chunk was current when the query started (its
+// nodes, discarded candidates too, may be in it) or the node is the
+// query's own. The set of earlier nodes holds them as pointers, so no
+// chunk they are in is freed and its memory reused.
+func TestRewindDropsReplacedChunks(t *testing.T) {
+	old := map[unsafe.Pointer]bool{}
+	var started chunkSet
+	checked := 0
+	rebindRun(runnerRebound, func(syn *Synthesizer, i, q int, sq *Synthesized, err error) {
+		cur := map[unsafe.Pointer]bool{}
+		if err == nil {
+			cur = arenaNodes([]*Synthesized{sq})
+		}
+		chunks := arenaChunks(syn)
+		var w heldWalker
+		var stale []string
+		w.walk(reflect.ValueOf(syn), func(p unsafe.Pointer) bool {
+			return old[p] && !cur[p] && !chunks.hold(p) && !started.hold(p)
+		}, func(path string) {
+			stale = append(stale, path)
+		})
+		if len(stale) > 0 {
+			t.Fatalf("graph %d query %d: %d pointers at nodes of earlier queries in replaced chunks, first %q",
+				i, q, len(stale), stale[:min(3, len(stale))])
+		}
+		for p := range cur {
+			old[p] = true
+		}
+		started = chunks
+		checked++
+	})
+	if checked != rebindGraphs*2*rebindGTs {
+		t.Fatalf("checked %d queries, want %d", checked, rebindGraphs*2*rebindGTs)
+	}
+}
+
+// chunkSet is the address ranges of a set of chunks.
+type chunkSet [][2]uintptr
+
+// arenaChunks returns the current chunks of the AST arenas of syn and of
+// its UNION-branch synthesizer.
+func arenaChunks(syn *Synthesizer) chunkSet {
+	var out chunkSet
+	for s := syn; s != nil; s = s.union {
+		v := reflect.ValueOf(&s.nodes).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice && f.Cap() > 0 {
+				base := f.Pointer()
+				out = append(out, [2]uintptr{base, base + uintptr(f.Cap())*f.Type().Elem().Size()})
+			}
+		}
+	}
+	return out
+}
+
+// hold reports whether p points into one of the chunks.
+func (cs chunkSet) hold(p unsafe.Pointer) bool {
+	for _, c := range cs {
+		if uintptr(p) >= c[0] && uintptr(p) < c[1] {
+			return true
+		}
+	}
+	return false
 }
 
 // arenaNodes returns the addresses of the nodes the queries' trees hold

@@ -242,9 +242,11 @@ func (rn *Runner) executeGuarded(pq *engine.PreparedQuery) execOutcome {
 // grace window: a timeout whose result, if any, is discarded, and
 // whose target is restarted. A call the watchdog abandoned may still be
 // running the query's plan, so the runner leaves it the scratch the plan
-// lives in and prepares the next query into a new one.
+// lives in and the arenas of the tree the plan reads, and synthesizes
+// and prepares the next query into new ones.
 func (rn *Runner) wedged() execOutcome {
 	rn.scratch = new(engine.Scratch)
+	rn.syn.leaveTrees()
 	return execOutcome{
 		timedOut: true,
 		wedged:   true,

@@ -637,14 +637,16 @@ func (w *wedgingTarget) ExecutePrepared(ctx context.Context, pq *engine.Prepared
 
 // TestWedgedCallKeepsItsPlan: the watchdog abandons a call that ignores
 // cancellation while the call's goroutine goes on running the query's
-// plan, and the runner prepares and runs the next queries meanwhile. It
-// must prepare them into new memory: reusing the scratch the running
-// plan lives in is a data race (which -race reports) and changes what
-// the abandoned call computes.
+// plan, and the runner synthesizes, prepares and runs the next queries
+// meanwhile. It must put them in new memory: reusing the scratch the
+// running plan lives in, or the AST arenas of the tree the plan reads,
+// is a data race (which -race reports) and changes what the abandoned
+// call computes. The deadline is far above any query that does not
+// wedge, so that only the wedged one times out however loaded the host.
 func TestWedgedCallKeepsItsPlan(t *testing.T) {
 	w := &wedgingTarget{Sim: gdb.NewReference(), k: 2, release: make(chan struct{})}
 	cfg := tinyRunnerConfig()
-	cfg.Robust.Timeout = 10 * time.Millisecond
+	cfg.Robust.Timeout = 200 * time.Millisecond
 	cfg.Robust.Grace = 10 * time.Millisecond
 	cfg.QueriesPerGraph = 6
 	rn := NewRunner(w, cfg)

@@ -19,8 +19,9 @@ import (
 // read-only workloads. It prepares each synthesized query exactly once
 // (one feature analysis, one plan compilation) and hands every
 // execution, transient-error retries included, the same immutable
-// PreparedQuery. The query is compiled into memory the runner reuses for
-// the next one (engine.Scratch). Text-only targets are adapted once, at
+// PreparedQuery. The query is synthesized and compiled into memory the
+// runner reuses for the next one (the synthesizer's rewound AST arena
+// and an engine.Scratch). Text-only targets are adapted once, at
 // the public gqs API.
 type Target interface {
 	Name() string
@@ -34,13 +35,14 @@ type Target interface {
 	// promptly once the context is canceled (returning
 	// engine.ErrCanceled or the in-flight fault's error) and must treat
 	// the PreparedQuery as read-only. The query is valid for this call
-	// and its retries only: the runner reuses its memory for the next
-	// query, so an implementation must not keep it, though it may keep
-	// the Result and the Features. Each call runs in a watchdog
-	// goroutine; one that ignores cancellation past the grace window is
-	// abandoned and the target is restarted. A target that declares
-	// prompt cancellation (CancelAwareTarget) is instead called on the
-	// runner's goroutine, and the runner waits for every call to return.
+	// and its retries only: the runner reuses its memory, the plan's and
+	// the AST's alike, for the next query, so an implementation must not
+	// keep it, though it may keep the Result and the Features. Each
+	// call runs in a watchdog goroutine; one that ignores cancellation
+	// past the grace window is abandoned and the target is restarted. A
+	// target that declares prompt cancellation (CancelAwareTarget) is
+	// instead called on the runner's goroutine, and the runner waits for
+	// every call to return.
 	ExecutePrepared(ctx context.Context, pq *engine.PreparedQuery) (*engine.Result, error)
 }
 
@@ -173,7 +175,9 @@ type Runner struct {
 	stats Stats
 	// syn synthesizes every iteration's queries: created for the first
 	// graph and rebound to each later one, so its scratch lives as long
-	// as the runner.
+	// as the runner. It rewinds its AST arena for every query (see
+	// astArena): a query's tree lives exactly as long as its plan in
+	// scratch.
 	syn *Synthesizer
 
 	// Resilience state. jr is a dedicated jitter RNG so backoff draws
@@ -196,8 +200,10 @@ type Runner struct {
 	share      *SnapshotShare
 	shareShard int
 	// scratch is the memory each query is prepared into, reused by the
-	// next (see engine.Scratch). A call the watchdog abandons may still
-	// be running the last query's plan, so wedged replaces the scratch.
+	// next (see engine.Scratch), as the query's AST is reused by the
+	// synthesizer's next query. A call the watchdog abandons may still
+	// be running the last query's plan, which reads both, so wedged
+	// replaces the scratch and the synthesizer's arenas together.
 	scratch *engine.Scratch
 }
 
@@ -323,7 +329,7 @@ func (rn *Runner) RunIteration(report func(*TestCase)) {
 	synthCfg.RelUniqueness = rn.target.RelUniqueness()
 	synthCfg.ProvidesDBLabels = rn.target.ProvidesDBLabels()
 	if rn.syn == nil {
-		rn.syn = NewSynthesizer(rn.r, g, schema, synthCfg)
+		rn.syn = newSynthesizer(rn.r, g, schema, synthCfg, true)
 	} else {
 		rn.syn.rebind(g, schema, synthCfg)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"gqs/internal/cypher/ast"
 	"gqs/internal/engine"
@@ -52,7 +51,9 @@ const (
 
 // Synthesized is one synthesized test case: the query, its text, and the
 // expected result established before synthesis (the ground truth plus the
-// multiplicity the clause pipeline implies).
+// multiplicity the clause pipeline implies). Only Query lives in the
+// synthesizer's arena: from the runner's synthesizer it is valid until
+// the next query starts, while the rest is the heap's.
 type Synthesized struct {
 	Query    *ast.Query
 	Text     string
@@ -67,11 +68,19 @@ type Synthesized struct {
 //
 // Its working state lives in slices reused from query to query and from
 // graph to graph: the plan and schedule, the tracker's row table, the
-// clause's variable slots, the pins, and the evaluation scratch of
-// Algorithm 2. None of it carries information from one query to the
-// next — each query resets what it uses — so a Synthesizer emits exactly
-// what a fresh one over the same graph would for the same draws, however
-// many graphs it was bound to before.
+// clause's variable slots, the pins, the evaluation scratch of Algorithm
+// 2 and the buffer each query's text is printed into. None of it carries
+// information from one query to the next — each query resets what it
+// uses — so a Synthesizer emits exactly what a fresh one over the same
+// graph would for the same draws, however many graphs it was bound to
+// before.
+//
+// A synthesizer from NewSynthesizer takes its trees from heap arenas:
+// each stays valid for ever. The runner's synthesizer rewinds its arena
+// for every query instead (see astArena), so a query's tree is valid
+// only until the next query starts: the lifetime of the plan the runner
+// compiles from it into its engine.Scratch, which reads the tree when it
+// runs.
 type Synthesizer struct {
 	r      *rand.Rand
 	g      *graph.Graph
@@ -126,11 +135,15 @@ type Synthesizer struct {
 	titems  []ProjItem
 
 	// nodes allocates the AST nodes of the queries, and queries counts
-	// the queries synthesized into it; textHint is the capacity the next
-	// query's text starts with.
-	nodes    astArena
-	queries  int
-	textHint int
+	// the queries synthesized into it. rewinds marks the runner's
+	// synthesizer, whose arena is rewound for every query rather than
+	// renewed; its UNION-branch synthesizer inherits it.
+	nodes   astArena
+	queries int
+	rewinds bool
+	// text is the buffer each query is printed into, so that the text
+	// costs one allocation, of exactly its length.
+	text []byte
 }
 
 // scopeVar is an element variable in scope and the element it binds.
@@ -153,21 +166,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NewSynthesizer creates a synthesizer over the generated graph.
+// NewSynthesizer creates a synthesizer over the generated graph. The
+// queries it returns stay valid for ever.
 func NewSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Config) *Synthesizer {
-	return &Synthesizer{r: r, g: g, schema: schema, cfg: cfg.withDefaults()}
+	return newSynthesizer(r, g, schema, cfg, false)
+}
+
+// newSynthesizer is NewSynthesizer, or with rewinds the runner's
+// synthesizer, whose queries are valid only until it starts the next.
+func newSynthesizer(r *rand.Rand, g *graph.Graph, schema *graph.Schema, cfg Config, rewinds bool) *Synthesizer {
+	s := &Synthesizer{r: r, g: g, schema: schema, cfg: cfg.withDefaults(), rewinds: rewinds}
+	s.newArena()
+	return s
 }
 
 // rebind points the synthesizer, and its UNION-branch synthesizer, at
 // another generated graph, its schema and a dialect config, keeping
-// their scratch, and starts their next queries in fresh AST arenas.
-// Afterwards it emits exactly what NewSynthesizer(r, g, schema, cfg)
-// would for the same draws.
+// their scratch. A heap-mode synthesizer starts its next queries in
+// fresh AST arenas; a rewound arena carries over, and the next query
+// rewinds it as always. Afterwards it emits exactly what
+// NewSynthesizer(r, g, schema, cfg) would for the same draws.
 func (s *Synthesizer) rebind(g *graph.Graph, schema *graph.Schema, cfg Config) {
 	s.g, s.schema, s.cfg = g, schema, cfg.withDefaults()
-	s.newArena()
+	if !s.rewinds {
+		s.newArena()
+	}
 	if s.union != nil {
 		s.union.rebind(g, schema, s.cfg)
+	}
+}
+
+// leaveTrees leaves every tree synthesized so far to whoever holds it:
+// this synthesizer and its UNION-branch synthesizer take their next
+// queries from new arenas. The runner calls it where a call it abandoned
+// may still be running a plan that reads the last query's tree.
+func (s *Synthesizer) leaveTrees() {
+	for x := s; x != nil; x = x.union {
+		x.newArena()
 	}
 }
 
@@ -205,8 +240,8 @@ func (s *Synthesizer) bindScope(name string, ref elemRef) {
 	s.scope = append(s.scope, scopeVar{name: name, ref: ref})
 }
 
-// arenaQueries is the most queries that share one AST arena: the
-// runner's default queries per graph (8 ground truths of 2 queries).
+// arenaQueries is the most queries that share one heap-mode AST arena:
+// the runner's default queries per graph (8 ground truths of 2 queries).
 // Rebinding starts a fresh arena too, so each graph's queries fill
 // arenas of their own. Consecutive queries share chunks, and a chunk
 // keeps every tree with a node in it alive, so a fresh arena per graph
@@ -215,9 +250,9 @@ func (s *Synthesizer) bindScope(name string, ref elemRef) {
 const arenaQueries = 16
 
 // reset starts a query: it fetches the graph's ID lists, empties the
-// tracker, the pattern history, the scope and the path arena, and starts
-// a fresh AST arena once arenaQueries queries have filled the current
-// one.
+// tracker, the pattern history, the scope and the path arena, and
+// rewinds the AST arenas, or in heap mode starts a fresh arena once
+// arenaQueries queries have filled the current one.
 func (s *Synthesizer) reset() {
 	s.nodeIDs, s.relIDs = s.g.NodeIDs(), s.g.RelIDs()
 	s.tracker.reset(s.g)
@@ -225,21 +260,45 @@ func (s *Synthesizer) reset() {
 	s.history = s.history[:0]
 	s.scope = s.scope[:0]
 	s.chains.reset()
-	if s.queries == arenaQueries {
+	switch {
+	case s.rewinds:
+		s.rewind()
+	case s.queries == arenaQueries:
 		s.newArena()
 	}
 	s.queries++
 }
 
-// newArena drops the AST arena for a fresh one. The scratch that points
-// at the old arena's nodes — the encoded chains and their pattern parts,
-// the predicates, the projection items, the matcher's chains — and the
-// competitor value buffers are cleared over their whole capacity, so
-// that no stale pointer past a slice's length keeps the old arena alive
-// once the caller drops its queries.
+// rewind rewinds the AST arenas of this synthesizer and its UNION-branch
+// synthesizer, whose branch lives as long as the query it belongs to,
+// and clears their scratch: nothing of the last query stays reachable,
+// a chunk replaced while it was synthesized included.
+func (s *Synthesizer) rewind() {
+	for x := s; x != nil; x = x.union {
+		x.nodes.rewind()
+		x.clearScratch()
+	}
+}
+
+// newArena drops the AST arena for a fresh one with the synthesizer's
+// growth rule, and clears the scratch that points at the old one's
+// nodes.
 func (s *Synthesizer) newArena() {
-	s.nodes = astArena{}
+	s.nodes = astArena{grow: ast.NextChunkCap}
+	if s.rewinds {
+		s.nodes.grow = ast.DoubleChunkCap
+	}
 	s.queries = 0
+	s.clearScratch()
+}
+
+// clearScratch clears the scratch that points at AST nodes — the encoded
+// chains and their pattern parts, the predicates, the projection items,
+// the matcher's chains — and the competitor value buffers over their
+// whole capacity, so that no stale pointer past a slice's length keeps
+// alive an arena the caller has dropped, or a chunk a rewound arena has
+// replaced with a larger one.
+func (s *Synthesizer) clearScratch() {
 	s.encBuf = clearAll(s.encBuf)
 	s.enc = clearAll(s.enc)
 	s.preds = clearAll(s.preds)
@@ -267,17 +326,18 @@ func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
 	}
 	expected := s.tracker.Result(gt.ExpectedColumns())
 
-	q := s.nodes.queries.Alloc()
+	q := take(&s.nodes, &s.nodes.queries)
 	if s.pct(unionPct) {
 		if s.union == nil {
-			s.union = NewSynthesizer(s.r, s.g, s.schema, s.cfg)
+			s.union = newSynthesizer(s.r, s.g, s.schema, s.cfg, s.rewinds)
 		}
 		if branch, _, err := s.union.single(gt); err == nil {
 			rows := s.union.tracker.Result(expected.Columns).Rows
 			all := s.r.Intn(2) == 0
-			q.Parts = ast.Window(&s.nodes.singlePtrs, 2, ast.NextChunkCap)
+			q.Parts = ast.Window(&s.nodes.singlePtrs, 2, s.nodes.grow)
 			q.Parts[0], q.Parts[1] = part, branch
-			q.All = []bool{all}
+			q.All = ast.Window(&s.nodes.bools, 1, s.nodes.grow)
+			q.All[0] = all
 			expected.Rows = append(expected.Rows, rows...)
 			if !all {
 				expected = s.dedupeResult(expected)
@@ -285,19 +345,14 @@ func (s *Synthesizer) Synthesize(gt *GroundTruth) (*Synthesized, error) {
 		}
 	}
 	if q.Parts == nil {
-		q.Parts = ast.Window(&s.nodes.singlePtrs, 1, ast.NextChunkCap)
+		q.Parts = ast.Window(&s.nodes.singlePtrs, 1, s.nodes.grow)
 		q.Parts[0] = part
 	}
 
-	// Size the text's builder for the previous query's text plus a
-	// quarter, so most texts are written without regrowing it.
-	var text strings.Builder
-	text.Grow(s.textHint)
-	q.Print(&text)
-	s.textHint = text.Len() + text.Len()/4
+	s.text = q.Append(s.text[:0])
 	return &Synthesized{
 		Query:    q,
-		Text:     text.String(),
+		Text:     string(s.text),
 		Expected: expected,
 		Steps:    steps,
 		GT:       gt,
@@ -316,7 +371,7 @@ func (s *Synthesizer) single(gt *GroundTruth) (*ast.SingleQuery, int, error) {
 	if prologue {
 		n += 2
 	}
-	clauses := ast.Window(&s.nodes.clauses, n, ast.NextChunkCap)[:0]
+	clauses := ast.Window(&s.nodes.clauses, n, s.nodes.grow)[:0]
 	if prologue {
 		clauses = s.appendCallPrologue(clauses)
 	}
@@ -337,7 +392,7 @@ func (s *Synthesizer) single(gt *GroundTruth) (*ast.SingleQuery, int, error) {
 		}
 		clauses = append(clauses, c)
 	}
-	part := s.nodes.singles.Alloc()
+	part := take(&s.nodes, &s.nodes.singles)
 	part.Clauses = clauses
 	return part, len(steps), nil
 }
@@ -363,12 +418,16 @@ func (s *Synthesizer) dedupeResult(r *engine.Result) *engine.Result {
 // pipeline expects.
 func (s *Synthesizer) appendCallPrologue(clauses []ast.Clause) []ast.Clause {
 	tmp := s.plan.nextAlias()
-	items := ast.Window(&s.nodes.itemPtrs, 1, ast.NextChunkCap)
-	items[0] = s.nodes.items.Alloc()
+	items := ast.Window(&s.nodes.itemPtrs, 1, s.nodes.grow)
+	items[0] = take(&s.nodes, &s.nodes.items)
 	*items[0] = ast.ProjectionItem{Expr: ast.Lit(value.True), Alias: tmp}
-	w := s.nodes.withs.Alloc()
+	w := take(&s.nodes, &s.nodes.withs)
 	w.Projection = ast.Projection{Distinct: true, Items: items}
-	return append(clauses, &ast.CallClause{Procedure: "db.labels", Yield: []string{"label"}}, w)
+	c := take(&s.nodes, &s.nodes.procs)
+	c.Procedure = "db.labels"
+	c.Yield = ast.Window(&s.nodes.strs, 1, s.nodes.grow)
+	c.Yield[0] = "label"
+	return append(clauses, c, w)
 }
 
 // synthMatch concretizes a MATCH step: base patterns for the elements to
@@ -434,11 +493,11 @@ func (s *Synthesizer) synthMatch(step *Step) (ast.Clause, error) {
 	}
 	s.preds = preds
 
-	parts := ast.Window(&s.nodes.partPtrs, len(enc), ast.NextChunkCap)
+	parts := ast.Window(&s.nodes.partPtrs, len(enc), s.nodes.grow)
 	for i, ec := range enc {
 		parts[i] = ec.part
 	}
-	m := s.nodes.matches.Alloc()
+	m := take(&s.nodes, &s.nodes.matches)
 	*m = ast.MatchClause{
 		Optional: s.pct(optionalMatchPct),
 		Patterns: parts,
@@ -504,7 +563,7 @@ func (s *Synthesizer) synthUnwind(step *Step) (ast.Clause, error) {
 	if err := s.tracker.Unwind(op.Var, list); err != nil {
 		return nil, err
 	}
-	u := s.nodes.unwinds.Alloc()
+	u := take(&s.nodes, &s.nodes.unwinds)
 	*u = ast.UnwindClause{Expr: list, Alias: op.Var}
 	return u, nil
 }
@@ -570,7 +629,7 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	}
 	s.outVars = outVars
 
-	items := ast.Window(&s.nodes.itemPtrs, len(outVars), ast.NextChunkCap)
+	items := ast.Window(&s.nodes.itemPtrs, len(outVars), s.nodes.grow)
 	titems := s.titems[:0]
 	for i, v := range outVars {
 		o := constOp
@@ -585,7 +644,7 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 		if ve, isVar := e.(*ast.Variable); isVar && ve.Name == v {
 			alias = "" // plain carry: no AS needed
 		}
-		items[i] = s.nodes.items.Alloc()
+		items[i] = take(&s.nodes, &s.nodes.items)
 		*items[i] = ast.ProjectionItem{Expr: e, Alias: alias}
 		titems = append(titems, ProjItem{Name: v, Expr: e})
 	}
@@ -606,9 +665,9 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 		n := 1 + s.r.Intn(2)
 		var pb [2]int
 		perm := permPrefix(s.r, len(outVars), pb[:min(n, len(outVars))])
-		proj.OrderBy = ast.Window(&s.nodes.sortPtrs, len(perm), ast.NextChunkCap)
+		proj.OrderBy = ast.Window(&s.nodes.sortPtrs, len(perm), s.nodes.grow)
 		for k, j := range perm {
-			proj.OrderBy[k] = s.nodes.sorts.Alloc()
+			proj.OrderBy[k] = take(&s.nodes, &s.nodes.sorts)
 			*proj.OrderBy[k] = ast.SortItem{Expr: ast.Var(outVars[j]), Desc: s.r.Intn(2) == 0}
 		}
 	}
@@ -630,11 +689,11 @@ func (s *Synthesizer) synthProjection(step *Step, last bool) (ast.Clause, error)
 	s.scope = kept
 
 	if last {
-		r := s.nodes.returns.Alloc()
+		r := take(&s.nodes, &s.nodes.returns)
 		r.Projection = proj
 		return r, nil
 	}
-	w := s.nodes.withs.Alloc()
+	w := take(&s.nodes, &s.nodes.withs)
 	w.Projection = proj
 	if s.pct(30) {
 		pred := s.truePredicate(exprDepth / 2)

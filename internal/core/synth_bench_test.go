@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gqs/internal/graph"
@@ -19,8 +20,9 @@ var synthDialects = []struct {
 }
 
 // synthWorkload replays the runner's per-graph loop over a fixed set of
-// sealed campaign-sized graphs: one Synthesizer, rebound to each graph as
-// the runner rebinds its own, then 8 ground truths of 2 queries each.
+// sealed campaign-sized graphs: one Synthesizer in the runner's mode (its
+// AST arena rewound for every query), rebound to each graph as the runner
+// rebinds its own, then 8 ground truths of 2 queries each.
 type synthWorkload struct {
 	r       *rand.Rand
 	cfg     Config
@@ -55,7 +57,7 @@ func (w *synthWorkload) next(tb testing.TB) *Synthesized {
 	if w.n%16 == 0 {
 		k := (w.n / 16) % len(w.graphs)
 		if w.syn == nil {
-			w.syn = NewSynthesizer(w.r, w.graphs[k], w.schemas[k], w.cfg)
+			w.syn = newSynthesizer(w.r, w.graphs[k], w.schemas[k], w.cfg, true)
 		} else {
 			w.syn.rebind(w.graphs[k], w.schemas[k], w.cfg)
 		}
@@ -91,31 +93,47 @@ func BenchmarkSynthesize(b *testing.B) {
 	}
 }
 
-// synthAllocsPerQuery is the most ground-truth selection plus synthesis
-// may allocate per query, averaged over 64 queries of each dialect: 64.5
-// to 74.2 measured by dialect with the synthesizer rebound per graph
-// (65.6 to 75.5 while the expected result copied its columns).
-const synthAllocsPerQuery = 75
+// synthAllocsPerQuery and synthBytesPerQuery are the most ground-truth
+// selection plus synthesis may allocate per query in the runner's mode,
+// averaged over 64 queries of each dialect.
+const (
+	synthAllocsPerQuery = 53
+	synthBytesPerQuery  = 3300
+)
 
 // TestSynthesizeAllocs keeps synthesis allocation-light: it runs on
 // every campaign query, so each allocation added here is paid on every
-// operation of the campaign workloads.
+// operation of the campaign workloads, and so is the collection of every
+// byte.
 func TestSynthesizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const queries = 64
+	const queries, runs = 64, 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, d := range synthDialects {
 		w := newSynthWorkload(d.relUnique, d.dbLabels)
-		got := testing.AllocsPerRun(5, func() {
+		run := func() {
 			w.reset()
 			for i := 0; i < queries; i++ {
 				w.next(t)
 			}
-		}) / queries
-		t.Logf("%s: %.1f allocs per query", d.name, got)
-		if got > synthAllocsPerQuery {
-			t.Errorf("%s: %.0f allocs per query, want at most %d", d.name, got, synthAllocsPerQuery)
+		}
+		run() // warm the arena up, as a campaign's first queries do
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		allocs := float64(m1.Mallocs-m0.Mallocs) / (runs * queries)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs * queries)
+		t.Logf("%s: %.1f allocs, %.0f bytes per query", d.name, allocs, bytes)
+		if allocs > synthAllocsPerQuery {
+			t.Errorf("%s: %.1f allocs per query, want at most %d", d.name, allocs, synthAllocsPerQuery)
+		}
+		if bytes > synthBytesPerQuery {
+			t.Errorf("%s: %.0f bytes per query, want at most %d", d.name, bytes, synthBytesPerQuery)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package ast
 
 // Chunk is an arena of one node type, for code that builds trees of many
-// small nodes (the parser, the query synthesizer). Chunks start small and
-// double up to a bound, so a short tree wastes little and a long one
-// still allocates rarely. A node handed out never moves, and a chunk
-// lives as long as any of its nodes: trees share chunks, which is safe
-// because they are immutable once built.
+// small nodes (the parser). Chunks start small and double up to a bound,
+// so a short tree wastes little and a long one still allocates rarely.
+// A node handed out never moves, and a chunk lives as long as any of its
+// nodes: trees share chunks, which is safe because they are immutable
+// once built.
 type Chunk[T any] []T
 
 // Alloc returns a zeroed node.
@@ -44,4 +44,12 @@ func NextChunkCap(prev, n int) int {
 // between two rewinds, and from then on no window allocates.
 func DoubleChunkCap(prev, n int) int {
 	return max(n, 2*prev, minChunk)
+}
+
+// Rewind readies a chunk that is refilled for every tree: it clears what
+// the last tree took from it, so that nothing of that tree stays
+// reachable and every window comes out zero, and empties it.
+func Rewind[T any](c *[]T) {
+	clear(*c)
+	*c = (*c)[:0]
 }

@@ -450,9 +450,10 @@ func (*Quantifier) node()        {}
 const (
 	internIntLo = -16
 	internIntHi = 256
-	// internVarMax bounds the per-prefix nN/rN/aN variable table; names
-	// past it simply allocate.
-	internVarMax = 64
+	// internVarMax bounds the per-prefix nN/rN/aN/wN variable table;
+	// names past it simply allocate. It covers the synthesizer's
+	// comprehension variables w0..w99.
+	internVarMax = 100
 )
 
 var (
@@ -461,15 +462,16 @@ var (
 	litFalse = &Literal{Val: value.Bool(false)}
 	litInts  [internIntHi - internIntLo + 1]*Literal
 	// varTab holds the nN/rN/aN names every synthesized query is built
-	// from, indexed by prefix (n, r, a) and sequence number.
-	varTab [3][internVarMax]*Variable
+	// from, and the wN of its list comprehensions, indexed by prefix (n,
+	// r, a, w) and number.
+	varTab [4][internVarMax]*Variable
 )
 
 func init() {
 	for i := range litInts {
 		litInts[i] = &Literal{Val: value.Int(int64(i + internIntLo))}
 	}
-	for p, c := range [3]byte{'n', 'r', 'a'} {
+	for p, c := range [4]byte{'n', 'r', 'a', 'w'} {
 		for i := range varTab[p] {
 			varTab[p][i] = &Variable{Name: string(c) + strconv.Itoa(i)}
 		}
@@ -505,8 +507,8 @@ func InternedLit(v value.Value) *Literal {
 }
 
 // Var is a convenience constructor for variable references. The
-// canonical nN/rN/aN names of plan and synthesis return shared interned
-// nodes; anything else allocates.
+// canonical nN/rN/aN/wN names of plan and synthesis return shared
+// interned nodes; anything else allocates.
 func Var(name string) *Variable {
 	if n := len(name); n >= 2 && n <= 3 && (n == 2 || name[1] != '0') {
 		p := -1
@@ -517,6 +519,8 @@ func Var(name string) *Variable {
 			p = 1
 		case 'a':
 			p = 2
+		case 'w':
+			p = 3
 		}
 		if p >= 0 {
 			i := 0

@@ -95,6 +95,40 @@ func TestQueryPrinting(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, got)
 		}
 	}
+	if parts := q.Parts[0].String() + " UNION ALL " + q.Parts[1].String(); parts != got {
+		t.Errorf("the single queries print %s, the query %s", parts, got)
+	}
+	if appended := string(q.Append([]byte("> "))); appended != "> "+got {
+		t.Errorf("Append after a prefix gives %s", appended)
+	}
+}
+
+// printSink keeps the printed strings of TestPrintAllocs observable.
+var printSink string
+
+// TestPrintAllocs: each String of the printer costs one allocation, the
+// string's own, up to its buffer's size; ExprString names every
+// unaliased plan column, so an extra allocation there is paid on every
+// compiled projection.
+func TestPrintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	where := Bin(OpEq, Prop("a", "id"), Lit(value.Str("abc")))
+	part := &SingleQuery{Clauses: []Clause{
+		&MatchClause{Patterns: []*PatternPart{{Nodes: []*NodePattern{{Variable: "a", Labels: []string{"L0"}}}}}, Where: where},
+		&ReturnClause{Projection: Projection{Items: []*ProjectionItem{{Expr: Prop("a", "k0"), Alias: "x"}}}},
+	}}
+	q := &Query{Parts: []*SingleQuery{part}}
+	for name, print := range map[string]func() string{
+		"Query.String":       q.String,
+		"SingleQuery.String": part.String,
+		"ExprString":         func() string { return ExprString(where) },
+	} {
+		if got := testing.AllocsPerRun(10, func() { printSink = print() }); got != 1 {
+			t.Errorf("%s: %.0f allocations, want 1", name, got)
+		}
+	}
 }
 
 func TestWriteClausePrinting(t *testing.T) {

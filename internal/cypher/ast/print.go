@@ -1,464 +1,468 @@
 package ast
 
 import (
-	"strings"
-
 	"gqs/internal/cypher/lexer"
 	"gqs/internal/cypher/token"
 )
 
-// writeName writes a label, relationship type, property key, alias, map
-// key or parameter name, where the parser also accepts a keyword: in
+// appendName appends a label, relationship type, property key, alias,
+// map key or parameter name, where the parser also accepts a keyword: in
 // backquotes only when it is not a bare identifier.
-func writeName(sb *strings.Builder, name string) {
+func appendName(b []byte, name string) []byte {
 	if lexer.IsIdentifier(name) {
-		sb.WriteString(name)
-		return
+		return append(b, name...)
 	}
-	sb.WriteByte('`')
-	sb.WriteString(name)
-	sb.WriteByte('`')
+	return quoted(b, name)
 }
 
-// writeVar writes a variable, which the parser reads only from an
+// appendVar appends a variable, which the parser reads only from an
 // identifier token: in backquotes also when it spells a keyword.
-func writeVar(sb *strings.Builder, name string) {
+func appendVar(b []byte, name string) []byte {
 	if lexer.IsIdentifier(name) && token.Lookup(name) == token.Ident {
-		sb.WriteString(name)
-		return
+		return append(b, name...)
 	}
-	sb.WriteByte('`')
-	sb.WriteString(name)
-	sb.WriteByte('`')
+	return quoted(b, name)
+}
+
+// quoted appends name in backquotes.
+func quoted(b []byte, name string) []byte {
+	b = append(b, '`')
+	b = append(b, name...)
+	return append(b, '`')
 }
 
 // String renders the query back to Cypher text. Binary and unary
 // subexpressions are fully parenthesized, which sidesteps precedence
 // pitfalls and matches the style of the paper's synthesized queries.
+// A text of up to 256 bytes costs one allocation, the string's own.
 func (q *Query) String() string {
-	var sb strings.Builder
-	sb.Grow(256)
-	q.Print(&sb)
-	return sb.String()
+	var buf [256]byte
+	return string(q.Append(buf[:0]))
 }
 
-// Print writes the text String returns to sb, for a caller that sizes
-// the builder itself.
-func (q *Query) Print(sb *strings.Builder) {
+// Append appends the text String returns to b, for a caller that keeps
+// the buffer from query to query.
+func (q *Query) Append(b []byte) []byte {
 	for i, p := range q.Parts {
 		if i > 0 {
-			sb.WriteString(" UNION ")
+			b = append(b, " UNION "...)
 			if q.All[i-1] {
-				sb.WriteString("ALL ")
+				b = append(b, "ALL "...)
 			}
 		}
-		p.print(sb)
+		b = p.append(b)
 	}
+	return b
 }
 
-// String renders the single query as Cypher text.
-func (s *SingleQuery) print(sb *strings.Builder) {
+// append appends the single query's Cypher text to b.
+func (s *SingleQuery) append(b []byte) []byte {
 	for i, c := range s.Clauses {
 		if i > 0 {
-			sb.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		printClause(sb, c)
+		b = appendClause(b, c)
 	}
+	return b
 }
 
 // String renders a single query.
 func (s *SingleQuery) String() string {
-	var sb strings.Builder
-	s.print(&sb)
-	return sb.String()
+	var buf [256]byte
+	return string(s.append(buf[:0]))
 }
 
-func printClause(sb *strings.Builder, c Clause) {
+func appendClause(b []byte, c Clause) []byte {
 	switch c := c.(type) {
 	case *MatchClause:
 		if c.Optional {
-			sb.WriteString("OPTIONAL ")
+			b = append(b, "OPTIONAL "...)
 		}
-		sb.WriteString("MATCH ")
-		printPatterns(sb, c.Patterns)
+		b = append(b, "MATCH "...)
+		b = appendPatterns(b, c.Patterns)
 		if c.Where != nil {
-			sb.WriteString(" WHERE ")
-			printExpr(sb, c.Where)
+			b = append(b, " WHERE "...)
+			b = appendExpr(b, c.Where)
 		}
 	case *UnwindClause:
-		sb.WriteString("UNWIND ")
-		printExpr(sb, c.Expr)
-		sb.WriteString(" AS ")
-		writeName(sb, c.Alias)
+		b = append(b, "UNWIND "...)
+		b = appendExpr(b, c.Expr)
+		b = append(b, " AS "...)
+		b = appendName(b, c.Alias)
 	case *WithClause:
-		sb.WriteString("WITH ")
-		printProjection(sb, &c.Projection)
+		b = append(b, "WITH "...)
+		b = appendProjection(b, &c.Projection)
 		if c.Where != nil {
-			sb.WriteString(" WHERE ")
-			printExpr(sb, c.Where)
+			b = append(b, " WHERE "...)
+			b = appendExpr(b, c.Where)
 		}
 	case *ReturnClause:
-		sb.WriteString("RETURN ")
-		printProjection(sb, &c.Projection)
+		b = append(b, "RETURN "...)
+		b = appendProjection(b, &c.Projection)
 	case *CallClause:
-		sb.WriteString("CALL ")
-		sb.WriteString(c.Procedure)
-		sb.WriteByte('(')
+		b = append(b, "CALL "...)
+		b = append(b, c.Procedure...)
+		b = append(b, '(')
 		for i, a := range c.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printExpr(sb, a)
+			b = appendExpr(b, a)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 		for i, y := range c.Yield {
 			if i == 0 {
-				sb.WriteString(" YIELD ")
+				b = append(b, " YIELD "...)
 			} else {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeName(sb, y)
+			b = appendName(b, y)
 		}
 	case *CreateClause:
-		sb.WriteString("CREATE ")
-		printPatterns(sb, c.Patterns)
+		b = append(b, "CREATE "...)
+		b = appendPatterns(b, c.Patterns)
 	case *SetClause:
-		sb.WriteString("SET ")
+		b = append(b, "SET "...)
 		for i, it := range c.Items {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printSetItem(sb, it)
+			b = appendSetItem(b, it)
 		}
 	case *MergeClause:
-		sb.WriteString("MERGE ")
-		printPattern(sb, c.Pattern)
+		b = append(b, "MERGE "...)
+		b = appendPattern(b, c.Pattern)
 		if len(c.OnCreate) > 0 {
-			sb.WriteString(" ON CREATE SET ")
+			b = append(b, " ON CREATE SET "...)
 			for i, it := range c.OnCreate {
 				if i > 0 {
-					sb.WriteString(", ")
+					b = append(b, ", "...)
 				}
-				printSetItem(sb, it)
+				b = appendSetItem(b, it)
 			}
 		}
 		if len(c.OnMatch) > 0 {
-			sb.WriteString(" ON MATCH SET ")
+			b = append(b, " ON MATCH SET "...)
 			for i, it := range c.OnMatch {
 				if i > 0 {
-					sb.WriteString(", ")
+					b = append(b, ", "...)
 				}
-				printSetItem(sb, it)
+				b = appendSetItem(b, it)
 			}
 		}
 	case *DeleteClause:
 		if c.Detach {
-			sb.WriteString("DETACH ")
+			b = append(b, "DETACH "...)
 		}
-		sb.WriteString("DELETE ")
+		b = append(b, "DELETE "...)
 		for i, e := range c.Exprs {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printExpr(sb, e)
+			b = appendExpr(b, e)
 		}
 	case *RemoveClause:
-		sb.WriteString("REMOVE ")
+		b = append(b, "REMOVE "...)
 		for i, it := range c.Items {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
 			if len(it.Labels) > 0 {
-				writeVar(sb, it.Variable)
+				b = appendVar(b, it.Variable)
 				for _, l := range it.Labels {
-					sb.WriteByte(':')
-					writeName(sb, l)
+					b = append(b, ':')
+					b = appendName(b, l)
 				}
 			} else {
-				printExpr(sb, it.Subject)
-				sb.WriteByte('.')
-				writeName(sb, it.Property)
+				b = appendExpr(b, it.Subject)
+				b = append(b, '.')
+				b = appendName(b, it.Property)
 			}
 		}
 	}
+	return b
 }
 
-func printSetItem(sb *strings.Builder, it *SetItem) {
+func appendSetItem(b []byte, it *SetItem) []byte {
 	if len(it.Labels) > 0 {
-		writeVar(sb, it.Variable)
+		b = appendVar(b, it.Variable)
 		for _, l := range it.Labels {
-			sb.WriteByte(':')
-			writeName(sb, l)
+			b = append(b, ':')
+			b = appendName(b, l)
 		}
-		return
+		return b
 	}
-	printExpr(sb, it.Subject)
-	sb.WriteByte('.')
-	writeName(sb, it.Property)
-	sb.WriteString(" = ")
-	printExpr(sb, it.Value)
+	b = appendExpr(b, it.Subject)
+	b = append(b, '.')
+	b = appendName(b, it.Property)
+	b = append(b, " = "...)
+	b = appendExpr(b, it.Value)
+	return b
 }
 
-func printProjection(sb *strings.Builder, p *Projection) {
+func appendProjection(b []byte, p *Projection) []byte {
 	if p.Distinct {
-		sb.WriteString("DISTINCT ")
+		b = append(b, "DISTINCT "...)
 	}
 	if p.Star {
-		sb.WriteByte('*')
+		b = append(b, '*')
 		if len(p.Items) > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
 	}
 	for i, it := range p.Items {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		printExpr(sb, it.Expr)
+		b = appendExpr(b, it.Expr)
 		if it.Alias != "" {
-			sb.WriteString(" AS ")
-			writeName(sb, it.Alias)
+			b = append(b, " AS "...)
+			b = appendName(b, it.Alias)
 		}
 	}
 	if len(p.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
+		b = append(b, " ORDER BY "...)
 		for i, s := range p.OrderBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printExpr(sb, s.Expr)
+			b = appendExpr(b, s.Expr)
 			if s.Desc {
-				sb.WriteString(" DESC")
+				b = append(b, " DESC"...)
 			}
 		}
 	}
 	if p.Skip != nil {
-		sb.WriteString(" SKIP ")
-		printExpr(sb, p.Skip)
+		b = append(b, " SKIP "...)
+		b = appendExpr(b, p.Skip)
 	}
 	if p.Limit != nil {
-		sb.WriteString(" LIMIT ")
-		printExpr(sb, p.Limit)
+		b = append(b, " LIMIT "...)
+		b = appendExpr(b, p.Limit)
 	}
+	return b
 }
 
-func printPatterns(sb *strings.Builder, ps []*PatternPart) {
+func appendPatterns(b []byte, ps []*PatternPart) []byte {
 	for i, p := range ps {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		printPattern(sb, p)
+		b = appendPattern(b, p)
 	}
+	return b
 }
 
-func printPattern(sb *strings.Builder, p *PatternPart) {
+func appendPattern(b []byte, p *PatternPart) []byte {
 	if p.Variable != "" {
-		writeVar(sb, p.Variable)
-		sb.WriteString(" = ")
+		b = appendVar(b, p.Variable)
+		b = append(b, " = "...)
 	}
 	for i, n := range p.Nodes {
 		if i > 0 {
 			r := p.Rels[i-1]
 			if r.Direction == DirLeft {
-				sb.WriteByte('<')
+				b = append(b, '<')
 			}
-			sb.WriteByte('-')
+			b = append(b, '-')
 			if r.Variable != "" || len(r.Types) > 0 || r.Props != nil {
-				sb.WriteByte('[')
+				b = append(b, '[')
 				if r.Variable != "" {
-					writeVar(sb, r.Variable)
+					b = appendVar(b, r.Variable)
 				}
 				for j, t := range r.Types {
 					if j == 0 {
-						sb.WriteByte(':')
+						b = append(b, ':')
 					} else {
-						sb.WriteByte('|')
+						b = append(b, '|')
 					}
-					writeName(sb, t)
+					b = appendName(b, t)
 				}
 				if r.Props != nil {
-					sb.WriteByte(' ')
-					printExpr(sb, r.Props)
+					b = append(b, ' ')
+					b = appendExpr(b, r.Props)
 				}
-				sb.WriteByte(']')
+				b = append(b, ']')
 			}
-			sb.WriteByte('-')
+			b = append(b, '-')
 			if r.Direction == DirRight {
-				sb.WriteByte('>')
+				b = append(b, '>')
 			}
 		}
-		sb.WriteByte('(')
+		b = append(b, '(')
 		if n.Variable != "" {
-			writeVar(sb, n.Variable)
+			b = appendVar(b, n.Variable)
 		}
 		for _, l := range n.Labels {
-			sb.WriteByte(':')
-			writeName(sb, l)
+			b = append(b, ':')
+			b = appendName(b, l)
 		}
 		if n.Props != nil {
 			if n.Variable != "" || len(n.Labels) > 0 {
-				sb.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			printExpr(sb, n.Props)
+			b = appendExpr(b, n.Props)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
-// ExprString renders an expression as Cypher text.
+// ExprString renders an expression as Cypher text, the name of an
+// unaliased projection column. An expression of up to 64 bytes costs
+// one allocation, the string's own.
 func ExprString(e Expr) string {
-	var sb strings.Builder
-	printExpr(&sb, e)
-	return sb.String()
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
 }
 
-func printExpr(sb *strings.Builder, e Expr) {
+func appendExpr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case *Literal:
 		if e.Val.IsNull() {
-			sb.WriteString("null")
+			b = append(b, "null"...)
 		} else {
-			e.Val.Format(sb)
+			b = e.Val.Append(b)
 		}
 	case *Variable:
-		writeVar(sb, e.Name)
+		b = appendVar(b, e.Name)
 	case *Parameter:
-		sb.WriteByte('$')
-		writeName(sb, e.Name)
+		b = append(b, '$')
+		b = appendName(b, e.Name)
 	case *PropAccess:
-		printExpr(sb, e.Subject)
-		sb.WriteByte('.')
-		writeName(sb, e.Name)
+		b = appendExpr(b, e.Subject)
+		b = append(b, '.')
+		b = appendName(b, e.Name)
 	case *Binary:
-		sb.WriteByte('(')
-		printExpr(sb, e.L)
+		b = append(b, '(')
+		b = appendExpr(b, e.L)
 		if e.Op == OpPow {
 			// No surrounding spaces keeps ^ compact, like the paper's output.
-			sb.WriteString(e.Op.String())
+			b = append(b, e.Op.String()...)
 		} else {
-			sb.WriteByte(' ')
-			sb.WriteString(e.Op.String())
-			sb.WriteByte(' ')
+			b = append(b, ' ')
+			b = append(b, e.Op.String()...)
+			b = append(b, ' ')
 		}
-		printExpr(sb, e.R)
-		sb.WriteByte(')')
+		b = appendExpr(b, e.R)
+		b = append(b, ')')
 	case *Unary:
 		switch e.Op {
 		case OpNot:
-			sb.WriteString("(NOT ")
-			printExpr(sb, e.X)
-			sb.WriteByte(')')
+			b = append(b, "(NOT "...)
+			b = appendExpr(b, e.X)
+			b = append(b, ')')
 		case OpNeg:
-			sb.WriteString("(-")
-			printExpr(sb, e.X)
-			sb.WriteByte(')')
+			b = append(b, "(-"...)
+			b = appendExpr(b, e.X)
+			b = append(b, ')')
 		case OpIsNull:
-			sb.WriteByte('(')
-			printExpr(sb, e.X)
-			sb.WriteString(" IS NULL)")
+			b = append(b, '(')
+			b = appendExpr(b, e.X)
+			b = append(b, " IS NULL)"...)
 		case OpIsNotNull:
-			sb.WriteByte('(')
-			printExpr(sb, e.X)
-			sb.WriteString(" IS NOT NULL)")
+			b = append(b, '(')
+			b = appendExpr(b, e.X)
+			b = append(b, " IS NOT NULL)"...)
 		}
 	case *FuncCall:
 		// count and exists are the keywords the parser takes for function
 		// names; any other keyword before '(' is read as the keyword.
 		if t := token.Lookup(e.Name); lexer.IsIdentifier(e.Name) && (t == token.Ident || t == token.KwCount || t == token.KwExists) {
-			sb.WriteString(e.Name)
+			b = append(b, e.Name...)
 		} else {
-			sb.WriteByte('`')
-			sb.WriteString(e.Name)
-			sb.WriteByte('`')
+			b = quoted(b, e.Name)
 		}
-		sb.WriteByte('(')
+		b = append(b, '(')
 		if e.Distinct {
-			sb.WriteString("DISTINCT ")
+			b = append(b, "DISTINCT "...)
 		}
 		if e.Star {
-			sb.WriteByte('*')
+			b = append(b, '*')
 		}
 		for i, a := range e.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printExpr(sb, a)
+			b = appendExpr(b, a)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	case *ListLit:
-		sb.WriteByte('[')
+		b = append(b, '[')
 		for i, el := range e.Elems {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			printExpr(sb, el)
+			b = appendExpr(b, el)
 		}
-		sb.WriteByte(']')
+		b = append(b, ']')
 	case *MapLit:
-		sb.WriteByte('{')
+		b = append(b, '{')
 		for i, k := range e.Keys {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeName(sb, k)
-			sb.WriteString(": ")
-			printExpr(sb, e.Vals[i])
+			b = appendName(b, k)
+			b = append(b, ": "...)
+			b = appendExpr(b, e.Vals[i])
 		}
-		sb.WriteByte('}')
+		b = append(b, '}')
 	case *IndexExpr:
-		printExpr(sb, e.Subject)
-		sb.WriteByte('[')
-		printExpr(sb, e.Index)
-		sb.WriteByte(']')
+		b = appendExpr(b, e.Subject)
+		b = append(b, '[')
+		b = appendExpr(b, e.Index)
+		b = append(b, ']')
 	case *SliceExpr:
-		printExpr(sb, e.Subject)
-		sb.WriteByte('[')
+		b = appendExpr(b, e.Subject)
+		b = append(b, '[')
 		if e.From != nil {
-			printExpr(sb, e.From)
+			b = appendExpr(b, e.From)
 		}
-		sb.WriteString("..")
+		b = append(b, ".."...)
 		if e.To != nil {
-			printExpr(sb, e.To)
+			b = appendExpr(b, e.To)
 		}
-		sb.WriteByte(']')
+		b = append(b, ']')
 	case *CaseExpr:
-		sb.WriteString("CASE")
+		b = append(b, "CASE"...)
 		if e.Test != nil {
-			sb.WriteByte(' ')
-			printExpr(sb, e.Test)
+			b = append(b, ' ')
+			b = appendExpr(b, e.Test)
 		}
 		for i := range e.Whens {
-			sb.WriteString(" WHEN ")
-			printExpr(sb, e.Whens[i])
-			sb.WriteString(" THEN ")
-			printExpr(sb, e.Thens[i])
+			b = append(b, " WHEN "...)
+			b = appendExpr(b, e.Whens[i])
+			b = append(b, " THEN "...)
+			b = appendExpr(b, e.Thens[i])
 		}
 		if e.Else != nil {
-			sb.WriteString(" ELSE ")
-			printExpr(sb, e.Else)
+			b = append(b, " ELSE "...)
+			b = appendExpr(b, e.Else)
 		}
-		sb.WriteString(" END")
+		b = append(b, " END"...)
 	case *ListComprehension:
-		sb.WriteByte('[')
-		writeVar(sb, e.Var)
-		sb.WriteString(" IN ")
-		printExpr(sb, e.List)
+		b = append(b, '[')
+		b = appendVar(b, e.Var)
+		b = append(b, " IN "...)
+		b = appendExpr(b, e.List)
 		if e.Where != nil {
-			sb.WriteString(" WHERE ")
-			printExpr(sb, e.Where)
+			b = append(b, " WHERE "...)
+			b = appendExpr(b, e.Where)
 		}
 		if e.Map != nil {
-			sb.WriteString(" | ")
-			printExpr(sb, e.Map)
+			b = append(b, " | "...)
+			b = appendExpr(b, e.Map)
 		}
-		sb.WriteByte(']')
+		b = append(b, ']')
 	case *Quantifier:
-		sb.WriteString(e.Kind.String())
-		sb.WriteByte('(')
-		writeVar(sb, e.Var)
-		sb.WriteString(" IN ")
-		printExpr(sb, e.List)
-		sb.WriteString(" WHERE ")
-		printExpr(sb, e.Pred)
-		sb.WriteByte(')')
+		b = append(b, e.Kind.String()...)
+		b = append(b, '(')
+		b = appendVar(b, e.Var)
+		b = append(b, " IN "...)
+		b = appendExpr(b, e.List)
+		b = append(b, " WHERE "...)
+		b = appendExpr(b, e.Pred)
+		b = append(b, ')')
 	}
+	return b
 }

@@ -153,29 +153,24 @@ const heapPlans = 64
 // one carved from them, so that nothing of it stays reachable and every
 // window is zero, and starts them over.
 func (m *planSlab) rewind() {
-	rewind(&m.plans)
-	rewind(&m.stages)
-	rewind(&m.matches)
-	rewind(&m.projs)
-	rewind(&m.unwinds)
-	rewind(&m.calls)
-	rewind(&m.parts)
-	rewind(&m.nodes)
-	rewind(&m.rels)
-	rewind(&m.props)
-	rewind(&m.preds)
-	rewind(&m.sched)
-	rewind(&m.ints)
-	rewind(&m.items)
-	rewind(&m.aggs)
-	rewind(&m.sorts)
-	rewind(&m.records)
-	rewind(&m.operands)
-}
-
-func rewind[T any](c *[]T) {
-	clear(*c)
-	*c = (*c)[:0]
+	ast.Rewind(&m.plans)
+	ast.Rewind(&m.stages)
+	ast.Rewind(&m.matches)
+	ast.Rewind(&m.projs)
+	ast.Rewind(&m.unwinds)
+	ast.Rewind(&m.calls)
+	ast.Rewind(&m.parts)
+	ast.Rewind(&m.nodes)
+	ast.Rewind(&m.rels)
+	ast.Rewind(&m.props)
+	ast.Rewind(&m.preds)
+	ast.Rewind(&m.sched)
+	ast.Rewind(&m.ints)
+	ast.Rewind(&m.items)
+	ast.Rewind(&m.aggs)
+	ast.Rewind(&m.sorts)
+	ast.Rewind(&m.records)
+	ast.Rewind(&m.operands)
 }
 
 // aggregateCall reports whether e is an aggregate call: a star call,

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"gqs/internal/value"
 )
@@ -246,10 +247,13 @@ func RandomPropValue(r *rand.Rand, t PropType) value.Value {
 
 const alnum = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
+// randomString draws a string of n characters of alnum, built in place:
+// one allocation.
 func randomString(r *rand.Rand, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = alnum[r.Intn(len(alnum))]
+	var b strings.Builder
+	b.Grow(n)
+	for range n {
+		b.WriteByte(alnum[r.Intn(len(alnum))])
 	}
-	return string(b)
+	return b.String()
 }

@@ -323,19 +323,13 @@ func (v Value) String() string {
 		return strconv.FormatInt(v.i, 10)
 	}
 	var buf [64]byte
-	return string(v.appendTo(buf[:0]))
+	return string(v.Append(buf[:0]))
 }
 
-// Format renders the value in the same Cypher literal notation as String,
-// appending to the caller's builder. Printers that assemble whole queries
-// or rows use it to avoid materializing an intermediate string per value.
-func (v Value) Format(sb *strings.Builder) {
-	var buf [64]byte
-	sb.Write(v.appendTo(buf[:0]))
-}
-
-// appendTo appends the rendering of String to b.
-func (v Value) appendTo(b []byte) []byte {
+// Append appends the rendering of String to b. The query printer
+// appends every literal to the buffer it prints into, with no string per
+// value.
+func (v Value) Append(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(b, "null"...)
@@ -365,7 +359,7 @@ func (v Value) appendTo(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = e.appendTo(b)
+			b = e.Append(b)
 		}
 		return append(b, ']')
 	case KindMap:
@@ -377,7 +371,7 @@ func (v Value) appendTo(b []byte) []byte {
 			}
 			b = append(b, k...)
 			b = append(b, ": "...)
-			b = m[k].appendTo(b)
+			b = m[k].Append(b)
 		}
 		return append(b, '}')
 	case KindNode:
